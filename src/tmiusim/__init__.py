@@ -6,98 +6,28 @@ staged boot authentication, on-the-fly key derivation, sector-wise
 encryption, per-sector integrity tags, and secure lockdown.
 """
 
-from .bus import CommandFrame, DataBlock, ResponseFrame, SdioBus, VirtualCard
-from .crypto import (
-    KdfInput,
-    crc7,
-    crc16,
-    decrypt_sector,
-    derive_key,
-    derive_mac_key,
-    encrypt_sector,
-    sector_tag,
-    sha256,
-)
-from .host import BootHost, BootOutcome, HostPhase, build_system
-from .identity import (
-    AuthFailure,
-    CardIdentity,
-    DeviceIdentity,
-    TrustAnchors,
-    authenticate_device,
-    authenticate_nvm,
-)
-from .image import (
-    CapacityError,
-    EntryKind,
-    ImageLayout,
-    Manifest,
-    NvmImage,
-    build_boot_image,
-    parse_mbr,
-    provision,
-    verify_boot_image,
-)
-from .scenarios import Scenario, builtin_scenarios, load_scenarios, run_scenario
-from .tmiu import (
-    BootReport,
-    CycleLedger,
-    Denial,
-    LockdownError,
-    PolicyViolation,
-    PromStore,
-    ProtocolCrcError,
-    Stage,
-    Tmiu,
-)
+from .crypto import KdfInput, crc7, crc16, derive_key, derive_mac_key, sha256
+from .host import build_system
+from .identity import CardIdentity, DeviceIdentity
+from .image import EntryKind, NvmImage, provision, verify_boot_image, verify_image
+from .tmiu import LockdownError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuthFailure",
-    "BootHost",
-    "BootOutcome",
-    "BootReport",
-    "CapacityError",
     "CardIdentity",
-    "CommandFrame",
-    "CycleLedger",
-    "DataBlock",
-    "Denial",
     "DeviceIdentity",
     "EntryKind",
-    "HostPhase",
-    "ImageLayout",
     "KdfInput",
     "LockdownError",
-    "Manifest",
     "NvmImage",
-    "PolicyViolation",
-    "PromStore",
-    "ProtocolCrcError",
-    "ResponseFrame",
-    "Scenario",
-    "SdioBus",
-    "Stage",
-    "Tmiu",
-    "TrustAnchors",
-    "VirtualCard",
-    "authenticate_device",
-    "authenticate_nvm",
-    "build_boot_image",
     "build_system",
-    "builtin_scenarios",
-    "crc16",
     "crc7",
-    "decrypt_sector",
+    "crc16",
     "derive_key",
     "derive_mac_key",
-    "encrypt_sector",
-    "load_scenarios",
-    "parse_mbr",
     "provision",
-    "run_scenario",
-    "sector_tag",
     "sha256",
     "verify_boot_image",
+    "verify_image",
 ]

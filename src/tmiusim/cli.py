@@ -11,23 +11,17 @@ import argparse
 import sys
 from pathlib import Path
 
-from .crypto import decrypt_sector, sector_tag, sha256
 from .host import build_system
 from .identity import CardIdentity, DeviceIdentity
 from .image import (
     CapacityError,
     EntryKind,
-    ImageDigestError,
-    ImageFormatError,
     Manifest,
     ManifestError,
     NvmImage,
-    SECTOR_SIZE,
-    boot_image_length,
-    image_file_records,
-    manifest_keys,
+    finding_failed,
     provision,
-    verify_boot_image,
+    verify_image,
 )
 from .scenarios import ScenarioError, builtin_scenarios, load_scenarios, run_scenario
 
@@ -115,15 +109,9 @@ def cmd_provision(args: argparse.Namespace) -> int:
         files.append((label, _read_blob(path)))
 
     dna = _parse_int(args.dna)
-    seed = dna.to_bytes(8, "big")
-    if args.cid:
-        cid = _parse_hex_bytes(args.cid, 16, "cid")
-    else:
-        cid = CardIdentity.from_seed(seed).cid
-    if args.csd:
-        csd = _parse_hex_bytes(args.csd, 16, "csd")
-    else:
-        csd = CardIdentity.from_seed(seed).csd
+    derived = CardIdentity.from_seed(dna.to_bytes(8, "big"))
+    cid = _parse_hex_bytes(args.cid, 16, "cid") if args.cid else derived.cid
+    csd = _parse_hex_bytes(args.csd, 16, "csd") if args.csd else derived.csd
 
     try:
         device = DeviceIdentity(dna=dna)
@@ -152,17 +140,10 @@ def cmd_provision(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise CliError(f"cannot write output: {exc}") from exc
 
-    lay = result.layout
     print(f"image={out}")
     print(f"manifest={manifest_path}")
-    print(f"geometry={lay.total_sectors}")
-    print(f"boot_lba={lay.boot_start},{lay.boot_sectors}")
-    print(f"data_lba={lay.data_start},{lay.data_sectors}")
-    print(f"meta_lba={lay.meta_start},{lay.meta_sectors}")
-    for kind, length, digest in result.manifest.entries:
-        print(f"entry={kind},{length},{digest}")
-    for label, length, digest in result.manifest.files:
-        print(f"file={label},{length},{digest}")
+    for line in result.layout.lines() + result.manifest.content_lines():
+        print(line)
     return 0
 
 
@@ -255,70 +236,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_inspect(args: argparse.Namespace) -> int:
     image, manifest = _load_pair(args.image, args.manifest)
-    aes_key, mac_key = manifest_keys(manifest)
-    lay = manifest.layout
-    failures = 0
-
-    print(f"geometry={lay.total_sectors}")
-    print(f"boot_lba={lay.boot_start},{lay.boot_sectors}")
-    print(f"data_lba={lay.data_start},{lay.data_sectors}")
-    print(f"meta_lba={lay.meta_start},{lay.meta_sectors}")
-
-    if sector_tag(mac_key, 0, image.read_sector(0)) == manifest.anchors.mbr_digest:
-        print("mbr=OK")
-    else:
-        print("mbr=FAIL lba=0")
-        failures += 1
-
-    try:
-        first = decrypt_sector(aes_key, lay.boot_start, image.read_sector(lay.boot_start))
-        length = boot_image_length(first)
-        count = length // SECTOR_SIZE
-        if count > lay.boot_sectors:
-            raise ImageFormatError("container exceeds boot partition")
-        container = b"".join(
-            decrypt_sector(aes_key, lay.boot_start + i, image.read_sector(lay.boot_start + i))
-            for i in range(count)
-        )
-        verify_boot_image(container)
-        print(f"boot_image=OK sectors={count}")
-    except (ImageFormatError, ImageDigestError) as exc:
-        print(f"boot_image=FAIL ({exc})")
-        failures += 1
-
-    bad_lbas = []
-    for lba in range(lay.data_start, lay.data_start + lay.data_sectors):
-        meta_lba, offset = lay.tag_location(lba)
-        meta_plain = decrypt_sector(aes_key, meta_lba, image.read_sector(meta_lba))
-        stored = meta_plain[offset : offset + 32]
-        if stored != sector_tag(mac_key, lba, image.read_sector(lba)):
-            bad_lbas.append(lba)
-    if bad_lbas:
-        for lba in bad_lbas:
-            print(f"data=FAIL lba={lba}")
-        failures += len(bad_lbas)
-    else:
-        print(f"data=OK sectors={lay.data_sectors}")
-
-    try:
-        records = {r.label: r for r in image_file_records(image, manifest)}
-        for label, length, digest in manifest.files:
-            record = records.get(label)
-            ok = record is not None and record.length == length
-            if ok:
-                start = lay.data_start + record.offset // SECTOR_SIZE
-                count = -(-record.length // SECTOR_SIZE)
-                blob = b"".join(
-                    decrypt_sector(aes_key, start + i, image.read_sector(start + i))
-                    for i in range(count)
-                )[:length]
-                ok = sha256(blob).hex() == digest
-            print(f"file={label} {'OK' if ok else 'FAIL'}")
-            if not ok:
-                failures += 1
-    except (ValueError, KeyError) as exc:
-        print(f"files=FAIL ({exc})")
-        failures += 1
+    findings = verify_image(image, manifest)
+    for line in manifest.layout.lines() + findings:
+        print(line)
 
     if args.transcript:
         try:
@@ -333,7 +253,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         summary = " ".join(f"{kind.lower()}={counts.get(kind, 0)}" for kind in ("CMD", "RSP", "DAT", "TOK"))
         print(f"transcript lines={len(lines)} {summary}")
 
-    return 0 if failures == 0 else 1
+    return 1 if any(finding_failed(f) for f in findings) else 0
 
 
 # ---------------------------------------------------------------------------

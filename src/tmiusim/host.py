@@ -24,8 +24,7 @@ from .image import (
     NvmImage,
     build_file_table,
     parse_boot_image,
-    parse_file_table,
-    table_sector_count,
+    read_file_table,
 )
 from .tmiu import (
     BootReport,
@@ -124,16 +123,14 @@ class BootHost:
         try:
             image = parse_boot_image(stream.assemble())
         except ImageFormatError:
-            self.phase = HostPhase.HALTED
-            return BootOutcome(False, Denial.IMAGE_DIGEST_MISMATCH, tmiu.report())
+            return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
         received = [
             LoadedEntry(kind.label, len(blob), sha256(blob)) for kind, blob in image.entries
         ]
         if expected_entries is not None:
             got = [(e.kind_label, e.length, e.digest.hex()) for e in received]
             if got != [tuple(e) for e in expected_entries]:
-                self.phase = HostPhase.HALTED
-                return BootOutcome(False, Denial.IMAGE_DIGEST_MISMATCH, tmiu.report())
+                return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
         self.loaded_entries = received
         self.phase = HostPhase.OS_RUNNING
         return BootOutcome(True, None, tmiu.report())
@@ -144,76 +141,57 @@ class BootHost:
         self.tmiu.reset()
         return self.run_boot(expected_entries)
 
-    def _denied(self) -> BootOutcome:
+    def _denied(self, reason: Denial | None = None) -> BootOutcome:
+        """Halt; the reason is the unit's own unless the host found it."""
         self.phase = HostPhase.HALTED
-        return BootOutcome(False, self.tmiu.reason, self.tmiu.report())
+        return BootOutcome(False, reason or self.tmiu.reason, self.tmiu.report())
 
     # -- mediated sector access ----------------------------------------------
 
-    def _read_sector(self, lba: int) -> bytes:
-        last: ProtocolCrcError | None = None
-        for _ in range(RETRY_LIMIT + 1):
+    def _retry(self, mediate, *args):
+        """Run a mediated access, re-issuing it after each line-CRC failure."""
+        for _ in range(RETRY_LIMIT):
             try:
-                return self.tmiu.mediate_read(self.bus, self.card, lba)
-            except ProtocolCrcError as exc:
-                last = exc
-        raise last  # persistent line failure without lockdown
+                return mediate(self.bus, self.card, *args)
+            except ProtocolCrcError:
+                continue
+        return mediate(self.bus, self.card, *args)  # a persistent line failure propagates
+
+    def _read_sector(self, lba: int) -> bytes:
+        return self._retry(self.tmiu.mediate_read, lba)
 
     def _write_sector(self, lba: int, payload: bytes) -> None:
-        last: ProtocolCrcError | None = None
-        for _ in range(RETRY_LIMIT + 1):
-            try:
-                self.tmiu.mediate_write(self.bus, self.card, lba, payload)
-                return
-            except ProtocolCrcError as exc:
-                last = exc
-        raise last
+        self._retry(self.tmiu.mediate_write, lba, payload)
 
     # -- file store -----------------------------------------------------------
-
-    def _data_partition(self) -> tuple[int, int]:
-        return self.tmiu.data_partition
-
-    def _load_table(self) -> tuple[list[FileRecord], int]:
-        data_start, _ = self._data_partition()
-        first = self._read_sector(data_start)
-        sectors = table_sector_count(first)
-        table = first + b"".join(
-            self._read_sector(data_start + i) for i in range(1, sectors)
-        )
-        return parse_file_table(table), sectors
 
     def read_file(self, label: str) -> bytes:
         """Fetch a file from the data partition through the mediated path."""
         self._require_running()
-        data_start, _ = self._data_partition()
-        records, _ = self._load_table()
+        data_start, _ = self.tmiu.data_partition
+        records, _ = read_file_table(self._read_sector, data_start)
         record = next((r for r in records if r.label == label), None)
         if record is None:
             raise FileNotFoundError(label)
-        if record.length == 0:
-            return b""
-        first_lba = data_start + record.offset // SECTOR_SIZE
-        count = -(-record.length // SECTOR_SIZE)
-        blob = b"".join(self._read_sector(first_lba + i) for i in range(count))
+        blob = b"".join(self._read_sector(lba) for lba in record.lbas(data_start))
         return blob[: record.length]
 
     def write_file(self, label: str, blob: bytes) -> None:
         """Create or replace a file; the table is committed last."""
         self._require_running()
-        data_start, data_sectors = self._data_partition()
-        records, table_sectors = self._load_table()
+        data_start, data_sectors = self.tmiu.data_partition
+        records, table_sectors = read_file_table(self._read_sector, data_start)
         needed = -(-len(blob) // SECTOR_SIZE)
 
         keep = [r for r in records if r.label != label]
         offset = self._allocate(keep, table_sectors, data_sectors, needed)
-        new_records = keep + [FileRecord(label=label, offset=offset, length=len(blob))]
-        table = build_file_table(new_records, table_sectors)  # may raise CapacityError
+        record = FileRecord(label=label, offset=offset, length=len(blob))
+        table = build_file_table(keep + [record], table_sectors)  # may raise CapacityError
 
-        for i in range(needed):
+        for i, lba in enumerate(record.lbas(data_start)):
             chunk = blob[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
             chunk += bytes(SECTOR_SIZE - len(chunk))
-            self._write_sector(data_start + offset // SECTOR_SIZE + i, chunk)
+            self._write_sector(lba, chunk)
         for i in range(table_sectors):
             self._write_sector(data_start + i, table[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
 

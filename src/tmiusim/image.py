@@ -29,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .crypto import (
     DIGEST_SIZE,
@@ -256,6 +256,14 @@ def boot_image_length(prefix: bytes) -> int:
     return total_len
 
 
+def boot_image_sectors(prefix: bytes, boot_sectors: int) -> int:
+    """Container length in sectors, from its first sector; it must fit the partition."""
+    count = boot_image_length(prefix) // SECTOR_SIZE
+    if count > boot_sectors:
+        raise ImageFormatError("container exceeds boot partition")
+    return count
+
+
 def parse_boot_image(container: bytes) -> BootImage:
     """Structural parse of a container; digest is not checked here."""
     total_len = boot_image_length(container)
@@ -296,6 +304,11 @@ class FileRecord:
     label: str
     offset: int  # bytes from the start of the data partition, sector aligned
     length: int
+
+    def lbas(self, data_start: int) -> range:
+        """Absolute LBAs of the file's extent."""
+        start = data_start + self.offset // SECTOR_SIZE
+        return range(start, start + -(-self.length // SECTOR_SIZE))
 
 
 def build_file_table(records: Sequence[FileRecord], table_sectors: int) -> bytes:
@@ -342,6 +355,17 @@ def parse_file_table(table: bytes) -> list[FileRecord]:
     return records
 
 
+def read_file_table(
+    read_plain: Callable[[int], bytes], data_start: int
+) -> tuple[list[FileRecord], int]:
+    """(records, table sectors) of the file table, read through
+    ``read_plain(lba) -> plaintext``: the first sector once, then the rest."""
+    first = read_plain(data_start)
+    sectors = table_sector_count(first)
+    table = first + b"".join(read_plain(data_start + i) for i in range(1, sectors))
+    return parse_file_table(table), sectors
+
+
 # ---------------------------------------------------------------------------
 # Geometry
 
@@ -353,20 +377,31 @@ class ImageLayout:
     boot_sectors: int
     data_start: int
     data_sectors: int
-    meta_start: int
-    meta_sectors: int
 
     def __post_init__(self) -> None:
-        ordered = (
-            0 < self.boot_start
-            and self.boot_start + self.boot_sectors == self.data_start
-            and self.data_start + self.data_sectors == self.meta_start
-            and self.meta_start + self.meta_sectors == self.total_sectors
-        )
-        if not ordered:
+        if not 0 < self.boot_start or self.boot_start + self.boot_sectors != self.data_start:
             raise ValueError("layout regions must be contiguous and ordered")
         if self.meta_sectors * TAGS_PER_SECTOR < self.data_sectors:
             raise ValueError("integrity region too small for the data partition")
+
+    @property
+    def meta_start(self) -> int:
+        """The integrity region starts right after the data partition."""
+        return self.data_start + self.data_sectors
+
+    @property
+    def meta_sectors(self) -> int:
+        """The integrity region fills the rest of the geometry."""
+        return self.total_sectors - self.meta_start
+
+    def lines(self) -> list[str]:
+        """The ``key=value`` lines that record this layout in a manifest."""
+        return [
+            f"geometry={self.total_sectors}",
+            f"boot_lba={self.boot_start},{self.boot_sectors}",
+            f"data_lba={self.data_start},{self.data_sectors}",
+            f"meta_lba={self.meta_start},{self.meta_sectors}",
+        ]
 
     def is_data_lba(self, lba: int) -> bool:
         return self.data_start <= lba < self.data_start + self.data_sectors
@@ -384,23 +419,18 @@ class ImageLayout:
 
 def _layout_for(boot_sectors: int, data_sectors: int, total_sectors: int | None) -> ImageLayout:
     if total_sectors is None:
-        meta = -(-data_sectors // TAGS_PER_SECTOR)
-        total = 1 + boot_sectors + data_sectors + meta
+        total = 1 + boot_sectors + data_sectors + -(-data_sectors // TAGS_PER_SECTOR)
     else:
         remaining = total_sectors - 1 - boot_sectors
-        # Largest data partition whose tag region still fits alongside it.
+        # Largest data partition whose tag region still fits alongside it:
+        # d + ceil(d / 16) <= remaining holds exactly when d <= 16 * remaining / 17.
         data = remaining * TAGS_PER_SECTOR // (TAGS_PER_SECTOR + 1)
-        while data > 0 and data + -(-data // TAGS_PER_SECTOR) > remaining:
-            data -= 1
-        while data + 1 + -(-(data + 1) // TAGS_PER_SECTOR) <= remaining:
-            data += 1
         if data < data_sectors:
             raise CapacityError(
                 f"geometry of {total_sectors} sectors leaves {max(data, 0)} data "
                 f"sectors, need {data_sectors}"
             )
         data_sectors = data
-        meta = remaining - data
         total = total_sectors
     return ImageLayout(
         total_sectors=total,
@@ -408,8 +438,6 @@ def _layout_for(boot_sectors: int, data_sectors: int, total_sectors: int | None)
         boot_sectors=boot_sectors,
         data_start=1 + boot_sectors,
         data_sectors=data_sectors,
-        meta_start=1 + boot_sectors + data_sectors,
-        meta_sectors=meta,
     )
 
 
@@ -482,28 +510,27 @@ class Manifest:
     files: list[tuple[str, int, str]]
 
     def to_text(self) -> str:
-        a, lay = self.anchors, self.layout
+        a = self.anchors
         lines = [
             f"device_checksum={a.device_checksum.hex()}",
             f"nvm_checksum={a.nvm_checksum.hex()}",
             f"mbr_digest={a.mbr_digest.hex()}",
             f"kdf_counter={a.kdf_counter}",
             f"kdf_repetitions={a.kdf_repetitions}",
-            f"geometry={lay.total_sectors}",
-            f"boot_lba={lay.boot_start},{lay.boot_sectors}",
-            f"data_lba={lay.data_start},{lay.data_sectors}",
-            f"meta_lba={lay.meta_start},{lay.meta_sectors}",
+            *self.layout.lines(),
         ]
         if a.bind_csd:
             lines.append("bind_csd=1")
         lines.append(f"dna={self.dna:#x}")
         lines.append(f"cid={self.cid.hex()}")
         lines.append(f"csd={self.csd.hex()}")
-        for kind, length, digest in self.entries:
-            lines.append(f"entry={kind},{length},{digest}")
-        for label, length, digest in self.files:
-            lines.append(f"file={label},{length},{digest}")
+        lines += self.content_lines()
         return "\n".join(lines) + "\n"
+
+    def content_lines(self) -> list[str]:
+        """The ``entry=`` and ``file=`` lines: each blob's length and digest."""
+        lines = [f"entry={kind},{length},{digest}" for kind, length, digest in self.entries]
+        return lines + [f"file={label},{length},{digest}" for label, length, digest in self.files]
 
     @classmethod
     def from_text(cls, text: str) -> "Manifest":
@@ -517,14 +544,17 @@ class Manifest:
             if "=" not in line:
                 raise ManifestError(f"line {lineno}: expected key=value")
             key, value = line.split("=", 1)
-            if key == "entry":
-                kind, length, digest = value.split(",")
-                entries.append((kind, int(length), digest))
-            elif key == "file":
-                label, length, digest = value.rsplit(",", 2)
-                files.append((label, int(length), digest))
-            else:
-                fields[key] = value
+            try:
+                if key == "entry":
+                    kind, length, digest = value.split(",")
+                    entries.append((kind, int(length), digest))
+                elif key == "file":
+                    label, length, digest = value.rsplit(",", 2)
+                    files.append((label, int(length), digest))
+                else:
+                    fields[key] = value
+            except ValueError as exc:
+                raise ManifestError(f"line {lineno}: bad {key} record: {exc}") from exc
         try:
             anchors = TrustAnchors(
                 device_checksum=bytes.fromhex(fields["device_checksum"]),
@@ -536,16 +566,16 @@ class Manifest:
             )
             boot_start, boot_sectors = map(int, fields["boot_lba"].split(","))
             data_start, data_sectors = map(int, fields["data_lba"].split(","))
-            meta_start, meta_sectors = map(int, fields["meta_lba"].split(","))
+            meta = tuple(map(int, fields["meta_lba"].split(",")))
             layout = ImageLayout(
                 total_sectors=int(fields["geometry"]),
                 boot_start=boot_start,
                 boot_sectors=boot_sectors,
                 data_start=data_start,
                 data_sectors=data_sectors,
-                meta_start=meta_start,
-                meta_sectors=meta_sectors,
             )
+            if meta != (layout.meta_start, layout.meta_sectors):
+                raise ManifestError("meta_lba disagrees with geometry and data_lba")
             manifest = cls(
                 anchors=anchors,
                 layout=layout,
@@ -565,14 +595,6 @@ class Manifest:
     @classmethod
     def load(cls, path: str | Path) -> "Manifest":
         return cls.from_text(Path(path).read_text())
-
-    def kdf_input(self) -> KdfInput:
-        return KdfInput(
-            counter=self.anchors.kdf_counter,
-            secret=self.dna.to_bytes(8, "big"),
-            other_info=self.cid,
-            repetitions=self.anchors.kdf_repetitions,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -691,34 +713,90 @@ def provision(
 
 def manifest_keys(manifest: Manifest) -> tuple[bytes, bytes]:
     """(cipher key, integrity key) re-derived from manifest identities."""
-    kdf = manifest.kdf_input()
+    kdf = KdfInput(
+        counter=manifest.anchors.kdf_counter,
+        secret=manifest.dna.to_bytes(8, "big"),
+        other_info=manifest.cid,
+        repetitions=manifest.anchors.kdf_repetitions,
+    )
     return derive_key(kdf), derive_mac_key(kdf)
 
 
-def read_plain_sector(image: NvmImage, manifest: Manifest, lba: int) -> bytes:
-    aes_key, _ = manifest_keys(manifest)
-    return decrypt_sector(aes_key, lba, image.read_sector(lba))
+def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[[int], bytes]:
+    return lambda lba: decrypt_sector(aes_key, lba, image.read_sector(lba))
 
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
     """Decrypt and parse the data-partition file table straight off an image."""
-    layout = manifest.layout
-    first = read_plain_sector(image, manifest, layout.data_start)
-    sectors = table_sector_count(first)
-    table = b"".join(
-        read_plain_sector(image, manifest, layout.data_start + i) for i in range(sectors)
-    )
-    return parse_file_table(table)
+    aes_key, _ = manifest_keys(manifest)
+    records, _ = read_file_table(_plain_reader(image, aes_key), manifest.layout.data_start)
+    return records
 
 
 def in_use_data_lbas(image: NvmImage, manifest: Manifest) -> list[int]:
     """Absolute LBAs the post-boot read path will touch: table + file extents."""
     layout = manifest.layout
-    first = read_plain_sector(image, manifest, layout.data_start)
-    sectors = table_sector_count(first)
+    aes_key, _ = manifest_keys(manifest)
+    records, sectors = read_file_table(_plain_reader(image, aes_key), layout.data_start)
     lbas = set(range(layout.data_start, layout.data_start + sectors))
-    for rec in image_file_records(image, manifest):
-        start = layout.data_start + rec.offset // SECTOR_SIZE
-        count = -(-rec.length // SECTOR_SIZE)
-        lbas.update(range(start, start + count))
+    for rec in records:
+        lbas.update(rec.lbas(layout.data_start))
     return sorted(lbas)
+
+
+def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
+    """Check an image offline against its manifest; one finding per check.
+
+    The checks are the MBR anchor, the boot container, every data-sector tag
+    and the file digests; :func:`finding_failed` tells which findings fail.
+    An image whose size disagrees with the manifest's geometry yields a
+    single ``geometry=FAIL`` finding and no sector is read.
+    """
+    lay = manifest.layout
+    if image.total_sectors != lay.total_sectors:
+        return [f"geometry=FAIL image={image.total_sectors} manifest={lay.total_sectors}"]
+    aes_key, mac_key = manifest_keys(manifest)
+    read_plain = _plain_reader(image, aes_key)
+
+    mbr_ok = sector_tag(mac_key, 0, image.read_sector(0)) == manifest.anchors.mbr_digest
+    findings = ["mbr=OK" if mbr_ok else "mbr=FAIL lba=0"]
+
+    try:
+        count = boot_image_sectors(read_plain(lay.boot_start), lay.boot_sectors)
+        verify_boot_image(b"".join(read_plain(lay.boot_start + i) for i in range(count)))
+        findings.append(f"boot_image=OK sectors={count}")
+    except (ImageFormatError, ImageDigestError) as exc:
+        findings.append(f"boot_image=FAIL ({exc})")
+
+    tag_sectors = {lba: read_plain(lba) for lba in range(lay.meta_start, lay.total_sectors)}
+    bad_lbas = []
+    for lba in range(lay.data_start, lay.data_start + lay.data_sectors):
+        meta_lba, offset = lay.tag_location(lba)
+        stored = tag_sectors[meta_lba][offset : offset + DIGEST_SIZE]
+        if stored != sector_tag(mac_key, lba, image.read_sector(lba)):
+            bad_lbas.append(lba)
+    findings += [f"data=FAIL lba={lba}" for lba in bad_lbas]
+    if not bad_lbas:
+        findings.append(f"data=OK sectors={lay.data_sectors}")
+
+    try:
+        records, _ = read_file_table(read_plain, lay.data_start)
+        by_label = {r.label: r for r in records}
+        for label, length, digest in manifest.files:
+            record = by_label.get(label)
+            ok = record is not None and record.length == length
+            if ok:
+                blob = b"".join(read_plain(lba) for lba in record.lbas(lay.data_start))
+                ok = sha256(blob[:length]).hex() == digest
+            findings.append(f"file={label} {'OK' if ok else 'FAIL'}")
+    except (ValueError, KeyError) as exc:
+        findings.append(f"files=FAIL ({exc})")
+    return findings
+
+
+def finding_failed(finding: str) -> bool:
+    """Whether a :func:`verify_image` finding reports a failure."""
+    if finding.startswith("file="):
+        # A file label is free text; its verdict is the last word.
+        return finding.endswith(" FAIL")
+    return finding.split(" ", 1)[0].endswith("=FAIL")

@@ -160,12 +160,19 @@ def builtin_scenarios() -> dict[str, Scenario]:
     return {s.name: s for s in table}
 
 
+def _target_index(target: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioError(f"bad index {text!r} in target {target!r}") from None
+
+
 def _resolve_lba(target: str, manifest: Manifest) -> int:
     layout = manifest.layout
     if target == "mbr":
         return 0
     region, _, index_text = target.partition(":")
-    index = int(index_text) if index_text else 0
+    index = _target_index(target, index_text) if index_text else 0
     spans = {
         "boot_lba": (layout.boot_start, layout.boot_sectors),
         "data_lba": (layout.data_start, layout.data_sectors),
@@ -200,7 +207,7 @@ def run_scenario(
     elif target.startswith("bus:"):
         parts = target.split(":")
         kind = parts[1] if len(parts) > 1 else ""
-        nth = int(parts[2]) if len(parts) > 2 else 1
+        nth = _target_index(target, parts[2]) if len(parts) > 2 else 1
         if kind not in ("cmd", "data"):
             raise ScenarioError(f"unknown bus target {target!r}")
         if mutation.kind != "flip_bit":

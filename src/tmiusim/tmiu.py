@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from typing import NoReturn
 
 from .bus import (
     CMD_ALL_SEND_CID,
@@ -62,7 +63,7 @@ from .identity import (
     authenticate_device,
     authenticate_nvm,
 )
-from .image import ImageFormatError, ImageLayout, MbrError, boot_image_length, parse_mbr
+from .image import ImageFormatError, ImageLayout, MbrError, boot_image_sectors, parse_mbr
 
 DEFAULT_CLOCK_HZ = 50_000_000
 SECTOR_PIPELINE_CYCLES = 52
@@ -213,7 +214,7 @@ class Tmiu:
         self.prom = prom or PromStore()
         self.clock_hz = clock_hz
         self.ledger = CycleLedger(clock_hz)
-        self._power_reset()
+        self.reset()
 
     def __repr__(self) -> str:  # never expose key material
         return (
@@ -221,7 +222,8 @@ class Tmiu:
             f"keys={'set' if self._keys else 'clear'})"
         )
 
-    def _power_reset(self) -> None:
+    def reset(self) -> None:
+        """Power cycle: clears keys and every derived register."""
         self.ledger.reset()
         self.stage = Stage.PROM_LOAD
         self.reason: Denial | None = None
@@ -231,10 +233,6 @@ class Tmiu:
         self._cid: bytes | None = None
         self._layout: ImageLayout | None = None
         self.stage_history: list[tuple[Stage, int]] = [(Stage.PROM_LOAD, 0)]
-
-    def reset(self) -> None:
-        """Power cycle: clears keys and every derived register."""
-        self._power_reset()
 
     @property
     def has_keys(self) -> bool:
@@ -263,6 +261,11 @@ class Tmiu:
         if card is not None:
             card.suspend_io()
         return self._enter(Stage.LOCKDOWN)
+
+    def _fail(self, reason: Denial, card: VirtualCard) -> NoReturn:
+        """Lock down and abort the mediated operation in progress."""
+        self._lockdown(reason, card)
+        raise LockdownError(reason)
 
     def _require(self, stage: Stage) -> None:
         if self.stage is Stage.LOCKDOWN:
@@ -336,8 +339,8 @@ class Tmiu:
             raise StateError("keys not generated")
         aes_key, mac_key = self._keys
 
-        mbr_block = self._read_single_checked(bus, 0, PHASE_BOOT)
-        if mbr_block is None:
+        mbr_block, crc_ok = self._read_single(bus, 0, PHASE_BOOT)
+        if not crc_ok:
             return self._lockdown(Denial.BUS_ERROR, card)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_BOOT)
         if sector_tag(mac_key, 0, mbr_block.payload) != self.anchors.mbr_digest:
@@ -354,8 +357,6 @@ class Tmiu:
                 boot_sectors=boot.sector_count,
                 data_start=data.lba_start,
                 data_sectors=data.sector_count,
-                meta_start=data.lba_start + data.sector_count,
-                meta_sectors=card.geometry - data.lba_start - data.sector_count,
             )
         except (MbrError, ValueError):
             return self._lockdown(Denial.MBR_MISMATCH, card)
@@ -404,12 +405,8 @@ class Tmiu:
             plaintext = decrypt_sector(aes_key, lba, block.payload)
             if total_sectors is None:
                 try:
-                    length = boot_image_length(plaintext)
+                    total_sectors = boot_image_sectors(plaintext, layout.boot_sectors)
                 except ImageFormatError:
-                    bus.command(CMD_STOP_TRANSMISSION, 0)
-                    return reject(Denial.IMAGE_DIGEST_MISMATCH, plaintext)
-                total_sectors = length // SECTOR_SIZE
-                if total_sectors > layout.boot_sectors:
                     bus.command(CMD_STOP_TRANSMISSION, 0)
                     return reject(Denial.IMAGE_DIGEST_MISMATCH, plaintext)
             if held is not None:
@@ -439,22 +436,18 @@ class Tmiu:
         the transfer the same way, then locks the unit down and suspends the
         card.
         """
-        self._require(Stage.OPERATIONAL)
-        layout = self._layout
-        assert layout is not None
-        if not layout.is_data_lba(lba):
-            raise PolicyViolation(f"read of LBA {lba} outside the data partition")
-        aes_key, mac_key = self._keys
+        aes_key, mac_key = self._mediated_keys(lba, "read of")
 
-        block = self._read_single_attempt(bus, lba)
+        # The data leg is not retried here: a line-CRC failure goes to the
+        # processor, whose own retry re-issues the whole read.
+        block, crc_ok = self._read_single(bus, lba, PHASE_OPERATIONAL, retries=0)
         if block is None:
-            self._lockdown(Denial.BUS_ERROR, card)
-            raise LockdownError(self.reason)
-        if not block.crc_ok:
+            self._fail(Denial.BUS_ERROR, card)
+        if not crc_ok:
             # Forwarded unencrypted so the processor sees the CRC error.
             raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
-        expected = self._fetch_tag(bus, card, lba)
-        if sector_tag(mac_key, lba, block.payload) != expected:
+        _, offset, tags = self._read_tag_sector(bus, card, lba)
+        if sector_tag(mac_key, lba, block.payload) != tags[offset : offset + DIGEST_SIZE]:
             self._lockdown(Denial.SECTOR_TAG_MISMATCH, card, lba=lba)
             raise ProtocolCrcError(f"sector {lba} failed verification; stream poisoned")
         plaintext = decrypt_sector(aes_key, lba, block.payload)
@@ -465,50 +458,34 @@ class Tmiu:
         self, bus: SdioBus, card: VirtualCard, lba: int, plaintext: bytes, crc: int | None = None
     ) -> None:
         """Encrypt-and-tag write of one data-partition sector."""
-        self._require(Stage.OPERATIONAL)
-        layout = self._layout
-        assert layout is not None
-        if not layout.is_data_lba(lba):
-            raise PolicyViolation(f"write to LBA {lba} outside the data partition")
+        aes_key, mac_key = self._mediated_keys(lba, "write to")
         if len(plaintext) != SECTOR_SIZE:
             raise ValueError("sector payload must be 512 bytes")
         if crc is not None and crc != crc16(plaintext):
             raise ProtocolCrcError(f"incoming block for LBA {lba} failed line CRC")
-        aes_key, mac_key = self._keys
 
         ciphertext = encrypt_sector(aes_key, lba, plaintext)
-        if not self._write_single_checked(bus, lba, DataBlock.for_payload(ciphertext)):
-            self._lockdown(Denial.BUS_ERROR, card)
-            raise LockdownError(self.reason)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
-        self._store_tag(bus, card, lba, sector_tag(mac_key, lba, ciphertext))
+        self._write_single(bus, card, lba, ciphertext)
+        meta_lba, offset, tags = self._read_tag_sector(bus, card, lba)
+        tags = tags[:offset] + sector_tag(mac_key, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
+        self._write_single(bus, card, meta_lba, encrypt_sector(aes_key, meta_lba, tags))
 
-    def _fetch_tag(self, bus: SdioBus, card: VirtualCard, lba: int) -> bytes:
+    def _mediated_keys(self, lba: int, access: str) -> tuple[bytes, bytes]:
+        """The keys, once stage and partition policy allow the access."""
+        self._require(Stage.OPERATIONAL)
+        if not self._layout.is_data_lba(lba):
+            raise PolicyViolation(f"{access} LBA {lba} outside the data partition")
+        return self._keys
+
+    def _read_tag_sector(self, bus: SdioBus, card: VirtualCard, lba: int) -> tuple[int, int, bytes]:
+        """(integrity-region LBA, tag offset, decrypted tag sector) for a data LBA."""
         meta_lba, offset = self._layout.tag_location(lba)
-        block = self._read_single_checked(bus, meta_lba, PHASE_OPERATIONAL)
-        if block is None:
-            self._lockdown(Denial.BUS_ERROR, card)
-            raise LockdownError(self.reason)
+        block, crc_ok = self._read_single(bus, meta_lba, PHASE_OPERATIONAL)
+        if not crc_ok:
+            self._fail(Denial.BUS_ERROR, card)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
         aes_key, _ = self._keys
-        plain = decrypt_sector(aes_key, meta_lba, block.payload)
-        return plain[offset : offset + DIGEST_SIZE]
-
-    def _store_tag(self, bus: SdioBus, card: VirtualCard, lba: int, tag: bytes) -> None:
-        meta_lba, offset = self._layout.tag_location(lba)
-        block = self._read_single_checked(bus, meta_lba, PHASE_OPERATIONAL)
-        if block is None:
-            self._lockdown(Denial.BUS_ERROR, card)
-            raise LockdownError(self.reason)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
-        aes_key, _ = self._keys
-        plain = bytearray(decrypt_sector(aes_key, meta_lba, block.payload))
-        plain[offset : offset + DIGEST_SIZE] = tag
-        ciphertext = encrypt_sector(aes_key, meta_lba, bytes(plain))
-        if not self._write_single_checked(bus, meta_lba, DataBlock.for_payload(ciphertext)):
-            self._lockdown(Denial.BUS_ERROR, card)
-            raise LockdownError(self.reason)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
+        return meta_lba, offset, decrypt_sector(aes_key, meta_lba, block.payload)
 
     # -- reporting ----------------------------------------------------------
 
@@ -549,40 +526,36 @@ class Tmiu:
         resp = self._command_retry(bus, index, argument)
         return resp is not None and resp.status == 0
 
-    def _read_single_attempt(self, bus: SdioBus, lba: int) -> DataBlock | None:
-        """One CMD17 exchange; the command leg retries, the data leg does not."""
-        resp = self._command_retry(bus, CMD_READ_SINGLE, lba)
-        if resp is None or resp.status != 0:
-            return None
-        block = bus.fetch_block()
-        if block is None:
-            return None
-        self.ledger.charge(self._transfer_cycles(bus.card), SECTOR_SIZE, PHASE_OPERATIONAL)
-        return block
-
-    def _read_single_checked(self, bus: SdioBus, lba: int, phase: str) -> DataBlock | None:
-        """CMD17 read with line-CRC retries; None when the bus gives up."""
-        for _ in range(RETRY_LIMIT + 1):
-            resp = self._command_retry(bus, CMD_READ_SINGLE, lba)
-            if resp is None or resp.status != 0:
-                return None
+    def _read_single(
+        self, bus: SdioBus, lba: int, phase: str, retries: int = RETRY_LIMIT
+    ) -> tuple[DataBlock | None, bool]:
+        """CMD17 read, repeated up to ``retries`` times while the line CRC
+        fails: (last block, whether its CRC holds); (None, False) when the
+        bus gives up. The CRC is computed once per block."""
+        block = None
+        for _ in range(retries + 1):
+            if not self._simple_command(bus, CMD_READ_SINGLE, lba):
+                return None, False
             block = bus.fetch_block()
             if block is None:
-                return None
+                return None, False
             self.ledger.charge(self._transfer_cycles(bus.card), SECTOR_SIZE, phase)
             if block.crc_ok:
-                return block
-        return None
+                return block, True
+        return block, False
 
-    def _write_single_checked(self, bus: SdioBus, lba: int, block: DataBlock) -> bool:
+    def _write_single(self, bus: SdioBus, card: VirtualCard, lba: int, ciphertext: bytes) -> None:
+        """CMD24 write with line-CRC retries, then the pipeline drain; locks
+        the unit down when the bus gives up."""
+        block = DataBlock.for_payload(ciphertext)
         for _ in range(RETRY_LIMIT + 1):
-            resp = self._command_retry(bus, CMD_WRITE_SINGLE, lba)
-            if resp is None or resp.status != 0:
-                return False
+            if not self._simple_command(bus, CMD_WRITE_SINGLE, lba):
+                break
             token = bus.push_block(block)
             if token is None:
-                return False
+                break
             self.ledger.charge(self._transfer_cycles(bus.card), SECTOR_SIZE, PHASE_OPERATIONAL)
             if token == TOKEN_CRC_OK:
-                return True
-        return False
+                self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
+                return
+        self._fail(Denial.BUS_ERROR, card)

@@ -106,6 +106,15 @@ class TestBoot:
         assert trace and all(line.startswith("t=") for line in trace)
         assert "stage=Operational" in Path("boot.report").read_text()
 
+    def test_malformed_manifest_exits_2(self, workspace, capsys):
+        _provision(capsys)
+        with open("card.nvm.manifest", "a") as manifest:
+            manifest.write("entry=kernel,6\n")
+        rc = main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot load manifest") and "Traceback" not in err
+
     def test_deterministic_report(self, workspace, capsys):
         _provision(capsys)
         main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest"])
@@ -204,6 +213,18 @@ class TestInspect:
         assert rc == 1
         fails = [line for line in out.splitlines() if line.startswith("data=FAIL")]
         assert fails == [f"data=FAIL lba={lba}"]
+
+    def test_image_shorter_than_geometry_fails(self, workspace, capsys):
+        _provision(capsys)
+        from tmiusim.image import Manifest
+
+        geometry = Manifest.load("card.nvm.manifest").layout.total_sectors
+        image = Path("card.nvm").read_bytes()
+        Path("card.nvm").write_bytes(image[: (geometry // 2) * 512])
+        rc = main(["inspect", "--image", "card.nvm", "--manifest", "card.nvm.manifest"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert out.splitlines()[4:] == [f"geometry=FAIL image={geometry // 2} manifest={geometry}"]
 
     def test_missing_manifest_exits_2(self, workspace, capsys):
         _provision(capsys)

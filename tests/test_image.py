@@ -21,6 +21,7 @@ from tmiusim.image import (
     boot_image_length,
     build_boot_image,
     build_file_table,
+    finding_failed,
     in_use_data_lbas,
     manifest_keys,
     parse_boot_image,
@@ -29,6 +30,7 @@ from tmiusim.image import (
     provision,
     table_sector_count,
     verify_boot_image,
+    verify_image,
 )
 
 from conftest import BOOT_ENTRIES, DATA_FILES, make_provision
@@ -169,8 +171,6 @@ class TestLayout:
             boot_sectors=10,
             data_start=11,
             data_sectors=83,
-            meta_start=94,
-            meta_sectors=6,
         )
         assert layout.tag_location(11) == (94, 0)
         assert layout.tag_location(11 + 16) == (95, 0)
@@ -186,8 +186,6 @@ class TestLayout:
                 boot_sectors=10,
                 data_start=12,  # gap
                 data_sectors=82,
-                meta_start=94,
-                meta_sectors=6,
             )
         with pytest.raises(ValueError):
             ImageLayout(  # integrity region too small
@@ -196,8 +194,6 @@ class TestLayout:
                 boot_sectors=10,
                 data_start=11,
                 data_sectors=88,
-                meta_start=99,
-                meta_sectors=1,
             )
 
 
@@ -371,12 +367,20 @@ class TestManifest:
         from tmiusim.image import ManifestError
 
         good = provisioned.manifest.to_text()
+        layout = provisioned.layout
         with pytest.raises(ManifestError):
             Manifest.from_text(good.replace("kdf_counter=", "kdf_kounter="))
         with pytest.raises(ManifestError):
             Manifest.from_text(good + "just a stray line\n")
         with pytest.raises(ManifestError):
             Manifest.from_text(good.replace("geometry=", "geometry=not-a-number;"))
+        for record in ("entry=kernel,6", "file=a,b", "entry=kernel,x,abc"):
+            with pytest.raises(ManifestError, match=r"^line \d+:"):
+                Manifest.from_text(good + record + "\n")
+        meta = f"meta_lba={layout.meta_start},{layout.meta_sectors}"
+        shifted = f"meta_lba={layout.meta_start + 1},{layout.meta_sectors - 1}"
+        with pytest.raises(ManifestError):
+            Manifest.from_text(good.replace(meta, shifted))
 
 
 def test_image_save_load_round_trip(tmp_path, provisioned):
@@ -386,3 +390,59 @@ def test_image_save_load_round_trip(tmp_path, provisioned):
     assert loaded.to_bytes() == provisioned.image.to_bytes()
     with pytest.raises(IndexError):
         loaded.read_sector(loaded.total_sectors)
+
+
+def _flip(image, lba, offset):
+    sector = bytearray(image.read_sector(lba))
+    sector[offset] ^= 0x10
+    image.write_sector(lba, bytes(sector))
+
+
+class TestVerifyImage:
+    @pytest.mark.parametrize("case", ["clean", "data", "tag", "boot", "mbr", "short"])
+    def test_findings(self, case, provisioned):
+        layout = provisioned.layout
+        image = provisioned.image.clone()
+        data_lbas = range(layout.data_start, layout.data_start + layout.data_sectors)
+        expected = []
+        if case == "data":
+            _flip(image, layout.data_start + 5, 300)
+            expected = [f"data=FAIL lba={layout.data_start + 5}"]
+        elif case == "tag":
+            _flip(image, layout.meta_start, 100)  # inside the fourth tag slot
+            expected = [
+                f"data=FAIL lba={lba}"
+                for lba in data_lbas
+                if layout.tag_location(lba) == (layout.meta_start, 96)
+            ]
+            assert len(expected) == 1
+        elif case == "boot":
+            _flip(image, layout.boot_start + 1, 7)
+        elif case == "mbr":
+            _flip(image, 0, 450)
+            expected = ["mbr=FAIL lba=0"]
+        elif case == "short":  # no sector is read when the size disagrees
+            image = NvmImage(image.to_bytes()[:-SECTOR_SIZE])
+            total = layout.total_sectors
+            expected = [f"geometry=FAIL image={total - 1} manifest={total}"]
+
+        findings = verify_image(image, provisioned.manifest)
+        failed = [f for f in findings if finding_failed(f)]
+        if case == "boot":
+            assert [f.split(" ")[0] for f in failed] == ["boot_image=FAIL"]
+        else:
+            assert failed == expected
+        if case == "short":
+            assert findings == expected
+        if case == "clean":
+            assert findings == [
+                "mbr=OK",
+                f"boot_image=OK sectors={layout.boot_sectors}",
+                f"data=OK sectors={layout.data_sectors}",
+            ] + [f"file={label} OK" for label, _ in DATA_FILES]
+
+    def test_verdict_of_file_finding_is_its_last_word(self):
+        assert finding_failed("file=notes=FAIL v2 OK") is False
+        assert finding_failed("file=FAIL.txt FAIL") is True
+        assert finding_failed("data=FAIL lba=3") is True
+        assert finding_failed("data=OK sectors=9") is False

@@ -114,9 +114,11 @@ class TestRunScenario:
         assert report.stage == "Operational"
 
     def test_out_of_range_target_rejected(self, provisioned):
-        scenario = parse_scenario("target=boot_lba:100000 mutate=flip_bit:0:0 expect=ImageDigestMismatch")
-        with pytest.raises(ScenarioError):
-            run_scenario(scenario, provisioned.image, provisioned.manifest)
+        for target in ("boot_lba:100000", "data_lba:zz", "bus:cmd:x"):
+            line = f"target={target} mutate=flip_bit:0:0 expect=ImageDigestMismatch"
+            scenario = parse_scenario(line)
+            with pytest.raises(ScenarioError):
+                run_scenario(scenario, provisioned.image, provisioned.manifest)
 
     def test_dna_mutation_must_change_value(self, provisioned):
         # Flipping a bit above the 57-bit range is rejected, not masked.
