@@ -3,7 +3,9 @@
 The bus is untimed at the logic level; cycle accounting lives with the guard
 unit, which owns the master side. The wire supports one-shot bit-flip fault
 injection on command frames and on data blocks in either direction, and an
-optional line-oriented transcript of everything that crosses it.
+optional line-oriented transcript of everything that crosses it. The card
+implements only the commands the unit sends and answers any other index as
+an illegal command.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -30,9 +32,6 @@ CMD_SET_BLOCKLEN = 16
 CMD_READ_SINGLE = 17
 CMD_READ_MULTIPLE = 18
 CMD_WRITE_SINGLE = 24
-CMD_WRITE_MULTIPLE = 25
-
-R2_COMMANDS = (CMD_ALL_SEND_CID, CMD_SEND_CSD)
 
 STATUS_OUT_OF_RANGE = 1 << 31
 STATUS_BLOCK_LEN_ERROR = 1 << 29
@@ -46,7 +45,7 @@ R1_FRAME_SIZE = 6
 R2_FRAME_SIZE = 17
 DATA_FRAME_SIZE = SECTOR_SIZE + 2
 
-DEFAULT_LINE_RATE = 25_000_000  # bytes/s, rated card line speed
+LINE_RATE = 25_000_000  # bytes/s, rated card line speed
 
 
 class FramingError(ValueError):
@@ -149,21 +148,14 @@ class CardState(Enum):
 class VirtualCard:
     """SD card answering the minimal command subset over one exclusive bus."""
 
-    def __init__(
-        self,
-        identity: CardIdentity,
-        backing: NvmImage,
-        line_rate: int = DEFAULT_LINE_RATE,
-    ):
+    def __init__(self, identity: CardIdentity, backing: NvmImage):
         self.identity = identity
         self.backing = backing
-        self.line_rate = line_rate
         self.state = CardState.IDLE
         self.io_suspended = False
-        self._read_lba: int | None = None
-        self._read_stream = False
-        self._write_lba: int | None = None
-        self._write_stream = False
+        # The open data transfer, (data command, next LBA); only ever set in
+        # TRANSFER, and cleared by CMD0, CMD12, power cycle and suspension.
+        self._open: tuple[int, int] | None = None
 
     @property
     def geometry(self) -> int:
@@ -172,24 +164,21 @@ class VirtualCard:
     def power_cycle(self) -> None:
         self.state = CardState.IDLE
         self.io_suspended = False
-        self._clear_transfers()
+        self._open = None
 
     def suspend_io(self) -> None:
         """Suspend all I/O until power cycle; idempotent and irreversible."""
         self.io_suspended = True
-        self._clear_transfers()
-
-    def _clear_transfers(self) -> None:
-        self._read_lba = None
-        self._read_stream = False
-        self._write_lba = None
-        self._write_stream = False
+        self._open = None
 
     def issue(self, raw: bytes) -> bytes | None:
         """Handle a raw command frame; None models a silent card."""
         if self.io_suspended:
             return None
-        frame, crc_ok = parse_command(raw)
+        try:
+            frame, crc_ok = parse_command(raw)
+        except FramingError:
+            return None  # a malformed frame is ignored like a bad CRC
         if not crc_ok:
             return None
         return self._dispatch(frame)
@@ -198,7 +187,7 @@ class VirtualCard:
         idx, arg = frame.index, frame.argument
         if idx == CMD_GO_IDLE:
             self.state = CardState.IDLE
-            self._clear_transfers()
+            self._open = None
             return None  # CMD0 carries no response
         if idx == CMD_ALL_SEND_CID:
             if self.state is not CardState.IDLE:
@@ -221,23 +210,14 @@ class VirtualCard:
                 return self._r1(idx, STATUS_BLOCK_LEN_ERROR)
             return self._r1(idx, 0)
         if idx == CMD_STOP_TRANSMISSION:
-            self._clear_transfers()
+            self._open = None
             return self._r1(idx, 0)
-        if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE):
+        if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE):
             if self.state is not CardState.TRANSFER:
                 return self._r1(idx, STATUS_ILLEGAL_COMMAND)
             if arg >= self.geometry:
                 return self._r1(idx, STATUS_OUT_OF_RANGE)
-            self._read_lba = arg
-            self._read_stream = idx == CMD_READ_MULTIPLE
-            return self._r1(idx, 0)
-        if idx in (CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE):
-            if self.state is not CardState.TRANSFER:
-                return self._r1(idx, STATUS_ILLEGAL_COMMAND)
-            if arg >= self.geometry:
-                return self._r1(idx, STATUS_OUT_OF_RANGE)
-            self._write_lba = arg
-            self._write_stream = idx == CMD_WRITE_MULTIPLE
+            self._open = (idx, arg)
             return self._r1(idx, 0)
         return self._r1(idx, STATUS_ILLEGAL_COMMAND)
 
@@ -245,50 +225,29 @@ class VirtualCard:
     def _r1(index: int, status: int) -> bytes:
         return ResponseFrame(index=index, status=status).to_bytes()
 
-    def read_block(self, lba: int) -> DataBlock | None:
-        """Serve one stored sector with a freshly computed CRC16."""
-        if self.io_suspended or self.state is not CardState.TRANSFER:
+    def take_read_block(self) -> bytes | None:
+        """Next stored sector of an open read transfer, with a freshly
+        computed CRC16, raw on the wire."""
+        if self._open is None or self._open[0] == CMD_WRITE_SINGLE:
             return None
-        return DataBlock.for_payload(self.backing.read_sector(lba))
+        idx, lba = self._open
+        if lba >= self.geometry:
+            return None
+        self._open = (idx, lba + 1) if idx == CMD_READ_MULTIPLE else None
+        return DataBlock.for_payload(self.backing.read_sector(lba)).to_bytes()
 
-    def write_block(self, lba: int, block: DataBlock) -> int | None:
-        """Commit a block if its CRC holds; report acceptance via token."""
-        if self.io_suspended or self.state is not CardState.TRANSFER:
+    def receive_write_block(self, raw: bytes) -> int | None:
+        """Accept the raw data frame of an open write transfer; commit it if
+        its CRC holds and report acceptance via token."""
+        if self._open is None or self._open[0] != CMD_WRITE_SINGLE:
             return None
+        lba = self._open[1]
+        self._open = None
+        block = parse_data(raw)
         if not block.crc_ok:
             return TOKEN_CRC_ERR
         self.backing.write_sector(lba, block.payload)
         return TOKEN_CRC_OK
-
-    def take_read_block(self) -> bytes | None:
-        """Next pending data frame of an open read transfer, raw on the wire."""
-        if self.io_suspended or self.state is not CardState.TRANSFER:
-            return None
-        if self._read_lba is None or self._read_lba >= self.geometry:
-            return None
-        block = self.read_block(self._read_lba)
-        if block is None:
-            return None
-        if self._read_stream:
-            self._read_lba += 1
-        else:
-            self._read_lba = None
-        return block.to_bytes()
-
-    def receive_write_block(self, raw: bytes) -> int | None:
-        """Accept one raw data frame of an open write transfer."""
-        if self.io_suspended or self.state is not CardState.TRANSFER:
-            return None
-        if self._write_lba is None or self._write_lba >= self.geometry:
-            return None
-        token = self.write_block(self._write_lba, parse_data(raw))
-        if token is None:
-            return None
-        if self._write_stream and token == TOKEN_CRC_OK:
-            self._write_lba += 1
-        elif not self._write_stream:
-            self._write_lba = None
-        return token
 
 
 @dataclass
@@ -308,16 +267,13 @@ class SdioBus:
         self.transcript: list[str] = []
         self._faults: dict[str, list[_FaultPlan]] = {"cmd": [], "c2h": [], "h2c": []}
 
-    # Fault scheduling: the nth upcoming frame of the given kind gets one bit
-    # flipped in flight. Boot sequences recover from any single such fault.
-    def inject_command_fault(self, nth: int = 1, byte_offset: int = 0, bit: int = 0) -> None:
-        self._faults["cmd"].append(_FaultPlan(nth, byte_offset, bit))
-
-    def inject_card_to_host_fault(self, nth: int = 1, byte_offset: int = 0, bit: int = 0) -> None:
-        self._faults["c2h"].append(_FaultPlan(nth, byte_offset, bit))
-
-    def inject_host_to_card_fault(self, nth: int = 1, byte_offset: int = 0, bit: int = 0) -> None:
-        self._faults["h2c"].append(_FaultPlan(nth, byte_offset, bit))
+    def inject_fault(self, kind: str, nth: int = 1, byte_offset: int = 0, bit: int = 0) -> None:
+        """Flip one bit in flight in the nth upcoming frame of ``kind``: "cmd"
+        (command), "c2h" (card-to-host data) or "h2c" (host-to-card data).
+        Boot sequences recover from any single such fault."""
+        if kind not in self._faults:
+            raise ValueError(f"unknown fault kind {kind!r}")
+        self._faults[kind].append(_FaultPlan(nth, byte_offset, bit))
 
     def _apply_faults(self, kind: str, raw: bytes) -> bytes:
         out = raw
@@ -367,8 +323,3 @@ class SdioBus:
         if token is not None:
             self._log("C→H", "TOK", bytes([token]))
         return token
-
-    def write_transcript(self, path) -> None:
-        from pathlib import Path
-
-        Path(path).write_text("\n".join(self.transcript) + ("\n" if self.transcript else ""))

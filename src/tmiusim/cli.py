@@ -159,10 +159,13 @@ def cmd_boot(args: argparse.Namespace) -> int:
     outcome = host.run_boot(expected_entries=manifest.entries)
     report = outcome.report.to_text()
     print(report, end="")
-    if args.report:
-        Path(args.report).write_text(report)
-    if args.trace:
-        bus.write_transcript(args.trace)
+    try:
+        if args.report:
+            Path(args.report).write_text(report)
+        if args.trace:
+            Path(args.trace).write_text("".join(line + "\n" for line in bus.transcript))
+    except OSError as exc:
+        raise CliError(f"cannot write output: {exc}") from exc
     return 0 if outcome.ok else 3
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from .crypto import DIGEST_SIZE, crc7, sha256
+from . import crypto
+from .crypto import DIGEST_SIZE, KdfInput, crc7, sha256
 
 DNA_BITS = 57
 CID_SIZE = 16
@@ -28,7 +29,6 @@ class DeviceIdentity:
     """57-bit factory-burned device identifier, readable only on-chip."""
 
     dna: int
-    jtag_disabled: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.dna < 1 << DNA_BITS:
@@ -115,6 +115,16 @@ class TrustAnchors:
             kdf_repetitions=kdf_repetitions,
             bind_csd=bind_csd,
         )
+
+
+def derive_keys(
+    dev: DeviceIdentity, cid: bytes, counter: int, repetitions: int
+) -> tuple[bytes, bytes]:
+    """(cipher key, integrity key) of a device/card pair: the device
+    identifier is the KDF secret and the CID its public salt."""
+    kdf = KdfInput(counter=counter, secret=dev.encoded(), other_info=cid, repetitions=repetitions)
+    # Looked up on the crypto module, so a wrapper installed there sees each call.
+    return crypto.derive_key(kdf), crypto.derive_mac_key(kdf)
 
 
 def authenticate_device(anchors: TrustAnchors, dev: DeviceIdentity) -> AuthFailure | None:

@@ -34,15 +34,12 @@ from typing import Callable, Sequence
 from .crypto import (
     DIGEST_SIZE,
     SECTOR_SIZE,
-    KdfInput,
-    derive_key,
-    derive_mac_key,
     encrypt_sector,
     decrypt_sector,
     sector_tag,
     sha256,
 )
-from .identity import CardIdentity, DeviceIdentity, TrustAnchors
+from .identity import CardIdentity, DeviceIdentity, TrustAnchors, derive_keys
 
 MBR_SIGNATURE = b"\x55\xaa"
 BOOT_PARTITION_TYPE = 0x0C
@@ -576,12 +573,14 @@ class Manifest:
             )
             if meta != (layout.meta_start, layout.meta_sectors):
                 raise ManifestError("meta_lba disagrees with geometry and data_lba")
+            device = DeviceIdentity(dna=int(fields["dna"], 16))
+            card = CardIdentity(cid=bytes.fromhex(fields["cid"]), csd=bytes.fromhex(fields["csd"]))
             manifest = cls(
                 anchors=anchors,
                 layout=layout,
-                dna=int(fields["dna"], 16),
-                cid=bytes.fromhex(fields["cid"]),
-                csd=bytes.fromhex(fields["csd"]),
+                dna=device.dna,
+                cid=card.cid,
+                csd=card.csd,
                 entries=entries,
                 files=files,
             )
@@ -663,14 +662,7 @@ def provision(
         start = data_off + rec.offset
         plain[start : start + len(blob)] = blob
 
-    kdf = KdfInput(
-        counter=kdf_counter,
-        secret=dev.encoded(),
-        other_info=card.cid,
-        repetitions=kdf_repetitions,
-    )
-    aes_key = derive_key(kdf)
-    mac_key = derive_mac_key(kdf)
+    aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
 
     image = NvmImage.blank(layout.total_sectors)
     for lba in range(layout.meta_start):
@@ -713,13 +705,10 @@ def provision(
 
 def manifest_keys(manifest: Manifest) -> tuple[bytes, bytes]:
     """(cipher key, integrity key) re-derived from manifest identities."""
-    kdf = KdfInput(
-        counter=manifest.anchors.kdf_counter,
-        secret=manifest.dna.to_bytes(8, "big"),
-        other_info=manifest.cid,
-        repetitions=manifest.anchors.kdf_repetitions,
+    anchors = manifest.anchors
+    return derive_keys(
+        DeviceIdentity(dna=manifest.dna), manifest.cid, anchors.kdf_counter, anchors.kdf_repetitions
     )
-    return derive_key(kdf), derive_mac_key(kdf)
 
 
 def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[[int], bytes]:
@@ -748,7 +737,8 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
     """Check an image offline against its manifest; one finding per check.
 
     The checks are the MBR anchor, the boot container, every data-sector tag
-    and the file digests; :func:`finding_failed` tells which findings fail.
+    and the file digests (a file whose extent leaves the data partition
+    fails); :func:`finding_failed` tells which findings fail.
     An image whose size disagrees with the manifest's geometry yields a
     single ``geometry=FAIL`` finding and no sector is read.
     """
@@ -784,7 +774,11 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
         by_label = {r.label: r for r in records}
         for label, length, digest in manifest.files:
             record = by_label.get(label)
-            ok = record is not None and record.length == length
+            ok = (
+                record is not None
+                and record.length == length
+                and all(map(lay.is_data_lba, record.lbas(lay.data_start)))
+            )
             if ok:
                 blob = b"".join(read_plain(lba) for lba in record.lbas(lay.data_start))
                 ok = sha256(blob[:length]).hex() == digest

@@ -37,6 +37,9 @@ from .tmiu import BootReport, Denial, LockdownError, ProtocolCrcError
 
 OUTCOME_CLASSES = ("OsRunning",) + tuple(d.value for d in Denial)
 
+# Scenario bus targets and the wire fault each one schedules.
+_BUS_FAULT_KINDS = {"cmd": "cmd", "data": "c2h"}
+
 
 class ScenarioError(ValueError):
     pass
@@ -193,7 +196,7 @@ def run_scenario(
     work = image.clone()
     dna: int | None = None
     cid: bytes | None = None
-    bus_fault: tuple[str, int, Mutation] | None = None
+    bus_fault: tuple[str, int] | None = None
     target = scenario.target
     mutation = scenario.mutation
 
@@ -206,13 +209,13 @@ def run_scenario(
             raise ScenarioError("device_dna mutation must stay a distinct 57-bit value")
     elif target.startswith("bus:"):
         parts = target.split(":")
-        kind = parts[1] if len(parts) > 1 else ""
+        kind = _BUS_FAULT_KINDS.get(parts[1] if len(parts) > 1 else "")
         nth = _target_index(target, parts[2]) if len(parts) > 2 else 1
-        if kind not in ("cmd", "data"):
+        if kind is None:
             raise ScenarioError(f"unknown bus target {target!r}")
         if mutation.kind != "flip_bit":
             raise ScenarioError("bus faults support flip_bit only")
-        bus_fault = (kind, nth, mutation)
+        bus_fault = (kind, nth)
     else:
         lba = _resolve_lba(target, manifest)
         if mutation.kind == "copy_from":
@@ -223,11 +226,8 @@ def run_scenario(
 
     host, tmiu, bus, _ = build_system(manifest, work, dna=dna, cid=cid)
     if bus_fault is not None:
-        kind, nth, fault = bus_fault
-        if kind == "cmd":
-            bus.inject_command_fault(nth=nth, byte_offset=fault.offset, bit=fault.bit)
-        else:
-            bus.inject_card_to_host_fault(nth=nth, byte_offset=fault.offset, bit=fault.bit)
+        kind, nth = bus_fault
+        bus.inject_fault(kind, nth=nth, byte_offset=mutation.offset, bit=mutation.bit)
 
     outcome = host.run_boot(expected_entries=manifest.entries)
     if not outcome.ok:

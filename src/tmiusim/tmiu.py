@@ -38,6 +38,7 @@ from .bus import (
     CMD_SET_BLOCKLEN,
     CMD_STOP_TRANSMISSION,
     CMD_WRITE_SINGLE,
+    LINE_RATE,
     DataBlock,
     ResponseFrame,
     SdioBus,
@@ -47,11 +48,8 @@ from .bus import (
 from .crypto import (
     DIGEST_SIZE,
     SECTOR_SIZE,
-    KdfInput,
     crc16,
     decrypt_sector,
-    derive_key,
-    derive_mac_key,
     encrypt_sector,
     sector_tag,
 )
@@ -62,10 +60,13 @@ from .identity import (
     TrustAnchors,
     authenticate_device,
     authenticate_nvm,
+    derive_keys,
 )
 from .image import ImageFormatError, ImageLayout, MbrError, boot_image_sectors, parse_mbr
 
-DEFAULT_CLOCK_HZ = 50_000_000
+CLOCK_HZ = 50_000_000
+# One sector crossing the wire at the card line rate.
+SECTOR_TRANSFER_CYCLES = -(-SECTOR_SIZE * CLOCK_HZ // LINE_RATE)
 SECTOR_PIPELINE_CYCLES = 52
 RETRY_LIMIT = 3
 
@@ -139,8 +140,7 @@ class PromStore:
 class CycleLedger:
     """Monotonic clock-cycle and byte accounting, split by boot phase."""
 
-    def __init__(self, clock_hz: int = DEFAULT_CLOCK_HZ):
-        self.clock_hz = clock_hz
+    def __init__(self):
         self.cycles = 0
         self.bytes_moved = 0
         self._phases: dict[str, list[int]] = {}
@@ -166,7 +166,7 @@ class CycleLedger:
         return self._phases.get(phase, [0, 0])[1]
 
     def to_ms(self, cycles: int) -> float:
-        return cycles * 1000.0 / self.clock_hz
+        return cycles * 1000.0 / CLOCK_HZ
 
 
 @dataclass(frozen=True)
@@ -202,18 +202,11 @@ class BootReport:
 class Tmiu:
     """The guard state machine; one instance per simulated power domain."""
 
-    def __init__(
-        self,
-        anchors: TrustAnchors,
-        device: DeviceIdentity,
-        prom: PromStore | None = None,
-        clock_hz: int = DEFAULT_CLOCK_HZ,
-    ):
+    def __init__(self, anchors: TrustAnchors, device: DeviceIdentity, prom: PromStore | None = None):
         self.anchors = anchors
         self._device = device
         self.prom = prom or PromStore()
-        self.clock_hz = clock_hz
-        self.ledger = CycleLedger(clock_hz)
+        self.ledger = CycleLedger()
         self.reset()
 
     def __repr__(self) -> str:  # never expose key material
@@ -280,7 +273,7 @@ class Tmiu:
     def power_on(self) -> Stage:
         """Stage 1: PROM load plus device authentication."""
         self._require(Stage.PROM_LOAD)
-        prom_cycles = -(-self.prom.config_size * self.clock_hz // self.prom.load_rate)
+        prom_cycles = -(-self.prom.config_size * CLOCK_HZ // self.prom.load_rate)
         self.ledger.charge(prom_cycles, self.prom.config_size, PHASE_PROM)
         self._enter(Stage.DEVICE_AUTH)
         failure = authenticate_device(self.anchors, self._device)
@@ -317,13 +310,9 @@ class Tmiu:
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._cid is None:
             raise StateError("card identity not received")
-        kdf = KdfInput(
-            counter=self.anchors.kdf_counter,
-            secret=self._device.encoded(),
-            other_info=self._cid,
-            repetitions=self.anchors.kdf_repetitions,
+        self._keys = derive_keys(
+            self._device, self._cid, self.anchors.kdf_counter, self.anchors.kdf_repetitions
         )
-        self._keys = (derive_key(kdf), derive_mac_key(kdf))
         return self.stage
 
     def verify_mbr_and_image(self, bus: SdioBus, card: VirtualCard, sink=None) -> Stage:
@@ -392,7 +381,7 @@ class Tmiu:
             if block is None:
                 bus.command(CMD_STOP_TRANSMISSION, 0)
                 return reject(Denial.BUS_ERROR, held)
-            self.ledger.charge(self._transfer_cycles(card), SECTOR_SIZE, PHASE_BOOT)
+            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, PHASE_BOOT)
             if not block.crc_ok:
                 retries += 1
                 bus.command(CMD_STOP_TRANSMISSION, 0)
@@ -454,15 +443,11 @@ class Tmiu:
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
         return plaintext
 
-    def mediate_write(
-        self, bus: SdioBus, card: VirtualCard, lba: int, plaintext: bytes, crc: int | None = None
-    ) -> None:
+    def mediate_write(self, bus: SdioBus, card: VirtualCard, lba: int, plaintext: bytes) -> None:
         """Encrypt-and-tag write of one data-partition sector."""
         aes_key, mac_key = self._mediated_keys(lba, "write to")
         if len(plaintext) != SECTOR_SIZE:
             raise ValueError("sector payload must be 512 bytes")
-        if crc is not None and crc != crc16(plaintext):
-            raise ProtocolCrcError(f"incoming block for LBA {lba} failed line CRC")
 
         ciphertext = encrypt_sector(aes_key, lba, plaintext)
         self._write_single(bus, card, lba, ciphertext)
@@ -496,7 +481,7 @@ class Tmiu:
         boot_bytes = ledger.phase_bytes(PHASE_BOOT)
         rate = 0.0
         if boot_cycles:
-            rate = boot_bytes / (boot_cycles / ledger.clock_hz) / 1e6
+            rate = boot_bytes / (boot_cycles / CLOCK_HZ) / 1e6
         return BootReport(
             stage=self.stage.value,
             reason=self.reason.value if self.reason else None,
@@ -511,9 +496,6 @@ class Tmiu:
         )
 
     # -- bus helpers ----------------------------------------------------------
-
-    def _transfer_cycles(self, card: VirtualCard) -> int:
-        return -(-SECTOR_SIZE * self.clock_hz // card.line_rate)
 
     def _command_retry(self, bus: SdioBus, index: int, argument: int) -> ResponseFrame | None:
         for _ in range(RETRY_LIMIT + 1):
@@ -539,7 +521,7 @@ class Tmiu:
             block = bus.fetch_block()
             if block is None:
                 return None, False
-            self.ledger.charge(self._transfer_cycles(bus.card), SECTOR_SIZE, phase)
+            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, phase)
             if block.crc_ok:
                 return block, True
         return block, False
@@ -554,7 +536,7 @@ class Tmiu:
             token = bus.push_block(block)
             if token is None:
                 break
-            self.ledger.charge(self._transfer_cycles(bus.card), SECTOR_SIZE, PHASE_OPERATIONAL)
+            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, PHASE_OPERATIONAL)
             if token == TOKEN_CRC_OK:
                 self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
                 return

@@ -43,6 +43,12 @@ def _to_transfer(card):
     card.issue(CommandFrame(CMD_SELECT, 0).to_bytes())
 
 
+def _write(card, lba, block):
+    """CMD24 then one data frame, straight to the card; the write token."""
+    card.issue(CommandFrame(CMD_WRITE_SINGLE, lba).to_bytes())
+    return card.receive_write_block(block.to_bytes())
+
+
 class TestFraming:
     def test_command_round_trip(self):
         rng = random.Random(0xF0)
@@ -99,10 +105,12 @@ class TestVirtualCard:
         assert frame.status & STATUS_ILLEGAL_COMMAND
 
     def test_bad_crc_means_silence(self, card):
-        raw = bytearray(CommandFrame(CMD_ALL_SEND_CID, 0).to_bytes())
-        raw[1] ^= 1
-        assert card.issue(bytes(raw)) is None
-        assert card.state is CardState.IDLE  # ignored, state unchanged
+        # A CRC7 bit, then the start, direction and end bits of the frame.
+        for offset, bit in ((1, 0), (0, 7), (0, 6), (5, 0)):
+            raw = bytearray(CommandFrame(CMD_ALL_SEND_CID, 0).to_bytes())
+            raw[offset] ^= 1 << bit
+            assert card.issue(bytes(raw)) is None
+            assert card.state is CardState.IDLE  # ignored, state unchanged
 
     def test_read_out_of_range(self, card):
         _to_transfer(card)
@@ -118,9 +126,11 @@ class TestVirtualCard:
 
     def test_read_block_returns_stored_ciphertext(self, card, provisioned):
         _to_transfer(card)
-        block = card.read_block(0)
+        card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
+        block = parse_data(card.take_read_block())
         assert block.payload == provisioned.image.read_sector(0)
         assert block.crc == crc16(block.payload)
+        assert card.take_read_block() is None  # a single read closes itself
 
     def test_write_block_commits_only_on_good_crc(self, card):
         _to_transfer(card)
@@ -128,24 +138,25 @@ class TestVirtualCard:
         before = card.backing.read_sector(lba)
         payload = bytes(range(256)) * 2
         good = DataBlock.for_payload(payload)
-        assert card.write_block(lba, good) == TOKEN_CRC_OK
+        assert _write(card, lba, good) == TOKEN_CRC_OK
         assert card.backing.read_sector(lba) == payload
         bad = DataBlock(payload=before, crc=good.crc ^ 1)
-        assert card.write_block(lba, bad) == TOKEN_CRC_ERR
+        assert _write(card, lba, bad) == TOKEN_CRC_ERR
         assert card.backing.read_sector(lba) == payload  # unchanged by bad write
 
     def test_write_to_integrity_region_is_allowed_at_bus_level(self, card, provisioned):
         # Region policy is the guard unit's job, not the card's.
         _to_transfer(card)
         lba = provisioned.layout.meta_start
-        assert card.write_block(lba, DataBlock.for_payload(bytes(512))) == TOKEN_CRC_OK
+        assert _write(card, lba, DataBlock.for_payload(bytes(512))) == TOKEN_CRC_OK
 
     def test_suspension_silences_everything(self, card):
         _to_transfer(card)
+        card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
         card.suspend_io()
         card.suspend_io()  # idempotent
-        assert card.read_block(0) is None
-        assert card.write_block(20, DataBlock.for_payload(bytes(512))) is None
+        assert card.take_read_block() is None
+        assert _write(card, 20, DataBlock.for_payload(bytes(512))) is None
         assert card.issue(CommandFrame(CMD_GO_IDLE, 0).to_bytes()) is None
         card.power_cycle()
         assert not card.io_suspended
@@ -194,7 +205,7 @@ class TestBus:
 
         card = VirtualCard(identity, provisioned.image.clone())
         bus = SdioBus(card, trace=True)
-        bus.inject_command_fault(nth=2, byte_offset=3, bit=5)
+        bus.inject_fault("cmd", nth=2, byte_offset=3, bit=5)
         # The script retries a lost command once, so one fault is absorbed.
         bus.command(CMD_GO_IDLE, 0)
         if bus.command(CMD_ALL_SEND_CID, 0) is None:
@@ -221,7 +232,7 @@ class TestBus:
         )
         card = VirtualCard(identity, provisioned.image.clone())
         bus = SdioBus(card)
-        bus.inject_card_to_host_fault(nth=1, byte_offset=100, bit=1)
+        bus.inject_fault("c2h", nth=1, byte_offset=100, bit=1)
         assert self._scripted_read(bus) == clean
         assert card.backing.to_bytes() == provisioned.image.to_bytes()
 
@@ -235,7 +246,7 @@ class TestBus:
         lba = provisioned.layout.data_start
         before = card.backing.read_sector(lba)
         payload = b"\x5a" * 512
-        bus.inject_host_to_card_fault(nth=1, byte_offset=50, bit=2)
+        bus.inject_fault("h2c", nth=1, byte_offset=50, bit=2)
         bus.command(CMD_WRITE_SINGLE, lba)
         token = bus.push_block(DataBlock.for_payload(payload))
         assert token == TOKEN_CRC_ERR

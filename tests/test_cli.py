@@ -106,6 +106,16 @@ class TestBoot:
         assert trace and all(line.startswith("t=") for line in trace)
         assert "stage=Operational" in Path("boot.report").read_text()
 
+    @pytest.mark.parametrize("flag", ["--trace", "--report"])
+    def test_unwritable_output_exits_2(self, workspace, capsys, flag):
+        _provision(capsys)
+        rc = main(
+            ["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest", flag, "no/such/dir/out"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: cannot write output") and "Traceback" not in err
+
     def test_malformed_manifest_exits_2(self, workspace, capsys):
         _provision(capsys)
         with open("card.nvm.manifest", "a") as manifest:

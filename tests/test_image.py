@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tmiusim.crypto import SECTOR_SIZE, decrypt_sector, sector_tag, sha256
+from tmiusim.crypto import SECTOR_SIZE, decrypt_sector, encrypt_sector, sector_tag, sha256
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import (
     BadMbrSignature,
@@ -22,6 +22,7 @@ from tmiusim.image import (
     build_boot_image,
     build_file_table,
     finding_failed,
+    image_file_records,
     in_use_data_lbas,
     manifest_keys,
     parse_boot_image,
@@ -377,6 +378,14 @@ class TestManifest:
         for record in ("entry=kernel,6", "file=a,b", "entry=kernel,x,abc"):
             with pytest.raises(ManifestError, match=r"^line \d+:"):
                 Manifest.from_text(good + record + "\n")
+        manifest = provisioned.manifest
+        for field, bad in (
+            (f"dna={manifest.dna:#x}", "dna=0xffffffffffffffff"),
+            (f"cid={manifest.cid.hex()}", "cid=" + manifest.cid[:15].hex()),
+            (f"csd={manifest.csd.hex()}", "csd=" + manifest.csd.hex() + "00"),
+        ):
+            with pytest.raises(ManifestError):
+                Manifest.from_text(good.replace(field, bad))
         meta = f"meta_lba={layout.meta_start},{layout.meta_sectors}"
         shifted = f"meta_lba={layout.meta_start + 1},{layout.meta_sectors - 1}"
         with pytest.raises(ManifestError):
@@ -398,8 +407,21 @@ def _flip(image, lba, offset):
     image.write_sector(lba, bytes(sector))
 
 
+def _write_keyed(image, manifest, lba, plaintext):
+    """Encrypt and re-tag one data sector, as a holder of the keys would."""
+    aes_key, mac_key = manifest_keys(manifest)
+    ciphertext = encrypt_sector(aes_key, lba, plaintext)
+    image.write_sector(lba, ciphertext)
+    meta_lba, offset = manifest.layout.tag_location(lba)
+    tags = bytearray(decrypt_sector(aes_key, meta_lba, image.read_sector(meta_lba)))
+    tags[offset : offset + 32] = sector_tag(mac_key, lba, ciphertext)
+    image.write_sector(meta_lba, encrypt_sector(aes_key, meta_lba, bytes(tags)))
+
+
 class TestVerifyImage:
-    @pytest.mark.parametrize("case", ["clean", "data", "tag", "boot", "mbr", "short"])
+    @pytest.mark.parametrize(
+        "case", ["clean", "data", "tag", "boot", "mbr", "short", "file_past_image"]
+    )
     def test_findings(self, case, provisioned):
         layout = provisioned.layout
         image = provisioned.image.clone()
@@ -425,6 +447,14 @@ class TestVerifyImage:
             image = NvmImage(image.to_bytes()[:-SECTOR_SIZE])
             total = layout.total_sectors
             expected = [f"geometry=FAIL image={total - 1} manifest={total}"]
+        elif case == "file_past_image":  # a keyed record whose extent leaves the partition
+            records = image_file_records(image, provisioned.manifest)
+            moved = FileRecord(records[0].label, layout.total_sectors * SECTOR_SIZE, records[0].length)
+            table = build_file_table([moved] + records[1:], table_sectors=4)
+            for i in range(4):
+                chunk = table[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
+                _write_keyed(image, provisioned.manifest, layout.data_start + i, chunk)
+            expected = [f"file={moved.label} FAIL"]
 
         findings = verify_image(image, provisioned.manifest)
         failed = [f for f in findings if finding_failed(f)]

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmiusim.scenarios import (
+    OUTCOME_CLASSES,
     Mutation,
     Scenario,
     ScenarioError,
@@ -112,6 +114,19 @@ class TestRunScenario:
         observed, report = run_scenario(scenario, provisioned.image, provisioned.manifest)
         assert observed == "OsRunning"
         assert report.stage == "Operational"
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["cmd", "data"]),
+        nth=st.integers(1, 80),
+        offset=st.integers(0, 513),
+        bit=st.integers(0, 7),
+    )
+    def test_any_single_wire_bit_flip_has_an_outcome(self, provisioned, kind, nth, offset, bit):
+        # A fixture boot plus file sweep sends 52 command and 75 data frames.
+        line = f"target=bus:{kind}:{nth} mutate=flip_bit:{offset}:{bit} expect=OsRunning"
+        observed, _ = run_scenario(parse_scenario(line), provisioned.image, provisioned.manifest)
+        assert observed in OUTCOME_CLASSES
 
     def test_out_of_range_target_rejected(self, provisioned):
         for target in ("boot_lba:100000", "data_lba:zz", "bus:cmd:x"):
