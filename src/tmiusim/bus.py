@@ -16,7 +16,7 @@ a 16-bit CRC.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .crypto import SECTOR_SIZE, crc7, crc16
@@ -113,6 +113,9 @@ def parse_response(raw: bytes) -> tuple[ResponseFrame, bool]:
 class DataBlock:
     payload: bytes
     crc: int
+    # Set only by for_payload, which has just computed the CRC from this very
+    # payload; a block off the wire or with a given CRC is checked on demand.
+    _crc_known_good: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.payload) != SECTOR_SIZE:
@@ -122,11 +125,13 @@ class DataBlock:
 
     @classmethod
     def for_payload(cls, payload: bytes) -> "DataBlock":
-        return cls(payload=payload, crc=crc16(payload))
+        block = cls(payload=payload, crc=crc16(payload))
+        object.__setattr__(block, "_crc_known_good", True)
+        return block
 
     @property
     def crc_ok(self) -> bool:
-        return crc16(self.payload) == self.crc
+        return self._crc_known_good or crc16(self.payload) == self.crc
 
     def to_bytes(self) -> bytes:
         return self.payload + struct.pack(">H", self.crc)

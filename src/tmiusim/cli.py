@@ -8,6 +8,7 @@ Output is deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -203,18 +204,21 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.size) or args.size * 1_000_000 < 1:
+        raise CliError("--size must be finite and positive")
     payload_bytes = int(args.size * 1_000_000)
-    if payload_bytes <= 0:
-        raise CliError("--size must be positive")
     device = DeviceIdentity(dna=0x0123456789ABCD)
     card = CardIdentity.from_seed(b"bench-card")
-    result = provision(
-        [(EntryKind.KERNEL, bytes(payload_bytes))],
-        [("bench.dat", b"bench")],
-        device,
-        card,
-        kdf_repetitions=args.repetitions,
-    )
+    try:
+        result = provision(
+            [(EntryKind.KERNEL, bytes(payload_bytes))],
+            [("bench.dat", b"bench")],
+            device,
+            card,
+            kdf_repetitions=args.repetitions,
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     host, _, _, _ = build_system(result.manifest, result.image)
     outcome = host.run_boot(expected_entries=result.manifest.entries)
     if not outcome.ok:

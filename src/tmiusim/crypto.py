@@ -3,7 +3,9 @@
 Everything here is a pure function of its inputs: the SD-standard CRC7/CRC16
 line checksums, SHA-256, the AES-128 sector cipher in counter mode, the keyed
 per-sector integrity tag, and the concatenation KDF that expands a 57-bit
-device identifier and a 128-bit card identifier into the symmetric keys.
+device identifier and a 128-bit card identifier into the symmetric keys. The
+one keyed object is :class:`SectorCipher`, whose keystream is a pure function
+of the key it was built with and the sector index.
 """
 
 from __future__ import annotations
@@ -127,14 +129,34 @@ def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
     return encryptor.update(block) + encryptor.finalize()
 
 
-def _keystream(key: bytes, sector_index: int) -> bytes:
-    # Counter block j of a sector is be64(sector_index) || be64(j); encrypting
-    # the concatenated counter blocks in ECB yields the CTR keystream.
-    blocks = b"".join(
-        struct.pack(">QQ", sector_index, j) for j in range(SECTOR_SIZE // AES_BLOCK_SIZE)
-    )
-    encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return encryptor.update(blocks) + encryptor.finalize()
+# The low halves of a sector's 32 counter blocks, be64(j) for j = 0..31.
+_COUNTER_SUFFIXES = tuple(struct.pack(">Q", j) for j in range(SECTOR_SIZE // AES_BLOCK_SIZE))
+
+
+class SectorCipher:
+    """AES-128 keyed once, yielding the CTR keystream of any 512-byte sector.
+
+    It holds one ECB encryptor for its whole life and keeps no copy of the
+    key: no attribute and no ``repr`` exposes it. Dropping the instance is
+    how an owner erases the key.
+    """
+
+    __slots__ = ("_encryptor",)
+
+    def __init__(self, key: bytes):
+        if len(key) != AES_KEY_SIZE:
+            raise ValueError("key must be 16 bytes")
+        self._encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+
+    def __repr__(self) -> str:
+        return "SectorCipher(key=<hidden>)"
+
+    def keystream(self, sector_index: int) -> bytes:
+        # Counter block j of a sector is be64(sector_index) || be64(j);
+        # encrypting the concatenated counter blocks in ECB yields the CTR
+        # keystream (NIST SP 800-38A, 6.5 and Appendix B).
+        prefix = sector_index.to_bytes(8, "big")
+        return self._encryptor.update(prefix + prefix.join(_COUNTER_SUFFIXES))
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -142,20 +164,22 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
-def encrypt_sector(key: bytes, sector_index: int, plaintext: bytes) -> bytes:
-    """AES-128-CTR over one 512-byte sector, keyed by the sector index."""
-    if len(plaintext) != SECTOR_SIZE:
-        raise ValueError("sector plaintext must be 512 bytes")
+def _ctr(cipher: SectorCipher, sector_index: int, data: bytes, what: str) -> bytes:
+    if len(data) != SECTOR_SIZE:
+        raise ValueError(f"sector {what} must be 512 bytes")
     if not 0 <= sector_index < 1 << 64:
         raise ValueError("sector index must fit in 64 bits")
-    return _xor(plaintext, _keystream(key, sector_index))
+    return _xor(data, cipher.keystream(sector_index))
 
 
-def decrypt_sector(key: bytes, sector_index: int, ciphertext: bytes) -> bytes:
+def encrypt_sector(cipher: SectorCipher, sector_index: int, plaintext: bytes) -> bytes:
+    """AES-128-CTR over one 512-byte sector, keyed by the sector index."""
+    return _ctr(cipher, sector_index, plaintext, "plaintext")
+
+
+def decrypt_sector(cipher: SectorCipher, sector_index: int, ciphertext: bytes) -> bytes:
     """Inverse of :func:`encrypt_sector` (CTR: the same keystream XOR)."""
-    if len(ciphertext) != SECTOR_SIZE:
-        raise ValueError("sector ciphertext must be 512 bytes")
-    return encrypt_sector(key, sector_index, ciphertext)
+    return _ctr(cipher, sector_index, ciphertext, "ciphertext")
 
 
 def sector_tag(mac_key: bytes, sector_index: int, ciphertext: bytes) -> bytes:

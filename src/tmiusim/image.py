@@ -34,6 +34,7 @@ from typing import Callable, Sequence
 from .crypto import (
     DIGEST_SIZE,
     SECTOR_SIZE,
+    SectorCipher,
     encrypt_sector,
     decrypt_sector,
     sector_tag,
@@ -622,6 +623,8 @@ def provision(
     bind_csd: bool = False,
 ) -> ProvisionResult:
     """Build a fully encrypted, integrity-protected image for a device pair."""
+    if table_sectors < 0 or data_slack_sectors < 0:
+        raise ValueError("table and slack sector counts must not be negative")
     container = build_boot_image(boot_entries)
     boot_sectors = len(container) // SECTOR_SIZE
 
@@ -663,11 +666,12 @@ def provision(
         plain[start : start + len(blob)] = blob
 
     aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
+    cipher = SectorCipher(aes_key)
 
     image = NvmImage.blank(layout.total_sectors)
     for lba in range(layout.meta_start):
         start = lba * SECTOR_SIZE
-        image.write_sector(lba, encrypt_sector(aes_key, lba, bytes(plain[start : start + SECTOR_SIZE])))
+        image.write_sector(lba, encrypt_sector(cipher, lba, bytes(plain[start : start + SECTOR_SIZE])))
 
     meta_plain = bytearray(layout.meta_sectors * SECTOR_SIZE)
     for lba in range(layout.data_start, layout.data_start + layout.data_sectors):
@@ -677,7 +681,7 @@ def provision(
     for i in range(layout.meta_sectors):
         lba = layout.meta_start + i
         chunk = bytes(meta_plain[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
-        image.write_sector(lba, encrypt_sector(aes_key, lba, chunk))
+        image.write_sector(lba, encrypt_sector(cipher, lba, chunk))
 
     anchors = TrustAnchors.for_pair(
         dev,
@@ -712,7 +716,8 @@ def manifest_keys(manifest: Manifest) -> tuple[bytes, bytes]:
 
 
 def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[[int], bytes]:
-    return lambda lba: decrypt_sector(aes_key, lba, image.read_sector(lba))
+    cipher = SectorCipher(aes_key)
+    return lambda lba: decrypt_sector(cipher, lba, image.read_sector(lba))
 
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:

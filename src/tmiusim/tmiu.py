@@ -48,6 +48,7 @@ from .bus import (
 from .crypto import (
     DIGEST_SIZE,
     SECTOR_SIZE,
+    SectorCipher,
     crc16,
     decrypt_sector,
     encrypt_sector,
@@ -222,7 +223,8 @@ class Tmiu:
         self.reason: Denial | None = None
         self.fault_lba: int | None = None
         self.leds = [False, False, False, False]
-        self._keys: tuple[bytes, bytes] | None = None
+        # (sector cipher, integrity key); dropped by lockdown and power cycle.
+        self._keys: tuple[SectorCipher, bytes] | None = None
         self._cid: bytes | None = None
         self._layout: ImageLayout | None = None
         self.stage_history: list[tuple[Stage, int]] = [(Stage.PROM_LOAD, 0)]
@@ -310,9 +312,10 @@ class Tmiu:
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._cid is None:
             raise StateError("card identity not received")
-        self._keys = derive_keys(
+        aes_key, mac_key = derive_keys(
             self._device, self._cid, self.anchors.kdf_counter, self.anchors.kdf_repetitions
         )
+        self._keys = (SectorCipher(aes_key), mac_key)
         return self.stage
 
     def verify_mbr_and_image(self, bus: SdioBus, card: VirtualCard, sink=None) -> Stage:
@@ -326,7 +329,7 @@ class Tmiu:
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._keys is None:
             raise StateError("keys not generated")
-        aes_key, mac_key = self._keys
+        cipher, mac_key = self._keys
 
         mbr_block, crc_ok = self._read_single(bus, 0, PHASE_BOOT)
         if not crc_ok:
@@ -335,7 +338,7 @@ class Tmiu:
         if sector_tag(mac_key, 0, mbr_block.payload) != self.anchors.mbr_digest:
             return self._lockdown(Denial.MBR_MISMATCH, card)
         try:
-            mbr = parse_mbr(decrypt_sector(aes_key, 0, mbr_block.payload), card.geometry)
+            mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_block.payload), card.geometry)
             boot = mbr.boot_partition()
             data = mbr.data_partition()
             if boot is None or data is None:
@@ -354,7 +357,7 @@ class Tmiu:
         return self._stream_boot_image(bus, card, layout, sink)
 
     def _stream_boot_image(self, bus: SdioBus, card: VirtualCard, layout, sink) -> Stage:
-        aes_key, _ = self._keys
+        cipher, _ = self._keys
         hasher = hashlib.sha256()
         total_sectors: int | None = None
         streamed = 0
@@ -391,7 +394,7 @@ class Tmiu:
                     return self._lockdown(Denial.BUS_ERROR, card)
                 continue
             retries = 0
-            plaintext = decrypt_sector(aes_key, lba, block.payload)
+            plaintext = decrypt_sector(cipher, lba, block.payload)
             if total_sectors is None:
                 try:
                     total_sectors = boot_image_sectors(plaintext, layout.boot_sectors)
@@ -425,7 +428,7 @@ class Tmiu:
         the transfer the same way, then locks the unit down and suspends the
         card.
         """
-        aes_key, mac_key = self._mediated_keys(lba, "read of")
+        cipher, mac_key = self._mediated_keys(lba, "read of")
 
         # The data leg is not retried here: a line-CRC failure goes to the
         # processor, whose own retry re-issues the whole read.
@@ -439,23 +442,23 @@ class Tmiu:
         if sector_tag(mac_key, lba, block.payload) != tags[offset : offset + DIGEST_SIZE]:
             self._lockdown(Denial.SECTOR_TAG_MISMATCH, card, lba=lba)
             raise ProtocolCrcError(f"sector {lba} failed verification; stream poisoned")
-        plaintext = decrypt_sector(aes_key, lba, block.payload)
+        plaintext = decrypt_sector(cipher, lba, block.payload)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
         return plaintext
 
     def mediate_write(self, bus: SdioBus, card: VirtualCard, lba: int, plaintext: bytes) -> None:
         """Encrypt-and-tag write of one data-partition sector."""
-        aes_key, mac_key = self._mediated_keys(lba, "write to")
+        cipher, mac_key = self._mediated_keys(lba, "write to")
         if len(plaintext) != SECTOR_SIZE:
             raise ValueError("sector payload must be 512 bytes")
 
-        ciphertext = encrypt_sector(aes_key, lba, plaintext)
+        ciphertext = encrypt_sector(cipher, lba, plaintext)
         self._write_single(bus, card, lba, ciphertext)
         meta_lba, offset, tags = self._read_tag_sector(bus, card, lba)
         tags = tags[:offset] + sector_tag(mac_key, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
-        self._write_single(bus, card, meta_lba, encrypt_sector(aes_key, meta_lba, tags))
+        self._write_single(bus, card, meta_lba, encrypt_sector(cipher, meta_lba, tags))
 
-    def _mediated_keys(self, lba: int, access: str) -> tuple[bytes, bytes]:
+    def _mediated_keys(self, lba: int, access: str) -> tuple[SectorCipher, bytes]:
         """The keys, once stage and partition policy allow the access."""
         self._require(Stage.OPERATIONAL)
         if not self._layout.is_data_lba(lba):
@@ -469,8 +472,8 @@ class Tmiu:
         if not crc_ok:
             self._fail(Denial.BUS_ERROR, card)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
-        aes_key, _ = self._keys
-        return meta_lba, offset, decrypt_sector(aes_key, meta_lba, block.payload)
+        cipher, _ = self._keys
+        return meta_lba, offset, decrypt_sector(cipher, meta_lba, block.payload)
 
     # -- reporting ----------------------------------------------------------
 

@@ -76,6 +76,21 @@ class TestFraming:
             assert parse_data(block.to_bytes()) == block
             assert block.crc_ok
 
+    def test_only_blocks_from_the_wire_or_a_given_crc_are_rechecked(self, monkeypatch):
+        from tmiusim import bus
+
+        payload = bytes(range(256)) * 2
+        built = DataBlock.for_payload(payload)
+        calls = []
+        monkeypatch.setattr(bus, "crc16", lambda data: calls.append(1) or crc16(data))
+        raw = built.to_bytes()
+        assert built.crc_ok
+        assert calls == []
+        assert parse_data(raw).crc_ok
+        assert not DataBlock(payload=payload, crc=built.crc ^ 1).crc_ok
+        assert not parse_data(raw[:-1] + bytes([raw[-1] ^ 1])).crc_ok
+        assert len(calls) == 3
+
     def test_corrupted_command_crc_detected(self):
         raw = bytearray(CommandFrame(17, 1234).to_bytes())
         raw[2] ^= 0x40

@@ -1,9 +1,12 @@
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tmiusim
 from tmiusim.cli import main
 
 
@@ -67,6 +70,16 @@ class TestProvision:
         err = capsys.readouterr().err
         assert rc == 2
         assert "CapacityExceeded" in err
+
+    @pytest.mark.parametrize("flag", [["--table-sectors", "-1"], ["--slack", "-5"]])
+    def test_negative_sector_count_exits_2(self, workspace, capsys, flag):
+        rc = main(
+            ["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", "0x1",
+             "--repetitions", "2", *flag]
+        )
+        assert rc == 2
+        assert "must not be negative" in capsys.readouterr().err
+        assert not Path("card.nvm").exists()
 
 
 class TestBoot:
@@ -194,6 +207,21 @@ class TestBench:
         assert rates == sorted(rates)
         assert rates[-1] < 25.0 + 1e-6
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--size", "0"],
+            ["--size", "nan"],
+            ["--size", "inf"],
+            ["--size", "0.01", "--repetitions", "0"],
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, args):
+        assert main(["bench", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestInspect:
     def test_clean_image(self, workspace, capsys):
@@ -263,3 +291,25 @@ class TestInspect:
         out = capsys.readouterr().out
         assert rc == 0
         assert re.search(r"transcript lines=\d+ cmd=\d+ rsp=\d+ dat=\d+ tok=\d+", out)
+
+
+def test_python_dash_m_runs_the_cli():
+    # The package runs as a module from a plain source checkout, uninstalled,
+    # and its exit code reaches the shell.
+    env = dict(os.environ, PYTHONPATH=str(Path(tmiusim.__file__).resolve().parents[1]))
+
+    def bench(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "tmiusim", "bench", *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+
+    done = bench("--size", "0.01", "--repetitions", "2")
+    assert done.returncode == 0, done.stderr
+    assert "rate_mbps=" in done.stdout
+    bad = bench("--size", "nan")
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmiusim.crypto import (
     KdfInput,
+    SectorCipher,
     aes_encrypt_block,
     crc7,
     crc16,
@@ -92,15 +94,15 @@ class TestAes:
     def test_sector_round_trip(self):
         rng = random.Random(3)
         for _ in range(10):
-            key = rng.randbytes(16)
+            cipher = SectorCipher(rng.randbytes(16))
             index = rng.randrange(0, 1 << 48)
             plaintext = rng.randbytes(512)
-            assert decrypt_sector(key, index, encrypt_sector(key, index, plaintext)) == plaintext
+            assert decrypt_sector(cipher, index, encrypt_sector(cipher, index, plaintext)) == plaintext
 
     def test_sector_index_separates_keystreams(self):
-        key = bytes(16)
+        cipher = SectorCipher(bytes(16))
         plaintext = bytes(512)
-        assert encrypt_sector(key, 0, plaintext) != encrypt_sector(key, 1, plaintext)
+        assert encrypt_sector(cipher, 0, plaintext) != encrypt_sector(cipher, 1, plaintext)
 
     def test_matches_ctr_mode_oracle(self):
         rng = random.Random(4)
@@ -108,17 +110,54 @@ class TestAes:
             key = rng.randbytes(16)
             index = rng.randrange(0, 1 << 60)
             plaintext = rng.randbytes(512)
-            assert encrypt_sector(key, index, plaintext) == ctr_sector_oracle(key, index, plaintext)
+            assert encrypt_sector(SectorCipher(key), index, plaintext) == ctr_sector_oracle(
+                key, index, plaintext
+            )
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            encrypt_sector(bytes(16), 0, bytes(511))
+            encrypt_sector(SectorCipher(bytes(16)), 0, bytes(511))
         with pytest.raises(ValueError):
-            decrypt_sector(bytes(16), 0, bytes(513))
+            decrypt_sector(SectorCipher(bytes(16)), 0, bytes(513))
 
     def test_rejects_out_of_range_sector_index(self):
         with pytest.raises(ValueError):
-            encrypt_sector(bytes(16), 1 << 64, bytes(512))
+            encrypt_sector(SectorCipher(bytes(16)), 1 << 64, bytes(512))
+        with pytest.raises(ValueError):
+            decrypt_sector(SectorCipher(bytes(16)), -1, bytes(512))
+
+
+class TestSectorCipher:
+    KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")  # SP 800-38A F.5 key
+
+    @pytest.mark.parametrize("index", [0, 1, 1 << 32, 1 << 63, (1 << 64) - 1])
+    def test_matches_ctr_mode_oracle_at_edge_indices(self, index):
+        cipher = SectorCipher(self.KEY)
+        data = bytes(range(256)) * 2
+        assert encrypt_sector(cipher, index, data) == ctr_sector_oracle(self.KEY, index, data)
+        assert decrypt_sector(cipher, index, data) == ctr_sector_oracle(self.KEY, index, data)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        index=st.integers(min_value=0, max_value=(1 << 64) - 1),
+        data=st.binary(min_size=512, max_size=512),
+    )
+    def test_matches_ctr_mode_oracle_on_any_input(self, key, index, data):
+        assert encrypt_sector(SectorCipher(key), index, data) == ctr_sector_oracle(key, index, data)
+
+    @pytest.mark.parametrize("size", [0, 15, 17, 24, 32])
+    def test_rejects_key_that_is_not_16_bytes(self, size):
+        with pytest.raises(ValueError):
+            SectorCipher(bytes(size))
+
+    def test_exposes_no_key(self):
+        key = bytes(range(0xA0, 0xB0))
+        cipher = SectorCipher(key)
+        assert key.hex() not in repr(cipher)
+        assert repr(key) not in repr(cipher)
+        assert not hasattr(cipher, "__dict__")
+        assert all(getattr(cipher, name) != key for name in SectorCipher.__slots__)
 
 
 class TestKdf:
@@ -196,16 +235,18 @@ class TestSectorTag:
 
 
 def test_primitives_are_stateless():
-    # Interleaving calls in any order never changes a result.
-    key = bytes(range(16))
+    # Interleaving calls in any order, on one shared cipher, never changes a
+    # result.
+    cipher = SectorCipher(bytes(range(16)))
     mac = bytes(range(32))
     inputs = [bytes([i]) * 512 for i in range(4)]
     first = [
-        (crc16(b), sector_tag(mac, i, b), encrypt_sector(key, i, b))
+        (crc16(b), sector_tag(mac, i, b), encrypt_sector(cipher, i, b))
         for i, b in enumerate(inputs)
     ]
     for i, b in reversed(list(enumerate(inputs))):
         assert crc16(b) == first[i][0]
         assert sector_tag(mac, i, b) == first[i][1]
-        assert encrypt_sector(key, i, b) == first[i][2]
+        assert encrypt_sector(cipher, i, b) == first[i][2]
+        assert decrypt_sector(cipher, 3 - i, first[3 - i][2]) == inputs[3 - i]
     assert crc7(b"xyz") == crc7(b"xyz")

@@ -145,3 +145,28 @@ class TestFileStore:
         for i in range(40):
             host.write_file("cycled", bytes([i]) * (3000 if i % 2 else 700))
         assert host.read_file("cycled") == bytes([39]) * 3000
+
+
+class TestThreatModelEdges:
+    def test_rollback_of_a_sector_with_its_tag_goes_undetected(self, provisioned):
+        # Tags bind a ciphertext to its LBA, not to a version. A data sector
+        # restored together with its tag sector from an older snapshot of the
+        # same card verifies, and the read returns the old plaintext.
+        host, tmiu, bus, card, _ = _boot(provisioned)
+        layout = provisioned.layout
+        lba = layout.data_start + layout.data_sectors - 1
+        meta_lba, _ = layout.tag_location(lba)
+        snapshot = card.backing.clone()
+        old = tmiu.mediate_read(bus, card, lba)
+        new = bytes(range(256)) * 2
+        assert new != old
+        tmiu.mediate_write(bus, card, lba, new)
+        assert host.reboot(expected_entries=provisioned.manifest.entries).ok
+        assert tmiu.mediate_read(bus, card, lba) == new
+
+        for restored in (lba, meta_lba):
+            card.backing.write_sector(restored, snapshot.read_sector(restored))
+        outcome = host.reboot(expected_entries=provisioned.manifest.entries)
+        assert outcome.outcome_class == "OsRunning"
+        assert tmiu.mediate_read(bus, card, lba) == old
+        assert tmiu.reason is None

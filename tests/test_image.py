@@ -2,7 +2,14 @@ import random
 
 import pytest
 
-from tmiusim.crypto import SECTOR_SIZE, decrypt_sector, encrypt_sector, sector_tag, sha256
+from tmiusim.crypto import (
+    SECTOR_SIZE,
+    SectorCipher,
+    decrypt_sector,
+    encrypt_sector,
+    sector_tag,
+    sha256,
+)
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import (
     BadMbrSignature,
@@ -201,27 +208,28 @@ class TestLayout:
 class TestProvision:
     def test_plaintext_round_trip(self, provisioned):
         aes_key, _ = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         layout = provisioned.layout
         image = provisioned.image
 
-        mbr_plain = decrypt_sector(aes_key, 0, image.read_sector(0))
+        mbr_plain = decrypt_sector(cipher, 0, image.read_sector(0))
         mbr = parse_mbr(mbr_plain, layout.total_sectors)
         assert mbr.boot_partition().lba_start == layout.boot_start
         assert mbr.data_partition().sector_count == layout.data_sectors
 
         container = b"".join(
-            decrypt_sector(aes_key, layout.boot_start + i, image.read_sector(layout.boot_start + i))
+            decrypt_sector(cipher, layout.boot_start + i, image.read_sector(layout.boot_start + i))
             for i in range(layout.boot_sectors)
         )
         parsed = verify_boot_image(container[: boot_image_length(container)])
         assert [(k, bytes(b)) for k, b in parsed.entries] == BOOT_ENTRIES
 
         table_plain = decrypt_sector(
-            aes_key, layout.data_start, image.read_sector(layout.data_start)
+            cipher, layout.data_start, image.read_sector(layout.data_start)
         )
         sectors = table_sector_count(table_plain)
         table = b"".join(
-            decrypt_sector(aes_key, layout.data_start + i, image.read_sector(layout.data_start + i))
+            decrypt_sector(cipher, layout.data_start + i, image.read_sector(layout.data_start + i))
             for i in range(sectors)
         )
         records = {r.label: r for r in parse_file_table(table)}
@@ -231,18 +239,19 @@ class TestProvision:
             start = layout.data_start + rec.offset // SECTOR_SIZE
             count = -(-len(blob) // SECTOR_SIZE) if blob else 0
             plain = b"".join(
-                decrypt_sector(aes_key, start + i, image.read_sector(start + i))
+                decrypt_sector(cipher, start + i, image.read_sector(start + i))
                 for i in range(count)
             )
             assert plain[: len(blob)] == blob
 
     def test_every_data_sector_tag_verifies(self, provisioned):
         aes_key, mac_key = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         layout = provisioned.layout
         image = provisioned.image
         for lba in range(layout.data_start, layout.data_start + layout.data_sectors):
             meta_lba, offset = layout.tag_location(lba)
-            meta_plain = decrypt_sector(aes_key, meta_lba, image.read_sector(meta_lba))
+            meta_plain = decrypt_sector(cipher, meta_lba, image.read_sector(meta_lba))
             assert meta_plain[offset : offset + 32] == sector_tag(
                 mac_key, lba, image.read_sector(lba)
             )
@@ -250,6 +259,7 @@ class TestProvision:
     def test_single_bit_flip_breaks_exactly_one_tag(self, provisioned):
         rng = random.Random(0xF11)
         aes_key, mac_key = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         layout = provisioned.layout
         image = provisioned.image.clone()
         lba = rng.randrange(layout.data_start, layout.data_start + layout.data_sectors)
@@ -260,7 +270,7 @@ class TestProvision:
         bad = []
         for check in range(layout.data_start, layout.data_start + layout.data_sectors):
             meta_lba, offset = layout.tag_location(check)
-            meta_plain = decrypt_sector(aes_key, meta_lba, image.read_sector(meta_lba))
+            meta_plain = decrypt_sector(cipher, meta_lba, image.read_sector(meta_lba))
             if meta_plain[offset : offset + 32] != sector_tag(
                 mac_key, check, image.read_sector(check)
             ):
@@ -410,12 +420,13 @@ def _flip(image, lba, offset):
 def _write_keyed(image, manifest, lba, plaintext):
     """Encrypt and re-tag one data sector, as a holder of the keys would."""
     aes_key, mac_key = manifest_keys(manifest)
-    ciphertext = encrypt_sector(aes_key, lba, plaintext)
+    cipher = SectorCipher(aes_key)
+    ciphertext = encrypt_sector(cipher, lba, plaintext)
     image.write_sector(lba, ciphertext)
     meta_lba, offset = manifest.layout.tag_location(lba)
-    tags = bytearray(decrypt_sector(aes_key, meta_lba, image.read_sector(meta_lba)))
+    tags = bytearray(decrypt_sector(cipher, meta_lba, image.read_sector(meta_lba)))
     tags[offset : offset + 32] = sector_tag(mac_key, lba, ciphertext)
-    image.write_sector(meta_lba, encrypt_sector(aes_key, meta_lba, bytes(tags)))
+    image.write_sector(meta_lba, encrypt_sector(cipher, meta_lba, bytes(tags)))
 
 
 class TestVerifyImage:

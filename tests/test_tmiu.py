@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tmiusim.bus import SdioBus, VirtualCard
-from tmiusim.crypto import decrypt_sector, sector_tag
+from tmiusim.crypto import SectorCipher, decrypt_sector, sector_tag
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import manifest_keys
@@ -121,15 +121,57 @@ class TestMemoryAuth:
         assert tmiu.reason is Denial.NVM_MISMATCH
 
 
+def _held_ciphers(tmiu):
+    """The sector ciphers the unit references directly or in a tuple."""
+    held = []
+    for value in vars(tmiu).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, SectorCipher):
+                held.append(item)
+    return held
+
+
+class TestCipherLifetime:
+    def test_key_generation_installs_one_cipher(self, provisioned):
+        _, tmiu, bus, card = _system(provisioned)
+        tmiu.power_on()
+        tmiu.authenticate_memory(bus, card)
+        assert _held_ciphers(tmiu) == []
+        tmiu.generate_keys()
+        assert len(_held_ciphers(tmiu)) == 1
+
+    def test_lockdown_drops_the_cipher(self, provisioned):
+        image = provisioned.image.clone()
+        lba = provisioned.layout.data_start
+        sector = bytearray(image.read_sector(lba))
+        sector[7] ^= 0x01
+        image.write_sector(lba, bytes(sector))
+        _, tmiu, bus, card = _boot_to_operational(provisioned, image=image)
+        assert len(_held_ciphers(tmiu)) == 1
+        with pytest.raises(ProtocolCrcError):
+            tmiu.mediate_read(bus, card, lba)
+        assert tmiu.stage is Stage.LOCKDOWN
+        assert _held_ciphers(tmiu) == []
+        assert not tmiu.has_keys
+
+    def test_reset_drops_the_cipher(self, provisioned):
+        _, tmiu, _, _ = _boot_to_operational(provisioned)
+        assert len(_held_ciphers(tmiu)) == 1
+        tmiu.reset()
+        assert _held_ciphers(tmiu) == []
+        assert not tmiu.has_keys
+
+
 class TestKeyGeneration:
     def test_keys_match_provisioning_keys(self, provisioned):
         # Behavioural equality: sectors decrypted by the unit equal sectors
         # decrypted offline with manifest-derived keys.
         host, tmiu, bus, card = _boot_to_operational(provisioned)
         aes_key, _ = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         lba = provisioned.layout.data_start
         via_unit = tmiu.mediate_read(bus, card, lba)
-        direct = decrypt_sector(aes_key, lba, provisioned.image.read_sector(lba))
+        direct = decrypt_sector(cipher, lba, provisioned.image.read_sector(lba))
         assert via_unit == direct
 
     def test_requires_received_cid(self, provisioned):
@@ -201,9 +243,10 @@ class TestMediatedDataPath:
     def test_read_returns_provisioned_plaintext(self, provisioned):
         host, tmiu, bus, card = _boot_to_operational(provisioned)
         aes_key, _ = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         layout = provisioned.layout
         for lba in range(layout.data_start, layout.data_start + 8):
-            expected = decrypt_sector(aes_key, lba, provisioned.image.read_sector(lba))
+            expected = decrypt_sector(cipher, lba, provisioned.image.read_sector(lba))
             assert tmiu.mediate_read(bus, card, lba) == expected
 
     def test_tampered_backing_store_poisons_then_locks(self, provisioned):
@@ -231,10 +274,11 @@ class TestMediatedDataPath:
         assert tmiu.mediate_read(bus, card, lba) == payload
 
         aes_key, mac_key = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         stored = card.backing.read_sector(lba)
         assert stored != payload  # ciphertext at rest
         meta_lba, offset = layout.tag_location(lba)
-        meta_plain = decrypt_sector(aes_key, meta_lba, card.backing.read_sector(meta_lba))
+        meta_plain = decrypt_sector(cipher, meta_lba, card.backing.read_sector(meta_lba))
         assert meta_plain[offset : offset + 32] == sector_tag(mac_key, lba, stored)
 
     def test_write_policy_protects_other_regions(self, provisioned):
@@ -254,8 +298,9 @@ class TestMediatedDataPath:
             tmiu.mediate_read(bus, card, lba)
         assert tmiu.stage is Stage.OPERATIONAL
         aes_key, _ = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
         assert tmiu.mediate_read(bus, card, lba) == decrypt_sector(
-            aes_key, lba, provisioned.image.read_sector(lba)
+            cipher, lba, provisioned.image.read_sector(lba)
         )
 
     def test_each_processed_sector_charges_pipeline_latency(self, provisioned):
