@@ -2,6 +2,11 @@
 
 A refactor leaves each digest unchanged. An intended model change updates
 the affected constants and says why in the change log.
+
+The faulted runs pin the path where frames cross the wire as bytes: one bit
+flipped in flight during the fixture boot, or during a post-boot file write
+and read. Each is pinned traced (transcript, report, image), and the same
+run untraced must give the same report and image.
 """
 
 import contextlib
@@ -13,6 +18,16 @@ import pytest
 from tmiusim.cli import main
 from tmiusim.host import build_system
 
+IO_FILE = ("golden.bin", bytes(range(256)) * 5)
+
+# Run name -> (when the fault is scheduled, inject_fault arguments).
+FAULTED_RUNS = {
+    "boot_cmd": ("boot", ("cmd", 5, 3, 2)),
+    "boot_c2h": ("boot", ("c2h", 10, 100, 1)),
+    "io_h2c": ("io", ("h2c", 2, 77, 6)),
+    "io_c2h": ("io", ("c2h", 3, 300, 4)),
+}
+
 GOLDEN = {
     "image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
     "manifest": "d3b73e8a9015fe4b0633625b7ff930edf6375ddae0c72f04cbc9fbca865b1ebe",
@@ -22,6 +37,18 @@ GOLDEN = {
     "io_report": "d4fffd3a34feedca132a99fb87a507ab236ad38dadfd0c850232666bcd3278dc",
     "inspect_clean": "222febbbb8ed2f96d4537f8aa4a6d49b52b66a420166d9527bdce6dc2e4fd26f",
     "inspect_data_flip": "cf129d4286d78338cea82df65d43753f512b275d6e81dca5778ee0255e04a5e2",
+    "boot_cmd_transcript": "9c8fa811cd90cfefabbff4a85cc1a695900709bc76f632cab95130040e793c87",
+    "boot_cmd_report": "a8105e3a6c53ec8c827236fbe22fb3f2ec09c33b1223e6de66ad91409332014e",
+    "boot_cmd_image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
+    "boot_c2h_transcript": "ef7975ed8ce305895e2909ea24e83c07a06e971b6143e9db19d162348258de52",
+    "boot_c2h_report": "5d6ea218346f7a9308a05ebb3d7ff6e8ccb80d8237f045b0e3c358f6b0938653",
+    "boot_c2h_image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
+    "io_h2c_transcript": "7514868194ba5d2885d1f91fab4fe52472e0e0796b3ebc9ac59cb70aff490cac",
+    "io_h2c_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
+    "io_h2c_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
+    "io_c2h_transcript": "1e779466606704181c7ffbfe62f72f0b7791032b20a201ed20ede984942d77ae",
+    "io_c2h_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
+    "io_c2h_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
 }
 
 
@@ -29,6 +56,29 @@ def _sha(data: bytes | str) -> str:
     if isinstance(data, str):
         data = data.encode()
     return hashlib.sha256(data).hexdigest()
+
+
+def _faulted_run(provisioned, run: str, trace: bool) -> dict[str, str]:
+    """Digests of one faulted run: report and final image, plus the
+    transcript when traced."""
+    manifest = provisioned.manifest
+    when, fault = FAULTED_RUNS[run]
+    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
+    if when == "boot":
+        bus.inject_fault(*fault)
+    assert host.run_boot(expected_entries=manifest.entries).ok
+    if when == "io":
+        bus.inject_fault(*fault)
+        host.write_file(*IO_FILE)
+        assert host.read_file(IO_FILE[0]) == IO_FILE[1]
+    assert not any(bus._faults.values()), "the fault never fired"
+    out = {
+        f"{run}_report": _sha(tmiu.report().to_text()),
+        f"{run}_image": _sha(card.backing.to_bytes()),
+    }
+    if trace:
+        out[f"{run}_transcript"] = _sha("\n".join(bus.transcript) + "\n")
+    return out
 
 
 def _inspect_stdout(tmp_path, image, manifest) -> str:
@@ -58,8 +108,8 @@ def digests(provisioned, tmp_path_factory):
     # The mediated read and write paths: their ciphertext, tags and cycles.
     host, tmiu, _, card = build_system(manifest, provisioned.image.clone())
     assert host.run_boot(expected_entries=manifest.entries).ok
-    host.write_file("golden.bin", bytes(range(256)) * 5)
-    assert host.read_file("golden.bin") == bytes(range(256)) * 5
+    host.write_file(*IO_FILE)
+    assert host.read_file(IO_FILE[0]) == IO_FILE[1]
     out["io_image"] = _sha(card.backing.to_bytes())
     out["io_report"] = _sha(tmiu.report().to_text())
 
@@ -70,9 +120,18 @@ def digests(provisioned, tmp_path_factory):
     sector[33] ^= 0x80
     flipped.write_sector(lba, bytes(sector))
     out["inspect_data_flip"] = _sha(_inspect_stdout(tmp_path, flipped, manifest))
+
+    for run in FAULTED_RUNS:
+        out.update(_faulted_run(provisioned, run, trace=True))
     return out
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_digest(name, digests):
     assert digests[name] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("run", sorted(FAULTED_RUNS))
+def test_untraced_faulted_run_matches_traced_pins(run, provisioned):
+    digests = _faulted_run(provisioned, run, trace=False)
+    assert digests == {key: GOLDEN[key] for key in digests}
