@@ -7,6 +7,12 @@ optional line-oriented transcript of everything that crosses it. The card
 implements only the commands the unit sends and answers any other index as
 an illegal command.
 
+Frames cross the wire as objects. A frame is serialized, with its CRC7 or
+CRC16, only where something observes its bytes: a fault due on that very
+frame, or the transcript. An untouched frame's CRC always holds, so both
+paths have the same wire semantics, and a fault's ``nth`` counts every
+frame of its kind either way.
+
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
 R2 responses carry a 128-bit register. Data blocks are 512 bytes followed by
@@ -16,7 +22,7 @@ a 16-bit CRC.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .crypto import SECTOR_SIZE, crc7, crc16
@@ -109,32 +115,60 @@ def parse_response(raw: bytes) -> tuple[ResponseFrame, bool]:
     raise FramingError(f"unexpected response length {len(raw)}")
 
 
-@dataclass(frozen=True)
 class DataBlock:
-    payload: bytes
-    crc: int
-    # Set only by for_payload, which has just computed the CRC from this very
-    # payload; a block off the wire or with a given CRC is checked on demand.
-    _crc_known_good: bool = field(default=False, init=False, repr=False, compare=False)
+    """A 512-byte payload and its CRC16, immutable and equal by both.
 
-    def __post_init__(self) -> None:
-        if len(self.payload) != SECTOR_SIZE:
+    A block built by :meth:`for_payload` carries the CRC of its own payload:
+    its ``crc_ok`` holds without computing it, and ``crc`` or ``to_bytes()``
+    computes it at most once. A block off the wire or with a given CRC is
+    checked on demand.
+    """
+
+    __slots__ = ("_payload", "_crc", "_own_crc")
+
+    def __init__(self, payload: bytes, crc: int):
+        if len(payload) != SECTOR_SIZE:
             raise ValueError("data block payload must be 512 bytes")
-        if not 0 <= self.crc <= 0xFFFF:
+        if not 0 <= crc <= 0xFFFF:
             raise ValueError("crc is 16 bits")
+        self._payload = payload
+        self._crc: int | None = crc
+        self._own_crc = False
 
     @classmethod
     def for_payload(cls, payload: bytes) -> "DataBlock":
-        block = cls(payload=payload, crc=crc16(payload))
-        object.__setattr__(block, "_crc_known_good", True)
+        block = cls(payload, 0)
+        block._crc = None  # computed from the payload on first use
+        block._own_crc = True
         return block
 
     @property
+    def payload(self) -> bytes:
+        return self._payload
+
+    @property
+    def crc(self) -> int:
+        if self._crc is None:
+            self._crc = crc16(self._payload)
+        return self._crc
+
+    @property
     def crc_ok(self) -> bool:
-        return self._crc_known_good or crc16(self.payload) == self.crc
+        return self._own_crc or crc16(self._payload) == self._crc
 
     def to_bytes(self) -> bytes:
-        return self.payload + struct.pack(">H", self.crc)
+        return self._payload + struct.pack(">H", self.crc)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DataBlock):
+            return NotImplemented
+        return self._payload == other._payload and self.crc == other.crc
+
+    def __hash__(self) -> int:
+        return hash((self._payload, self.crc))
+
+    def __repr__(self) -> str:
+        return f"DataBlock(payload={self._payload!r}, crc={self.crc})"
 
 
 def parse_data(raw: bytes) -> DataBlock:
@@ -178,17 +212,19 @@ class VirtualCard:
 
     def issue(self, raw: bytes) -> bytes | None:
         """Handle a raw command frame; None models a silent card."""
-        if self.io_suspended:
-            return None
         try:
             frame, crc_ok = parse_command(raw)
         except FramingError:
             return None  # a malformed frame is ignored like a bad CRC
         if not crc_ok:
             return None
-        return self._dispatch(frame)
+        reply = self.answer(frame)
+        return None if reply is None else reply.to_bytes()
 
-    def _dispatch(self, frame: CommandFrame) -> bytes | None:
+    def answer(self, frame: CommandFrame) -> ResponseFrame | None:
+        """Handle an intact command frame; None models a silent card."""
+        if self.io_suspended:
+            return None
         idx, arg = frame.index, frame.argument
         if idx == CMD_GO_IDLE:
             self.state = CardState.IDLE
@@ -196,59 +232,53 @@ class VirtualCard:
             return None  # CMD0 carries no response
         if idx == CMD_ALL_SEND_CID:
             if self.state is not CardState.IDLE:
-                return self._r1(idx, STATUS_ILLEGAL_COMMAND)
+                return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
             self.state = CardState.STANDBY
-            return ResponseFrame(index=0x3F, register=self.identity.cid).to_bytes()
+            return ResponseFrame(index=0x3F, register=self.identity.cid)
         if idx == CMD_SEND_CSD:
             if self.state is not CardState.STANDBY:
-                return self._r1(idx, STATUS_ILLEGAL_COMMAND)
-            return ResponseFrame(index=0x3F, register=self.identity.csd).to_bytes()
+                return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
+            return ResponseFrame(index=0x3F, register=self.identity.csd)
         if idx == CMD_SELECT:
             if self.state is not CardState.STANDBY:
-                return self._r1(idx, STATUS_ILLEGAL_COMMAND)
+                return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
             self.state = CardState.TRANSFER
-            return self._r1(idx, 0)
+            return ResponseFrame(idx)
         if idx == CMD_SET_BLOCKLEN:
             if self.state is not CardState.TRANSFER:
-                return self._r1(idx, STATUS_ILLEGAL_COMMAND)
+                return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
             if arg != SECTOR_SIZE:
-                return self._r1(idx, STATUS_BLOCK_LEN_ERROR)
-            return self._r1(idx, 0)
+                return ResponseFrame(idx, STATUS_BLOCK_LEN_ERROR)
+            return ResponseFrame(idx)
         if idx == CMD_STOP_TRANSMISSION:
             self._open = None
-            return self._r1(idx, 0)
+            return ResponseFrame(idx)
         if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE):
             if self.state is not CardState.TRANSFER:
-                return self._r1(idx, STATUS_ILLEGAL_COMMAND)
+                return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
             if arg >= self.geometry:
-                return self._r1(idx, STATUS_OUT_OF_RANGE)
+                return ResponseFrame(idx, STATUS_OUT_OF_RANGE)
             self._open = (idx, arg)
-            return self._r1(idx, 0)
-        return self._r1(idx, STATUS_ILLEGAL_COMMAND)
+            return ResponseFrame(idx)
+        return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
 
-    @staticmethod
-    def _r1(index: int, status: int) -> bytes:
-        return ResponseFrame(index=index, status=status).to_bytes()
-
-    def take_read_block(self) -> bytes | None:
-        """Next stored sector of an open read transfer, with a freshly
-        computed CRC16, raw on the wire."""
+    def take_read_block(self) -> DataBlock | None:
+        """Next stored sector of an open read transfer."""
         if self._open is None or self._open[0] == CMD_WRITE_SINGLE:
             return None
         idx, lba = self._open
         if lba >= self.geometry:
             return None
         self._open = (idx, lba + 1) if idx == CMD_READ_MULTIPLE else None
-        return DataBlock.for_payload(self.backing.read_sector(lba)).to_bytes()
+        return DataBlock.for_payload(self.backing.read_sector(lba))
 
-    def receive_write_block(self, raw: bytes) -> int | None:
-        """Accept the raw data frame of an open write transfer; commit it if
-        its CRC holds and report acceptance via token."""
+    def receive_write_block(self, block: DataBlock) -> int | None:
+        """Accept the data frame of an open write transfer; commit it if its
+        CRC holds and report acceptance via token."""
         if self._open is None or self._open[0] != CMD_WRITE_SINGLE:
             return None
         lba = self._open[1]
         self._open = None
-        block = parse_data(raw)
         if not block.crc_ok:
             return TOKEN_CRC_ERR
         self.backing.write_sector(lba, block.payload)
@@ -280,16 +310,26 @@ class SdioBus:
             raise ValueError(f"unknown fault kind {kind!r}")
         self._faults[kind].append(_FaultPlan(nth, byte_offset, bit))
 
-    def _apply_faults(self, kind: str, raw: bytes) -> bytes:
-        out = raw
-        for plan in list(self._faults[kind]):
+    def _due(self, kind: str) -> list[_FaultPlan]:
+        """Count one frame of ``kind`` against every pending plan; the plans
+        that fire on it, now off the schedule."""
+        plans = self._faults[kind]
+        if not plans:
+            return []
+        for plan in plans:
             plan.countdown -= 1
-            if plan.countdown == 0:
-                mutated = bytearray(out)
-                mutated[plan.byte_offset % len(mutated)] ^= 1 << (plan.bit & 7)
-                out = bytes(mutated)
-                self._faults[kind].remove(plan)
-        return out
+        self._faults[kind] = [plan for plan in plans if plan.countdown]
+        return [plan for plan in plans if not plan.countdown]
+
+    @staticmethod
+    def _flip(raw: bytes, due: list[_FaultPlan]) -> bytes:
+        """The frame as it arrives: one bit flipped for each plan due on it."""
+        if not due:
+            return raw
+        mutated = bytearray(raw)
+        for plan in due:
+            mutated[plan.byte_offset % len(mutated)] ^= 1 << (plan.bit & 7)
+        return bytes(mutated)
 
     def _log(self, direction: str, kind: str, raw: bytes) -> None:
         if not self.trace_enabled:
@@ -299,32 +339,39 @@ class SdioBus:
 
     def command(self, index: int, argument: int = 0) -> ResponseFrame | None:
         """Send one command frame; None models no response (bad CRC, silence)."""
-        raw = CommandFrame(index=index, argument=argument).to_bytes()
-        raw = self._apply_faults("cmd", raw)
+        frame = CommandFrame(index=index, argument=argument)
+        due = self._due("cmd")
+        if not (due or self.trace_enabled):
+            return self.card.answer(frame)
+        raw = self._flip(frame.to_bytes(), due)
         self._log("H→C", "CMD", raw)
         reply = self.card.issue(raw)
         if reply is None:
             return None
         self._log("C→H", "RSP", reply)
-        frame, crc_ok = parse_response(reply)
-        if not crc_ok:
-            return None
-        return frame
+        response, crc_ok = parse_response(reply)
+        return response if crc_ok else None
 
     def fetch_block(self) -> DataBlock | None:
         """Pull the next data frame of an open read transfer off the card."""
-        raw = self.card.take_read_block()
-        if raw is None:
+        block = self.card.take_read_block()
+        if block is None:
             return None
-        raw = self._apply_faults("c2h", raw)
+        due = self._due("c2h")
+        if not (due or self.trace_enabled):
+            return block
+        raw = self._flip(block.to_bytes(), due)
         self._log("C→H", "DAT", raw)
         return parse_data(raw)
 
     def push_block(self, block: DataBlock) -> int | None:
         """Send one data frame of an open write transfer to the card."""
-        raw = self._apply_faults("h2c", block.to_bytes())
+        due = self._due("h2c")
+        if not (due or self.trace_enabled):
+            return self.card.receive_write_block(block)
+        raw = self._flip(block.to_bytes(), due)
         self._log("H→C", "DAT", raw)
-        token = self.card.receive_write_block(raw)
+        token = self.card.receive_write_block(parse_data(raw))
         if token is not None:
             self._log("C→H", "TOK", bytes([token]))
         return token

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .host import build_system
-from .identity import CardIdentity, DeviceIdentity
+from .identity import DNA_BITS, CardIdentity, DeviceIdentity
 from .image import (
     CapacityError,
     EntryKind,
@@ -74,6 +74,13 @@ def _parse_int(value: str) -> int:
         raise CliError(f"bad integer {value!r}") from exc
 
 
+def _parse_dna(value: str) -> int:
+    dna = _parse_int(value)
+    if not 0 <= dna < 1 << DNA_BITS:
+        raise CliError(f"--dna must be a {DNA_BITS}-bit value, 0 to {(1 << DNA_BITS) - 1:#x}")
+    return dna
+
+
 def _parse_hex_bytes(value: str, size: int, what: str) -> bytes:
     try:
         raw = bytes.fromhex(value)
@@ -109,7 +116,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
         label, path = _parse_data_arg(value)
         files.append((label, _read_blob(path)))
 
-    dna = _parse_int(args.dna)
+    dna = _parse_dna(args.dna)
     derived = CardIdentity.from_seed(dna.to_bytes(8, "big"))
     cid = _parse_hex_bytes(args.cid, 16, "cid") if args.cid else derived.cid
     csd = _parse_hex_bytes(args.csd, 16, "csd") if args.csd else derived.csd
@@ -150,7 +157,7 @@ def cmd_provision(args: argparse.Namespace) -> int:
 
 def cmd_boot(args: argparse.Namespace) -> int:
     image, manifest = _load_pair(args.image, args.manifest)
-    dna = _parse_int(args.dna) if args.dna else None
+    dna = _parse_dna(args.dna) if args.dna else None
     cid = _parse_hex_bytes(args.cid, 16, "cid") if args.cid else None
     csd = _parse_hex_bytes(args.csd, 16, "csd") if args.csd else None
 

@@ -1,7 +1,7 @@
-import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmiusim.bus import (
     CMD_ALL_SEND_CID,
@@ -11,6 +11,9 @@ from tmiusim.bus import (
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
     CMD_WRITE_SINGLE,
+    COMMAND_FRAME_SIZE,
+    DATA_FRAME_SIZE,
+    R2_FRAME_SIZE,
     CardState,
     CommandFrame,
     DataBlock,
@@ -20,15 +23,18 @@ from tmiusim.bus import (
     STATUS_OUT_OF_RANGE,
     TOKEN_CRC_ERR,
     TOKEN_CRC_OK,
+    FramingError,
     VirtualCard,
     parse_command,
     parse_data,
     parse_response,
 )
 from tmiusim.crypto import crc16
+from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
+from tmiusim.tmiu import LockdownError, ProtocolCrcError
 
-from conftest import make_provision
+from conftest import DATA_FILES, make_provision
 
 
 @pytest.fixture()
@@ -46,50 +52,113 @@ def _to_transfer(card):
 def _write(card, lba, block):
     """CMD24 then one data frame, straight to the card; the write token."""
     card.issue(CommandFrame(CMD_WRITE_SINGLE, lba).to_bytes())
-    return card.receive_write_block(block.to_bytes())
+    return card.receive_write_block(block)
+
+
+@pytest.fixture()
+def crc_calls(monkeypatch):
+    """Every line CRC the package computes, as (name, message) pairs."""
+    from tmiusim import bus, tmiu
+
+    calls = []
+
+    def counted(name, fn):
+        return lambda data: calls.append((name, bytes(data))) or fn(data)
+
+    for module in (bus, tmiu):
+        for name in ("crc7", "crc16"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+_payloads = st.binary(min_size=512, max_size=512)
+_PROPERTY = settings(max_examples=200, derandomize=True, deadline=None)
 
 
 class TestFraming:
-    def test_command_round_trip(self):
-        rng = random.Random(0xF0)
-        for _ in range(200):
-            frame = CommandFrame(rng.randrange(64), rng.randrange(1 << 32))
-            raw = frame.to_bytes()
-            assert len(raw) == 6
-            parsed, crc_ok = parse_command(raw)
-            assert parsed == frame and crc_ok
+    @_PROPERTY
+    @given(index=st.integers(0, 63), argument=st.integers(0, 0xFFFFFFFF))
+    def test_command_round_trip(self, index, argument):
+        frame = CommandFrame(index, argument)
+        raw = frame.to_bytes()
+        assert len(raw) == 6
+        parsed, crc_ok = parse_command(raw)
+        assert parsed == frame and crc_ok
 
-    def test_response_round_trips(self):
-        rng = random.Random(0xF1)
-        for _ in range(200):
-            r1 = ResponseFrame(index=rng.randrange(64), status=rng.randrange(1 << 32))
-            parsed, crc_ok = parse_response(r1.to_bytes())
-            assert parsed == r1 and crc_ok
-            r2 = ResponseFrame(index=0x3F, register=rng.randbytes(16))
-            parsed2, _ = parse_response(r2.to_bytes())
-            assert parsed2.register == r2.register
+    @_PROPERTY
+    @given(
+        index=st.integers(0, 63),
+        status=st.integers(0, 0xFFFFFFFF),
+        register=st.binary(min_size=16, max_size=16),
+    )
+    def test_response_round_trips(self, index, status, register):
+        r1 = ResponseFrame(index=index, status=status)
+        parsed, crc_ok = parse_response(r1.to_bytes())
+        assert parsed == r1 and crc_ok
+        r2 = ResponseFrame(index=0x3F, register=register)
+        parsed2, crc_ok = parse_response(r2.to_bytes())
+        assert parsed2 == r2 and crc_ok
 
-    def test_data_round_trip(self):
-        rng = random.Random(0xF2)
-        for _ in range(50):
-            block = DataBlock.for_payload(rng.randbytes(512))
-            assert parse_data(block.to_bytes()) == block
-            assert block.crc_ok
+    @_PROPERTY
+    @given(payload=_payloads, crc=st.integers(0, 0xFFFF))
+    def test_data_round_trip(self, payload, crc):
+        block = DataBlock.for_payload(payload)
+        assert parse_data(block.to_bytes()) == block
+        assert block.crc_ok
+        given_crc = DataBlock(payload=payload, crc=crc)
+        assert parse_data(given_crc.to_bytes()) == given_crc
 
-    def test_only_blocks_from_the_wire_or_a_given_crc_are_rechecked(self, monkeypatch):
-        from tmiusim import bus
+    @_PROPERTY
+    @given(payload=_payloads, bit=st.integers(0, DATA_FRAME_SIZE * 8 - 1))
+    def test_any_single_bit_flip_of_a_data_frame_fails_its_crc(self, payload, bit):
+        raw = bytearray(DataBlock.for_payload(payload).to_bytes())
+        raw[bit // 8] ^= 1 << (bit % 8)
+        assert not parse_data(bytes(raw)).crc_ok
 
+    @_PROPERTY
+    @given(
+        index=st.integers(0, 63),
+        argument=st.integers(0, 0xFFFFFFFF),
+        bit=st.integers(0, COMMAND_FRAME_SIZE * 8 - 1),
+    )
+    def test_any_single_bit_flip_of_a_command_frame_is_caught(self, index, argument, bit):
+        raw = bytearray(CommandFrame(index, argument).to_bytes())
+        raw[bit // 8] ^= 1 << (bit % 8)
+        try:
+            _, crc_ok = parse_command(bytes(raw))
+        except FramingError:
+            return
+        assert not crc_ok
+
+    @_PROPERTY
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=600),
+            *(st.binary(min_size=n, max_size=n) for n in (COMMAND_FRAME_SIZE, R2_FRAME_SIZE, DATA_FRAME_SIZE)),
+        )
+    )
+    def test_parsers_raise_only_framing_errors(self, raw):
+        for parse in (parse_command, parse_response, parse_data):
+            try:
+                parse(raw)
+            except FramingError:
+                pass
+
+    def test_only_blocks_from_the_wire_or_a_given_crc_are_rechecked(self, crc_calls):
         payload = bytes(range(256)) * 2
         built = DataBlock.for_payload(payload)
-        calls = []
-        monkeypatch.setattr(bus, "crc16", lambda data: calls.append(1) or crc16(data))
-        raw = built.to_bytes()
         assert built.crc_ok
-        assert calls == []
+        assert crc_calls == []
+        raw = built.to_bytes()
+        assert built.crc == crc16(payload) and built.to_bytes() == raw
+        assert len(crc_calls) == 1  # computed once, on first use
         assert parse_data(raw).crc_ok
+        assert len(crc_calls) == 2
         assert not DataBlock(payload=payload, crc=built.crc ^ 1).crc_ok
+        assert len(crc_calls) == 3
         assert not parse_data(raw[:-1] + bytes([raw[-1] ^ 1])).crc_ok
-        assert len(calls) == 3
+        assert len(crc_calls) == 4
 
     def test_corrupted_command_crc_detected(self):
         raw = bytearray(CommandFrame(17, 1234).to_bytes())
@@ -142,7 +211,7 @@ class TestVirtualCard:
     def test_read_block_returns_stored_ciphertext(self, card, provisioned):
         _to_transfer(card)
         card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
-        block = parse_data(card.take_read_block())
+        block = card.take_read_block()
         assert block.payload == provisioned.image.read_sector(0)
         assert block.crc == crc16(block.payload)
         assert card.take_read_block() is None  # a single read closes itself
@@ -176,6 +245,27 @@ class TestVirtualCard:
         card.power_cycle()
         assert not card.io_suspended
         assert card.state is CardState.IDLE
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        script=st.lists(
+            st.tuples(
+                st.sampled_from([0, 2, 7, 9, 12, 16, 17, 18, 24, 25, 63]),
+                st.sampled_from([0, 1, 512, 113, 114, 0xFFFFFFFF]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_card_answers_objects_as_it_answers_bytes(self, provisioned, script):
+        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
+        raw_card = VirtualCard(identity, provisioned.image)
+        obj_card = VirtualCard(identity, provisioned.image)
+        for index, argument in script:
+            frame = CommandFrame(index, argument)
+            reply = obj_card.answer(frame)
+            assert raw_card.issue(frame.to_bytes()) == (None if reply is None else reply.to_bytes())
+            assert raw_card.state is obj_card.state
+        assert raw_card.take_read_block() == obj_card.take_read_block()
 
 
 class TestBus:
@@ -269,3 +359,66 @@ class TestBus:
         bus.command(CMD_WRITE_SINGLE, lba)
         assert bus.push_block(DataBlock.for_payload(payload)) == TOKEN_CRC_OK
         assert card.backing.read_sector(lba) == payload
+
+
+class TestCrcCost:
+    """Counts, not timings: which line CRCs each path computes."""
+
+    def test_clean_untraced_boot_and_read_compute_no_crc(self, provisioned, crc_calls):
+        host, _, _, _ = build_system(provisioned.manifest, provisioned.image.clone())
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        label, blob = DATA_FILES[0]
+        assert host.read_file(label) == blob
+        assert crc_calls == []
+
+    def test_a_faulted_block_is_rechecked_and_fails_its_crc(self, provisioned, crc_calls):
+        manifest = provisioned.manifest
+        clean, _, _, _ = build_system(manifest, provisioned.image.clone())
+        clean_bytes = clean.run_boot(expected_entries=manifest.entries).report.bytes_moved
+        host, _, bus, _ = build_system(manifest, provisioned.image.clone())
+        bus.inject_fault("c2h", nth=10, byte_offset=100, bit=1)
+        outcome = host.run_boot(expected_entries=manifest.entries)
+        assert outcome.ok
+        # The card serializes the one faulted frame, the unit rechecks what
+        # arrived; every other frame crosses as an object.
+        assert [name for name, _ in crc_calls] == ["crc16", "crc16"]
+        (_, sent), (_, received) = crc_calls
+        assert bytes(a ^ b for a, b in zip(sent, received)) == bytes(100) + b"\x02" + bytes(411)
+        assert crc16(received) != crc16(sent)
+        assert outcome.report.bytes_moved == clean_bytes + 512  # one retried sector
+
+
+def _faulted_io_run(provisioned, fault, trace):
+    """Fixture boot, one file write and read with ``fault`` scheduled
+    beforehand: (outcomes, whether the fault fired, report text, final
+    image). A command fault's retry charges no cycles, so only whether it
+    fired tells the two paths apart."""
+    manifest = provisioned.manifest
+    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
+    bus.inject_fault(*fault)
+    outcome = host.run_boot(expected_entries=manifest.entries)
+    events = [outcome.outcome_class]
+    if outcome.ok:
+        blob = bytes(range(251)) * 3
+        for step in (lambda: host.write_file("trace.bin", blob), lambda: host.read_file("trace.bin")):
+            try:
+                events.append(step())
+            except (LockdownError, ProtocolCrcError) as exc:
+                events.append(repr(exc))
+    fired = not bus._faults[fault[0]]
+    return events, fired, tmiu.report().to_text(), card.backing.to_bytes()
+
+
+class TestTraceOnlyObserves:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["cmd", "c2h", "h2c"]),
+        nth=st.integers(1, 80),
+        offset=st.integers(0, DATA_FRAME_SIZE - 1),
+        bit=st.integers(0, 7),
+    )
+    def test_trace_flag_changes_nothing_but_the_transcript(self, provisioned, kind, nth, offset, bit):
+        # A fixture boot plus the file write and read sends 51 command,
+        # 60 card-to-host and 14 host-to-card data frames.
+        fault = (kind, nth, offset, bit)
+        assert _faulted_io_run(provisioned, fault, True) == _faulted_io_run(provisioned, fault, False)

@@ -82,6 +82,15 @@ class TestProvision:
         assert not Path("card.nvm").exists()
 
 
+    @pytest.mark.parametrize("dna", ["-1", "0x200000000000000", "0x1ffffffffffffffff"])
+    def test_dna_out_of_range_exits_2(self, workspace, capsys, dna):
+        rc = main(["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", dna])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: --dna must be a 57-bit value")
+        assert not Path("card.nvm").exists()
+
+
 class TestBoot:
     def test_clean_boot_exits_0(self, workspace, capsys):
         _provision(capsys)
@@ -101,6 +110,15 @@ class TestBoot:
         assert rc == 3
         assert "reason=DeviceMismatch" in out
         assert "leds=0000" in out
+
+    @pytest.mark.parametrize("dna", ["-1", "0x200000000000000"])
+    def test_dna_out_of_range_exits_2(self, workspace, capsys, dna):
+        _provision(capsys)
+        rc = main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--dna", dna])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: --dna must be a 57-bit value")
+        assert captured.out == ""
 
     def test_trace_and_report_files(self, workspace, capsys):
         _provision(capsys)
