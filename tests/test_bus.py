@@ -418,7 +418,7 @@ class TestTraceOnlyObserves:
         bit=st.integers(0, 7),
     )
     def test_trace_flag_changes_nothing_but_the_transcript(self, provisioned, kind, nth, offset, bit):
-        # A fixture boot plus the file write and read sends 51 command,
-        # 60 card-to-host and 14 host-to-card data frames.
+        # A clean fixture boot plus the file write and read sends 46
+        # command, 57 card-to-host and 12 host-to-card data frames.
         fault = (kind, nth, offset, bit)
         assert _faulted_io_run(provisioned, fault, True) == _faulted_io_run(provisioned, fault, False)
