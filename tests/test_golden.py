@@ -15,8 +15,12 @@ import io
 
 import pytest
 
+from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
 from tmiusim.cli import main
 from tmiusim.host import build_system
+from tmiusim.tmiu import Denial
+
+from conftest import FIXTURE_DNA, FIXTURE_KDF_REPETITIONS
 
 IO_FILE = ("golden.bin", bytes(range(256)) * 5)
 
@@ -49,6 +53,29 @@ GOLDEN = {
     "io_c2h_transcript": "1e779466606704181c7ffbfe62f72f0b7791032b20a201ed20ede984942d77ae",
     "io_c2h_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
     "io_c2h_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
+}
+
+# 21 header bytes + 76,723 payload bytes + 32 digest bytes = 150 sectors.
+RUN_SPAN_ENTRIES = [
+    (EntryKind.FSBL, b"fsbl " * 2000),
+    (EntryKind.KERNEL, bytes((i * 31 + 7) % 251 for i in range(66723))),
+]
+RUN_SPAN_SECTORS = 150
+# Boot name -> container index of the one flipped sector (None: clean).
+RUN_SPAN_BOOTS = {"clean": None, "flip63": 63, "flip64": 64, "flip65": 65}
+
+RUN_SPAN_GOLDEN = {
+    "image": "45c750d58ea253492075fb50b491617e80fffbb044701ff6be8469a595ba2335",
+    "manifest": "0cb031af309a85f5ddfb96a3f0d2e747acb1f8929d040eb1b0ea39914315ac16",
+    "transcript": "9a569e3095e385b75e1a17fc62b1fbeb7685283a1a1ba3764b9c50dbfb4643ed",
+    "clean_report": "2df836fe21b97b1b1b712efdd2f3bbaaba0f42e1d4cfd613c195f8716a5bfc51",
+    "clean_delivered": "21bc3fafcf67e201fd43ef562051fb7266ed20e91509ea1e53a4fb6ab3d523b9",
+    "flip63_report": "88431c18522c06becb82fa5349b48b912cee0d701a656a07462d074289085709",
+    "flip63_delivered": "51522495cacbaeaa836a66b07216bc6944c658f349eeecc3bee0cf76c33b04d2",
+    "flip64_report": "88431c18522c06becb82fa5349b48b912cee0d701a656a07462d074289085709",
+    "flip64_delivered": "2035b1c687cf1fd103e6adcef271e8b1b6a9aaa233dd7e1103b6c30e5efd9d09",
+    "flip65_report": "88431c18522c06becb82fa5349b48b912cee0d701a656a07462d074289085709",
+    "flip65_delivered": "def4666a89bbaaaf954c92c86f63df30b4428fa9aa9097624a1b7e4eb6f7348b",
 }
 
 
@@ -135,3 +162,63 @@ def test_golden_digest(name, digests):
 def test_untraced_faulted_run_matches_traced_pins(run, provisioned):
     digests = _faulted_run(provisioned, run, trace=False)
     assert digests == {key: GOLDEN[key] for key in digests}
+
+
+@pytest.fixture(scope="module")
+def run_span():
+    result = provision(
+        RUN_SPAN_ENTRIES,
+        [("run.bin", b"run-span " * 100)],
+        DeviceIdentity(dna=FIXTURE_DNA),
+        CardIdentity.from_seed(b"run-span-card"),
+        kdf_repetitions=FIXTURE_KDF_REPETITIONS,
+    )
+    assert result.manifest.layout.boot_sectors == RUN_SPAN_SECTORS
+    return result
+
+
+def _run_span_boot(run_span, boot: str, trace: bool) -> dict[str, str]:
+    """Digests of one boot of the run-span image, driven stage by stage:
+    report and every byte the unit forwards, plus the transcript when traced."""
+    image = run_span.image.clone()
+    index = RUN_SPAN_BOOTS[boot]
+    if index is not None:
+        lba = run_span.layout.boot_start + index
+        sector = bytearray(image.read_sector(lba))
+        sector[100] ^= 0x08
+        image.write_sector(lba, bytes(sector))
+    _, tmiu, bus, card = build_system(run_span.manifest, image, trace=trace)
+    tmiu.power_on()
+    tmiu.authenticate_memory(bus, card)
+    tmiu.generate_keys()
+    forwarded = []
+    # A forwarded item is a data block or the verified bytes themselves.
+    tmiu.verify_mbr_and_image(bus, card, sink=lambda item: forwarded.append(getattr(item, "payload", item)))
+    assert tmiu.reason is (None if index is None else Denial.IMAGE_DIGEST_MISMATCH)
+    out = {
+        f"{boot}_report": _sha(tmiu.report().to_text()),
+        f"{boot}_delivered": _sha(b"".join(forwarded)),
+    }
+    if trace and index is None:
+        out["transcript"] = _sha("\n".join(bus.transcript) + "\n")
+    return out
+
+
+@pytest.fixture(scope="module")
+def run_span_digests(run_span):
+    out = {"image": _sha(run_span.image.to_bytes()), "manifest": _sha(run_span.manifest.to_text())}
+    for boot in RUN_SPAN_BOOTS:
+        out.update(_run_span_boot(run_span, boot, trace=False))
+    out.update(_run_span_boot(run_span, "clean", trace=True))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RUN_SPAN_GOLDEN))
+def test_run_span_digest(name, run_span_digests):
+    assert run_span_digests[name] == RUN_SPAN_GOLDEN[name]
+
+
+@pytest.mark.parametrize("boot", sorted(RUN_SPAN_BOOTS))
+def test_traced_run_span_boot_matches_untraced_pins(boot, run_span):
+    digests = _run_span_boot(run_span, boot, trace=True)
+    assert digests == {key: RUN_SPAN_GOLDEN[key] for key in digests}
