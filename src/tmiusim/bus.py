@@ -11,7 +11,9 @@ Frames cross the wire as objects. A frame is serialized, with its CRC7 or
 CRC16, only where something observes its bytes: a fault due on that very
 frame, or the transcript. An untouched frame's CRC always holds, so both
 paths have the same wire semantics, and a fault's ``nth`` counts every
-frame of its kind either way.
+frame of its kind either way. Where nothing observes single frames at all,
+no transcript and no card-to-host fault pending, a multi-block read moves
+whole runs of sectors as one buffer.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -272,6 +274,16 @@ class VirtualCard:
         self._open = (idx, lba + 1) if idx == CMD_READ_MULTIPLE else None
         return DataBlock.for_payload(self.backing.read_sector(lba))
 
+    def take_read_run(self, limit: int) -> bytes | None:
+        """The next stored sectors of an open CMD18 transfer, at most
+        ``limit`` and never past the geometry, as one buffer."""
+        idx, lba = self._open or (None, 0)
+        if idx != CMD_READ_MULTIPLE or lba >= self.geometry:
+            return None
+        count = min(limit, self.geometry - lba)
+        self._open = (CMD_READ_MULTIPLE, lba + count)
+        return self.backing.read_sectors(lba, count)
+
     def receive_write_block(self, block: DataBlock) -> int | None:
         """Accept the data frame of an open write transfer; commit it if its
         CRC holds and report acceptance via token."""
@@ -308,7 +320,14 @@ class SdioBus:
         Boot sequences recover from any single such fault."""
         if kind not in self._faults:
             raise ValueError(f"unknown fault kind {kind!r}")
+        if nth < 1:
+            raise ValueError(f"fault frame number must be 1 or more, got {nth}")
         self._faults[kind].append(_FaultPlan(nth, byte_offset, bit))
+
+    @property
+    def faults_pending(self) -> bool:
+        """Whether a scheduled fault has yet to fire."""
+        return any(self._faults.values())
 
     def _due(self, kind: str) -> list[_FaultPlan]:
         """Count one frame of ``kind`` against every pending plan; the plans
@@ -363,6 +382,14 @@ class SdioBus:
         raw = self._flip(block.to_bytes(), due)
         self._log("C→H", "DAT", raw)
         return parse_data(raw)
+
+    def fetch_run(self, limit: int) -> bytes | None:
+        """Up to ``limit`` sectors of an open multi-block read as one buffer;
+        None while the transcript is on or a card-to-host fault is pending,
+        where :meth:`fetch_block` must count every frame."""
+        if self.trace_enabled or self._faults["c2h"]:
+            return None
+        return self.card.take_read_run(limit)
 
     def push_block(self, block: DataBlock) -> int | None:
         """Send one data frame of an open write transfer to the card."""

@@ -68,20 +68,17 @@ class BootOutcome:
         return self.reason.value if self.reason else "Unknown"
 
 
-class _StreamBuffer:
-    """Collects forwarded boot blocks, checking each block's line CRC."""
+class _StreamBuffer(bytearray):
+    """The forwarded boot stream: verified plaintext arrives as ``bytes``; a
+    block, checked by its line CRC, is the unit signalling in-band."""
 
-    def __init__(self) -> None:
-        self.blocks: list[bytes] = []
-        self.corrupted = False
+    corrupted = False
 
-    def receive(self, block: DataBlock) -> None:
-        if not block.crc_ok:
-            self.corrupted = True
-        self.blocks.append(block.payload)
-
-    def assemble(self) -> bytes:
-        return b"".join(self.blocks)
+    def receive(self, item: bytes | DataBlock) -> None:
+        if isinstance(item, DataBlock):
+            self.corrupted |= not item.crc_ok
+            item = item.payload
+        self.extend(item)
 
 
 class BootHost:
@@ -121,7 +118,7 @@ class BootHost:
             return self._denied()
 
         try:
-            image = parse_boot_image(stream.assemble())
+            image = parse_boot_image(bytes(stream))
         except ImageFormatError:
             return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
         received = [

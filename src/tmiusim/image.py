@@ -33,10 +33,10 @@ from typing import Callable, Sequence
 
 from .crypto import (
     DIGEST_SIZE,
+    RUN_SECTORS,
     SECTOR_SIZE,
     SectorCipher,
-    encrypt_sector,
-    decrypt_sector,
+    crypt_run,
     sector_tag,
     sha256,
 )
@@ -469,9 +469,22 @@ class NvmImage:
             raise ValueError("sector payload must be 512 bytes")
         self._data[lba * SECTOR_SIZE : (lba + 1) * SECTOR_SIZE] = payload
 
-    def _check(self, lba: int) -> None:
-        if not 0 <= lba < self.total_sectors:
-            raise IndexError(f"LBA {lba} outside geometry {self.total_sectors}")
+    def read_sectors(self, lba: int, count: int) -> bytes:
+        """``count`` consecutive sectors from ``lba``, as one buffer."""
+        self._check(lba, count)
+        return bytes(self._data[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE])
+
+    def write_sectors(self, lba: int, payload: bytes) -> None:
+        """Store a whole number of sectors from ``lba`` on."""
+        count, partial = divmod(len(payload), SECTOR_SIZE)
+        if partial:
+            raise ValueError("payload must be a whole number of 512-byte sectors")
+        self._check(lba, count)
+        self._data[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE] = payload
+
+    def _check(self, lba: int, count: int = 1) -> None:
+        if count < 1 or not 0 <= lba <= self.total_sectors - count:
+            raise IndexError(f"LBA {lba} (+{count}) outside geometry {self.total_sectors}")
 
     def to_bytes(self) -> bytes:
         return bytes(self._data)
@@ -669,19 +682,21 @@ def provision(
     cipher = SectorCipher(aes_key)
 
     image = NvmImage.blank(layout.total_sectors)
-    for lba in range(layout.meta_start):
-        start = lba * SECTOR_SIZE
-        image.write_sector(lba, encrypt_sector(cipher, lba, bytes(plain[start : start + SECTOR_SIZE])))
+    view = memoryview(plain)
 
-    meta_plain = bytearray(layout.meta_sectors * SECTOR_SIZE)
+    def seal(first: int, end: int) -> None:
+        """Encrypt sectors [first, end) onto the image, one run at a time."""
+        for lba in range(first, end, RUN_SECTORS):
+            run = view[lba * SECTOR_SIZE : min(lba + RUN_SECTORS, end) * SECTOR_SIZE]
+            image.write_sectors(lba, crypt_run(cipher, lba, run))
+
+    seal(0, layout.meta_start)
+    # The integrity region's plaintext: a tag over each data sector's ciphertext.
     for lba in range(layout.data_start, layout.data_start + layout.data_sectors):
         meta_lba, slot_off = layout.tag_location(lba)
-        pos = (meta_lba - layout.meta_start) * SECTOR_SIZE + slot_off
-        meta_plain[pos : pos + DIGEST_SIZE] = sector_tag(mac_key, lba, image.read_sector(lba))
-    for i in range(layout.meta_sectors):
-        lba = layout.meta_start + i
-        chunk = bytes(meta_plain[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
-        image.write_sector(lba, encrypt_sector(cipher, lba, chunk))
+        pos = meta_lba * SECTOR_SIZE + slot_off
+        plain[pos : pos + DIGEST_SIZE] = sector_tag(mac_key, lba, image.read_sector(lba))
+    seal(layout.meta_start, layout.total_sectors)
 
     anchors = TrustAnchors.for_pair(
         dev,
@@ -715,9 +730,10 @@ def manifest_keys(manifest: Manifest) -> tuple[bytes, bytes]:
     )
 
 
-def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[[int], bytes]:
+def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[..., bytes]:
+    """``read_plain(lba, count=1)``: consecutive sectors, decrypted as one run."""
     cipher = SectorCipher(aes_key)
-    return lambda lba: decrypt_sector(cipher, lba, image.read_sector(lba))
+    return lambda lba, count=1: crypt_run(cipher, lba, image.read_sectors(lba, count))
 
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
@@ -758,7 +774,7 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
 
     try:
         count = boot_image_sectors(read_plain(lay.boot_start), lay.boot_sectors)
-        verify_boot_image(b"".join(read_plain(lay.boot_start + i) for i in range(count)))
+        verify_boot_image(read_plain(lay.boot_start, count))
         findings.append(f"boot_image=OK sectors={count}")
     except (ImageFormatError, ImageDigestError) as exc:
         findings.append(f"boot_image=FAIL ({exc})")

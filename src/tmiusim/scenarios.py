@@ -13,6 +13,8 @@ Targets:
     cid | device_dna     the identity presented at boot
     bus:cmd:<n>          one-shot fault on the n-th command frame
     bus:data:<n>         one-shot fault on the n-th card-to-host data frame
+                         (n counts from 1; a fault that never fires because
+                         the run sends fewer frames is a ScenarioError)
 
 Mutations: flip_bit:<offset>:<bit>, set_byte:<offset>:<value>,
 replace_region:<hex>, copy_from:<sector-index> (same region).
@@ -192,7 +194,8 @@ def _resolve_lba(target: str, manifest: Manifest) -> int:
 def run_scenario(
     scenario: Scenario, image: NvmImage, manifest: Manifest
 ) -> tuple[str, BootReport]:
-    """Apply the mutation to copies, boot, sweep files; return the outcome."""
+    """Apply the mutation to copies, boot, sweep files; return the outcome.
+    A bus fault that the run never fires is a :class:`ScenarioError`."""
     work = image.clone()
     dna: int | None = None
     cid: bytes | None = None
@@ -213,6 +216,8 @@ def run_scenario(
         nth = _target_index(target, parts[2]) if len(parts) > 2 else 1
         if kind is None:
             raise ScenarioError(f"unknown bus target {target!r}")
+        if nth < 1:
+            raise ScenarioError(f"bus frame index must be 1 or more in {target!r}")
         if mutation.kind != "flip_bit":
             raise ScenarioError("bus faults support flip_bit only")
         bus_fault = (kind, nth)
@@ -230,10 +235,13 @@ def run_scenario(
         bus.inject_fault(kind, nth=nth, byte_offset=mutation.offset, bit=mutation.bit)
 
     outcome = host.run_boot(expected_entries=manifest.entries)
-    if not outcome.ok:
-        return outcome.outcome_class, outcome.report
-    observed = _sweep_files(host, manifest)
-    return observed, tmiu.report()
+    if outcome.ok:
+        observed, report = _sweep_files(host, manifest), tmiu.report()
+    else:
+        observed, report = outcome.outcome_class, outcome.report
+    if bus.faults_pending:
+        raise ScenarioError(f"{target!r}: the run sent no such frame, so the fault never fired")
+    return observed, report
 
 
 def _sweep_files(host: BootHost, manifest: Manifest) -> str:

@@ -47,9 +47,11 @@ from .bus import (
 )
 from .crypto import (
     DIGEST_SIZE,
+    RUN_SECTORS,
     SECTOR_SIZE,
     SectorCipher,
     crc16,
+    crypt_run,
     decrypt_sector,
     encrypt_sector,
     sector_tag,
@@ -320,11 +322,14 @@ class Tmiu:
 
     def verify_mbr_and_image(self, bus: SdioBus, card: VirtualCard, sink=None) -> Stage:
         """Stage 3b: authenticate the encrypted MBR, then stream-verify the
-        boot image, forwarding decrypted blocks to ``sink`` as they pass.
+        boot image, forwarding decrypted plaintext to ``sink`` as it passes,
+        as ``bytes``: one call per sector, or per run of up to
+        ``RUN_SECTORS`` sectors where the bus moves runs.
 
-        The final block is withheld until the whole-image digest is checked;
-        on mismatch it is forwarded with its last byte modified so the
-        processor-side CRC check invalidates the stream.
+        The final sector is withheld until the whole-image digest is
+        checked; on mismatch it is forwarded as a :class:`DataBlock` with its
+        last byte modified, so the processor-side CRC check invalidates the
+        stream.
         """
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._keys is None:
@@ -358,34 +363,36 @@ class Tmiu:
 
     def _stream_boot_image(self, bus: SdioBus, card: VirtualCard, layout, sink) -> Stage:
         cipher, _ = self._keys
+        sink = sink or (lambda item: None)
         hasher = hashlib.sha256()
-        total_sectors: int | None = None
-        streamed = 0
-        held: bytes | None = None  # most recent decrypted sector, not yet forwarded
+        end: int | None = None  # the LBA past the container, once known
+        held = b""  # the last decrypted sector, not yet hashed or forwarded
         lba = layout.boot_start
         retries = 0
 
-        def deliver(payload: bytes) -> None:
-            if sink is not None:
-                sink(DataBlock.for_payload(payload))
-
-        def reject(reason: Denial, final_payload: bytes | None) -> Stage:
+        def reject(reason: Denial, final_payload: bytes) -> Stage:
             # The stream is invalidated in-band: the withheld block goes out
             # with its last byte modified after the CRC was attached.
-            if sink is not None and final_payload is not None:
+            if final_payload:
                 mutated = final_payload[:-1] + bytes([final_payload[-1] ^ 0xFF])
                 sink(DataBlock(payload=mutated, crc=crc16(final_payload)))
             return self._lockdown(reason, card)
 
         if not self._simple_command(bus, CMD_READ_MULTIPLE, lba):
             return self._lockdown(Denial.BUS_ERROR, card)
-        while total_sectors is None or streamed < total_sectors:
-            block = bus.fetch_block()
-            if block is None:
-                bus.command(CMD_STOP_TRANSMISSION, 0)
-                return reject(Denial.BUS_ERROR, held)
-            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, PHASE_BOOT)
-            if not block.crc_ok:
+        while end is None or lba < end:
+            # The first sector comes alone: it tells the container length.
+            limit = 1 if end is None else min(RUN_SECTORS, end - lba)
+            run, crc_ok = bus.fetch_run(limit), True
+            if run is None:
+                block = bus.fetch_block()
+                if block is None:
+                    bus.command(CMD_STOP_TRANSMISSION, 0)
+                    return reject(Denial.BUS_ERROR, held)
+                run, crc_ok = block.payload, block.crc_ok
+            count = len(run) // SECTOR_SIZE
+            self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run), PHASE_BOOT)
+            if not crc_ok:
                 retries += 1
                 bus.command(CMD_STOP_TRANSMISSION, 0)
                 if retries > RETRY_LIMIT:
@@ -394,27 +401,26 @@ class Tmiu:
                     return self._lockdown(Denial.BUS_ERROR, card)
                 continue
             retries = 0
-            plaintext = decrypt_sector(cipher, lba, block.payload)
-            if total_sectors is None:
+            plaintext = crypt_run(cipher, lba, run)
+            if end is None:
                 try:
-                    total_sectors = boot_image_sectors(plaintext, layout.boot_sectors)
+                    end = lba + boot_image_sectors(plaintext, layout.boot_sectors)
                 except ImageFormatError:
                     bus.command(CMD_STOP_TRANSMISSION, 0)
                     return reject(Denial.IMAGE_DIGEST_MISMATCH, plaintext)
-            if held is not None:
-                hasher.update(held)
-                deliver(held)
-            held = plaintext
-            streamed += 1
-            lba += 1
+            passed = held + plaintext[:-SECTOR_SIZE]
+            if passed:
+                hasher.update(passed)
+                sink(passed)
+            held = plaintext[-SECTOR_SIZE:]
+            lba += count
         bus.command(CMD_STOP_TRANSMISSION, 0)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_BOOT)
 
-        assert held is not None
         hasher.update(held[:-DIGEST_SIZE])
         if hasher.digest() != held[-DIGEST_SIZE:]:
             return reject(Denial.IMAGE_DIGEST_MISMATCH, held)
-        deliver(held)
+        sink(held)
         self.leds[3] = True
         return self._enter(Stage.OPERATIONAL)
 

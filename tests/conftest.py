@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
@@ -24,16 +26,25 @@ DATA_FILES = [
 def make_provision(
     dna: int = FIXTURE_DNA,
     card_seed: bytes = b"fixture-card",
+    boot_entries=BOOT_ENTRIES,
     **kwargs,
 ) -> ProvisionResult:
     kwargs.setdefault("kdf_repetitions", FIXTURE_KDF_REPETITIONS)
     return provision(
-        BOOT_ENTRIES,
+        boot_entries,
         DATA_FILES,
         DeviceIdentity(dna=dna),
         CardIdentity.from_seed(card_seed),
         **kwargs,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def provision_container(sectors: int) -> ProvisionResult:
+    """A provisioned image whose boot container is exactly ``sectors`` long."""
+    # One entry: a 21-byte header and a 32-byte digest around the blob.
+    blob = bytes((i * 29 + sectors) % 256 for i in range(sectors * 512 - 53))
+    return make_provision(boot_entries=[(EntryKind.KERNEL, blob)])
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tmiusim.bus import (
     CMD_ALL_SEND_CID,
     CMD_GO_IDLE,
+    CMD_READ_MULTIPLE,
     CMD_READ_SINGLE,
     CMD_SELECT,
     CMD_SEND_CSD,
@@ -29,12 +30,12 @@ from tmiusim.bus import (
     parse_data,
     parse_response,
 )
-from tmiusim.crypto import crc16
+from tmiusim.crypto import RUN_SECTORS, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.tmiu import LockdownError, ProtocolCrcError
+from tmiusim.tmiu import LockdownError, ProtocolCrcError, Stage
 
-from conftest import DATA_FILES, make_provision
+from conftest import DATA_FILES, make_provision, provision_container
 
 
 @pytest.fixture()
@@ -287,6 +288,47 @@ class TestBus:
         for line in bus.transcript:
             assert pattern.match(line), line
 
+    def test_run_read_advances_an_open_multi_block_read_up_to_the_geometry(self, card, provisioned):
+        image = provisioned.image
+        total = card.geometry
+        _to_transfer(card)
+        assert card.take_read_run(4) is None  # no open transfer
+        card.issue(CommandFrame(CMD_READ_SINGLE, 3).to_bytes())
+        assert card.take_read_run(4) is None  # a single-block read is no run
+        card.issue(CommandFrame(CMD_READ_MULTIPLE, total - 5).to_bytes())
+        assert card.take_read_run(3) == image.read_sectors(total - 5, 3)
+        assert card.take_read_block().payload == image.read_sector(total - 2)
+        assert card.take_read_run(RUN_SECTORS) == image.read_sector(total - 1)
+        assert card.take_read_run(RUN_SECTORS) is None
+
+    @pytest.mark.parametrize(
+        "trace, pending, moves_runs",
+        [(False, (), True), (True, (), False), (False, ("c2h",), False), (False, ("cmd", "h2c"), True)],
+    )
+    def test_runs_move_only_where_no_single_frame_is_observed(self, card, provisioned, trace, pending, moves_runs):
+        bus = SdioBus(card, trace=trace)
+        bus.command(CMD_GO_IDLE, 0)
+        bus.command(CMD_ALL_SEND_CID, 0)
+        bus.command(CMD_SELECT, 0)
+        for kind in pending:
+            bus.inject_fault(kind, nth=1000)
+        bus.command(CMD_READ_MULTIPLE, 1)
+        run = bus.fetch_run(8)
+        if moves_runs:
+            assert run == provisioned.image.read_sectors(1, 8)
+            assert bus.fetch_block().payload == provisioned.image.read_sector(9)
+        else:
+            assert run is None
+        assert bus.faults_pending == bool(pending)
+
+    @pytest.mark.parametrize("nth", [0, -1, -4])
+    def test_fault_on_frame_below_one_is_rejected(self, card, nth):
+        bus = SdioBus(card)
+        for kind in ("cmd", "c2h", "h2c"):
+            with pytest.raises(ValueError):
+                bus.inject_fault(kind, nth=nth)
+        assert not bus.faults_pending
+
     def _scripted_read(self, bus):
         bus.command(CMD_GO_IDLE, 0)
         bus.command(CMD_ALL_SEND_CID, 0)
@@ -388,6 +430,22 @@ class TestCrcCost:
         assert outcome.report.bytes_moved == clean_bytes + 512  # one retried sector
 
 
+    @pytest.mark.parametrize("sectors", [1, 2, 30, 64, 65, 66, 129, 130, 200])
+    def test_clean_untraced_boot_makes_one_keystream_call_per_run(self, sectors, monkeypatch, crc_calls):
+        result = provision_container(sectors)
+        runs = []
+        keystream = SectorCipher.keystream
+        monkeypatch.setattr(
+            SectorCipher, "keystream", lambda cipher, first, count=1: runs.append(count) or keystream(cipher, first, count)
+        )
+        host, _, _, _ = build_system(result.manifest, result.image.clone())
+        assert host.run_boot(expected_entries=result.manifest.entries).ok
+        # The MBR, the container's first sector, then its runs.
+        assert len(runs) == 2 + -(-(sectors - 1) // RUN_SECTORS)
+        assert runs[:2] == [1, 1] and sum(runs[2:]) == sectors - 1
+        assert crc_calls == []
+
+
 def _faulted_io_run(provisioned, fault, trace):
     """Fixture boot, one file write and read with ``fault`` scheduled
     beforehand: (outcomes, whether the fault fired, report text, final
@@ -422,3 +480,53 @@ class TestTraceOnlyObserves:
         # command, 57 card-to-host and 12 host-to-card data frames.
         fault = (kind, nth, offset, bit)
         assert _faulted_io_run(provisioned, fault, True) == _faulted_io_run(provisioned, fault, False)
+
+
+def _stream_boot(result, flip, fault, trace):
+    """A boot of ``result``'s image, driven stage by stage, with one
+    container bit flipped and one fault scheduled (either may be None):
+    (report text, forwarded bytes, offset and CRC verdict of each block the
+    unit forwarded, whether the fault fired, final image)."""
+    image = result.image.clone()
+    if flip is not None:
+        index, offset, bit = flip
+        lba = result.layout.boot_start + index % result.layout.boot_sectors
+        sector = bytearray(image.read_sector(lba))
+        sector[offset] ^= 1 << bit
+        image.write_sector(lba, bytes(sector))
+    _, tmiu, bus, card = build_system(result.manifest, image, trace=trace)
+    if fault is not None:
+        bus.inject_fault(*fault)
+    forwarded, blocks = bytearray(), []
+    tmiu.power_on()
+    if tmiu.authenticate_memory(bus, card) is Stage.KEYGEN_IMAGE_AUTH:
+        tmiu.generate_keys()
+
+        def sink(item):
+            if isinstance(item, DataBlock):
+                blocks.append((len(forwarded), item.crc_ok))
+                item = item.payload
+            forwarded.extend(item)
+
+        tmiu.verify_mbr_and_image(bus, card, sink=sink)
+    return tmiu.report().to_text(), bytes(forwarded), blocks, not bus.faults_pending, card.backing.to_bytes()
+
+
+class TestRunPathEquivalence:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        sectors=st.integers(1, 200),
+        flip=st.none() | st.tuples(st.integers(0, 199), st.integers(0, 511), st.integers(0, 7)),
+        fault=st.none()
+        | st.tuples(
+            st.sampled_from(["cmd", "c2h", "h2c"]),
+            st.integers(1, 220),
+            st.integers(0, DATA_FRAME_SIZE - 1),
+            st.integers(0, 7),
+        ),
+    )
+    def test_run_path_matches_per_frame_path(self, sectors, flip, fault):
+        # Untraced, with no card-to-host fault pending, the stream moves in
+        # runs; the transcript forces one frame at a time.
+        result = provision_container(sectors)
+        assert _stream_boot(result, flip, fault, False) == _stream_boot(result, flip, fault, True)

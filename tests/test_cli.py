@@ -197,6 +197,18 @@ class TestTamper:
         assert rc == 1
         assert "result=MISMATCH" in out
 
+    @pytest.mark.parametrize("target", ["bus:cmd:0", "bus:cmd:-4", "bus:data:100000"])
+    def test_bus_fault_that_never_fires_exits_2(self, workspace, capsys, target):
+        _provision(capsys)
+        Path("suite.txt").write_text(f"name=wire target={target} mutate=flip_bit:2:0 expect=OsRunning\n")
+        rc = main(
+            ["tamper", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--scenario", "suite.txt"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "result=" not in captured.out
+        assert "wire" in captured.err and "Traceback" not in captured.err
+
     def test_unknown_builtin_exits_2(self, workspace, capsys):
         _provision(capsys)
         rc = main(

@@ -9,6 +9,7 @@ from tmiusim.crypto import (
     aes_encrypt_block,
     crc7,
     crc16,
+    crypt_run,
     decrypt_sector,
     derive_key,
     derive_mac_key,
@@ -145,6 +146,40 @@ class TestSectorCipher:
     )
     def test_matches_ctr_mode_oracle_on_any_input(self, key, index, data):
         assert encrypt_sector(SectorCipher(key), index, data) == ctr_sector_oracle(key, index, data)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        count=st.integers(min_value=1, max_value=70),
+        first=st.one_of(
+            st.integers(min_value=0, max_value=1 << 40),
+            st.integers(min_value=(1 << 64) - 70, max_value=(1 << 64) - 1),
+        ),
+        seed=st.integers(0, 1 << 32),
+    )
+    def test_run_is_bit_identical_to_sector_calls(self, key, count, first, seed):
+        if first + count > 1 << 64:
+            count = (1 << 64) - first
+        cipher = SectorCipher(key)
+        data = random.Random(seed).randbytes(count * 512)
+        sectors = [data[i * 512 : (i + 1) * 512] for i in range(count)]
+        encrypted = crypt_run(cipher, first, data)
+        assert encrypted == b"".join(encrypt_sector(cipher, first + i, s) for i, s in enumerate(sectors))
+        decrypted = crypt_run(cipher, first, encrypted)
+        assert decrypted == data
+        assert decrypted == b"".join(
+            decrypt_sector(cipher, first + i, encrypted[i * 512 : (i + 1) * 512]) for i in range(count)
+        )
+
+    @pytest.mark.parametrize("size", [0, 1, 511, 513, 1000])
+    def test_run_rejects_partial_sectors(self, size):
+        with pytest.raises(ValueError):
+            crypt_run(SectorCipher(bytes(16)), 0, bytes(size))
+
+    @pytest.mark.parametrize("first, count", [(-1, 1), ((1 << 64) - 1, 2), ((1 << 64) - 63, 64), (1 << 64, 1)])
+    def test_run_rejects_a_last_index_past_64_bits(self, first, count):
+        with pytest.raises(ValueError):
+            crypt_run(SectorCipher(bytes(16)), first, bytes(512 * count))
 
     @pytest.mark.parametrize("size", [0, 15, 17, 24, 32])
     def test_rejects_key_that_is_not_16_bytes(self, size):

@@ -411,6 +411,24 @@ def test_image_save_load_round_trip(tmp_path, provisioned):
         loaded.read_sector(loaded.total_sectors)
 
 
+def test_multi_sector_read_and_write_are_bounds_checked():
+    image = NvmImage(bytes(range(256)) * 2 * 10)
+    assert image.read_sectors(2, 3) == b"".join(image.read_sector(lba) for lba in (2, 3, 4))
+    assert image.read_sectors(0, 10) == image.to_bytes()
+    image.write_sectors(8, b"\x01" * 512 + b"\x02" * 512)
+    assert image.read_sector(8) == b"\x01" * 512 and image.read_sector(9) == b"\x02" * 512
+    for lba, count in ((-1, 1), (9, 2), (10, 1), (0, 11), (0, 0)):
+        with pytest.raises(IndexError):
+            image.read_sectors(lba, count)
+    with pytest.raises(IndexError):
+        image.write_sectors(9, bytes(1024))
+    with pytest.raises(IndexError):
+        image.write_sectors(0, b"")
+    with pytest.raises(ValueError):
+        image.write_sectors(0, bytes(700))
+    assert image.read_sectors(8, 2) == b"\x01" * 512 + b"\x02" * 512  # nothing partial landed
+
+
 def _flip(image, lba, offset):
     sector = bytearray(image.read_sector(lba))
     sector[offset] ^= 0x10

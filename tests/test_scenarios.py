@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmiusim.host import build_system
 from tmiusim.scenarios import (
     OUTCOME_CLASSES,
     Mutation,
@@ -11,6 +12,20 @@ from tmiusim.scenarios import (
     parse_scenario,
     run_scenario,
 )
+
+
+@pytest.fixture(scope="module")
+def clean_frame_counts(provisioned):
+    """Frames per bus target kind in a clean scenario run: boot, then every file read."""
+    manifest = provisioned.manifest
+    host, _, bus, _ = build_system(manifest, provisioned.image.clone(), trace=True)
+    assert host.run_boot(expected_entries=manifest.entries).ok
+    for label, _, _ in manifest.files:
+        host.read_file(label)
+    return {
+        "cmd": sum(" KIND=CMD " in line for line in bus.transcript),
+        "data": sum(" DIR=C→H KIND=DAT " in line for line in bus.transcript),
+    }
 
 
 class TestParsing:
@@ -122,11 +137,32 @@ class TestRunScenario:
         offset=st.integers(0, 513),
         bit=st.integers(0, 7),
     )
-    def test_any_single_wire_bit_flip_has_an_outcome(self, provisioned, kind, nth, offset, bit):
+    def test_any_single_wire_bit_flip_has_an_outcome(
+        self, provisioned, clean_frame_counts, kind, nth, offset, bit
+    ):
         # A fixture boot plus file sweep sends 52 command and 75 data frames.
+        # Up to the faulted frame a run is the clean run, so a fault fires
+        # exactly when the clean run sends its frame.
         line = f"target=bus:{kind}:{nth} mutate=flip_bit:{offset}:{bit} expect=OsRunning"
-        observed, _ = run_scenario(parse_scenario(line), provisioned.image, provisioned.manifest)
-        assert observed in OUTCOME_CLASSES
+        scenario = parse_scenario(line)
+        if nth > clean_frame_counts[kind]:
+            with pytest.raises(ScenarioError, match="never fired"):
+                run_scenario(scenario, provisioned.image, provisioned.manifest)
+        else:
+            observed, _ = run_scenario(scenario, provisioned.image, provisioned.manifest)
+            assert observed in OUTCOME_CLASSES
+
+    @pytest.mark.parametrize("target", ["bus:cmd:0", "bus:cmd:-4", "bus:data:0", "bus:data:100000"])
+    def test_bus_fault_that_cannot_fire_is_rejected(self, provisioned, target):
+        scenario = parse_scenario(f"target={target} mutate=flip_bit:2:0 expect=OsRunning")
+        with pytest.raises(ScenarioError):
+            run_scenario(scenario, provisioned.image, provisioned.manifest)
+
+    def test_fault_on_the_last_frame_still_fires(self, provisioned, clean_frame_counts):
+        for kind, count in clean_frame_counts.items():
+            scenario = parse_scenario(f"target=bus:{kind}:{count} mutate=flip_bit:2:0 expect=OsRunning")
+            observed, _ = run_scenario(scenario, provisioned.image, provisioned.manifest)
+            assert observed in OUTCOME_CLASSES
 
     def test_out_of_range_target_rejected(self, provisioned):
         for target in ("boot_lba:100000", "data_lba:zz", "bus:cmd:x"):

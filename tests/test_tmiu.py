@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tmiusim.bus import SdioBus, VirtualCard
+from tmiusim.bus import DataBlock, SdioBus, VirtualCard
 from tmiusim.crypto import SectorCipher, decrypt_sector, sector_tag
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
@@ -223,20 +223,33 @@ class TestVerifyMbrAndImage:
 
     def test_corrupt_final_block_signals_processor(self, provisioned):
         image = provisioned.image.clone()
-        lba = provisioned.layout.boot_start + 1
-        sector = bytearray(image.read_sector(lba))
+        boot_start = provisioned.layout.boot_start
+        sector = bytearray(image.read_sector(boot_start + 1))
         sector[0] ^= 1
-        image.write_sector(lba, bytes(sector))
+        image.write_sector(boot_start + 1, bytes(sector))
+        aes_key, _ = manifest_keys(provisioned.manifest)
+        cipher = SectorCipher(aes_key)
+        container = b"".join(
+            decrypt_sector(cipher, lba, image.read_sector(lba))
+            for lba in range(boot_start, boot_start + provisioned.layout.boot_sectors)
+        )
 
-        _, tmiu, bus, card = _system(provisioned, image=image)
-        tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
-        tmiu.generate_keys()
-        received = []
-        tmiu.verify_mbr_and_image(bus, card, sink=received.append)
-        assert received, "stream should have been forwarded before the verdict"
-        assert not received[-1].crc_ok  # the in-band poison pill
-        assert all(block.crc_ok for block in received[:-1])
+        # Untraced, the unit forwards runs; traced, one sector per frame.
+        for trace in (False, True):
+            _, tmiu, bus, card = _system(provisioned, image=image.clone(), trace=trace)
+            tmiu.power_on()
+            tmiu.authenticate_memory(bus, card)
+            tmiu.generate_keys()
+            received = []
+            tmiu.verify_mbr_and_image(bus, card, sink=received.append)
+            assert len(received) >= 2, "stream should have been forwarded before the verdict"
+            *verified, pill = received
+            assert all(type(item) is bytes for item in verified)  # verified plaintext passes
+            assert isinstance(pill, DataBlock) and not pill.crc_ok  # the in-band poison pill
+            forwarded = b"".join(verified) + pill.payload
+            assert len(forwarded) == len(container)
+            assert forwarded[:-1] == container[:-1]
+            assert forwarded[-1] == container[-1] ^ 0xFF
 
 
 class TestMediatedDataPath:
