@@ -681,6 +681,8 @@ def provision(
     aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
     cipher = SectorCipher(aes_key)
 
+    # The container is in ``plain`` now: do not hold it twice while sealing.
+    del container
     image = NvmImage.blank(layout.total_sectors)
     view = memoryview(plain)
 
