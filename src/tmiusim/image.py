@@ -776,7 +776,9 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
 
     try:
         count = boot_image_sectors(read_plain(lay.boot_start), lay.boot_sectors)
-        verify_boot_image(read_plain(lay.boot_start, count))
+        end = lay.boot_start + count
+        runs = range(lay.boot_start, end, RUN_SECTORS)
+        verify_boot_image(b"".join(read_plain(lba, min(RUN_SECTORS, end - lba)) for lba in runs))
         findings.append(f"boot_image=OK sectors={count}")
     except (ImageFormatError, ImageDigestError) as exc:
         findings.append(f"boot_image=FAIL ({exc})")

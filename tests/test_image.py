@@ -41,7 +41,7 @@ from tmiusim.image import (
     verify_image,
 )
 
-from conftest import BOOT_ENTRIES, DATA_FILES, make_provision
+from conftest import BOOT_ENTRIES, DATA_FILES, make_provision, provision_container
 from oracles import shannon_entropy
 
 
@@ -499,6 +499,18 @@ class TestVerifyImage:
                 f"boot_image=OK sectors={layout.boot_sectors}",
                 f"data=OK sectors={layout.data_sectors}",
             ] + [f"file={label} OK" for label, _ in DATA_FILES]
+
+    @pytest.mark.parametrize("flip", [None, 0, 63, 64, 65, 149])
+    def test_boot_container_across_runs(self, flip):
+        result = provision_container(150)
+        image = result.image.clone()
+        if flip is not None:
+            _flip(image, result.layout.boot_start + flip, 200)
+        boot = verify_image(image, result.manifest)[1]
+        if flip is None:
+            assert boot == "boot_image=OK sectors=150"
+        else:
+            assert boot.startswith("boot_image=FAIL")
 
     def test_verdict_of_file_finding_is_its_last_word(self):
         assert finding_failed("file=notes=FAIL v2 OK") is False
