@@ -118,7 +118,7 @@ class BootHost:
             return self._denied()
 
         try:
-            image = parse_boot_image(bytes(stream))
+            image = parse_boot_image(stream)
         except ImageFormatError:
             return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
         received = [

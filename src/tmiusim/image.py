@@ -262,26 +262,27 @@ def boot_image_sectors(prefix: bytes, boot_sectors: int) -> int:
     return count
 
 
-def parse_boot_image(container: bytes) -> BootImage:
-    """Structural parse of a container; digest is not checked here."""
+def parse_boot_image(container: bytes | bytearray) -> BootImage:
+    """Structural parse of a container; digest is not checked here. Only
+    the entries are copied out of it."""
     total_len = boot_image_length(container)
     if total_len != len(container):
         raise ImageFormatError("container length field disagrees with data")
     _, version, count, _ = _CONTAINER_HEADER.unpack_from(container)
     table_end = _CONTAINER_HEADER.size + count * _CONTAINER_ENTRY.size
-    payload = container[table_end : total_len - DIGEST_SIZE]
     entries = []
-    for i in range(count):
-        kind_value, offset, length = _CONTAINER_ENTRY.unpack_from(
-            container, _CONTAINER_HEADER.size + i * _CONTAINER_ENTRY.size
-        )
-        try:
-            kind = EntryKind(kind_value)
-        except ValueError:
-            raise ImageFormatError(f"unknown entry kind {kind_value}") from None
-        if offset + length > len(payload) or length == 0:
-            raise ImageFormatError(f"entry {i} outside payload")
-        entries.append((kind, payload[offset : offset + length]))
+    with memoryview(container)[table_end : total_len - DIGEST_SIZE] as payload:
+        for i in range(count):
+            kind_value, offset, length = _CONTAINER_ENTRY.unpack_from(
+                container, _CONTAINER_HEADER.size + i * _CONTAINER_ENTRY.size
+            )
+            try:
+                kind = EntryKind(kind_value)
+            except ValueError:
+                raise ImageFormatError(f"unknown entry kind {kind_value}") from None
+            if offset + length > len(payload) or length == 0:
+                raise ImageFormatError(f"entry {i} outside payload")
+            entries.append((kind, bytes(payload[offset : offset + length])))
     return BootImage(version=version, entries=tuple(entries))
 
 

@@ -3,8 +3,8 @@
 These are deliberately written straight-line and structurally unlike the
 production code: CRCs as explicit polynomial long division over a bit list,
 the KDF as a literal transcription of its chained-hash definition, and the
-sector cipher through the library's own CTR mode instead of the package's
-ECB-of-counter-blocks construction.
+sector cipher as explicit counter blocks encrypted in ECB and XORed byte by
+byte, where the package re-nonces the library's CTR mode per sector.
 """
 
 from __future__ import annotations
@@ -69,6 +69,20 @@ def ctr_sector_oracle(key: bytes, sector_index: int, data: bytes) -> bytes:
     cipher = Cipher(algorithms.AES(key), modes.CTR(nonce))
     enc = cipher.encryptor()
     return enc.update(data) + enc.finalize()
+
+
+def ecb_counter_oracle(key: bytes, first_sector: int, data: bytes) -> bytes:
+    """Sector cipher over consecutive sectors, built from its definition:
+    counter block j of sector s is be64(s) || be64(j); AES-ECB of the
+    counter blocks is the keystream, XORed with the data."""
+    out = bytearray()
+    for start in range(0, len(data), 512):
+        sector = first_sector + start // 512
+        counters = b"".join(struct.pack(">QQ", sector, j) for j in range(512 // 16))
+        ecb = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+        keystream = ecb.update(counters) + ecb.finalize()
+        out += bytes(d ^ k for d, k in zip(data[start : start + 512], keystream))
+    return bytes(out)
 
 
 def shannon_entropy(data: bytes) -> float:

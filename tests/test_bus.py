@@ -434,9 +434,9 @@ class TestCrcCost:
     def test_clean_untraced_boot_makes_one_keystream_call_per_run(self, sectors, monkeypatch, crc_calls):
         result = provision_container(sectors)
         runs = []
-        keystream = SectorCipher.keystream
+        crypt = SectorCipher.crypt
         monkeypatch.setattr(
-            SectorCipher, "keystream", lambda cipher, first, count=1: runs.append(count) or keystream(cipher, first, count)
+            SectorCipher, "crypt", lambda cipher, first, data: runs.append(len(data) // 512) or crypt(cipher, first, data)
         )
         host, _, _, _ = build_system(result.manifest, result.image.clone())
         assert host.run_boot(expected_entries=result.manifest.entries).ok

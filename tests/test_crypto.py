@@ -19,7 +19,14 @@ from tmiusim.crypto import (
     sha256,
 )
 
-from oracles import crc7_oracle, crc16_oracle, ctr_sector_oracle, kdf_key_oracle, kdf_mac_oracle
+from oracles import (
+    crc7_oracle,
+    crc16_oracle,
+    ctr_sector_oracle,
+    ecb_counter_oracle,
+    kdf_key_oracle,
+    kdf_mac_oracle,
+)
 
 
 class TestCrc7:
@@ -170,6 +177,45 @@ class TestSectorCipher:
         assert decrypted == b"".join(
             decrypt_sector(cipher, first + i, encrypted[i * 512 : (i + 1) * 512]) for i in range(count)
         )
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=16),
+        count=st.integers(min_value=1, max_value=70),
+        first=st.one_of(
+            st.integers(min_value=0, max_value=(1 << 64) - 71),
+            st.integers(min_value=(1 << 64) - 70, max_value=(1 << 64) - 1),
+        ),
+        seed=st.integers(0, 1 << 32),
+    )
+    def test_matches_ecb_counter_oracle(self, key, count, first, seed):
+        count = min(count, (1 << 64) - first)
+        cipher = SectorCipher(key)
+        data = random.Random(seed).randbytes(count * 512)
+        expected = ecb_counter_oracle(key, first, data)
+        assert crypt_run(cipher, first, data) == expected
+        assert crypt_run(cipher, first, expected) == data
+        for i in range(count):
+            plain, sealed = data[i * 512 : (i + 1) * 512], expected[i * 512 : (i + 1) * 512]
+            assert encrypt_sector(cipher, first + i, plain) == sealed
+            assert decrypt_sector(cipher, first + i, sealed) == plain
+
+    def test_carries_no_state_between_calls(self):
+        # A CTR context is stateful; every call must start from its own
+        # sector's nonce, whatever came before it on the same cipher.
+        cipher = SectorCipher(self.KEY)
+        rng = random.Random(11)
+        sector, run = rng.randbytes(512), rng.randbytes(5 * 512)
+        assert encrypt_sector(cipher, 9, sector) == ecb_counter_oracle(self.KEY, 9, sector)
+        assert crypt_run(cipher, 40, run) == ecb_counter_oracle(self.KEY, 40, run)
+        assert decrypt_sector(cipher, 9, sector) == ecb_counter_oracle(self.KEY, 9, sector)
+        with pytest.raises(ValueError):
+            encrypt_sector(cipher, 9, sector[:511])
+        with pytest.raises(ValueError):
+            crypt_run(cipher, 40, run[:-1])
+        assert crypt_run(cipher, 40, run) == ecb_counter_oracle(self.KEY, 40, run)
+        assert crypt_run(cipher, 2, run) == ecb_counter_oracle(self.KEY, 2, run)
+        assert decrypt_sector(cipher, 3, run[512:1024]) == ecb_counter_oracle(self.KEY, 3, run[512:1024])
 
     @pytest.mark.parametrize("size", [0, 1, 511, 513, 1000])
     def test_run_rejects_partial_sectors(self, size):

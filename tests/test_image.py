@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmiusim.crypto import (
     SECTOR_SIZE,
@@ -96,6 +97,11 @@ class TestMbr:
             parse_mbr(raw, total_sectors=128)
 
 
+_CONTAINER_ENTRIES = st.lists(
+    st.tuples(st.sampled_from(EntryKind), st.binary(min_size=1, max_size=700)), min_size=1, max_size=4
+)
+
+
 class TestBootImage:
     def test_single_byte_blob_fits_one_sector(self):
         container = build_boot_image([(EntryKind.KERNEL, b"x")])
@@ -149,6 +155,38 @@ class TestBootImage:
             ]
             image = verify_boot_image(build_boot_image(entries))
             assert [(k, bytes(b)) for k, b in image.entries] == entries
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_parse_raises_only_its_format_error(self, data):
+        if data.draw(st.booleans()):
+            raw = bytearray(data.draw(st.binary(max_size=2048)))
+        else:
+            # A valid container with bytes overwritten (mostly in the header
+            # and entry table), perhaps cut and extended.
+            raw = bytearray(build_boot_image(data.draw(_CONTAINER_ENTRIES)))
+            positions = st.one_of(st.integers(0, 48), st.integers(0, len(raw) - 1))
+            for pos, value in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)), max_size=3)):
+                raw[pos] = value
+            if data.draw(st.booleans()):
+                raw = raw[: data.draw(st.integers(0, len(raw)))] + data.draw(st.binary(max_size=600))
+        results = []
+        for container in (bytes(raw), raw):
+            try:
+                results.append(parse_boot_image(container))
+            except ImageFormatError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+        raw.append(0)  # no view of the bytearray outlives the parse
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(entries=_CONTAINER_ENTRIES)
+    def test_parse_copies_entries_out_of_a_bytearray(self, entries):
+        container = build_boot_image(entries)
+        image = parse_boot_image(bytearray(container))
+        assert all(type(blob) is bytes for _, blob in image.entries)
+        assert image == parse_boot_image(container)
+        assert list(image.entries) == entries
 
     def test_kind_labels(self):
         assert EntryKind.PARTIAL_BITSTREAM.label == "partial-bitstream"
