@@ -4,15 +4,15 @@ Everything here is a pure function of its inputs: the SD-standard CRC7/CRC16
 line checksums, SHA-256, the AES-128 sector cipher in counter mode, the keyed
 per-sector integrity tag, and the concatenation KDF that expands a 57-bit
 device identifier and a 128-bit card identifier into the symmetric keys. The
-one keyed object is :class:`SectorCipher`, whose keystream is a pure function
-of the key it was built with and the sector index.
+two keyed objects are :class:`SectorCipher` and :class:`SectorMac`, whose
+outputs are pure functions of the key each was built with, the sector index
+and the data.
 """
 
 from __future__ import annotations
 
 import binascii
 import hashlib
-import hmac
 import struct
 from dataclasses import dataclass
 
@@ -70,10 +70,6 @@ def crc16(block: bytes) -> int:
 def sha256(message: bytes) -> bytes:
     """FIPS-180-4 SHA-256, 32-byte digest."""
     return hashlib.sha256(message).digest()
-
-
-def hmac_sha256(key: bytes, message: bytes) -> bytes:
-    return hmac.new(key, message, hashlib.sha256).digest()
 
 
 @dataclass(frozen=True)
@@ -198,8 +194,48 @@ def crypt_run(cipher: SectorCipher, first_sector: int, data: bytes) -> bytes:
     return cipher.crypt(first_sector, data)
 
 
-def sector_tag(mac_key: bytes, sector_index: int, ciphertext: bytes) -> bytes:
+# RFC 2104 pads: the key, zero-filled to SHA-256's 64-byte block, XOR 0x36 or 0x5C.
+_SHA256_BLOCK_SIZE = 64
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+_SECTOR_INDEX = struct.Struct(">Q")
+
+
+class SectorMac:
+    """HMAC-SHA-256 (RFC 2104) keyed once, over a sector index and ciphertext.
+
+    It hashes the inner and outer pad blocks once and copies those two
+    SHA-256 states for each tag. It keeps no copy of the key: no attribute
+    and no ``repr`` exposes it. Dropping the instance is how an owner erases
+    the key.
+    """
+
+    __slots__ = ("_inner", "_outer")
+
+    def __init__(self, key: bytes):
+        if len(key) != MAC_KEY_SIZE:
+            raise ValueError("key must be 32 bytes")
+        block = key.ljust(_SHA256_BLOCK_SIZE, b"\0")
+        self._inner = hashlib.sha256(block.translate(_IPAD))
+        self._outer = hashlib.sha256(block.translate(_OPAD))
+
+    def __repr__(self) -> str:
+        return "SectorMac(key=<hidden>)"
+
+    def tag(self, sector_index: int, ciphertext: bytes) -> bytes:
+        """HMAC-SHA-256 of ``be64(sector_index) || ciphertext``."""
+        if not 0 <= sector_index < 1 << 64:
+            raise ValueError("sector index must fit in 64 bits")
+        inner = self._inner.copy()
+        inner.update(_SECTOR_INDEX.pack(sector_index))
+        inner.update(ciphertext)
+        outer = self._outer.copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+
+def sector_tag(mac: SectorMac, sector_index: int, ciphertext: bytes) -> bytes:
     """Keyed integrity tag binding a ciphertext sector to its index."""
     if len(ciphertext) != SECTOR_SIZE:
         raise ValueError("sector ciphertext must be 512 bytes")
-    return hmac_sha256(mac_key, struct.pack(">Q", sector_index) + ciphertext)
+    return mac.tag(sector_index, ciphertext)

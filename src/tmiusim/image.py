@@ -36,6 +36,7 @@ from .crypto import (
     RUN_SECTORS,
     SECTOR_SIZE,
     SectorCipher,
+    SectorMac,
     crypt_run,
     sector_tag,
     sha256,
@@ -214,28 +215,50 @@ class BootImage:
     entries: tuple[tuple[EntryKind, bytes], ...]
 
 
-def build_boot_image(entries: Sequence[tuple[EntryKind, bytes]]) -> bytes:
-    """Serialize boot blobs into a sealed, sector-aligned container."""
+def sealed_container_size(entries: Sequence[tuple[EntryKind, bytes]]) -> int:
+    """Length of the sector-aligned container that holds ``entries``."""
     if not entries:
         raise ValueError("boot image needs at least one entry")
     for kind, blob in entries:
         if not blob:
             raise ValueError(f"empty blob for entry kind {kind.label}")
-    header_size = _CONTAINER_HEADER.size + _CONTAINER_ENTRY.size * len(entries)
-    table = bytearray()
-    offset = 0
-    for kind, blob in entries:
-        table += _CONTAINER_ENTRY.pack(kind.value, offset, len(blob))
-        offset += len(blob)
-    payload = b"".join(blob for _, blob in entries)
-    body_len = header_size + len(payload)
-    total_len = -(-(body_len + DIGEST_SIZE) // SECTOR_SIZE) * SECTOR_SIZE
-    header = _CONTAINER_HEADER.pack(
-        BOOT_IMAGE_MAGIC, BOOT_IMAGE_VERSION, len(entries), total_len
+    body_len = _CONTAINER_HEADER.size + _CONTAINER_ENTRY.size * len(entries)
+    body_len += sum(len(blob) for _, blob in entries)
+    return -(-(body_len + DIGEST_SIZE) // SECTOR_SIZE) * SECTOR_SIZE
+
+
+def write_boot_image(
+    buf: bytearray, offset: int, entries: Sequence[tuple[EntryKind, bytes]]
+) -> int:
+    """Lay the sealed container of ``entries`` into ``buf`` at ``offset``,
+    digest included; returns its length."""
+    total_len = sealed_container_size(entries)
+    if not 0 <= offset <= len(buf) - total_len:
+        raise ValueError("container does not fit the buffer at this offset")
+    _CONTAINER_HEADER.pack_into(
+        buf, offset, BOOT_IMAGE_MAGIC, BOOT_IMAGE_VERSION, len(entries), total_len
     )
-    body = header + bytes(table) + payload
-    body += bytes(total_len - DIGEST_SIZE - len(body))
-    return body + sha256(body)
+    pos = offset + _CONTAINER_HEADER.size
+    blob_offset = 0
+    for kind, blob in entries:
+        _CONTAINER_ENTRY.pack_into(buf, pos, kind.value, blob_offset, len(blob))
+        pos += _CONTAINER_ENTRY.size
+        blob_offset += len(blob)
+    for _, blob in entries:
+        buf[pos : pos + len(blob)] = blob
+        pos += len(blob)
+    digest_at = offset + total_len - DIGEST_SIZE
+    buf[pos:digest_at] = bytes(digest_at - pos)
+    with memoryview(buf)[offset:digest_at] as body:
+        buf[digest_at : digest_at + DIGEST_SIZE] = sha256(body)
+    return total_len
+
+
+def build_boot_image(entries: Sequence[tuple[EntryKind, bytes]]) -> bytes:
+    """Serialize boot blobs into a sealed, sector-aligned container."""
+    container = bytearray(sealed_container_size(entries))
+    write_boot_image(container, 0, entries)
+    return bytes(container)
 
 
 def boot_image_length(prefix: bytes) -> int:
@@ -322,19 +345,25 @@ def build_file_table(records: Sequence[FileRecord], table_sectors: int) -> bytes
     return bytes(body) + bytes(capacity - len(body))
 
 
-def table_sector_count(first_sector: bytes) -> int:
-    magic, table_sectors, _ = _TABLE_HEADER.unpack_from(first_sector)
+def _table_header(table: bytes) -> tuple[int, int]:
+    """(table sectors, record count) from a file table's first bytes."""
+    if len(table) < _TABLE_HEADER.size:
+        raise FileTableError("file table shorter than its header")
+    magic, table_sectors, count = _TABLE_HEADER.unpack_from(table)
     if magic != FILE_TABLE_MAGIC:
         raise FileTableError("bad file-table magic")
+    return table_sectors, count
+
+
+def table_sector_count(first_sector: bytes) -> int:
+    table_sectors, _ = _table_header(first_sector)
     if table_sectors == 0:
         raise FileTableError("file table claims zero sectors")
     return table_sectors
 
 
 def parse_file_table(table: bytes) -> list[FileRecord]:
-    magic, table_sectors, count = _TABLE_HEADER.unpack_from(table)
-    if magic != FILE_TABLE_MAGIC:
-        raise FileTableError("bad file-table magic")
+    table_sectors, count = _table_header(table)
     if table_sectors * SECTOR_SIZE != len(table):
         raise FileTableError("file table length disagrees with header")
     records = []
@@ -346,7 +375,10 @@ def parse_file_table(table: bytes) -> list[FileRecord]:
         pos += 2
         if pos + label_len + _RECORD_FIXED.size > len(table):
             raise FileTableError("truncated file record")
-        label = table[pos : pos + label_len].decode("utf-8")
+        try:
+            label = table[pos : pos + label_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FileTableError("file label is not UTF-8") from None
         pos += label_len
         offset, length = _RECORD_FIXED.unpack_from(table, pos)
         pos += _RECORD_FIXED.size
@@ -448,13 +480,11 @@ class NvmImage:
     """Mutable sector-addressable disk image backing a virtual card."""
 
     def __init__(self, data: bytearray | bytes):
+        """Adopt a ``bytearray`` as the image's storage (the caller hands it
+        over); copy anything else."""
         if len(data) % SECTOR_SIZE:
             raise ValueError("image size must be a multiple of 512")
-        self._data = bytearray(data)
-
-    @classmethod
-    def blank(cls, total_sectors: int) -> "NvmImage":
-        return cls(bytearray(total_sectors * SECTOR_SIZE))
+        self._data = data if isinstance(data, bytearray) else bytearray(data)
 
     @property
     def total_sectors(self) -> int:
@@ -639,8 +669,7 @@ def provision(
     """Build a fully encrypted, integrity-protected image for a device pair."""
     if table_sectors < 0 or data_slack_sectors < 0:
         raise ValueError("table and slack sector counts must not be negative")
-    container = build_boot_image(boot_entries)
-    boot_sectors = len(container) // SECTOR_SIZE
+    boot_sectors = sealed_container_size(boot_entries) // SECTOR_SIZE
 
     labels = [label for label, _ in data_files]
     if len(set(labels)) != len(labels):
@@ -663,48 +692,51 @@ def provision(
 
     table = build_file_table(records, table_sectors)
 
-    plain = bytearray(layout.total_sectors * SECTOR_SIZE)
+    # One buffer: laid out as plaintext, then sealed in place, then adopted
+    # by the image.
+    buf = bytearray(layout.total_sectors * SECTOR_SIZE)
     mbr = MbrSector(
         partitions=(
             PartitionEntry(0x80, BOOT_PARTITION_TYPE, layout.boot_start, layout.boot_sectors),
             PartitionEntry(0x00, DATA_PARTITION_TYPE, layout.data_start, layout.data_sectors),
         )
     )
-    plain[0:SECTOR_SIZE] = mbr.to_bytes()
-    boot_off = layout.boot_start * SECTOR_SIZE
-    plain[boot_off : boot_off + len(container)] = container
+    buf[0:SECTOR_SIZE] = mbr.to_bytes()
+    write_boot_image(buf, layout.boot_start * SECTOR_SIZE, boot_entries)
     data_off = layout.data_start * SECTOR_SIZE
-    plain[data_off : data_off + len(table)] = table
+    buf[data_off : data_off + len(table)] = table
     for rec, (_, blob) in zip(records, data_files):
         start = data_off + rec.offset
-        plain[start : start + len(blob)] = blob
+        buf[start : start + len(blob)] = blob
 
     aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
-    cipher = SectorCipher(aes_key)
+    cipher, mac = SectorCipher(aes_key), SectorMac(mac_key)
 
-    # The container is in ``plain`` now: do not hold it twice while sealing.
-    del container
-    image = NvmImage.blank(layout.total_sectors)
-    view = memoryview(plain)
+    with memoryview(buf) as view:
 
-    def seal(first: int, end: int) -> None:
-        """Encrypt sectors [first, end) onto the image, one run at a time."""
-        for lba in range(first, end, RUN_SECTORS):
-            run = view[lba * SECTOR_SIZE : min(lba + RUN_SECTORS, end) * SECTOR_SIZE]
-            image.write_sectors(lba, crypt_run(cipher, lba, run))
+        def sector(lba: int) -> memoryview:
+            return view[lba * SECTOR_SIZE : (lba + 1) * SECTOR_SIZE]
 
-    seal(0, layout.meta_start)
-    # The integrity region's plaintext: a tag over each data sector's ciphertext.
-    for lba in range(layout.data_start, layout.data_start + layout.data_sectors):
-        meta_lba, slot_off = layout.tag_location(lba)
-        pos = meta_lba * SECTOR_SIZE + slot_off
-        plain[pos : pos + DIGEST_SIZE] = sector_tag(mac_key, lba, image.read_sector(lba))
-    seal(layout.meta_start, layout.total_sectors)
+        def seal(first: int, end: int) -> None:
+            """Encrypt sectors [first, end) in place, one run at a time."""
+            for lba in range(first, end, RUN_SECTORS):
+                run = view[lba * SECTOR_SIZE : min(lba + RUN_SECTORS, end) * SECTOR_SIZE]
+                run[:] = crypt_run(cipher, lba, run)
+
+        seal(0, layout.meta_start)
+        # The integrity region's plaintext: one tag per data sector over its
+        # ciphertext, in LBA order (tag_location's consecutive 32-byte slots).
+        data_lbas = range(layout.data_start, layout.data_start + layout.data_sectors)
+        tags = b"".join([sector_tag(mac, lba, sector(lba)) for lba in data_lbas])
+        meta_off = layout.meta_start * SECTOR_SIZE
+        view[meta_off : meta_off + len(tags)] = tags
+        seal(layout.meta_start, layout.total_sectors)
+        mbr_digest = sector_tag(mac, 0, sector(0))
 
     anchors = TrustAnchors.for_pair(
         dev,
         card,
-        mbr_digest=sector_tag(mac_key, 0, image.read_sector(0)),
+        mbr_digest=mbr_digest,
         kdf_counter=kdf_counter,
         kdf_repetitions=kdf_repetitions,
         bind_csd=bind_csd,
@@ -718,7 +750,7 @@ def provision(
         entries=[(k.label, len(b), sha256(b).hex()) for k, b in boot_entries],
         files=[(label, len(b), sha256(b).hex()) for label, b in data_files],
     )
-    return ProvisionResult(image=image, anchors=anchors, manifest=manifest, layout=layout)
+    return ProvisionResult(image=NvmImage(buf), anchors=anchors, manifest=manifest, layout=layout)
 
 
 # ---------------------------------------------------------------------------
@@ -771,8 +803,9 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
         return [f"geometry=FAIL image={image.total_sectors} manifest={lay.total_sectors}"]
     aes_key, mac_key = manifest_keys(manifest)
     read_plain = _plain_reader(image, aes_key)
+    mac = SectorMac(mac_key)
 
-    mbr_ok = sector_tag(mac_key, 0, image.read_sector(0)) == manifest.anchors.mbr_digest
+    mbr_ok = sector_tag(mac, 0, image.read_sector(0)) == manifest.anchors.mbr_digest
     findings = ["mbr=OK" if mbr_ok else "mbr=FAIL lba=0"]
 
     try:
@@ -789,7 +822,7 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
     for lba in range(lay.data_start, lay.data_start + lay.data_sectors):
         meta_lba, offset = lay.tag_location(lba)
         stored = tag_sectors[meta_lba][offset : offset + DIGEST_SIZE]
-        if stored != sector_tag(mac_key, lba, image.read_sector(lba)):
+        if stored != sector_tag(mac, lba, image.read_sector(lba)):
             bad_lbas.append(lba)
     findings += [f"data=FAIL lba={lba}" for lba in bad_lbas]
     if not bad_lbas:

@@ -50,6 +50,7 @@ from .crypto import (
     RUN_SECTORS,
     SECTOR_SIZE,
     SectorCipher,
+    SectorMac,
     crc16,
     crypt_run,
     decrypt_sector,
@@ -225,8 +226,8 @@ class Tmiu:
         self.reason: Denial | None = None
         self.fault_lba: int | None = None
         self.leds = [False, False, False, False]
-        # (sector cipher, integrity key); dropped by lockdown and power cycle.
-        self._keys: tuple[SectorCipher, bytes] | None = None
+        # (sector cipher, integrity MAC); dropped by lockdown and power cycle.
+        self._keys: tuple[SectorCipher, SectorMac] | None = None
         self._cid: bytes | None = None
         self._layout: ImageLayout | None = None
         self.stage_history: list[tuple[Stage, int]] = [(Stage.PROM_LOAD, 0)]
@@ -317,7 +318,7 @@ class Tmiu:
         aes_key, mac_key = derive_keys(
             self._device, self._cid, self.anchors.kdf_counter, self.anchors.kdf_repetitions
         )
-        self._keys = (SectorCipher(aes_key), mac_key)
+        self._keys = (SectorCipher(aes_key), SectorMac(mac_key))
         return self.stage
 
     def verify_mbr_and_image(self, bus: SdioBus, card: VirtualCard, sink=None) -> Stage:
@@ -334,13 +335,13 @@ class Tmiu:
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._keys is None:
             raise StateError("keys not generated")
-        cipher, mac_key = self._keys
+        cipher, mac = self._keys
 
         mbr_block, crc_ok = self._read_single(bus, 0, PHASE_BOOT)
         if not crc_ok:
             return self._lockdown(Denial.BUS_ERROR, card)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_BOOT)
-        if sector_tag(mac_key, 0, mbr_block.payload) != self.anchors.mbr_digest:
+        if sector_tag(mac, 0, mbr_block.payload) != self.anchors.mbr_digest:
             return self._lockdown(Denial.MBR_MISMATCH, card)
         try:
             mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_block.payload), card.geometry)
@@ -434,7 +435,7 @@ class Tmiu:
         the transfer the same way, then locks the unit down and suspends the
         card.
         """
-        cipher, mac_key = self._mediated_keys(lba, "read of")
+        cipher, mac = self._mediated_keys(lba, "read of")
 
         # The data leg is not retried here: a line-CRC failure goes to the
         # processor, whose own retry re-issues the whole read.
@@ -445,7 +446,7 @@ class Tmiu:
             # Forwarded unencrypted so the processor sees the CRC error.
             raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
         _, offset, tags = self._read_tag_sector(bus, card, lba)
-        if sector_tag(mac_key, lba, block.payload) != tags[offset : offset + DIGEST_SIZE]:
+        if sector_tag(mac, lba, block.payload) != tags[offset : offset + DIGEST_SIZE]:
             self._lockdown(Denial.SECTOR_TAG_MISMATCH, card, lba=lba)
             raise ProtocolCrcError(f"sector {lba} failed verification; stream poisoned")
         plaintext = decrypt_sector(cipher, lba, block.payload)
@@ -454,17 +455,17 @@ class Tmiu:
 
     def mediate_write(self, bus: SdioBus, card: VirtualCard, lba: int, plaintext: bytes) -> None:
         """Encrypt-and-tag write of one data-partition sector."""
-        cipher, mac_key = self._mediated_keys(lba, "write to")
+        cipher, mac = self._mediated_keys(lba, "write to")
         if len(plaintext) != SECTOR_SIZE:
             raise ValueError("sector payload must be 512 bytes")
 
         ciphertext = encrypt_sector(cipher, lba, plaintext)
         self._write_single(bus, card, lba, ciphertext)
         meta_lba, offset, tags = self._read_tag_sector(bus, card, lba)
-        tags = tags[:offset] + sector_tag(mac_key, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
+        tags = tags[:offset] + sector_tag(mac, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
         self._write_single(bus, card, meta_lba, encrypt_sector(cipher, meta_lba, tags))
 
-    def _mediated_keys(self, lba: int, access: str) -> tuple[SectorCipher, bytes]:
+    def _mediated_keys(self, lba: int, access: str) -> tuple[SectorCipher, SectorMac]:
         """The keys, once stage and partition policy allow the access."""
         self._require(Stage.OPERATIONAL)
         if not self._layout.is_data_lba(lba):

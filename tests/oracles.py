@@ -2,14 +2,17 @@
 
 These are deliberately written straight-line and structurally unlike the
 production code: CRCs as explicit polynomial long division over a bit list,
-the KDF as a literal transcription of its chained-hash definition, and the
+the KDF as a literal transcription of its chained-hash definition, the
 sector cipher as explicit counter blocks encrypted in ECB and XORed byte by
-byte, where the package re-nonces the library's CTR mode per sector.
+byte, where the package re-nonces the library's CTR mode per sector, and the
+sector tag through the standard library's ``hmac``, where the package keys
+the two SHA-256 pad states itself.
 """
 
 from __future__ import annotations
 
 import hashlib
+import hmac
 import math
 import struct
 
@@ -83,6 +86,12 @@ def ecb_counter_oracle(key: bytes, first_sector: int, data: bytes) -> bytes:
         keystream = ecb.update(counters) + ecb.finalize()
         out += bytes(d ^ k for d, k in zip(data[start : start + 512], keystream))
     return bytes(out)
+
+
+def sector_tag_oracle(key: bytes, sector_index: int, ciphertext: bytes) -> bytes:
+    """HMAC-SHA-256 of be64(sector_index) || ciphertext, keyed afresh."""
+    message = struct.pack(">Q", sector_index) + bytes(ciphertext)
+    return hmac.new(key, message, hashlib.sha256).digest()
 
 
 def shannon_entropy(data: bytes) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tmiusim.crypto import (
     KdfInput,
     SectorCipher,
+    SectorMac,
     aes_encrypt_block,
     crc7,
     crc16,
@@ -14,7 +15,6 @@ from tmiusim.crypto import (
     derive_key,
     derive_mac_key,
     encrypt_sector,
-    hmac_sha256,
     sector_tag,
     sha256,
 )
@@ -26,6 +26,7 @@ from oracles import (
     ecb_counter_oracle,
     kdf_key_oracle,
     kdf_mac_oracle,
+    sector_tag_oracle,
 )
 
 
@@ -241,6 +242,61 @@ class TestSectorCipher:
         assert all(getattr(cipher, name) != key for name in SectorCipher.__slots__)
 
 
+class TestSectorMac:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        key=st.binary(min_size=32, max_size=32),
+        index=st.one_of(
+            st.integers(min_value=0, max_value=(1 << 64) - 1),
+            st.sampled_from([0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]),
+        ),
+        data=st.one_of(st.binary(min_size=512, max_size=512), st.binary(max_size=1100)),
+        form=st.sampled_from([bytes, bytearray, memoryview]),
+    )
+    def test_matches_hmac_oracle(self, key, index, data, form):
+        mac = SectorMac(key)
+        expected = sector_tag_oracle(key, index, data)
+        assert mac.tag(index, form(data)) == expected
+        # The keyed states are copied, never advanced: a second tag on the
+        # same instance, after a different one, is the same.
+        mac.tag(index ^ 1, data + b"x")
+        assert mac.tag(index, form(data)) == expected
+        if len(data) == 512:
+            assert sector_tag(mac, index, form(data)) == expected
+
+    @pytest.mark.parametrize("size", [0, 16, 31, 33, 64])
+    def test_rejects_key_that_is_not_32_bytes(self, size):
+        with pytest.raises(ValueError):
+            SectorMac(bytes(size))
+
+    @pytest.mark.parametrize("index", [-1, 1 << 64])
+    def test_rejects_an_index_past_64_bits(self, index):
+        with pytest.raises(ValueError):
+            SectorMac(bytes(32)).tag(index, bytes(512))
+
+    def test_exposes_no_key(self):
+        key = bytes(range(0xC0, 0xE0))
+        mac = SectorMac(key)
+        assert key.hex() not in repr(mac)
+        assert repr(key) not in repr(mac)
+        assert not hasattr(mac, "__dict__")
+        padded = key + bytes(32)
+        pads = [bytes(b ^ pad for b in padded) for pad in (0x36, 0x5C)]
+        secrets = [key, *pads]
+        for name in SectorMac.__slots__:
+            state = getattr(mac, name)
+            assert not isinstance(state, (bytes, bytearray, memoryview, str))
+            reachable = [state] + [
+                value
+                for value in (getattr(state, attr) for attr in dir(state))
+                if not callable(value)
+            ]
+            for value in reachable:
+                assert all(secret.hex() not in repr(value) for secret in secrets)
+                if isinstance(value, (bytes, bytearray)):
+                    assert all(secret not in value for secret in secrets)
+
+
 class TestKdf:
     def test_zero_input_vector(self):
         # sha256(be32(1) || 0^8 || 0^16) truncated to 16 bytes.
@@ -293,33 +349,42 @@ class TestKdf:
 
 
 class TestSectorTag:
+    # HMAC zero-fills a key shorter than the 64-byte block, so an RFC 4231
+    # key of n < 32 bytes is the 32-byte key K || 0^(32-n). A message's first
+    # 8 bytes are the big-endian sector index and the rest is the ciphertext.
     def test_rfc4231_case1_hmac(self):
-        key = b"\x0b" * 20
-        assert hmac_sha256(key, b"Hi There").hex() == (
+        mac = SectorMac(b"\x0b" * 20 + bytes(12))
+        assert mac.tag(int.from_bytes(b"Hi There", "big"), b"").hex() == (
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
         )
 
+    def test_rfc4231_case2_hmac(self):
+        mac = SectorMac(b"Jefe" + bytes(28))
+        assert mac.tag(int.from_bytes(b"what do ", "big"), b"ya want for nothing?").hex() == (
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        )
+
     def test_tag_binds_ciphertext(self):
-        key = bytes(32)
+        key = SectorMac(bytes(32))
         sector = bytes(512)
         altered = b"\x01" + sector[1:]
         assert sector_tag(key, 5, sector) != sector_tag(key, 5, altered)
 
     def test_tag_binds_sector_index(self):
-        key = bytes(32)
+        key = SectorMac(bytes(32))
         sector = bytes(512)
         assert sector_tag(key, 5, sector) != sector_tag(key, 6, sector)
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            sector_tag(bytes(32), 0, bytes(100))
+            sector_tag(SectorMac(bytes(32)), 0, bytes(100))
 
 
 def test_primitives_are_stateless():
     # Interleaving calls in any order, on one shared cipher, never changes a
     # result.
     cipher = SectorCipher(bytes(range(16)))
-    mac = bytes(range(32))
+    mac = SectorMac(bytes(range(32)))
     inputs = [bytes([i]) * 512 for i in range(4)]
     first = [
         (crc16(b), sector_tag(mac, i, b), encrypt_sector(cipher, i, b))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tmiusim.crypto import (
     SECTOR_SIZE,
     SectorCipher,
+    SectorMac,
     decrypt_sector,
     encrypt_sector,
     sector_tag,
@@ -17,6 +18,7 @@ from tmiusim.image import (
     CapacityError,
     EntryKind,
     FileRecord,
+    FileTableError,
     ImageDigestError,
     ImageFormatError,
     ImageLayout,
@@ -40,6 +42,7 @@ from tmiusim.image import (
     table_sector_count,
     verify_boot_image,
     verify_image,
+    write_boot_image,
 )
 
 from conftest import BOOT_ENTRIES, DATA_FILES, make_provision, provision_container
@@ -188,11 +191,36 @@ class TestBootImage:
         assert image == parse_boot_image(container)
         assert list(image.entries) == entries
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(entries=_CONTAINER_ENTRIES, offset=st.integers(1, 2000), tail=st.integers(0, 600))
+    def test_in_place_writer_matches_build(self, entries, offset, tail):
+        container = build_boot_image(entries)
+        buf = bytearray(offset + len(container) + tail)
+        assert write_boot_image(buf, offset, entries) == len(container)
+        assert buf[offset : offset + len(container)] == container
+        assert not any(buf[:offset]) and not any(buf[offset + len(container) :])
+        with pytest.raises(ValueError):
+            write_boot_image(buf, offset + tail + 1, entries)
+        dirty = bytearray(b"\xa5" * len(buf))  # the padding is written, not assumed
+        write_boot_image(dirty, offset, entries)
+        assert dirty[offset : offset + len(container)] == container
+
     def test_kind_labels(self):
         assert EntryKind.PARTIAL_BITSTREAM.label == "partial-bitstream"
         assert EntryKind.from_label("devicetree") is EntryKind.DEVICETREE
         with pytest.raises(ValueError):
             EntryKind.from_label("rootkit")
+
+
+_FILE_RECORDS = st.lists(
+    st.builds(
+        FileRecord,
+        label=st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        offset=st.integers(0, (1 << 64) - 1),
+        length=st.integers(0, (1 << 64) - 1),
+    ),
+    max_size=12,
+)
 
 
 class TestFileTable:
@@ -207,6 +235,47 @@ class TestFileTable:
         records = [FileRecord(f"file-{i:04d}", 0, 0) for i in range(200)]
         with pytest.raises(CapacityError):
             build_file_table(records, table_sectors=1)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(records=_FILE_RECORDS, spare=st.integers(0, 2))
+    def test_build_parse_round_trip(self, records, spare):
+        size = 8 + sum(2 + len(r.label.encode("utf-8")) + 16 for r in records)
+        sectors = -(-size // SECTOR_SIZE) + spare
+        table = build_file_table(records, sectors)
+        assert table_sector_count(table) == sectors
+        assert parse_file_table(table) == records
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_parsers_raise_only_their_table_error(self, data):
+        if data.draw(st.booleans()):
+            raw = bytearray(data.draw(st.binary(max_size=1100)))
+        else:
+            # A valid table with bytes overwritten (mostly in the header and
+            # the first records, where lengths and labels sit), perhaps cut.
+            raw = bytearray(build_file_table(data.draw(_FILE_RECORDS), 2))
+            positions = st.one_of(st.integers(0, 64), st.integers(0, len(raw) - 1))
+            for pos, value in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)), max_size=4)):
+                raw[pos] = value
+            if data.draw(st.booleans()):
+                raw = raw[: data.draw(st.integers(0, len(raw)))]
+        for parse in (table_sector_count, parse_file_table):
+            try:
+                parse(bytes(raw))
+            except FileTableError:
+                pass
+
+    @pytest.mark.parametrize("raw", [b"", b"TMFT", b"TMFT\x00\x01\x00"])
+    def test_input_shorter_than_the_header_is_a_table_error(self, raw):
+        for parse in (table_sector_count, parse_file_table):
+            with pytest.raises(FileTableError):
+                parse(raw)
+
+    def test_label_that_is_not_utf8_is_a_table_error(self):
+        table = bytearray(build_file_table([FileRecord("ab", 2048, 1)], 1))
+        table[10] = 0xFF  # the label's first byte
+        with pytest.raises(FileTableError):
+            parse_file_table(bytes(table))
 
 
 class TestLayout:
@@ -284,7 +353,7 @@ class TestProvision:
 
     def test_every_data_sector_tag_verifies(self, provisioned):
         aes_key, mac_key = manifest_keys(provisioned.manifest)
-        cipher = SectorCipher(aes_key)
+        cipher, mac_key = SectorCipher(aes_key), SectorMac(mac_key)
         layout = provisioned.layout
         image = provisioned.image
         for lba in range(layout.data_start, layout.data_start + layout.data_sectors):
@@ -297,7 +366,7 @@ class TestProvision:
     def test_single_bit_flip_breaks_exactly_one_tag(self, provisioned):
         rng = random.Random(0xF11)
         aes_key, mac_key = manifest_keys(provisioned.manifest)
-        cipher = SectorCipher(aes_key)
+        cipher, mac_key = SectorCipher(aes_key), SectorMac(mac_key)
         layout = provisioned.layout
         image = provisioned.image.clone()
         lba = rng.randrange(layout.data_start, layout.data_start + layout.data_sectors)
@@ -316,7 +385,7 @@ class TestProvision:
         assert bad == [lba]
 
     def test_mbr_digest_anchors_encrypted_mbr(self, provisioned):
-        _, mac_key = manifest_keys(provisioned.manifest)
+        mac_key = SectorMac(manifest_keys(provisioned.manifest)[1])
         assert provisioned.anchors.mbr_digest == sector_tag(
             mac_key, 0, provisioned.image.read_sector(0)
         )
@@ -449,6 +518,49 @@ def test_image_save_load_round_trip(tmp_path, provisioned):
         loaded.read_sector(loaded.total_sectors)
 
 
+class TestImageBuffers:
+    def test_clone_is_independent_both_ways(self, provisioned):
+        source = NvmImage(provisioned.image.to_bytes())
+        copy = source.clone()
+        copy.write_sector(3, b"\x01" * SECTOR_SIZE)
+        assert source.to_bytes() == provisioned.image.to_bytes()
+        source.write_sector(4, b"\x02" * SECTOR_SIZE)
+        assert copy.read_sector(4) == provisioned.image.read_sector(4)
+        assert copy.read_sector(3) == b"\x01" * SECTOR_SIZE
+
+    def test_load_is_independent_both_ways(self, tmp_path):
+        path = tmp_path / "card.nvm"
+        source = NvmImage(bytes(4 * SECTOR_SIZE))
+        source.save(path)
+        first, second = NvmImage.load(path), NvmImage.load(path)
+        first.write_sector(1, b"\x01" * SECTOR_SIZE)
+        assert second.read_sector(1) == bytes(SECTOR_SIZE)
+        assert source.read_sector(1) == bytes(SECTOR_SIZE)
+        source.write_sector(2, b"\x02" * SECTOR_SIZE)
+        assert first.read_sector(2) == bytes(SECTOR_SIZE)
+        assert path.read_bytes() == bytes(4 * SECTOR_SIZE)
+
+    @pytest.mark.parametrize("wrap", [bytes, memoryview])
+    def test_anything_but_a_bytearray_is_copied(self, wrap):
+        backing = bytearray(2 * SECTOR_SIZE)
+        source = wrap(backing) if wrap is memoryview else wrap(bytes(backing))
+        image = NvmImage(source)
+        image.write_sector(0, b"\x07" * SECTOR_SIZE)
+        assert bytes(source) == bytes(2 * SECTOR_SIZE)
+        backing[SECTOR_SIZE:] = b"\x09" * SECTOR_SIZE
+        assert image.read_sector(1) == bytes(SECTOR_SIZE)
+
+    def test_a_bytearray_is_adopted(self):
+        buf = bytearray(2 * SECTOR_SIZE)
+        image = NvmImage(buf)
+        image.write_sector(1, b"\x05" * SECTOR_SIZE)
+        assert buf[SECTOR_SIZE:] == b"\x05" * SECTOR_SIZE
+
+    def test_provisioned_image_holds_no_buffer_view(self):
+        result = make_provision()
+        result.image._data.append(0)  # resizable: no memoryview of it is left
+
+
 def test_multi_sector_read_and_write_are_bounds_checked():
     image = NvmImage(bytes(range(256)) * 2 * 10)
     assert image.read_sectors(2, 3) == b"".join(image.read_sector(lba) for lba in (2, 3, 4))
@@ -476,7 +588,7 @@ def _flip(image, lba, offset):
 def _write_keyed(image, manifest, lba, plaintext):
     """Encrypt and re-tag one data sector, as a holder of the keys would."""
     aes_key, mac_key = manifest_keys(manifest)
-    cipher = SectorCipher(aes_key)
+    cipher, mac_key = SectorCipher(aes_key), SectorMac(mac_key)
     ciphertext = encrypt_sector(cipher, lba, plaintext)
     image.write_sector(lba, ciphertext)
     meta_lba, offset = manifest.layout.tag_location(lba)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tmiusim.bus import DataBlock, SdioBus, VirtualCard
-from tmiusim.crypto import SectorCipher, decrypt_sector, sector_tag
+from tmiusim.crypto import SectorCipher, SectorMac, decrypt_sector, sector_tag
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import manifest_keys
@@ -121,14 +121,18 @@ class TestMemoryAuth:
         assert tmiu.reason is Denial.NVM_MISMATCH
 
 
-def _held_ciphers(tmiu):
-    """The sector ciphers the unit references directly or in a tuple."""
+def _held(tmiu, kind):
+    """The ``kind`` objects the unit references directly or in a tuple."""
     held = []
     for value in vars(tmiu).values():
         for item in value if isinstance(value, tuple) else (value,):
-            if isinstance(item, SectorCipher):
+            if isinstance(item, kind):
                 held.append(item)
     return held
+
+
+def _held_ciphers(tmiu):
+    return _held(tmiu, SectorCipher)
 
 
 class TestCipherLifetime:
@@ -160,6 +164,32 @@ class TestCipherLifetime:
         tmiu.reset()
         assert _held_ciphers(tmiu) == []
         assert not tmiu.has_keys
+
+    def test_key_generation_installs_one_mac(self, provisioned):
+        _, tmiu, bus, card = _system(provisioned)
+        tmiu.power_on()
+        tmiu.authenticate_memory(bus, card)
+        assert _held(tmiu, SectorMac) == []
+        tmiu.generate_keys()
+        assert len(_held(tmiu, SectorMac)) == 1
+
+    def test_lockdown_and_reset_drop_the_mac(self, provisioned):
+        image = provisioned.image.clone()
+        lba = provisioned.layout.data_start
+        sector = bytearray(image.read_sector(lba))
+        sector[7] ^= 0x01
+        image.write_sector(lba, bytes(sector))
+        _, tmiu, bus, card = _boot_to_operational(provisioned, image=image)
+        assert len(_held(tmiu, SectorMac)) == 1
+        with pytest.raises(ProtocolCrcError):
+            tmiu.mediate_read(bus, card, lba)
+        assert tmiu.stage is Stage.LOCKDOWN
+        assert _held(tmiu, SectorMac) == []
+
+        _, tmiu, _, _ = _boot_to_operational(provisioned)
+        assert len(_held(tmiu, SectorMac)) == 1
+        tmiu.reset()
+        assert _held(tmiu, SectorMac) == []
 
 
 class TestKeyGeneration:
@@ -287,7 +317,7 @@ class TestMediatedDataPath:
         assert tmiu.mediate_read(bus, card, lba) == payload
 
         aes_key, mac_key = manifest_keys(provisioned.manifest)
-        cipher = SectorCipher(aes_key)
+        cipher, mac_key = SectorCipher(aes_key), SectorMac(mac_key)
         stored = card.backing.read_sector(lba)
         assert stored != payload  # ciphertext at rest
         meta_lba, offset = layout.tag_location(lba)
