@@ -540,13 +540,12 @@ class TestImageBuffers:
         assert first.read_sector(2) == bytes(SECTOR_SIZE)
         assert path.read_bytes() == bytes(4 * SECTOR_SIZE)
 
-    @pytest.mark.parametrize("wrap", [bytes, memoryview])
-    def test_anything_but_a_bytearray_is_copied(self, wrap):
+    @pytest.mark.parametrize("view", [False, True], ids=["bytes", "memoryview"])
+    def test_anything_but_a_bytearray_is_copied(self, view):
         backing = bytearray(2 * SECTOR_SIZE)
-        source = wrap(backing) if wrap is memoryview else wrap(bytes(backing))
-        image = NvmImage(source)
+        image = NvmImage(memoryview(backing) if view else bytes(backing))
         image.write_sector(0, b"\x07" * SECTOR_SIZE)
-        assert bytes(source) == bytes(2 * SECTOR_SIZE)
+        assert backing == bytes(2 * SECTOR_SIZE)
         backing[SECTOR_SIZE:] = b"\x09" * SECTOR_SIZE
         assert image.read_sector(1) == bytes(SECTOR_SIZE)
 
