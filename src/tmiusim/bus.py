@@ -13,7 +13,8 @@ frame, or the transcript. An untouched frame's CRC always holds, so both
 paths have the same wire semantics, and a fault's ``nth`` counts every
 frame of its kind either way. Where nothing observes single frames at all,
 no transcript and no card-to-host fault pending, a multi-block read moves
-whole runs of sectors as one buffer.
+whole runs of sectors as one buffer. The bus alone makes that choice:
+:meth:`SdioBus.fetch_run` hands over a run or a single frame.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -264,24 +265,18 @@ class VirtualCard:
             return ResponseFrame(idx)
         return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
 
-    def take_read_block(self) -> DataBlock | None:
-        """Next stored sector of an open read transfer."""
-        if self._open is None or self._open[0] == CMD_WRITE_SINGLE:
-            return None
-        idx, lba = self._open
-        if lba >= self.geometry:
-            return None
-        self._open = (idx, lba + 1) if idx == CMD_READ_MULTIPLE else None
-        return DataBlock.for_payload(self.backing.read_sector(lba))
-
-    def take_read_run(self, limit: int) -> bytes | None:
-        """The next stored sectors of an open CMD18 transfer, at most
-        ``limit`` and never past the geometry, as one buffer."""
+    def take_read(self, limit: int) -> bytes | None:
+        """The next stored sectors of an open read transfer, as one buffer:
+        one sector for CMD17, which closes the transfer; up to ``limit`` for
+        CMD18, never past the geometry."""
         idx, lba = self._open or (None, 0)
-        if idx != CMD_READ_MULTIPLE or lba >= self.geometry:
+        if idx not in (CMD_READ_SINGLE, CMD_READ_MULTIPLE) or lba >= self.geometry:
             return None
-        count = min(limit, self.geometry - lba)
-        self._open = (CMD_READ_MULTIPLE, lba + count)
+        if idx == CMD_READ_SINGLE:
+            self._open, count = None, 1
+        else:
+            count = min(limit, self.geometry - lba)
+            self._open = (idx, lba + count)
         return self.backing.read_sectors(lba, count)
 
     def receive_write_block(self, block: DataBlock) -> int | None:
@@ -373,9 +368,10 @@ class SdioBus:
 
     def fetch_block(self) -> DataBlock | None:
         """Pull the next data frame of an open read transfer off the card."""
-        block = self.card.take_read_block()
-        if block is None:
+        payload = self.card.take_read(1)
+        if payload is None:
             return None
+        block = DataBlock.for_payload(payload)
         due = self._due("c2h")
         if not (due or self.trace_enabled):
             return block
@@ -383,13 +379,19 @@ class SdioBus:
         self._log("C→H", "DAT", raw)
         return parse_data(raw)
 
-    def fetch_run(self, limit: int) -> bytes | None:
-        """Up to ``limit`` sectors of an open multi-block read as one buffer;
-        None while the transcript is on or a card-to-host fault is pending,
-        where :meth:`fetch_block` must count every frame."""
+    def fetch_run(self, limit: int) -> tuple[bytes, bool] | None:
+        """The next sectors of an open read transfer as one buffer, with
+        whether their line CRC holds; None when the card sends nothing.
+
+        Up to ``limit`` sectors move at once where nothing observes single
+        frames; while the transcript is on or a card-to-host fault is
+        pending, one frame moves, through :meth:`fetch_block`, so that every
+        frame is counted and logged."""
         if self.trace_enabled or self._faults["c2h"]:
-            return None
-        return self.card.take_read_run(limit)
+            block = self.fetch_block()
+            return None if block is None else (block.payload, block.crc_ok)
+        run = self.card.take_read(limit)
+        return None if run is None else (run, True)
 
     def push_block(self, block: DataBlock) -> int | None:
         """Send one data frame of an open write transfer to the card."""

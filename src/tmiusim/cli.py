@@ -18,7 +18,6 @@ from .image import (
     CapacityError,
     EntryKind,
     Manifest,
-    ManifestError,
     NvmImage,
     finding_failed,
     provision,
@@ -98,7 +97,7 @@ def _load_pair(image_path: str, manifest_path: str) -> tuple[NvmImage, Manifest]
         raise CliError(f"cannot load image {image_path}: {exc}") from exc
     try:
         manifest = Manifest.load(manifest_path)
-    except (OSError, ManifestError) as exc:
+    except (OSError, ValueError) as exc:  # ManifestError, or text that is not UTF-8
         raise CliError(f"cannot load manifest {manifest_path}: {exc}") from exc
     return image, manifest
 
@@ -183,7 +182,7 @@ def cmd_tamper(args: argparse.Namespace) -> int:
     if args.scenario:
         try:
             scenarios.extend(load_scenarios(args.scenario))
-        except (OSError, ScenarioError) as exc:
+        except (OSError, ValueError) as exc:  # ScenarioError, or text that is not UTF-8
             raise CliError(str(exc)) from exc
     known = builtin_scenarios()
     for name in args.builtin or []:
@@ -211,7 +210,7 @@ def cmd_tamper(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if not math.isfinite(args.size) or args.size * 1_000_000 < 1:
+    if not 1 <= args.size * 1_000_000 < math.inf:
         raise CliError("--size must be finite and positive")
     payload_bytes = int(args.size * 1_000_000)
     device = DeviceIdentity(dna=0x0123456789ABCD)
@@ -257,7 +256,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     if args.transcript:
         try:
             lines = Path(args.transcript).read_text().splitlines()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: text that is not UTF-8
             raise CliError(f"cannot read transcript: {exc}") from exc
         counts: dict[str, int] = {}
         for line in lines:

@@ -187,13 +187,6 @@ def decrypt_sector(cipher: SectorCipher, sector_index: int, ciphertext: bytes) -
     return cipher.crypt(sector_index, ciphertext)
 
 
-def crypt_run(cipher: SectorCipher, first_sector: int, data: bytes) -> bytes:
-    """The sector cipher over a run of consecutive sectors from
-    ``first_sector``: bit-identical to encrypting (or decrypting) each
-    sector in turn."""
-    return cipher.crypt(first_sector, data)
-
-
 # RFC 2104 pads: the key, zero-filled to SHA-256's 64-byte block, XOR 0x36 or 0x5C.
 _SHA256_BLOCK_SIZE = 64
 _IPAD = bytes(b ^ 0x36 for b in range(256))

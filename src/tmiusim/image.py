@@ -37,7 +37,6 @@ from .crypto import (
     SECTOR_SIZE,
     SectorCipher,
     SectorMac,
-    crypt_run,
     sector_tag,
     sha256,
 )
@@ -334,9 +333,15 @@ class FileRecord:
 
 
 def build_file_table(records: Sequence[FileRecord], table_sectors: int) -> bytes:
+    """The table's sector count, record count and each label's length are
+    16-bit fields; a value past 65535 is a :class:`CapacityError`."""
+    if table_sectors > 0xFFFF or len(records) > 0xFFFF:
+        raise CapacityError("a file table holds at most 65535 sectors and 65535 records")
     body = bytearray(_TABLE_HEADER.pack(FILE_TABLE_MAGIC, table_sectors, len(records)))
     for rec in records:
         label = rec.label.encode("utf-8")
+        if len(label) > 0xFFFF:
+            raise CapacityError(f"file label of {len(label)} UTF-8 bytes, at most 65535 fit")
         body += struct.pack(">H", len(label)) + label
         body += _RECORD_FIXED.pack(rec.offset, rec.length)
     capacity = table_sectors * SECTOR_SIZE
@@ -504,14 +509,6 @@ class NvmImage:
         """``count`` consecutive sectors from ``lba``, as one buffer."""
         self._check(lba, count)
         return bytes(self._data[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE])
-
-    def write_sectors(self, lba: int, payload: bytes) -> None:
-        """Store a whole number of sectors from ``lba`` on."""
-        count, partial = divmod(len(payload), SECTOR_SIZE)
-        if partial:
-            raise ValueError("payload must be a whole number of 512-byte sectors")
-        self._check(lba, count)
-        self._data[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE] = payload
 
     def _check(self, lba: int, count: int = 1) -> None:
         if count < 1 or not 0 <= lba <= self.total_sectors - count:
@@ -721,7 +718,7 @@ def provision(
             """Encrypt sectors [first, end) in place, one run at a time."""
             for lba in range(first, end, RUN_SECTORS):
                 run = view[lba * SECTOR_SIZE : min(lba + RUN_SECTORS, end) * SECTOR_SIZE]
-                run[:] = crypt_run(cipher, lba, run)
+                run[:] = cipher.crypt(lba, run)
 
         seal(0, layout.meta_start)
         # The integrity region's plaintext: one tag per data sector over its
@@ -768,7 +765,7 @@ def manifest_keys(manifest: Manifest) -> tuple[bytes, bytes]:
 def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[..., bytes]:
     """``read_plain(lba, count=1)``: consecutive sectors, decrypted as one run."""
     cipher = SectorCipher(aes_key)
-    return lambda lba, count=1: crypt_run(cipher, lba, image.read_sectors(lba, count))
+    return lambda lba, count=1: cipher.crypt(lba, image.read_sectors(lba, count))
 
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:

@@ -56,6 +56,10 @@ class Mutation:
     data: bytes = b""
     source: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind == "set_byte" and not 0 <= self.value <= 0xFF:
+            raise ScenarioError(f"set_byte value {self.value} is not a byte (0 to 255)")
+
     @classmethod
     def parse(cls, text: str) -> "Mutation":
         parts = text.split(":")
@@ -223,11 +227,15 @@ def run_scenario(
         bus_fault = (kind, nth)
     else:
         lba = _resolve_lba(target, manifest)
+        source = lba
         if mutation.kind == "copy_from":
             source = _resolve_lba(f"{target.partition(':')[0]}:{mutation.source}", manifest)
-            work.write_sector(lba, work.read_sector(source))
-        else:
-            work.write_sector(lba, mutation.apply(work.read_sector(lba)))
+        if max(lba, source) >= work.total_sectors:
+            raise ScenarioError(f"{target!r} lies past the image's {work.total_sectors} sectors")
+        sector = work.read_sector(source)
+        if mutation.kind != "copy_from":
+            sector = mutation.apply(sector)
+        work.write_sector(lba, sector)
 
     host, tmiu, bus, _ = build_system(manifest, work, dna=dna, cid=cid)
     if bus_fault is not None:

@@ -52,7 +52,6 @@ from .crypto import (
     SectorCipher,
     SectorMac,
     crc16,
-    crypt_run,
     decrypt_sector,
     encrypt_sector,
     sector_tag,
@@ -384,13 +383,11 @@ class Tmiu:
         while end is None or lba < end:
             # The first sector comes alone: it tells the container length.
             limit = 1 if end is None else min(RUN_SECTORS, end - lba)
-            run, crc_ok = bus.fetch_run(limit), True
-            if run is None:
-                block = bus.fetch_block()
-                if block is None:
-                    bus.command(CMD_STOP_TRANSMISSION, 0)
-                    return reject(Denial.BUS_ERROR, held)
-                run, crc_ok = block.payload, block.crc_ok
+            fetched = bus.fetch_run(limit)
+            if fetched is None:
+                bus.command(CMD_STOP_TRANSMISSION, 0)
+                return reject(Denial.BUS_ERROR, held)
+            run, crc_ok = fetched
             count = len(run) // SECTOR_SIZE
             self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run), PHASE_BOOT)
             if not crc_ok:
@@ -402,7 +399,7 @@ class Tmiu:
                     return self._lockdown(Denial.BUS_ERROR, card)
                 continue
             retries = 0
-            plaintext = crypt_run(cipher, lba, run)
+            plaintext = cipher.crypt(lba, run)
             if end is None:
                 try:
                     end = lba + boot_image_sectors(plaintext, layout.boot_sectors)

@@ -212,10 +212,14 @@ class TestVirtualCard:
     def test_read_block_returns_stored_ciphertext(self, card, provisioned):
         _to_transfer(card)
         card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
-        block = card.take_read_block()
+        assert card.take_read(RUN_SECTORS) == provisioned.image.read_sector(0)
+        assert card.take_read(RUN_SECTORS) is None  # a single read closes itself
+        bus = SdioBus(card)
+        bus.command(CMD_READ_SINGLE, 0)
+        block = bus.fetch_block()
         assert block.payload == provisioned.image.read_sector(0)
         assert block.crc == crc16(block.payload)
-        assert card.take_read_block() is None  # a single read closes itself
+        assert bus.fetch_block() is None
 
     def test_write_block_commits_only_on_good_crc(self, card):
         _to_transfer(card)
@@ -240,7 +244,7 @@ class TestVirtualCard:
         card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
         card.suspend_io()
         card.suspend_io()  # idempotent
-        assert card.take_read_block() is None
+        assert card.take_read(1) is None
         assert _write(card, 20, DataBlock.for_payload(bytes(512))) is None
         assert card.issue(CommandFrame(CMD_GO_IDLE, 0).to_bytes()) is None
         card.power_cycle()
@@ -266,7 +270,28 @@ class TestVirtualCard:
             reply = obj_card.answer(frame)
             assert raw_card.issue(frame.to_bytes()) == (None if reply is None else reply.to_bytes())
             assert raw_card.state is obj_card.state
-        assert raw_card.take_read_block() == obj_card.take_read_block()
+        assert raw_card.take_read(RUN_SECTORS) == obj_card.take_read(RUN_SECTORS)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=20))
+    def test_multi_block_reads_concatenate_to_the_stored_sectors(self, provisioned, data, limits):
+        image = provisioned.image
+        total = image.total_sectors
+        start = data.draw(st.one_of(st.integers(0, total - 1), st.integers(max(0, total - 70), total - 1)))
+        card = VirtualCard(CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd), image)
+        _to_transfer(card)
+        card.issue(CommandFrame(CMD_READ_MULTIPLE, start).to_bytes())
+        lba, chunks = start, []
+        for limit in limits:
+            chunk = card.take_read(limit)
+            if chunk is None:
+                assert lba == total
+                break
+            assert len(chunk) == min(limit, total - lba) * 512
+            chunks.append(chunk)
+            lba += len(chunk) // 512
+            assert lba <= total
+        assert b"".join(chunks) == image.read_sectors(start, lba - start)
 
 
 class TestBus:
@@ -292,14 +317,15 @@ class TestBus:
         image = provisioned.image
         total = card.geometry
         _to_transfer(card)
-        assert card.take_read_run(4) is None  # no open transfer
+        assert card.take_read(4) is None  # no open transfer
         card.issue(CommandFrame(CMD_READ_SINGLE, 3).to_bytes())
-        assert card.take_read_run(4) is None  # a single-block read is no run
+        assert card.take_read(4) == image.read_sector(3)  # a single-block read sends one sector
+        assert card.take_read(4) is None
         card.issue(CommandFrame(CMD_READ_MULTIPLE, total - 5).to_bytes())
-        assert card.take_read_run(3) == image.read_sectors(total - 5, 3)
-        assert card.take_read_block().payload == image.read_sector(total - 2)
-        assert card.take_read_run(RUN_SECTORS) == image.read_sector(total - 1)
-        assert card.take_read_run(RUN_SECTORS) is None
+        assert card.take_read(3) == image.read_sectors(total - 5, 3)
+        assert card.take_read(1) == image.read_sector(total - 2)
+        assert card.take_read(RUN_SECTORS) == image.read_sector(total - 1)
+        assert card.take_read(RUN_SECTORS) is None
 
     @pytest.mark.parametrize(
         "trace, pending, moves_runs",
@@ -313,13 +339,44 @@ class TestBus:
         for kind in pending:
             bus.inject_fault(kind, nth=1000)
         bus.command(CMD_READ_MULTIPLE, 1)
-        run = bus.fetch_run(8)
+        run, crc_ok = bus.fetch_run(8)
+        assert crc_ok
         if moves_runs:
             assert run == provisioned.image.read_sectors(1, 8)
             assert bus.fetch_block().payload == provisioned.image.read_sector(9)
         else:
-            assert run is None
+            # One frame, counted against the pending fault and logged.
+            assert run == provisioned.image.read_sector(1)
+            assert bus.fetch_run(8) == (provisioned.image.read_sector(2), True)
         assert bus.faults_pending == bool(pending)
+        assert sum("KIND=DAT" in line for line in bus.transcript) == (2 if trace else 0)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=8))
+    def test_draining_runs_yields_the_same_bytes_with_or_without_the_transcript(
+        self, provisioned, data, limits
+    ):
+        image = provisioned.image
+        total = image.total_sectors
+        start = data.draw(st.integers(0, total - 1))
+        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
+        drained = []
+        for trace in (False, True):
+            bus = SdioBus(VirtualCard(identity, image), trace=trace)
+            bus.command(CMD_GO_IDLE, 0)
+            bus.command(CMD_ALL_SEND_CID, 0)
+            bus.command(CMD_SELECT, 0)
+            bus.command(CMD_READ_MULTIPLE, start)
+            out = bytearray()
+            for step in range(total + 1):
+                fetched = bus.fetch_run(limits[step % len(limits)])
+                if fetched is None:
+                    break
+                run, crc_ok = fetched
+                assert crc_ok
+                out += run
+            drained.append(bytes(out))
+        assert drained[0] == drained[1] == image.read_sectors(start, total - start)
 
     @pytest.mark.parametrize("nth", [0, -1, -4])
     def test_fault_on_frame_below_one_is_rejected(self, card, nth):

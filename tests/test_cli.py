@@ -1,13 +1,18 @@
+import contextlib
+import io
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tmiusim
 from tmiusim.cli import main
+from tmiusim.scenarios import OUTCOME_CLASSES, builtin_scenarios
 
 
 @pytest.fixture()
@@ -81,6 +86,21 @@ class TestProvision:
         assert "must not be negative" in capsys.readouterr().err
         assert not Path("card.nvm").exists()
 
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--table-sectors", "70000"], ["--data", "x" * 0x10000 + "=fs.tar"]],
+        ids=["table_sectors", "label"],
+    )
+    def test_file_table_field_past_16_bits_exits_2(self, workspace, capsys, flag):
+        rc = main(
+            ["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", "0x1",
+             "--repetitions", "2", *flag]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: CapacityExceeded") and "Traceback" not in err
+        assert not Path("card.nvm").exists()
 
     @pytest.mark.parametrize("dna", ["-1", "0x200000000000000", "0x1ffffffffffffffff"])
     def test_dna_out_of_range_exits_2(self, workspace, capsys, dna):
@@ -209,6 +229,20 @@ class TestTamper:
         assert "result=" not in captured.out
         assert "wire" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value", ["300", "-1"])
+    def test_set_byte_value_outside_a_byte_exits_2(self, workspace, capsys, value):
+        _provision(capsys)
+        Path("suite.txt").write_text(
+            f"name=poke target=data_lba:0 mutate=set_byte:0:{value} expect=SectorTagMismatch\n"
+        )
+        rc = main(
+            ["tamper", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--scenario", "suite.txt"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "result=" not in captured.out
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     def test_unknown_builtin_exits_2(self, workspace, capsys):
         _provision(capsys)
         rc = main(
@@ -243,6 +277,7 @@ class TestBench:
             ["--size", "0"],
             ["--size", "nan"],
             ["--size", "inf"],
+            ["--size", "1e308"],  # finite, but not as a byte count
             ["--size", "0.01", "--repetitions", "0"],
         ],
     )
@@ -323,6 +358,24 @@ class TestInspect:
         assert re.search(r"transcript lines=\d+ cmd=\d+ rsp=\d+ dat=\d+ tok=\d+", out)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["boot", "--image", "card.nvm", "--manifest", "binary.txt"],
+        ["tamper", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--scenario", "binary.txt"],
+        ["inspect", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--transcript", "binary.txt"],
+    ],
+    ids=["manifest", "scenario", "transcript"],
+)
+def test_text_input_that_is_not_utf8_exits_2(workspace, capsys, argv):
+    _provision(capsys)
+    Path("binary.txt").write_bytes(b"\xff\xfe\x00name=x\n")
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_python_dash_m_runs_the_cli():
     # The package runs as a module from a plain source checkout, uninstalled,
     # and its exit code reaches the shell.
@@ -343,3 +396,181 @@ def test_python_dash_m_runs_the_cli():
     bad = bench("--size", "nan")
     assert bad.returncode == 2
     assert "Traceback" not in bad.stderr
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: random argv over the five commands exits 0, 1, 2 or 3 and never
+# raises. Sizes stay small (a few thousand sectors, payloads of a few KB,
+# KDF repetitions of 3 or fewer), so no case allocates more than a few MB.
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "kernel.bin").write_bytes(bytes((i * 13) % 256 for i in range(3000)))
+    (root / "dt.dtb").write_bytes(b"\xd0\x0d\xfe\xed" + bytes(300))
+    (root / "fs.tar").write_bytes(b"data!" * 400)
+    (root / "binary.txt").write_bytes(b"\xff\xfe\x00\x80")
+    (root / "garbage.manifest").write_text("geometry=12\nnot a line\n")
+    (root / "dir").mkdir()
+    assert main(
+        ["provision", "--boot", str(root / "kernel.bin"), "--boot", str(root / "dt.dtb"),
+         "--data", str(root / "fs.tar"), "--out", str(root / "card.nvm"), "--dna", "0x1",
+         "--repetitions", "1"]
+    ) == 0
+    (root / "short.nvm").write_bytes((root / "card.nvm").read_bytes()[: 10 * 512])
+    (root / "empty.nvm").write_bytes(b"")
+    assert main(
+        ["boot", "--image", str(root / "card.nvm"), "--manifest", str(root / "card.nvm.manifest"),
+         "--trace", str(root / "bus.trace")]
+    ) == 0
+    return root
+
+
+def _mostly(valid, invalid):
+    """A value from ``valid`` four times in five, else from ``invalid``."""
+    return st.integers(0, 4).flatmap(lambda n: valid if n else invalid)
+
+
+_dna = st.one_of(
+    st.integers(0, (1 << 57) - 1).map(hex),
+    st.sampled_from(["-1", "0x200000000000000", "0x1ffffffffffffffff", "zz", ""]),
+)
+_hex16 = st.one_of(
+    st.binary(min_size=16, max_size=16).map(bytes.hex),
+    st.binary(max_size=20).map(bytes.hex),
+    st.sampled_from(["zz", "0x" + "0" * 30]),
+)
+_repetitions = st.sampled_from(["1", "2", "3", "0", "-1", "x"])
+_scenario_lines = st.lists(
+    st.builds(
+        "name=s target={} mutate={} expect={}".format,
+        _mostly(
+            st.sampled_from(
+                ["mbr", "boot_lba:0", "boot_lba:3", "data_lba:0", "data_lba:1", "meta_lba:0", "cid",
+                 "device_dna", "bus:cmd:2", "bus:data:1"]
+            ),
+            st.sampled_from(
+                ["data_lba:99999", "data_lba:x", "bus:cmd:0", "bus:data:100000", "bus:x:1", "nowhere"]
+            ),
+        ),
+        _mostly(
+            st.one_of(
+                st.builds("flip_bit:{}:{}".format, st.integers(-600, 600), st.integers(-9, 9)),
+                st.builds("set_byte:{}:{}".format, st.integers(-600, 600), st.integers(0, 255)),
+                st.sampled_from(["replace_region:" + "ab" * 16, "copy_from:0", "copy_from:1"]),
+            ),
+            st.one_of(
+                st.builds("set_byte:{}:{}".format, st.integers(0, 9), st.sampled_from([-1, 256, 300])),
+                st.sampled_from(["replace_region:00", "replace_region:zz", "copy_from:-1", "flip_bit", "warp:1"]),
+            ),
+        ),
+        _mostly(st.sampled_from(OUTCOME_CLASSES), st.just("Nope")),
+    ),
+    min_size=1,
+    max_size=2,
+)
+
+
+def _fuzz_calls(root):
+    """Per command: the argv of a call that works, and the values to try
+    for each flag, valid or not (None for a bare switch)."""
+
+    def paths(*names):
+        return st.sampled_from([str(root / name) for name in names])
+
+    card, manifest = str(root / "card.nvm"), str(root / "card.nvm.manifest")
+    kernel, fs = root / "kernel.bin", root / "fs.tar"
+    outputs = paths("out/card.nvm", "out/other", "dir", "missing/x.out")
+    pair = {
+        "--image": paths("card.nvm", "short.nvm", "empty.nvm", "binary.txt", "missing.nvm"),
+        "--manifest": paths("card.nvm.manifest", "garbage.manifest", "binary.txt", "missing"),
+        "--nope": None,
+    }
+    return {
+        "provision": (
+            ["--boot", str(kernel), "--out", str(root / "out/card.nvm"), "--dna", "0x1", "--repetitions", "1"],
+            {
+                "--boot": st.sampled_from(
+                    [str(kernel), f"kernel={kernel}", f"devicetree={root / 'dt.dtb'}", f"bogus={kernel}",
+                     str(root / "missing.bin"), str(root / "dir")]
+                ),
+                "--data": st.sampled_from(
+                    [str(fs), f"etc/fs={fs}", f"é={fs}", f"a b={fs}", f"{'x' * 0x10000}={fs}", f"={fs}",
+                     f"bad\x01={fs}", str(root / "missing.bin")]
+                ),
+                "--out": outputs,
+                "--manifest": outputs,
+                "--dna": _dna,
+                "--cid": _hex16,
+                "--csd": _hex16,
+                "--sectors": st.integers(-3, 3000).map(str),
+                "--slack": st.integers(-3, 2000).map(str),
+                "--table-sectors": st.one_of(st.integers(-2, 40), st.sampled_from([65536, 70000])).map(str),
+                "--counter": st.integers(-1, 1 << 33).map(str),
+                "--repetitions": _repetitions,
+                "--nope": None,
+            },
+        ),
+        "boot": (
+            ["--image", card, "--manifest", manifest],
+            {**pair, "--dna": _dna, "--cid": _hex16, "--csd": _hex16, "--trace": outputs, "--report": outputs},
+        ),
+        "tamper": (
+            ["--image", card, "--manifest", manifest, "--scenario", str(root / "suite.txt")],
+            {
+                **pair,
+                "--scenario": paths("suite.txt", "binary.txt", "missing"),
+                "--builtin": st.sampled_from(sorted(builtin_scenarios()) + ["nope"]),
+                "--all-builtins": None,
+            },
+        ),
+        "bench": (
+            # Every call keeps a --size: the default, 13 MB, is too big here.
+            ["--size", "0.001", "--repetitions", "1"],
+            {
+                "--size": st.one_of(
+                    st.floats(0.0005, 0.02).map(str),
+                    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308", "1e-9", "x"]),
+                ),
+                "--repetitions": _repetitions,
+                "--nope": None,
+            },
+        ),
+        "inspect": (
+            ["--image", card, "--manifest", manifest],
+            {**pair, "--transcript": paths("bus.trace", "binary.txt", "kernel.bin", "missing")},
+        ),
+    }
+
+
+@st.composite
+def _argv(draw, root, command):
+    """A working call with up to three flags added or overridden (argparse
+    keeps the last value of a flag, and appends --boot, --data and
+    --builtin)."""
+    base, flags = _fuzz_calls(root)[command]
+    argv = [command, *base]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
+        argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
+    return argv
+
+
+@pytest.mark.parametrize("command", ["provision", "boot", "tamper", "bench", "inspect"])
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(data=st.data())
+def test_random_argv_exits_with_a_documented_code(fuzz_dir, command, data):
+    # Every case writes only under out/, which starts empty.
+    shutil.rmtree(fuzz_dir / "out", ignore_errors=True)
+    (fuzz_dir / "out").mkdir()
+    (fuzz_dir / "suite.txt").write_text("\n".join(data.draw(_scenario_lines, label="suite")) + "\n")
+    argv = data.draw(_argv(fuzz_dir, command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

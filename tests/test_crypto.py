@@ -10,7 +10,6 @@ from tmiusim.crypto import (
     aes_encrypt_block,
     crc7,
     crc16,
-    crypt_run,
     decrypt_sector,
     derive_key,
     derive_mac_key,
@@ -171,9 +170,9 @@ class TestSectorCipher:
         cipher = SectorCipher(key)
         data = random.Random(seed).randbytes(count * 512)
         sectors = [data[i * 512 : (i + 1) * 512] for i in range(count)]
-        encrypted = crypt_run(cipher, first, data)
+        encrypted = cipher.crypt(first, data)
         assert encrypted == b"".join(encrypt_sector(cipher, first + i, s) for i, s in enumerate(sectors))
-        decrypted = crypt_run(cipher, first, encrypted)
+        decrypted = cipher.crypt(first, encrypted)
         assert decrypted == data
         assert decrypted == b"".join(
             decrypt_sector(cipher, first + i, encrypted[i * 512 : (i + 1) * 512]) for i in range(count)
@@ -194,8 +193,8 @@ class TestSectorCipher:
         cipher = SectorCipher(key)
         data = random.Random(seed).randbytes(count * 512)
         expected = ecb_counter_oracle(key, first, data)
-        assert crypt_run(cipher, first, data) == expected
-        assert crypt_run(cipher, first, expected) == data
+        assert cipher.crypt(first, data) == expected
+        assert cipher.crypt(first, expected) == data
         for i in range(count):
             plain, sealed = data[i * 512 : (i + 1) * 512], expected[i * 512 : (i + 1) * 512]
             assert encrypt_sector(cipher, first + i, plain) == sealed
@@ -208,25 +207,25 @@ class TestSectorCipher:
         rng = random.Random(11)
         sector, run = rng.randbytes(512), rng.randbytes(5 * 512)
         assert encrypt_sector(cipher, 9, sector) == ecb_counter_oracle(self.KEY, 9, sector)
-        assert crypt_run(cipher, 40, run) == ecb_counter_oracle(self.KEY, 40, run)
+        assert cipher.crypt(40, run) == ecb_counter_oracle(self.KEY, 40, run)
         assert decrypt_sector(cipher, 9, sector) == ecb_counter_oracle(self.KEY, 9, sector)
         with pytest.raises(ValueError):
             encrypt_sector(cipher, 9, sector[:511])
         with pytest.raises(ValueError):
-            crypt_run(cipher, 40, run[:-1])
-        assert crypt_run(cipher, 40, run) == ecb_counter_oracle(self.KEY, 40, run)
-        assert crypt_run(cipher, 2, run) == ecb_counter_oracle(self.KEY, 2, run)
+            cipher.crypt(40, run[:-1])
+        assert cipher.crypt(40, run) == ecb_counter_oracle(self.KEY, 40, run)
+        assert cipher.crypt(2, run) == ecb_counter_oracle(self.KEY, 2, run)
         assert decrypt_sector(cipher, 3, run[512:1024]) == ecb_counter_oracle(self.KEY, 3, run[512:1024])
 
     @pytest.mark.parametrize("size", [0, 1, 511, 513, 1000])
     def test_run_rejects_partial_sectors(self, size):
         with pytest.raises(ValueError):
-            crypt_run(SectorCipher(bytes(16)), 0, bytes(size))
+            SectorCipher(bytes(16)).crypt(0, bytes(size))
 
     @pytest.mark.parametrize("first, count", [(-1, 1), ((1 << 64) - 1, 2), ((1 << 64) - 63, 64), (1 << 64, 1)])
     def test_run_rejects_a_last_index_past_64_bits(self, first, count):
         with pytest.raises(ValueError):
-            crypt_run(SectorCipher(bytes(16)), first, bytes(512 * count))
+            SectorCipher(bytes(16)).crypt(first, bytes(512 * count))
 
     @pytest.mark.parametrize("size", [0, 15, 17, 24, 32])
     def test_rejects_key_that_is_not_16_bytes(self, size):

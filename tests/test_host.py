@@ -123,6 +123,15 @@ class TestFileStore:
         with pytest.raises(FileNotFoundError):
             host.read_file("huge")
 
+    def test_label_past_16_bits_is_a_capacity_error_and_writes_nothing(self, provisioned):
+        host, _, _, card, _ = _boot(provisioned)
+        before = card.backing.to_bytes()
+        with pytest.raises(CapacityError):
+            host.write_file("x" * 0x10000, b"payload")
+        assert card.backing.to_bytes() == before
+        for label, blob in DATA_FILES:
+            assert host.read_file(label) == blob
+
     def test_written_sectors_are_high_entropy_at_rest(self, provisioned):
         host, _, _, card, _ = _boot(provisioned)
         host.write_file("zeros.bin", bytes(4 * 512))  # maximally compressible

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmiusim.host import build_system
+from tmiusim.image import NvmImage
 from tmiusim.scenarios import (
     OUTCOME_CLASSES,
     Mutation,
@@ -38,6 +39,13 @@ class TestParsing:
         assert s.mutation.value == 0
         s = parse_scenario("target=cid mutate=replace_region:" + "ab" * 16 + " expect=NvmMismatch")
         assert s.mutation.data == b"\xab" * 16
+
+    @pytest.mark.parametrize("value", ["256", "-1", "0x100"])
+    def test_set_byte_value_outside_a_byte_is_rejected(self, value):
+        with pytest.raises(ScenarioError):
+            parse_scenario(f"target=data_lba:0 mutate=set_byte:0:{value} expect=SectorTagMismatch")
+        with pytest.raises(ScenarioError):
+            Mutation("set_byte", value=int(value, 0))
 
     def test_rejects_unknown_outcome(self):
         with pytest.raises(ScenarioError):
@@ -163,6 +171,15 @@ class TestRunScenario:
             scenario = parse_scenario(f"target=bus:{kind}:{count} mutate=flip_bit:2:0 expect=OsRunning")
             observed, _ = run_scenario(scenario, provisioned.image, provisioned.manifest)
             assert observed in OUTCOME_CLASSES
+
+    @pytest.mark.parametrize(
+        "target, mutate", [("meta_lba:0", "flip_bit:0:0"), ("data_lba:0", "copy_from:70")]
+    )
+    def test_sector_past_a_short_image_is_rejected(self, provisioned, target, mutate):
+        short = NvmImage(provisioned.image.read_sectors(0, provisioned.layout.data_start + 10))
+        scenario = parse_scenario(f"target={target} mutate={mutate} expect=SectorTagMismatch")
+        with pytest.raises(ScenarioError):
+            run_scenario(scenario, short, provisioned.manifest)
 
     def test_out_of_range_target_rejected(self, provisioned):
         for target in ("boot_lba:100000", "data_lba:zz", "bus:cmd:x"):
