@@ -7,14 +7,17 @@ optional line-oriented transcript of everything that crosses it. The card
 implements only the commands the unit sends and answers any other index as
 an illegal command.
 
-Frames cross the wire as objects. A frame is serialized, with its CRC7 or
-CRC16, only where something observes its bytes: a fault due on that very
-frame, or the transcript. An untouched frame's CRC always holds, so both
-paths have the same wire semantics, and a fault's ``nth`` counts every
-frame of its kind either way. Where nothing observes single frames at all,
-no transcript and no card-to-host fault pending, a multi-block read moves
-whole runs of sectors as one buffer. The bus alone makes that choice:
-:meth:`SdioBus.fetch_run` hands over a run or a single frame.
+Command frames cross the wire as objects and sector data as bytes, each
+read handed over with whether its line CRC holds. A frame is serialized,
+with its CRC7 or CRC16, only where something observes its bytes: a fault
+due on that very frame, or the transcript. A data frame so observed is
+parsed back into a :class:`DataBlock`, the only place the bus builds one.
+An untouched frame's CRC always holds, so both paths have the same wire
+semantics, and a fault's ``nth`` counts every frame of its kind either way.
+Where nothing observes single frames at all, no transcript and no
+card-to-host fault pending, a multi-block read moves whole runs of sectors
+as one buffer. The bus alone makes that choice: :meth:`SdioBus.fetch_run`
+hands over a run or a single frame.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -118,60 +121,26 @@ def parse_response(raw: bytes) -> tuple[ResponseFrame, bool]:
     raise FramingError(f"unexpected response length {len(raw)}")
 
 
+@dataclass(frozen=True)
 class DataBlock:
-    """A 512-byte payload and its CRC16, immutable and equal by both.
+    """A 512-byte payload and the CRC16 that travelled with it: a data frame
+    whose bytes were observed, or a block the unit poisons in-band."""
 
-    A block built by :meth:`for_payload` carries the CRC of its own payload:
-    its ``crc_ok`` holds without computing it, and ``crc`` or ``to_bytes()``
-    computes it at most once. A block off the wire or with a given CRC is
-    checked on demand.
-    """
+    payload: bytes
+    crc: int
 
-    __slots__ = ("_payload", "_crc", "_own_crc")
-
-    def __init__(self, payload: bytes, crc: int):
-        if len(payload) != SECTOR_SIZE:
+    def __post_init__(self) -> None:
+        if len(self.payload) != SECTOR_SIZE:
             raise ValueError("data block payload must be 512 bytes")
-        if not 0 <= crc <= 0xFFFF:
+        if not 0 <= self.crc <= 0xFFFF:
             raise ValueError("crc is 16 bits")
-        self._payload = payload
-        self._crc: int | None = crc
-        self._own_crc = False
-
-    @classmethod
-    def for_payload(cls, payload: bytes) -> "DataBlock":
-        block = cls(payload, 0)
-        block._crc = None  # computed from the payload on first use
-        block._own_crc = True
-        return block
-
-    @property
-    def payload(self) -> bytes:
-        return self._payload
-
-    @property
-    def crc(self) -> int:
-        if self._crc is None:
-            self._crc = crc16(self._payload)
-        return self._crc
 
     @property
     def crc_ok(self) -> bool:
-        return self._own_crc or crc16(self._payload) == self._crc
+        return crc16(self.payload) == self.crc
 
     def to_bytes(self) -> bytes:
-        return self._payload + struct.pack(">H", self.crc)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DataBlock):
-            return NotImplemented
-        return self._payload == other._payload and self.crc == other.crc
-
-    def __hash__(self) -> int:
-        return hash((self._payload, self.crc))
-
-    def __repr__(self) -> str:
-        return f"DataBlock(payload={self._payload!r}, crc={self.crc})"
+        return self.payload + struct.pack(">H", self.crc)
 
 
 def parse_data(raw: bytes) -> DataBlock:
@@ -279,16 +248,17 @@ class VirtualCard:
             self._open = (idx, lba + count)
         return self.backing.read_sectors(lba, count)
 
-    def receive_write_block(self, block: DataBlock) -> int | None:
-        """Accept the data frame of an open write transfer; commit it if its
-        CRC holds and report acceptance via token."""
+    def receive_write_block(self, payload: bytes, crc_ok: bool) -> int | None:
+        """Accept the data frame of an open write transfer, told whether its
+        CRC held at the card's receiver; commit it if so and report
+        acceptance via token."""
         if self._open is None or self._open[0] != CMD_WRITE_SINGLE:
             return None
         lba = self._open[1]
         self._open = None
-        if not block.crc_ok:
+        if not crc_ok:
             return TOKEN_CRC_ERR
-        self.backing.write_sector(lba, block.payload)
+        self.backing.write_sector(lba, payload)
         return TOKEN_CRC_OK
 
 
@@ -366,18 +336,24 @@ class SdioBus:
         response, crc_ok = parse_response(reply)
         return response if crc_ok else None
 
-    def fetch_block(self) -> DataBlock | None:
-        """Pull the next data frame of an open read transfer off the card."""
+    def _observe(self, direction: str, payload: bytes, due: list[_FaultPlan]) -> DataBlock:
+        """A data frame as it arrives where its bytes are observed: serialized
+        with its CRC16, flipped by the faults due on it, logged, parsed."""
+        raw = self._flip(payload + struct.pack(">H", crc16(payload)), due)
+        self._log(direction, "DAT", raw)
+        return parse_data(raw)
+
+    def fetch_block(self) -> tuple[bytes, bool] | None:
+        """The next data frame of an open read transfer, with whether its
+        line CRC holds; None when the card sends nothing."""
         payload = self.card.take_read(1)
         if payload is None:
             return None
-        block = DataBlock.for_payload(payload)
         due = self._due("c2h")
         if not (due or self.trace_enabled):
-            return block
-        raw = self._flip(block.to_bytes(), due)
-        self._log("C→H", "DAT", raw)
-        return parse_data(raw)
+            return payload, True
+        block = self._observe("C→H", payload, due)
+        return block.payload, block.crc_ok
 
     def fetch_run(self, limit: int) -> tuple[bytes, bool] | None:
         """The next sectors of an open read transfer as one buffer, with
@@ -388,19 +364,17 @@ class SdioBus:
         pending, one frame moves, through :meth:`fetch_block`, so that every
         frame is counted and logged."""
         if self.trace_enabled or self._faults["c2h"]:
-            block = self.fetch_block()
-            return None if block is None else (block.payload, block.crc_ok)
+            return self.fetch_block()
         run = self.card.take_read(limit)
         return None if run is None else (run, True)
 
-    def push_block(self, block: DataBlock) -> int | None:
+    def push_block(self, payload: bytes) -> int | None:
         """Send one data frame of an open write transfer to the card."""
         due = self._due("h2c")
         if not (due or self.trace_enabled):
-            return self.card.receive_write_block(block)
-        raw = self._flip(block.to_bytes(), due)
-        self._log("H→C", "DAT", raw)
-        token = self.card.receive_write_block(parse_data(raw))
+            return self.card.receive_write_block(payload, True)
+        block = self._observe("H→C", payload, due)
+        token = self.card.receive_write_block(block.payload, block.crc_ok)
         if token is not None:
             self._log("C→H", "TOK", bytes([token]))
         return token

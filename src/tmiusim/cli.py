@@ -21,6 +21,7 @@ from .image import (
     NvmImage,
     finding_failed,
     provision,
+    sealed_container_size,
     verify_image,
 )
 from .scenarios import ScenarioError, builtin_scenarios, load_scenarios, run_scenario
@@ -216,6 +217,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     device = DeviceIdentity(dna=0x0123456789ABCD)
     card = CardIdentity.from_seed(b"bench-card")
     try:
+        sealed_container_size([payload_bytes])  # before the payload is allocated
         result = provision(
             [(EntryKind.KERNEL, bytes(payload_bytes))],
             [("bench.dat", b"bench")],
@@ -223,6 +225,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
             card,
             kdf_repetitions=args.repetitions,
         )
+    except CapacityError as exc:
+        raise CliError(f"CapacityExceeded: {exc}") from exc
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     host, _, _, _ = build_system(result.manifest, result.image)

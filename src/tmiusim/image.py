@@ -57,6 +57,10 @@ _RECORD_FIXED = struct.Struct(">QQ")
 
 TAGS_PER_SECTOR = SECTOR_SIZE // DIGEST_SIZE
 
+# Format limits: a container's u32 total_len, in whole sectors; 32-bit LBAs.
+MAX_CONTAINER_SIZE = (1 << 32) - SECTOR_SIZE
+MAX_SECTORS = 1 << 32
+
 
 class MbrError(ValueError):
     """Structural defect in a master boot record."""
@@ -214,16 +218,16 @@ class BootImage:
     entries: tuple[tuple[EntryKind, bytes], ...]
 
 
-def sealed_container_size(entries: Sequence[tuple[EntryKind, bytes]]) -> int:
-    """Length of the sector-aligned container that holds ``entries``."""
-    if not entries:
-        raise ValueError("boot image needs at least one entry")
-    for kind, blob in entries:
-        if not blob:
-            raise ValueError(f"empty blob for entry kind {kind.label}")
-    body_len = _CONTAINER_HEADER.size + _CONTAINER_ENTRY.size * len(entries)
-    body_len += sum(len(blob) for _, blob in entries)
-    return -(-(body_len + DIGEST_SIZE) // SECTOR_SIZE) * SECTOR_SIZE
+def sealed_container_size(blob_lengths: Sequence[int]) -> int:
+    """Length of the sector-aligned container that holds blobs of these
+    lengths; past :data:`MAX_CONTAINER_SIZE` it is a :class:`CapacityError`."""
+    if not blob_lengths or 0 in blob_lengths:
+        raise ValueError("boot image needs one or more entries, none of them empty")
+    body_len = _CONTAINER_HEADER.size + _CONTAINER_ENTRY.size * len(blob_lengths)
+    size = -(-(body_len + sum(blob_lengths) + DIGEST_SIZE) // SECTOR_SIZE) * SECTOR_SIZE
+    if size > MAX_CONTAINER_SIZE:
+        raise CapacityError(f"boot container of {size} bytes, at most {MAX_CONTAINER_SIZE} fit")
+    return size
 
 
 def write_boot_image(
@@ -231,7 +235,7 @@ def write_boot_image(
 ) -> int:
     """Lay the sealed container of ``entries`` into ``buf`` at ``offset``,
     digest included; returns its length."""
-    total_len = sealed_container_size(entries)
+    total_len = sealed_container_size([len(blob) for _, blob in entries])
     if not 0 <= offset <= len(buf) - total_len:
         raise ValueError("container does not fit the buffer at this offset")
     _CONTAINER_HEADER.pack_into(
@@ -255,7 +259,7 @@ def write_boot_image(
 
 def build_boot_image(entries: Sequence[tuple[EntryKind, bytes]]) -> bytes:
     """Serialize boot blobs into a sealed, sector-aligned container."""
-    container = bytearray(sealed_container_size(entries))
+    container = bytearray(sealed_container_size([len(blob) for _, blob in entries]))
     write_boot_image(container, 0, entries)
     return bytes(container)
 
@@ -468,6 +472,8 @@ def _layout_for(boot_sectors: int, data_sectors: int, total_sectors: int | None)
             )
         data_sectors = data
         total = total_sectors
+    if total > MAX_SECTORS:
+        raise CapacityError(f"geometry of {total} sectors, at most {MAX_SECTORS} have 32-bit LBAs")
     return ImageLayout(
         total_sectors=total,
         boot_start=1,
@@ -576,7 +582,8 @@ class Manifest:
         fields: dict[str, str] = {}
         entries: list[tuple[str, int, str]] = []
         files: list[tuple[str, int, str]] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
+        # Split on "\n" alone: a file label may hold any other line break.
+        for lineno, line in enumerate(text.split("\n"), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -666,7 +673,7 @@ def provision(
     """Build a fully encrypted, integrity-protected image for a device pair."""
     if table_sectors < 0 or data_slack_sectors < 0:
         raise ValueError("table and slack sector counts must not be negative")
-    boot_sectors = sealed_container_size(boot_entries) // SECTOR_SIZE
+    boot_sectors = sealed_container_size([len(blob) for _, blob in boot_entries]) // SECTOR_SIZE
 
     labels = [label for label, _ in data_files]
     if len(set(labels)) != len(labels):

@@ -336,14 +336,14 @@ class Tmiu:
             raise StateError("keys not generated")
         cipher, mac = self._keys
 
-        mbr_block, crc_ok = self._read_single(bus, 0, PHASE_BOOT)
+        mbr_sector, crc_ok = self._read_single(bus, 0, PHASE_BOOT)
         if not crc_ok:
             return self._lockdown(Denial.BUS_ERROR, card)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_BOOT)
-        if sector_tag(mac, 0, mbr_block.payload) != self.anchors.mbr_digest:
+        if sector_tag(mac, 0, mbr_sector) != self.anchors.mbr_digest:
             return self._lockdown(Denial.MBR_MISMATCH, card)
         try:
-            mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_block.payload), card.geometry)
+            mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_sector), card.geometry)
             boot = mbr.boot_partition()
             data = mbr.data_partition()
             if boot is None or data is None:
@@ -436,17 +436,17 @@ class Tmiu:
 
         # The data leg is not retried here: a line-CRC failure goes to the
         # processor, whose own retry re-issues the whole read.
-        block, crc_ok = self._read_single(bus, lba, PHASE_OPERATIONAL, retries=0)
-        if block is None:
+        ciphertext, crc_ok = self._read_single(bus, lba, PHASE_OPERATIONAL, retries=0)
+        if ciphertext is None:
             self._fail(Denial.BUS_ERROR, card)
         if not crc_ok:
             # Forwarded unencrypted so the processor sees the CRC error.
             raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
         _, offset, tags = self._read_tag_sector(bus, card, lba)
-        if sector_tag(mac, lba, block.payload) != tags[offset : offset + DIGEST_SIZE]:
+        if sector_tag(mac, lba, ciphertext) != tags[offset : offset + DIGEST_SIZE]:
             self._lockdown(Denial.SECTOR_TAG_MISMATCH, card, lba=lba)
             raise ProtocolCrcError(f"sector {lba} failed verification; stream poisoned")
-        plaintext = decrypt_sector(cipher, lba, block.payload)
+        plaintext = decrypt_sector(cipher, lba, ciphertext)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
         return plaintext
 
@@ -472,12 +472,12 @@ class Tmiu:
     def _read_tag_sector(self, bus: SdioBus, card: VirtualCard, lba: int) -> tuple[int, int, bytes]:
         """(integrity-region LBA, tag offset, decrypted tag sector) for a data LBA."""
         meta_lba, offset = self._layout.tag_location(lba)
-        block, crc_ok = self._read_single(bus, meta_lba, PHASE_OPERATIONAL)
+        sector, crc_ok = self._read_single(bus, meta_lba, PHASE_OPERATIONAL)
         if not crc_ok:
             self._fail(Denial.BUS_ERROR, card)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
         cipher, _ = self._keys
-        return meta_lba, offset, decrypt_sector(cipher, meta_lba, block.payload)
+        return meta_lba, offset, decrypt_sector(cipher, meta_lba, sector)
 
     # -- reporting ----------------------------------------------------------
 
@@ -517,30 +517,30 @@ class Tmiu:
 
     def _read_single(
         self, bus: SdioBus, lba: int, phase: str, retries: int = RETRY_LIMIT
-    ) -> tuple[DataBlock | None, bool]:
+    ) -> tuple[bytes | None, bool]:
         """CMD17 read, repeated up to ``retries`` times while the line CRC
-        fails: (last block, whether its CRC holds); (None, False) when the
-        bus gives up. The CRC is computed once per block."""
-        block = None
+        fails: (last sector, whether its CRC holds); (None, False) when the
+        bus gives up."""
+        payload = None
         for _ in range(retries + 1):
             if not self._simple_command(bus, CMD_READ_SINGLE, lba):
                 return None, False
-            block = bus.fetch_block()
-            if block is None:
+            fetched = bus.fetch_block()
+            if fetched is None:
                 return None, False
             self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, phase)
-            if block.crc_ok:
-                return block, True
-        return block, False
+            payload, crc_ok = fetched
+            if crc_ok:
+                return payload, True
+        return payload, False
 
     def _write_single(self, bus: SdioBus, card: VirtualCard, lba: int, ciphertext: bytes) -> None:
         """CMD24 write with line-CRC retries, then the pipeline drain; locks
         the unit down when the bus gives up."""
-        block = DataBlock.for_payload(ciphertext)
         for _ in range(RETRY_LIMIT + 1):
             if not self._simple_command(bus, CMD_WRITE_SINGLE, lba):
                 break
-            token = bus.push_block(block)
+            token = bus.push_block(ciphertext)
             if token is None:
                 break
             self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, PHASE_OPERATIONAL)

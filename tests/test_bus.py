@@ -50,10 +50,11 @@ def _to_transfer(card):
     card.issue(CommandFrame(CMD_SELECT, 0).to_bytes())
 
 
-def _write(card, lba, block):
-    """CMD24 then one data frame, straight to the card; the write token."""
+def _write(card, lba, payload, crc_ok):
+    """CMD24 then one data frame, straight to the card, whose receiver found
+    its CRC good or bad; the write token."""
     card.issue(CommandFrame(CMD_WRITE_SINGLE, lba).to_bytes())
-    return card.receive_write_block(block)
+    return card.receive_write_block(payload, crc_ok)
 
 
 @pytest.fixture()
@@ -104,7 +105,7 @@ class TestFraming:
     @_PROPERTY
     @given(payload=_payloads, crc=st.integers(0, 0xFFFF))
     def test_data_round_trip(self, payload, crc):
-        block = DataBlock.for_payload(payload)
+        block = DataBlock(payload, crc16(payload))
         assert parse_data(block.to_bytes()) == block
         assert block.crc_ok
         given_crc = DataBlock(payload=payload, crc=crc)
@@ -113,7 +114,7 @@ class TestFraming:
     @_PROPERTY
     @given(payload=_payloads, bit=st.integers(0, DATA_FRAME_SIZE * 8 - 1))
     def test_any_single_bit_flip_of_a_data_frame_fails_its_crc(self, payload, bit):
-        raw = bytearray(DataBlock.for_payload(payload).to_bytes())
+        raw = bytearray(DataBlock(payload, crc16(payload)).to_bytes())
         raw[bit // 8] ^= 1 << (bit % 8)
         assert not parse_data(bytes(raw)).crc_ok
 
@@ -145,21 +146,6 @@ class TestFraming:
                 parse(raw)
             except FramingError:
                 pass
-
-    def test_only_blocks_from_the_wire_or_a_given_crc_are_rechecked(self, crc_calls):
-        payload = bytes(range(256)) * 2
-        built = DataBlock.for_payload(payload)
-        assert built.crc_ok
-        assert crc_calls == []
-        raw = built.to_bytes()
-        assert built.crc == crc16(payload) and built.to_bytes() == raw
-        assert len(crc_calls) == 1  # computed once, on first use
-        assert parse_data(raw).crc_ok
-        assert len(crc_calls) == 2
-        assert not DataBlock(payload=payload, crc=built.crc ^ 1).crc_ok
-        assert len(crc_calls) == 3
-        assert not parse_data(raw[:-1] + bytes([raw[-1] ^ 1])).crc_ok
-        assert len(crc_calls) == 4
 
     def test_corrupted_command_crc_detected(self):
         raw = bytearray(CommandFrame(17, 1234).to_bytes())
@@ -216,9 +202,7 @@ class TestVirtualCard:
         assert card.take_read(RUN_SECTORS) is None  # a single read closes itself
         bus = SdioBus(card)
         bus.command(CMD_READ_SINGLE, 0)
-        block = bus.fetch_block()
-        assert block.payload == provisioned.image.read_sector(0)
-        assert block.crc == crc16(block.payload)
+        assert bus.fetch_block() == (provisioned.image.read_sector(0), True)
         assert bus.fetch_block() is None
 
     def test_write_block_commits_only_on_good_crc(self, card):
@@ -226,18 +210,16 @@ class TestVirtualCard:
         lba = 20
         before = card.backing.read_sector(lba)
         payload = bytes(range(256)) * 2
-        good = DataBlock.for_payload(payload)
-        assert _write(card, lba, good) == TOKEN_CRC_OK
+        assert _write(card, lba, payload, True) == TOKEN_CRC_OK
         assert card.backing.read_sector(lba) == payload
-        bad = DataBlock(payload=before, crc=good.crc ^ 1)
-        assert _write(card, lba, bad) == TOKEN_CRC_ERR
+        assert _write(card, lba, before, False) == TOKEN_CRC_ERR
         assert card.backing.read_sector(lba) == payload  # unchanged by bad write
 
     def test_write_to_integrity_region_is_allowed_at_bus_level(self, card, provisioned):
         # Region policy is the guard unit's job, not the card's.
         _to_transfer(card)
         lba = provisioned.layout.meta_start
-        assert _write(card, lba, DataBlock.for_payload(bytes(512))) == TOKEN_CRC_OK
+        assert _write(card, lba, bytes(512), True) == TOKEN_CRC_OK
 
     def test_suspension_silences_everything(self, card):
         _to_transfer(card)
@@ -245,7 +227,7 @@ class TestVirtualCard:
         card.suspend_io()
         card.suspend_io()  # idempotent
         assert card.take_read(1) is None
-        assert _write(card, 20, DataBlock.for_payload(bytes(512))) is None
+        assert _write(card, 20, bytes(512), True) is None
         assert card.issue(CommandFrame(CMD_GO_IDLE, 0).to_bytes()) is None
         card.power_cycle()
         assert not card.io_suspended
@@ -302,8 +284,7 @@ class TestBus:
         assert cid.register == card.identity.cid
         assert bus.command(CMD_SELECT, 0).status == 0
         assert bus.command(CMD_READ_SINGLE, 0).status == 0
-        block = bus.fetch_block()
-        assert block.payload == provisioned.image.read_sector(0)
+        assert bus.fetch_block() == (provisioned.image.read_sector(0), True)
 
     def test_transcript_format(self, card):
         bus = SdioBus(card, trace=True)
@@ -343,7 +324,7 @@ class TestBus:
         assert crc_ok
         if moves_runs:
             assert run == provisioned.image.read_sectors(1, 8)
-            assert bus.fetch_block().payload == provisioned.image.read_sector(9)
+            assert bus.fetch_block() == (provisioned.image.read_sector(9), True)
         else:
             # One frame, counted against the pending fault and logged.
             assert run == provisioned.image.read_sector(1)
@@ -395,11 +376,11 @@ class TestBus:
             resp = bus.command(CMD_READ_SINGLE, lba)
             if resp is None:
                 continue
-            block = bus.fetch_block()
-            if block is None or not block.crc_ok:
-                resp = bus.command(CMD_READ_SINGLE, lba)
-                block = bus.fetch_block()
-            out.append(block.payload)
+            fetched = bus.fetch_block()
+            if fetched is None or not fetched[1]:
+                bus.command(CMD_READ_SINGLE, lba)
+                fetched = bus.fetch_block()
+            out.append(fetched[0])
         return out
 
     def test_single_command_fault_converges(self, provisioned):
@@ -418,7 +399,7 @@ class TestBus:
         out = []
         for lba in range(3):
             bus.command(CMD_READ_SINGLE, lba)
-            out.append(bus.fetch_block().payload)
+            out.append(bus.fetch_block()[0])
         assert out == clean
         assert card.state is CardState.TRANSFER
 
@@ -452,11 +433,11 @@ class TestBus:
         payload = b"\x5a" * 512
         bus.inject_fault("h2c", nth=1, byte_offset=50, bit=2)
         bus.command(CMD_WRITE_SINGLE, lba)
-        token = bus.push_block(DataBlock.for_payload(payload))
+        token = bus.push_block(payload)
         assert token == TOKEN_CRC_ERR
         assert card.backing.read_sector(lba) == before
         bus.command(CMD_WRITE_SINGLE, lba)
-        assert bus.push_block(DataBlock.for_payload(payload)) == TOKEN_CRC_OK
+        assert bus.push_block(payload) == TOKEN_CRC_OK
         assert card.backing.read_sector(lba) == payload
 
 
@@ -468,7 +449,24 @@ class TestCrcCost:
         assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
         label, blob = DATA_FILES[0]
         assert host.read_file(label) == blob
+        host.write_file("crc.bin", blob)
+        assert host.read_file("crc.bin") == blob
         assert crc_calls == []
+
+    def test_a_faulted_write_frame_costs_the_crc_sent_and_the_cards_check(self, provisioned, crc_calls):
+        host, _, bus, _ = build_system(provisioned.manifest, provisioned.image.clone())
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        blob = bytes(range(256)) * 2
+        bus.inject_fault("h2c", nth=1, byte_offset=7, bit=3)
+        host.write_file("crc.bin", blob)
+        assert not bus.faults_pending
+        # The first data frame of the write is serialized and checked at the
+        # card, which refuses it; the retry and every other frame cross as bytes.
+        assert [name for name, _ in crc_calls] == ["crc16", "crc16"]
+        (_, sent), (_, received) = crc_calls
+        assert bytes(a ^ b for a, b in zip(sent, received)) == bytes(7) + b"\x08" + bytes(504)
+        assert host.read_file("crc.bin") == blob
+        assert len(crc_calls) == 2
 
     def test_a_faulted_block_is_rechecked_and_fails_its_crc(self, provisioned, crc_calls):
         manifest = provisioned.manifest

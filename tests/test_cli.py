@@ -102,6 +102,28 @@ class TestProvision:
         assert err.startswith("error: CapacityExceeded") and "Traceback" not in err
         assert not Path("card.nvm").exists()
 
+    @pytest.mark.parametrize(
+        "flag", [["--slack", "4294967296"], ["--sectors", "4294967297"]], ids=["slack", "sectors"]
+    )
+    def test_geometry_past_32_bit_lbas_exits_2_before_allocating(self, workspace, capsys, flag):
+        rc = main(
+            ["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", "0x1",
+             "--repetitions", "2", *flag]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: CapacityExceeded") and "Traceback" not in err
+        assert not Path("card.nvm").exists()
+
+    def test_label_with_unicode_line_breaks_boots_and_inspects(self, workspace, capsys):
+        # U+2028 and U+0085 break lines for str.splitlines, not for the manifest.
+        label = "a\u2028b\x85c"
+        rc, _ = _provision(capsys, ["--data", f"{label}=fs.tar"])
+        assert rc == 0
+        for command in ("boot", "inspect"):
+            assert main([command, "--image", "card.nvm", "--manifest", "card.nvm.manifest"]) == 0
+        assert f"file={label} OK" in capsys.readouterr().out
+
     @pytest.mark.parametrize("dna", ["-1", "0x200000000000000", "0x1ffffffffffffffff"])
     def test_dna_out_of_range_exits_2(self, workspace, capsys, dna):
         rc = main(["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", dna])
@@ -287,6 +309,13 @@ class TestBench:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("size", ["4295", "1e12"])
+    def test_container_past_its_32_bit_length_exits_2_before_allocating(self, capsys, size):
+        assert main(["bench", "--size", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: CapacityExceeded") and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 class TestInspect:
     def test_clean_image(self, workspace, capsys):
@@ -401,7 +430,9 @@ def test_python_dash_m_runs_the_cli():
 # ---------------------------------------------------------------------------
 # Fuzzing: random argv over the five commands exits 0, 1, 2 or 3 and never
 # raises. Sizes stay small (a few thousand sectors, payloads of a few KB,
-# KDF repetitions of 3 or fewer), so no case allocates more than a few MB.
+# KDF repetitions of 3 or fewer), so no case allocates more than a few MB;
+# the only larger sizes lie past the format's limits, refused before any
+# buffer is allocated.
 
 
 @pytest.fixture(scope="module")
@@ -497,15 +528,15 @@ def _fuzz_calls(root):
                 ),
                 "--data": st.sampled_from(
                     [str(fs), f"etc/fs={fs}", f"é={fs}", f"a b={fs}", f"{'x' * 0x10000}={fs}", f"={fs}",
-                     f"bad\x01={fs}", str(root / "missing.bin")]
+                     f"bad\x01={fs}", f"a\u2028b\x85c={fs}", str(root / "missing.bin")]
                 ),
                 "--out": outputs,
                 "--manifest": outputs,
                 "--dna": _dna,
                 "--cid": _hex16,
                 "--csd": _hex16,
-                "--sectors": st.integers(-3, 3000).map(str),
-                "--slack": st.integers(-3, 2000).map(str),
+                "--sectors": st.one_of(st.integers(-3, 3000), st.just(4294967297)).map(str),
+                "--slack": st.one_of(st.integers(-3, 2000), st.just(4294967296)).map(str),
                 "--table-sectors": st.one_of(st.integers(-2, 40), st.sampled_from([65536, 70000])).map(str),
                 "--counter": st.integers(-1, 1 << 33).map(str),
                 "--repetitions": _repetitions,
@@ -531,7 +562,7 @@ def _fuzz_calls(root):
             {
                 "--size": st.one_of(
                     st.floats(0.0005, 0.02).map(str),
-                    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308", "1e-9", "x"]),
+                    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e308", "4295", "1e12", "1e-9", "x"]),
                 ),
                 "--repetitions": _repetitions,
                 "--nope": None,

@@ -23,6 +23,8 @@ from tmiusim.image import (
     ImageFormatError,
     ImageLayout,
     Manifest,
+    ManifestError,
+    MbrError,
     MbrSector,
     NvmImage,
     OverlappingPartitions,
@@ -98,6 +100,38 @@ class TestMbr:
         raw = MbrSector(partitions=(PartitionEntry(0x80, 0x0C, 0, 40),)).to_bytes()
         with pytest.raises(PartitionOutOfBounds):
             parse_mbr(raw, total_sectors=128)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=600),
+            st.binary(min_size=510, max_size=510).map(lambda body: body + b"\x55\xaa"),
+        ),
+        total=st.none() | st.integers(-2, 1 << 33),
+    )
+    def test_parse_raises_only_its_format_error(self, raw, total):
+        try:
+            parse_mbr(raw, total)
+        except MbrError:
+            pass
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_non_overlapping_partitions_round_trip(self, data):
+        spans, end = [], 1
+        for gap, count in data.draw(st.lists(st.tuples(st.integers(0, 1 << 24), st.integers(1, 1 << 24)), max_size=4)):
+            spans.append((end + gap, count))
+            end += gap + count
+        order = data.draw(st.permutations(range(len(spans))))
+        mbr = MbrSector(
+            partitions=tuple(
+                PartitionEntry(data.draw(st.integers(0, 255)), data.draw(st.integers(1, 255)), *spans[i])
+                for i in order
+            ),
+            bootstrap=data.draw(st.binary(min_size=446, max_size=446)),
+        )
+        assert parse_mbr(mbr.to_bytes()) == mbr
+        assert parse_mbr(mbr.to_bytes(), total_sectors=end) == mbr
 
 
 _CONTAINER_ENTRIES = st.lists(
@@ -438,6 +472,10 @@ class TestProvision:
         with pytest.raises(CapacityError):
             make_provision(total_sectors=40)
 
+    def test_geometry_past_32_bit_lbas_is_a_capacity_error(self):
+        with pytest.raises(CapacityError, match="32-bit LBAs"):
+            make_provision(total_sectors=2**32 + 1)
+
     def test_duplicate_labels_rejected(self):
         dev = DeviceIdentity(dna=1)
         card = CardIdentity.from_seed(b"c")
@@ -500,8 +538,6 @@ class TestManifest:
             assert sha256(blob).hex() == digest
 
     def test_malformed_manifests_rejected(self, provisioned):
-        from tmiusim.image import ManifestError
-
         good = provisioned.manifest.to_text()
         layout = provisioned.layout
         with pytest.raises(ManifestError):
@@ -525,6 +561,47 @@ class TestManifest:
         shifted = f"meta_lba={layout.meta_start + 1},{layout.meta_sectors - 1}"
         with pytest.raises(ManifestError):
             Manifest.from_text(good.replace(meta, shifted))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_parse_raises_only_its_format_error(self, provisioned, data):
+        # Arbitrary text, or the fixture's manifest with some lines given a
+        # new value or replaced outright (an empty one drops the line).
+        lines = provisioned.manifest.to_text().split("\n")
+        if data.draw(st.booleans()):
+            for _ in range(data.draw(st.integers(1, 4))):
+                i = data.draw(st.integers(0, len(lines) - 1))
+                prefix = data.draw(st.sampled_from([lines[i].split("=", 1)[0] + "=", ""]))
+                lines[i] = prefix + data.draw(st.text(max_size=40))
+            text = "\n".join(lines)
+        else:
+            text = data.draw(st.text(max_size=300))
+        try:
+            Manifest.from_text(text)
+        except ManifestError:
+            pass
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        labels=st.lists(
+            st.text(st.one_of(st.characters(), st.sampled_from("\x85\u2028\u2029\r\n\x0b\x1c,=# ")), max_size=8),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_text_round_trips_for_every_label_provision_accepts(self, labels):
+        try:
+            result = provision(
+                [(EntryKind.KERNEL, b"k")],
+                [(label, b"f") for label in labels],
+                DeviceIdentity(dna=7),
+                CardIdentity.from_seed(b"labels"),
+                kdf_repetitions=1,
+                data_slack_sectors=0,
+            )
+        except ValueError:
+            return  # a label provision refuses
+        assert Manifest.from_text(result.manifest.to_text()) == result.manifest
 
 
 def test_image_save_load_round_trip(tmp_path, provisioned):

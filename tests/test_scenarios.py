@@ -57,6 +57,35 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             parse_scenario("target=mbr mutate=warp:1 expect=MbrMismatch")
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        line=st.one_of(
+            st.text(max_size=120),
+            st.lists(
+                st.builds(
+                    "{}={}".format,
+                    st.sampled_from(["name", "target", "mutate", "expect", ""]),
+                    st.one_of(
+                        st.text(st.characters(blacklist_categories=("Zs", "Cc")), max_size=20),
+                        st.builds(
+                            "{}:{}:{}".format,
+                            st.sampled_from(["flip_bit", "set_byte", "replace_region", "copy_from", ""]),
+                            st.text(max_size=6),
+                            st.text(max_size=6),
+                        ),
+                        st.sampled_from(OUTCOME_CLASSES),
+                    ),
+                ),
+                max_size=5,
+            ).map(" ".join),
+        )
+    )
+    def test_parse_raises_only_its_format_error(self, line):
+        try:
+            parse_scenario(line)
+        except ScenarioError:
+            pass
+
     def test_file_loading(self, tmp_path):
         path = tmp_path / "suite.txt"
         path.write_text(
