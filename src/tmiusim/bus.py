@@ -16,8 +16,11 @@ An untouched frame's CRC always holds, so both paths have the same wire
 semantics, and a fault's ``nth`` counts every frame of its kind either way.
 Where nothing observes single frames at all, no transcript and no
 card-to-host fault pending, a multi-block read moves whole runs of sectors
-as one buffer. The bus alone makes that choice: :meth:`SdioBus.fetch_run`
-hands over a run or a single frame.
+as one buffer; with no command fault pending either, a single-block read
+moves as one exchange, command and sector together, through the same
+card-side check of a data command that a command frame meets. The bus alone
+makes these choices: :meth:`SdioBus.fetch_run` hands over a run or a single
+frame, and :meth:`SdioBus.read_single` one exchange or its frames.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -58,6 +61,7 @@ R2_FRAME_SIZE = 17
 DATA_FRAME_SIZE = SECTOR_SIZE + 2
 
 LINE_RATE = 25_000_000  # bytes/s, rated card line speed
+RETRY_LIMIT = 3  # resends of a lost or corrupted frame before a bus error
 
 
 class FramingError(ValueError):
@@ -167,10 +171,7 @@ class VirtualCard:
         # The open data transfer, (data command, next LBA); only ever set in
         # TRANSFER, and cleared by CMD0, CMD12, power cycle and suspension.
         self._open: tuple[int, int] | None = None
-
-    @property
-    def geometry(self) -> int:
-        return self.backing.total_sectors
+        self.geometry = backing.total_sectors
 
     def power_cycle(self) -> None:
         self.state = CardState.IDLE
@@ -226,13 +227,20 @@ class VirtualCard:
             self._open = None
             return ResponseFrame(idx)
         if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE):
-            if self.state is not CardState.TRANSFER:
-                return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
-            if arg >= self.geometry:
-                return ResponseFrame(idx, STATUS_OUT_OF_RANGE)
-            self._open = (idx, arg)
-            return ResponseFrame(idx)
+            return ResponseFrame(idx, self.open_transfer(idx, arg))
         return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
+
+    def open_transfer(self, idx: int, lba: int) -> int | None:
+        """Handle data command ``idx`` at ``lba``: its R1 status, zero once
+        the transfer is open; None models a silent card."""
+        if self.io_suspended:
+            return None
+        if self.state is not CardState.TRANSFER:
+            return STATUS_ILLEGAL_COMMAND
+        if lba >= self.geometry:
+            return STATUS_OUT_OF_RANGE
+        self._open = (idx, lba)
+        return 0
 
     def take_read(self, limit: int) -> bytes | None:
         """The next stored sectors of an open read transfer, as one buffer:
@@ -367,6 +375,27 @@ class SdioBus:
             return self.fetch_block()
         run = self.card.take_read(limit)
         return None if run is None else (run, True)
+
+    def read_single(self, lba: int) -> tuple[bytes, bool] | None:
+        """One CMD17 exchange: the command, resent up to ``RETRY_LIMIT``
+        times while the card stays silent, then its data frame, with whether
+        its line CRC holds; None when the card refuses or sends nothing.
+
+        Where nothing observes frames, no transcript and no command or
+        card-to-host fault pending, the card opens the transfer and hands
+        the sector over with no frame built; otherwise the frames move one
+        by one, through :meth:`command` and :meth:`fetch_block`."""
+        if self.trace_enabled or self._faults["cmd"] or self._faults["c2h"]:
+            for _ in range(RETRY_LIMIT + 1):
+                response = self.command(CMD_READ_SINGLE, lba)
+                if response is not None:
+                    return self.fetch_block() if response.status == 0 else None
+            return None
+        if not 0 <= lba <= 0xFFFFFFFF:
+            raise ValueError("argument is 32 bits")
+        if self.card.open_transfer(CMD_READ_SINGLE, lba) != 0:
+            return None  # silent, or refused
+        return self.card.take_read(1), True
 
     def push_block(self, payload: bytes) -> int | None:
         """Send one data frame of an open write transfer to the card."""

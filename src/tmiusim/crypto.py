@@ -120,16 +120,6 @@ def derive_mac_key(params: KdfInput) -> bytes:
     return _kdf_chain(counter, params.secret, params.other_info, params.repetitions)
 
 
-def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
-    """Raw AES-128 encryption of one 16-byte block."""
-    if len(key) != AES_KEY_SIZE:
-        raise ValueError("key must be 16 bytes")
-    if len(block) != AES_BLOCK_SIZE:
-        raise ValueError("block must be 16 bytes")
-    encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
-    return encryptor.update(block) + encryptor.finalize()
-
-
 # A sector's CTR nonce, be64(sector_index) || 0^64: its counter block j is
 # be64(sector_index) || be64(j) (NIST SP 800-38A, 6.5 and Appendix B.1).
 _SECTOR_NONCE = struct.Struct(">QQ")
@@ -161,6 +151,9 @@ class SectorCipher:
             raise ValueError("a run must be a whole number of 512-byte sectors")
         if not 0 <= first_sector <= (1 << 64) - count:
             raise ValueError("sector index must fit in 64 bits")
+        if count == 1:  # no output buffer to fill: the context's own bytes
+            self._context.reset_nonce(_SECTOR_NONCE.pack(first_sector, 0))
+            return self._context.update(data)
         reset_nonce, update_into = self._context.reset_nonce, self._context.update_into
         out = bytearray(len(data))
         src, dst = memoryview(data), memoryview(out)

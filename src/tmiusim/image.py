@@ -257,13 +257,6 @@ def write_boot_image(
     return total_len
 
 
-def build_boot_image(entries: Sequence[tuple[EntryKind, bytes]]) -> bytes:
-    """Serialize boot blobs into a sealed, sector-aligned container."""
-    container = bytearray(sealed_container_size([len(blob) for _, blob in entries]))
-    write_boot_image(container, 0, entries)
-    return bytes(container)
-
-
 def boot_image_length(prefix: bytes) -> int:
     """Total container length from its first bytes (one sector suffices)."""
     if len(prefix) < _CONTAINER_HEADER.size:
@@ -496,10 +489,7 @@ class NvmImage:
         if len(data) % SECTOR_SIZE:
             raise ValueError("image size must be a multiple of 512")
         self._data = data if isinstance(data, bytearray) else bytearray(data)
-
-    @property
-    def total_sectors(self) -> int:
-        return len(self._data) // SECTOR_SIZE
+        self.total_sectors = len(self._data) // SECTOR_SIZE  # the buffer never resizes
 
     def read_sector(self, lba: int) -> bytes:
         self._check(lba)
@@ -773,13 +763,6 @@ def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[..., bytes]:
     """``read_plain(lba, count=1)``: consecutive sectors, decrypted as one run."""
     cipher = SectorCipher(aes_key)
     return lambda lba, count=1: cipher.crypt(lba, image.read_sectors(lba, count))
-
-
-def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
-    """Decrypt and parse the data-partition file table straight off an image."""
-    aes_key, _ = manifest_keys(manifest)
-    records, _ = read_file_table(_plain_reader(image, aes_key), manifest.layout.data_start)
-    return records
 
 
 def in_use_data_lbas(image: NvmImage, manifest: Manifest) -> list[int]:

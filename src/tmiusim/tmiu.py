@@ -32,13 +32,13 @@ from .bus import (
     CMD_ALL_SEND_CID,
     CMD_GO_IDLE,
     CMD_READ_MULTIPLE,
-    CMD_READ_SINGLE,
     CMD_SELECT,
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
     CMD_STOP_TRANSMISSION,
     CMD_WRITE_SINGLE,
     LINE_RATE,
+    RETRY_LIMIT,
     DataBlock,
     ResponseFrame,
     SdioBus,
@@ -71,7 +71,6 @@ CLOCK_HZ = 50_000_000
 # One sector crossing the wire at the card line rate.
 SECTOR_TRANSFER_CYCLES = -(-SECTOR_SIZE * CLOCK_HZ // LINE_RATE)
 SECTOR_PIPELINE_CYCLES = 52
-RETRY_LIMIT = 3
 
 PHASE_PROM = "prom"
 PHASE_BOOT = "boot"
@@ -523,9 +522,7 @@ class Tmiu:
         bus gives up."""
         payload = None
         for _ in range(retries + 1):
-            if not self._simple_command(bus, CMD_READ_SINGLE, lba):
-                return None, False
-            fetched = bus.fetch_block()
+            fetched = bus.read_single(lba)
             if fetched is None:
                 return None, False
             self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, phase)

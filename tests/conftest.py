@@ -5,7 +5,17 @@ import functools
 import pytest
 
 from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
-from tmiusim.image import ProvisionResult
+from tmiusim.crypto import SectorCipher
+from tmiusim.image import (
+    FileRecord,
+    Manifest,
+    NvmImage,
+    ProvisionResult,
+    manifest_keys,
+    read_file_table,
+    sealed_container_size,
+    write_boot_image,
+)
 
 FIXTURE_DNA = 0x0123456789ABCD
 FIXTURE_KDF_REPETITIONS = 25  # full-strength stretching is exercised separately
@@ -45,6 +55,24 @@ def provision_container(sectors: int) -> ProvisionResult:
     # One entry: a 21-byte header and a 32-byte digest around the blob.
     blob = bytes((i * 29 + sectors) % 256 for i in range(sectors * 512 - 53))
     return make_provision(boot_entries=[(EntryKind.KERNEL, blob)])
+
+
+def build_boot_image(entries) -> bytes:
+    """Serialize boot blobs into a sealed, sector-aligned container."""
+    container = bytearray(sealed_container_size([len(blob) for _, blob in entries]))
+    write_boot_image(container, 0, entries)
+    return bytes(container)
+
+
+def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
+    """Decrypt and parse the data-partition file table straight off an image."""
+    cipher = SectorCipher(manifest_keys(manifest)[0])
+
+    def read_plain(lba: int, count: int = 1) -> bytes:
+        return cipher.crypt(lba, image.read_sectors(lba, count))
+
+    records, _ = read_file_table(read_plain, manifest.layout.data_start)
+    return records
 
 
 @pytest.fixture(scope="session")

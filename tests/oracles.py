@@ -66,6 +66,14 @@ def kdf_mac_oracle(counter: int, secret: bytes, other_info: bytes, repetitions: 
     return kdf_oracle(counter + 0x4D41, secret, other_info, repetitions)
 
 
+def aes_encrypt_block(key: bytes, block: bytes) -> bytes:
+    """Raw AES-128 encryption of one 16-byte block (FIPS 197)."""
+    if len(key) != 16 or len(block) != 16:
+        raise ValueError("key and block must be 16 bytes")
+    encryptor = Cipher(algorithms.AES(key), modes.ECB()).encryptor()
+    return encryptor.update(block) + encryptor.finalize()
+
+
 def ctr_sector_oracle(key: bytes, sector_index: int, data: bytes) -> bytes:
     """Sector cipher via the library CTR mode with the same counter layout."""
     nonce = struct.pack(">QQ", sector_index, 0)

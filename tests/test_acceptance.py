@@ -24,13 +24,13 @@ from tmiusim import (
     sha256,
     verify_boot_image,
 )
-from tmiusim.crypto import aes_encrypt_block
 from tmiusim.image import boot_image_length, in_use_data_lbas, manifest_keys
 from tmiusim.scenarios import Mutation, Scenario, builtin_scenarios, run_scenario
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
 from conftest import make_provision
 from oracles import (
+    aes_encrypt_block,
     crc7_oracle,
     crc16_oracle,
     ctr_sector_oracle,

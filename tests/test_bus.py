@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tmiusim.bus import (
     CMD_ALL_SEND_CID,
@@ -33,7 +33,16 @@ from tmiusim.bus import (
 from tmiusim.crypto import RUN_SECTORS, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.tmiu import LockdownError, ProtocolCrcError, Stage
+from tmiusim.image import CapacityError
+from tmiusim.tmiu import (
+    PHASE_BOOT,
+    PHASE_OPERATIONAL,
+    PHASE_PROM,
+    LockdownError,
+    ProtocolCrcError,
+    Stage,
+    TmiuError,
+)
 
 from conftest import DATA_FILES, make_provision, provision_container
 
@@ -332,6 +341,34 @@ class TestBus:
         assert bus.faults_pending == bool(pending)
         assert sum("KIND=DAT" in line for line in bus.transcript) == (2 if trace else 0)
 
+    @pytest.mark.parametrize("state", ["idle", "transfer", "suspended"])
+    def test_single_read_exchange_answers_as_its_frames_do(self, provisioned, state):
+        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
+        sides = []
+        for trace in (False, True):
+            card = VirtualCard(identity, provisioned.image.clone())
+            bus = SdioBus(card, trace=trace)
+            if state != "idle":
+                _to_transfer(card)
+            if state == "suspended":
+                card.suspend_io()
+            lbas = (0, card.geometry - 1, card.geometry, 0xFFFFFFFF)
+            results = [bus.read_single(lba) for lba in lbas]
+            for lba in (-1, 1 << 32):
+                with pytest.raises(ValueError):
+                    bus.read_single(lba)
+            sides.append((results, card.state, card.take_read(1)))
+            commands = sum("KIND=CMD" in line for line in bus.transcript)
+            # A silent card is asked four times, a refusing card once.
+            assert commands == (0 if not trace else 4 * len(lbas) if state == "suspended" else len(lbas))
+        assert sides[0] == sides[1]
+        image = provisioned.image
+        if state == "transfer":
+            total = image.total_sectors
+            assert sides[0][0] == [(image.read_sector(0), True), (image.read_sector(total - 1), True), None, None]
+        else:
+            assert sides[0][0] == [None] * 4
+
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=8))
     def test_draining_runs_yields_the_same_bytes_with_or_without_the_transcript(
@@ -501,6 +538,57 @@ class TestCrcCost:
         assert crc_calls == []
 
 
+class TestSingleReadExchange:
+    """Counts, not timings: what a mediated CMD17 read builds and calls."""
+
+    @pytest.fixture()
+    def booted(self, provisioned):
+        host, _, bus, _ = build_system(provisioned.manifest, provisioned.image.clone())
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        return host, bus
+
+    def test_clean_untraced_read_builds_no_frame(self, booted, monkeypatch):
+        from tmiusim import bus as bus_module
+
+        host, _ = booted
+        calls = []
+
+        def counted(name, fn):
+            return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+        for name in ("CommandFrame", "ResponseFrame"):
+            monkeypatch.setattr(bus_module, name, counted(name, getattr(bus_module, name)))
+        for name in ("command", "fetch_block"):
+            monkeypatch.setattr(SdioBus, name, counted(name, getattr(SdioBus, name)))
+        label, blob = DATA_FILES[1]
+        assert host.read_file(label) == blob
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["cmd", "c2h"])
+    @pytest.mark.parametrize("nth", [1, 2, 7, 14])
+    def test_a_pending_fault_fires_on_its_frame_and_the_read_recovers(self, booted, monkeypatch, kind, nth):
+        # The file is six sectors behind a one-sector table: seven mediated
+        # reads, each a data and a tag sector, so 14 frames of either kind.
+        host, bus = booted
+        counted, fired = [], []
+        due = bus._due
+
+        def counting_due(frame_kind):
+            plans = due(frame_kind)
+            if frame_kind == kind:
+                counted.append(frame_kind)
+                if plans:
+                    fired.append(len(counted))
+            return plans
+
+        monkeypatch.setattr(bus, "_due", counting_due)
+        bus.inject_fault(kind, nth=nth, byte_offset=3, bit=2)
+        label, blob = DATA_FILES[1]
+        assert host.read_file(label) == blob
+        assert fired == [nth]
+        assert not bus.faults_pending
+
+
 def _faulted_io_run(provisioned, fault, trace):
     """Fixture boot, one file write and read with ``fault`` scheduled
     beforehand: (outcomes, whether the fault fired, report text, final
@@ -585,3 +673,70 @@ class TestRunPathEquivalence:
         # runs; the transcript forces one frame at a time.
         result = provision_container(sectors)
         assert _stream_boot(result, flip, fault, False) == _stream_boot(result, flip, fault, True)
+
+
+def _mediated_ops(provisioned, ops, trace):
+    """Fixture boot, then ``ops`` through the host and the unit: (each op's
+    bytes or exception class, ledger totals and per-phase figures, card
+    image, the unit's stage, reason and fault LBA)."""
+    manifest = provisioned.manifest
+    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
+    assert host.run_boot(expected_entries=manifest.entries).ok
+    data_start, data_sectors = tmiu.data_partition
+    outcomes = []
+    for op, arg in ops:
+        try:
+            if op == "read":
+                outcomes.append(host.read_file(arg))
+            elif op == "write":
+                label, size = arg
+                host.write_file(label, bytes((i * 13 + size) % 256 for i in range(size)))
+                outcomes.append(None)
+            elif op == "outside":
+                lba = data_start - 1 if arg else data_start + data_sectors
+                outcomes.append(tmiu.mediate_read(bus, card, lba))
+            elif op == "tamper":
+                lba = data_start + arg % min(data_sectors, 12)  # the table or a file
+                sector = bytearray(card.backing.read_sector(lba))
+                sector[arg % 512] ^= 1
+                card.backing.write_sector(lba, bytes(sector))
+                outcomes.append(None)
+            else:  # the card stops answering while the unit is operational
+                card.suspend_io()
+                outcomes.append(None)
+        except (TmiuError, FileNotFoundError, CapacityError) as exc:
+            outcomes.append(type(exc).__name__)
+    ledger = tmiu.ledger
+    phases = [(ledger.phase_cycles(p), ledger.phase_bytes(p)) for p in (PHASE_PROM, PHASE_BOOT, PHASE_OPERATIONAL)]
+    unit = (tmiu.stage, tmiu.reason, tmiu.fault_lba)
+    return outcomes, (ledger.cycles, ledger.bytes_moved, phases), card.backing.to_bytes(), unit
+
+
+_LABELS = [label for label, _ in DATA_FILES] + ["new.bin", "missing.bin"]
+
+
+class TestSingleReadPathEquivalence:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("read"), st.sampled_from(_LABELS)),
+                st.tuples(st.just("read"), st.sampled_from(_LABELS)),
+                st.tuples(st.just("write"), st.tuples(st.sampled_from(_LABELS), st.integers(0, 2500))),
+                st.tuples(st.just("outside"), st.booleans()),
+            ),
+            max_size=8,
+        ),
+        events=st.lists(
+            st.tuples(st.integers(0, 8), st.sampled_from(["tamper", "suspend"]), st.integers(0, 1 << 20)),
+            max_size=2,
+        ),
+    )
+    @example(ops=[("read", "var/log.bin"), ("read", "keys.db")], events=[(0, "tamper", 4)])
+    @example(ops=[("outside", False), ("read", "keys.db"), ("read", "keys.db")], events=[(1, "suspend", 0)])
+    def test_single_read_exchange_matches_per_frame_path(self, provisioned, ops, events):
+        # Untraced, with no fault pending, each CMD17 read is one exchange;
+        # the transcript forces its command, response and data frames.
+        for at, event, arg in events:
+            ops.insert(at, (event, arg))
+        assert _mediated_ops(provisioned, ops, False) == _mediated_ops(provisioned, ops, True)

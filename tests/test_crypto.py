@@ -7,7 +7,6 @@ from tmiusim.crypto import (
     KdfInput,
     SectorCipher,
     SectorMac,
-    aes_encrypt_block,
     crc7,
     crc16,
     decrypt_sector,
@@ -19,6 +18,7 @@ from tmiusim.crypto import (
 )
 
 from oracles import (
+    aes_encrypt_block,
     crc7_oracle,
     crc16_oracle,
     ctr_sector_oracle,
@@ -216,6 +216,40 @@ class TestSectorCipher:
         assert cipher.crypt(40, run) == ecb_counter_oracle(self.KEY, 40, run)
         assert cipher.crypt(2, run) == ecb_counter_oracle(self.KEY, 2, run)
         assert decrypt_sector(cipher, 3, run[512:1024]) == ecb_counter_oracle(self.KEY, 3, run[512:1024])
+
+    @pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+    def test_one_sector_call_is_its_slice_of_a_run(self, form):
+        cipher = SectorCipher(self.KEY)
+        run = random.Random(5).randbytes(4 * 512)
+        sealed = cipher.crypt(70, run)
+        for i in range(4):
+            one = cipher.crypt(70 + i, form(run[i * 512 : (i + 1) * 512]))
+            assert type(one) is bytes
+            assert one == sealed[i * 512 : (i + 1) * 512]
+            assert cipher.crypt(70 + i, form(one)) == run[i * 512 : (i + 1) * 512]
+
+    def test_one_sector_call_writes_back_in_place(self):
+        # As provisioning seals its buffer: each sector through a view of
+        # the bytearray, its result written back over that same view.
+        cipher = SectorCipher(self.KEY)
+        buf = bytearray(random.Random(6).randbytes(3 * 512))
+        expected = cipher.crypt(8, bytes(buf))
+        with memoryview(buf) as view:
+            for i in range(3):
+                sector = view[i * 512 : (i + 1) * 512]
+                sector[:] = cipher.crypt(8 + i, sector)
+        assert buf == expected
+
+    @pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+    def test_one_sector_call_keeps_its_errors(self, form):
+        cipher = SectorCipher(self.KEY)
+        for size in (511, 513):
+            with pytest.raises(ValueError):
+                cipher.crypt(0, form(bytes(size)))
+        for index in (-1, 1 << 64):
+            with pytest.raises(ValueError):
+                cipher.crypt(index, form(bytes(512)))
+        assert cipher.crypt((1 << 64) - 1, form(bytes(512))) == ecb_counter_oracle(self.KEY, (1 << 64) - 1, bytes(512))
 
     @pytest.mark.parametrize("size", [0, 1, 511, 513, 1000])
     def test_run_rejects_partial_sectors(self, size):

@@ -8,7 +8,7 @@ from tmiusim.identity import CardIdentity
 from tmiusim.image import CapacityError, EntryKind, NvmImage, write_boot_image
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
-from conftest import BOOT_ENTRIES, DATA_FILES, make_provision
+from conftest import BOOT_ENTRIES, DATA_FILES, image_file_records, make_provision
 from oracles import shannon_entropy
 
 
@@ -83,8 +83,6 @@ class TestFileStore:
     def test_tampered_file_sector_blocks_the_read(self, provisioned):
         host, tmiu, bus, card, _ = _boot(provisioned)
         # Tamper the backing store behind the first file's first sector.
-        from tmiusim.image import image_file_records
-
         records = {r.label: r for r in image_file_records(provisioned.image, provisioned.manifest)}
         record = records["var/log.bin"]
         lba = provisioned.layout.data_start + record.offset // 512
@@ -136,8 +134,6 @@ class TestFileStore:
     def test_written_sectors_are_high_entropy_at_rest(self, provisioned):
         host, _, _, card, _ = _boot(provisioned)
         host.write_file("zeros.bin", bytes(4 * 512))  # maximally compressible
-        from tmiusim.image import image_file_records
-
         backing_manifest = provisioned.manifest
         records = {
             r.label: r

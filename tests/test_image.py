@@ -31,10 +31,8 @@ from tmiusim.image import (
     PartitionEntry,
     PartitionOutOfBounds,
     boot_image_length,
-    build_boot_image,
     build_file_table,
     finding_failed,
-    image_file_records,
     in_use_data_lbas,
     manifest_keys,
     parse_boot_image,
@@ -47,7 +45,14 @@ from tmiusim.image import (
     write_boot_image,
 )
 
-from conftest import BOOT_ENTRIES, DATA_FILES, make_provision, provision_container
+from conftest import (
+    BOOT_ENTRIES,
+    DATA_FILES,
+    build_boot_image,
+    image_file_records,
+    make_provision,
+    provision_container,
+)
 from oracles import shannon_entropy
 
 

@@ -14,6 +14,8 @@ from tmiusim.scenarios import (
     run_scenario,
 )
 
+from conftest import image_file_records
+
 
 @pytest.fixture(scope="module")
 def clean_frame_counts(provisioned):
@@ -137,7 +139,7 @@ class TestRunScenario:
         # The hardest replay: source and target sectors hold the same
         # plaintext, so only the index binding of keystream and tag differs.
         from tmiusim import CardIdentity, DeviceIdentity, EntryKind, LockdownError, build_system
-        from tmiusim.image import image_file_records, provision
+        from tmiusim.image import provision
 
         result = provision(
             [(EntryKind.KERNEL, b"k" * 600)],
