@@ -16,11 +16,14 @@ An untouched frame's CRC always holds, so both paths have the same wire
 semantics, and a fault's ``nth`` counts every frame of its kind either way.
 Where nothing observes single frames at all, no transcript and no
 card-to-host fault pending, a multi-block read moves whole runs of sectors
-as one buffer; with no command fault pending either, a single-block read
-moves as one exchange, command and sector together, through the same
-card-side check of a data command that a command frame meets. The bus alone
-makes these choices: :meth:`SdioBus.fetch_run` hands over a run or a single
-frame, and :meth:`SdioBus.read_single` one exchange or its frames.
+as one buffer. A data command (CMD17, CMD18, CMD24) opens through
+:meth:`SdioBus.start_transfer`: with no transcript and no command fault
+pending, the card meets it with the check a command frame meets, and no
+frame is built; otherwise it goes through :meth:`SdioBus.request`, the one
+loop that resends a command while the card stays silent. The bus alone makes
+these choices, and each data leg (:meth:`SdioBus.fetch_block`,
+:meth:`SdioBus.fetch_run`, :meth:`SdioBus.push_block`) picks bytes or frames
+by itself.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -344,6 +347,30 @@ class SdioBus:
         response, crc_ok = parse_response(reply)
         return response if crc_ok else None
 
+    def request(self, index: int, argument: int = 0) -> ResponseFrame | None:
+        """Send a command, resent up to ``RETRY_LIMIT`` times while no
+        intact response comes back; None when the card never answers."""
+        for _ in range(RETRY_LIMIT + 1):
+            response = self.command(index, argument)
+            if response is not None:
+                return response
+        return None
+
+    def start_transfer(self, index: int, lba: int) -> bool:
+        """Open the transfer of data command ``index`` (CMD17, CMD18 or
+        CMD24) at ``lba``; whether the card accepted it.
+
+        Where nothing observes command frames, no transcript and no command
+        fault pending, the card checks the command with no frame built;
+        otherwise the command goes through :meth:`request`, so that every
+        frame is counted and logged."""
+        if self.trace_enabled or self._faults["cmd"]:
+            response = self.request(index, lba)
+            return response is not None and response.status == 0
+        if not 0 <= lba <= 0xFFFFFFFF:
+            raise ValueError("argument is 32 bits")
+        return self.card.open_transfer(index, lba) == 0
+
     def _observe(self, direction: str, payload: bytes, due: list[_FaultPlan]) -> DataBlock:
         """A data frame as it arrives where its bytes are observed: serialized
         with its CRC16, flipped by the faults due on it, logged, parsed."""
@@ -375,27 +402,6 @@ class SdioBus:
             return self.fetch_block()
         run = self.card.take_read(limit)
         return None if run is None else (run, True)
-
-    def read_single(self, lba: int) -> tuple[bytes, bool] | None:
-        """One CMD17 exchange: the command, resent up to ``RETRY_LIMIT``
-        times while the card stays silent, then its data frame, with whether
-        its line CRC holds; None when the card refuses or sends nothing.
-
-        Where nothing observes frames, no transcript and no command or
-        card-to-host fault pending, the card opens the transfer and hands
-        the sector over with no frame built; otherwise the frames move one
-        by one, through :meth:`command` and :meth:`fetch_block`."""
-        if self.trace_enabled or self._faults["cmd"] or self._faults["c2h"]:
-            for _ in range(RETRY_LIMIT + 1):
-                response = self.command(CMD_READ_SINGLE, lba)
-                if response is not None:
-                    return self.fetch_block() if response.status == 0 else None
-            return None
-        if not 0 <= lba <= 0xFFFFFFFF:
-            raise ValueError("argument is 32 bits")
-        if self.card.open_transfer(CMD_READ_SINGLE, lba) != 0:
-            return None  # silent, or refused
-        return self.card.take_read(1), True
 
     def push_block(self, payload: bytes) -> int | None:
         """Send one data frame of an open write transfer to the card."""

@@ -29,7 +29,6 @@ from .image import (
 from .tmiu import (
     BootReport,
     Denial,
-    PromStore,
     ProtocolCrcError,
     RETRY_LIMIT,
     Stage,
@@ -227,7 +226,6 @@ def build_system(
     dna: int | None = None,
     cid: bytes | None = None,
     csd: bytes | None = None,
-    prom: PromStore | None = None,
     trace: bool = False,
 ) -> tuple[BootHost, Tmiu, SdioBus, VirtualCard]:
     """Assemble a simulator from an image and its manifest.
@@ -241,7 +239,7 @@ def build_system(
         csd=manifest.csd if csd is None else csd,
     )
     card = VirtualCard(identity, image)
-    tmiu = Tmiu(manifest.anchors, device, prom=prom)
+    tmiu = Tmiu(manifest.anchors, device)
     bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
     host = BootHost(tmiu, bus, card)
     return host, tmiu, bus, card

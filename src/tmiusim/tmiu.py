@@ -32,6 +32,7 @@ from .bus import (
     CMD_ALL_SEND_CID,
     CMD_GO_IDLE,
     CMD_READ_MULTIPLE,
+    CMD_READ_SINGLE,
     CMD_SELECT,
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
@@ -40,7 +41,6 @@ from .bus import (
     LINE_RATE,
     RETRY_LIMIT,
     DataBlock,
-    ResponseFrame,
     SdioBus,
     TOKEN_CRC_OK,
     VirtualCard,
@@ -152,7 +152,7 @@ class CycleLedger:
         self.bytes_moved = 0
         self._phases.clear()
 
-    def charge(self, cycles: int, nbytes: int = 0, phase: str = "other") -> None:
+    def charge(self, cycles: int, nbytes: int, phase: str) -> None:
         if cycles < 0 or nbytes < 0:
             raise ValueError("ledger charges are non-negative")
         self.cycles += cycles
@@ -289,21 +289,21 @@ class Tmiu:
         """Stage 2: read the card identity off the wire and authenticate it."""
         self._require(Stage.MEMORY_AUTH)
         bus.command(CMD_GO_IDLE, 0)  # CMD0 carries no response
-        resp = self._command_retry(bus, CMD_ALL_SEND_CID, 0)
+        resp = bus.request(CMD_ALL_SEND_CID)
         if resp is None or resp.register is None:
             return self._lockdown(Denial.BUS_ERROR, card)
         cid = resp.register
-        csd_resp = self._command_retry(bus, CMD_SEND_CSD, 0)
+        csd_resp = bus.request(CMD_SEND_CSD)
         if csd_resp is None or csd_resp.register is None:
             return self._lockdown(Denial.BUS_ERROR, card)
         presented = CardIdentity(cid=cid, csd=csd_resp.register)
         failure = authenticate_nvm(self.anchors, presented)
         if failure is not None:
             return self._lockdown(_AUTH_TO_DENIAL[failure], card)
-        if not self._simple_command(bus, CMD_SELECT) or not self._simple_command(
-            bus, CMD_SET_BLOCKLEN, SECTOR_SIZE
-        ):
-            return self._lockdown(Denial.BUS_ERROR, card)
+        for index, argument in ((CMD_SELECT, 0), (CMD_SET_BLOCKLEN, SECTOR_SIZE)):
+            resp = bus.request(index, argument)
+            if resp is None or resp.status != 0:
+                return self._lockdown(Denial.BUS_ERROR, card)
         self._cid = cid
         self.leds[1] = True
         return self._enter(Stage.KEYGEN_IMAGE_AUTH)
@@ -377,7 +377,7 @@ class Tmiu:
                 sink(DataBlock(payload=mutated, crc=crc16(final_payload)))
             return self._lockdown(reason, card)
 
-        if not self._simple_command(bus, CMD_READ_MULTIPLE, lba):
+        if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
             return self._lockdown(Denial.BUS_ERROR, card)
         while end is None or lba < end:
             # The first sector comes alone: it tells the container length.
@@ -394,7 +394,7 @@ class Tmiu:
                 bus.command(CMD_STOP_TRANSMISSION, 0)
                 if retries > RETRY_LIMIT:
                     return reject(Denial.BUS_ERROR, held)
-                if not self._simple_command(bus, CMD_READ_MULTIPLE, lba):
+                if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
                     return self._lockdown(Denial.BUS_ERROR, card)
                 continue
             retries = 0
@@ -503,17 +503,6 @@ class Tmiu:
 
     # -- bus helpers ----------------------------------------------------------
 
-    def _command_retry(self, bus: SdioBus, index: int, argument: int) -> ResponseFrame | None:
-        for _ in range(RETRY_LIMIT + 1):
-            resp = bus.command(index, argument)
-            if resp is not None:
-                return resp
-        return None
-
-    def _simple_command(self, bus: SdioBus, index: int, argument: int = 0) -> bool:
-        resp = self._command_retry(bus, index, argument)
-        return resp is not None and resp.status == 0
-
     def _read_single(
         self, bus: SdioBus, lba: int, phase: str, retries: int = RETRY_LIMIT
     ) -> tuple[bytes | None, bool]:
@@ -522,7 +511,7 @@ class Tmiu:
         bus gives up."""
         payload = None
         for _ in range(retries + 1):
-            fetched = bus.read_single(lba)
+            fetched = bus.fetch_block() if bus.start_transfer(CMD_READ_SINGLE, lba) else None
             if fetched is None:
                 return None, False
             self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, phase)
@@ -535,9 +524,7 @@ class Tmiu:
         """CMD24 write with line-CRC retries, then the pipeline drain; locks
         the unit down when the bus gives up."""
         for _ in range(RETRY_LIMIT + 1):
-            if not self._simple_command(bus, CMD_WRITE_SINGLE, lba):
-                break
-            token = bus.push_block(ciphertext)
+            token = bus.push_block(ciphertext) if bus.start_transfer(CMD_WRITE_SINGLE, lba) else None
             if token is None:
                 break
             self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, PHASE_OPERATIONAL)

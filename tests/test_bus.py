@@ -53,6 +53,9 @@ def card(provisioned):
     return VirtualCard(identity, provisioned.image.clone())
 
 
+_DATA_COMMANDS = (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE)
+
+
 def _to_transfer(card):
     card.issue(CommandFrame(CMD_GO_IDLE, 0).to_bytes())
     card.issue(CommandFrame(CMD_ALL_SEND_CID, 0).to_bytes())
@@ -353,21 +356,30 @@ class TestBus:
             if state == "suspended":
                 card.suspend_io()
             lbas = (0, card.geometry - 1, card.geometry, 0xFFFFFFFF)
-            results = [bus.read_single(lba) for lba in lbas]
-            for lba in (-1, 1 << 32):
-                with pytest.raises(ValueError):
-                    bus.read_single(lba)
-            sides.append((results, card.state, card.take_read(1)))
+            results = []
+            for index in _DATA_COMMANDS:
+                for lba in lbas:
+                    results.append((bus.start_transfer(index, lba), card._open))
+                for lba in (-1, 1 << 32):
+                    with pytest.raises(ValueError):
+                        bus.start_transfer(index, lba)
+            sides.append((results, card.state))
             commands = sum("KIND=CMD" in line for line in bus.transcript)
             # A silent card is asked four times, a refusing card once.
-            assert commands == (0 if not trace else 4 * len(lbas) if state == "suspended" else len(lbas))
+            sent = len(_DATA_COMMANDS) * len(lbas)
+            assert commands == (0 if not trace else 4 * sent if state == "suspended" else sent)
         assert sides[0] == sides[1]
-        image = provisioned.image
         if state == "transfer":
-            total = image.total_sectors
-            assert sides[0][0] == [(image.read_sector(0), True), (image.read_sector(total - 1), True), None, None]
+            last = provisioned.image.total_sectors - 1
+            # A refused command leaves the transfer opened before it.
+            expected = [
+                (accepted, (index, opened))
+                for index in _DATA_COMMANDS
+                for accepted, opened in ((True, 0), (True, last), (False, last), (False, last))
+            ]
+            assert sides[0][0] == expected
         else:
-            assert sides[0][0] == [None] * 4
+            assert sides[0][0] == [(False, None)] * len(results)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=8))
@@ -539,7 +551,8 @@ class TestCrcCost:
 
 
 class TestSingleReadExchange:
-    """Counts, not timings: what a mediated CMD17 read builds and calls."""
+    """Counts, not timings: what a mediated CMD17 read or CMD24 write builds
+    and calls."""
 
     @pytest.fixture()
     def booted(self, provisioned):
@@ -547,22 +560,35 @@ class TestSingleReadExchange:
         assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
         return host, bus
 
-    def test_clean_untraced_read_builds_no_frame(self, booted, monkeypatch):
+    @staticmethod
+    def _count_frames(monkeypatch) -> list[str]:
+        """Record every frame object the bus builds and every command sent."""
         from tmiusim import bus as bus_module
 
-        host, _ = booted
         calls = []
 
         def counted(name, fn):
             return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
-        for name in ("CommandFrame", "ResponseFrame"):
+        for name in ("CommandFrame", "ResponseFrame", "DataBlock"):
             monkeypatch.setattr(bus_module, name, counted(name, getattr(bus_module, name)))
-        for name in ("command", "fetch_block"):
-            monkeypatch.setattr(SdioBus, name, counted(name, getattr(SdioBus, name)))
+        monkeypatch.setattr(SdioBus, "command", counted("command", SdioBus.command))
+        return calls
+
+    def test_clean_untraced_read_builds_no_frame(self, booted, monkeypatch):
+        host, _ = booted
+        calls = self._count_frames(monkeypatch)
         label, blob = DATA_FILES[1]
         assert host.read_file(label) == blob
         assert calls == []
+
+    def test_clean_untraced_write_builds_no_frame(self, booted, monkeypatch):
+        host, _ = booted
+        calls = self._count_frames(monkeypatch)
+        label, blob = DATA_FILES[1]
+        host.write_file(label, blob[::-1])
+        assert calls == []
+        assert host.read_file(label) == blob[::-1]
 
     @pytest.mark.parametrize("kind", ["cmd", "c2h"])
     @pytest.mark.parametrize("nth", [1, 2, 7, 14])

@@ -1,18 +1,20 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and every private
+function, method or class the package defines is referenced in it.
 
-``__init__.py`` is left out: its imports are the public API it re-exports.
+``__init__.py`` is left out of the import check: its imports are the public
+API it re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import tmiusim
 
-_MODULES = sorted(
-    path for path in Path(tmiusim.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+_PACKAGE = sorted(Path(tmiusim.__file__).parent.glob("*.py"))
+_MODULES = [path for path in _PACKAGE if path.name != "__init__.py"]
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +39,58 @@ def test_module_uses_every_name_it_imports(path):
 def test_an_unused_import_is_reported():
     source = "import os\nimport struct\nfrom .crypto import crc16, sha256\nstruct.pack\nsha256(b'')\n"
     assert _unused_imports(source) == ["crc16 (line 3)", "os (line 1)"]
+
+
+def _referenced_name(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Private (``_name``, not dunder) functions, methods and classes named
+    nowhere in ``sources`` outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references: Counter[str] = Counter()
+    defined = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            name = _referenced_name(node)
+            if name is not None:
+                references[name] += 1
+            elif (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.endswith("__")
+            ):
+                defined.append((module, node))
+    unreferenced = []
+    for module, node in defined:
+        own = sum(_referenced_name(inner) == node.name for inner in ast.walk(node))
+        if references[node.name] == own:
+            unreferenced.append(f"{module}: {node.name} (line {node.lineno})")
+    return sorted(unreferenced)
+
+
+def test_package_references_every_private_definition():
+    sources = {path.name: path.read_text() for path in _PACKAGE}
+    assert _unreferenced_private_defs(sources) == []
+
+
+def test_an_unreferenced_private_definition_is_reported():
+    sources = {
+        "a.py": (
+            "def _used():\n    pass\n\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+            "class _Gone:\n    def _helper(self):\n        pass\n\n"
+            "    def __repr__(self):\n        return ''\n"
+        ),
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert _unreferenced_private_defs(sources) == [
+        "a.py: _Gone (line 7)",
+        "a.py: _helper (line 8)",
+        "a.py: _recursive (line 4)",
+    ]

@@ -70,9 +70,10 @@ class TestPowerOn:
         assert tmiu.ledger.cycles == 0
 
     def test_custom_prom_store(self, provisioned):
-        host, tmiu, bus, card = build_system(
-            provisioned.manifest,
-            provisioned.image.clone(),
+        manifest = provisioned.manifest
+        tmiu = Tmiu(
+            manifest.anchors,
+            DeviceIdentity(manifest.dna),
             prom=PromStore(config_size=970_000, load_rate=19_400_000),
         )
         tmiu.power_on()
