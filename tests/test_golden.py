@@ -18,9 +18,9 @@ import pytest
 from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
 from tmiusim.cli import main
 from tmiusim.host import build_system
-from tmiusim.tmiu import Denial
+from tmiusim.tmiu import Denial, LockdownError
 
-from conftest import FIXTURE_DNA, FIXTURE_KDF_REPETITIONS
+from conftest import FIXTURE_DNA, FIXTURE_KDF_REPETITIONS, image_file_records
 
 IO_FILE = ("golden.bin", bytes(range(256)) * 5)
 
@@ -53,6 +53,16 @@ GOLDEN = {
     "io_c2h_transcript": "1e779466606704181c7ffbfe62f72f0b7791032b20a201ed20ede984942d77ae",
     "io_c2h_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
     "io_c2h_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
+}
+
+# Lockdown -> report text of the fixture run it ends: a foreign device, a
+# foreign card, one bit flipped in the MBR, and one bit flipped in a file
+# sector that a post-boot read_file meets.
+DENIED_GOLDEN = {
+    "DeviceMismatch": "5c378820d962d8824ad5a48eef1f5f6e5be88b8b6a7436ef2bb13019b3d14040",
+    "NvmMismatch": "c51ff0d4f360ca9f58970c58b3a2c9341bb993c0e055aefabdd7642e1dbc23c2",
+    "MbrMismatch": "09811fe64cc67f9f50506ac464a5d022323e6706f5d06d199e49ec5005c02957",
+    "SectorTagMismatch": "77591f22d13bab2eb6cd50bbd23b1ef3cabcac1387783ec11a0570487372e509",
 }
 
 # 21 header bytes + 76,723 payload bytes + 32 digest bytes = 150 sectors.
@@ -162,6 +172,46 @@ def test_golden_digest(name, digests):
 def test_untraced_faulted_run_matches_traced_pins(run, provisioned):
     digests = _faulted_run(provisioned, run, trace=False)
     assert digests == {key: GOLDEN[key] for key in digests}
+
+
+def _denied_report(provisioned, denial: Denial):
+    """The report of a fixture run that ``denial`` locks down."""
+    manifest = provisioned.manifest
+    image = provisioned.image.clone()
+    overrides = {}
+    if denial is Denial.DEVICE_MISMATCH:
+        overrides["dna"] = manifest.dna ^ 0x4
+    elif denial is Denial.NVM_MISMATCH:
+        overrides["cid"] = CardIdentity.from_seed(b"foreign-card").cid
+    else:
+        record = image_file_records(image, manifest)[0]
+        lba = 0 if denial is Denial.MBR_MISMATCH else record.lbas(manifest.layout.data_start)[0]
+        sector = bytearray(image.read_sector(lba))
+        sector[45] ^= 0x10
+        image.write_sector(lba, bytes(sector))
+    host, tmiu, _, _ = build_system(manifest, image, **overrides)
+    outcome = host.run_boot(expected_entries=manifest.entries)
+    if denial is Denial.SECTOR_TAG_MISMATCH:
+        assert outcome.ok
+        with pytest.raises(LockdownError):
+            host.read_file(record.label)
+        assert tmiu.fault_lba == lba
+    assert tmiu.reason is denial
+    return tmiu.report()
+
+
+@pytest.mark.parametrize("name", sorted(DENIED_GOLDEN))
+def test_denied_report_digest(name, provisioned):
+    assert _sha(_denied_report(provisioned, Denial(name)).to_text()) == DENIED_GOLDEN[name]
+
+
+def test_post_boot_lockdown_keeps_the_boot_timing(provisioned):
+    clean, _, _, _ = build_system(provisioned.manifest, provisioned.image.clone())
+    boot = clean.run_boot().report
+    denied = _denied_report(provisioned, Denial.SECTOR_TAG_MISMATCH)
+    # The operational reads add cycles, but not to the boot figures.
+    assert denied.cycles > boot.cycles
+    assert (denied.prom_ms, denied.boot_ms, denied.rate_mbps) == (boot.prom_ms, boot.boot_ms, boot.rate_mbps)
 
 
 @pytest.fixture(scope="module")
