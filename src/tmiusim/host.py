@@ -81,10 +81,9 @@ class _StreamBuffer(bytearray):
 
 
 class BootHost:
-    def __init__(self, tmiu: Tmiu, bus: SdioBus, card: VirtualCard):
+    def __init__(self, tmiu: Tmiu, bus: SdioBus):
         self.tmiu = tmiu
         self.bus = bus
-        self.card = card
         self.phase = HostPhase.PRE_BOOT
         self.loaded_entries: list[LoadedEntry] = []
 
@@ -99,19 +98,19 @@ class BootHost:
         """
         self.phase = HostPhase.PRE_BOOT
         self.loaded_entries = []
-        tmiu, bus, card = self.tmiu, self.bus, self.card
+        tmiu, bus = self.tmiu, self.bus
 
         tmiu.power_on()
         if tmiu.stage is Stage.LOCKDOWN:
             return self._denied()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         if tmiu.stage is Stage.LOCKDOWN:
             return self._denied()
         tmiu.generate_keys()
 
         self.phase = HostPhase.LOADING_BOOT
         stream = _StreamBuffer()
-        tmiu.verify_mbr_and_image(bus, card, sink=stream.receive)
+        tmiu.verify_mbr_and_image(bus, sink=stream.receive)
         if tmiu.stage is not Stage.OPERATIONAL or stream.corrupted:
             # Whatever was partially streamed is discarded wholesale.
             return self._denied()
@@ -133,7 +132,7 @@ class BootHost:
 
     def reboot(self, expected_entries: list[tuple[str, int, str]] | None = None) -> BootOutcome:
         """Full power cycle of card and unit, then a fresh boot."""
-        self.card.power_cycle()
+        self.bus.card.power_cycle()
         self.tmiu.reset()
         return self.run_boot(expected_entries)
 
@@ -148,10 +147,10 @@ class BootHost:
         """Run a mediated access, re-issuing it after each line-CRC failure."""
         for _ in range(RETRY_LIMIT):
             try:
-                return mediate(self.bus, self.card, *args)
+                return mediate(self.bus, *args)
             except ProtocolCrcError:
                 continue
-        return mediate(self.bus, self.card, *args)  # a persistent line failure propagates
+        return mediate(self.bus, *args)  # a persistent line failure propagates
 
     def _read_sector(self, lba: int) -> bytes:
         return self._retry(self.tmiu.mediate_read, lba)
@@ -241,5 +240,5 @@ def build_system(
     card = VirtualCard(identity, image)
     tmiu = Tmiu(manifest.anchors, device)
     bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
-    host = BootHost(tmiu, bus, card)
+    host = BootHost(tmiu, bus)
     return host, tmiu, bus, card

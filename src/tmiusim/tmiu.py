@@ -43,7 +43,6 @@ from .bus import (
     DataBlock,
     SdioBus,
     TOKEN_CRC_OK,
-    VirtualCard,
 )
 from .crypto import (
     DIGEST_SIZE,
@@ -71,10 +70,6 @@ CLOCK_HZ = 50_000_000
 # One sector crossing the wire at the card line rate.
 SECTOR_TRANSFER_CYCLES = -(-SECTOR_SIZE * CLOCK_HZ // LINE_RATE)
 SECTOR_PIPELINE_CYCLES = 52
-
-PHASE_PROM = "prom"
-PHASE_BOOT = "boot"
-PHASE_OPERATIONAL = "operational"
 
 
 class Stage(Enum):
@@ -140,32 +135,22 @@ class PromStore:
 
 
 class CycleLedger:
-    """Monotonic clock-cycle and byte accounting, split by boot phase."""
+    """Monotonic clock-cycle and byte totals. Which stage a charge fell in
+    is read from the unit's ``stage_history``, which marks both totals at
+    each stage entry."""
 
     def __init__(self):
-        self.cycles = 0
-        self.bytes_moved = 0
-        self._phases: dict[str, list[int]] = {}
+        self.reset()
 
     def reset(self) -> None:
         self.cycles = 0
         self.bytes_moved = 0
-        self._phases.clear()
 
-    def charge(self, cycles: int, nbytes: int, phase: str) -> None:
+    def charge(self, cycles: int, nbytes: int) -> None:
         if cycles < 0 or nbytes < 0:
             raise ValueError("ledger charges are non-negative")
         self.cycles += cycles
         self.bytes_moved += nbytes
-        entry = self._phases.setdefault(phase, [0, 0])
-        entry[0] += cycles
-        entry[1] += nbytes
-
-    def phase_cycles(self, phase: str) -> int:
-        return self._phases.get(phase, [0, 0])[0]
-
-    def phase_bytes(self, phase: str) -> int:
-        return self._phases.get(phase, [0, 0])[1]
 
     def to_ms(self, cycles: int) -> float:
         return cycles * 1000.0 / CLOCK_HZ
@@ -228,7 +213,8 @@ class Tmiu:
         self._keys: tuple[SectorCipher, SectorMac] | None = None
         self._cid: bytes | None = None
         self._layout: ImageLayout | None = None
-        self.stage_history: list[tuple[Stage, int]] = [(Stage.PROM_LOAD, 0)]
+        # (stage, ledger cycles, ledger bytes) as each stage is entered.
+        self.stage_history: list[tuple[Stage, int, int]] = [(Stage.PROM_LOAD, 0, 0)]
 
     @property
     def has_keys(self) -> bool:
@@ -245,22 +231,20 @@ class Tmiu:
 
     def _enter(self, stage: Stage) -> Stage:
         self.stage = stage
-        self.stage_history.append((stage, self.ledger.cycles))
+        self.stage_history.append((stage, self.ledger.cycles, self.ledger.bytes_moved))
         return stage
 
-    def _lockdown(
-        self, reason: Denial, card: VirtualCard | None = None, lba: int | None = None
-    ) -> Stage:
+    def _lockdown(self, reason: Denial, bus: SdioBus | None = None, lba: int | None = None) -> Stage:
         self._keys = None
         self.reason = reason
         self.fault_lba = lba
-        if card is not None:
-            card.suspend_io()
+        if bus is not None:
+            bus.card.suspend_io()
         return self._enter(Stage.LOCKDOWN)
 
-    def _fail(self, reason: Denial, card: VirtualCard) -> NoReturn:
+    def _fail(self, reason: Denial, bus: SdioBus) -> NoReturn:
         """Lock down and abort the mediated operation in progress."""
-        self._lockdown(reason, card)
+        self._lockdown(reason, bus)
         raise LockdownError(reason)
 
     def _require(self, stage: Stage) -> None:
@@ -277,7 +261,7 @@ class Tmiu:
         """Stage 1: PROM load plus device authentication."""
         self._require(Stage.PROM_LOAD)
         prom_cycles = -(-self.prom.config_size * CLOCK_HZ // self.prom.load_rate)
-        self.ledger.charge(prom_cycles, self.prom.config_size, PHASE_PROM)
+        self.ledger.charge(prom_cycles, self.prom.config_size)
         self._enter(Stage.DEVICE_AUTH)
         failure = authenticate_device(self.anchors, self._device)
         if failure is not None:
@@ -285,25 +269,25 @@ class Tmiu:
         self.leds[0] = True
         return self._enter(Stage.MEMORY_AUTH)
 
-    def authenticate_memory(self, bus: SdioBus, card: VirtualCard) -> Stage:
+    def authenticate_memory(self, bus: SdioBus) -> Stage:
         """Stage 2: read the card identity off the wire and authenticate it."""
         self._require(Stage.MEMORY_AUTH)
         bus.command(CMD_GO_IDLE, 0)  # CMD0 carries no response
         resp = bus.request(CMD_ALL_SEND_CID)
         if resp is None or resp.register is None:
-            return self._lockdown(Denial.BUS_ERROR, card)
+            return self._lockdown(Denial.BUS_ERROR, bus)
         cid = resp.register
         csd_resp = bus.request(CMD_SEND_CSD)
         if csd_resp is None or csd_resp.register is None:
-            return self._lockdown(Denial.BUS_ERROR, card)
+            return self._lockdown(Denial.BUS_ERROR, bus)
         presented = CardIdentity(cid=cid, csd=csd_resp.register)
         failure = authenticate_nvm(self.anchors, presented)
         if failure is not None:
-            return self._lockdown(_AUTH_TO_DENIAL[failure], card)
+            return self._lockdown(_AUTH_TO_DENIAL[failure], bus)
         for index, argument in ((CMD_SELECT, 0), (CMD_SET_BLOCKLEN, SECTOR_SIZE)):
             resp = bus.request(index, argument)
             if resp is None or resp.status != 0:
-                return self._lockdown(Denial.BUS_ERROR, card)
+                return self._lockdown(Denial.BUS_ERROR, bus)
         self._cid = cid
         self.leds[1] = True
         return self._enter(Stage.KEYGEN_IMAGE_AUTH)
@@ -319,7 +303,7 @@ class Tmiu:
         self._keys = (SectorCipher(aes_key), SectorMac(mac_key))
         return self.stage
 
-    def verify_mbr_and_image(self, bus: SdioBus, card: VirtualCard, sink=None) -> Stage:
+    def verify_mbr_and_image(self, bus: SdioBus, sink=None) -> Stage:
         """Stage 3b: authenticate the encrypted MBR, then stream-verify the
         boot image, forwarding decrypted plaintext to ``sink`` as it passes,
         as ``bytes``: one call per sector, or per run of up to
@@ -335,32 +319,32 @@ class Tmiu:
             raise StateError("keys not generated")
         cipher, mac = self._keys
 
-        mbr_sector, crc_ok = self._read_single(bus, 0, PHASE_BOOT)
+        mbr_sector, crc_ok = self._read_single(bus, 0)
         if not crc_ok:
-            return self._lockdown(Denial.BUS_ERROR, card)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_BOOT)
+            return self._lockdown(Denial.BUS_ERROR, bus)
+        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
         if sector_tag(mac, 0, mbr_sector) != self.anchors.mbr_digest:
-            return self._lockdown(Denial.MBR_MISMATCH, card)
+            return self._lockdown(Denial.MBR_MISMATCH, bus)
         try:
-            mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_sector), card.geometry)
+            mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_sector), bus.card.geometry)
             boot = mbr.boot_partition()
             data = mbr.data_partition()
             if boot is None or data is None:
                 raise MbrError("missing boot or data partition")
             layout = ImageLayout(
-                total_sectors=card.geometry,
+                total_sectors=bus.card.geometry,
                 boot_start=boot.lba_start,
                 boot_sectors=boot.sector_count,
                 data_start=data.lba_start,
                 data_sectors=data.sector_count,
             )
         except (MbrError, ValueError):
-            return self._lockdown(Denial.MBR_MISMATCH, card)
+            return self._lockdown(Denial.MBR_MISMATCH, bus)
         self._layout = layout
         self.leds[2] = True
-        return self._stream_boot_image(bus, card, layout, sink)
+        return self._stream_boot_image(bus, layout, sink)
 
-    def _stream_boot_image(self, bus: SdioBus, card: VirtualCard, layout, sink) -> Stage:
+    def _stream_boot_image(self, bus: SdioBus, layout, sink) -> Stage:
         cipher, _ = self._keys
         sink = sink or (lambda item: None)
         hasher = hashlib.sha256()
@@ -375,10 +359,10 @@ class Tmiu:
             if final_payload:
                 mutated = final_payload[:-1] + bytes([final_payload[-1] ^ 0xFF])
                 sink(DataBlock(payload=mutated, crc=crc16(final_payload)))
-            return self._lockdown(reason, card)
+            return self._lockdown(reason, bus)
 
         if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
-            return self._lockdown(Denial.BUS_ERROR, card)
+            return self._lockdown(Denial.BUS_ERROR, bus)
         while end is None or lba < end:
             # The first sector comes alone: it tells the container length.
             limit = 1 if end is None else min(RUN_SECTORS, end - lba)
@@ -388,14 +372,14 @@ class Tmiu:
                 return reject(Denial.BUS_ERROR, held)
             run, crc_ok = fetched
             count = len(run) // SECTOR_SIZE
-            self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run), PHASE_BOOT)
+            self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run))
             if not crc_ok:
                 retries += 1
                 bus.command(CMD_STOP_TRANSMISSION, 0)
                 if retries > RETRY_LIMIT:
                     return reject(Denial.BUS_ERROR, held)
                 if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
-                    return self._lockdown(Denial.BUS_ERROR, card)
+                    return self._lockdown(Denial.BUS_ERROR, bus)
                 continue
             retries = 0
             plaintext = cipher.crypt(lba, run)
@@ -412,7 +396,7 @@ class Tmiu:
             held = plaintext[-SECTOR_SIZE:]
             lba += count
         bus.command(CMD_STOP_TRANSMISSION, 0)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_BOOT)
+        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
 
         hasher.update(held[:-DIGEST_SIZE])
         if hasher.digest() != held[-DIGEST_SIZE:]:
@@ -423,7 +407,7 @@ class Tmiu:
 
     # -- operational data path ----------------------------------------------
 
-    def mediate_read(self, bus: SdioBus, card: VirtualCard, lba: int) -> bytes:
+    def mediate_read(self, bus: SdioBus, lba: int) -> bytes:
         """Verified, decrypted read of one data-partition sector.
 
         A block failing the line CRC is forwarded as-is (the processor's CRC
@@ -435,31 +419,31 @@ class Tmiu:
 
         # The data leg is not retried here: a line-CRC failure goes to the
         # processor, whose own retry re-issues the whole read.
-        ciphertext, crc_ok = self._read_single(bus, lba, PHASE_OPERATIONAL, retries=0)
+        ciphertext, crc_ok = self._read_single(bus, lba, retries=0)
         if ciphertext is None:
-            self._fail(Denial.BUS_ERROR, card)
+            self._fail(Denial.BUS_ERROR, bus)
         if not crc_ok:
             # Forwarded unencrypted so the processor sees the CRC error.
             raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
-        _, offset, tags = self._read_tag_sector(bus, card, lba)
+        _, offset, tags = self._read_tag_sector(bus, lba)
         if sector_tag(mac, lba, ciphertext) != tags[offset : offset + DIGEST_SIZE]:
-            self._lockdown(Denial.SECTOR_TAG_MISMATCH, card, lba=lba)
+            self._lockdown(Denial.SECTOR_TAG_MISMATCH, bus, lba=lba)
             raise ProtocolCrcError(f"sector {lba} failed verification; stream poisoned")
         plaintext = decrypt_sector(cipher, lba, ciphertext)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
+        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
         return plaintext
 
-    def mediate_write(self, bus: SdioBus, card: VirtualCard, lba: int, plaintext: bytes) -> None:
+    def mediate_write(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
         """Encrypt-and-tag write of one data-partition sector."""
         cipher, mac = self._mediated_keys(lba, "write to")
         if len(plaintext) != SECTOR_SIZE:
             raise ValueError("sector payload must be 512 bytes")
 
         ciphertext = encrypt_sector(cipher, lba, plaintext)
-        self._write_single(bus, card, lba, ciphertext)
-        meta_lba, offset, tags = self._read_tag_sector(bus, card, lba)
+        self._write_single(bus, lba, ciphertext)
+        meta_lba, offset, tags = self._read_tag_sector(bus, lba)
         tags = tags[:offset] + sector_tag(mac, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
-        self._write_single(bus, card, meta_lba, encrypt_sector(cipher, meta_lba, tags))
+        self._write_single(bus, meta_lba, encrypt_sector(cipher, meta_lba, tags))
 
     def _mediated_keys(self, lba: int, access: str) -> tuple[SectorCipher, SectorMac]:
         """The keys, once stage and partition policy allow the access."""
@@ -468,23 +452,35 @@ class Tmiu:
             raise PolicyViolation(f"{access} LBA {lba} outside the data partition")
         return self._keys
 
-    def _read_tag_sector(self, bus: SdioBus, card: VirtualCard, lba: int) -> tuple[int, int, bytes]:
+    def _read_tag_sector(self, bus: SdioBus, lba: int) -> tuple[int, int, bytes]:
         """(integrity-region LBA, tag offset, decrypted tag sector) for a data LBA."""
         meta_lba, offset = self._layout.tag_location(lba)
-        sector, crc_ok = self._read_single(bus, meta_lba, PHASE_OPERATIONAL)
+        sector, crc_ok = self._read_single(bus, meta_lba)
         if not crc_ok:
-            self._fail(Denial.BUS_ERROR, card)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
+            self._fail(Denial.BUS_ERROR, bus)
+        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
         cipher, _ = self._keys
         return meta_lba, offset, decrypt_sector(cipher, meta_lba, sector)
 
     # -- reporting ----------------------------------------------------------
 
-    def report(self) -> BootReport:
-        """Stage, lockdown diagnostics, LED vector, and timing totals."""
+    def _charged_at(self, stage: Stage) -> tuple[int, int]:
+        """(cycles, bytes) charged while the unit was at ``stage``, which it
+        enters at most once per power cycle."""
         ledger = self.ledger
-        boot_cycles = ledger.phase_cycles(PHASE_BOOT)
-        boot_bytes = ledger.phase_bytes(PHASE_BOOT)
+        marks = self.stage_history + [(None, ledger.cycles, ledger.bytes_moved)]
+        for (entered, cycles, nbytes), (_, until_cycles, until_bytes) in zip(marks, marks[1:]):
+            if entered is stage:
+                return until_cycles - cycles, until_bytes - nbytes
+        return 0, 0
+
+    def report(self) -> BootReport:
+        """Stage, lockdown diagnostics, LED vector, and timing totals: PROM
+        load time is what stage 1 charged at ``PromLoad``, boot time and rate
+        what stage 3 charged at ``KeyGenImageAuth``."""
+        ledger = self.ledger
+        prom_cycles, _ = self._charged_at(Stage.PROM_LOAD)
+        boot_cycles, boot_bytes = self._charged_at(Stage.KEYGEN_IMAGE_AUTH)
         rate = 0.0
         if boot_cycles:
             rate = boot_bytes / (boot_cycles / CLOCK_HZ) / 1e6
@@ -494,7 +490,7 @@ class Tmiu:
             leds=tuple(self.leds),
             cycles=ledger.cycles,
             bytes_moved=ledger.bytes_moved,
-            prom_ms=ledger.to_ms(ledger.phase_cycles(PHASE_PROM)),
+            prom_ms=ledger.to_ms(prom_cycles),
             boot_ms=ledger.to_ms(boot_cycles),
             total_ms=ledger.to_ms(ledger.cycles),
             rate_mbps=rate,
@@ -503,9 +499,7 @@ class Tmiu:
 
     # -- bus helpers ----------------------------------------------------------
 
-    def _read_single(
-        self, bus: SdioBus, lba: int, phase: str, retries: int = RETRY_LIMIT
-    ) -> tuple[bytes | None, bool]:
+    def _read_single(self, bus: SdioBus, lba: int, retries: int = RETRY_LIMIT) -> tuple[bytes | None, bool]:
         """CMD17 read, repeated up to ``retries`` times while the line CRC
         fails: (last sector, whether its CRC holds); (None, False) when the
         bus gives up."""
@@ -514,21 +508,21 @@ class Tmiu:
             fetched = bus.fetch_block() if bus.start_transfer(CMD_READ_SINGLE, lba) else None
             if fetched is None:
                 return None, False
-            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, phase)
+            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
             payload, crc_ok = fetched
             if crc_ok:
                 return payload, True
         return payload, False
 
-    def _write_single(self, bus: SdioBus, card: VirtualCard, lba: int, ciphertext: bytes) -> None:
+    def _write_single(self, bus: SdioBus, lba: int, ciphertext: bytes) -> None:
         """CMD24 write with line-CRC retries, then the pipeline drain; locks
         the unit down when the bus gives up."""
         for _ in range(RETRY_LIMIT + 1):
             token = bus.push_block(ciphertext) if bus.start_transfer(CMD_WRITE_SINGLE, lba) else None
             if token is None:
                 break
-            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, PHASE_OPERATIONAL)
+            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
             if token == TOKEN_CRC_OK:
-                self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0, PHASE_OPERATIONAL)
+                self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
                 return
-        self._fail(Denial.BUS_ERROR, card)
+        self._fail(Denial.BUS_ERROR, bus)

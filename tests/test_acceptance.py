@@ -131,10 +131,10 @@ def test_criterion_2_stage_fidelity(provisioned):
     led_snapshots = [list(tmiu.leds)]
     tmiu.power_on()
     led_snapshots.append(list(tmiu.leds))
-    tmiu.authenticate_memory(bus, card)
+    tmiu.authenticate_memory(bus)
     led_snapshots.append(list(tmiu.leds))
     tmiu.generate_keys()
-    tmiu.verify_mbr_and_image(bus, card)
+    tmiu.verify_mbr_and_image(bus)
     led_snapshots.append(list(tmiu.leds))
 
     # Golden transcript shape: the command sequence on the wire is fixed for
@@ -147,7 +147,7 @@ def test_criterion_2_stage_fidelity(provisioned):
     ]
     assert commands == [0, 2, 9, 7, 16, 17, 18, 12]
 
-    stages = [stage for stage, _ in tmiu.stage_history]
+    stages = [stage for stage, _, _ in tmiu.stage_history]
     assert stages == [
         Stage.PROM_LOAD,
         Stage.DEVICE_AUTH,
@@ -155,7 +155,7 @@ def test_criterion_2_stage_fidelity(provisioned):
         Stage.KEYGEN_IMAGE_AUTH,
         Stage.OPERATIONAL,
     ]
-    marks = [at for _, at in tmiu.stage_history]
+    marks = [at for _, at, _ in tmiu.stage_history]
     assert marks == sorted(marks)
     for earlier, later in zip(led_snapshots, led_snapshots[1:]):
         for was, still in zip(earlier, later):
@@ -168,19 +168,17 @@ def test_criterion_2_stage_fidelity(provisioned):
         provisioned.manifest, provisioned.image.clone(), cid=foreign.cid
     )
     tmiu.power_on()
-    tmiu.authenticate_memory(bus, card)
+    tmiu.authenticate_memory(bus)
     assert tmiu.stage is Stage.LOCKDOWN
     locked_reason = tmiu.reason
     rng = random.Random(0x10CD)
     operations = [
         lambda: tmiu.power_on(),
-        lambda: tmiu.authenticate_memory(bus, card),
+        lambda: tmiu.authenticate_memory(bus),
         lambda: tmiu.generate_keys(),
-        lambda: tmiu.verify_mbr_and_image(bus, card),
-        lambda: tmiu.mediate_read(bus, card, rng.randrange(provisioned.layout.total_sectors)),
-        lambda: tmiu.mediate_write(
-            bus, card, rng.randrange(provisioned.layout.total_sectors), bytes(512)
-        ),
+        lambda: tmiu.verify_mbr_and_image(bus),
+        lambda: tmiu.mediate_read(bus, rng.randrange(provisioned.layout.total_sectors)),
+        lambda: tmiu.mediate_write(bus, rng.randrange(provisioned.layout.total_sectors), bytes(512)),
         lambda: tmiu.report(),
     ]
     for _ in range(1000):
@@ -293,12 +291,12 @@ def test_criterion_5_datapath_oracle_equivalence():
     mac_key = kdf_mac_oracle(counter, secret, manifest.cid, repetitions)
     assert (aes_key, mac_key) == manifest_keys(manifest)
 
-    host, tmiu, bus, card = build_system(manifest, result.image)
+    host, tmiu, bus, _ = build_system(manifest, result.image)
     assert host.run_boot(expected_entries=manifest.entries).ok
 
     for lba in range(layout.data_start, layout.data_start + layout.data_sectors):
         direct = ctr_sector_oracle(aes_key, lba, result.image.read_sector(lba))
-        assert tmiu.mediate_read(bus, card, lba) == direct
+        assert tmiu.mediate_read(bus, lba) == direct
 
     # The boot image the host received equals a direct decryption of the
     # boot partition with the oracle keys.

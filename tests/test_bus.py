@@ -34,15 +34,7 @@ from tmiusim.crypto import RUN_SECTORS, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import CapacityError
-from tmiusim.tmiu import (
-    PHASE_BOOT,
-    PHASE_OPERATIONAL,
-    PHASE_PROM,
-    LockdownError,
-    ProtocolCrcError,
-    Stage,
-    TmiuError,
-)
+from tmiusim.tmiu import LockdownError, ProtocolCrcError, Stage, TmiuError
 
 from conftest import DATA_FILES, make_provision, provision_container
 
@@ -668,7 +660,7 @@ def _stream_boot(result, flip, fault, trace):
         bus.inject_fault(*fault)
     forwarded, blocks = bytearray(), []
     tmiu.power_on()
-    if tmiu.authenticate_memory(bus, card) is Stage.KEYGEN_IMAGE_AUTH:
+    if tmiu.authenticate_memory(bus) is Stage.KEYGEN_IMAGE_AUTH:
         tmiu.generate_keys()
 
         def sink(item):
@@ -677,7 +669,7 @@ def _stream_boot(result, flip, fault, trace):
                 item = item.payload
             forwarded.extend(item)
 
-        tmiu.verify_mbr_and_image(bus, card, sink=sink)
+        tmiu.verify_mbr_and_image(bus, sink=sink)
     return tmiu.report().to_text(), bytes(forwarded), blocks, not bus.faults_pending, card.backing.to_bytes()
 
 
@@ -703,7 +695,7 @@ class TestRunPathEquivalence:
 
 def _mediated_ops(provisioned, ops, trace):
     """Fixture boot, then ``ops`` through the host and the unit: (each op's
-    bytes or exception class, ledger totals and per-phase figures, card
+    bytes or exception class, ledger totals, the unit's stage record, card
     image, the unit's stage, reason and fault LBA)."""
     manifest = provisioned.manifest
     host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
@@ -720,7 +712,7 @@ def _mediated_ops(provisioned, ops, trace):
                 outcomes.append(None)
             elif op == "outside":
                 lba = data_start - 1 if arg else data_start + data_sectors
-                outcomes.append(tmiu.mediate_read(bus, card, lba))
+                outcomes.append(tmiu.mediate_read(bus, lba))
             elif op == "tamper":
                 lba = data_start + arg % min(data_sectors, 12)  # the table or a file
                 sector = bytearray(card.backing.read_sector(lba))
@@ -733,9 +725,8 @@ def _mediated_ops(provisioned, ops, trace):
         except (TmiuError, FileNotFoundError, CapacityError) as exc:
             outcomes.append(type(exc).__name__)
     ledger = tmiu.ledger
-    phases = [(ledger.phase_cycles(p), ledger.phase_bytes(p)) for p in (PHASE_PROM, PHASE_BOOT, PHASE_OPERATIONAL)]
     unit = (tmiu.stage, tmiu.reason, tmiu.fault_lba)
-    return outcomes, (ledger.cycles, ledger.bytes_moved, phases), card.backing.to_bytes(), unit
+    return outcomes, (ledger.cycles, ledger.bytes_moved, tmiu.stage_history), card.backing.to_bytes(), unit
 
 
 _LABELS = [label for label, _ in DATA_FILES] + ["new.bin", "missing.bin"]

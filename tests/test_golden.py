@@ -237,13 +237,13 @@ def _run_span_boot(run_span, boot: str, trace: bool) -> dict[str, str]:
         sector = bytearray(image.read_sector(lba))
         sector[100] ^= 0x08
         image.write_sector(lba, bytes(sector))
-    _, tmiu, bus, card = build_system(run_span.manifest, image, trace=trace)
+    _, tmiu, bus, _ = build_system(run_span.manifest, image, trace=trace)
     tmiu.power_on()
-    tmiu.authenticate_memory(bus, card)
+    tmiu.authenticate_memory(bus)
     tmiu.generate_keys()
     forwarded = []
     # A forwarded item is a data block or the verified bytes themselves.
-    tmiu.verify_mbr_and_image(bus, card, sink=lambda item: forwarded.append(getattr(item, "payload", item)))
+    tmiu.verify_mbr_and_image(bus, sink=lambda item: forwarded.append(getattr(item, "payload", item)))
     assert tmiu.reason is (None if index is None else Denial.IMAGE_DIGEST_MISMATCH)
     out = {
         f"{boot}_report": _sha(tmiu.report().to_text()),

@@ -38,9 +38,10 @@ class TestRunBoot:
         assert outcome.outcome_class == "NvmMismatch"
         assert host.phase is HostPhase.HALTED
         assert host.loaded_entries == []
-        # Denied before streaming: nothing from the boot partition moved,
-        # and the transcript carries no data frames at all.
-        assert tmiu.ledger.phase_bytes("boot") == 0
+        # Denied before streaming: the unit never reached stage 3, and the
+        # transcript carries no data frames at all.
+        assert Stage.KEYGEN_IMAGE_AUTH not in [stage for stage, _, _ in tmiu.stage_history]
+        assert outcome.report.boot_ms == 0
         assert not any("KIND=DAT" in line for line in bus.transcript)
 
     def test_tampered_boot_image_denies_and_discards_partial_stream(self, provisioned):
@@ -163,18 +164,18 @@ class TestThreatModelEdges:
         lba = layout.data_start + layout.data_sectors - 1
         meta_lba, _ = layout.tag_location(lba)
         snapshot = card.backing.clone()
-        old = tmiu.mediate_read(bus, card, lba)
+        old = tmiu.mediate_read(bus, lba)
         new = bytes(range(256)) * 2
         assert new != old
-        tmiu.mediate_write(bus, card, lba, new)
+        tmiu.mediate_write(bus, lba, new)
         assert host.reboot(expected_entries=provisioned.manifest.entries).ok
-        assert tmiu.mediate_read(bus, card, lba) == new
+        assert tmiu.mediate_read(bus, lba) == new
 
         for restored in (lba, meta_lba):
             card.backing.write_sector(restored, snapshot.read_sector(restored))
         outcome = host.reboot(expected_entries=provisioned.manifest.entries)
         assert outcome.outcome_class == "OsRunning"
-        assert tmiu.mediate_read(bus, card, lba) == old
+        assert tmiu.mediate_read(bus, lba) == old
         assert tmiu.reason is None
 
     def test_container_forged_from_known_plaintext_without_the_key(self, provisioned):

@@ -36,9 +36,9 @@ def _system(provisioned, image=None, dna=None, cid=None, trace=False):
 def _boot_to_operational(provisioned, image=None):
     host, tmiu, bus, card = _system(provisioned, image=image)
     tmiu.power_on()
-    tmiu.authenticate_memory(bus, card)
+    tmiu.authenticate_memory(bus)
     tmiu.generate_keys()
-    tmiu.verify_mbr_and_image(bus, card)
+    tmiu.verify_mbr_and_image(bus)
     assert tmiu.stage is Stage.OPERATIONAL
     return host, tmiu, bus, card
 
@@ -59,9 +59,9 @@ class TestPowerOn:
         assert tmiu.leds == [False, False, False, False]
 
     def test_reset_returns_to_prom_load_and_erases_keys(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
         assert tmiu.has_keys
         tmiu.reset()
@@ -82,32 +82,32 @@ class TestPowerOn:
 
 class TestMemoryAuth:
     def test_provisioned_card_advances(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         tmiu.power_on()
-        assert tmiu.authenticate_memory(bus, card) is Stage.KEYGEN_IMAGE_AUTH
+        assert tmiu.authenticate_memory(bus) is Stage.KEYGEN_IMAGE_AUTH
         assert tmiu.leds[1]
 
     def test_foreign_card_locks_down_and_suspends(self, provisioned):
         foreign = CardIdentity.from_seed(b"not-the-right-card")
         _, tmiu, bus, card = _system(provisioned, cid=foreign.cid)
         tmiu.power_on()
-        assert tmiu.authenticate_memory(bus, card) is Stage.LOCKDOWN
+        assert tmiu.authenticate_memory(bus) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.NVM_MISMATCH
         assert card.io_suspended
 
     def test_malformed_cid_is_distinct(self, provisioned):
         cid = bytearray(provisioned.manifest.cid)
         cid[15] ^= 0x02  # break the embedded CRC7 field
-        _, tmiu, bus, card = _system(provisioned, cid=bytes(cid))
+        _, tmiu, bus, _ = _system(provisioned, cid=bytes(cid))
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         assert tmiu.reason is Denial.MALFORMED_CID
 
     def test_silent_card_exhausts_retries(self, provisioned):
         _, tmiu, bus, card = _system(provisioned)
         card.suspend_io()  # model a dead card: nothing ever answers
         tmiu.power_on()
-        assert tmiu.authenticate_memory(bus, card) is Stage.LOCKDOWN
+        assert tmiu.authenticate_memory(bus) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.BUS_ERROR
 
     def test_csd_binding_enforced_over_the_wire(self):
@@ -116,9 +116,9 @@ class TestMemoryAuth:
         assert host.run_boot(expected_entries=result.manifest.entries).ok
 
         twin_csd = bytes(reversed(result.manifest.csd))
-        _, tmiu, bus, card = build_system(result.manifest, result.image.clone(), csd=twin_csd)
+        _, tmiu, bus, _ = build_system(result.manifest, result.image.clone(), csd=twin_csd)
         tmiu.power_on()
-        assert tmiu.authenticate_memory(bus, card) is Stage.LOCKDOWN
+        assert tmiu.authenticate_memory(bus) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.NVM_MISMATCH
 
 
@@ -138,9 +138,9 @@ def _held_ciphers(tmiu):
 
 class TestCipherLifetime:
     def test_key_generation_installs_one_cipher(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         assert _held_ciphers(tmiu) == []
         tmiu.generate_keys()
         assert len(_held_ciphers(tmiu)) == 1
@@ -151,10 +151,10 @@ class TestCipherLifetime:
         sector = bytearray(image.read_sector(lba))
         sector[7] ^= 0x01
         image.write_sector(lba, bytes(sector))
-        _, tmiu, bus, card = _boot_to_operational(provisioned, image=image)
+        _, tmiu, bus, _ = _boot_to_operational(provisioned, image=image)
         assert len(_held_ciphers(tmiu)) == 1
         with pytest.raises(ProtocolCrcError):
-            tmiu.mediate_read(bus, card, lba)
+            tmiu.mediate_read(bus, lba)
         assert tmiu.stage is Stage.LOCKDOWN
         assert _held_ciphers(tmiu) == []
         assert not tmiu.has_keys
@@ -167,9 +167,9 @@ class TestCipherLifetime:
         assert not tmiu.has_keys
 
     def test_key_generation_installs_one_mac(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         assert _held(tmiu, SectorMac) == []
         tmiu.generate_keys()
         assert len(_held(tmiu, SectorMac)) == 1
@@ -180,10 +180,10 @@ class TestCipherLifetime:
         sector = bytearray(image.read_sector(lba))
         sector[7] ^= 0x01
         image.write_sector(lba, bytes(sector))
-        _, tmiu, bus, card = _boot_to_operational(provisioned, image=image)
+        _, tmiu, bus, _ = _boot_to_operational(provisioned, image=image)
         assert len(_held(tmiu, SectorMac)) == 1
         with pytest.raises(ProtocolCrcError):
-            tmiu.mediate_read(bus, card, lba)
+            tmiu.mediate_read(bus, lba)
         assert tmiu.stage is Stage.LOCKDOWN
         assert _held(tmiu, SectorMac) == []
 
@@ -197,25 +197,25 @@ class TestKeyGeneration:
     def test_keys_match_provisioning_keys(self, provisioned):
         # Behavioural equality: sectors decrypted by the unit equal sectors
         # decrypted offline with manifest-derived keys.
-        host, tmiu, bus, card = _boot_to_operational(provisioned)
+        host, tmiu, bus, _ = _boot_to_operational(provisioned)
         aes_key, _ = manifest_keys(provisioned.manifest)
         cipher = SectorCipher(aes_key)
         lba = provisioned.layout.data_start
-        via_unit = tmiu.mediate_read(bus, card, lba)
+        via_unit = tmiu.mediate_read(bus, lba)
         direct = decrypt_sector(cipher, lba, provisioned.image.read_sector(lba))
         assert via_unit == direct
 
     def test_requires_received_cid(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         tmiu.power_on()
         with pytest.raises(StateError):
             tmiu.generate_keys()
 
     def test_deterministic_across_boots(self, provisioned):
-        _, tmiu1, bus1, card1 = _boot_to_operational(provisioned)
-        _, tmiu2, bus2, card2 = _boot_to_operational(provisioned)
+        _, tmiu1, bus1, _ = _boot_to_operational(provisioned)
+        _, tmiu2, bus2, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start + 1
-        assert tmiu1.mediate_read(bus1, card1, lba) == tmiu2.mediate_read(bus2, card2, lba)
+        assert tmiu1.mediate_read(bus1, lba) == tmiu2.mediate_read(bus2, lba)
 
 
 class TestVerifyMbrAndImage:
@@ -233,9 +233,9 @@ class TestVerifyMbrAndImage:
 
         _, tmiu, bus, card = _system(provisioned, image=image)
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
-        assert tmiu.verify_mbr_and_image(bus, card) is Stage.LOCKDOWN
+        assert tmiu.verify_mbr_and_image(bus) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.IMAGE_DIGEST_MISMATCH
         assert card.io_suspended
         assert not tmiu.has_keys
@@ -245,11 +245,11 @@ class TestVerifyMbrAndImage:
         sector = bytearray(image.read_sector(0))
         sector[446 + 8] ^= 0xFF  # partition entry LBA field, still ciphertext
         image.write_sector(0, bytes(sector))
-        _, tmiu, bus, card = _system(provisioned, image=image)
+        _, tmiu, bus, _ = _system(provisioned, image=image)
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
-        assert tmiu.verify_mbr_and_image(bus, card) is Stage.LOCKDOWN
+        assert tmiu.verify_mbr_and_image(bus) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.MBR_MISMATCH
 
     def test_corrupt_final_block_signals_processor(self, provisioned):
@@ -267,12 +267,12 @@ class TestVerifyMbrAndImage:
 
         # Untraced, the unit forwards runs; traced, one sector per frame.
         for trace in (False, True):
-            _, tmiu, bus, card = _system(provisioned, image=image.clone(), trace=trace)
+            _, tmiu, bus, _ = _system(provisioned, image=image.clone(), trace=trace)
             tmiu.power_on()
-            tmiu.authenticate_memory(bus, card)
+            tmiu.authenticate_memory(bus)
             tmiu.generate_keys()
             received = []
-            tmiu.verify_mbr_and_image(bus, card, sink=received.append)
+            tmiu.verify_mbr_and_image(bus, sink=received.append)
             assert len(received) >= 2, "stream should have been forwarded before the verdict"
             *verified, pill = received
             assert all(type(item) is bytes for item in verified)  # verified plaintext passes
@@ -285,13 +285,13 @@ class TestVerifyMbrAndImage:
 
 class TestMediatedDataPath:
     def test_read_returns_provisioned_plaintext(self, provisioned):
-        host, tmiu, bus, card = _boot_to_operational(provisioned)
+        host, tmiu, bus, _ = _boot_to_operational(provisioned)
         aes_key, _ = manifest_keys(provisioned.manifest)
         cipher = SectorCipher(aes_key)
         layout = provisioned.layout
         for lba in range(layout.data_start, layout.data_start + 8):
             expected = decrypt_sector(cipher, lba, provisioned.image.read_sector(lba))
-            assert tmiu.mediate_read(bus, card, lba) == expected
+            assert tmiu.mediate_read(bus, lba) == expected
 
     def test_tampered_backing_store_poisons_then_locks(self, provisioned):
         image = provisioned.image.clone()
@@ -301,21 +301,21 @@ class TestMediatedDataPath:
         image.write_sector(lba, bytes(sector))
         _, tmiu, bus, card = _boot_to_operational(provisioned, image=image)
         with pytest.raises(ProtocolCrcError):
-            tmiu.mediate_read(bus, card, lba)
+            tmiu.mediate_read(bus, lba)
         assert tmiu.stage is Stage.LOCKDOWN
         assert tmiu.reason is Denial.SECTOR_TAG_MISMATCH
         assert tmiu.fault_lba == lba
         assert card.io_suspended
         with pytest.raises(LockdownError):
-            tmiu.mediate_read(bus, card, lba)
+            tmiu.mediate_read(bus, lba)
 
     def test_write_then_read_round_trip_and_tag_update(self, provisioned):
         _, tmiu, bus, card = _boot_to_operational(provisioned)
         layout = provisioned.layout
         lba = layout.data_start + layout.data_sectors - 1
         payload = bytes((i * 31) % 256 for i in range(512))
-        tmiu.mediate_write(bus, card, lba, payload)
-        assert tmiu.mediate_read(bus, card, lba) == payload
+        tmiu.mediate_write(bus, lba, payload)
+        assert tmiu.mediate_read(bus, lba) == payload
 
         aes_key, mac_key = manifest_keys(provisioned.manifest)
         cipher, mac_key = SectorCipher(aes_key), SectorMac(mac_key)
@@ -326,32 +326,32 @@ class TestMediatedDataPath:
         assert meta_plain[offset : offset + 32] == sector_tag(mac_key, lba, stored)
 
     def test_write_policy_protects_other_regions(self, provisioned):
-        _, tmiu, bus, card = _boot_to_operational(provisioned)
+        _, tmiu, bus, _ = _boot_to_operational(provisioned)
         with pytest.raises(PolicyViolation):
-            tmiu.mediate_write(bus, card, 0, bytes(512))
+            tmiu.mediate_write(bus, 0, bytes(512))
         with pytest.raises(PolicyViolation):
-            tmiu.mediate_write(bus, card, provisioned.layout.boot_start, bytes(512))
+            tmiu.mediate_write(bus, provisioned.layout.boot_start, bytes(512))
         with pytest.raises(PolicyViolation):
-            tmiu.mediate_read(bus, card, provisioned.layout.meta_start)
+            tmiu.mediate_read(bus, provisioned.layout.meta_start)
 
     def test_wire_fault_on_read_is_retryable(self, provisioned):
-        _, tmiu, bus, card = _boot_to_operational(provisioned)
+        _, tmiu, bus, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start
         bus.inject_fault("c2h", nth=1, byte_offset=10, bit=0)
         with pytest.raises(ProtocolCrcError):
-            tmiu.mediate_read(bus, card, lba)
+            tmiu.mediate_read(bus, lba)
         assert tmiu.stage is Stage.OPERATIONAL
         aes_key, _ = manifest_keys(provisioned.manifest)
         cipher = SectorCipher(aes_key)
-        assert tmiu.mediate_read(bus, card, lba) == decrypt_sector(
+        assert tmiu.mediate_read(bus, lba) == decrypt_sector(
             cipher, lba, provisioned.image.read_sector(lba)
         )
 
     def test_each_processed_sector_charges_pipeline_latency(self, provisioned):
-        _, tmiu, bus, card = _boot_to_operational(provisioned)
+        _, tmiu, bus, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start
         before = tmiu.ledger.cycles
-        tmiu.mediate_read(bus, card, lba)
+        tmiu.mediate_read(bus, lba)
         delta = tmiu.ledger.cycles - before
         # Two sectors cross the wire (data + its tag sector), each with its
         # line-rate transfer plus exactly 52 cycles of processing.
@@ -361,7 +361,7 @@ class TestMediatedDataPath:
 class TestStageMachine:
     def test_golden_stage_ordering(self, provisioned):
         _, tmiu, _, _ = _boot_to_operational(provisioned)
-        stages = [stage for stage, _ in tmiu.stage_history]
+        stages = [stage for stage, _, _ in tmiu.stage_history]
         assert stages == [
             Stage.PROM_LOAD,
             Stage.DEVICE_AUTH,
@@ -369,30 +369,76 @@ class TestStageMachine:
             Stage.KEYGEN_IMAGE_AUTH,
             Stage.OPERATIONAL,
         ]
-        cycles = [at for _, at in tmiu.stage_history]
+        cycles = [at for _, at, _ in tmiu.stage_history]
         assert cycles == sorted(cycles)
 
+    # Run -> the stage it ends at; each boots the fixture, then writes and
+    # reads a file twice (the second access meets a lockdown, if any).
+    CHARGE_RUNS = {
+        "clean": Stage.OPERATIONAL,
+        "boot_c2h_fault": Stage.OPERATIONAL,
+        "boot_cmd_fault": Stage.OPERATIONAL,
+        "foreign_device": Stage.LOCKDOWN,
+        "foreign_card": Stage.LOCKDOWN,
+        "mbr_flip": Stage.LOCKDOWN,
+        "image_flip": Stage.LOCKDOWN,
+        "table_flip": Stage.LOCKDOWN,
+        "card_silent": Stage.LOCKDOWN,
+    }
+
+    @pytest.mark.parametrize("run", sorted(CHARGE_RUNS))
+    def test_nothing_is_charged_at_device_auth_memory_auth_or_lockdown(self, provisioned, run):
+        image = provisioned.image.clone()
+        layout = provisioned.layout
+        flip = {"mbr_flip": 0, "image_flip": layout.boot_start + 3, "table_flip": layout.data_start}
+        if run in flip:
+            sector = bytearray(image.read_sector(flip[run]))
+            sector[7] ^= 0x01
+            image.write_sector(flip[run], bytes(sector))
+        dna = provisioned.manifest.dna ^ 1 if run == "foreign_device" else None
+        cid = CardIdentity.from_seed(b"charging-card").cid if run == "foreign_card" else None
+        host, tmiu, bus, card = _system(provisioned, image=image, dna=dna, cid=cid)
+        if run.endswith("_fault"):
+            bus.inject_fault(run.split("_")[1], 5, 3, 2)
+        if host.run_boot().ok:
+            if run == "card_silent":
+                card.suspend_io()
+            for _ in range(2):
+                try:
+                    host.write_file("charged.bin", bytes(700))
+                    host.read_file("charged.bin")
+                except LockdownError:
+                    pass
+        assert tmiu.stage is self.CHARGE_RUNS[run]
+        assert not bus.faults_pending
+        stages = [stage for stage, _, _ in tmiu.stage_history]
+        assert len(stages) == len(set(stages))  # each stage is entered at most once
+        marks = tmiu.stage_history + [(None, tmiu.ledger.cycles, tmiu.ledger.bytes_moved)]
+        for (stage, cycles, nbytes), (_, until_cycles, until_bytes) in zip(marks, marks[1:]):
+            if stage in (Stage.DEVICE_AUTH, Stage.MEMORY_AUTH, Stage.LOCKDOWN):
+                assert (until_cycles, until_bytes) == (cycles, nbytes), stage
+
     def test_operations_out_of_order_raise_state_error(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         with pytest.raises(StateError):
-            tmiu.authenticate_memory(bus, card)
+            tmiu.authenticate_memory(bus)
         tmiu.power_on()
         with pytest.raises(StateError):
-            tmiu.verify_mbr_and_image(bus, card)
+            tmiu.verify_mbr_and_image(bus)
         with pytest.raises(StateError):
-            tmiu.mediate_read(bus, card, 0)
+            tmiu.mediate_read(bus, 0)
 
     def test_lockdown_is_absorbing(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned, dna=provisioned.manifest.dna ^ 1)
+        _, tmiu, bus, _ = _system(provisioned, dna=provisioned.manifest.dna ^ 1)
         tmiu.power_on()
         assert tmiu.stage is Stage.LOCKDOWN
         for op in (
             lambda: tmiu.power_on(),
-            lambda: tmiu.authenticate_memory(bus, card),
+            lambda: tmiu.authenticate_memory(bus),
             lambda: tmiu.generate_keys(),
-            lambda: tmiu.verify_mbr_and_image(bus, card),
-            lambda: tmiu.mediate_read(bus, card, 50),
-            lambda: tmiu.mediate_write(bus, card, 50, bytes(512)),
+            lambda: tmiu.verify_mbr_and_image(bus),
+            lambda: tmiu.mediate_read(bus, 50),
+            lambda: tmiu.mediate_write(bus, 50, bytes(512)),
         ):
             with pytest.raises(LockdownError):
                 op()
@@ -408,9 +454,9 @@ class TestStageMachine:
         assert "stage=Operational" in text
 
     def test_repr_hides_keys(self, provisioned):
-        _, tmiu, bus, card = _system(provisioned)
+        _, tmiu, bus, _ = _system(provisioned)
         tmiu.power_on()
-        tmiu.authenticate_memory(bus, card)
+        tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
         assert "keys=set" in repr(tmiu)
         aes_key, mac_key = manifest_keys(provisioned.manifest)
