@@ -163,8 +163,8 @@ class BootHost:
     def read_file(self, label: str) -> bytes:
         """Fetch a file from the data partition through the mediated path."""
         self._require_running()
-        data_start, _ = self.tmiu.data_partition
-        records, _ = read_file_table(self._read_sector, data_start)
+        data_start, data_sectors = self.tmiu.data_partition
+        records, _ = read_file_table(self._read_sector, data_start, data_sectors)
         record = next((r for r in records if r.label == label), None)
         if record is None:
             raise FileNotFoundError(label)
@@ -175,7 +175,7 @@ class BootHost:
         """Create or replace a file; the table is committed last."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition
-        records, table_sectors = read_file_table(self._read_sector, data_start)
+        records, table_sectors = read_file_table(self._read_sector, data_start, data_sectors)
         needed = -(-len(blob) // SECTOR_SIZE)
 
         keep = [r for r in records if r.label != label]

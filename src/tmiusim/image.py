@@ -389,12 +389,16 @@ def parse_file_table(table: bytes) -> list[FileRecord]:
 
 
 def read_file_table(
-    read_plain: Callable[[int], bytes], data_start: int
+    read_plain: Callable[[int], bytes], data_start: int, data_sectors: int
 ) -> tuple[list[FileRecord], int]:
-    """(records, table sectors) of the file table, read through
-    ``read_plain(lba) -> plaintext``: the first sector once, then the rest."""
+    """(records, table sectors) of the file table heading a
+    ``data_sectors``-sector data partition, read through
+    ``read_plain(lba) -> plaintext``: the first sector once, then the rest,
+    unless the table claims more sectors than the partition holds."""
     first = read_plain(data_start)
     sectors = table_sector_count(first)
+    if sectors > data_sectors:
+        raise FileTableError(f"file table claims {sectors} sectors, the data partition holds {data_sectors}")
     table = first + b"".join(read_plain(data_start + i) for i in range(1, sectors))
     return parse_file_table(table), sectors
 
@@ -769,7 +773,7 @@ def in_use_data_lbas(image: NvmImage, manifest: Manifest) -> list[int]:
     """Absolute LBAs the post-boot read path will touch: table + file extents."""
     layout = manifest.layout
     aes_key, _ = manifest_keys(manifest)
-    records, sectors = read_file_table(_plain_reader(image, aes_key), layout.data_start)
+    records, sectors = read_file_table(_plain_reader(image, aes_key), layout.data_start, layout.data_sectors)
     lbas = set(range(layout.data_start, layout.data_start + sectors))
     for rec in records:
         lbas.update(rec.lbas(layout.data_start))
@@ -816,7 +820,7 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
         findings.append(f"data=OK sectors={lay.data_sectors}")
 
     try:
-        records, _ = read_file_table(read_plain, lay.data_start)
+        records, _ = read_file_table(read_plain, lay.data_start, lay.data_sectors)
         by_label = {r.label: r for r in records}
         for label, length, digest in manifest.files:
             record = by_label.get(label)

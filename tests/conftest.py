@@ -71,7 +71,7 @@ def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
     def read_plain(lba: int, count: int = 1) -> bytes:
         return cipher.crypt(lba, image.read_sectors(lba, count))
 
-    records, _ = read_file_table(read_plain, manifest.layout.data_start)
+    records, _ = read_file_table(read_plain, manifest.layout.data_start, manifest.layout.data_sectors)
     return records
 
 

@@ -358,6 +358,32 @@ class TestInspect:
         assert rc == 1
         assert out.splitlines()[4:] == [f"geometry=FAIL image={geometry // 2} manifest={geometry}"]
 
+    def test_forged_table_length_fails_without_traceback(self, workspace, capsys):
+        _provision(capsys)
+        from tmiusim import NvmImage
+        from tmiusim.image import Manifest
+
+        # The table's sector count, 4 -> 0xFFFF through the cipher's
+        # malleability: XOR the plaintext difference into the ciphertext.
+        data_start = Manifest.load("card.nvm.manifest").layout.data_start
+        image = NvmImage.load("card.nvm")
+        sector = bytearray(image.read_sector(data_start))
+        sector[4:6] = (int.from_bytes(sector[4:6], "big") ^ 4 ^ 0xFFFF).to_bytes(2, "big")
+        image.write_sector(data_start, bytes(sector))
+        image.save("card.nvm")
+
+        env = dict(os.environ, PYTHONPATH=str(Path(tmiusim.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "tmiusim", "inspect", "--image", "card.nvm", "--manifest", "card.nvm.manifest"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "files=FAIL (file table claims 65535 sectors" in done.stdout
+
     def test_missing_manifest_exits_2(self, workspace, capsys):
         _provision(capsys)
         rc = main(["inspect", "--image", "card.nvm", "--manifest", "missing.manifest"])

@@ -740,6 +740,23 @@ class TestVerifyImage:
                 f"data=OK sectors={layout.data_sectors}",
             ] + [f"file={label} OK" for label, _ in DATA_FILES]
 
+    @pytest.mark.parametrize("claim", ["partition+1", 0xFFFF])
+    def test_forged_table_length_is_a_finding(self, claim, provisioned):
+        # CTR malleability: XOR-ing the plaintext difference into the first
+        # table sector's ciphertext rewrites its 16-bit sector count, no key
+        # needed. Past the partition it is a finding, not an exception.
+        layout = provisioned.layout
+        claim = layout.data_sectors + 1 if claim == "partition+1" else claim
+        image = provisioned.image.clone()
+        sector = bytearray(image.read_sector(layout.data_start))
+        sector[4:6] = (int.from_bytes(sector[4:6], "big") ^ 4 ^ claim).to_bytes(2, "big")
+        image.write_sector(layout.data_start, bytes(sector))
+        findings = verify_image(image, provisioned.manifest)
+        assert [f for f in findings if finding_failed(f)] == [
+            f"data=FAIL lba={layout.data_start}",
+            f"files=FAIL (file table claims {claim} sectors, the data partition holds {layout.data_sectors})",
+        ]
+
     @pytest.mark.parametrize("flip", [None, 0, 63, 64, 65, 149])
     def test_boot_container_across_runs(self, flip):
         result = provision_container(150)
