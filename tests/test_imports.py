@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every private
-function, method or class the package defines is referenced in it.
+"""Every module of the package uses each name it imports, every private
+function, method or class the package defines is referenced in it, and
+every named parameter of its functions and methods is read.
 
 ``__init__.py`` is left out of the import check: its imports are the public
 API it re-exports.
@@ -93,4 +94,60 @@ def test_an_unreferenced_private_definition_is_reported():
         "a.py: _Gone (line 7)",
         "a.py: _helper (line 8)",
         "a.py: _recursive (line 4)",
+    ]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Named parameters of functions and methods never read in their body.
+    ``self``, ``cls`` and ``_``-prefixed names are exempt, and so are
+    lambdas, such as a no-op sink ``lambda item: None``."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        read = {
+            inner.id
+            for statement in node.body
+            for inner in ast.walk(statement)
+            if isinstance(inner, ast.Name) and isinstance(inner.ctx, ast.Load)
+        }
+        unread += [
+            f"{node.name}: {param.arg} (line {node.lineno})"
+            for param in params
+            if param is not None
+            and param.arg not in ("self", "cls")
+            and not param.arg.startswith("_")
+            and param.arg not in read
+        ]
+    return sorted(unread)
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path.read_text()) == []
+
+
+def test_an_unread_parameter_is_reported():
+    source = (
+        "def read(bus, card, lba, *, phase, _spare, **extra):\n"
+        "    def inner():\n"
+        "        return lba\n"
+        "    return bus.fetch(inner())\n\n"
+        "class Unit:\n"
+        "    def charge(self, cycles, nbytes):\n"
+        "        self.cycles = cycles\n"
+        "        nbytes = 0\n\n"
+        "    @classmethod\n"
+        "    def build(cls, *args):\n"
+        "        return Unit()\n\n"
+        "sink = lambda item: None\n"
+    )
+    assert _unread_parameters(source) == [
+        "build: args (line 12)",
+        "charge: nbytes (line 7)",
+        "read: card (line 1)",
+        "read: extra (line 1)",
+        "read: phase (line 1)",
     ]
