@@ -12,6 +12,7 @@ import math
 import sys
 from pathlib import Path
 
+from .crypto import MAX_KDF_REPETITIONS, check_kdf_repetitions
 from .host import build_system
 from .identity import DNA_BITS, CardIdentity, DeviceIdentity
 from .image import (
@@ -29,6 +30,7 @@ from .scenarios import ScenarioError, builtin_scenarios, load_scenarios, run_sce
 REFERENCE_SIZE_MB = 13.0
 REFERENCE_BOOT_MS = 526.0
 REFERENCE_RATE_MBPS = 24.7
+_REPETITIONS_HELP = f"KDF iterations, 1 to {MAX_KDF_REPETITIONS} (default 1000)"
 
 _EXTENSION_KINDS = {
     ".dtb": EntryKind.DEVICETREE,
@@ -217,7 +219,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     device = DeviceIdentity(dna=0x0123456789ABCD)
     card = CardIdentity.from_seed(b"bench-card")
     try:
-        sealed_container_size([payload_bytes])  # before the payload is allocated
+        # Both before the payload is allocated.
+        sealed_container_size([payload_bytes])
+        check_kdf_repetitions(args.repetitions)
         result = provision(
             [(EntryKind.KERNEL, bytes(payload_bytes))],
             [("bench.dat", b"bench")],
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csd", help="128-bit card CSD register, 32 hex digits (default: derived)")
     p.add_argument("--sectors", type=int, help="total geometry in sectors (default: minimal+slack)")
     p.add_argument("--counter", type=int, default=1, help="KDF counter (default 1)")
-    p.add_argument("--repetitions", type=int, default=1000, help="KDF iterations (default 1000)")
+    p.add_argument("--repetitions", type=int, default=1000, help=_REPETITIONS_HELP)
     p.add_argument("--table-sectors", type=int, default=4, help="file-table reservation (default 4)")
     p.add_argument("--slack", type=int, default=64, help="spare data sectors when auto-sizing")
     p.set_defaults(func=cmd_provision)
@@ -320,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="boot a synthetic payload and report modelled timing")
     p.add_argument("--size", type=float, default=13.0, help="payload size in MB (default 13)")
-    p.add_argument("--repetitions", type=int, default=1000, help="KDF iterations (default 1000)")
+    p.add_argument("--repetitions", type=int, default=1000, help=_REPETITIONS_HELP)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("inspect", help="verify an image offline against its manifest")

@@ -12,6 +12,7 @@ and the data.
 from __future__ import annotations
 
 import binascii
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -35,6 +36,9 @@ CRC16_POLY = 0x1021  # x^16 + x^12 + x^5 + 1 (XMODEM), SD data line
 # Counter offset separating the integrity-key chain from the cipher-key chain
 # (ASCII "MA").
 MAC_COUNTER_OFFSET = 0x4D41
+# Most hash steps in one KDF chain: about 65 ms of hashing and a 3 MB table of
+# counter prefixes (see _counter_prefixes).
+MAX_KDF_REPETITIONS = 65535
 
 
 def _build_crc7_table() -> tuple[int, ...]:
@@ -79,7 +83,7 @@ class KdfInput:
     ``secret`` is the 8-byte big-endian encoding of the 57-bit device
     identifier (top 7 bits zero); ``other_info`` is the 16-byte card
     identifier acting as public salt; ``repetitions`` chains the hash to
-    stretch the short secret.
+    stretch the short secret, from 1 to :data:`MAX_KDF_REPETITIONS` steps.
     """
 
     counter: int
@@ -96,15 +100,27 @@ class KdfInput:
             raise ValueError("secret exceeds 57 bits")
         if len(self.other_info) != 16:
             raise ValueError("other_info must be 16 bytes")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        check_kdf_repetitions(self.repetitions)
+
+
+def check_kdf_repetitions(repetitions: int) -> None:
+    """Raise ValueError unless 1 <= ``repetitions`` <= MAX_KDF_REPETITIONS."""
+    if not 1 <= repetitions <= MAX_KDF_REPETITIONS:
+        raise ValueError(f"kdf_repetitions must be from 1 to {MAX_KDF_REPETITIONS}")
+
+
+@functools.lru_cache(maxsize=4)  # both chains of two KDF settings
+def _counter_prefixes(counter: int, repetitions: int) -> tuple[bytes, ...]:
+    """be32((counter + i) mod 2^32) for each step i of a chain. These are
+    public counter encodings: nothing here derives from a secret."""
+    return tuple(struct.pack(">I", (counter + i) & 0xFFFFFFFF) for i in range(repetitions))
 
 
 def _kdf_chain(counter: int, seed: bytes, other_info: bytes, repetitions: int) -> bytes:
     material = seed
-    for i in range(repetitions):
-        prefix = struct.pack(">I", (counter + i) & 0xFFFFFFFF)
-        material = sha256(prefix + material + other_info)
+    # The whole per-step cost is the hash: the prefixes are built once.
+    for prefix in _counter_prefixes(counter, repetitions):
+        material = hashlib.sha256(prefix + material + other_info).digest()
     return material
 
 

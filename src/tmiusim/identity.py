@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 
 from . import crypto
-from .crypto import DIGEST_SIZE, KdfInput, crc7, sha256
+from .crypto import DIGEST_SIZE, KdfInput, check_kdf_repetitions, crc7, sha256
 
 DNA_BITS = 57
 CID_SIZE = 16
@@ -94,8 +94,7 @@ class TrustAnchors:
                 raise ValueError(f"{name} must be {DIGEST_SIZE} bytes")
         if not 0 <= self.kdf_counter <= 0xFFFFFFFF:
             raise ValueError("kdf_counter must fit in 32 bits")
-        if self.kdf_repetitions < 1:
-            raise ValueError("kdf_repetitions must be >= 1")
+        check_kdf_repetitions(self.kdf_repetitions)
 
     @classmethod
     def for_pair(

@@ -37,6 +37,7 @@ from .crypto import (
     SECTOR_SIZE,
     SectorCipher,
     SectorMac,
+    check_kdf_repetitions,
     sector_tag,
     sha256,
 )
@@ -667,6 +668,7 @@ def provision(
     """Build a fully encrypted, integrity-protected image for a device pair."""
     if table_sectors < 0 or data_slack_sectors < 0:
         raise ValueError("table and slack sector counts must not be negative")
+    check_kdf_repetitions(kdf_repetitions)
     boot_sectors = sealed_container_size([len(blob) for _, blob in boot_entries]) // SECTOR_SIZE
 
     labels = [label for label, _ in data_files]

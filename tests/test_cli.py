@@ -115,6 +115,16 @@ class TestProvision:
         assert err.startswith("error: CapacityExceeded") and "Traceback" not in err
         assert not Path("card.nvm").exists()
 
+    def test_repetitions_past_the_limit_exit_2_before_allocating(self, workspace, capsys):
+        rc = main(
+            ["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", "0x1",
+             "--repetitions", "65536", "--sectors", "4294967297"]
+        )
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "error: kdf_repetitions must be from 1 to 65535\n"
+        assert not Path("card.nvm").exists()
+
     def test_label_with_unicode_line_breaks_boots_and_inspects(self, workspace, capsys):
         # U+2028 and U+0085 break lines for str.splitlines, not for the manifest.
         label = "a\u2028b\x85c"
@@ -301,6 +311,7 @@ class TestBench:
             ["--size", "inf"],
             ["--size", "1e308"],  # finite, but not as a byte count
             ["--size", "0.01", "--repetitions", "0"],
+            ["--size", "0.01", "--repetitions", "65536"],
         ],
     )
     def test_bad_input_exits_2(self, capsys, args):
@@ -431,6 +442,21 @@ def test_text_input_that_is_not_utf8_exits_2(workspace, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("boot", []), ("tamper", ["--all-builtins"]), ("inspect", [])]
+)
+def test_manifest_repetitions_past_the_limit_exit_2(workspace, capsys, command, extra):
+    _provision(capsys)
+    manifest = Path("card.nvm.manifest")
+    manifest.write_text(manifest.read_text().replace("kdf_repetitions=32", "kdf_repetitions=65536"))
+    rc = main([command, "--image", "card.nvm", "--manifest", str(manifest), *extra])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error: cannot load manifest") and "Traceback" not in captured.err
+    assert "kdf_repetitions" in captured.err
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     # The package runs as a module from a plain source checkout, uninstalled,
     # and its exit code reaches the shell.
@@ -453,12 +479,30 @@ def test_python_dash_m_runs_the_cli():
     assert "Traceback" not in bad.stderr
 
 
+@pytest.mark.parametrize("repetitions, code", [("65535", 0), ("65536", 2)])
+def test_bench_repetition_limit_from_the_shell(repetitions, code):
+    # Past the limit the command fails at once, before any KDF step runs.
+    env = dict(os.environ, PYTHONPATH=str(Path(tmiusim.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tmiusim", "bench", "--size", "0.01", "--repetitions", repetitions],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+    if code:
+        assert done.stderr == "error: kdf_repetitions must be from 1 to 65535\n"
+        assert done.stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # Fuzzing: random argv over the five commands exits 0, 1, 2 or 3 and never
 # raises. Sizes stay small (a few thousand sectors, payloads of a few KB,
 # KDF repetitions of 3 or fewer), so no case allocates more than a few MB;
-# the only larger sizes lie past the format's limits, refused before any
-# buffer is allocated.
+# the only larger sizes and repetition counts lie past the format's limits,
+# refused before any buffer is allocated or any KDF step runs.
 
 
 @pytest.fixture(scope="module")
@@ -498,7 +542,7 @@ _hex16 = st.one_of(
     st.binary(max_size=20).map(bytes.hex),
     st.sampled_from(["zz", "0x" + "0" * 30]),
 )
-_repetitions = st.sampled_from(["1", "2", "3", "0", "-1", "x"])
+_repetitions = st.sampled_from(["1", "2", "3", "0", "-1", "x", "65536"])
 _scenario_lines = st.lists(
     st.builds(
         "name=s target={} mutate={} expect={}".format,

@@ -1,8 +1,12 @@
+import hashlib
 import random
+import struct
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tmiusim import crypto
 from tmiusim.crypto import (
     KdfInput,
     SectorCipher,
@@ -16,6 +20,7 @@ from tmiusim.crypto import (
     sector_tag,
     sha256,
 )
+from tmiusim.identity import CardIdentity, DeviceIdentity, derive_keys
 
 from oracles import (
     aes_encrypt_block,
@@ -379,6 +384,62 @@ class TestKdf:
             KdfInput(counter=1, secret=bytes(8), other_info=bytes(16), repetitions=0)
         with pytest.raises(ValueError):
             KdfInput(counter=1 << 32, secret=bytes(8), other_info=bytes(16))
+        with pytest.raises(ValueError, match="from 1 to 65535"):
+            KdfInput(counter=1, secret=bytes(8), other_info=bytes(16), repetitions=65536)
+        assert KdfInput(counter=1, secret=bytes(8), other_info=bytes(16), repetitions=65535)
+
+    # Full-strength chains, and the longest allowed, from counters where a
+    # chain's 32-bit counter wraps before, at, or partway through its steps.
+    @pytest.mark.parametrize("repetitions", [1000, 65535])
+    @pytest.mark.parametrize(
+        "counter",
+        [1, 0xFFFFFFFF, 2**32 - 500, 2**32 - 0x4D41 - 500],
+        ids=["one", "last", "cipher_chain_wraps", "mac_chain_wraps"],
+    )
+    def test_long_chain_matches_oracle_across_the_counter_wrap(self, counter, repetitions):
+        secret, info = (0x0123456789ABCD).to_bytes(8, "big"), bytes(range(16))
+        params = KdfInput(counter=counter, secret=secret, other_info=info, repetitions=repetitions)
+        assert derive_key(params) == kdf_key_oracle(counter, secret, info, repetitions)
+        assert derive_mac_key(params) == kdf_mac_oracle(counter, secret, info, repetitions)
+
+
+class TestKdfPrefixTable:
+    """Each chain reads its counter prefixes from a table built once per
+    (counter, repetitions). The table must hold public values only."""
+
+    DEVICE = DeviceIdentity(dna=0x0123456789ABCD)
+    CID = CardIdentity.from_seed(b"prefix-table").cid
+
+    def test_table_holds_only_the_public_counter_encodings(self):
+        counter, repetitions = 0xFFFFFE00, 1000  # the cipher chain wraps
+        keys = derive_keys(self.DEVICE, self.CID, counter, repetitions)
+        for chain_counter in (counter, (counter + 0x4D41) % 2**32):
+            misses = crypto._counter_prefixes.cache_info().misses
+            table = crypto._counter_prefixes(chain_counter, repetitions)
+            assert crypto._counter_prefixes.cache_info().misses == misses  # the table the chain used
+            assert all(len(prefix) == 4 for prefix in table)
+            assert table == tuple(
+                struct.pack(">I", (chain_counter + i) % 2**32) for i in range(repetitions)
+            )
+            flat = b"".join(table)
+            for value in (self.DEVICE.encoded(), self.CID, *keys):
+                assert value not in flat
+
+    def test_a_second_derivation_builds_no_table_and_only_hashes(self, monkeypatch):
+        repetitions = 1000
+        keys = derive_keys(self.DEVICE, self.CID, 7, repetitions)
+        misses = crypto._counter_prefixes.cache_info().misses
+        hashed = []
+
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(crypto, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
+        assert derive_keys(self.DEVICE, self.CID, 7, repetitions) == keys
+        assert crypto._counter_prefixes.cache_info().misses == misses
+        # Per chain: be32 || secret || CID, then be32 || digest || CID.
+        assert hashed == ([4 + 8 + 16] + [4 + 32 + 16] * (repetitions - 1)) * 2
 
 
 class TestSectorTag:

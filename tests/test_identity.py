@@ -133,3 +133,17 @@ def test_anchors_are_immutable():
             kdf_counter=1,
             kdf_repetitions=1,
         )
+
+
+def test_anchor_kdf_repetitions_are_bounded():
+    dev, card = DeviceIdentity(dna=1), CardIdentity.from_seed(b"c")
+    for repetitions in (1, 65535):
+        anchors = TrustAnchors.for_pair(
+            dev, card, mbr_digest=bytes(32), kdf_counter=1, kdf_repetitions=repetitions
+        )
+        assert anchors.kdf_repetitions == repetitions
+    for repetitions in (0, 65536):
+        with pytest.raises(ValueError, match="kdf_repetitions"):
+            TrustAnchors.for_pair(
+                dev, card, mbr_digest=bytes(32), kdf_counter=1, kdf_repetitions=repetitions
+            )

@@ -481,6 +481,17 @@ class TestProvision:
         with pytest.raises(CapacityError, match="32-bit LBAs"):
             make_provision(total_sectors=2**32 + 1)
 
+    def test_kdf_repetitions_past_the_limit_fail_before_the_buffer(self, monkeypatch):
+        import tmiusim.image
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("provision went past its input checks")
+
+        monkeypatch.setattr(tmiusim.image, "bytearray", unreached, raising=False)
+        monkeypatch.setattr(tmiusim.image, "derive_keys", unreached)
+        with pytest.raises(ValueError, match="kdf_repetitions must be from 1 to 65535"):
+            make_provision(kdf_repetitions=65536)
+
     def test_duplicate_labels_rejected(self):
         dev = DeviceIdentity(dna=1)
         card = CardIdentity.from_seed(b"c")
@@ -566,6 +577,13 @@ class TestManifest:
         shifted = f"meta_lba={layout.meta_start + 1},{layout.meta_sectors - 1}"
         with pytest.raises(ManifestError):
             Manifest.from_text(good.replace(meta, shifted))
+
+    def test_kdf_repetitions_past_the_limit_are_a_manifest_error(self, provisioned):
+        good = provisioned.manifest.to_text()
+        field = f"kdf_repetitions={provisioned.anchors.kdf_repetitions}"
+        assert Manifest.from_text(good.replace(field, "kdf_repetitions=65535"))
+        with pytest.raises(ManifestError, match="kdf_repetitions"):
+            Manifest.from_text(good.replace(field, "kdf_repetitions=65536"))
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
