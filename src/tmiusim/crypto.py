@@ -36,8 +36,8 @@ CRC16_POLY = 0x1021  # x^16 + x^12 + x^5 + 1 (XMODEM), SD data line
 # Counter offset separating the integrity-key chain from the cipher-key chain
 # (ASCII "MA").
 MAC_COUNTER_OFFSET = 0x4D41
-# Most hash steps in one KDF chain: about 65 ms of hashing and a 3 MB table of
-# counter prefixes (see _counter_prefixes).
+# Most hash steps in one KDF chain: 40-80 ms of hashing on a 2-vCPU host, and
+# a 3 MB table of counter prefixes (see _counter_prefixes).
 MAX_KDF_REPETITIONS = 65535
 
 

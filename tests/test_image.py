@@ -482,13 +482,11 @@ class TestProvision:
             make_provision(total_sectors=2**32 + 1)
 
     def test_kdf_repetitions_past_the_limit_fail_before_the_buffer(self, monkeypatch):
-        import tmiusim.image
-
         def unreached(*args, **kwargs):
             raise AssertionError("provision went past its input checks")
 
-        monkeypatch.setattr(tmiusim.image, "bytearray", unreached, raising=False)
-        monkeypatch.setattr(tmiusim.image, "derive_keys", unreached)
+        monkeypatch.setattr("tmiusim.image.bytearray", unreached, raising=False)
+        monkeypatch.setattr("tmiusim.image.derive_keys", unreached)
         with pytest.raises(ValueError, match="kdf_repetitions must be from 1 to 65535"):
             make_provision(kdf_repetitions=65536)
 
