@@ -9,7 +9,7 @@ encryption, per-sector integrity tags, and secure lockdown.
 from .crypto import KdfInput, crc7, crc16, derive_key, derive_mac_key, sha256
 from .host import build_system
 from .identity import CardIdentity, DeviceIdentity
-from .image import EntryKind, NvmImage, provision, verify_boot_image, verify_image
+from .image import EntryKind, NvmImage, provision, verify_image
 from .tmiu import LockdownError
 
 __version__ = "0.1.0"
@@ -22,12 +22,11 @@ __all__ = [
     "LockdownError",
     "NvmImage",
     "build_system",
-    "crc7",
     "crc16",
+    "crc7",
     "derive_key",
     "derive_mac_key",
     "provision",
     "sha256",
-    "verify_boot_image",
     "verify_image",
 ]

@@ -92,8 +92,7 @@ class KdfInput:
     repetitions: int = 1000
 
     def __post_init__(self) -> None:
-        if not 0 <= self.counter <= 0xFFFFFFFF:
-            raise ValueError("counter must fit in 32 bits")
+        check_kdf_counter(self.counter)
         if len(self.secret) != 8:
             raise ValueError("secret must be 8 bytes")
         if self.secret[0] & 0xFE:
@@ -101,6 +100,12 @@ class KdfInput:
         if len(self.other_info) != 16:
             raise ValueError("other_info must be 16 bytes")
         check_kdf_repetitions(self.repetitions)
+
+
+def check_kdf_counter(counter: int) -> None:
+    """Raise ValueError unless ``counter`` fits in 32 bits."""
+    if not 0 <= counter <= 0xFFFFFFFF:
+        raise ValueError("kdf_counter must fit in 32 bits")
 
 
 def check_kdf_repetitions(repetitions: int) -> None:

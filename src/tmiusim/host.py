@@ -116,12 +116,10 @@ class BootHost:
             return self._denied()
 
         try:
-            image = parse_boot_image(stream)
+            entries = parse_boot_image(stream)
         except ImageFormatError:
             return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
-        received = [
-            LoadedEntry(kind.label, len(blob), sha256(blob)) for kind, blob in image.entries
-        ]
+        received = [LoadedEntry(kind.label, len(blob), sha256(blob)) for kind, blob in entries]
         if expected_entries is not None:
             got = [(e.kind_label, e.length, e.digest.hex()) for e in received]
             if got != [tuple(e) for e in expected_entries]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from enum import Enum, auto
 
 from . import crypto
-from .crypto import DIGEST_SIZE, KdfInput, check_kdf_repetitions, crc7, sha256
+from .crypto import DIGEST_SIZE, KdfInput, check_kdf_counter, check_kdf_repetitions, crc7, sha256
 
 DNA_BITS = 57
 CID_SIZE = 16
@@ -92,8 +92,7 @@ class TrustAnchors:
         for name in ("device_checksum", "nvm_checksum", "mbr_digest"):
             if len(getattr(self, name)) != DIGEST_SIZE:
                 raise ValueError(f"{name} must be {DIGEST_SIZE} bytes")
-        if not 0 <= self.kdf_counter <= 0xFFFFFFFF:
-            raise ValueError("kdf_counter must fit in 32 bits")
+        check_kdf_counter(self.kdf_counter)
         check_kdf_repetitions(self.kdf_repetitions)
 
     @classmethod

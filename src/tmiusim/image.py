@@ -19,15 +19,20 @@ with one sector of lookahead:
     entries: kind u8, payload offset u32, length u32
     payload blobs | zero padding | trailing 32-byte SHA-256 over all of it
 
+:class:`ContainerCheck` is the one check of that trailer, fed run by run both
+by the unit as it streams and by :func:`verify_image` offline.
+
 All container integers are big-endian; MBR partition fields keep their
 conventional little-endian encoding.
 """
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -37,6 +42,7 @@ from .crypto import (
     SECTOR_SIZE,
     SectorCipher,
     SectorMac,
+    check_kdf_counter,
     check_kdf_repetitions,
     sector_tag,
     sha256,
@@ -213,12 +219,6 @@ def parse_mbr(sector: bytes, total_sectors: int | None = None) -> MbrSector:
 # Boot-image container
 
 
-@dataclass(frozen=True)
-class BootImage:
-    version: int
-    entries: tuple[tuple[EntryKind, bytes], ...]
-
-
 def sealed_container_size(blob_lengths: Sequence[int]) -> int:
     """Length of the sector-aligned container that holds blobs of these
     lengths; past :data:`MAX_CONTAINER_SIZE` it is a :class:`CapacityError`."""
@@ -274,21 +274,13 @@ def boot_image_length(prefix: bytes) -> int:
     return total_len
 
 
-def boot_image_sectors(prefix: bytes, boot_sectors: int) -> int:
-    """Container length in sectors, from its first sector; it must fit the partition."""
-    count = boot_image_length(prefix) // SECTOR_SIZE
-    if count > boot_sectors:
-        raise ImageFormatError("container exceeds boot partition")
-    return count
-
-
-def parse_boot_image(container: bytes | bytearray) -> BootImage:
-    """Structural parse of a container; digest is not checked here. Only
-    the entries are copied out of it."""
+def parse_boot_image(container: bytes | bytearray) -> tuple[tuple[EntryKind, bytes], ...]:
+    """The (kind, blob) entries of a container, by structure alone: the
+    digest is not checked here. Only the entries are copied out of it."""
     total_len = boot_image_length(container)
     if total_len != len(container):
         raise ImageFormatError("container length field disagrees with data")
-    _, version, count, _ = _CONTAINER_HEADER.unpack_from(container)
+    _, _, count, _ = _CONTAINER_HEADER.unpack_from(container)
     table_end = _CONTAINER_HEADER.size + count * _CONTAINER_ENTRY.size
     entries = []
     with memoryview(container)[table_end : total_len - DIGEST_SIZE] as payload:
@@ -303,15 +295,36 @@ def parse_boot_image(container: bytes | bytearray) -> BootImage:
             if offset + length > len(payload) or length == 0:
                 raise ImageFormatError(f"entry {i} outside payload")
             entries.append((kind, bytes(payload[offset : offset + length])))
-    return BootImage(version=version, entries=tuple(entries))
+    return tuple(entries)
 
 
-def verify_boot_image(container: bytes) -> BootImage:
-    """Parse and check the trailing digest; raises on any defect."""
-    image = parse_boot_image(container)
-    if sha256(container[:-DIGEST_SIZE]) != container[-DIGEST_SIZE:]:
-        raise ImageDigestError("boot image digest mismatch")
-    return image
+class ContainerCheck:
+    """Trailer check over a container's decrypted runs, in order, each of at
+    most :attr:`pending` sectors: :meth:`update` releases all but the last
+    sector seen, kept as :attr:`held`, and :meth:`finish` checks the trailer."""
+
+    def __init__(self, boot_sectors: int):
+        self._boot_sectors = boot_sectors
+        self._hash = hashlib.sha256()
+        self.pending = 1  # sectors still to come: the first tells the rest
+        self.held = b""
+
+    def update(self, run: bytes) -> bytes:
+        first = not self.held
+        released = self.held + run[:-SECTOR_SIZE]
+        self.held = run[-SECTOR_SIZE:]
+        if first:
+            self.pending = boot_image_length(run) // SECTOR_SIZE
+            if self.pending > self._boot_sectors:
+                raise ImageFormatError("container exceeds boot partition")
+        self.pending -= len(run) // SECTOR_SIZE
+        self._hash.update(released)
+        return released
+
+    def finish(self) -> None:
+        self._hash.update(self.held[:-DIGEST_SIZE])
+        if self._hash.digest() != self.held[-DIGEST_SIZE:]:
+            raise ImageDigestError("boot image digest mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +681,7 @@ def provision(
     """Build a fully encrypted, integrity-protected image for a device pair."""
     if table_sectors < 0 or data_slack_sectors < 0:
         raise ValueError("table and slack sector counts must not be negative")
+    check_kdf_counter(kdf_counter)
     check_kdf_repetitions(kdf_repetitions)
     boot_sectors = sealed_container_size([len(blob) for _, blob in boot_entries]) // SECTOR_SIZE
 
@@ -747,10 +761,15 @@ def provision(
         dna=dev.dna,
         cid=card.cid,
         csd=card.csd,
-        entries=[(k.label, len(b), sha256(b).hex()) for k, b in boot_entries],
+        entries=_entry_records(boot_entries),
         files=[(label, len(b), sha256(b).hex()) for label, b in data_files],
     )
     return ProvisionResult(image=NvmImage(buf), anchors=anchors, manifest=manifest, layout=layout)
+
+
+def _entry_records(entries: Sequence[tuple[EntryKind, bytes]]) -> list[tuple[str, int, str]]:
+    """The manifest's (kind label, length, SHA-256 hex) record of each boot entry."""
+    return [(kind.label, len(blob), sha256(blob).hex()) for kind, blob in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +804,10 @@ def in_use_data_lbas(image: NvmImage, manifest: Manifest) -> list[int]:
 def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
     """Check an image offline against its manifest; one finding per check.
 
-    The checks are the MBR anchor, the boot container, every data-sector tag
-    and the file digests (a file whose extent leaves the data partition
-    fails); :func:`finding_failed` tells which findings fail.
+    The checks are the MBR anchor, the boot container (its trailer, then
+    each entry against the manifest's), every data-sector tag and the file
+    digests (a file whose extent leaves the data partition fails);
+    :func:`finding_failed` tells which findings fail.
     An image whose size disagrees with the manifest's geometry yields a
     single ``geometry=FAIL`` finding and no sector is read.
     """
@@ -802,11 +822,18 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
     findings = ["mbr=OK" if mbr_ok else "mbr=FAIL lba=0"]
 
     try:
-        count = boot_image_sectors(read_plain(lay.boot_start), lay.boot_sectors)
-        end = lay.boot_start + count
-        runs = range(lay.boot_start, end, RUN_SECTORS)
-        verify_boot_image(b"".join(read_plain(lba, min(RUN_SECTORS, end - lba)) for lba in runs))
-        findings.append(f"boot_image=OK sectors={count}")
+        check = ContainerCheck(lay.boot_sectors)
+        released = [check.update(read_plain(lay.boot_start))]
+        end = lay.boot_start + 1 + check.pending
+        for lba in range(lay.boot_start + 1, end, RUN_SECTORS):
+            released.append(check.update(read_plain(lba, min(RUN_SECTORS, end - lba))))
+        entries = parse_boot_image(b"".join(released) + check.held)
+        check.finish()
+        # The trailer is unkeyed: the manifest's digests catch a forgery.
+        for i, (got, want) in enumerate(zip_longest(_entry_records(entries), manifest.entries)):
+            if got != want:
+                raise ImageDigestError(f"entry {i} disagrees with the manifest")
+        findings.append(f"boot_image=OK sectors={end - lay.boot_start}")
     except (ImageFormatError, ImageDigestError) as exc:
         findings.append(f"boot_image=FAIL ({exc})")
 

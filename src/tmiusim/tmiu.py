@@ -23,7 +23,6 @@ run.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import NoReturn
@@ -64,7 +63,7 @@ from .identity import (
     authenticate_nvm,
     derive_keys,
 )
-from .image import ImageFormatError, ImageLayout, MbrError, boot_image_sectors, parse_mbr
+from .image import ContainerCheck, ImageDigestError, ImageFormatError, ImageLayout, MbrError, parse_mbr
 
 CLOCK_HZ = 50_000_000
 # One sector crossing the wire at the card line rate.
@@ -309,10 +308,10 @@ class Tmiu:
         as ``bytes``: one call per sector, or per run of up to
         ``RUN_SECTORS`` sectors where the bus moves runs.
 
-        The final sector is withheld until the whole-image digest is
-        checked; on mismatch it is forwarded as a :class:`DataBlock` with its
-        last byte modified, so the processor-side CRC check invalidates the
-        stream.
+        A :class:`~tmiusim.image.ContainerCheck` holds back the final sector
+        until the whole-image digest is checked; on mismatch it is forwarded
+        as a :class:`DataBlock` with its last byte modified, so the
+        processor-side CRC check invalidates the stream.
         """
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._keys is None:
@@ -347,29 +346,26 @@ class Tmiu:
     def _stream_boot_image(self, bus: SdioBus, layout, sink) -> Stage:
         cipher, _ = self._keys
         sink = sink or (lambda item: None)
-        hasher = hashlib.sha256()
-        end: int | None = None  # the LBA past the container, once known
-        held = b""  # the last decrypted sector, not yet hashed or forwarded
+        check = ContainerCheck(layout.boot_sectors)
         lba = layout.boot_start
         retries = 0
 
-        def reject(reason: Denial, final_payload: bytes) -> Stage:
+        def reject(reason: Denial) -> Stage:
             # The stream is invalidated in-band: the withheld block goes out
             # with its last byte modified after the CRC was attached.
-            if final_payload:
-                mutated = final_payload[:-1] + bytes([final_payload[-1] ^ 0xFF])
-                sink(DataBlock(payload=mutated, crc=crc16(final_payload)))
+            if check.held:
+                mutated = check.held[:-1] + bytes([check.held[-1] ^ 0xFF])
+                sink(DataBlock(payload=mutated, crc=crc16(check.held)))
             return self._lockdown(reason, bus)
 
         if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
             return self._lockdown(Denial.BUS_ERROR, bus)
-        while end is None or lba < end:
+        while check.pending:
             # The first sector comes alone: it tells the container length.
-            limit = 1 if end is None else min(RUN_SECTORS, end - lba)
-            fetched = bus.fetch_run(limit)
+            fetched = bus.fetch_run(min(RUN_SECTORS, check.pending))
             if fetched is None:
                 bus.command(CMD_STOP_TRANSMISSION, 0)
-                return reject(Denial.BUS_ERROR, held)
+                return reject(Denial.BUS_ERROR)
             run, crc_ok = fetched
             count = len(run) // SECTOR_SIZE
             self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run))
@@ -377,31 +373,27 @@ class Tmiu:
                 retries += 1
                 bus.command(CMD_STOP_TRANSMISSION, 0)
                 if retries > RETRY_LIMIT:
-                    return reject(Denial.BUS_ERROR, held)
+                    return reject(Denial.BUS_ERROR)
                 if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
                     return self._lockdown(Denial.BUS_ERROR, bus)
                 continue
             retries = 0
-            plaintext = cipher.crypt(lba, run)
-            if end is None:
-                try:
-                    end = lba + boot_image_sectors(plaintext, layout.boot_sectors)
-                except ImageFormatError:
-                    bus.command(CMD_STOP_TRANSMISSION, 0)
-                    return reject(Denial.IMAGE_DIGEST_MISMATCH, plaintext)
-            passed = held + plaintext[:-SECTOR_SIZE]
+            try:
+                passed = check.update(cipher.crypt(lba, run))
+            except ImageFormatError:
+                bus.command(CMD_STOP_TRANSMISSION, 0)
+                return reject(Denial.IMAGE_DIGEST_MISMATCH)
             if passed:
-                hasher.update(passed)
                 sink(passed)
-            held = plaintext[-SECTOR_SIZE:]
             lba += count
         bus.command(CMD_STOP_TRANSMISSION, 0)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
 
-        hasher.update(held[:-DIGEST_SIZE])
-        if hasher.digest() != held[-DIGEST_SIZE:]:
-            return reject(Denial.IMAGE_DIGEST_MISMATCH, held)
-        sink(held)
+        try:
+            check.finish()
+        except ImageDigestError:
+            return reject(Denial.IMAGE_DIGEST_MISMATCH)
+        sink(check.held)
         self.leds[3] = True
         return self._enter(Stage.OPERATIONAL)
 

@@ -5,13 +5,15 @@ import functools
 import pytest
 
 from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
-from tmiusim.crypto import SectorCipher
+from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher
 from tmiusim.image import (
+    ContainerCheck,
     FileRecord,
     Manifest,
     NvmImage,
     ProvisionResult,
     manifest_keys,
+    parse_boot_image,
     read_file_table,
     sealed_container_size,
     write_boot_image,
@@ -62,6 +64,45 @@ def build_boot_image(entries) -> bytes:
     container = bytearray(sealed_container_size([len(blob) for _, blob in entries]))
     write_boot_image(container, 0, entries)
     return bytes(container)
+
+
+def check_container(container: bytes) -> tuple[tuple[EntryKind, bytes], ...]:
+    """The entries of a plaintext container that passes a
+    :class:`ContainerCheck` fed as the unit feeds it: the first sector
+    alone, then runs of up to ``RUN_SECTORS``. The boot partition is the
+    container's own whole sectors."""
+    check = ContainerCheck(len(container) // SECTOR_SIZE)
+    released = [check.update(container[:SECTOR_SIZE])]
+    end = (1 + check.pending) * SECTOR_SIZE
+    step = RUN_SECTORS * SECTOR_SIZE
+    for start in range(SECTOR_SIZE, end, step):
+        released.append(check.update(container[start : min(start + step, end)]))
+    entries = parse_boot_image(b"".join(released) + check.held)
+    check.finish()
+    return entries
+
+
+def forge_kernel(result: ProvisionResult) -> tuple[NvmImage, bytes]:
+    """A copy of ``result``'s image, provisioned with :data:`BOOT_ENTRIES`,
+    whose kernel is swapped for a forged one of the same length without the
+    key; and that forged kernel.
+
+    The sector cipher is a stream cipher and the container's digest is
+    unkeyed. Whoever knows the boot entries rebuilds the plaintext, swaps
+    the kernel and XORs old ⊕ new into the ciphertext: only the kernel
+    entry and the SHA-256 trailer change.
+    """
+    kernel = b"forged kernel ".ljust(len(dict(BOOT_ENTRIES)[EntryKind.KERNEL]), b"!")
+    forged = [(kind, kernel if kind is EntryKind.KERNEL else blob) for kind, blob in BOOT_ENTRIES]
+    layout = result.layout
+    size = layout.boot_sectors * SECTOR_SIZE
+    old, new = bytearray(size), bytearray(size)
+    write_boot_image(old, 0, BOOT_ENTRIES)
+    write_boot_image(new, 0, forged)
+    raw = bytearray(result.image.to_bytes())
+    at = layout.boot_start * SECTOR_SIZE
+    raw[at : at + size] = bytes(c ^ o ^ n for c, o, n in zip(raw[at : at + size], old, new))
+    return NvmImage(raw), kernel
 
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:

@@ -4,9 +4,10 @@ These are deliberately written straight-line and structurally unlike the
 production code: CRCs as explicit polynomial long division over a bit list,
 the KDF as a literal transcription of its chained-hash definition, the
 sector cipher as explicit counter blocks encrypted in ECB and XORed byte by
-byte, where the package re-nonces the library's CTR mode per sector, and the
+byte, where the package re-nonces the library's CTR mode per sector, the
 sector tag through the standard library's ``hmac``, where the package keys
-the two SHA-256 pad states itself.
+the two SHA-256 pad states itself, and the boot container read whole, field
+by field, where the package checks it as a stream.
 """
 
 from __future__ import annotations
@@ -100,6 +101,23 @@ def sector_tag_oracle(key: bytes, sector_index: int, ciphertext: bytes) -> bytes
     """HMAC-SHA-256 of be64(sector_index) || ciphertext, keyed afresh."""
     message = struct.pack(">Q", sector_index) + bytes(ciphertext)
     return hmac.new(key, message, hashlib.sha256).digest()
+
+
+def boot_container_oracle(container: bytes) -> list[tuple[int, bytes]]:
+    """(kind value, blob) of each entry of a plaintext boot container, read
+    field by field: header ">4sHHI", then ">BII" per entry, the blobs, and a
+    trailing SHA-256 over all that comes before it."""
+    if hashlib.sha256(container[:-32]).digest() != container[-32:]:
+        raise ValueError("trailer is not the SHA-256 of the rest")
+    magic, version, count, total_len = struct.unpack(">4sHHI", container[:12])
+    if (magic, version, total_len) != (b"TMBI", 1, len(container)):
+        raise ValueError("bad container header")
+    payload = 12 + 9 * count
+    entries = []
+    for i in range(count):
+        kind, offset, length = struct.unpack(">BII", container[12 + 9 * i : 21 + 9 * i])
+        entries.append((kind, container[payload + offset : payload + offset + length]))
+    return entries
 
 
 def shannon_entropy(data: bytes) -> float:

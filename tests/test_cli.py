@@ -14,6 +14,8 @@ import tmiusim
 from tmiusim.cli import main
 from tmiusim.scenarios import OUTCOME_CLASSES, builtin_scenarios
 
+from conftest import forge_kernel
+
 
 @pytest.fixture()
 def workspace(tmp_path, monkeypatch):
@@ -115,14 +117,22 @@ class TestProvision:
         assert err.startswith("error: CapacityExceeded") and "Traceback" not in err
         assert not Path("card.nvm").exists()
 
-    def test_repetitions_past_the_limit_exit_2_before_allocating(self, workspace, capsys):
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--repetitions", "65536"], "kdf_repetitions must be from 1 to 65535"),
+            (["--counter", "-1"], "kdf_counter must fit in 32 bits"),
+        ],
+        ids=["repetitions", "counter"],
+    )
+    def test_repetitions_past_the_limit_exit_2_before_allocating(self, workspace, capsys, flag, message):
         rc = main(
             ["provision", "--boot", "kernel.bin", "--out", "card.nvm", "--dna", "0x1",
-             "--repetitions", "65536", "--sectors", "4294967297"]
+             *flag, "--sectors", "4294967297"]
         )
         err = capsys.readouterr().err
         assert rc == 2
-        assert err == "error: kdf_repetitions must be from 1 to 65535\n"
+        assert err == f"error: {message}\n"
         assert not Path("card.nvm").exists()
 
     def test_label_with_unicode_line_breaks_boots_and_inspects(self, workspace, capsys):
@@ -394,6 +404,15 @@ class TestInspect:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         assert "files=FAIL (file table claims 65535 sectors" in done.stdout
+
+    def test_container_forged_from_known_plaintext_fails(self, workspace, capsys, provisioned):
+        image, _ = forge_kernel(provisioned)
+        image.save("forged.nvm")
+        provisioned.manifest.save("forged.nvm.manifest")
+        rc = main(["inspect", "--image", "forged.nvm", "--manifest", "forged.nvm.manifest"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "boot_image=FAIL (entry 2 disagrees with the manifest)" in out.splitlines()
 
     def test_missing_manifest_exits_2(self, workspace, capsys):
         _provision(capsys)

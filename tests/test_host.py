@@ -5,10 +5,10 @@ import pytest
 from tmiusim.crypto import sha256
 from tmiusim.host import HostError, HostPhase, build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.image import CapacityError, EntryKind, NvmImage, write_boot_image
+from tmiusim.image import CapacityError
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
-from conftest import BOOT_ENTRIES, DATA_FILES, image_file_records, make_provision
+from conftest import DATA_FILES, forge_kernel, image_file_records, make_provision
 from oracles import shannon_entropy
 
 
@@ -179,28 +179,17 @@ class TestThreatModelEdges:
         assert tmiu.reason is None
 
     def test_container_forged_from_known_plaintext_without_the_key(self, provisioned):
-        # The sector cipher is a stream cipher and the container's digest is
-        # unkeyed. Whoever knows the boot entries rebuilds the plaintext,
-        # swaps the kernel for one of the same length and XORs old ⊕ new into
-        # the ciphertext: only the kernel entry and the SHA-256 trailer change.
-        kernel = b"forged kernel ".ljust(len(dict(BOOT_ENTRIES)[EntryKind.KERNEL]), b"!")
-        forged = [(kind, kernel if kind is EntryKind.KERNEL else blob) for kind, blob in BOOT_ENTRIES]
-        layout = provisioned.layout
-        size = layout.boot_sectors * 512
-        old, new = bytearray(size), bytearray(size)
-        write_boot_image(old, 0, BOOT_ENTRIES)
-        write_boot_image(new, 0, forged)
-        raw = bytearray(provisioned.image.to_bytes())
-        at = layout.boot_start * 512
-        raw[at : at + size] = bytes(c ^ o ^ n for c, o, n in zip(raw[at : at + size], old, new))
-
-        host, tmiu, _, _ = build_system(provisioned.manifest, NvmImage(raw))
+        # The unkeyed container digest passes a kernel swapped without the
+        # key (see forge_kernel).
+        image, kernel = forge_kernel(provisioned)
+        host, tmiu, _, _ = build_system(provisioned.manifest, image)
         assert host.run_boot().outcome_class == "OsRunning"
         assert tmiu.stage is Stage.OPERATIONAL
         assert ("kernel", len(kernel), sha256(kernel)) in [
             (e.kind_label, e.length, e.digest) for e in host.loaded_entries
         ]
-        # Only the manifest's entry digests, checked by the host, catch it.
+        # Online, only the host's check of the manifest's entry digests
+        # catches it; offline, verify_image does the same check.
         outcome = host.reboot(expected_entries=provisioned.manifest.entries)
         assert outcome.outcome_class == "ImageDigestMismatch"
         assert host.phase is HostPhase.HALTED

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmiusim.crypto import (
+    RUN_SECTORS,
     SECTOR_SIZE,
     SectorCipher,
     SectorMac,
@@ -16,6 +17,7 @@ from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import (
     BadMbrSignature,
     CapacityError,
+    ContainerCheck,
     EntryKind,
     FileRecord,
     FileTableError,
@@ -40,7 +42,6 @@ from tmiusim.image import (
     parse_mbr,
     provision,
     table_sector_count,
-    verify_boot_image,
     verify_image,
     write_boot_image,
 )
@@ -49,6 +50,8 @@ from conftest import (
     BOOT_ENTRIES,
     DATA_FILES,
     build_boot_image,
+    check_container,
+    forge_kernel,
     image_file_records,
     make_provision,
     provision_container,
@@ -158,28 +161,25 @@ class TestBootImage:
 
     def test_round_trip_and_verify(self):
         container = build_boot_image(BOOT_ENTRIES)
-        image = verify_boot_image(container)
-        assert [(k, bytes(b)) for k, b in image.entries] == [
-            (k, b) for k, b in BOOT_ENTRIES
-        ]
+        assert list(check_container(container)) == BOOT_ENTRIES
         assert boot_image_length(container[:64]) == len(container)
 
     def test_any_payload_tamper_breaks_digest(self):
         container = bytearray(build_boot_image(BOOT_ENTRIES))
         container[100] ^= 0x20
         with pytest.raises(ImageDigestError):
-            verify_boot_image(bytes(container))
+            check_container(bytes(container))
 
     def test_entry_table_tamper_breaks_digest(self):
         container = bytearray(build_boot_image(BOOT_ENTRIES))
         container[13] ^= 0x01  # inside the entry table
         with pytest.raises((ImageDigestError, ImageFormatError)):
-            verify_boot_image(bytes(container))
+            check_container(bytes(container))
 
     def test_truncated_container_is_malformed(self):
         container = build_boot_image(BOOT_ENTRIES)
         with pytest.raises(ImageFormatError):
-            verify_boot_image(container[:-100])
+            check_container(container[:-100])
 
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
@@ -195,8 +195,7 @@ class TestBootImage:
                 (rng.choice(kinds), rng.randbytes(rng.randrange(1, 3000)))
                 for _ in range(rng.randrange(1, 6))
             ]
-            image = verify_boot_image(build_boot_image(entries))
-            assert [(k, bytes(b)) for k, b in image.entries] == entries
+            assert list(check_container(build_boot_image(entries))) == entries
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -225,10 +224,10 @@ class TestBootImage:
     @given(entries=_CONTAINER_ENTRIES)
     def test_parse_copies_entries_out_of_a_bytearray(self, entries):
         container = build_boot_image(entries)
-        image = parse_boot_image(bytearray(container))
-        assert all(type(blob) is bytes for _, blob in image.entries)
-        assert image == parse_boot_image(container)
-        assert list(image.entries) == entries
+        parsed = parse_boot_image(bytearray(container))
+        assert all(type(blob) is bytes for _, blob in parsed)
+        assert parsed == parse_boot_image(container)
+        assert list(parsed) == entries
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(entries=_CONTAINER_ENTRIES, offset=st.integers(1, 2000), tail=st.integers(0, 600))
@@ -243,6 +242,50 @@ class TestBootImage:
         dirty = bytearray(b"\xa5" * len(buf))  # the padding is written, not assumed
         write_boot_image(dirty, offset, entries)
         assert dirty[offset : offset + len(container)] == container
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_check_over_any_run_split(self, data):
+        # One kernel entry: a 21-byte header and a 32-byte digest around it.
+        sectors = data.draw(st.integers(1, 200), label="sectors")
+        blob = random.Random(sectors).randbytes(sectors * SECTOR_SIZE - 53)
+        container = bytearray(build_boot_image([(EntryKind.KERNEL, blob)]))
+        flip = data.draw(st.none() | st.integers(0, len(container) * 8 - 1), label="flip")
+        if flip is not None:
+            container[flip // 8] ^= 1 << flip % 8
+        check = ContainerCheck(sectors)
+        released = []
+        start = 0
+        try:
+            # pending is 1 until the first sector is in: it comes alone.
+            while check.pending:
+                count = min(data.draw(st.integers(1, 2 * RUN_SECTORS), label="run"), check.pending)
+                released.append(check.update(bytes(container[start : start + count * SECTOR_SIZE])))
+                start += count * SECTOR_SIZE
+            check.finish()
+        except ImageFormatError:
+            assert flip is not None and not released  # from the first run's header
+            return
+        except ImageDigestError:
+            assert flip is not None
+            return
+        assert flip is None
+        assert b"".join(released) + check.held == container
+
+    def test_container_longer_than_the_boot_partition_is_malformed(self):
+        container = build_boot_image(BOOT_ENTRIES)
+        check = ContainerCheck(len(container) // SECTOR_SIZE - 1)
+        with pytest.raises(ImageFormatError, match="container exceeds boot partition"):
+            check.update(container[:SECTOR_SIZE])
+        assert check.held == container[:SECTOR_SIZE]  # what the unit rejects in-band
+
+    def test_a_first_sector_with_a_bad_header_is_held(self):
+        first = bytearray(build_boot_image(BOOT_ENTRIES)[:SECTOR_SIZE])
+        first[0] ^= 1  # inside the magic
+        check = ContainerCheck(100)
+        with pytest.raises(ImageFormatError, match="bad container magic"):
+            check.update(bytes(first))
+        assert check.held == first
 
     def test_kind_labels(self):
         assert EntryKind.PARTIAL_BITSTREAM.label == "partial-bitstream"
@@ -385,8 +428,7 @@ class TestProvision:
             decrypt_sector(cipher, layout.boot_start + i, image.read_sector(layout.boot_start + i))
             for i in range(layout.boot_sectors)
         )
-        parsed = verify_boot_image(container[: boot_image_length(container)])
-        assert [(k, bytes(b)) for k, b in parsed.entries] == BOOT_ENTRIES
+        assert list(check_container(container[: boot_image_length(container)])) == BOOT_ENTRIES
 
         table_plain = decrypt_sector(
             cipher, layout.data_start, image.read_sector(layout.data_start)
@@ -481,14 +523,23 @@ class TestProvision:
         with pytest.raises(CapacityError, match="32-bit LBAs"):
             make_provision(total_sectors=2**32 + 1)
 
-    def test_kdf_repetitions_past_the_limit_fail_before_the_buffer(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"kdf_repetitions": 65536}, "kdf_repetitions must be from 1 to 65535"),
+            ({"kdf_counter": -1}, "kdf_counter must fit in 32 bits"),
+            ({"kdf_counter": 1 << 32}, "kdf_counter must fit in 32 bits"),
+        ],
+        ids=["repetitions", "counter-1", "counter2^32"],
+    )
+    def test_kdf_repetitions_past_the_limit_fail_before_the_buffer(self, monkeypatch, setting, message):
         def unreached(*args, **kwargs):
             raise AssertionError("provision went past its input checks")
 
         monkeypatch.setattr("tmiusim.image.bytearray", unreached, raising=False)
         monkeypatch.setattr("tmiusim.image.derive_keys", unreached)
-        with pytest.raises(ValueError, match="kdf_repetitions must be from 1 to 65535"):
-            make_provision(kdf_repetitions=65536)
+        with pytest.raises(ValueError, match=message):
+            make_provision(**setting)
 
     def test_duplicate_labels_rejected(self):
         dev = DeviceIdentity(dna=1)
@@ -784,6 +835,15 @@ class TestVerifyImage:
             assert boot == "boot_image=OK sectors=150"
         else:
             assert boot.startswith("boot_image=FAIL")
+
+    def test_container_forged_from_known_plaintext_is_a_finding(self, provisioned):
+        # The trailer passes (see forge_kernel); the manifest's digest of
+        # the kernel, entry 2, does not.
+        image, _ = forge_kernel(provisioned)
+        findings = verify_image(image, provisioned.manifest)
+        assert [f for f in findings if finding_failed(f)] == [
+            "boot_image=FAIL (entry 2 disagrees with the manifest)"
+        ]
 
     def test_verdict_of_file_finding_is_its_last_word(self):
         assert finding_failed("file=notes=FAIL v2 OK") is False

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every private
 function, method or class the package defines is referenced in it, and
-every named parameter of its functions and methods is read.
+every named parameter of its functions and methods is read. The public API
+is pinned, so that any change to it is a deliberate edit here.
 
 ``__init__.py`` is left out of the import check: its imports are the public
 API it re-exports.
@@ -16,6 +17,28 @@ import tmiusim
 
 _PACKAGE = sorted(Path(tmiusim.__file__).parent.glob("*.py"))
 _MODULES = [path for path in _PACKAGE if path.name != "__init__.py"]
+
+
+def test_public_api_is_pinned():
+    api = [
+        "CardIdentity",
+        "DeviceIdentity",
+        "EntryKind",
+        "KdfInput",
+        "LockdownError",
+        "NvmImage",
+        "build_system",
+        "crc16",
+        "crc7",
+        "derive_key",
+        "derive_mac_key",
+        "provision",
+        "sha256",
+        "verify_image",
+    ]
+    assert api == sorted(api)
+    assert tmiusim.__all__ == api
+    assert [name for name in api if not hasattr(tmiusim, name)] == []
 
 
 def _unused_imports(source: str) -> list[str]:
