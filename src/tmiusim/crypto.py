@@ -121,11 +121,28 @@ def _counter_prefixes(counter: int, repetitions: int) -> tuple[bytes, ...]:
     return tuple(struct.pack(">I", (counter + i) & 0xFFFFFFFF) for i in range(repetitions))
 
 
+# The KDF chain step's hash constructor, chosen once at import. A step
+# hashes one 52-byte message, a single 64-byte block. On CPython 3.10 and
+# 3.11 that is the built-in ``_sha256``: OpenSSL 3 sets up and copies a
+# digest context for each ``hashlib`` object, which costs more than
+# compressing one block. A 1000-step chain took 874 vs 1157 us on 3.11.7
+# and 1019 vs 1493 us on 3.10.13 (OpenSSL 3.0, 2 vCPUs). On long messages
+# OpenSSL is faster (13 MB: 13 vs 111 ms; a sector tag: 2.7 vs 6.2 us), so
+# every other hash here stays on ``hashlib``. From CPython 3.12 the built-in
+# hash is HACL*'s ``_sha2``, no faster than OpenSSL for a chain, and
+# ``_sha256`` is gone: the chain runs on ``hashlib.sha256``. Both constructors
+# give the same digests.
+try:
+    from _sha256 import sha256 as _step_sha256
+except ImportError:
+    _step_sha256 = hashlib.sha256
+
+
 def _kdf_chain(counter: int, seed: bytes, other_info: bytes, repetitions: int) -> bytes:
     material = seed
     # The whole per-step cost is the hash: the prefixes are built once.
     for prefix in _counter_prefixes(counter, repetitions):
-        material = hashlib.sha256(prefix + material + other_info).digest()
+        material = _step_sha256(prefix + material + other_info).digest()
     return material
 
 

@@ -823,11 +823,13 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
 
     try:
         check = ContainerCheck(lay.boot_sectors)
-        released = [check.update(read_plain(lay.boot_start))]
+        # One growing copy of the container; the entries are the second.
+        container = bytearray(check.update(read_plain(lay.boot_start)))
         end = lay.boot_start + 1 + check.pending
         for lba in range(lay.boot_start + 1, end, RUN_SECTORS):
-            released.append(check.update(read_plain(lba, min(RUN_SECTORS, end - lba))))
-        entries = parse_boot_image(b"".join(released) + check.held)
+            container += check.update(read_plain(lba, min(RUN_SECTORS, end - lba)))
+        container += check.held
+        entries = parse_boot_image(container)
         check.finish()
         # The trailer is unkeyed: the manifest's digests catch a forgery.
         for i, (got, want) in enumerate(zip_longest(_entry_records(entries), manifest.entries)):

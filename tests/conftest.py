@@ -52,11 +52,11 @@ def make_provision(
 
 
 @functools.lru_cache(maxsize=None)
-def provision_container(sectors: int) -> ProvisionResult:
+def provision_container(sectors: int, kdf_repetitions: int = FIXTURE_KDF_REPETITIONS) -> ProvisionResult:
     """A provisioned image whose boot container is exactly ``sectors`` long."""
     # One entry: a 21-byte header and a 32-byte digest around the blob.
     blob = bytes((i * 29 + sectors) % 256 for i in range(sectors * 512 - 53))
-    return make_provision(boot_entries=[(EntryKind.KERNEL, blob)])
+    return make_provision(boot_entries=[(EntryKind.KERNEL, blob)], kdf_repetitions=kdf_repetitions)
 
 
 def build_boot_image(entries) -> bytes:

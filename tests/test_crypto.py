@@ -1,7 +1,10 @@
 import hashlib
+import os
 import random
 import struct
-import types
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -430,16 +433,63 @@ class TestKdfPrefixTable:
         keys = derive_keys(self.DEVICE, self.CID, 7, repetitions)
         misses = crypto._counter_prefixes.cache_info().misses
         hashed = []
+        step_sha256 = crypto._step_sha256
 
         def counting_sha256(data):
             hashed.append(len(data))
-            return hashlib.sha256(data)
+            return step_sha256(data)
 
-        monkeypatch.setattr(crypto, "hashlib", types.SimpleNamespace(sha256=counting_sha256))
+        monkeypatch.setattr(crypto, "_step_sha256", counting_sha256)
         assert derive_keys(self.DEVICE, self.CID, 7, repetitions) == keys
         assert crypto._counter_prefixes.cache_info().misses == misses
         # Per chain: be32 || secret || CID, then be32 || digest || CID.
         assert hashed == ([4 + 8 + 16] + [4 + 32 + 16] * (repetitions - 1)) * 2
+
+
+class TestKdfStepHash:
+    """The chain step's SHA-256 constructor is chosen at import: CPython's
+    built-in ``_sha256`` where it imports, else ``hashlib.sha256``. Either
+    gives the same keys."""
+
+    DEVICE = DeviceIdentity(dna=0x0123456789ABCD)
+    CID = CardIdentity.from_seed(b"step-hash").cid
+    # The cipher chain wraps its 32-bit counter from 0xFFFFFE00 on.
+    CASES = [(1, 1), (7, 1000), (0xFFFFFE00, 1000), (0xFFFFFFFF, 3), (2**32 - 0x4D41 - 2, 5)]
+
+    @pytest.mark.parametrize("counter, repetitions", CASES)
+    def test_hashlib_steps_give_the_same_keys(self, monkeypatch, counter, repetitions):
+        keys = derive_keys(self.DEVICE, self.CID, counter, repetitions)
+        monkeypatch.setattr(crypto, "_step_sha256", hashlib.sha256)
+        assert derive_keys(self.DEVICE, self.CID, counter, repetitions) == keys
+
+    def test_the_chain_runs_on_the_builtin_hash_where_it_imports(self):
+        try:
+            from _sha256 import sha256 as expected
+        except ImportError:  # CPython 3.12 on
+            expected = hashlib.sha256
+        assert crypto._step_sha256 is expected
+
+    def test_a_fresh_interpreter_without_the_builtin_hash_derives_the_same_keys(self):
+        # The path of a Python with no ``_sha256``, taken without reloading
+        # any module in this process.
+        counter, repetitions = 0xFFFFFE00, 1000
+        script = "\n".join([
+            "import hashlib, sys",
+            "sys.modules['_sha256'] = None",
+            "from tmiusim import crypto",
+            "from tmiusim.identity import DeviceIdentity, derive_keys",
+            "assert crypto._step_sha256 is hashlib.sha256",
+            f"keys = derive_keys(DeviceIdentity(dna={self.DEVICE.dna}), "
+            f"bytes.fromhex('{self.CID.hex()}'), {counter}, {repetitions})",
+            "print(*(key.hex() for key in keys))",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(crypto.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        keys = derive_keys(self.DEVICE, self.CID, counter, repetitions)
+        assert done.stdout.split() == [key.hex() for key in keys]
 
 
 class TestSectorTag:

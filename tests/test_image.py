@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -835,6 +836,21 @@ class TestVerifyImage:
             assert boot == "boot_image=OK sectors=150"
         else:
             assert boot.startswith("boot_image=FAIL")
+
+    def test_boot_container_check_keeps_about_two_copies(self):
+        # The container grows in one buffer, and the entries parsed from it
+        # are the second copy; joining the runs and then appending the held
+        # sector made about three.
+        sectors = 4096  # a 2 MB kernel
+        result = provision_container(sectors)
+        tracemalloc.start()
+        try:
+            findings = verify_image(result.image, result.manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert findings[1] == f"boot_image=OK sectors={sectors}"
+        assert peak < 2.5 * sectors * SECTOR_SIZE
 
     def test_container_forged_from_known_plaintext_is_a_finding(self, provisioned):
         # The trailer passes (see forge_kernel); the manifest's digest of

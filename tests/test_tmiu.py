@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tmiusim.bus import DataBlock, SdioBus, VirtualCard
 from tmiusim.crypto import SectorCipher, SectorMac, decrypt_sector, sector_tag
@@ -20,7 +21,7 @@ from tmiusim.tmiu import (
     Tmiu,
 )
 
-from conftest import make_provision
+from conftest import make_provision, provision_container
 
 
 def _system(provisioned, image=None, dna=None, cid=None, trace=False):
@@ -462,3 +463,67 @@ class TestStageMachine:
         aes_key, mac_key = manifest_keys(provisioned.manifest)
         assert aes_key.hex() not in repr(tmiu)
         assert mac_key.hex() not in repr(tmiu)
+
+
+class TestCostFormula:
+    """The ledger against the cost formula stated in the README: PROM load
+    once, 1024 cycles per sector moved, 52 cycles per pipeline check, and
+    commands free. A clean boot of an n-sector container moves the MBR and
+    the n sectors and makes two checks (the MBR and the container's end);
+    after hand-over a mediated read moves and checks the data sector and
+    its tag sector, and a write moves and commits the data sector, reads
+    and checks the tag sector, and commits it."""
+
+    CLOCK_HZ = 50_000_000
+    PROM_CYCLES, PROM_BYTES = 4_896_908, 1_900_000  # ceil(1.9 MB * 50 MHz / 19.4 MB/s)
+    READ_CYCLES, READ_BYTES = 2 * 1024 + 2 * 52, 2 * 512
+    WRITE_CYCLES, WRITE_BYTES = 3 * 1024 + 3 * 52, 3 * 512
+
+    @staticmethod
+    def boot_terms(container_sectors: int) -> tuple[int, int]:
+        """(cycles, bytes) charged at KeyGenImageAuth by a clean boot."""
+        return (container_sectors + 1) * 1024 + 2 * 52, (container_sectors + 1) * 512
+
+    def test_formula_reproduces_the_13_mb_pin(self):
+        # 13,000,000 bytes of kernel seal into a 25,391-sector container.
+        boot_cycles, boot_bytes = self.boot_terms(25_391)
+        assert self.PROM_CYCLES + boot_cycles == 30_898_420
+        assert f"{self.PROM_CYCLES * 1000 / self.CLOCK_HZ:.3f}" == "97.938"
+        assert f"{boot_cycles * 1000 / self.CLOCK_HZ:.3f}" == "520.030"
+        assert f"{boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6:.3f}" == "25.000"
+
+    def test_terms_are_the_modules_constants(self):
+        prom = PromStore()
+        assert self.PROM_CYCLES == -(-prom.config_size * self.CLOCK_HZ // prom.load_rate)
+        assert self.PROM_BYTES == prom.config_size
+        assert (SECTOR_TRANSFER_CYCLES, SECTOR_PIPELINE_CYCLES) == (1024, 52)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        container_sectors=st.integers(1, 200),
+        accesses=st.lists(st.tuples(st.booleans(), st.integers(0, 1 << 16)), max_size=12),
+    )
+    def test_report_follows_the_formula(self, container_sectors, accesses):
+        provisioned = provision_container(container_sectors, kdf_repetitions=1)
+        _, tmiu, bus, _ = _boot_to_operational(provisioned)
+        layout = provisioned.layout
+        for write, pick in accesses:
+            lba = layout.data_start + pick % layout.data_sectors
+            if write:
+                tmiu.mediate_write(bus, lba, bytes([pick % 256]) * 512)
+            else:
+                tmiu.mediate_read(bus, lba)
+        writes = sum(write for write, _ in accesses)
+        reads = len(accesses) - writes
+        boot_cycles, boot_bytes = self.boot_terms(container_sectors)
+        cycles = self.PROM_CYCLES + boot_cycles + reads * self.READ_CYCLES + writes * self.WRITE_CYCLES
+        nbytes = self.PROM_BYTES + boot_bytes + reads * self.READ_BYTES + writes * self.WRITE_BYTES
+
+        report = tmiu.report()
+        assert (report.cycles, report.bytes_moved) == (cycles, nbytes)
+        assert report.prom_ms == pytest.approx(self.PROM_CYCLES * 1000 / self.CLOCK_HZ, rel=1e-12)
+        assert report.boot_ms == pytest.approx(boot_cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
+        assert report.total_ms == pytest.approx(cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
+        assert report.rate_mbps == pytest.approx(
+            boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6, rel=1e-12
+        )
