@@ -139,41 +139,46 @@ class BootHost:
         self.phase = HostPhase.HALTED
         return BootOutcome(False, reason or self.tmiu.reason, self.tmiu.report())
 
-    # -- mediated sector access ----------------------------------------------
-
-    def _retry(self, mediate, *args):
-        """Run a mediated access, re-issuing it after each line-CRC failure."""
-        for _ in range(RETRY_LIMIT):
-            try:
-                return mediate(self.bus, *args)
-            except ProtocolCrcError:
-                continue
-        return mediate(self.bus, *args)  # a persistent line failure propagates
-
-    def _read_sector(self, lba: int) -> bytes:
-        return self._retry(self.tmiu.mediate_read, lba)
-
-    def _write_sector(self, lba: int, payload: bytes) -> None:
-        self._retry(self.tmiu.mediate_write, lba, payload)
-
     # -- file store -----------------------------------------------------------
 
+    def _read_plain(self, lba: int, count: int = 1) -> bytes:
+        """``count`` sectors from ``lba`` through the unit, in as few
+        mediated reads as it allows; a read that fails its line CRC is
+        re-issued, at most ``RETRY_LIMIT`` times, and then propagates."""
+        end = lba + count
+        parts = []
+        while lba < end:
+            for attempt in range(RETRY_LIMIT + 1):
+                try:
+                    plain = self.tmiu.mediate_read(self.bus, lba, end - lba)
+                    break
+                except ProtocolCrcError:
+                    if attempt == RETRY_LIMIT:
+                        raise
+            parts.append(plain)
+            lba += len(plain) // SECTOR_SIZE
+        return b"".join(parts)
+
     def read_file(self, label: str) -> bytes:
-        """Fetch a file from the data partition through the mediated path."""
+        """Fetch a file from the data partition through the mediated path:
+        the table, then the file's extent, each as one read where the unit
+        moves runs. An extent that leaves the data partition is a
+        :class:`~tmiusim.tmiu.PolicyViolation` before any of it is read."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition
-        records, _ = read_file_table(self._read_sector, data_start, data_sectors)
+        records, _ = read_file_table(self._read_plain, data_start, data_sectors)
         record = next((r for r in records if r.label == label), None)
         if record is None:
             raise FileNotFoundError(label)
-        blob = b"".join(self._read_sector(lba) for lba in record.lbas(data_start))
-        return blob[: record.length]
+        extent = record.lbas(data_start)
+        return self._read_plain(extent.start, len(extent))[: record.length]
 
     def write_file(self, label: str, blob: bytes) -> None:
-        """Create or replace a file; the table is committed last."""
+        """Create or replace a file, its extent and then the table each in
+        one mediated write: the table is committed last."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition
-        records, table_sectors = read_file_table(self._read_sector, data_start, data_sectors)
+        records, table_sectors = read_file_table(self._read_plain, data_start, data_sectors)
         needed = -(-len(blob) // SECTOR_SIZE)
 
         keep = [r for r in records if r.label != label]
@@ -181,12 +186,10 @@ class BootHost:
         record = FileRecord(label=label, offset=offset, length=len(blob))
         table = build_file_table(keep + [record], table_sectors)  # may raise CapacityError
 
-        for i, lba in enumerate(record.lbas(data_start)):
-            chunk = blob[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
-            chunk += bytes(SECTOR_SIZE - len(chunk))
-            self._write_sector(lba, chunk)
-        for i in range(table_sectors):
-            self._write_sector(data_start + i, table[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
+        if needed:
+            padded = blob.ljust(needed * SECTOR_SIZE, b"\0")
+            self.tmiu.mediate_write(self.bus, data_start + offset // SECTOR_SIZE, padded)
+        self.tmiu.mediate_write(self.bus, data_start, table)
 
     @staticmethod
     def _allocate(

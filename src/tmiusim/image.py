@@ -403,17 +403,19 @@ def parse_file_table(table: bytes) -> list[FileRecord]:
 
 
 def read_file_table(
-    read_plain: Callable[[int], bytes], data_start: int, data_sectors: int
+    read_plain: Callable[[int, int], bytes], data_start: int, data_sectors: int
 ) -> tuple[list[FileRecord], int]:
     """(records, table sectors) of the file table heading a
     ``data_sectors``-sector data partition, read through
-    ``read_plain(lba) -> plaintext``: the first sector once, then the rest,
-    unless the table claims more sectors than the partition holds."""
-    first = read_plain(data_start)
-    sectors = table_sector_count(first)
+    ``read_plain(lba, count) -> plaintext`` of ``count`` sectors from
+    ``lba``: the first sector, then the rest as one run, unless the table
+    claims more sectors than the partition holds."""
+    table = read_plain(data_start, 1)
+    sectors = table_sector_count(table)
     if sectors > data_sectors:
         raise FileTableError(f"file table claims {sectors} sectors, the data partition holds {data_sectors}")
-    table = first + b"".join(read_plain(data_start + i) for i in range(1, sectors))
+    if sectors > 1:
+        table += read_plain(data_start + 1, sectors - 1)
     return parse_file_table(table), sectors
 
 

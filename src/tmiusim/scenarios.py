@@ -253,9 +253,15 @@ def run_scenario(
 
 
 def _sweep_files(host: BootHost, manifest: Manifest) -> str:
+    """Read every manifest file back. A label missing from the card's file
+    table means the manifest does not describe this card: a
+    :class:`ScenarioError`, not an outcome."""
     try:
         for label, length, digest in manifest.files:
-            blob = host.read_file(label)
+            try:
+                blob = host.read_file(label)
+            except FileNotFoundError:
+                raise ScenarioError(f"file {label!r} is not in the card's file table") from None
             if len(blob) != length or sha256(blob).hex() != digest:
                 return Denial.SECTOR_TAG_MISMATCH.value
         return "OsRunning"

@@ -18,7 +18,8 @@ CRC check, never as plaintext.
 Cycle accounting matches the modelled hardware: PROM loading at its rated
 byte rate, sector transfers at the card line rate, and a 52-cycle pipeline
 latency that overlaps streaming except for the final drain of each transfer
-run.
+run. After hand-over a run of mediated sectors charges what its sectors
+would charge one by one.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ CLOCK_HZ = 50_000_000
 # One sector crossing the wire at the card line rate.
 SECTOR_TRANSFER_CYCLES = -(-SECTOR_SIZE * CLOCK_HZ // LINE_RATE)
 SECTOR_PIPELINE_CYCLES = 52
+# A mediated read moves the data sector and its tag sector and checks both; a
+# write moves and commits the data sector, reads and checks the tag sector,
+# and commits it. A run of n of them charges n times as much.
+_READ_CYCLES = 2 * SECTOR_TRANSFER_CYCLES + 2 * SECTOR_PIPELINE_CYCLES
+_WRITE_CYCLES = 3 * SECTOR_TRANSFER_CYCLES + 3 * SECTOR_PIPELINE_CYCLES
 
 
 class Stage(Enum):
@@ -399,16 +405,63 @@ class Tmiu:
 
     # -- operational data path ----------------------------------------------
 
-    def mediate_read(self, bus: SdioBus, lba: int) -> bytes:
-        """Verified, decrypted read of one data-partition sector.
+    def mediate_read(self, bus: SdioBus, lba: int, count: int = 1) -> bytes:
+        """Verified, decrypted read of the ``count`` data-partition sectors
+        from ``lba``, or of only the first of them where frames are observed
+        (see :meth:`_frames_observed`): the caller reads on from where the
+        returned plaintext ends.
 
-        A block failing the line CRC is forwarded as-is (the processor's CRC
-        check fails, it retries). A block failing its integrity tag poisons
-        the transfer the same way, then locks the unit down and suspends the
-        card.
+        The whole extent must lie in the data partition, or the read is a
+        :class:`PolicyViolation` before any exchange. A block failing the
+        line CRC is forwarded as-is (the processor's CRC check fails, it
+        retries). A block failing its integrity tag poisons the transfer the
+        same way, then locks the unit down and suspends the card, with the
+        sectors before it charged as read.
         """
-        cipher, mac = self._mediated_keys(lba, "read of")
+        self._check_extent(lba, count, "read of")
+        if self._frames_observed(bus):
+            return self._read_sector(bus, lba)
+        return self._read_run(bus, lba, count)
 
+    def mediate_write(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
+        """Encrypt-and-tag write of data-partition sectors from ``lba``.
+
+        The whole extent must lie in the data partition, or the write is a
+        :class:`PolicyViolation` before any exchange. A write never raises
+        :class:`ProtocolCrcError`: each frame is resent on a line-CRC
+        failure, and a bus that gives up locks the unit down.
+        """
+        count, partial = divmod(len(plaintext), SECTOR_SIZE)
+        self._check_extent(lba, count, "write to")
+        if partial:
+            raise ValueError("sector payload must be a whole number of 512-byte sectors")
+        if not self._frames_observed(bus):
+            self._write_run(bus, lba, plaintext)
+            return
+        for i in range(count):
+            self._write_sector(bus, lba + i, plaintext[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
+
+    def _check_extent(self, lba: int, count: int, access: str) -> None:
+        """Raise unless the stage and the partition policy allow access to
+        ``count`` sectors from ``lba``."""
+        self._require(Stage.OPERATIONAL)
+        if count < 1:
+            raise ValueError(f"a {access} needs one sector or more")
+        layout = self._layout
+        if not (layout.is_data_lba(lba) and layout.is_data_lba(lba + count - 1)):
+            raise PolicyViolation(f"{access} LBAs {lba}..{lba + count - 1} outside the data partition")
+
+    @staticmethod
+    def _frames_observed(bus: SdioBus) -> bool:
+        """Whether single frames are observed, by the transcript or a
+        pending fault. Only then does a mediated access go sector by sector,
+        with every frame on the wire; otherwise it moves its whole extent as
+        one run (:meth:`_read_run`, :meth:`_write_run`)."""
+        return bus.trace_enabled or bus.faults_pending
+
+    def _read_sector(self, bus: SdioBus, lba: int) -> bytes:
+        """One mediated read, every frame on the wire."""
+        cipher, mac = self._keys
         # The data leg is not retried here: a line-CRC failure goes to the
         # processor, whose own retry re-issues the whole read.
         ciphertext, crc_ok = self._read_single(bus, lba, retries=0)
@@ -425,24 +478,85 @@ class Tmiu:
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
         return plaintext
 
-    def mediate_write(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
-        """Encrypt-and-tag write of one data-partition sector."""
-        cipher, mac = self._mediated_keys(lba, "write to")
-        if len(plaintext) != SECTOR_SIZE:
-            raise ValueError("sector payload must be 512 bytes")
-
+    def _write_sector(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
+        """One mediated write, every frame on the wire."""
+        cipher, mac = self._keys
         ciphertext = encrypt_sector(cipher, lba, plaintext)
         self._write_single(bus, lba, ciphertext)
         meta_lba, offset, tags = self._read_tag_sector(bus, lba)
         tags = tags[:offset] + sector_tag(mac, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
         self._write_single(bus, meta_lba, encrypt_sector(cipher, meta_lba, tags))
 
-    def _mediated_keys(self, lba: int, access: str) -> tuple[SectorCipher, SectorMac]:
-        """The keys, once stage and partition policy allow the access."""
-        self._require(Stage.OPERATIONAL)
-        if not self._layout.is_data_lba(lba):
-            raise PolicyViolation(f"{access} LBA {lba} outside the data partition")
-        return self._keys
+    def _read_run(self, bus: SdioBus, lba: int, count: int) -> bytes:
+        """``count`` mediated reads as one run: each data sector its own
+        frameless CMD17, each tag sector they share read once, one cipher
+        call, and one ledger charge of what the reads one by one would
+        charge, up to and including a sector that fails its tag."""
+        cipher, mac = self._keys
+        sectors = self._fetch_sectors(bus, lba, count)
+        _, slot, tags = self._fetch_tags(bus, lba, count)
+        for i, ciphertext in enumerate(sectors):
+            if mac.tag(lba + i, ciphertext) != tags[slot : slot + DIGEST_SIZE]:
+                # The failing read moved both sectors and checked the tag sector.
+                self.ledger.charge(
+                    i * _READ_CYCLES + 2 * SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES,
+                    (i + 1) * 2 * SECTOR_SIZE,
+                )
+                self._lockdown(Denial.SECTOR_TAG_MISMATCH, bus, lba=lba + i)
+                raise ProtocolCrcError(f"sector {lba + i} failed verification; stream poisoned")
+            slot += DIGEST_SIZE
+        self.ledger.charge(count * _READ_CYCLES, count * 2 * SECTOR_SIZE)
+        return cipher.crypt(lba, b"".join(sectors))
+
+    def _write_run(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
+        """Mediated writes as one run: one cipher call, each data sector its
+        own frameless CMD24, each tag sector they share read, updated and
+        written back once, and one ledger charge of what the writes one by
+        one would charge."""
+        cipher, mac = self._keys
+        ciphertext = cipher.crypt(lba, plaintext)
+        self._push_sectors(bus, lba, ciphertext)
+        count = len(ciphertext) // SECTOR_SIZE
+        meta_lba, slot, tags = self._fetch_tags(bus, lba, count)
+        tags = bytearray(tags)
+        for i in range(count):
+            tags[slot : slot + DIGEST_SIZE] = mac.tag(lba + i, ciphertext[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
+            slot += DIGEST_SIZE
+        self._push_sectors(bus, meta_lba, cipher.crypt(meta_lba, tags))
+        self.ledger.charge(count * _WRITE_CYCLES, count * 3 * SECTOR_SIZE)
+
+    def _fetch_tags(self, bus: SdioBus, lba: int, count: int) -> tuple[int, int, bytes]:
+        """(first integrity-region LBA, offset of ``lba``'s tag slot, the
+        decrypted tag sectors of ``count`` data sectors from ``lba``), each
+        tag sector read once and uncharged."""
+        meta_lba, offset = self._layout.tag_location(lba)
+        last_meta_lba, _ = self._layout.tag_location(lba + count - 1)
+        sectors = self._fetch_sectors(bus, meta_lba, last_meta_lba - meta_lba + 1)
+        cipher, _ = self._keys
+        return meta_lba, offset, cipher.crypt(meta_lba, b"".join(sectors))
+
+    # A run's frameless exchanges. Nothing observes frames, so every line CRC
+    # holds, and the card is silent from a run's first exchange or not at
+    # all: only a lockdown, or a suspension before the run, silences it.
+
+    def _fetch_sectors(self, bus: SdioBus, lba: int, count: int) -> list[bytes]:
+        """CMD17 reads of ``count`` sectors from ``lba``, uncharged; locks
+        the unit down when the card is silent."""
+        sectors = []
+        for sector_lba in range(lba, lba + count):
+            fetched = bus.fetch_block() if bus.start_transfer(CMD_READ_SINGLE, sector_lba) else None
+            if fetched is None:
+                self._fail(Denial.BUS_ERROR, bus)
+            sectors.append(fetched[0])
+        return sectors
+
+    def _push_sectors(self, bus: SdioBus, lba: int, data: bytes) -> None:
+        """CMD24 writes of the sectors of ``data`` from ``lba``, uncharged;
+        locks the unit down when the card is silent."""
+        for i in range(len(data) // SECTOR_SIZE):
+            sector = data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
+            if not bus.start_transfer(CMD_WRITE_SINGLE, lba + i) or bus.push_block(sector) != TOKEN_CRC_OK:
+                self._fail(Denial.BUS_ERROR, bus)
 
     def _read_tag_sector(self, bus: SdioBus, lba: int) -> tuple[int, int, bytes]:
         """(integrity-region LBA, tag offset, decrypted tag sector) for a data LBA."""

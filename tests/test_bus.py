@@ -1,3 +1,4 @@
+import functools
 import re
 
 import pytest
@@ -30,13 +31,13 @@ from tmiusim.bus import (
     parse_data,
     parse_response,
 )
-from tmiusim.crypto import RUN_SECTORS, SectorCipher, crc16
+from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import CapacityError
 from tmiusim.tmiu import LockdownError, ProtocolCrcError, Stage, TmiuError
 
-from conftest import DATA_FILES, make_provision, provision_container
+from conftest import DATA_FILES, image_file_records, make_provision, provision_container
 
 
 @pytest.fixture()
@@ -693,6 +694,29 @@ class TestRunPathEquivalence:
         assert _stream_boot(result, flip, fault, False) == _stream_boot(result, flip, fault, True)
 
 
+@functools.lru_cache(maxsize=None)
+def _roomy_provision():
+    """The fixture's files in a data partition of 214 sectors, which spans 14
+    tag sectors: room for files of up to 80 sectors."""
+    return make_provision(data_slack_sectors=200)
+
+
+def _in_use_lbas(card, manifest) -> list[int]:
+    """The data LBAs a file op reads: the table's, then each file's extent
+    as far as it lies in the data partition."""
+    layout = manifest.layout
+    end = layout.data_start + layout.data_sectors
+    lbas = set(range(layout.data_start, layout.data_start + 4))  # the fixture's table
+    try:
+        records = image_file_records(card.backing, manifest)
+    except ValueError:  # a tampered table; the next read of it locks down
+        records = []
+    for record in records:
+        extent = record.lbas(layout.data_start)
+        lbas.update(range(extent.start, min(extent.stop, end)))
+    return sorted(lbas)
+
+
 def _mediated_ops(provisioned, ops, trace):
     """Fixture boot, then ``ops`` through the host and the unit: (each op's
     bytes or exception class, ledger totals, the unit's stage record, card
@@ -701,6 +725,7 @@ def _mediated_ops(provisioned, ops, trace):
     host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
     assert host.run_boot(expected_entries=manifest.entries).ok
     data_start, data_sectors = tmiu.data_partition
+    data_end = data_start + data_sectors
     outcomes = []
     for op, arg in ops:
         try:
@@ -710,14 +735,26 @@ def _mediated_ops(provisioned, ops, trace):
                 label, size = arg
                 host.write_file(label, bytes((i * 13 + size) % 256 for i in range(size)))
                 outcomes.append(None)
-            elif op == "outside":
-                lba = data_start - 1 if arg else data_start + data_sectors
-                outcomes.append(tmiu.mediate_read(bus, lba))
-            elif op == "tamper":
-                lba = data_start + arg % min(data_sectors, 12)  # the table or a file
+            elif op == "outside":  # past, before or across the partition's end
+                lba, count = [(data_end, 1), (data_start - 1, 1), (data_end - 2, 3)][arg]
+                outcomes.append(tmiu.mediate_read(bus, lba, count))
+            elif op == "outside_write":  # across the partition's end
+                outcomes.append(tmiu.mediate_write(bus, data_end - 1, bytes(512 * (arg + 2))))
+            elif op == "tamper":  # one bit of an in-use data sector or of its tag slot
+                in_tag, pick = arg
+                lbas = _in_use_lbas(card, manifest)
+                lba = lbas[pick % len(lbas)]
+                if in_tag:
+                    lba, offset = manifest.layout.tag_location(lba)
+                    offset += pick % DIGEST_SIZE
+                else:
+                    offset = pick % 512
                 sector = bytearray(card.backing.read_sector(lba))
-                sector[arg % 512] ^= 1
+                sector[offset] ^= 1 << (pick >> 9) % 8
                 card.backing.write_sector(lba, bytes(sector))
+                outcomes.append(None)
+            elif op == "fault":  # a wire fault due some frames into the next ops
+                bus.inject_fault(*arg)
                 outcomes.append(None)
             else:  # the card stops answering while the unit is operational
                 card.suspend_io()
@@ -729,7 +766,8 @@ def _mediated_ops(provisioned, ops, trace):
     return outcomes, (ledger.cycles, ledger.bytes_moved, tmiu.stage_history), card.backing.to_bytes(), unit
 
 
-_LABELS = [label for label, _ in DATA_FILES] + ["new.bin", "missing.bin"]
+_LABELS = [label for label, _ in DATA_FILES] + ["new.bin", "big.bin", "missing.bin"]
+_EVENT_AT = st.integers(0, 8)
 
 
 class TestSingleReadPathEquivalence:
@@ -739,21 +777,50 @@ class TestSingleReadPathEquivalence:
             st.one_of(
                 st.tuples(st.just("read"), st.sampled_from(_LABELS)),
                 st.tuples(st.just("read"), st.sampled_from(_LABELS)),
-                st.tuples(st.just("write"), st.tuples(st.sampled_from(_LABELS), st.integers(0, 2500))),
-                st.tuples(st.just("outside"), st.booleans()),
+                # Up to 79 sectors: a file spans up to six tag sectors.
+                st.tuples(st.just("write"), st.tuples(st.sampled_from(_LABELS), st.integers(0, 40_000))),
+                st.tuples(st.just("outside"), st.integers(0, 2)),
+                st.tuples(st.just("outside_write"), st.integers(0, 2)),
             ),
             max_size=8,
         ),
         events=st.lists(
-            st.tuples(st.integers(0, 8), st.sampled_from(["tamper", "suspend"]), st.integers(0, 1 << 20)),
+            st.one_of(
+                st.tuples(_EVENT_AT, st.just("tamper"), st.tuples(st.booleans(), st.integers(0, 1 << 20))),
+                st.tuples(_EVENT_AT, st.just("suspend"), st.none()),
+                # Up to 160 frames on: mid-table or mid-file for the next op.
+                st.tuples(
+                    _EVENT_AT,
+                    st.just("fault"),
+                    st.tuples(
+                        st.sampled_from(["c2h", "cmd", "h2c"]),
+                        st.integers(1, 160),
+                        st.integers(0, DATA_FRAME_SIZE - 1),
+                        st.integers(0, 7),
+                    ),
+                ),
+            ),
             max_size=2,
         ),
     )
-    @example(ops=[("read", "var/log.bin"), ("read", "keys.db")], events=[(0, "tamper", 4)])
-    @example(ops=[("outside", False), ("read", "keys.db"), ("read", "keys.db")], events=[(1, "suspend", 0)])
-    def test_single_read_exchange_matches_per_frame_path(self, provisioned, ops, events):
-        # Untraced, with no fault pending, each CMD17 read is one exchange;
-        # the transcript forces its command, response and data frames.
+    @example(ops=[("read", "var/log.bin"), ("read", "keys.db")], events=[(0, "tamper", (False, 4))])
+    @example(ops=[("outside", 0), ("read", "keys.db"), ("read", "keys.db")], events=[(1, "suspend", None)])
+    # A 69-sector file: the fault fires on the data frame of its 15th
+    # sector, after the table's 8 frames and 28 more, so the retried read
+    # goes on as one run.
+    @example(
+        ops=[("write", ("big.bin", 35_000)), ("read", "big.bin")],
+        events=[(1, "fault", ("c2h", 37, 100, 3))],
+    )
+    @example(
+        ops=[("write", ("big.bin", 35_000)), ("read", "big.bin"), ("write", ("big.bin", 20_000))],
+        events=[(1, "tamper", (True, 57)), (3, "fault", ("h2c", 9, 0, 0))],
+    )
+    def test_single_read_exchange_matches_per_frame_path(self, ops, events):
+        # Untraced, with no fault pending, a file's table and extent each move
+        # as one run of CMD17 or CMD24 exchanges; the transcript, or a pending
+        # fault, forces every frame, sector by sector.
         for at, event, arg in events:
             ops.insert(at, (event, arg))
+        provisioned = _roomy_provision()
         assert _mediated_ops(provisioned, ops, False) == _mediated_ops(provisioned, ops, True)

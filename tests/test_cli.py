@@ -285,6 +285,20 @@ class TestTamper:
         assert "result=" not in captured.out
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_manifest_file_missing_from_the_card_exits_2(self, workspace, capsys):
+        # The file sweep after a clean boot finds no such label in the card's
+        # table: the manifest does not describe this card.
+        _provision(capsys)
+        manifest = Path("card.nvm.manifest")
+        manifest.write_text(manifest.read_text().replace("file=fs.tar,", "file=gone.tar,"))
+        rc = main(
+            ["tamper", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--builtin", "bus_cmd_bitflip"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "result=" not in captured.out
+        assert captured.err == "error: bus_cmd_bitflip: file 'gone.tar' is not in the card's file table\n"
+
     def test_unknown_builtin_exits_2(self, workspace, capsys):
         _provision(capsys)
         rc = main(
@@ -538,6 +552,9 @@ def fuzz_dir(tmp_path_factory):
          "--data", str(root / "fs.tar"), "--out", str(root / "card.nvm"), "--dna", "0x1",
          "--repetitions", "1"]
     ) == 0
+    manifest = (root / "card.nvm.manifest").read_text()
+    assert "file=fs.tar," in manifest
+    (root / "renamed.manifest").write_text(manifest.replace("file=fs.tar,", "file=gone.tar,"))
     (root / "short.nvm").write_bytes((root / "card.nvm").read_bytes()[: 10 * 512])
     (root / "empty.nvm").write_bytes(b"")
     assert main(
@@ -604,7 +621,7 @@ def _fuzz_calls(root):
     outputs = paths("out/card.nvm", "out/other", "dir", "missing/x.out")
     pair = {
         "--image": paths("card.nvm", "short.nvm", "empty.nvm", "binary.txt", "missing.nvm"),
-        "--manifest": paths("card.nvm.manifest", "garbage.manifest", "binary.txt", "missing"),
+        "--manifest": paths("card.nvm.manifest", "renamed.manifest", "garbage.manifest", "binary.txt", "missing"),
         "--nope": None,
     }
     return {

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from tmiusim.bus import DataBlock, SdioBus, VirtualCard
 from tmiusim.crypto import SectorCipher, SectorMac, decrypt_sector, sector_tag
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
-from tmiusim.image import manifest_keys
+from tmiusim.image import FileRecord, build_file_table, manifest_keys
 from tmiusim.tmiu import (
     Denial,
     LockdownError,
@@ -21,7 +22,7 @@ from tmiusim.tmiu import (
     Tmiu,
 )
 
-from conftest import make_provision, provision_container
+from conftest import DATA_FILES, make_provision, provision_container
 
 
 def _system(provisioned, image=None, dna=None, cid=None, trace=False):
@@ -335,6 +336,60 @@ class TestMediatedDataPath:
         with pytest.raises(PolicyViolation):
             tmiu.mediate_read(bus, provisioned.layout.meta_start)
 
+    @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, "h2c")])
+    def test_a_read_moves_its_whole_extent_unless_frames_are_observed(self, provisioned, trace, fault):
+        host, tmiu, bus, _ = _system(provisioned, trace=trace)
+        assert host.run_boot().ok
+        if fault is not None:
+            bus.inject_fault(fault)  # pending: no write follows
+        cipher = SectorCipher(manifest_keys(provisioned.manifest)[0])
+        lba = provisioned.layout.data_start + 3
+        expected = cipher.crypt(lba, provisioned.image.read_sectors(lba, 20))
+        observed = trace or fault is not None
+        assert tmiu.mediate_read(bus, lba, 20) == (expected[:512] if observed else expected)
+
+    def test_an_access_needs_whole_sectors(self, provisioned):
+        _, tmiu, bus, _ = _boot_to_operational(provisioned)
+        lba = provisioned.layout.data_start
+        for access in (
+            lambda: tmiu.mediate_read(bus, lba, 0),
+            lambda: tmiu.mediate_write(bus, lba, b""),
+            lambda: tmiu.mediate_write(bus, lba, bytes(700)),
+        ):
+            with pytest.raises(ValueError):
+                access()
+        assert tmiu.stage is Stage.OPERATIONAL
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_extent_across_the_partition_end_is_refused_before_any_exchange(self, provisioned, trace):
+        # A file table written with the key can name an extent that leaves
+        # the data partition. Reading that file charges the table alone.
+        host, tmiu, bus, card = _system(provisioned, trace=trace)
+        assert host.run_boot().ok
+        layout = provisioned.layout
+        end = layout.data_start + layout.data_sectors
+        record = FileRecord("across", offset=(layout.data_sectors - 2) * 512, length=5 * 512)
+        tmiu.mediate_write(bus, layout.data_start, build_file_table([record], 4))
+
+        def state():
+            return tmiu.ledger.cycles, tmiu.ledger.bytes_moved, len(bus.transcript), card.backing.to_bytes()
+
+        cycles, nbytes, frames, image = state()
+        with pytest.raises(PolicyViolation):
+            host.read_file("across")
+        read = 2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES)
+        assert state()[:2] == (cycles + 4 * read, nbytes + 4 * 1024)
+
+        cycles, nbytes, frames, image = state()
+        with pytest.raises(PolicyViolation):
+            tmiu.mediate_read(bus, end - 2, 3)
+        with pytest.raises(PolicyViolation):
+            tmiu.mediate_write(bus, end - 1, bytes(1024))
+        with pytest.raises(PolicyViolation):
+            tmiu.mediate_read(bus, layout.data_start - 1, 2)
+        assert state() == (cycles, nbytes, frames, image)
+        assert tmiu.stage is Stage.OPERATIONAL
+
     def test_wire_fault_on_read_is_retryable(self, provisioned):
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start
@@ -527,3 +582,79 @@ class TestCostFormula:
         assert report.rate_mbps == pytest.approx(
             boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6, rel=1e-12
         )
+
+    TABLE_SECTORS = 4  # the fixture's file table
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        boot_fault=st.none() | st.tuples(st.sampled_from(["c2h", "cmd"]), st.integers(0, 1 << 16)),
+        ops=st.lists(
+            st.tuples(
+                st.booleans(),
+                st.sampled_from(["etc/config.txt", "a.bin", "b.bin", "missing.bin"]),
+                # Up to 60 sectors, so a file spans up to five tag sectors.
+                st.integers(0, 60 * 512),
+                st.none() | st.tuples(st.sampled_from(["c2h", "cmd"]), st.integers(0, 1 << 16)),
+            ),
+            max_size=6,
+        ),
+    )
+    def test_file_operations_follow_the_formula(self, boot_fault, ops):
+        # A read of an n-sector file reads the table, then the file: T + n
+        # mediated reads. A write reads the table, writes the n sectors, then
+        # the table: T reads and n + T writes. A read of a missing file reads
+        # the table alone. One line fault resends one sector, 1024 cycles and
+        # 512 bytes more, wherever it lands; a command fault resends only the
+        # command, which costs nothing.
+        provisioned = _file_store_provision()
+        host, tmiu, bus, _ = _system(provisioned)
+        container_sectors = provisioned.layout.boot_sectors
+        boot_cycles, boot_bytes = self.boot_terms(container_sectors)
+        if boot_fault is not None:
+            kind, pick = boot_fault
+            # Both kinds send more frames than this before hand-over: the MBR
+            # and the container's sectors, or CMD0 to CMD18.
+            bus.inject_fault(kind, nth=1 + pick % (1 + container_sectors if kind == "c2h" else 7))
+            if kind == "c2h":
+                boot_cycles, boot_bytes = boot_cycles + 1024, boot_bytes + 512
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        assert not bus.faults_pending
+
+        sizes = {label: len(blob) for label, blob in DATA_FILES}
+        cycles, nbytes = self.PROM_CYCLES + boot_cycles, self.PROM_BYTES + boot_bytes
+        for write, label, size, fault in ops:
+            n = -(-(size if write else sizes.get(label, 0)) // 512)
+            if fault is not None:
+                kind, pick = fault
+                # Every op sends at least 2T + n frames of either kind.
+                bus.inject_fault(kind, nth=1 + pick % (2 * self.TABLE_SECTORS + n))
+                if kind == "c2h":
+                    cycles, nbytes = cycles + 1024, nbytes + 512
+            reads, writes = self.TABLE_SECTORS, 0
+            if write:
+                host.write_file(label, bytes([size % 256]) * size)
+                sizes[label] = size
+                writes = n + self.TABLE_SECTORS
+            elif label in sizes:
+                assert len(host.read_file(label)) == sizes[label]
+                reads += n
+            else:
+                with pytest.raises(FileNotFoundError):
+                    host.read_file(label)
+            assert not bus.faults_pending
+            cycles += reads * self.READ_CYCLES + writes * self.WRITE_CYCLES
+            nbytes += reads * self.READ_BYTES + writes * self.WRITE_BYTES
+
+        report = tmiu.report()
+        assert (report.cycles, report.bytes_moved) == (cycles, nbytes)
+        assert report.boot_ms == pytest.approx(boot_cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
+        assert report.total_ms == pytest.approx(cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
+        assert report.rate_mbps == pytest.approx(
+            boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6, rel=1e-12
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _file_store_provision():
+    """The fixture's image at one KDF step, with 800 free data sectors."""
+    return make_provision(kdf_repetitions=1, data_slack_sectors=800)
