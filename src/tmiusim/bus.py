@@ -14,15 +14,17 @@ due on that very frame, or the transcript. A data frame so observed is
 parsed back into a :class:`DataBlock`, the only place the bus builds one.
 An untouched frame's CRC always holds, so both paths have the same wire
 semantics, and a fault's ``nth`` counts every frame of its kind either way.
-Where nothing observes single frames at all, no transcript and no
-card-to-host fault pending, a multi-block read moves whole runs of sectors
-as one buffer. A data command (CMD17, CMD18, CMD24) opens through
-:meth:`SdioBus.start_transfer`: with no transcript and no command fault
-pending, the card meets it with the check a command frame meets, and no
-frame is built; otherwise it goes through :meth:`SdioBus.request`, the one
-loop that resends a command while the card stays silent. The bus alone makes
-these choices, and each data leg (:meth:`SdioBus.fetch_block`,
-:meth:`SdioBus.fetch_run`, :meth:`SdioBus.push_block`) picks bytes or frames
+Where no transcript and no fault of its direction observe single frames, a
+multi-block read or write (CMD18, CMD25) moves runs of sectors as one
+buffer. A data command (CMD17, CMD18, CMD24, CMD25) opens through
+:meth:`SdioBus.start_transfer`, and CMD12 closes it through
+:meth:`SdioBus.stop_transfer`: with no transcript and no command fault
+pending, the card meets either with the check a command frame meets, and no
+frame is built; otherwise the one goes through :meth:`SdioBus.request`, the
+loop that resends a command while the card stays silent, and the other as
+one frame. The bus alone makes these choices, and each data leg
+(:meth:`SdioBus.fetch_block`, :meth:`SdioBus.fetch_run`,
+:meth:`SdioBus.push_block`, :meth:`SdioBus.push_run`) picks bytes or frames
 by itself.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
@@ -50,6 +52,7 @@ CMD_SET_BLOCKLEN = 16
 CMD_READ_SINGLE = 17
 CMD_READ_MULTIPLE = 18
 CMD_WRITE_SINGLE = 24
+CMD_WRITE_MULTIPLE = 25
 
 STATUS_OUT_OF_RANGE = 1 << 31
 STATUS_BLOCK_LEN_ERROR = 1 << 29
@@ -227,11 +230,15 @@ class VirtualCard:
                 return ResponseFrame(idx, STATUS_BLOCK_LEN_ERROR)
             return ResponseFrame(idx)
         if idx == CMD_STOP_TRANSMISSION:
-            self._open = None
+            self.stop_transfer()
             return ResponseFrame(idx)
-        if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE):
+        if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE):
             return ResponseFrame(idx, self.open_transfer(idx, arg))
         return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
+
+    def stop_transfer(self) -> None:
+        """CMD12: the open transfer, if any, ends."""
+        self._open = None
 
     def open_transfer(self, idx: int, lba: int) -> int | None:
         """Handle data command ``idx`` at ``lba``: its R1 status, zero once
@@ -260,17 +267,19 @@ class VirtualCard:
         return self.backing.read_sectors(lba, count)
 
     def receive_write_block(self, payload: bytes, crc_ok: bool) -> int | None:
-        """Accept the data frame of an open write transfer, told whether its
-        CRC held at the card's receiver; commit it if so and report
-        acceptance via token."""
-        if self._open is None or self._open[0] != CMD_WRITE_SINGLE:
+        """Accept the data of an open write transfer, told whether its CRC
+        held at the card's receiver; commit it and report acceptance via
+        token, or close the transfer. CMD24 takes one sector and closes;
+        CMD25 takes each at its next LBA, with no token past the geometry."""
+        idx, lba = self._open or (None, 0)
+        if idx not in (CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE) or lba >= self.geometry:
             return None
-        lba = self._open[1]
-        self._open = None
+        count = min(len(payload) // SECTOR_SIZE, self.geometry - lba) if idx == CMD_WRITE_MULTIPLE else 1
+        self._open = (idx, lba + count) if idx == CMD_WRITE_MULTIPLE and crc_ok else None
         if not crc_ok:
             return TOKEN_CRC_ERR
-        self.backing.write_sector(lba, payload)
-        return TOKEN_CRC_OK
+        self.backing.write_sectors(lba, payload[: count * SECTOR_SIZE])
+        return TOKEN_CRC_OK if count * SECTOR_SIZE == len(payload) else None
 
 
 @dataclass
@@ -357,8 +366,8 @@ class SdioBus:
         return None
 
     def start_transfer(self, index: int, lba: int) -> bool:
-        """Open the transfer of data command ``index`` (CMD17, CMD18 or
-        CMD24) at ``lba``; whether the card accepted it.
+        """Open the transfer of data command ``index`` (CMD17, CMD18, CMD24
+        or CMD25) at ``lba``; whether the card accepted it.
 
         Where nothing observes command frames, no transcript and no command
         fault pending, the card checks the command with no frame built;
@@ -370,6 +379,14 @@ class SdioBus:
         if not 0 <= lba <= 0xFFFFFFFF:
             raise ValueError("argument is 32 bits")
         return self.card.open_transfer(index, lba) == 0
+
+    def stop_transfer(self) -> None:
+        """Close the open data transfer with CMD12: one frame where command
+        frames are observed (see :meth:`start_transfer`), else none."""
+        if self.trace_enabled or self._faults["cmd"]:
+            self.command(CMD_STOP_TRANSMISSION, 0)
+        else:  # a suspended card holds no open transfer
+            self.card.stop_transfer()
 
     def _observe(self, direction: str, payload: bytes, due: list[_FaultPlan]) -> DataBlock:
         """A data frame as it arrives where its bytes are observed: serialized
@@ -413,3 +430,12 @@ class SdioBus:
         if token is not None:
             self._log("C→H", "TOK", bytes([token]))
         return token
+
+    def push_run(self, data: bytes) -> int | None:
+        """Send the sectors of ``data`` to an open write transfer: as one
+        buffer where nothing observes single frames (see :meth:`fetch_run`),
+        else frame by frame until one is refused; the card's last token."""
+        if not (self.trace_enabled or self._faults["h2c"]):
+            return self.card.receive_write_block(data, True)
+        tokens = (self.push_block(data[i : i + SECTOR_SIZE]) for i in range(0, len(data), SECTOR_SIZE))
+        return next((token for token in tokens if token != TOKEN_CRC_OK), TOKEN_CRC_OK)

@@ -24,6 +24,7 @@ from .image import (
     NvmImage,
     build_file_table,
     parse_boot_image,
+    parse_file_table,
     read_file_table,
 )
 from .tmiu import (
@@ -86,6 +87,8 @@ class BootHost:
         self.bus = bus
         self.phase = HostPhase.PRE_BOOT
         self.loaded_entries: list[LoadedEntry] = []
+        # (plaintext, records) of the file table last read or written.
+        self._table: tuple[bytes, list[FileRecord]] = (b"", [])
 
     # -- boot ---------------------------------------------------------------
 
@@ -97,7 +100,7 @@ class BootHost:
         verification.
         """
         self.phase = HostPhase.PRE_BOOT
-        self.loaded_entries = []
+        self.loaded_entries, self._table = [], (b"", [])
         tmiu, bus = self.tmiu, self.bus
 
         tmiu.power_on()
@@ -159,6 +162,14 @@ class BootHost:
             lba += len(plain) // SECTOR_SIZE
         return b"".join(parts)
 
+    def _read_table(self, data_start: int, data_sectors: int) -> tuple[list[FileRecord], int]:
+        """(records, sectors) of the file table, read whole through the unit;
+        parsed only where it differs from the table last read or written."""
+        table = read_file_table(self._read_plain, data_start, data_sectors)
+        if table != self._table[0]:
+            self._table = (table, parse_file_table(table))
+        return self._table[1], len(table) // SECTOR_SIZE
+
     def read_file(self, label: str) -> bytes:
         """Fetch a file from the data partition through the mediated path:
         the table, then the file's extent, each as one read where the unit
@@ -166,7 +177,7 @@ class BootHost:
         :class:`~tmiusim.tmiu.PolicyViolation` before any of it is read."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition
-        records, _ = read_file_table(self._read_plain, data_start, data_sectors)
+        records, _ = self._read_table(data_start, data_sectors)
         record = next((r for r in records if r.label == label), None)
         if record is None:
             raise FileNotFoundError(label)
@@ -178,7 +189,7 @@ class BootHost:
         one mediated write: the table is committed last."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition
-        records, table_sectors = read_file_table(self._read_plain, data_start, data_sectors)
+        records, table_sectors = self._read_table(data_start, data_sectors)
         needed = -(-len(blob) // SECTOR_SIZE)
 
         keep = [r for r in records if r.label != label]
@@ -190,6 +201,7 @@ class BootHost:
             padded = blob.ljust(needed * SECTOR_SIZE, b"\0")
             self.tmiu.mediate_write(self.bus, data_start + offset // SECTOR_SIZE, padded)
         self.tmiu.mediate_write(self.bus, data_start, table)
+        self._table = (table, keep + [record])
 
     @staticmethod
     def _allocate(

@@ -402,21 +402,18 @@ def parse_file_table(table: bytes) -> list[FileRecord]:
     return records
 
 
-def read_file_table(
-    read_plain: Callable[[int, int], bytes], data_start: int, data_sectors: int
-) -> tuple[list[FileRecord], int]:
-    """(records, table sectors) of the file table heading a
-    ``data_sectors``-sector data partition, read through
-    ``read_plain(lba, count) -> plaintext`` of ``count`` sectors from
-    ``lba``: the first sector, then the rest as one run, unless the table
-    claims more sectors than the partition holds."""
+def read_file_table(read_plain: Callable[[int, int], bytes], data_start: int, data_sectors: int) -> bytes:
+    """The plaintext of the file table heading a ``data_sectors``-sector
+    data partition, read through ``read_plain(lba, count) -> plaintext`` of
+    ``count`` sectors from ``lba``: the first sector, then the rest as one
+    run, unless the table claims more sectors than the partition holds."""
     table = read_plain(data_start, 1)
     sectors = table_sector_count(table)
     if sectors > data_sectors:
         raise FileTableError(f"file table claims {sectors} sectors, the data partition holds {data_sectors}")
     if sectors > 1:
         table += read_plain(data_start + 1, sectors - 1)
-    return parse_file_table(table), sectors
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -516,15 +513,21 @@ class NvmImage:
         return bytes(self._data[lba * SECTOR_SIZE : (lba + 1) * SECTOR_SIZE])
 
     def write_sector(self, lba: int, payload: bytes) -> None:
-        self._check(lba)
         if len(payload) != SECTOR_SIZE:
             raise ValueError("sector payload must be 512 bytes")
-        self._data[lba * SECTOR_SIZE : (lba + 1) * SECTOR_SIZE] = payload
+        self.write_sectors(lba, payload)
 
     def read_sectors(self, lba: int, count: int) -> bytes:
         """``count`` consecutive sectors from ``lba``, as one buffer."""
         self._check(lba, count)
         return bytes(self._data[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE])
+
+    def write_sectors(self, lba: int, data: bytes) -> None:
+        """Store the consecutive sectors of ``data`` from ``lba``."""
+        if len(data) % SECTOR_SIZE:
+            raise ValueError("sector payload must be a whole number of 512-byte sectors")
+        self._check(lba, len(data) // SECTOR_SIZE)
+        self._data[lba * SECTOR_SIZE : lba * SECTOR_SIZE + len(data)] = data
 
     def _check(self, lba: int, count: int = 1) -> None:
         if count < 1 or not 0 <= lba <= self.total_sectors - count:
@@ -796,9 +799,9 @@ def in_use_data_lbas(image: NvmImage, manifest: Manifest) -> list[int]:
     """Absolute LBAs the post-boot read path will touch: table + file extents."""
     layout = manifest.layout
     aes_key, _ = manifest_keys(manifest)
-    records, sectors = read_file_table(_plain_reader(image, aes_key), layout.data_start, layout.data_sectors)
-    lbas = set(range(layout.data_start, layout.data_start + sectors))
-    for rec in records:
+    table = read_file_table(_plain_reader(image, aes_key), layout.data_start, layout.data_sectors)
+    lbas = set(range(layout.data_start, layout.data_start + len(table) // SECTOR_SIZE))
+    for rec in parse_file_table(table):
         lbas.update(rec.lbas(layout.data_start))
     return sorted(lbas)
 
@@ -853,7 +856,7 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
         findings.append(f"data=OK sectors={lay.data_sectors}")
 
     try:
-        records, _ = read_file_table(read_plain, lay.data_start, lay.data_sectors)
+        records = parse_file_table(read_file_table(read_plain, lay.data_start, lay.data_sectors))
         by_label = {r.label: r for r in records}
         for label, length, digest in manifest.files:
             record = by_label.get(label)

@@ -34,8 +34,8 @@ from pathlib import Path
 from .crypto import sha256
 from .host import BootHost, build_system
 from .identity import CardIdentity, DNA_BITS
-from .image import Manifest, NvmImage
-from .tmiu import BootReport, Denial, LockdownError, ProtocolCrcError
+from .image import FileTableError, Manifest, NvmImage
+from .tmiu import BootReport, Denial, LockdownError, PolicyViolation, ProtocolCrcError
 
 OUTCOME_CLASSES = ("OsRunning",) + tuple(d.value for d in Denial)
 
@@ -253,15 +253,17 @@ def run_scenario(
 
 
 def _sweep_files(host: BootHost, manifest: Manifest) -> str:
-    """Read every manifest file back. A label missing from the card's file
-    table means the manifest does not describe this card: a
-    :class:`ScenarioError`, not an outcome."""
+    """Read every manifest file back. A keyed file table that lacks a label,
+    or names what the data partition cannot hold, means the manifest does
+    not describe this card: a :class:`ScenarioError`, not an outcome."""
     try:
         for label, length, digest in manifest.files:
             try:
                 blob = host.read_file(label)
             except FileNotFoundError:
                 raise ScenarioError(f"file {label!r} is not in the card's file table") from None
+            except (FileTableError, PolicyViolation) as exc:
+                raise ScenarioError(f"file {label!r}: {exc}") from None
             if len(blob) != length or sha256(blob).hex() != digest:
                 return Denial.SECTOR_TAG_MISMATCH.value
         return "OsRunning"

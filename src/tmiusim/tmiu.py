@@ -36,7 +36,7 @@ from .bus import (
     CMD_SELECT,
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
-    CMD_STOP_TRANSMISSION,
+    CMD_WRITE_MULTIPLE,
     CMD_WRITE_SINGLE,
     LINE_RATE,
     RETRY_LIMIT,
@@ -370,14 +370,14 @@ class Tmiu:
             # The first sector comes alone: it tells the container length.
             fetched = bus.fetch_run(min(RUN_SECTORS, check.pending))
             if fetched is None:
-                bus.command(CMD_STOP_TRANSMISSION, 0)
+                bus.stop_transfer()
                 return reject(Denial.BUS_ERROR)
             run, crc_ok = fetched
             count = len(run) // SECTOR_SIZE
             self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run))
             if not crc_ok:
                 retries += 1
-                bus.command(CMD_STOP_TRANSMISSION, 0)
+                bus.stop_transfer()
                 if retries > RETRY_LIMIT:
                     return reject(Denial.BUS_ERROR)
                 if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
@@ -387,12 +387,12 @@ class Tmiu:
             try:
                 passed = check.update(cipher.crypt(lba, run))
             except ImageFormatError:
-                bus.command(CMD_STOP_TRANSMISSION, 0)
+                bus.stop_transfer()
                 return reject(Denial.IMAGE_DIGEST_MISMATCH)
             if passed:
                 sink(passed)
             lba += count
-        bus.command(CMD_STOP_TRANSMISSION, 0)
+        bus.stop_transfer()
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
 
         try:
@@ -436,8 +436,7 @@ class Tmiu:
         if partial:
             raise ValueError("sector payload must be a whole number of 512-byte sectors")
         if not self._frames_observed(bus):
-            self._write_run(bus, lba, plaintext)
-            return
+            return self._write_run(bus, lba, plaintext)
         for i in range(count):
             self._write_sector(bus, lba + i, plaintext[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
 
@@ -488,15 +487,16 @@ class Tmiu:
         self._write_single(bus, meta_lba, encrypt_sector(cipher, meta_lba, tags))
 
     def _read_run(self, bus: SdioBus, lba: int, count: int) -> bytes:
-        """``count`` mediated reads as one run: each data sector its own
-        frameless CMD17, each tag sector they share read once, one cipher
-        call, and one ledger charge of what the reads one by one would
-        charge, up to and including a sector that fails its tag."""
+        """``count`` mediated reads as one run: the data sectors in one
+        frameless CMD18 transfer, the tag sectors they share in another, one
+        cipher call, and one ledger charge of what the reads one by one
+        would charge, up to and including a sector that fails its tag."""
         cipher, mac = self._keys
-        sectors = self._fetch_sectors(bus, lba, count)
+        run = self._fetch_sectors(bus, lba, count)
         _, slot, tags = self._fetch_tags(bus, lba, count)
-        for i, ciphertext in enumerate(sectors):
-            if mac.tag(lba + i, ciphertext) != tags[slot : slot + DIGEST_SIZE]:
+        sectors = memoryview(run)
+        for i in range(count):
+            if mac.tag(lba + i, sectors[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]) != tags[slot : slot + DIGEST_SIZE]:
                 # The failing read moved both sectors and checked the tag sector.
                 self.ledger.charge(
                     i * _READ_CYCLES + 2 * SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES,
@@ -506,21 +506,21 @@ class Tmiu:
                 raise ProtocolCrcError(f"sector {lba + i} failed verification; stream poisoned")
             slot += DIGEST_SIZE
         self.ledger.charge(count * _READ_CYCLES, count * 2 * SECTOR_SIZE)
-        return cipher.crypt(lba, b"".join(sectors))
+        return cipher.crypt(lba, run)
 
     def _write_run(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
-        """Mediated writes as one run: one cipher call, each data sector its
-        own frameless CMD24, each tag sector they share read, updated and
-        written back once, and one ledger charge of what the writes one by
-        one would charge."""
+        """Mediated writes as one run: one cipher call, the data sectors in
+        one frameless CMD25 transfer, the tag sectors they share read (CMD18),
+        updated and written back (CMD25) once, and one ledger charge of what
+        the writes one by one would charge."""
         cipher, mac = self._keys
         ciphertext = cipher.crypt(lba, plaintext)
         self._push_sectors(bus, lba, ciphertext)
         count = len(ciphertext) // SECTOR_SIZE
         meta_lba, slot, tags = self._fetch_tags(bus, lba, count)
-        tags = bytearray(tags)
+        tags, sectors = bytearray(tags), memoryview(ciphertext)
         for i in range(count):
-            tags[slot : slot + DIGEST_SIZE] = mac.tag(lba + i, ciphertext[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
+            tags[slot : slot + DIGEST_SIZE] = mac.tag(lba + i, sectors[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
             slot += DIGEST_SIZE
         self._push_sectors(bus, meta_lba, cipher.crypt(meta_lba, tags))
         self.ledger.charge(count * _WRITE_CYCLES, count * 3 * SECTOR_SIZE)
@@ -533,30 +533,27 @@ class Tmiu:
         last_meta_lba, _ = self._layout.tag_location(lba + count - 1)
         sectors = self._fetch_sectors(bus, meta_lba, last_meta_lba - meta_lba + 1)
         cipher, _ = self._keys
-        return meta_lba, offset, cipher.crypt(meta_lba, b"".join(sectors))
+        return meta_lba, offset, cipher.crypt(meta_lba, sectors)
 
     # A run's frameless exchanges. Nothing observes frames, so every line CRC
     # holds, and the card is silent from a run's first exchange or not at
     # all: only a lockdown, or a suspension before the run, silences it.
 
-    def _fetch_sectors(self, bus: SdioBus, lba: int, count: int) -> list[bytes]:
-        """CMD17 reads of ``count`` sectors from ``lba``, uncharged; locks
-        the unit down when the card is silent."""
-        sectors = []
-        for sector_lba in range(lba, lba + count):
-            fetched = bus.fetch_block() if bus.start_transfer(CMD_READ_SINGLE, sector_lba) else None
-            if fetched is None:
-                self._fail(Denial.BUS_ERROR, bus)
-            sectors.append(fetched[0])
-        return sectors
+    def _fetch_sectors(self, bus: SdioBus, lba: int, count: int) -> bytes:
+        """One CMD18 read of ``count`` sectors from ``lba``, which arrive as
+        one buffer, uncharged; locks the unit down when the card is silent."""
+        fetched = bus.fetch_run(count) if bus.start_transfer(CMD_READ_MULTIPLE, lba) else None
+        if fetched is None:
+            self._fail(Denial.BUS_ERROR, bus)
+        bus.stop_transfer()
+        return fetched[0]
 
     def _push_sectors(self, bus: SdioBus, lba: int, data: bytes) -> None:
-        """CMD24 writes of the sectors of ``data`` from ``lba``, uncharged;
-        locks the unit down when the card is silent."""
-        for i in range(len(data) // SECTOR_SIZE):
-            sector = data[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]
-            if not bus.start_transfer(CMD_WRITE_SINGLE, lba + i) or bus.push_block(sector) != TOKEN_CRC_OK:
-                self._fail(Denial.BUS_ERROR, bus)
+        """One CMD25 write of the sectors of ``data`` from ``lba``,
+        uncharged; locks the unit down when the card is silent."""
+        if not bus.start_transfer(CMD_WRITE_MULTIPLE, lba) or bus.push_run(data) != TOKEN_CRC_OK:
+            self._fail(Denial.BUS_ERROR, bus)
+        bus.stop_transfer()
 
     def _read_tag_sector(self, bus: SdioBus, lba: int) -> tuple[int, int, bytes]:
         """(integrity-region LBA, tag offset, decrypted tag sector) for a data LBA."""

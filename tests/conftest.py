@@ -14,6 +14,7 @@ from tmiusim.image import (
     ProvisionResult,
     manifest_keys,
     parse_boot_image,
+    parse_file_table,
     read_file_table,
     sealed_container_size,
     write_boot_image,
@@ -112,8 +113,7 @@ def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
     def read_plain(lba: int, count: int = 1) -> bytes:
         return cipher.crypt(lba, image.read_sectors(lba, count))
 
-    records, _ = read_file_table(read_plain, manifest.layout.data_start, manifest.layout.data_sectors)
-    return records
+    return parse_file_table(read_file_table(read_plain, manifest.layout.data_start, manifest.layout.data_sectors))
 
 
 @pytest.fixture(scope="session")

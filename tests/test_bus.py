@@ -12,6 +12,8 @@ from tmiusim.bus import (
     CMD_SELECT,
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
+    CMD_STOP_TRANSMISSION,
+    CMD_WRITE_MULTIPLE,
     CMD_WRITE_SINGLE,
     COMMAND_FRAME_SIZE,
     DATA_FRAME_SIZE,
@@ -34,7 +36,7 @@ from tmiusim.bus import (
 from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.image import CapacityError
+from tmiusim.image import CapacityError, FileRecord, build_file_table
 from tmiusim.tmiu import LockdownError, ProtocolCrcError, Stage, TmiuError
 
 from conftest import DATA_FILES, image_file_records, make_provision, provision_container
@@ -46,7 +48,7 @@ def card(provisioned):
     return VirtualCard(identity, provisioned.image.clone())
 
 
-_DATA_COMMANDS = (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE)
+_DATA_COMMANDS = (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE)
 
 
 def _to_transfer(card):
@@ -238,6 +240,44 @@ class TestVirtualCard:
         assert not card.io_suspended
         assert card.state is CardState.IDLE
 
+    def test_multi_block_write_advances_its_lba_up_to_the_geometry(self, card):
+        total = card.geometry
+        sectors = [bytes([n]) * 512 for n in range(1, 5)]
+        reply = card.issue(CommandFrame(CMD_WRITE_MULTIPLE, 0).to_bytes())
+        assert parse_response(reply)[0].status & STATUS_ILLEGAL_COMMAND  # not in TRANSFER
+        _to_transfer(card)
+        reply = card.issue(CommandFrame(CMD_WRITE_MULTIPLE, total).to_bytes())
+        assert parse_response(reply)[0].status & STATUS_OUT_OF_RANGE
+        assert card.receive_write_block(sectors[0], True) is None  # no open transfer
+        reply = card.issue(CommandFrame(CMD_WRITE_MULTIPLE, total - 4).to_bytes())
+        assert parse_response(reply)[0].status == 0
+        assert card.receive_write_block(sectors[0], True) == TOKEN_CRC_OK
+        assert card._open == (CMD_WRITE_MULTIPLE, total - 3)
+        assert card.receive_write_block(sectors[1] + sectors[2], True) == TOKEN_CRC_OK
+        # The last sector fits; the one after it finds no room and gets no token.
+        assert card.receive_write_block(sectors[3] + sectors[0], True) is None
+        assert card.backing.read_sectors(total - 4, 4) == b"".join(sectors)
+        assert card.receive_write_block(sectors[0], True) is None
+
+    @pytest.mark.parametrize("close", ["cmd12", "power_cycle", "suspend", "bad_crc"])
+    def test_multi_block_write_ends_at_a_stop_a_power_cycle_a_suspension_or_a_bad_crc(self, card, close):
+        _to_transfer(card)
+        before = card.backing.read_sectors(20, 2)
+        card.issue(CommandFrame(CMD_WRITE_MULTIPLE, 20).to_bytes())
+        if close == "cmd12":
+            reply = card.issue(CommandFrame(CMD_STOP_TRANSMISSION, 0).to_bytes())
+            assert parse_response(reply)[0].status == 0
+        elif close == "power_cycle":
+            card.power_cycle()
+        elif close == "suspend":
+            card.suspend_io()
+            assert card.issue(CommandFrame(CMD_WRITE_MULTIPLE, 20).to_bytes()) is None  # silent
+        else:
+            assert card.receive_write_block(bytes(512), False) == TOKEN_CRC_ERR
+        assert card._open is None
+        assert card.receive_write_block(bytes(1024), True) is None
+        assert card.backing.read_sectors(20, 2) == before
+
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(
         script=st.lists(
@@ -336,6 +376,65 @@ class TestBus:
             assert bus.fetch_run(8) == (provisioned.image.read_sector(2), True)
         assert bus.faults_pending == bool(pending)
         assert sum("KIND=DAT" in line for line in bus.transcript) == (2 if trace else 0)
+
+    @pytest.mark.parametrize("trace, fault", [(False, False), (True, False), (False, True)])
+    def test_stop_transfer_sends_cmd12_as_one_frame_only_where_command_frames_are_observed(
+        self, card, monkeypatch, trace, fault
+    ):
+        bus = SdioBus(card, trace=trace)
+        _to_transfer(card)
+        assert bus.start_transfer(CMD_READ_MULTIPLE, 5)
+        if fault:
+            bus.inject_fault("cmd", nth=1, byte_offset=1, bit=0)
+        bus.transcript.clear()
+        calls = TestSingleReadExchange._count_frames(monkeypatch)
+        bus.stop_transfer()
+        sent = [parse_command(bytes.fromhex(line.split()[-1]))[0] for line in bus.transcript if "KIND=CMD" in line]
+        if not (trace or fault):
+            assert calls == [] and card._open is None
+        elif trace:
+            assert calls.count("command") == 1 and card._open is None
+            assert [frame.index for frame in sent] == [CMD_STOP_TRANSMISSION]
+        else:
+            # The fault fires on the CMD12 frame; the card ignores it, and
+            # the transfer stays open.
+            assert calls.count("command") == 1 and not bus.faults_pending
+            assert card._open == (CMD_READ_MULTIPLE, 5)
+
+    @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, 2), (True, 2)])
+    def test_push_run_commits_what_its_frames_would(self, card, trace, fault):
+        bus = SdioBus(card, trace=trace)
+        _to_transfer(card)
+        before = card.backing.read_sectors(20, 3)
+        data = bytes(range(256)) * 6
+        if fault:
+            bus.inject_fault("h2c", nth=fault, byte_offset=7, bit=1)
+        assert bus.start_transfer(CMD_WRITE_MULTIPLE, 20)
+        if fault:
+            # The second frame fails its CRC: the card keeps the first and
+            # closes the transfer.
+            assert bus.push_run(data) == TOKEN_CRC_ERR
+            assert card.backing.read_sectors(20, 3) == data[:512] + before[512:]
+            assert card._open is None
+        else:
+            assert bus.push_run(data) == TOKEN_CRC_OK
+            assert card.backing.read_sectors(20, 3) == data
+            assert card._open == (CMD_WRITE_MULTIPLE, 23)
+        frames = sum("KIND=DAT" in line for line in bus.transcript)
+        assert frames == (0 if not trace else 2 if fault else 3)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_clean_file_ops_leave_no_transfer_open(self, provisioned, trace):
+        host, _, _, card = build_system(provisioned.manifest, provisioned.image.clone(), trace=trace)
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        assert card._open is None
+        for label, blob in DATA_FILES:
+            assert host.read_file(label) == blob
+            assert card._open is None
+            host.write_file(label, blob[::-1])
+            assert card._open is None
+        host.write_file("new.bin", bytes(1500))
+        assert card._open is None
 
     @pytest.mark.parametrize("state", ["idle", "transfer", "suspended"])
     def test_single_read_exchange_answers_as_its_frames_do(self, provisioned, state):
@@ -717,10 +816,11 @@ def _in_use_lbas(card, manifest) -> list[int]:
     return sorted(lbas)
 
 
-def _mediated_ops(provisioned, ops, trace):
+def _mediated_ops(provisioned, ops, trace, forget=False):
     """Fixture boot, then ``ops`` through the host and the unit: (each op's
     bytes or exception class, ledger totals, the unit's stage record, card
-    image, the unit's stage, reason and fault LBA)."""
+    image, the unit's stage, reason and fault LBA). With ``forget``, the host
+    drops the file table it keeps before every op."""
     manifest = provisioned.manifest
     host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
     assert host.run_boot(expected_entries=manifest.entries).ok
@@ -728,6 +828,8 @@ def _mediated_ops(provisioned, ops, trace):
     data_end = data_start + data_sectors
     outcomes = []
     for op, arg in ops:
+        if forget:
+            host._table = (b"", [])
         try:
             if op == "read":
                 outcomes.append(host.read_file(arg))
@@ -753,6 +855,17 @@ def _mediated_ops(provisioned, ops, trace):
                 sector[offset] ^= 1 << (pick >> 9) % 8
                 card.backing.write_sector(lba, bytes(sector))
                 outcomes.append(None)
+            elif op == "retable":  # the table rewritten behind the host, through the unit
+                records = image_file_records(card.backing, manifest)
+                if records:  # labels rotated by ``arg``; an odd ``arg`` drops the last record
+                    labels = [r.label for r in records]
+                    labels = labels[arg % len(labels) :] + labels[: arg % len(labels)]
+                    records = [FileRecord(lb, r.offset, r.length) for lb, r in zip(labels, records)]
+                    table = build_file_table(records[: len(records) - arg % 2], 4)  # the fixture's table
+                    tmiu.mediate_write(bus, data_start, table)
+                outcomes.append(None)
+            elif op == "reboot":
+                outcomes.append(host.reboot(expected_entries=manifest.entries).outcome_class)
             elif op == "fault":  # a wire fault due some frames into the next ops
                 bus.inject_fault(*arg)
                 outcomes.append(None)
@@ -824,3 +937,34 @@ class TestSingleReadPathEquivalence:
             ops.insert(at, (event, arg))
         provisioned = _roomy_provision()
         assert _mediated_ops(provisioned, ops, False) == _mediated_ops(provisioned, ops, True)
+
+
+class TestKeptFileTable:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("read"), st.sampled_from(_LABELS)),
+                st.tuples(st.just("write"), st.tuples(st.sampled_from(_LABELS), st.integers(0, 20_000))),
+                st.tuples(st.just("retable"), st.integers(0, 7)),
+                st.tuples(st.just("reboot"), st.none()),
+            ),
+            max_size=8,
+        )
+    )
+    @example(
+        ops=[
+            ("read", "keys.db"), ("retable", 1), ("read", "keys.db"), ("write", ("keys.db", 900)),
+            ("reboot", None), ("retable", 2), ("read", "keys.db"), ("write", ("new.bin", 600)),
+        ]
+    )
+    def test_each_op_acts_on_the_table_the_card_holds(self, ops):
+        # The host keeps the table it last read or wrote, and parses a table
+        # read through the unit only where it differs. A table rewritten
+        # behind the host, or a reboot, must reach the next op, traced or not,
+        # exactly as if the host kept nothing.
+        provisioned = _roomy_provision()
+        kept = _mediated_ops(provisioned, ops, False)
+        assert kept == _mediated_ops(provisioned, ops, True)
+        assert kept == _mediated_ops(provisioned, ops, False, forget=True)
+        assert kept == _mediated_ops(provisioned, ops, True, forget=True)

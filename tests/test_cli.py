@@ -12,6 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tmiusim
 from tmiusim.cli import main
+from tmiusim.host import build_system
+from tmiusim.image import FileRecord, Manifest, NvmImage, build_file_table
 from tmiusim.scenarios import OUTCOME_CLASSES, builtin_scenarios
 
 from conftest import forge_kernel
@@ -298,6 +300,31 @@ class TestTamper:
         assert rc == 2
         assert "result=" not in captured.out
         assert captured.err == "error: bus_cmd_bitflip: file 'gone.tar' is not in the card's file table\n"
+
+    @pytest.mark.parametrize("fault", ["extent_past_partition", "table_past_partition"])
+    def test_keyed_file_table_the_partition_cannot_hold_exits_2(self, workspace, capsys, fault):
+        # A file table written with the key, through the unit: one record
+        # whose extent runs past the data partition's last sector, or a
+        # header claiming more sectors than the partition holds.
+        _provision(capsys)
+        host, tmiu, bus, card = build_system(Manifest.load("card.nvm.manifest"), NvmImage.load("card.nvm"))
+        assert host.run_boot().ok
+        data_start, data_sectors = tmiu.data_partition
+        if fault == "extent_past_partition":
+            table = build_file_table([FileRecord("fs.tar", (data_sectors - 1) * 512, 1536)], 1)
+        else:
+            table = bytearray(build_file_table([], 1))
+            table[4:6] = (data_sectors + 1).to_bytes(2, "big")
+        tmiu.mediate_write(bus, data_start, bytes(table))
+        card.backing.save("card.nvm")
+        rc = main(
+            ["tamper", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--builtin", "bus_cmd_bitflip"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "result=" not in captured.out
+        assert captured.err.startswith("error: bus_cmd_bitflip: file 'fs.tar': ")
+        assert ("outside the data partition" if fault == "extent_past_partition" else "claims") in captured.err
 
     def test_unknown_builtin_exits_2(self, workspace, capsys):
         _provision(capsys)
@@ -610,8 +637,9 @@ _scenario_lines = st.lists(
 
 
 def _fuzz_calls(root):
-    """Per command: the argv of a call that works, and the values to try
-    for each flag, valid or not (None for a bare switch)."""
+    """Per command: a strategy for the argv of a base call, one that works
+    or, for tamper, one that meets the card's file table, and the values to
+    try for each flag, valid or not (None for a bare switch)."""
 
     def paths(*names):
         return st.sampled_from([str(root / name) for name in names])
@@ -626,7 +654,7 @@ def _fuzz_calls(root):
     }
     return {
         "provision": (
-            ["--boot", str(kernel), "--out", str(root / "out/card.nvm"), "--dna", "0x1", "--repetitions", "1"],
+            st.just(["--boot", str(kernel), "--out", str(root / "out/card.nvm"), "--dna", "0x1", "--repetitions", "1"]),
             {
                 "--boot": st.sampled_from(
                     [str(kernel), f"kernel={kernel}", f"devicetree={root / 'dt.dtb'}", f"bogus={kernel}",
@@ -650,11 +678,16 @@ def _fuzz_calls(root):
             },
         ),
         "boot": (
-            ["--image", card, "--manifest", manifest],
+            st.just(["--image", card, "--manifest", manifest]),
             {**pair, "--dna": _dna, "--cid": _hex16, "--csd": _hex16, "--trace": outputs, "--report": outputs},
         ),
         "tamper": (
-            ["--image", card, "--manifest", manifest, "--scenario", str(root / "suite.txt")],
+            # One call in five boots clean, then sweeps a file the manifest
+            # names but the card's table does not hold.
+            _mostly(
+                st.just(["--image", card, "--manifest", manifest, "--scenario", str(root / "suite.txt")]),
+                st.just(["--image", card, "--manifest", str(root / "renamed.manifest"), "--builtin", "bus_cmd_bitflip"]),
+            ),
             {
                 **pair,
                 "--scenario": paths("suite.txt", "binary.txt", "missing"),
@@ -664,7 +697,7 @@ def _fuzz_calls(root):
         ),
         "bench": (
             # Every call keeps a --size: the default, 13 MB, is too big here.
-            ["--size", "0.001", "--repetitions", "1"],
+            st.just(["--size", "0.001", "--repetitions", "1"]),
             {
                 "--size": st.one_of(
                     st.floats(0.0005, 0.02).map(str),
@@ -675,7 +708,7 @@ def _fuzz_calls(root):
             },
         ),
         "inspect": (
-            ["--image", card, "--manifest", manifest],
+            st.just(["--image", card, "--manifest", manifest]),
             {**pair, "--transcript": paths("bus.trace", "binary.txt", "kernel.bin", "missing")},
         ),
     }
@@ -683,11 +716,11 @@ def _fuzz_calls(root):
 
 @st.composite
 def _argv(draw, root, command):
-    """A working call with up to three flags added or overridden (argparse
+    """A base call with up to three flags added or overridden (argparse
     keeps the last value of a flag, and appends --boot, --data and
     --builtin)."""
     base, flags = _fuzz_calls(root)[command]
-    argv = [command, *base]
+    argv = [command, *draw(base)]
     for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)):
         argv += [flag] if flags[flag] is None else [flag, draw(flags[flag])]
     return argv
