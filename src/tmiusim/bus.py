@@ -431,11 +431,16 @@ class SdioBus:
             self._log("C→H", "TOK", bytes([token]))
         return token
 
-    def push_run(self, data: bytes) -> int | None:
-        """Send the sectors of ``data`` to an open write transfer: as one
-        buffer where nothing observes single frames (see :meth:`fetch_run`),
-        else frame by frame until one is refused; the card's last token."""
+    def push_run(self, data: bytes) -> int:
+        """Send the sectors of ``data`` to an open write transfer; how many
+        of them, from the first, the card acknowledged. They go as one
+        buffer, which one token acknowledges whole or not at all, where
+        nothing observes single frames (see :meth:`fetch_run`); else frame
+        by frame until one is refused or unanswered."""
+        count = len(data) // SECTOR_SIZE
         if not (self.trace_enabled or self._faults["h2c"]):
-            return self.card.receive_write_block(data, True)
-        tokens = (self.push_block(data[i : i + SECTOR_SIZE]) for i in range(0, len(data), SECTOR_SIZE))
-        return next((token for token in tokens if token != TOKEN_CRC_OK), TOKEN_CRC_OK)
+            return count if self.card.receive_write_block(data, True) == TOKEN_CRC_OK else 0
+        for taken in range(count):
+            if self.push_block(data[taken * SECTOR_SIZE : (taken + 1) * SECTOR_SIZE]) != TOKEN_CRC_OK:
+                return taken
+        return count

@@ -145,8 +145,9 @@ class BootHost:
     # -- file store -----------------------------------------------------------
 
     def _read_plain(self, lba: int, count: int = 1) -> bytes:
-        """``count`` sectors from ``lba`` through the unit, in as few
-        mediated reads as it allows; a read that fails its line CRC is
+        """``count`` sectors from ``lba`` through the unit, in one mediated
+        read unless a line-CRC failure ends it early: the next read goes on
+        from where it ended, and a read that fails on its first sector is
         re-issued, at most ``RETRY_LIMIT`` times, and then propagates."""
         end = lba + count
         parts = []
@@ -172,8 +173,8 @@ class BootHost:
 
     def read_file(self, label: str) -> bytes:
         """Fetch a file from the data partition through the mediated path:
-        the table, then the file's extent, each as one read where the unit
-        moves runs. An extent that leaves the data partition is a
+        the table, then the file's extent, each read as one run. An extent
+        that leaves the data partition is a
         :class:`~tmiusim.tmiu.PolicyViolation` before any of it is read."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition

@@ -37,12 +37,10 @@ from .bus import (
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
     CMD_WRITE_MULTIPLE,
-    CMD_WRITE_SINGLE,
     LINE_RATE,
     RETRY_LIMIT,
     DataBlock,
     SdioBus,
-    TOKEN_CRC_OK,
 )
 from .crypto import (
     DIGEST_SIZE,
@@ -52,7 +50,6 @@ from .crypto import (
     SectorMac,
     crc16,
     decrypt_sector,
-    encrypt_sector,
     sector_tag,
 )
 from .identity import (
@@ -324,8 +321,8 @@ class Tmiu:
             raise StateError("keys not generated")
         cipher, mac = self._keys
 
-        mbr_sector, crc_ok = self._read_single(bus, 0)
-        if not crc_ok:
+        mbr_sector = self._read_single(bus, 0)
+        if mbr_sector is None:
             return self._lockdown(Denial.BUS_ERROR, bus)
         self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
         if sector_tag(mac, 0, mbr_sector) != self.anchors.mbr_digest:
@@ -407,92 +404,26 @@ class Tmiu:
 
     def mediate_read(self, bus: SdioBus, lba: int, count: int = 1) -> bytes:
         """Verified, decrypted read of the ``count`` data-partition sectors
-        from ``lba``, or of only the first of them where frames are observed
-        (see :meth:`_frames_observed`): the caller reads on from where the
-        returned plaintext ends.
+        from ``lba`` as one run: the data sectors in one CMD18 transfer, the
+        tag sectors they share in another, one cipher call, and one ledger
+        charge of what the reads one by one would charge.
 
         The whole extent must lie in the data partition, or the read is a
-        :class:`PolicyViolation` before any exchange. A block failing the
-        line CRC is forwarded as-is (the processor's CRC check fails, it
-        retries). A block failing its integrity tag poisons the transfer the
-        same way, then locks the unit down and suspends the card, with the
-        sectors before it charged as read.
+        :class:`PolicyViolation` before any exchange. A data frame that fails
+        its line CRC ends the run, and the read returns the sectors before
+        it: the caller reads on from where the returned plaintext ends. With
+        no sector before it, the read raises :class:`ProtocolCrcError` (the
+        processor's CRC check fails, it retries). A sector failing its
+        integrity tag poisons the transfer the same way, then locks the unit
+        down and suspends the card, with the sectors before it charged as
+        read.
         """
         self._check_extent(lba, count, "read of")
-        if self._frames_observed(bus):
-            return self._read_sector(bus, lba)
-        return self._read_run(bus, lba, count)
-
-    def mediate_write(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
-        """Encrypt-and-tag write of data-partition sectors from ``lba``.
-
-        The whole extent must lie in the data partition, or the write is a
-        :class:`PolicyViolation` before any exchange. A write never raises
-        :class:`ProtocolCrcError`: each frame is resent on a line-CRC
-        failure, and a bus that gives up locks the unit down.
-        """
-        count, partial = divmod(len(plaintext), SECTOR_SIZE)
-        self._check_extent(lba, count, "write to")
-        if partial:
-            raise ValueError("sector payload must be a whole number of 512-byte sectors")
-        if not self._frames_observed(bus):
-            return self._write_run(bus, lba, plaintext)
-        for i in range(count):
-            self._write_sector(bus, lba + i, plaintext[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
-
-    def _check_extent(self, lba: int, count: int, access: str) -> None:
-        """Raise unless the stage and the partition policy allow access to
-        ``count`` sectors from ``lba``."""
-        self._require(Stage.OPERATIONAL)
-        if count < 1:
-            raise ValueError(f"a {access} needs one sector or more")
-        layout = self._layout
-        if not (layout.is_data_lba(lba) and layout.is_data_lba(lba + count - 1)):
-            raise PolicyViolation(f"{access} LBAs {lba}..{lba + count - 1} outside the data partition")
-
-    @staticmethod
-    def _frames_observed(bus: SdioBus) -> bool:
-        """Whether single frames are observed, by the transcript or a
-        pending fault. Only then does a mediated access go sector by sector,
-        with every frame on the wire; otherwise it moves its whole extent as
-        one run (:meth:`_read_run`, :meth:`_write_run`)."""
-        return bus.trace_enabled or bus.faults_pending
-
-    def _read_sector(self, bus: SdioBus, lba: int) -> bytes:
-        """One mediated read, every frame on the wire."""
-        cipher, mac = self._keys
-        # The data leg is not retried here: a line-CRC failure goes to the
-        # processor, whose own retry re-issues the whole read.
-        ciphertext, crc_ok = self._read_single(bus, lba, retries=0)
-        if ciphertext is None:
-            self._fail(Denial.BUS_ERROR, bus)
-        if not crc_ok:
-            # Forwarded unencrypted so the processor sees the CRC error.
-            raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
-        _, offset, tags = self._read_tag_sector(bus, lba)
-        if sector_tag(mac, lba, ciphertext) != tags[offset : offset + DIGEST_SIZE]:
-            self._lockdown(Denial.SECTOR_TAG_MISMATCH, bus, lba=lba)
-            raise ProtocolCrcError(f"sector {lba} failed verification; stream poisoned")
-        plaintext = decrypt_sector(cipher, lba, ciphertext)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
-        return plaintext
-
-    def _write_sector(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
-        """One mediated write, every frame on the wire."""
-        cipher, mac = self._keys
-        ciphertext = encrypt_sector(cipher, lba, plaintext)
-        self._write_single(bus, lba, ciphertext)
-        meta_lba, offset, tags = self._read_tag_sector(bus, lba)
-        tags = tags[:offset] + sector_tag(mac, lba, ciphertext) + tags[offset + DIGEST_SIZE :]
-        self._write_single(bus, meta_lba, encrypt_sector(cipher, meta_lba, tags))
-
-    def _read_run(self, bus: SdioBus, lba: int, count: int) -> bytes:
-        """``count`` mediated reads as one run: the data sectors in one
-        frameless CMD18 transfer, the tag sectors they share in another, one
-        cipher call, and one ledger charge of what the reads one by one
-        would charge, up to and including a sector that fails its tag."""
         cipher, mac = self._keys
         run = self._fetch_sectors(bus, lba, count)
+        count = len(run) // SECTOR_SIZE
+        if not count:
+            raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
         _, slot, tags = self._fetch_tags(bus, lba, count)
         sectors = memoryview(run)
         for i in range(count):
@@ -508,15 +439,25 @@ class Tmiu:
         self.ledger.charge(count * _READ_CYCLES, count * 2 * SECTOR_SIZE)
         return cipher.crypt(lba, run)
 
-    def _write_run(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
-        """Mediated writes as one run: one cipher call, the data sectors in
-        one frameless CMD25 transfer, the tag sectors they share read (CMD18),
-        updated and written back (CMD25) once, and one ledger charge of what
-        the writes one by one would charge."""
+    def mediate_write(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
+        """Encrypt-and-tag write of data-partition sectors from ``lba`` as
+        one run: one cipher call, the data sectors in one CMD25 transfer, the
+        tag sectors they share read (CMD18), updated and written back (CMD25)
+        once, and one ledger charge of what the writes one by one would
+        charge.
+
+        The whole extent must lie in the data partition, or the write is a
+        :class:`PolicyViolation` before any exchange. A write never raises
+        :class:`ProtocolCrcError`: a transfer resends from a frame that fails
+        its line CRC, and a bus that gives up locks the unit down.
+        """
+        count, partial = divmod(len(plaintext), SECTOR_SIZE)
+        self._check_extent(lba, count, "write to")
+        if partial:
+            raise ValueError("sector payload must be a whole number of 512-byte sectors")
         cipher, mac = self._keys
         ciphertext = cipher.crypt(lba, plaintext)
         self._push_sectors(bus, lba, ciphertext)
-        count = len(ciphertext) // SECTOR_SIZE
         meta_lba, slot, tags = self._fetch_tags(bus, lba, count)
         tags, sectors = bytearray(tags), memoryview(ciphertext)
         for i in range(count):
@@ -525,45 +466,85 @@ class Tmiu:
         self._push_sectors(bus, meta_lba, cipher.crypt(meta_lba, tags))
         self.ledger.charge(count * _WRITE_CYCLES, count * 3 * SECTOR_SIZE)
 
+    def _check_extent(self, lba: int, count: int, access: str) -> None:
+        """Raise unless the stage and the partition policy allow access to
+        ``count`` sectors from ``lba``."""
+        self._require(Stage.OPERATIONAL)
+        if count < 1:
+            raise ValueError(f"a {access} needs one sector or more")
+        layout = self._layout
+        if not (layout.is_data_lba(lba) and layout.is_data_lba(lba + count - 1)):
+            raise PolicyViolation(f"{access} LBAs {lba}..{lba + count - 1} outside the data partition")
+
     def _fetch_tags(self, bus: SdioBus, lba: int, count: int) -> tuple[int, int, bytes]:
         """(first integrity-region LBA, offset of ``lba``'s tag slot, the
         decrypted tag sectors of ``count`` data sectors from ``lba``), each
-        tag sector read once and uncharged."""
+        tag sector read once and uncharged. A transfer that a line-CRC
+        failure ends is resent from that sector, at most ``RETRY_LIMIT``
+        times in a row; the unit locks down after that."""
         meta_lba, offset = self._layout.tag_location(lba)
         last_meta_lba, _ = self._layout.tag_location(lba + count - 1)
-        sectors = self._fetch_sectors(bus, meta_lba, last_meta_lba - meta_lba + 1)
+        parts, at, end, retries = [], meta_lba, last_meta_lba + 1, 0
+        while True:
+            parts.append(self._fetch_sectors(bus, at, end - at))
+            got = len(parts[-1]) // SECTOR_SIZE
+            at += got
+            if at == end:
+                break
+            retries = retries + 1 if not got else 1
+            if retries > RETRY_LIMIT:
+                self._fail(Denial.BUS_ERROR, bus)
         cipher, _ = self._keys
-        return meta_lba, offset, cipher.crypt(meta_lba, sectors)
+        return meta_lba, offset, cipher.crypt(meta_lba, b"".join(parts))
 
-    # A run's frameless exchanges. Nothing observes frames, so every line CRC
-    # holds, and the card is silent from a run's first exchange or not at
-    # all: only a lockdown, or a suspension before the run, silences it.
+    # A run's exchanges: multi-block transfers, each opened by CMD18 or CMD25
+    # and closed by CMD12. Sectors that cross intact are uncharged here; the
+    # caller charges the run. A frame that fails its line CRC, which can
+    # happen only where frames are observed, costs one more sector transfer.
 
     def _fetch_sectors(self, bus: SdioBus, lba: int, count: int) -> bytes:
-        """One CMD18 read of ``count`` sectors from ``lba``, which arrive as
-        one buffer, uncharged; locks the unit down when the card is silent."""
-        fetched = bus.fetch_run(count) if bus.start_transfer(CMD_READ_MULTIPLE, lba) else None
-        if fetched is None:
+        """The sectors of one CMD18 transfer of ``count`` sectors from
+        ``lba``, as one buffer: all of them, or those before a frame that
+        fails its line CRC, which ends the transfer. Locks the unit down
+        when the card is silent or sends anything but whole sectors, one at
+        least and no more than asked for, so a transfer the card ends short
+        is a bus error."""
+        if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
             self._fail(Denial.BUS_ERROR, bus)
+        parts, got = [], 0
+        while got < count:
+            fetched = bus.fetch_run(count - got)
+            whole_sectors = range(SECTOR_SIZE, (count - got + 1) * SECTOR_SIZE, SECTOR_SIZE)
+            if fetched is None or len(fetched[0]) not in whole_sectors:
+                self._fail(Denial.BUS_ERROR, bus)
+            run, crc_ok = fetched
+            if not crc_ok:
+                self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
+                break
+            parts.append(run)
+            got += len(run) // SECTOR_SIZE
         bus.stop_transfer()
-        return fetched[0]
+        return b"".join(parts)
 
     def _push_sectors(self, bus: SdioBus, lba: int, data: bytes) -> None:
-        """One CMD25 write of the sectors of ``data`` from ``lba``,
-        uncharged; locks the unit down when the card is silent."""
-        if not bus.start_transfer(CMD_WRITE_MULTIPLE, lba) or bus.push_run(data) != TOKEN_CRC_OK:
-            self._fail(Denial.BUS_ERROR, bus)
-        bus.stop_transfer()
-
-    def _read_tag_sector(self, bus: SdioBus, lba: int) -> tuple[int, int, bytes]:
-        """(integrity-region LBA, tag offset, decrypted tag sector) for a data LBA."""
-        meta_lba, offset = self._layout.tag_location(lba)
-        sector, crc_ok = self._read_single(bus, meta_lba)
-        if not crc_ok:
-            self._fail(Denial.BUS_ERROR, bus)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
-        cipher, _ = self._keys
-        return meta_lba, offset, decrypt_sector(cipher, meta_lba, sector)
+        """The sectors of ``data``, written from ``lba`` in CMD25 transfers.
+        A sector the card does not acknowledge ends its transfer; the next
+        transfer starts at that sector, at most ``RETRY_LIMIT`` times in a
+        row. Locks the unit down after that, or when the card does not
+        answer a CMD25."""
+        retries = 0
+        while True:
+            if not bus.start_transfer(CMD_WRITE_MULTIPLE, lba):
+                self._fail(Denial.BUS_ERROR, bus)
+            taken = bus.push_run(data)
+            bus.stop_transfer()
+            if taken * SECTOR_SIZE == len(data):
+                return
+            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
+            retries = retries + 1 if not taken else 1
+            if retries > RETRY_LIMIT:
+                self._fail(Denial.BUS_ERROR, bus)
+            lba, data = lba + taken, data[taken * SECTOR_SIZE :]
 
     # -- reporting ----------------------------------------------------------
 
@@ -602,30 +583,16 @@ class Tmiu:
 
     # -- bus helpers ----------------------------------------------------------
 
-    def _read_single(self, bus: SdioBus, lba: int, retries: int = RETRY_LIMIT) -> tuple[bytes | None, bool]:
-        """CMD17 read, repeated up to ``retries`` times while the line CRC
-        fails: (last sector, whether its CRC holds); (None, False) when the
-        bus gives up."""
-        payload = None
-        for _ in range(retries + 1):
+    def _read_single(self, bus: SdioBus, lba: int) -> bytes | None:
+        """CMD17 read, repeated up to ``RETRY_LIMIT`` times while the line
+        CRC fails: the sector; None when the bus gives up or no copy holds
+        its CRC."""
+        for _ in range(RETRY_LIMIT + 1):
             fetched = bus.fetch_block() if bus.start_transfer(CMD_READ_SINGLE, lba) else None
             if fetched is None:
-                return None, False
+                return None
             self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
             payload, crc_ok = fetched
             if crc_ok:
-                return payload, True
-        return payload, False
-
-    def _write_single(self, bus: SdioBus, lba: int, ciphertext: bytes) -> None:
-        """CMD24 write with line-CRC retries, then the pipeline drain; locks
-        the unit down when the bus gives up."""
-        for _ in range(RETRY_LIMIT + 1):
-            token = bus.push_block(ciphertext) if bus.start_transfer(CMD_WRITE_SINGLE, lba) else None
-            if token is None:
-                break
-            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
-            if token == TOKEN_CRC_OK:
-                self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
-                return
-        self._fail(Denial.BUS_ERROR, bus)
+                return payload
+        return None

@@ -413,11 +413,11 @@ class TestBus:
         if fault:
             # The second frame fails its CRC: the card keeps the first and
             # closes the transfer.
-            assert bus.push_run(data) == TOKEN_CRC_ERR
+            assert bus.push_run(data) == 1
             assert card.backing.read_sectors(20, 3) == data[:512] + before[512:]
             assert card._open is None
         else:
-            assert bus.push_run(data) == TOKEN_CRC_OK
+            assert bus.push_run(data) == 3
             assert card.backing.read_sectors(20, 3) == data
             assert card._open == (CMD_WRITE_MULTIPLE, 23)
         frames = sum("KIND=DAT" in line for line in bus.transcript)
@@ -643,7 +643,7 @@ class TestCrcCost:
 
 
 class TestSingleReadExchange:
-    """Counts, not timings: what a mediated CMD17 read or CMD24 write builds
+    """Counts, not timings: what a mediated CMD18 read or CMD25 write builds
     and calls."""
 
     @pytest.fixture()
@@ -683,10 +683,12 @@ class TestSingleReadExchange:
         assert host.read_file(label) == blob[::-1]
 
     @pytest.mark.parametrize("kind", ["cmd", "c2h"])
-    @pytest.mark.parametrize("nth", [1, 2, 7, 14])
+    @pytest.mark.parametrize("nth", [1, 2, 7, 12])
     def test_a_pending_fault_fires_on_its_frame_and_the_read_recovers(self, booted, monkeypatch, kind, nth):
-        # The file is six sectors behind a one-sector table: seven mediated
-        # reads, each a data and a tag sector, so 14 frames of either kind.
+        # The table's first sector, the rest of the table and the six-sector
+        # file are three mediated reads, each a run of data frames and a run
+        # of one tag frame: 13 card-to-host frames, and 12 command frames,
+        # a CMD18 and a CMD12 per run.
         host, bus = booted
         counted, fired = [], []
         due = bus._due
@@ -705,6 +707,59 @@ class TestSingleReadExchange:
         assert host.read_file(label) == blob
         assert fired == [nth]
         assert not bus.faults_pending
+
+
+class TestRunFrameShape:
+    def test_file_ops_move_as_runs_of_one_frame_per_sector(self, provisioned):
+        manifest = provisioned.manifest
+        layout = manifest.layout
+        host, _, bus, card = build_system(manifest, provisioned.image.clone(), trace=True)
+        assert host.run_boot(expected_entries=manifest.entries).ok
+        del bus.transcript[:]
+        blob = bytes(range(256)) * 5
+        host.write_file("shape.bin", blob)
+        assert host.read_file("shape.bin") == blob
+
+        # (data command, LBA, data frames, their directions) per transfer.
+        runs, closed = [], True
+        for line in bus.transcript:
+            _, direction, kind, raw = line.split()
+            raw = bytes.fromhex(raw)
+            if kind == "KIND=CMD":
+                frame, _ = parse_command(raw)
+                if frame.index == CMD_STOP_TRANSMISSION:
+                    assert not closed
+                else:
+                    assert closed and frame.index in (CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE)
+                    runs.append([frame.index, frame.argument, 0, set()])
+                closed = frame.index == CMD_STOP_TRANSMISSION
+            elif kind == "KIND=DAT":
+                assert len(raw) == DATA_FRAME_SIZE
+                runs[-1][2] += 1
+                runs[-1][3].add(direction)
+        assert closed
+
+        def read(lba, count):
+            # The data sectors, then each tag sector they share, once.
+            meta_lba, _ = layout.tag_location(lba)
+            last_meta_lba, _ = layout.tag_location(lba + count - 1)
+            return [(CMD_READ_MULTIPLE, lba, count), (CMD_READ_MULTIPLE, meta_lba, last_meta_lba - meta_lba + 1)]
+
+        def write(lba, count):
+            _, tags = read(lba, count)
+            return [(CMD_WRITE_MULTIPLE, lba, count), tags, (CMD_WRITE_MULTIPLE,) + tags[1:]]
+
+        start = layout.data_start
+        table = read(start, 1) + read(start + 1, 3)  # the first sector alone, then the rest
+        record = next(r for r in image_file_records(card.backing, manifest) if r.label == "shape.bin")
+        extent = record.lbas(start)
+        expected = (
+            table + write(extent.start, len(extent)) + write(start, 4)
+            + table + read(extent.start, len(extent))
+        )
+        assert [tuple(run[:3]) for run in runs] == expected
+        for index, _, _, directions in runs:
+            assert directions == {"DIR=C→H" if index == CMD_READ_MULTIPLE else "DIR=H→C"}
 
 
 def _faulted_io_run(provisioned, fault, trace):
@@ -737,8 +792,8 @@ class TestTraceOnlyObserves:
         bit=st.integers(0, 7),
     )
     def test_trace_flag_changes_nothing_but_the_transcript(self, provisioned, kind, nth, offset, bit):
-        # A clean fixture boot plus the file write and read sends 46
-        # command, 57 card-to-host and 12 host-to-card data frames.
+        # A clean fixture boot plus the file write and read sends 40
+        # command, 48 card-to-host and 8 host-to-card data frames.
         fault = (kind, nth, offset, bit)
         assert _faulted_io_run(provisioned, fault, True) == _faulted_io_run(provisioned, fault, False)
 
@@ -918,9 +973,9 @@ class TestSingleReadPathEquivalence:
     )
     @example(ops=[("read", "var/log.bin"), ("read", "keys.db")], events=[(0, "tamper", (False, 4))])
     @example(ops=[("outside", 0), ("read", "keys.db"), ("read", "keys.db")], events=[(1, "suspend", None)])
-    # A 69-sector file: the fault fires on the data frame of its 15th
-    # sector, after the table's 8 frames and 28 more, so the retried read
-    # goes on as one run.
+    # A 69-sector file: the fault fires on the data frame of its 31st
+    # sector, after the table's 6 frames and 30 more. The read returns the
+    # 30 sectors before it, and the host reads the other 39 as one run.
     @example(
         ops=[("write", ("big.bin", 35_000)), ("read", "big.bin")],
         events=[(1, "fault", ("c2h", 37, 100, 3))],
@@ -930,9 +985,9 @@ class TestSingleReadPathEquivalence:
         events=[(1, "tamper", (True, 57)), (3, "fault", ("h2c", 9, 0, 0))],
     )
     def test_single_read_exchange_matches_per_frame_path(self, ops, events):
-        # Untraced, with no fault pending, a file's table and extent each move
-        # as one run of CMD17 or CMD24 exchanges; the transcript, or a pending
-        # fault, forces every frame, sector by sector.
+        # A file's table and extent each move as CMD18 or CMD25 runs. Untraced,
+        # with no fault pending, a run moves as one buffer; the transcript, or
+        # a pending fault, moves it frame by frame.
         for at, event, arg in events:
             ops.insert(at, (event, arg))
         provisioned = _roomy_provision()

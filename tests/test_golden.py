@@ -47,10 +47,10 @@ GOLDEN = {
     "boot_c2h_transcript": "ef7975ed8ce305895e2909ea24e83c07a06e971b6143e9db19d162348258de52",
     "boot_c2h_report": "5d6ea218346f7a9308a05ebb3d7ff6e8ccb80d8237f045b0e3c358f6b0938653",
     "boot_c2h_image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
-    "io_h2c_transcript": "7514868194ba5d2885d1f91fab4fe52472e0e0796b3ebc9ac59cb70aff490cac",
+    "io_h2c_transcript": "33b5384802fbbdf5e2750b8f2c5f68ef92f27527043c34ee5a51a06062fa2e7e",
     "io_h2c_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
     "io_h2c_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
-    "io_c2h_transcript": "1e779466606704181c7ffbfe62f72f0b7791032b20a201ed20ede984942d77ae",
+    "io_c2h_transcript": "d45ab17f7e360f0080abc593996a2eb951382b3cf3172a98092cde4b08c1ca47",
     "io_c2h_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
     "io_c2h_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
 }

@@ -179,7 +179,7 @@ class TestRunScenario:
     def test_any_single_wire_bit_flip_has_an_outcome(
         self, provisioned, clean_frame_counts, kind, nth, offset, bit
     ):
-        # A fixture boot plus file sweep sends 52 command and 75 data frames.
+        # A fixture boot plus file sweep sends 44 command and 62 data frames.
         # Up to the faulted frame a run is the clean run, so a fault fires
         # exactly when the clean run sends its frame.
         line = f"target=bus:{kind}:{nth} mutate=flip_bit:{offset}:{bit} expect=OsRunning"

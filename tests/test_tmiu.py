@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmiusim.bus import DataBlock, SdioBus, VirtualCard
-from tmiusim.crypto import SectorCipher, SectorMac, decrypt_sector, sector_tag
-from tmiusim.host import build_system
+from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, SdioBus, VirtualCard
+from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
+from tmiusim.host import BootHost, build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import FileRecord, build_file_table, manifest_keys
 from tmiusim.tmiu import (
@@ -336,17 +336,17 @@ class TestMediatedDataPath:
         with pytest.raises(PolicyViolation):
             tmiu.mediate_read(bus, provisioned.layout.meta_start)
 
-    @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, "h2c")])
-    def test_a_read_moves_its_whole_extent_unless_frames_are_observed(self, provisioned, trace, fault):
+    @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, "h2c"), (False, "c2h")])
+    def test_a_read_moves_its_whole_extent_traced_or_not(self, provisioned, trace, fault):
         host, tmiu, bus, _ = _system(provisioned, trace=trace)
         assert host.run_boot().ok
         if fault is not None:
-            bus.inject_fault(fault)  # pending: no write follows
+            bus.inject_fault(fault, nth=1000)  # pending, never due in this read
         cipher = SectorCipher(manifest_keys(provisioned.manifest)[0])
         lba = provisioned.layout.data_start + 3
         expected = cipher.crypt(lba, provisioned.image.read_sectors(lba, 20))
-        observed = trace or fault is not None
-        assert tmiu.mediate_read(bus, lba, 20) == (expected[:512] if observed else expected)
+        assert tmiu.mediate_read(bus, lba, 20) == expected
+        assert bus.faults_pending == (fault is not None)
 
     def test_an_access_needs_whole_sectors(self, provisioned):
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
@@ -394,14 +394,47 @@ class TestMediatedDataPath:
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start
         bus.inject_fault("c2h", nth=1, byte_offset=10, bit=0)
-        with pytest.raises(ProtocolCrcError):
+        with pytest.raises(ProtocolCrcError) as raised:
             tmiu.mediate_read(bus, lba)
         assert tmiu.stage is Stage.OPERATIONAL
+        assert not any(key.hex() in str(raised.value) for key in manifest_keys(provisioned.manifest))
         aes_key, _ = manifest_keys(provisioned.manifest)
         cipher = SectorCipher(aes_key)
         assert tmiu.mediate_read(bus, lba) == decrypt_sector(
             cipher, lba, provisioned.image.read_sector(lba)
         )
+
+    @pytest.mark.parametrize("op", ["read", "write"])
+    @pytest.mark.parametrize("failures", [RETRY_LIMIT, RETRY_LIMIT + 1])
+    def test_a_frame_is_resent_at_most_retry_limit_times_in_a_row(self, provisioned, op, failures):
+        _, tmiu, bus, _ = _boot_to_operational(provisioned)
+        lba = provisioned.layout.data_start + 4
+        payload = bytes(range(256)) * 6
+        # A read's tag frame follows its three data frames; a write's second
+        # data frame is refused, and so is each resend of it.
+        kind, first = ("c2h", 4) if op == "read" else ("h2c", 2)
+        for nth in range(first, first + failures):
+            bus.inject_fault(kind, nth=nth, byte_offset=9, bit=1)
+        ledger = tmiu.ledger
+        before = ledger.cycles, ledger.bytes_moved
+        if failures > RETRY_LIMIT:
+            with pytest.raises(LockdownError):
+                tmiu.mediate_read(bus, lba, 3) if op == "read" else tmiu.mediate_write(bus, lba, payload)
+            assert (tmiu.reason, tmiu.fault_lba) == (Denial.BUS_ERROR, None)
+            return
+        if op == "read":
+            cipher = SectorCipher(manifest_keys(provisioned.manifest)[0])
+            assert tmiu.mediate_read(bus, lba, 3) == cipher.crypt(lba, provisioned.image.read_sectors(lba, 3))
+            moved = 2
+        else:
+            tmiu.mediate_write(bus, lba, payload)
+            moved = 3
+        # Each sector of the access, and each resent frame, as charged one by one.
+        cycles = 3 * moved * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES) + failures * SECTOR_TRANSFER_CYCLES
+        assert (ledger.cycles - before[0], ledger.bytes_moved - before[1]) == (cycles, (3 * moved + failures) * 512)
+        assert not bus.faults_pending
+        if op == "write":
+            assert tmiu.mediate_read(bus, lba, 3) == payload
 
     def test_each_processed_sector_charges_pipeline_latency(self, provisioned):
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
@@ -412,6 +445,60 @@ class TestMediatedDataPath:
         # Two sectors cross the wire (data + its tag sector), each with its
         # line-rate transfer plus exactly 52 cycles of processing.
         assert delta == 2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES)
+
+
+class MiscountingCard(VirtualCard):
+    """A card that, once ``lie`` is set, sends a CMD18 transfer the wrong
+    number of sectors. "short" ends each transfer after two sectors, then
+    stays silent until the next data command. Asked for more than one
+    sector at once, "long" sends one more, "empty" an empty buffer, and
+    "ragged" the sectors asked for with a byte cut off."""
+
+    lie: str | None = None
+    _sent: int | None = None  # sectors of the open CMD18 transfer sent so far
+
+    def open_transfer(self, idx, lba):
+        self._sent = 0 if idx == CMD_READ_MULTIPLE else None
+        return super().open_transfer(idx, lba)
+
+    def take_read(self, limit):
+        if self.lie is None or self._sent is None:
+            return super().take_read(limit)
+        if self.lie == "short":
+            run = super().take_read(min(limit, 2 - self._sent)) if self._sent < 2 else None
+            self._sent += len(run or b"") // SECTOR_SIZE
+            return run
+        if limit == 1:
+            return super().take_read(1)
+        if self.lie == "long":
+            return super().take_read(limit + 1)
+        return b"" if self.lie == "empty" else super().take_read(limit)[:-1]
+
+
+class TestMiscountedRun:
+    # Frame by frame, the unit asks for one sector at a time, so only a
+    # transfer that ends short can lie to it.
+    @pytest.mark.parametrize(
+        "lie, trace", [("short", False), ("short", True), ("long", False), ("empty", False), ("ragged", False)]
+    )
+    @pytest.mark.parametrize("op", ["read_file", "write_file"])
+    def test_a_cmd18_transfer_of_the_wrong_length_is_a_bus_error(self, provisioned, op, lie, trace):
+        manifest = provisioned.manifest
+        card = MiscountingCard(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())
+        tmiu = Tmiu(manifest.anchors, DeviceIdentity(dna=manifest.dna))
+        bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
+        host = BootHost(tmiu, bus)
+        assert host.run_boot(expected_entries=manifest.entries).ok
+        # The table's first sector is read alone, its other three as one run.
+        card.lie = lie
+        label, blob = DATA_FILES[0]
+        with pytest.raises(LockdownError) as raised:
+            host.read_file(label) if op == "read_file" else host.write_file(label, blob[::-1])
+        assert (tmiu.reason, tmiu.fault_lba) == (Denial.BUS_ERROR, None)
+        assert card.io_suspended
+        assert card.backing.to_bytes() == provisioned.image.to_bytes()
+        text = "\n".join([str(raised.value), tmiu.report().to_text(), repr(tmiu), *bus.transcript])
+        assert not any(key.hex() in text for key in manifest_keys(manifest))
 
 
 class TestStageMachine:
@@ -626,8 +713,21 @@ class TestCostFormula:
             n = -(-(size if write else sizes.get(label, 0)) // 512)
             if fault is not None:
                 kind, pick = fault
-                # Every op sends at least 2T + n frames of either kind.
-                bus.inject_fault(kind, nth=1 + pick % (2 * self.TABLE_SECTORS + n))
+                # The frames an op surely sends. A mediated read is two runs,
+                # its data sectors and then their tag sectors; a write is
+                # three, its data sectors, then their tag sectors read and
+                # written back. Each run is one CMD18 or CMD25 and one CMD12,
+                # and each tag read moves one frame or more. Every op reads
+                # the table, its first sector alone and then the rest. A read
+                # of a file with sectors reads them; a write writes the
+                # file's sectors, if any, and then the table.
+                reads = 2 + (not write and n > 0)
+                writes = write * (1 + (n > 0))
+                sent = {
+                    "c2h": self.TABLE_SECTORS + (0 if write else n) + reads + writes,
+                    "cmd": 2 * (2 * reads + 3 * writes),
+                }
+                bus.inject_fault(kind, nth=1 + pick % sent[kind])
                 if kind == "c2h":
                     cycles, nbytes = cycles + 1024, nbytes + 512
             reads, writes = self.TABLE_SECTORS, 0
