@@ -11,7 +11,8 @@ Command frames cross the wire as objects and sector data as bytes, each
 read handed over with whether its line CRC holds. A frame is serialized,
 with its CRC7 or CRC16, only where something observes its bytes: a fault
 due on that very frame, or the transcript. A data frame so observed is
-parsed back into a :class:`DataBlock`, the only place the bus builds one.
+split back into its payload and whether its CRC16 holds, whatever the
+payload's length: judging the shape of what a card sends is the unit's.
 An untouched frame's CRC always holds, so both paths have the same wire
 semantics, and a fault's ``nth`` counts every frame of its kind either way.
 Where no transcript and no fault of its direction observe single frames, a
@@ -133,8 +134,8 @@ def parse_response(raw: bytes) -> tuple[ResponseFrame, bool]:
 
 @dataclass(frozen=True)
 class DataBlock:
-    """A 512-byte payload and the CRC16 that travelled with it: a data frame
-    whose bytes were observed, or a block the unit poisons in-band."""
+    """A 512-byte payload and the CRC16 that travels with it: a parsed data
+    frame, or a block the unit poisons in-band."""
 
     payload: bytes
     crc: int
@@ -388,12 +389,14 @@ class SdioBus:
         else:  # a suspended card holds no open transfer
             self.card.stop_transfer()
 
-    def _observe(self, direction: str, payload: bytes, due: list[_FaultPlan]) -> DataBlock:
+    def _observe(self, direction: str, payload: bytes, due: list[_FaultPlan]) -> tuple[bytes, bool]:
         """A data frame as it arrives where its bytes are observed: serialized
-        with its CRC16, flipped by the faults due on it, logged, parsed."""
+        with its CRC16, flipped by the faults due on it, logged, and split
+        into its payload and whether its CRC16 holds."""
         raw = self._flip(payload + struct.pack(">H", crc16(payload)), due)
         self._log(direction, "DAT", raw)
-        return parse_data(raw)
+        payload, (crc,) = raw[:-2], struct.unpack(">H", raw[-2:])
+        return payload, crc16(payload) == crc
 
     def fetch_block(self) -> tuple[bytes, bool] | None:
         """The next data frame of an open read transfer, with whether its
@@ -404,8 +407,7 @@ class SdioBus:
         due = self._due("c2h")
         if not (due or self.trace_enabled):
             return payload, True
-        block = self._observe("C→H", payload, due)
-        return block.payload, block.crc_ok
+        return self._observe("C→H", payload, due)
 
     def fetch_run(self, limit: int) -> tuple[bytes, bool] | None:
         """The next sectors of an open read transfer as one buffer, with
@@ -425,8 +427,7 @@ class SdioBus:
         due = self._due("h2c")
         if not (due or self.trace_enabled):
             return self.card.receive_write_block(payload, True)
-        block = self._observe("H→C", payload, due)
-        token = self.card.receive_write_block(block.payload, block.crc_ok)
+        token = self.card.receive_write_block(*self._observe("H→C", payload, due))
         if token is not None:
             self._log("C→H", "TOK", bytes([token]))
         return token

@@ -27,14 +27,7 @@ from .image import (
     parse_file_table,
     read_file_table,
 )
-from .tmiu import (
-    BootReport,
-    Denial,
-    ProtocolCrcError,
-    RETRY_LIMIT,
-    Stage,
-    Tmiu,
-)
+from .tmiu import BootReport, Denial, ProtocolCrcError, Stage, Tmiu
 
 
 class HostPhase(Enum):
@@ -145,23 +138,13 @@ class BootHost:
     # -- file store -----------------------------------------------------------
 
     def _read_plain(self, lba: int, count: int = 1) -> bytes:
-        """``count`` sectors from ``lba`` through the unit, in one mediated
-        read unless a line-CRC failure ends it early: the next read goes on
-        from where it ended, and a read that fails on its first sector is
-        re-issued, at most ``RETRY_LIMIT`` times, and then propagates."""
-        end = lba + count
-        parts = []
-        while lba < end:
-            for attempt in range(RETRY_LIMIT + 1):
-                try:
-                    plain = self.tmiu.mediate_read(self.bus, lba, end - lba)
-                    break
-                except ProtocolCrcError:
-                    if attempt == RETRY_LIMIT:
-                        raise
-            parts.append(plain)
-            lba += len(plain) // SECTOR_SIZE
-        return b"".join(parts)
+        """``count`` sectors from ``lba`` in one mediated read. A read whose
+        CRC check fails, the unit's in-band signal of a poisoned sector, is
+        re-issued once, and meets the unit's lockdown."""
+        try:
+            return self.tmiu.mediate_read(self.bus, lba, count)
+        except ProtocolCrcError:
+            return self.tmiu.mediate_read(self.bus, lba, count)
 
     def _read_table(self, data_start: int, data_sectors: int) -> tuple[list[FileRecord], int]:
         """(records, sectors) of the file table, read whole through the unit;
@@ -183,7 +166,7 @@ class BootHost:
         if record is None:
             raise FileNotFoundError(label)
         extent = record.lbas(data_start)
-        return self._read_plain(extent.start, len(extent))[: record.length]
+        return self._read_plain(extent.start, len(extent))[: record.length] if extent else b""
 
     def write_file(self, label: str, blob: bytes) -> None:
         """Create or replace a file, its extent and then the table each in

@@ -35,7 +35,7 @@ from .crypto import sha256
 from .host import BootHost, build_system
 from .identity import CardIdentity, DNA_BITS
 from .image import FileTableError, Manifest, NvmImage
-from .tmiu import BootReport, Denial, LockdownError, PolicyViolation, ProtocolCrcError
+from .tmiu import BootReport, Denial, LockdownError, PolicyViolation
 
 OUTCOME_CLASSES = ("OsRunning",) + tuple(d.value for d in Denial)
 
@@ -269,5 +269,3 @@ def _sweep_files(host: BootHost, manifest: Manifest) -> str:
         return "OsRunning"
     except LockdownError as exc:
         return exc.reason.value if exc.reason else "Unknown"
-    except ProtocolCrcError:
-        return Denial.BUS_ERROR.value

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .bus import (
     CMD_ALL_SEND_CID,
     CMD_GO_IDLE,
     CMD_READ_MULTIPLE,
-    CMD_READ_SINGLE,
     CMD_SELECT,
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
@@ -111,7 +110,8 @@ class StateError(TmiuError):
 
 
 class ProtocolCrcError(TmiuError):
-    """Block failed its line CRC on the processor side; retryable."""
+    """A mediated read failed its CRC check on the processor side: a sector
+    failed its integrity tag, so the unit poisoned the read and locked down."""
 
 
 class PolicyViolation(TmiuError):
@@ -245,7 +245,7 @@ class Tmiu:
         return self._enter(Stage.LOCKDOWN)
 
     def _fail(self, reason: Denial, bus: SdioBus) -> NoReturn:
-        """Lock down and abort the mediated operation in progress."""
+        """Lock down and abort the operation in progress."""
         self._lockdown(reason, bus)
         raise LockdownError(reason)
 
@@ -319,21 +319,28 @@ class Tmiu:
         self._require(Stage.KEYGEN_IMAGE_AUTH)
         if self._keys is None:
             raise StateError("keys not generated")
-        cipher, mac = self._keys
+        try:
+            self._layout = self._verify_mbr(bus)
+            self.leds[2] = True
+            return self._stream_boot_image(bus, self._layout, sink)
+        except LockdownError:
+            return self.stage
 
-        mbr_sector = self._read_single(bus, 0)
-        if mbr_sector is None:
-            return self._lockdown(Denial.BUS_ERROR, bus)
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
+    def _verify_mbr(self, bus: SdioBus) -> ImageLayout:
+        """The layout the MBR at LBA 0 describes, once its tag matches the
+        anchored digest and it names a boot and a data partition."""
+        cipher, mac = self._keys
+        mbr_sector = b"".join(self._read(bus, 0, 1))
+        self.ledger.charge(SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES, SECTOR_SIZE)
         if sector_tag(mac, 0, mbr_sector) != self.anchors.mbr_digest:
-            return self._lockdown(Denial.MBR_MISMATCH, bus)
+            self._fail(Denial.MBR_MISMATCH, bus)
         try:
             mbr = parse_mbr(decrypt_sector(cipher, 0, mbr_sector), bus.card.geometry)
             boot = mbr.boot_partition()
             data = mbr.data_partition()
             if boot is None or data is None:
                 raise MbrError("missing boot or data partition")
-            layout = ImageLayout(
+            return ImageLayout(
                 total_sectors=bus.card.geometry,
                 boot_start=boot.lba_start,
                 boot_sectors=boot.sector_count,
@@ -341,61 +348,39 @@ class Tmiu:
                 data_sectors=data.sector_count,
             )
         except (MbrError, ValueError):
-            return self._lockdown(Denial.MBR_MISMATCH, bus)
-        self._layout = layout
-        self.leds[2] = True
-        return self._stream_boot_image(bus, layout, sink)
+            self._fail(Denial.MBR_MISMATCH, bus)
 
-    def _stream_boot_image(self, bus: SdioBus, layout, sink) -> Stage:
+    def _stream_boot_image(self, bus: SdioBus, layout: ImageLayout, sink) -> Stage:
         cipher, _ = self._keys
         sink = sink or (lambda item: None)
         check = ContainerCheck(layout.boot_sectors)
         lba = layout.boot_start
-        retries = 0
-
-        def reject(reason: Denial) -> Stage:
+        try:
+            # The first sector comes alone, in a transfer of its own: it
+            # tells the container length, and only it can fail the check
+            # before the trailer.
+            while check.pending:
+                for run in self._read(bus, lba, check.pending):
+                    self.ledger.charge(len(run) // SECTOR_SIZE * SECTOR_TRANSFER_CYCLES, len(run))
+                    try:
+                        passed = check.update(cipher.crypt(lba, run))
+                    except ImageFormatError:
+                        self._fail(Denial.IMAGE_DIGEST_MISMATCH, bus)
+                    if passed:
+                        sink(passed)
+                    lba += len(run) // SECTOR_SIZE
+            self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
+            try:
+                check.finish()
+            except ImageDigestError:
+                self._fail(Denial.IMAGE_DIGEST_MISMATCH, bus)
+        except LockdownError:
             # The stream is invalidated in-band: the withheld block goes out
             # with its last byte modified after the CRC was attached.
             if check.held:
                 mutated = check.held[:-1] + bytes([check.held[-1] ^ 0xFF])
                 sink(DataBlock(payload=mutated, crc=crc16(check.held)))
-            return self._lockdown(reason, bus)
-
-        if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
-            return self._lockdown(Denial.BUS_ERROR, bus)
-        while check.pending:
-            # The first sector comes alone: it tells the container length.
-            fetched = bus.fetch_run(min(RUN_SECTORS, check.pending))
-            if fetched is None:
-                bus.stop_transfer()
-                return reject(Denial.BUS_ERROR)
-            run, crc_ok = fetched
-            count = len(run) // SECTOR_SIZE
-            self.ledger.charge(count * SECTOR_TRANSFER_CYCLES, len(run))
-            if not crc_ok:
-                retries += 1
-                bus.stop_transfer()
-                if retries > RETRY_LIMIT:
-                    return reject(Denial.BUS_ERROR)
-                if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
-                    return self._lockdown(Denial.BUS_ERROR, bus)
-                continue
-            retries = 0
-            try:
-                passed = check.update(cipher.crypt(lba, run))
-            except ImageFormatError:
-                bus.stop_transfer()
-                return reject(Denial.IMAGE_DIGEST_MISMATCH)
-            if passed:
-                sink(passed)
-            lba += count
-        bus.stop_transfer()
-        self.ledger.charge(SECTOR_PIPELINE_CYCLES, 0)
-
-        try:
-            check.finish()
-        except ImageDigestError:
-            return reject(Denial.IMAGE_DIGEST_MISMATCH)
+            raise
         sink(check.held)
         self.leds[3] = True
         return self._enter(Stage.OPERATIONAL)
@@ -409,21 +394,16 @@ class Tmiu:
         charge of what the reads one by one would charge.
 
         The whole extent must lie in the data partition, or the read is a
-        :class:`PolicyViolation` before any exchange. A data frame that fails
-        its line CRC ends the run, and the read returns the sectors before
-        it: the caller reads on from where the returned plaintext ends. With
-        no sector before it, the read raises :class:`ProtocolCrcError` (the
-        processor's CRC check fails, it retries). A sector failing its
-        integrity tag poisons the transfer the same way, then locks the unit
-        down and suspends the card, with the sectors before it charged as
-        read.
+        :class:`PolicyViolation` before any exchange. A frame that fails its
+        line CRC is resent (see :meth:`_read`). A sector failing its
+        integrity tag poisons the transfer: the read raises
+        :class:`ProtocolCrcError` (the processor's CRC check fails), having
+        locked the unit down and suspended the card, with the sectors before
+        it charged as read.
         """
         self._check_extent(lba, count, "read of")
         cipher, mac = self._keys
-        run = self._fetch_sectors(bus, lba, count)
-        count = len(run) // SECTOR_SIZE
-        if not count:
-            raise ProtocolCrcError(f"line CRC failed for LBA {lba}")
+        run = b"".join(self._read(bus, lba, count))
         _, slot, tags = self._fetch_tags(bus, lba, count)
         sectors = memoryview(run)
         for i in range(count):
@@ -479,52 +459,48 @@ class Tmiu:
     def _fetch_tags(self, bus: SdioBus, lba: int, count: int) -> tuple[int, int, bytes]:
         """(first integrity-region LBA, offset of ``lba``'s tag slot, the
         decrypted tag sectors of ``count`` data sectors from ``lba``), each
-        tag sector read once and uncharged. A transfer that a line-CRC
-        failure ends is resent from that sector, at most ``RETRY_LIMIT``
-        times in a row; the unit locks down after that."""
+        tag sector read once and uncharged."""
         meta_lba, offset = self._layout.tag_location(lba)
         last_meta_lba, _ = self._layout.tag_location(lba + count - 1)
-        parts, at, end, retries = [], meta_lba, last_meta_lba + 1, 0
-        while True:
-            parts.append(self._fetch_sectors(bus, at, end - at))
-            got = len(parts[-1]) // SECTOR_SIZE
-            at += got
-            if at == end:
-                break
-            retries = retries + 1 if not got else 1
-            if retries > RETRY_LIMIT:
-                self._fail(Denial.BUS_ERROR, bus)
         cipher, _ = self._keys
-        return meta_lba, offset, cipher.crypt(meta_lba, b"".join(parts))
+        tags = b"".join(self._read(bus, meta_lba, last_meta_lba + 1 - meta_lba))
+        return meta_lba, offset, cipher.crypt(meta_lba, tags)
 
-    # A run's exchanges: multi-block transfers, each opened by CMD18 or CMD25
+    # The unit's exchanges: multi-block transfers, each opened by CMD18 or CMD25
     # and closed by CMD12. Sectors that cross intact are uncharged here; the
-    # caller charges the run. A frame that fails its line CRC, which can
-    # happen only where frames are observed, costs one more sector transfer.
+    # caller charges them. A frame that fails its line CRC, which can happen
+    # only where frames are observed, costs one more sector transfer and is
+    # resent in a new transfer from its sector, at most ``RETRY_LIMIT`` times
+    # in a row. A lockdown suspends the card, which ends the open transfer.
 
-    def _fetch_sectors(self, bus: SdioBus, lba: int, count: int) -> bytes:
-        """The sectors of one CMD18 transfer of ``count`` sectors from
-        ``lba``, as one buffer: all of them, or those before a frame that
-        fails its line CRC, which ends the transfer. Locks the unit down
-        when the card is silent or sends anything but whole sectors, one at
-        least and no more than asked for, so a transfer the card ends short
-        is a bus error."""
-        if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
-            self._fail(Denial.BUS_ERROR, bus)
-        parts, got = [], 0
-        while got < count:
-            fetched = bus.fetch_run(count - got)
-            whole_sectors = range(SECTOR_SIZE, (count - got + 1) * SECTOR_SIZE, SECTOR_SIZE)
-            if fetched is None or len(fetched[0]) not in whole_sectors:
+    def _read(self, bus: SdioBus, lba: int, count: int) -> Iterator[bytes]:
+        """Yield the ``count`` sectors from ``lba`` as the CRC-intact runs,
+        each of at most ``RUN_SECTORS`` sectors, that CMD18 transfers bring.
+        Locks the unit down when the card refuses a CMD18 or is silent,
+        sends anything but whole sectors, one at least and no more than
+        asked for, or when a frame fails its line CRC once more than it may
+        be resent."""
+        end, resends = lba + count, 0
+        while lba < end:
+            if not bus.start_transfer(CMD_READ_MULTIPLE, lba):
                 self._fail(Denial.BUS_ERROR, bus)
-            run, crc_ok = fetched
-            if not crc_ok:
-                self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
-                break
-            parts.append(run)
-            got += len(run) // SECTOR_SIZE
-        bus.stop_transfer()
-        return b"".join(parts)
+            while lba < end:
+                limit = min(RUN_SECTORS, end - lba)
+                fetched = bus.fetch_run(limit)
+                whole_sectors = range(SECTOR_SIZE, (limit + 1) * SECTOR_SIZE, SECTOR_SIZE)
+                if fetched is None or len(fetched[0]) not in whole_sectors:
+                    self._fail(Denial.BUS_ERROR, bus)
+                run, crc_ok = fetched
+                if not crc_ok:
+                    self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
+                    resends += 1
+                    break
+                resends = 0
+                yield run
+                lba += len(run) // SECTOR_SIZE
+            bus.stop_transfer()
+            if resends > RETRY_LIMIT:
+                self._fail(Denial.BUS_ERROR, bus)
 
     def _push_sectors(self, bus: SdioBus, lba: int, data: bytes) -> None:
         """The sectors of ``data``, written from ``lba`` in CMD25 transfers.
@@ -580,19 +556,3 @@ class Tmiu:
             rate_mbps=rate,
             fault_lba=self.fault_lba,
         )
-
-    # -- bus helpers ----------------------------------------------------------
-
-    def _read_single(self, bus: SdioBus, lba: int) -> bytes | None:
-        """CMD17 read, repeated up to ``RETRY_LIMIT`` times while the line
-        CRC fails: the sector; None when the bus gives up or no copy holds
-        its CRC."""
-        for _ in range(RETRY_LIMIT + 1):
-            fetched = bus.fetch_block() if bus.start_transfer(CMD_READ_SINGLE, lba) else None
-            if fetched is None:
-                return None
-            self.ledger.charge(SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
-            payload, crc_ok = fetched
-            if crc_ok:
-                return payload
-        return None

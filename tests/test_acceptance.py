@@ -138,14 +138,15 @@ def test_criterion_2_stage_fidelity(provisioned):
     led_snapshots.append(list(tmiu.leds))
 
     # Golden transcript shape: the command sequence on the wire is fixed for
-    # a clean boot (reset, CID, CSD, select, block length, MBR read, then
-    # the multi-block image stream closed by a stop).
+    # a clean boot (reset, CID, CSD, select, block length, then three
+    # multi-block reads, each closed by a stop: the MBR, the image's first
+    # sector, and the rest of the image stream).
     commands = [
         int(line.split()[-1][:2], 16) & 0x3F
         for line in bus.transcript
         if "KIND=CMD" in line
     ]
-    assert commands == [0, 2, 9, 7, 16, 17, 18, 12]
+    assert commands == [0, 2, 9, 7, 16, 18, 12, 18, 12, 18, 12]
 
     stages = [stage for stage, _, _ in tmiu.stage_history]
     assert stages == [

@@ -33,11 +33,11 @@ from tmiusim.bus import (
     parse_data,
     parse_response,
 )
-from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SectorCipher, crc16
+from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SECTOR_SIZE, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import CapacityError, FileRecord, build_file_table
-from tmiusim.tmiu import LockdownError, ProtocolCrcError, Stage, TmiuError
+from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, LockdownError, Stage, TmiuError
 
 from conftest import DATA_FILES, image_file_records, make_provision, provision_container
 
@@ -777,7 +777,7 @@ def _faulted_io_run(provisioned, fault, trace):
         for step in (lambda: host.write_file("trace.bin", blob), lambda: host.read_file("trace.bin")):
             try:
                 events.append(step())
-            except (LockdownError, ProtocolCrcError) as exc:
+            except LockdownError as exc:
                 events.append(repr(exc))
     fired = not bus._faults[fault[0]]
     return events, fired, tmiu.report().to_text(), card.backing.to_bytes()
@@ -792,10 +792,52 @@ class TestTraceOnlyObserves:
         bit=st.integers(0, 7),
     )
     def test_trace_flag_changes_nothing_but_the_transcript(self, provisioned, kind, nth, offset, bit):
-        # A clean fixture boot plus the file write and read sends 40
+        # A clean fixture boot plus the file write and read sends 43
         # command, 48 card-to-host and 8 host-to-card data frames.
         fault = (kind, nth, offset, bit)
         assert _faulted_io_run(provisioned, fault, True) == _faulted_io_run(provisioned, fault, False)
+
+
+# Card-to-host data frames of a clean traced fixture boot, file write and
+# file read: the MBR, the 30 boot sectors, and 17 data and tag sectors.
+IO_RUN_C2H_FRAMES = 48
+
+
+def _resent_io_run(provisioned, nth=None):
+    """Traced fixture boot, one file write and read, with a card-to-host
+    fault due on frame ``nth`` (none if None): (what the run delivered, the
+    unit's stage, final image, ledger cycles and bytes, card-to-host frames
+    sent)."""
+    manifest = provisioned.manifest
+    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=True)
+    if nth is not None:
+        bus.inject_fault("c2h", nth=nth, byte_offset=nth * 37, bit=nth % 8)
+    outcome = host.run_boot(expected_entries=manifest.entries)
+    blob = bytes(range(251)) * 3
+    host.write_file("trace.bin", blob)
+    delivered = (outcome.outcome_class, host.loaded_entries, host.read_file("trace.bin"))
+    assert not bus.faults_pending
+    frames = sum("DIR=C→H KIND=DAT" in line for line in bus.transcript)
+    ledger = tmiu.ledger
+    return delivered, tmiu.stage, card.backing.to_bytes(), (ledger.cycles, ledger.bytes_moved), frames
+
+
+class TestOneResendRule:
+    def test_the_clean_run_sends_its_card_to_host_frames(self, provisioned):
+        *_, frames = _resent_io_run(provisioned)
+        assert frames == IO_RUN_C2H_FRAMES
+
+    @pytest.mark.parametrize("nth", range(1, IO_RUN_C2H_FRAMES + 1))
+    def test_a_failed_card_to_host_frame_costs_one_resend_wherever_it_falls(self, provisioned, nth):
+        # The MBR, the boot stream, and each data and tag run of the file
+        # operations resend a frame that fails its line CRC the same way:
+        # nothing changes but one more sector transfer.
+        clean = _resent_io_run(provisioned)
+        faulted = _resent_io_run(provisioned, nth)
+        assert faulted[:3] == clean[:3]
+        (cycles, nbytes), (clean_cycles, clean_bytes) = faulted[3], clean[3]
+        assert (cycles - clean_cycles, nbytes - clean_bytes) == (SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
+        assert faulted[4] == IO_RUN_C2H_FRAMES + 1
 
 
 def _stream_boot(result, flip, fault, trace):
@@ -974,8 +1016,8 @@ class TestSingleReadPathEquivalence:
     @example(ops=[("read", "var/log.bin"), ("read", "keys.db")], events=[(0, "tamper", (False, 4))])
     @example(ops=[("outside", 0), ("read", "keys.db"), ("read", "keys.db")], events=[(1, "suspend", None)])
     # A 69-sector file: the fault fires on the data frame of its 31st
-    # sector, after the table's 6 frames and 30 more. The read returns the
-    # 30 sectors before it, and the host reads the other 39 as one run.
+    # sector, after the table's 6 frames and 30 more. The unit resends that
+    # frame in a new transfer from its sector, and the read goes on.
     @example(
         ops=[("write", ("big.bin", 35_000)), ("read", "big.bin")],
         events=[(1, "fault", ("c2h", 37, 100, 3))],

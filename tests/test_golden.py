@@ -35,22 +35,22 @@ FAULTED_RUNS = {
 GOLDEN = {
     "image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
     "manifest": "d3b73e8a9015fe4b0633625b7ff930edf6375ddae0c72f04cbc9fbca865b1ebe",
-    "transcript": "6559ae41c68cd31aed298e31a3bd8328ca6f51713c09c4ca39d2f395af4fdaa9",
+    "transcript": "6021702e37bf7d7603b7da7c3f2c4d1c167dfde86d3307290b8227bf9ff60364",
     "report": "a8105e3a6c53ec8c827236fbe22fb3f2ec09c33b1223e6de66ad91409332014e",
     "io_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
     "io_report": "d4fffd3a34feedca132a99fb87a507ab236ad38dadfd0c850232666bcd3278dc",
     "inspect_clean": "222febbbb8ed2f96d4537f8aa4a6d49b52b66a420166d9527bdce6dc2e4fd26f",
     "inspect_data_flip": "cf129d4286d78338cea82df65d43753f512b275d6e81dca5778ee0255e04a5e2",
-    "boot_cmd_transcript": "9c8fa811cd90cfefabbff4a85cc1a695900709bc76f632cab95130040e793c87",
+    "boot_cmd_transcript": "0c9867da7f417bccb45e3c09b9a2927bd719cada7c1c5642a5b09a110b119c86",
     "boot_cmd_report": "a8105e3a6c53ec8c827236fbe22fb3f2ec09c33b1223e6de66ad91409332014e",
     "boot_cmd_image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
-    "boot_c2h_transcript": "ef7975ed8ce305895e2909ea24e83c07a06e971b6143e9db19d162348258de52",
+    "boot_c2h_transcript": "7bad1ecaef373417c7f313d17250c8a08081abedd3092cd59dafd63e69b8fb8e",
     "boot_c2h_report": "5d6ea218346f7a9308a05ebb3d7ff6e8ccb80d8237f045b0e3c358f6b0938653",
     "boot_c2h_image": "27dc951342b5cb8f0f4c00c37c67e8becf6bb24bdc56b21c4cd029593d603479",
-    "io_h2c_transcript": "33b5384802fbbdf5e2750b8f2c5f68ef92f27527043c34ee5a51a06062fa2e7e",
+    "io_h2c_transcript": "e2ed430c5339454038e8139810e1f03a81a95223c8ea60e1c786d69da67681b0",
     "io_h2c_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
     "io_h2c_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
-    "io_c2h_transcript": "d45ab17f7e360f0080abc593996a2eb951382b3cf3172a98092cde4b08c1ca47",
+    "io_c2h_transcript": "1fb1eed876a01f6a234aedd4b5b88a6a5b3400becd3d9936e34bec70779f1663",
     "io_c2h_report": "ca1dcb4178bcf615c9ae3e65c160f08ee63f57766693c34fc28157eade27b515",
     "io_c2h_image": "7855bc58625b4def9fabd680c6498a1f2647ae138e47d2cf00e5f3c9a37e4fd4",
 }
@@ -77,7 +77,7 @@ RUN_SPAN_BOOTS = {"clean": None, "flip63": 63, "flip64": 64, "flip65": 65}
 RUN_SPAN_GOLDEN = {
     "image": "45c750d58ea253492075fb50b491617e80fffbb044701ff6be8469a595ba2335",
     "manifest": "0cb031af309a85f5ddfb96a3f0d2e747acb1f8929d040eb1b0ea39914315ac16",
-    "transcript": "9a569e3095e385b75e1a17fc62b1fbeb7685283a1a1ba3764b9c50dbfb4643ed",
+    "transcript": "3b6959119a9753b68aab2ea57df9aeab4616d3a47b4b36c3fb312cda66394bc1",
     "clean_report": "2df836fe21b97b1b1b712efdd2f3bbaaba0f42e1d4cfd613c195f8716a5bfc51",
     "clean_delivered": "21bc3fafcf67e201fd43ef562051fb7266ed20e91509ea1e53a4fb6ab3d523b9",
     "flip63_report": "88431c18522c06becb82fa5349b48b912cee0d701a656a07462d074289085709",

@@ -391,38 +391,46 @@ class TestMediatedDataPath:
         assert tmiu.stage is Stage.OPERATIONAL
 
     def test_wire_fault_on_read_is_retryable(self, provisioned):
+        # The unit resends the failed data frame itself: the read succeeds
+        # on its first call, charged one more sector transfer.
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start
         bus.inject_fault("c2h", nth=1, byte_offset=10, bit=0)
-        with pytest.raises(ProtocolCrcError) as raised:
-            tmiu.mediate_read(bus, lba)
-        assert tmiu.stage is Stage.OPERATIONAL
-        assert not any(key.hex() in str(raised.value) for key in manifest_keys(provisioned.manifest))
+        ledger = tmiu.ledger
+        before = ledger.cycles, ledger.bytes_moved
         aes_key, _ = manifest_keys(provisioned.manifest)
         cipher = SectorCipher(aes_key)
         assert tmiu.mediate_read(bus, lba) == decrypt_sector(
             cipher, lba, provisioned.image.read_sector(lba)
         )
+        assert tmiu.stage is Stage.OPERATIONAL
+        read = 2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES)
+        assert (ledger.cycles - before[0], ledger.bytes_moved - before[1]) == (
+            read + SECTOR_TRANSFER_CYCLES,
+            3 * SECTOR_SIZE,
+        )
+        assert not bus.faults_pending
 
-    @pytest.mark.parametrize("op", ["read", "write"])
+    @pytest.mark.parametrize("op", ["read", "read_data", "write"])
     @pytest.mark.parametrize("failures", [RETRY_LIMIT, RETRY_LIMIT + 1])
     def test_a_frame_is_resent_at_most_retry_limit_times_in_a_row(self, provisioned, op, failures):
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
         lba = provisioned.layout.data_start + 4
         payload = bytes(range(256)) * 6
-        # A read's tag frame follows its three data frames; a write's second
+        # A read's tag frame follows its three data frames; a read's second
+        # data frame fails, and so does each resend of it; a write's second
         # data frame is refused, and so is each resend of it.
-        kind, first = ("c2h", 4) if op == "read" else ("h2c", 2)
+        kind, first = {"read": ("c2h", 4), "read_data": ("c2h", 2), "write": ("h2c", 2)}[op]
         for nth in range(first, first + failures):
             bus.inject_fault(kind, nth=nth, byte_offset=9, bit=1)
         ledger = tmiu.ledger
         before = ledger.cycles, ledger.bytes_moved
         if failures > RETRY_LIMIT:
             with pytest.raises(LockdownError):
-                tmiu.mediate_read(bus, lba, 3) if op == "read" else tmiu.mediate_write(bus, lba, payload)
+                tmiu.mediate_write(bus, lba, payload) if op == "write" else tmiu.mediate_read(bus, lba, 3)
             assert (tmiu.reason, tmiu.fault_lba) == (Denial.BUS_ERROR, None)
             return
-        if op == "read":
+        if op != "write":
             cipher = SectorCipher(manifest_keys(provisioned.manifest)[0])
             assert tmiu.mediate_read(bus, lba, 3) == cipher.crypt(lba, provisioned.image.read_sectors(lba, 3))
             moved = 2
@@ -475,30 +483,105 @@ class MiscountingCard(VirtualCard):
         return b"" if self.lie == "empty" else super().take_read(limit)[:-1]
 
 
+class ByteCuttingCard(VirtualCard):
+    """A card that, once ``cut_from`` is set, sends every sector read from
+    that LBA on with its last byte cut off."""
+
+    cut_from: int | None = None
+
+    def take_read(self, limit):
+        _, lba = self._open or (None, 0)
+        run = super().take_read(limit)
+        if run is None or self.cut_from is None:
+            return run
+        return b"".join(
+            run[at : at + SECTOR_SIZE - (lba + at // SECTOR_SIZE >= self.cut_from)]
+            for at in range(0, len(run), SECTOR_SIZE)
+        )
+
+
+def _hostile_system(provisioned, card_class, trace):
+    manifest = provisioned.manifest
+    card = card_class(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())
+    tmiu = Tmiu(manifest.anchors, DeviceIdentity(dna=manifest.dna))
+    bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
+    return BootHost(tmiu, bus), tmiu, bus, card
+
+
+def _forwarded_by_boot(tmiu, bus) -> list:
+    """Everything the unit forwards in a boot driven stage by stage."""
+    tmiu.power_on()
+    tmiu.authenticate_memory(bus)
+    tmiu.generate_keys()
+    received = []
+    tmiu.verify_mbr_and_image(bus, sink=received.append)
+    return received
+
+
+def _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts):
+    """The unit locked down for the wire, with no fault LBA, the card
+    suspended and unwritten, and no key byte in what anyone can read."""
+    assert (tmiu.stage, tmiu.reason, tmiu.fault_lba) == (Stage.LOCKDOWN, Denial.BUS_ERROR, None)
+    assert card.io_suspended
+    assert card.backing.to_bytes() == provisioned.image.to_bytes()
+    text = "\n".join([*texts, tmiu.report().to_text(), repr(tmiu), *bus.transcript])
+    assert not any(key.hex() in text for key in manifest_keys(provisioned.manifest))
+
+
+def _assert_poisoned(received):
+    """Whatever a refused boot forwarded ends in a block that fails its CRC
+    at the host."""
+    *verified, last = received or [None]
+    assert all(type(item) is bytes for item in verified)
+    assert not received or (isinstance(last, DataBlock) and not last.crc_ok)
+
+
 class TestMiscountedRun:
     # Frame by frame, the unit asks for one sector at a time, so only a
     # transfer that ends short can lie to it.
-    @pytest.mark.parametrize(
-        "lie, trace", [("short", False), ("short", True), ("long", False), ("empty", False), ("ragged", False)]
-    )
+    LIES = [("short", False), ("short", True), ("long", False), ("empty", False), ("ragged", False)]
+
+    @pytest.mark.parametrize("lie, trace", LIES)
     @pytest.mark.parametrize("op", ["read_file", "write_file"])
     def test_a_cmd18_transfer_of_the_wrong_length_is_a_bus_error(self, provisioned, op, lie, trace):
-        manifest = provisioned.manifest
-        card = MiscountingCard(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())
-        tmiu = Tmiu(manifest.anchors, DeviceIdentity(dna=manifest.dna))
-        bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
-        host = BootHost(tmiu, bus)
-        assert host.run_boot(expected_entries=manifest.entries).ok
+        host, tmiu, bus, card = _hostile_system(provisioned, MiscountingCard, trace)
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
         # The table's first sector is read alone, its other three as one run.
         card.lie = lie
         label, blob = DATA_FILES[0]
         with pytest.raises(LockdownError) as raised:
             host.read_file(label) if op == "read_file" else host.write_file(label, blob[::-1])
-        assert (tmiu.reason, tmiu.fault_lba) == (Denial.BUS_ERROR, None)
-        assert card.io_suspended
-        assert card.backing.to_bytes() == provisioned.image.to_bytes()
-        text = "\n".join([str(raised.value), tmiu.report().to_text(), repr(tmiu), *bus.transcript])
-        assert not any(key.hex() in text for key in manifest_keys(manifest))
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card, str(raised.value))
+
+    @pytest.mark.parametrize("lie, trace", LIES)
+    def test_a_cmd18_transfer_of_the_wrong_length_during_boot_is_a_bus_error(self, provisioned, lie, trace):
+        # The MBR and the image's first sector are read alone, the rest of
+        # the image as runs.
+        _, tmiu, bus, card = _hostile_system(provisioned, MiscountingCard, trace)
+        card.lie = lie
+        _assert_poisoned(_forwarded_by_boot(tmiu, bus))
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("where", ["mbr", "boot_stream", "read_file"])
+    def test_a_sector_a_byte_short_is_a_bus_error(self, provisioned, where, trace):
+        # Traced, the short sector crosses the wire as a data frame of its
+        # own; the unit, not the bus, judges its length.
+        host, tmiu, bus, card = _hostile_system(provisioned, ByteCuttingCard, trace)
+        layout = provisioned.layout
+        texts = []
+        if where == "read_file":
+            assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+            card.cut_from = layout.data_start
+            with pytest.raises(LockdownError) as raised:
+                host.read_file(DATA_FILES[0][0])
+            texts.append(str(raised.value))
+        else:
+            card.cut_from = 0 if where == "mbr" else layout.boot_start + 5
+            received = _forwarded_by_boot(tmiu, bus)
+            _assert_poisoned(received)
+            assert (where == "mbr") == (not received)
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts)
 
 
 class TestStageMachine:
