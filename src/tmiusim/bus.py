@@ -354,7 +354,10 @@ class SdioBus:
         if reply is None:
             return None
         self._log("C→H", "RSP", reply)
-        response, crc_ok = parse_response(reply)
+        try:
+            response, crc_ok = parse_response(reply)
+        except FramingError:
+            return None  # a malformed response is ignored like a bad CRC
         return response if crc_ok else None
 
     def request(self, index: int, argument: int = 0) -> ResponseFrame | None:

@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Sequence
+from queue import SimpleQueue
+from threading import Thread
+from typing import Callable, Iterator, Sequence
 
 from .crypto import (
     DIGEST_SIZE,
@@ -67,6 +70,12 @@ TAGS_PER_SECTOR = SECTOR_SIZE // DIGEST_SIZE
 # Format limits: a container's u32 total_len, in whole sectors; 32-bit LBAs.
 MAX_CONTAINER_SIZE = (1 << 32) - SECTOR_SIZE
 MAX_SECTORS = 1 << 32
+
+# A container of at least this many bytes has its trailer and the manifest's
+# content digests hashed on a worker thread while provision seals. Below it,
+# the thread costs more than the overlap saves: with a worker on every call,
+# the tamper workload's set-up (a 4 KB kernel) took about 1 ms longer.
+HASH_THREAD_MIN_CONTAINER = 1 << 20
 
 
 class MbrError(ValueError):
@@ -234,8 +243,8 @@ def sealed_container_size(blob_lengths: Sequence[int]) -> int:
 def write_boot_image(
     buf: bytearray, offset: int, entries: Sequence[tuple[EntryKind, bytes]]
 ) -> int:
-    """Lay the sealed container of ``entries`` into ``buf`` at ``offset``,
-    digest included; returns its length."""
+    """Lay the container of ``entries`` into ``buf`` at ``offset``, its
+    trailer zero (:func:`container_trailer` gives it); returns its length."""
     total_len = sealed_container_size([len(blob) for _, blob in entries])
     if not 0 <= offset <= len(buf) - total_len:
         raise ValueError("container does not fit the buffer at this offset")
@@ -248,14 +257,21 @@ def write_boot_image(
         _CONTAINER_ENTRY.pack_into(buf, pos, kind.value, blob_offset, len(blob))
         pos += _CONTAINER_ENTRY.size
         blob_offset += len(blob)
-    for _, blob in entries:
-        buf[pos : pos + len(blob)] = blob
-        pos += len(blob)
-    digest_at = offset + total_len - DIGEST_SIZE
-    buf[pos:digest_at] = bytes(digest_at - pos)
-    with memoryview(buf)[offset:digest_at] as body:
-        buf[digest_at : digest_at + DIGEST_SIZE] = sha256(body)
+    end = offset + total_len
+    with memoryview(buf) as view:  # a bytearray slice would copy each blob first
+        for _, blob in entries:
+            view[pos : pos + len(blob)] = blob
+            pos += len(blob)
+        view[pos:end] = bytes(end - pos)
     return total_len
+
+
+def container_trailer(buf: bytes | bytearray, offset: int = 0) -> bytes:
+    """The trailer of the container laid out in ``buf`` at ``offset``: the
+    SHA-256 of all of it before the trailer's own 32 bytes."""
+    total_len = boot_image_length(buf[offset : offset + _CONTAINER_HEADER.size])
+    with memoryview(buf)[offset : offset + total_len - DIGEST_SIZE] as body:
+        return sha256(body)
 
 
 def boot_image_length(prefix: bytes) -> int:
@@ -508,9 +524,13 @@ class NvmImage:
         self._data = data if isinstance(data, bytearray) else bytearray(data)
         self.total_sectors = len(self._data) // SECTOR_SIZE  # the buffer never resizes
 
+    # Reads and writes go through a memoryview, which the statement drops:
+    # a bytearray slice is a copy, and assigning bytes to one copies them
+    # into a temporary bytearray first.
+
     def read_sector(self, lba: int) -> bytes:
         self._check(lba)
-        return bytes(self._data[lba * SECTOR_SIZE : (lba + 1) * SECTOR_SIZE])
+        return bytes(memoryview(self._data)[lba * SECTOR_SIZE : (lba + 1) * SECTOR_SIZE])
 
     def write_sector(self, lba: int, payload: bytes) -> None:
         if len(payload) != SECTOR_SIZE:
@@ -520,14 +540,14 @@ class NvmImage:
     def read_sectors(self, lba: int, count: int) -> bytes:
         """``count`` consecutive sectors from ``lba``, as one buffer."""
         self._check(lba, count)
-        return bytes(self._data[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE])
+        return bytes(memoryview(self._data)[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE])
 
     def write_sectors(self, lba: int, data: bytes) -> None:
         """Store the consecutive sectors of ``data`` from ``lba``."""
         if len(data) % SECTOR_SIZE:
             raise ValueError("sector payload must be a whole number of 512-byte sectors")
         self._check(lba, len(data) // SECTOR_SIZE)
-        self._data[lba * SECTOR_SIZE : lba * SECTOR_SIZE + len(data)] = data
+        memoryview(self._data)[lba * SECTOR_SIZE : lba * SECTOR_SIZE + len(data)] = data
 
     def _check(self, lba: int, count: int = 1) -> None:
         if count < 1 or not 0 <= lba <= self.total_sectors - count:
@@ -720,16 +740,8 @@ def provision(
             PartitionEntry(0x00, DATA_PARTITION_TYPE, layout.data_start, layout.data_sectors),
         )
     )
-    buf[0:SECTOR_SIZE] = mbr.to_bytes()
-    write_boot_image(buf, layout.boot_start * SECTOR_SIZE, boot_entries)
+    boot_off = layout.boot_start * SECTOR_SIZE
     data_off = layout.data_start * SECTOR_SIZE
-    buf[data_off : data_off + len(table)] = table
-    for rec, (_, blob) in zip(records, data_files):
-        start = data_off + rec.offset
-        buf[start : start + len(blob)] = blob
-
-    aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
-    cipher, mac = SectorCipher(aes_key), SectorMac(mac_key)
 
     with memoryview(buf) as view:
 
@@ -742,15 +754,35 @@ def provision(
                 run = view[lba * SECTOR_SIZE : min(lba + RUN_SECTORS, end) * SECTOR_SIZE]
                 run[:] = cipher.crypt(lba, run)
 
-        seal(0, layout.meta_start)
-        # The integrity region's plaintext: one tag per data sector over its
-        # ciphertext, in LBA order (tag_location's consecutive 32-byte slots).
-        data_lbas = range(layout.data_start, layout.data_start + layout.data_sectors)
-        tags = b"".join([sector_tag(mac, lba, sector(lba)) for lba in data_lbas])
-        meta_off = layout.meta_start * SECTOR_SIZE
-        view[meta_off : meta_off + len(tags)] = tags
-        seal(layout.meta_start, layout.total_sectors)
-        mbr_digest = sector_tag(mac, 0, sector(0))
+        view[0:SECTOR_SIZE] = mbr.to_bytes()
+        boot_len = write_boot_image(buf, boot_off, boot_entries)
+        view[data_off : data_off + len(table)] = table
+        for rec, (_, blob) in zip(records, data_files):
+            start = data_off + rec.offset
+            view[start : start + len(blob)] = blob
+
+        # The two keyless hashes, handed over before any key exists: the
+        # container's trailer over its plaintext, then the manifest's content
+        # digests over the caller's blobs. Meanwhile the data partition and
+        # the integrity region are sealed, which the trailer does not cover;
+        # the boot region waits for its trailer.
+        hashes = [(container_trailer, (buf, boot_off)), (_content_records, (boot_entries, data_files))]
+        with _hashed(hashes, boot_len >= HASH_THREAD_MIN_CONTAINER) as next_hash:
+            aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
+            cipher, mac = SectorCipher(aes_key), SectorMac(mac_key)
+            seal(layout.data_start, layout.meta_start)
+            # The integrity region's plaintext: one tag per data sector over
+            # its ciphertext, in LBA order (tag_location's consecutive slots).
+            data_lbas = range(layout.data_start, layout.meta_start)
+            tags = b"".join([sector_tag(mac, lba, sector(lba)) for lba in data_lbas])
+            meta_off = layout.meta_start * SECTOR_SIZE
+            view[meta_off : meta_off + len(tags)] = tags
+            seal(layout.meta_start, layout.total_sectors)
+            trailer_off = boot_off + boot_len - DIGEST_SIZE
+            view[trailer_off : trailer_off + DIGEST_SIZE] = next_hash()
+            seal(0, layout.data_start)
+            mbr_digest = sector_tag(mac, 0, sector(0))
+            entries, files = next_hash()
 
     anchors = TrustAnchors.for_pair(
         dev,
@@ -766,10 +798,51 @@ def provision(
         dna=dev.dna,
         cid=card.cid,
         csd=card.csd,
-        entries=_entry_records(boot_entries),
-        files=[(label, len(b), sha256(b).hex()) for label, b in data_files],
+        entries=entries,
+        files=files,
     )
     return ProvisionResult(image=NvmImage(buf), anchors=anchors, manifest=manifest, layout=layout)
+
+
+@contextmanager
+def _hashed(jobs: Sequence[tuple[Callable, tuple]], threaded: bool) -> Iterator[Callable[[], object]]:
+    """Run keyless hash ``jobs``, each a (function, args) pair, in order: on
+    one worker thread when ``threaded``, else at once. Yields ``next_hash()``,
+    which waits for the next job's value and returns it, or raises its error.
+    The worker is joined on leaving, however the body leaves."""
+    if not threaded:
+        yield iter([function(*args) for function, args in jobs]).__next__
+        return
+    results: SimpleQueue = SimpleQueue()
+    worker = Thread(target=_hash_in_order, args=(jobs, results), name="provision-hashes")
+    worker.start()
+
+    def next_hash() -> object:
+        ok, value = results.get()
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield next_hash
+    finally:
+        worker.join()
+
+
+def _hash_in_order(jobs: Sequence[tuple[Callable, tuple]], results: SimpleQueue) -> None:
+    """The hash worker's body: an (ok, value or error) result per job, in order."""
+    for function, args in jobs:
+        try:
+            results.put((True, function(*args)))
+        except BaseException as exc:  # raised again by the thread that reads it
+            results.put((False, exc))
+
+
+def _content_records(
+    boot_entries: Sequence[tuple[EntryKind, bytes]], data_files: Sequence[tuple[str, bytes]]
+) -> tuple[list[tuple[str, int, str]], list[tuple[str, int, str]]]:
+    """The manifest's entry and file records: each blob's length and SHA-256."""
+    return _entry_records(boot_entries), [(label, len(b), sha256(b).hex()) for label, b in data_files]
 
 
 def _entry_records(entries: Sequence[tuple[EntryKind, bytes]]) -> list[tuple[str, int, str]]:

@@ -12,6 +12,7 @@ from tmiusim.image import (
     Manifest,
     NvmImage,
     ProvisionResult,
+    container_trailer,
     manifest_keys,
     parse_boot_image,
     parse_file_table,
@@ -64,6 +65,7 @@ def build_boot_image(entries) -> bytes:
     """Serialize boot blobs into a sealed, sector-aligned container."""
     container = bytearray(sealed_container_size([len(blob) for _, blob in entries]))
     write_boot_image(container, 0, entries)
+    container[-32:] = container_trailer(container)
     return bytes(container)
 
 
@@ -96,10 +98,8 @@ def forge_kernel(result: ProvisionResult) -> tuple[NvmImage, bytes]:
     kernel = b"forged kernel ".ljust(len(dict(BOOT_ENTRIES)[EntryKind.KERNEL]), b"!")
     forged = [(kind, kernel if kind is EntryKind.KERNEL else blob) for kind, blob in BOOT_ENTRIES]
     layout = result.layout
-    size = layout.boot_sectors * SECTOR_SIZE
-    old, new = bytearray(size), bytearray(size)
-    write_boot_image(old, 0, BOOT_ENTRIES)
-    write_boot_image(new, 0, forged)
+    old, new = build_boot_image(BOOT_ENTRIES), build_boot_image(forged)
+    size = len(old)
     raw = bytearray(result.image.to_bytes())
     at = layout.boot_start * SECTOR_SIZE
     raw[at : at + size] = bytes(c ^ o ^ n for c, o, n in zip(raw[at : at + size], old, new))

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import threading
 import tracemalloc
 
 import pytest
@@ -16,6 +18,8 @@ from tmiusim.crypto import (
 )
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import (
+    HASH_THREAD_MIN_CONTAINER,
+    MAX_CONTAINER_SIZE,
     BadMbrSignature,
     CapacityError,
     ContainerCheck,
@@ -33,8 +37,10 @@ from tmiusim.image import (
     OverlappingPartitions,
     PartitionEntry,
     PartitionOutOfBounds,
+    ProvisionResult,
     boot_image_length,
     build_file_table,
+    container_trailer,
     finding_failed,
     in_use_data_lbas,
     manifest_keys,
@@ -42,6 +48,7 @@ from tmiusim.image import (
     parse_file_table,
     parse_mbr,
     provision,
+    sealed_container_size,
     table_sector_count,
     verify_image,
     write_boot_image,
@@ -57,7 +64,14 @@ from conftest import (
     make_provision,
     provision_container,
 )
-from oracles import shannon_entropy
+from oracles import (
+    boot_container_oracle,
+    ctr_sector_oracle,
+    kdf_key_oracle,
+    kdf_mac_oracle,
+    sector_tag_oracle,
+    shannon_entropy,
+)
 
 
 class TestMbr:
@@ -236,13 +250,17 @@ class TestBootImage:
         container = build_boot_image(entries)
         buf = bytearray(offset + len(container) + tail)
         assert write_boot_image(buf, offset, entries) == len(container)
-        assert buf[offset : offset + len(container)] == container
-        assert not any(buf[:offset]) and not any(buf[offset + len(container) :])
+        # Everything but the trailer, which is left zero for container_trailer.
+        trailer_at = offset + len(container) - 32
+        assert buf[offset:trailer_at] == container[:-32]
+        assert not any(buf[:offset]) and not any(buf[trailer_at:])
+        assert container_trailer(buf, offset) == container[-32:]
         with pytest.raises(ValueError):
             write_boot_image(buf, offset + tail + 1, entries)
         dirty = bytearray(b"\xa5" * len(buf))  # the padding is written, not assumed
         write_boot_image(dirty, offset, entries)
-        assert dirty[offset : offset + len(container)] == container
+        assert dirty[offset:trailer_at] == container[:-32]
+        assert dirty[trailer_at : trailer_at + 32] == bytes(32)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -677,6 +695,131 @@ class TestManifest:
         assert Manifest.from_text(result.manifest.to_text()) == result.manifest
 
 
+WORKER_ENTRIES = [
+    (EntryKind.FSBL, b"fsbl" * 300),
+    (EntryKind.KERNEL, random.Random(7).randbytes(HASH_THREAD_MIN_CONTAINER)),
+]
+WORKER_FILES = [("rootfs.img", random.Random(8).randbytes(70_000)), ("motd", b"hello")]
+
+
+def _worker_provision() -> ProvisionResult:
+    """A provisioning whose container is past HASH_THREAD_MIN_CONTAINER, so
+    that its trailer and content digests are hashed on the worker thread."""
+    return provision(
+        WORKER_ENTRIES,
+        WORKER_FILES,
+        DeviceIdentity(dna=0x5EED),
+        CardIdentity.from_seed(b"hash-worker"),
+        kdf_repetitions=3,
+    )
+
+
+def _reachable(obj):
+    """``obj`` and everything inside its tuples and lists."""
+    yield obj
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _reachable(item)
+
+
+class TestHashWorker:
+    def test_output_matches_inline_hashing_and_the_oracles(self, monkeypatch):
+        result = _worker_provision()
+        manifest, layout, image = result.manifest, result.layout, result.image
+        assert layout.boot_sectors * SECTOR_SIZE >= HASH_THREAD_MIN_CONTAINER
+        findings = verify_image(image, manifest)
+        assert findings and not any(map(finding_failed, findings))
+
+        monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", MAX_CONTAINER_SIZE + 1)
+        inline = _worker_provision()
+        assert inline.image.to_bytes() == image.to_bytes()
+        assert inline.manifest.to_text() == manifest.to_text()
+
+        secret = manifest.dna.to_bytes(8, "big")
+        aes_key = kdf_key_oracle(1, secret, manifest.cid, 3)
+        mac_key = kdf_mac_oracle(1, secret, manifest.cid, 3)
+        assert sector_tag_oracle(mac_key, 0, image.read_sector(0)) == manifest.anchors.mbr_digest
+        container = b"".join(
+            ctr_sector_oracle(aes_key, lba, image.read_sector(lba))
+            for lba in range(layout.boot_start, layout.data_start)
+        )
+        # The oracle checks the trailer over the container as a whole.
+        blobs = boot_container_oracle(container[: boot_image_length(container)])
+        assert blobs == [(kind.value, blob) for kind, blob in WORKER_ENTRIES]
+        assert manifest.entries == [
+            (kind.label, len(blob), hashlib.sha256(blob).hexdigest()) for kind, blob in WORKER_ENTRIES
+        ]
+        assert manifest.files == [
+            (label, len(blob), hashlib.sha256(blob).hexdigest()) for label, blob in WORKER_FILES
+        ]
+        for lba in range(layout.data_start, layout.meta_start):
+            meta_lba, offset = layout.tag_location(lba)
+            tags = ctr_sector_oracle(aes_key, meta_lba, image.read_sector(meta_lba))
+            assert tags[offset : offset + 32] == sector_tag_oracle(mac_key, lba, image.read_sector(lba))
+
+    def test_one_worker_gets_no_key_and_is_joined(self, monkeypatch):
+        made = []
+
+        def recording_thread(*args, **kwargs):
+            made.append(kwargs)
+            return threading.Thread(*args, **kwargs)
+
+        monkeypatch.setattr("tmiusim.image.Thread", recording_thread)
+        before = threading.active_count()
+        result = _worker_provision()
+        assert threading.active_count() == before
+        assert len(made) == 1
+        keys = manifest_keys(result.manifest)
+        for obj in _reachable((made[0]["target"], made[0]["args"])):
+            assert not isinstance(obj, (SectorCipher, SectorMac))
+            if callable(obj):
+                assert getattr(obj, "__closure__", None) is None  # nothing captured
+            if isinstance(obj, (bytes, bytearray)):
+                assert not any(key in obj for key in keys)
+
+    def test_a_small_container_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr("tmiusim.image.Thread", no_thread)
+        result = make_provision()
+        assert result.layout.boot_sectors * SECTOR_SIZE < HASH_THREAD_MIN_CONTAINER
+
+    def test_no_thread_outlives_a_step_that_raises_while_it_hashes(self, monkeypatch):
+        import tmiusim.image as image_module
+
+        release = threading.Event()
+        alive = []
+        content_records = image_module._content_records
+
+        def held_records(*args):
+            release.wait(timeout=10)
+            return content_records(*args)
+
+        def failing_crypt(self, first_sector, data):
+            alive.append(threading.active_count())
+            release.set()
+            raise RuntimeError("sealing failed")
+
+        monkeypatch.setattr(image_module, "_content_records", held_records)
+        monkeypatch.setattr(SectorCipher, "crypt", failing_crypt)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="sealing failed"):
+            _worker_provision()
+        assert alive == [before + 1]  # the worker was still hashing
+        assert threading.active_count() == before
+
+    def test_a_hash_that_raises_is_raised_by_provision(self, monkeypatch):
+        def failing_trailer(buf, offset=0):
+            raise MemoryError("no room to hash")
+
+        monkeypatch.setattr("tmiusim.image.container_trailer", failing_trailer)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room to hash"):
+            _worker_provision()
+        assert threading.active_count() == before
+
+
 def test_image_save_load_round_trip(tmp_path, provisioned):
     path = tmp_path / "card.nvm"
     provisioned.image.save(path)
@@ -726,6 +869,41 @@ class TestImageBuffers:
     def test_provisioned_image_holds_no_buffer_view(self):
         result = make_provision()
         result.image._data.append(0)  # resizable: no memoryview of it is left
+
+
+    def test_each_blob_is_copied_once(self):
+        # Assigning bytes to a bytearray slice copies them into a temporary
+        # bytearray first, and bytes() of a bytearray slice copies twice.
+        blob = bytes(range(256)) * 8192  # 2 MB
+        container = bytearray(sealed_container_size([len(blob)]))
+        image = NvmImage(bytearray(len(blob)))
+        steps = {
+            "write_boot_image": lambda: write_boot_image(container, 0, [(EntryKind.KERNEL, blob)]),
+            "read_sectors": lambda: image.read_sectors(0, len(blob) // SECTOR_SIZE),
+            "write_sectors": lambda: image.write_sectors(0, blob),
+            "provision": lambda: provision(
+                [(EntryKind.KERNEL, blob)],
+                [("copy.bin", blob)],
+                DeviceIdentity(dna=1),
+                CardIdentity.from_seed(b"copies"),
+                kdf_repetitions=1,
+            ),
+        }
+        copies = {}
+        for name, step in steps.items():
+            tracemalloc.start()
+            try:
+                out = step()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # A provisioned image is one buffer; what matters is the peak above it.
+            held = len(out.image.to_bytes()) if name == "provision" else 0
+            copies[name] = (peak - held) / len(blob)
+        assert copies["write_boot_image"] < 0.05
+        assert 0.95 < copies["read_sectors"] < 1.05
+        assert copies["write_sectors"] < 0.05
+        assert copies["provision"] < 0.5
 
 
 def test_multi_sector_read_and_write_are_bounds_checked():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, SdioBus, VirtualCard
+from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, ResponseFrame, SdioBus, VirtualCard
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
 from tmiusim.host import BootHost, build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
@@ -500,6 +500,20 @@ class ByteCuttingCard(VirtualCard):
         )
 
 
+class ResponseCuttingCard(VirtualCard):
+    """A card that, once ``cut`` is set, answers every CMD18 frame, intact
+    or not, with an accepting response a byte short. Only a command sent as
+    a frame can meet the lie."""
+
+    cut = False
+
+    def issue(self, raw):
+        reply = super().issue(raw)
+        if self.cut and raw[0] & 0x3F == CMD_READ_MULTIPLE:
+            return ResponseFrame(CMD_READ_MULTIPLE).to_bytes()[:-1]
+        return reply
+
+
 def _hostile_system(provisioned, card_class, trace):
     manifest = provisioned.manifest
     card = card_class(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())
@@ -582,6 +596,42 @@ class TestMiscountedRun:
             _assert_poisoned(received)
             assert (where == "mbr") == (not received)
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts)
+
+
+    @pytest.mark.parametrize("observed", ["trace", "cmd_fault"])
+    @pytest.mark.parametrize("where", ["boot", "read_file"])
+    def test_a_response_a_byte_short_is_a_bus_error(self, provisioned, where, observed):
+        # Where command frames are observed, the response crosses the wire
+        # as bytes. One of the wrong length reads as silence: the command is
+        # resent, and the unit, not the bus, gives up. Untraced, the frames
+        # are observed while a command fault is pending: one fault per send
+        # of the first CMD18, each flipping a bit of its CRC.
+        host, tmiu, bus, card = _hostile_system(provisioned, ResponseCuttingCard, observed == "trace")
+        entries = provisioned.manifest.entries
+        if where == "read_file":
+            assert host.run_boot(expected_entries=entries).ok
+        card.cut = True
+        if observed == "cmd_fault":
+            first = 1 if where == "read_file" else _first_cmd18_frame(provisioned)
+            for nth in range(first, first + RETRY_LIMIT + 1):
+                bus.inject_fault("cmd", nth, byte_offset=5, bit=4)
+        texts = []
+        if where == "read_file":
+            with pytest.raises(LockdownError) as raised:
+                host.read_file(DATA_FILES[0][0])
+            texts.append(str(raised.value))
+        else:
+            assert not host.run_boot(expected_entries=entries).ok
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts)
+        assert not bus.faults_pending
+
+
+def _first_cmd18_frame(provisioned) -> int:
+    """The number of the first CMD18 among a clean boot's command frames."""
+    host, _, bus, _ = _hostile_system(provisioned, VirtualCard, True)
+    assert host.run_boot().ok
+    commands = [line.rsplit(" ", 1)[1] for line in bus.transcript if "KIND=CMD" in line]
+    return next(n for n, raw in enumerate(commands, 1) if int(raw[:2], 16) & 0x3F == CMD_READ_MULTIPLE)
 
 
 class TestStageMachine:
