@@ -10,20 +10,27 @@ path, with the flat file table living in the partition's leading sectors.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
+from queue import SimpleQueue
+from threading import Thread
+from typing import Sequence
 
 from .bus import DataBlock, SdioBus, VirtualCard
 from .crypto import SECTOR_SIZE, sha256
 from .identity import CardIdentity, DeviceIdentity
 from .image import (
+    HASH_THREAD_MIN_CONTAINER,
     CapacityError,
+    EntryKind,
     FileRecord,
     ImageFormatError,
     Manifest,
     NvmImage,
+    boot_image_index,
+    boot_image_length,
     build_file_table,
-    parse_boot_image,
     parse_file_table,
     read_file_table,
 )
@@ -61,17 +68,117 @@ class BootOutcome:
         return self.reason.value if self.reason else "Unknown"
 
 
-class _StreamBuffer(bytearray):
-    """The forwarded boot stream: verified plaintext arrives as ``bytes``; a
-    block, checked by its line CRC, is the unit signalling in-band."""
+# The digest worker is handed the stream's newly arrived bytes in steps of
+# about this many. Each hand-over waits for the interpreter lock, which the
+# unit's container hash releases once per run, and the last step is hashed
+# while the boot waits. On a 13 MB boot, steps of 512 KiB, 1 MiB and 2 MiB
+# each took about 1 ms less than the one before; 4 MiB the same as 2 MiB,
+# 8 MiB about 3 ms more.
+_HAND_OVER_BYTES = 2 << 20
 
-    corrupted = False
+
+class _StreamBuffer:
+    """The forwarded boot stream: verified plaintext arrives as ``bytes``; a
+    block, checked by its line CRC, is the unit signalling in-band.
+
+    The first item tells the container's length, and the stream is copied
+    in place into one buffer of that length. The entry digests are hashed
+    from that buffer, never from a copy: on one worker thread as the stream
+    arrives where the container is at least ``HASH_THREAD_MIN_CONTAINER``
+    and its entry table came in the first item, else at the end. The owner
+    calls :meth:`close` however the boot ends, which joins the worker."""
+
+    def __init__(self) -> None:
+        self.corrupted = False
+        self._view = memoryview(b"")  # of the buffer, once the first item tells its length
+        self._filled = self._handed = 0
+        self._worker: Thread | None = None
 
     def receive(self, item: bytes | DataBlock) -> None:
         if isinstance(item, DataBlock):
             self.corrupted |= not item.crc_ok
             item = item.payload
-        self.extend(item)
+        if self.corrupted:
+            return  # the stream is discarded wholesale
+        first = not self._view
+        if first:
+            self._view = memoryview(bytearray(boot_image_length(item)))
+        end = self._filled + len(item)
+        self._view[self._filled : end] = item  # one copy, in place
+        self._filled = end
+        if first and len(self._view) >= HASH_THREAD_MIN_CONTAINER:
+            self._start_worker(len(item))
+        if self._worker and end - self._handed >= _HAND_OVER_BYTES:
+            self._marks.put(end)
+            self._handed = end
+
+    def _start_worker(self, arrived: int) -> None:
+        try:
+            spans = boot_image_index(self._view)  # reads the header and table alone
+        except ImageFormatError:
+            return  # judged again over the whole stream at the end
+        # Every entry starts past the entry table, so one that starts within
+        # the first item shows the whole table came in it.
+        if min(start for _, start, _ in spans) > arrived:
+            return
+        self._spans, self._marks, self._digests = spans, SimpleQueue(), SimpleQueue()
+        self._worker = Thread(
+            target=_hash_spans,
+            args=(self._view, spans, self._marks, self._digests),
+            name="boot-digests",
+        )
+        self._worker.start()
+
+    def loaded_entries(self) -> list[LoadedEntry]:
+        """The (kind, length, digest) of each entry of the whole stream; a
+        stream its container does not describe is an :class:`ImageFormatError`."""
+        if self._filled != len(self._view):
+            raise ImageFormatError("container length field disagrees with data")
+        if self._worker:
+            self._marks.put(self._filled)
+            self.close()
+            spans, (ok, digests) = self._spans, self._digests.get()
+            if not ok:
+                raise digests
+        else:
+            spans = boot_image_index(self._view)
+            digests = [sha256(self._view[start:end]) for _, start, end in spans]
+        return [
+            LoadedEntry(kind.label, end - start, digest)
+            for (kind, start, end), digest in zip(spans, digests)
+        ]
+
+    def close(self) -> None:
+        """Stop and join the digest worker, if one was started, and release
+        the view of the buffer."""
+        if self._worker:
+            self._marks.put(None)
+            self._worker.join()
+            self._worker = None
+        self._view.release()
+
+
+def _hash_spans(
+    view: memoryview,
+    spans: Sequence[tuple[EntryKind, int, int]],
+    marks: SimpleQueue,
+    digests: SimpleQueue,
+) -> None:
+    """The digest worker's body. Each mark that ``marks`` brings is how many
+    bytes of ``view`` have arrived; the part of each (kind, start, end) span
+    that arrived since the last mark is hashed in place. ``None`` ends the
+    work, and ``digests`` gets (True, the SHA-256 of each span), or (False,
+    the error that stopped it)."""
+    try:
+        hashes, done = [hashlib.sha256() for _ in spans], 0
+        while (mark := marks.get()) is not None:
+            for hash_, (_, start, end) in zip(hashes, spans):
+                if max(start, done) < min(end, mark):
+                    hash_.update(view[max(start, done) : min(end, mark)])
+            done = mark
+        digests.put((True, [hash_.digest() for hash_ in hashes]))
+    except BaseException as exc:  # raised again by the boot that reads it
+        digests.put((False, exc))
 
 
 class BootHost:
@@ -106,16 +213,17 @@ class BootHost:
 
         self.phase = HostPhase.LOADING_BOOT
         stream = _StreamBuffer()
-        tmiu.verify_mbr_and_image(bus, sink=stream.receive)
-        if tmiu.stage is not Stage.OPERATIONAL or stream.corrupted:
-            # Whatever was partially streamed is discarded wholesale.
-            return self._denied()
-
         try:
-            entries = parse_boot_image(stream)
-        except ImageFormatError:
-            return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
-        received = [LoadedEntry(kind.label, len(blob), sha256(blob)) for kind, blob in entries]
+            tmiu.verify_mbr_and_image(bus, sink=stream.receive)
+            if tmiu.stage is not Stage.OPERATIONAL or stream.corrupted:
+                # Whatever was partially streamed is discarded wholesale.
+                return self._denied()
+            try:
+                received = stream.loaded_entries()
+            except ImageFormatError:
+                return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
+        finally:
+            stream.close()
         if expected_entries is not None:
             got = [(e.kind_label, e.length, e.digest.hex()) for e in received]
             if got != [tuple(e) for e in expected_entries]:

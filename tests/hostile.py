@@ -1,0 +1,100 @@
+"""Test-only cards that lie on the wire, and a system built around one.
+
+Each is a :class:`VirtualCard` subclass that answers honestly until its
+lie is switched on, so a test can let the unit boot and then turn hostile.
+"""
+
+from __future__ import annotations
+
+from tmiusim.bus import CMD_READ_MULTIPLE, ResponseFrame, SdioBus, VirtualCard
+from tmiusim.crypto import SECTOR_SIZE
+from tmiusim.host import BootHost
+from tmiusim.identity import CardIdentity, DeviceIdentity
+from tmiusim.tmiu import Tmiu
+
+
+class MiscountingCard(VirtualCard):
+    """A card that, once ``lie`` is set, sends a CMD18 transfer the wrong
+    number of sectors. "short" ends each transfer after two sectors, then
+    stays silent until the next data command. Asked for more than one
+    sector at once, "long" sends one more, "empty" an empty buffer, and
+    "ragged" the sectors asked for with a byte cut off."""
+
+    lie: str | None = None
+    _sent: int | None = None  # sectors of the open CMD18 transfer sent so far
+
+    def open_transfer(self, idx, lba):
+        self._sent = 0 if idx == CMD_READ_MULTIPLE else None
+        return super().open_transfer(idx, lba)
+
+    def take_read(self, limit):
+        if self.lie is None or self._sent is None:
+            return super().take_read(limit)
+        if self.lie == "short":
+            run = super().take_read(min(limit, 2 - self._sent)) if self._sent < 2 else None
+            self._sent += len(run or b"") // SECTOR_SIZE
+            return run
+        if limit == 1:
+            return super().take_read(1)
+        if self.lie == "long":
+            return super().take_read(limit + 1)
+        return b"" if self.lie == "empty" else super().take_read(limit)[:-1]
+
+
+class ByteCuttingCard(VirtualCard):
+    """A card that, once ``cut_from`` is set, sends every sector read from
+    that LBA on with its last byte cut off."""
+
+    cut_from: int | None = None
+
+    def take_read(self, limit):
+        _, lba = self._open or (None, 0)
+        run = super().take_read(limit)
+        if run is None or self.cut_from is None:
+            return run
+        return b"".join(
+            run[at : at + SECTOR_SIZE - (lba + at // SECTOR_SIZE >= self.cut_from)]
+            for at in range(0, len(run), SECTOR_SIZE)
+        )
+
+
+class ResponseCuttingCard(VirtualCard):
+    """A card that, once ``cut`` is set, answers every CMD18 frame, intact
+    or not, with an accepting response a byte short. Only a command sent as
+    a frame can meet the lie."""
+
+    cut = False
+
+    def issue(self, raw):
+        reply = super().issue(raw)
+        if self.cut and raw[0] & 0x3F == CMD_READ_MULTIPLE:
+            return ResponseFrame(CMD_READ_MULTIPLE).to_bytes()[:-1]
+        return reply
+
+
+class LbaShiftingCard(VirtualCard):
+    """A card that, once ``shift_from`` is set, answers a CMD18 read of each
+    sector at or past that LBA with the sector after it: whole sectors, the
+    count asked for, each from a different LBA than asked."""
+
+    shift_from: int | None = None
+
+    def take_read(self, limit):
+        idx, lba = self._open or (None, 0)
+        run = super().take_read(limit)
+        if run is None or self.shift_from is None or idx != CMD_READ_MULTIPLE:
+            return run
+        return b"".join(
+            self.backing.read_sector(min(at + 1, self.geometry - 1))
+            if at >= self.shift_from
+            else run[(at - lba) * SECTOR_SIZE : (at - lba + 1) * SECTOR_SIZE]
+            for at in range(lba, lba + len(run) // SECTOR_SIZE)
+        )
+
+
+def hostile_system(provisioned, card_class, trace):
+    manifest = provisioned.manifest
+    card = card_class(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())
+    tmiu = Tmiu(manifest.anchors, DeviceIdentity(dna=manifest.dna))
+    bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
+    return BootHost(tmiu, bus), tmiu, bus, card

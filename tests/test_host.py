@@ -1,14 +1,30 @@
+import functools
+import hashlib
 import random
+import struct
+import sys
+import threading
+from queue import SimpleQueue
 
 import pytest
 
-from tmiusim.crypto import sha256
+from tmiusim.bus import DataBlock, VirtualCard
+from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher, sha256
+from tmiusim import host as host_module
 from tmiusim.host import HostError, HostPhase, build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.image import CapacityError
+from tmiusim.image import (
+    HASH_THREAD_MIN_CONTAINER,
+    MAX_CONTAINER_SIZE,
+    CapacityError,
+    EntryKind,
+    manifest_keys,
+)
+from tmiusim.scenarios import builtin_scenarios, run_scenario
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
-from conftest import DATA_FILES, forge_kernel, image_file_records, make_provision
+from conftest import DATA_FILES, forge_kernel, image_file_records, make_provision, provision_container
+from hostile import ByteCuttingCard, MiscountingCard, hostile_system
 from oracles import shannon_entropy
 
 
@@ -194,3 +210,229 @@ class TestThreatModelEdges:
         assert outcome.outcome_class == "ImageDigestMismatch"
         assert host.phase is HostPhase.HALTED
         assert tmiu.stage is Stage.OPERATIONAL
+
+
+# Past HASH_THREAD_MIN_CONTAINER, so the host hashes the entries on its
+# worker; 3 MiB, so that the stream is handed over to it before it ends.
+WORKER_ENTRIES = [
+    (EntryKind.FSBL, b"fsbl" * 300),
+    (EntryKind.KERNEL, random.Random(11).randbytes(3 << 20)),
+    (EntryKind.DEVICETREE, b"\x00dt" * 700),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _worker_provision():
+    return make_provision(boot_entries=WORKER_ENTRIES)
+
+
+def _container_with_spans(total_len: int, spans) -> bytes:
+    """A sealed container of ``total_len`` bytes over random payload bytes,
+    whose entry table names ``spans``, (kind, payload offset, length) each:
+    they may overlap and come in any order."""
+    body = bytearray(struct.pack(">4sHHI", b"TMBI", 1, len(spans), total_len))
+    for kind, offset, length in spans:
+        body += struct.pack(">BII", kind.value, offset, length)
+    body += random.Random(total_len).randbytes(total_len - 32 - len(body))
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+class TestDigestWorker:
+    """A container of at least HASH_THREAD_MIN_CONTAINER has its entry
+    digests hashed on one worker thread while the unit streams it."""
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """Every thread the host makes."""
+        made = []
+
+        def recording_thread(*args, **kwargs):
+            made.append(threading.Thread(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr("tmiusim.host.Thread", recording_thread)
+        return made
+
+    def test_digests_equal_hashlib_and_the_inline_path(self, threads, monkeypatch):
+        result = _worker_provision()
+        assert result.layout.boot_sectors * SECTOR_SIZE >= HASH_THREAD_MIN_CONTAINER
+        host, _, _, _, outcome = _boot(result)
+        assert outcome.ok and len(threads) == 1
+        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
+        assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
+
+        monkeypatch.setattr("tmiusim.host.HASH_THREAD_MIN_CONTAINER", MAX_CONTAINER_SIZE + 1)
+        inline, _, _, _, outcome = _boot(result)
+        assert outcome.ok and len(threads) == 1
+        assert inline.loaded_entries == host.loaded_entries
+
+    def test_the_worker_is_handed_only_how_far_the_stream_has_come(self, threads, monkeypatch):
+        puts = []
+
+        class RecordingQueue(SimpleQueue):
+            def put(self, item, block=True, timeout=None):
+                puts.append(item)
+                super().put(item, block, timeout)
+
+        monkeypatch.setattr("tmiusim.host.SimpleQueue", RecordingQueue)
+        result = _worker_provision()
+        _, _, _, _, outcome = _boot(result)
+        assert outcome.ok and len(threads) == 1
+        *marks, stop, (ok, digests) = puts  # the worker answers once it is stopped
+        total = result.layout.boot_sectors * SECTOR_SIZE
+        assert stop is None and ok and len(digests) == len(WORKER_ENTRIES)
+        # Byte counts, not bytes: at least one while the stream still runs,
+        # each about 2 MiB past the one before, and then the whole length.
+        assert all(type(mark) is int for mark in marks)
+        assert marks[-1] == total and 0 < marks[0] < total
+        assert all(0 < b - a <= (2 << 20) + RUN_SECTORS * SECTOR_SIZE for a, b in zip([0, *marks], marks))
+
+    def test_parallel_boots_under_a_short_switch_interval(self, threads):
+        # Six threads on fewer cores, switching as often as the interpreter
+        # allows: a worker that read bytes not yet copied in would hash them.
+        result = _worker_provision()
+        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
+        got, errors = [], []
+
+        def boot():
+            try:
+                host, _, _, _ = build_system(result.manifest, result.image.clone())
+                assert host.run_boot(expected_entries=result.manifest.entries).ok
+                got.append([(e.kind_label, e.length, e.digest) for e in host.loaded_entries])
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            booters = [threading.Thread(target=boot) for _ in range(3)]
+            for booter in booters:
+                booter.start()
+            for booter in booters:
+                booter.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(booter.is_alive() for booter in booters) and not errors
+        assert got == [want] * 3 and len(threads) == 3
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_a_traced_boot_reads_the_same_with_and_without_the_worker(self, threads, monkeypatch):
+        result = _worker_provision()
+        runs = []
+        for limit in (HASH_THREAD_MIN_CONTAINER, MAX_CONTAINER_SIZE + 1):
+            monkeypatch.setattr("tmiusim.host.HASH_THREAD_MIN_CONTAINER", limit)
+            host, _, bus, _, outcome = _boot(result, trace=True)
+            runs.append((outcome.report.to_text(), bus.transcript, host.loaded_entries))
+        assert len(threads) == 1
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("end", ["clean", "sector_flip", "short_run", "short_sector", "crypt_raises"])
+    def test_no_thread_outlives_the_boot(self, threads, monkeypatch, end):
+        result = _worker_provision()
+        layout = result.layout
+        late = layout.boot_start + layout.boot_sectors - 200  # past the first hand-over
+        card_class = {"short_run": MiscountingCard, "short_sector": ByteCuttingCard}.get(end, VirtualCard)
+        host, tmiu, _, card = hostile_system(result, card_class, False)
+        before = threading.active_count()
+        if end == "sector_flip":
+            sector = bytearray(card.backing.read_sector(late))
+            sector[17] ^= 0x04
+            card.backing.write_sector(late, bytes(sector))
+        elif end == "short_run":
+            card.lie = "short"  # each CMD18 transfer ends after two sectors
+        elif end == "short_sector":
+            card.cut_from = late
+        alive = []
+        crypt = SectorCipher.crypt
+
+        def failing_crypt(self, first_sector, data):
+            if first_sector >= late:
+                alive.append(threads[0].is_alive())
+                raise RuntimeError("cipher failed")
+            return crypt(self, first_sector, data)
+
+        received = []
+        receive = host_module._StreamBuffer.receive
+        monkeypatch.setattr(
+            host_module._StreamBuffer, "receive", lambda self, item: received.append(item) or receive(self, item)
+        )
+        if end == "crypt_raises":
+            monkeypatch.setattr(SectorCipher, "crypt", failing_crypt)
+            with pytest.raises(RuntimeError, match="cipher failed"):
+                host.run_boot()
+            assert alive == [True]  # the worker was still waiting for the stream
+        else:
+            outcome = host.run_boot(expected_entries=result.manifest.entries)
+            want = {"clean": "OsRunning", "sector_flip": "ImageDigestMismatch"}.get(end, "BusError")
+            assert outcome.outcome_class == want
+            assert (tmiu.stage is Stage.OPERATIONAL) == (end == "clean")
+            poisoned = isinstance(received[-1], DataBlock) and not received[-1].crc_ok
+            assert poisoned == (end != "clean")
+        assert len(threads) == 1 and not threads[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_a_hash_that_raises_on_the_worker_is_raised_by_the_boot(self, threads, monkeypatch):
+        class FailingHashlib:
+            @staticmethod
+            def sha256():
+                raise MemoryError("no room to hash")
+
+        monkeypatch.setattr("tmiusim.host.hashlib", FailingHashlib)
+        before = threading.active_count()
+        host, _, _, _ = build_system(_worker_provision().manifest, _worker_provision().image.clone())
+        with pytest.raises(MemoryError, match="no room to hash"):
+            host.run_boot()
+        assert len(threads) == 1 and not threads[0].is_alive()
+        assert threading.active_count() == before
+
+    def test_a_small_container_starts_no_thread(self, provisioned, threads):
+        assert provisioned.layout.boot_sectors * SECTOR_SIZE < HASH_THREAD_MIN_CONTAINER
+        _, _, _, _, outcome = _boot(provisioned)
+        assert outcome.ok
+        # The tamper suite boots each scenario's copy and sweeps its files.
+        for scenario in builtin_scenarios().values():
+            assert run_scenario(scenario, provisioned.image, provisioned.manifest)[0] == scenario.expect
+        assert threads == []
+
+    def test_an_entry_table_past_the_first_item_is_hashed_at_the_end(self, threads, monkeypatch):
+        # In runs of 7 sectors the first item is 3,584 bytes. It ends inside
+        # the length field of the last entry of this 397-entry table, before
+        # the length's low byte.
+        monkeypatch.setattr("tmiusim.tmiu.RUN_SECTORS", 7)
+        entries = [(EntryKind.SSBL, bytes([i % 256]) * 300) for i in range(396)]
+        entries.append((EntryKind.KERNEL, random.Random(12).randbytes(HASH_THREAD_MIN_CONTAINER + 300)))
+        result = make_provision(boot_entries=entries)
+        host, _, _, _, outcome = _boot(result)
+        assert outcome.ok and threads == []
+        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in entries]
+        assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
+
+    def test_entries_whose_spans_overlap_or_come_out_of_order(self, threads, monkeypatch):
+        result = provision_container(6000)
+        layout = result.layout
+        total_len = layout.boot_sectors * SECTOR_SIZE
+        payload_len = total_len - 32 - 12 - 9 * 5
+        spans = [
+            (EntryKind.FSBL, 0, payload_len),  # all of it, starting in the first item
+            (EntryKind.KERNEL, 1_500_000, 1_200_000),  # across the hand-over at 2 MiB
+            (EntryKind.SSBL, 100, 50),  # earlier than the one before it
+            (EntryKind.DEVICETREE, 1_400_000, 800_000),  # overlapping the kernel
+            (EntryKind.KERNEL, payload_len - 1, 1),  # the last payload byte
+        ]
+        container = _container_with_spans(total_len, spans)
+        image = result.image.clone()
+        cipher = SectorCipher(manifest_keys(result.manifest)[0])
+        image.write_sectors(layout.boot_start, cipher.crypt(layout.boot_start, container))
+        table_end = 12 + 9 * len(spans)
+        want = [
+            (kind.label, length, hashlib.sha256(container[table_end + at : table_end + at + length]).digest())
+            for kind, at, length in spans
+        ]
+        loaded = []
+        for limit in (HASH_THREAD_MIN_CONTAINER, MAX_CONTAINER_SIZE + 1):
+            monkeypatch.setattr("tmiusim.host.HASH_THREAD_MIN_CONTAINER", limit)
+            host, _, _, _ = build_system(result.manifest, image.clone())
+            assert host.run_boot().ok
+            loaded.append([(e.kind_label, e.length, e.digest) for e in host.loaded_entries])
+        assert len(threads) == 1
+        assert loaded == [want, want]

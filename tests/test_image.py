@@ -38,6 +38,7 @@ from tmiusim.image import (
     PartitionEntry,
     PartitionOutOfBounds,
     ProvisionResult,
+    boot_image_index,
     boot_image_length,
     build_file_table,
     container_trailer,
@@ -218,12 +219,15 @@ class TestBootImage:
         if data.draw(st.booleans()):
             raw = bytearray(data.draw(st.binary(max_size=2048)))
         else:
-            # A valid container with bytes overwritten (mostly in the header
-            # and entry table), perhaps cut and extended.
+            # A valid container with bytes overwritten and bits flipped
+            # (mostly in the header and entry table), perhaps cut and
+            # extended.
             raw = bytearray(build_boot_image(data.draw(_CONTAINER_ENTRIES)))
             positions = st.one_of(st.integers(0, 48), st.integers(0, len(raw) - 1))
             for pos, value in data.draw(st.lists(st.tuples(positions, st.integers(0, 255)), max_size=3)):
                 raw[pos] = value
+            for pos, bit in data.draw(st.lists(st.tuples(positions, st.integers(0, 7)), max_size=3)):
+                raw[pos] ^= 1 << bit
             if data.draw(st.booleans()):
                 raw = raw[: data.draw(st.integers(0, len(raw)))] + data.draw(st.binary(max_size=600))
         results = []
@@ -233,6 +237,12 @@ class TestBootImage:
             except ImageFormatError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
+        try:
+            spans = boot_image_index(raw)
+        except ImageFormatError as exc:
+            assert results[0] == str(exc)  # the same error, where parse raised
+        else:
+            assert results[0] == tuple((kind, bytes(raw[start:end])) for kind, start, end in spans)
         raw.append(0)  # no view of the bytearray outlives the parse
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -243,6 +253,16 @@ class TestBootImage:
         assert all(type(blob) is bytes for _, blob in parsed)
         assert parsed == parse_boot_image(container)
         assert list(parsed) == entries
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(entries=_CONTAINER_ENTRIES)
+    def test_index_spans_reproduce_the_parsed_blobs(self, entries):
+        container = build_boot_image(entries)
+        spans = boot_image_index(container)
+        assert [(kind, container[start:end]) for kind, start, end in spans] == entries
+        # Laid out in order, right after the entry table.
+        assert spans[0][1] == 12 + 9 * len(entries)
+        assert all(end == start for (_, _, end), (_, start, _) in zip(spans, spans[1:]))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(entries=_CONTAINER_ENTRIES, offset=st.integers(1, 2000), tail=st.integers(0, 600))

@@ -1,12 +1,13 @@
 import functools
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, ResponseFrame, SdioBus, VirtualCard
+from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, VirtualCard
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
-from tmiusim.host import BootHost, build_system
+from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import FileRecord, build_file_table, manifest_keys
 from tmiusim.tmiu import (
@@ -23,6 +24,7 @@ from tmiusim.tmiu import (
 )
 
 from conftest import DATA_FILES, make_provision, provision_container
+from hostile import ByteCuttingCard, LbaShiftingCard, MiscountingCard, ResponseCuttingCard, hostile_system
 
 
 def _system(provisioned, image=None, dna=None, cid=None, trace=False):
@@ -455,73 +457,6 @@ class TestMediatedDataPath:
         assert delta == 2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES)
 
 
-class MiscountingCard(VirtualCard):
-    """A card that, once ``lie`` is set, sends a CMD18 transfer the wrong
-    number of sectors. "short" ends each transfer after two sectors, then
-    stays silent until the next data command. Asked for more than one
-    sector at once, "long" sends one more, "empty" an empty buffer, and
-    "ragged" the sectors asked for with a byte cut off."""
-
-    lie: str | None = None
-    _sent: int | None = None  # sectors of the open CMD18 transfer sent so far
-
-    def open_transfer(self, idx, lba):
-        self._sent = 0 if idx == CMD_READ_MULTIPLE else None
-        return super().open_transfer(idx, lba)
-
-    def take_read(self, limit):
-        if self.lie is None or self._sent is None:
-            return super().take_read(limit)
-        if self.lie == "short":
-            run = super().take_read(min(limit, 2 - self._sent)) if self._sent < 2 else None
-            self._sent += len(run or b"") // SECTOR_SIZE
-            return run
-        if limit == 1:
-            return super().take_read(1)
-        if self.lie == "long":
-            return super().take_read(limit + 1)
-        return b"" if self.lie == "empty" else super().take_read(limit)[:-1]
-
-
-class ByteCuttingCard(VirtualCard):
-    """A card that, once ``cut_from`` is set, sends every sector read from
-    that LBA on with its last byte cut off."""
-
-    cut_from: int | None = None
-
-    def take_read(self, limit):
-        _, lba = self._open or (None, 0)
-        run = super().take_read(limit)
-        if run is None or self.cut_from is None:
-            return run
-        return b"".join(
-            run[at : at + SECTOR_SIZE - (lba + at // SECTOR_SIZE >= self.cut_from)]
-            for at in range(0, len(run), SECTOR_SIZE)
-        )
-
-
-class ResponseCuttingCard(VirtualCard):
-    """A card that, once ``cut`` is set, answers every CMD18 frame, intact
-    or not, with an accepting response a byte short. Only a command sent as
-    a frame can meet the lie."""
-
-    cut = False
-
-    def issue(self, raw):
-        reply = super().issue(raw)
-        if self.cut and raw[0] & 0x3F == CMD_READ_MULTIPLE:
-            return ResponseFrame(CMD_READ_MULTIPLE).to_bytes()[:-1]
-        return reply
-
-
-def _hostile_system(provisioned, card_class, trace):
-    manifest = provisioned.manifest
-    card = card_class(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())
-    tmiu = Tmiu(manifest.anchors, DeviceIdentity(dna=manifest.dna))
-    bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)
-    return BootHost(tmiu, bus), tmiu, bus, card
-
-
 def _forwarded_by_boot(tmiu, bus) -> list:
     """Everything the unit forwards in a boot driven stage by stage."""
     tmiu.power_on()
@@ -558,7 +493,7 @@ class TestMiscountedRun:
     @pytest.mark.parametrize("lie, trace", LIES)
     @pytest.mark.parametrize("op", ["read_file", "write_file"])
     def test_a_cmd18_transfer_of_the_wrong_length_is_a_bus_error(self, provisioned, op, lie, trace):
-        host, tmiu, bus, card = _hostile_system(provisioned, MiscountingCard, trace)
+        host, tmiu, bus, card = hostile_system(provisioned, MiscountingCard, trace)
         assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
         # The table's first sector is read alone, its other three as one run.
         card.lie = lie
@@ -571,7 +506,7 @@ class TestMiscountedRun:
     def test_a_cmd18_transfer_of_the_wrong_length_during_boot_is_a_bus_error(self, provisioned, lie, trace):
         # The MBR and the image's first sector are read alone, the rest of
         # the image as runs.
-        _, tmiu, bus, card = _hostile_system(provisioned, MiscountingCard, trace)
+        _, tmiu, bus, card = hostile_system(provisioned, MiscountingCard, trace)
         card.lie = lie
         _assert_poisoned(_forwarded_by_boot(tmiu, bus))
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
@@ -581,7 +516,7 @@ class TestMiscountedRun:
     def test_a_sector_a_byte_short_is_a_bus_error(self, provisioned, where, trace):
         # Traced, the short sector crosses the wire as a data frame of its
         # own; the unit, not the bus, judges its length.
-        host, tmiu, bus, card = _hostile_system(provisioned, ByteCuttingCard, trace)
+        host, tmiu, bus, card = hostile_system(provisioned, ByteCuttingCard, trace)
         layout = provisioned.layout
         texts = []
         if where == "read_file":
@@ -606,7 +541,7 @@ class TestMiscountedRun:
         # resent, and the unit, not the bus, gives up. Untraced, the frames
         # are observed while a command fault is pending: one fault per send
         # of the first CMD18, each flipping a bit of its CRC.
-        host, tmiu, bus, card = _hostile_system(provisioned, ResponseCuttingCard, observed == "trace")
+        host, tmiu, bus, card = hostile_system(provisioned, ResponseCuttingCard, observed == "trace")
         entries = provisioned.manifest.entries
         if where == "read_file":
             assert host.run_boot(expected_entries=entries).ok
@@ -626,9 +561,55 @@ class TestMiscountedRun:
         assert not bus.faults_pending
 
 
+class TestWrongLbaCard:
+    """A card that serves the sector after the one asked for, whole and on
+    time. Each sector's cipher counter is its LBA and each tag binds its
+    LBA, so the lie is denied wherever it strikes, traced or not."""
+
+    @staticmethod
+    def _run(where, trace, monkeypatch):
+        # Past HASH_THREAD_MIN_CONTAINER: the host hashes on its worker.
+        result = provision_container(2100)
+        layout = result.layout
+        host, tmiu, bus, card = hostile_system(result, LbaShiftingCard, trace)
+        threads = []
+        monkeypatch.setattr(
+            "tmiusim.host.Thread", lambda *a, **kw: threads.append(threading.Thread(*a, **kw)) or threads[-1]
+        )
+        before = threading.active_count()
+        texts = []
+        if where == "read_file":
+            assert host.run_boot(expected_entries=result.manifest.entries).ok
+            card.shift_from = layout.data_start
+            with pytest.raises(LockdownError) as raised:
+                host.read_file(DATA_FILES[0][0])
+            texts.append(str(raised.value))
+        else:
+            card.shift_from = 0 if where == "mbr" else layout.boot_start + layout.boot_sectors // 2
+            assert not host.run_boot(expected_entries=result.manifest.entries).ok
+        assert threading.active_count() == before
+        assert len(threads) == (where != "mbr") and not any(t.is_alive() for t in threads)
+        assert card.io_suspended
+        text = "\n".join([*texts, tmiu.report().to_text(), repr(tmiu), *bus.transcript])
+        assert not any(key.hex() in text for key in manifest_keys(result.manifest))
+        return tmiu.stage, tmiu.reason, tmiu.fault_lba, tmiu.report().to_text()
+
+    @pytest.mark.parametrize("where", ["mbr", "boot_stream", "read_file"])
+    def test_a_sector_from_the_wrong_lba_is_denied(self, where, monkeypatch):
+        untraced, traced = (self._run(where, trace, monkeypatch) for trace in (False, True))
+        assert untraced == traced
+        data_start = provision_container(2100).layout.data_start
+        want = {
+            "mbr": (Denial.MBR_MISMATCH, None),
+            "boot_stream": (Denial.IMAGE_DIGEST_MISMATCH, None),
+            "read_file": (Denial.SECTOR_TAG_MISMATCH, data_start),  # the LBA asked for
+        }[where]
+        assert untraced[:3] == (Stage.LOCKDOWN, *want)
+
+
 def _first_cmd18_frame(provisioned) -> int:
     """The number of the first CMD18 among a clean boot's command frames."""
-    host, _, bus, _ = _hostile_system(provisioned, VirtualCard, True)
+    host, _, bus, _ = hostile_system(provisioned, VirtualCard, True)
     assert host.run_boot().ok
     commands = [line.rsplit(" ", 1)[1] for line in bus.transcript if "KIND=CMD" in line]
     return next(n for n, raw in enumerate(commands, 1) if int(raw[:2], 16) & 0x3F == CMD_READ_MULTIPLE)
