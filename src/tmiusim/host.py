@@ -118,8 +118,9 @@ class _StreamBuffer:
         except ImageFormatError:
             return  # judged again over the whole stream at the end
         # Every entry starts past the entry table, so one that starts within
-        # the first item shows the whole table came in it.
-        if min(start for _, start, _ in spans) > arrived:
+        # the first item shows the whole table came in it. A table of no
+        # entries (a hostile card can flip the count to 0) has nothing to hash.
+        if not spans or min(start for _, start, _ in spans) > arrived:
             return
         self._spans, self._marks, self._digests = spans, SimpleQueue(), SimpleQueue()
         self._worker = Thread(

@@ -371,6 +371,47 @@ class TestDigestWorker:
         assert len(threads) == 1 and not threads[0].is_alive()
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_an_entry_count_flipped_to_zero_is_denied(self, threads, monkeypatch, trace):
+        # The boot region is ciphered sector by sector with no tag, so a card
+        # can flip the ciphertext bits of the first sector's entry count (the
+        # header's bytes 6-7) to make it read 0 in the plaintext.
+        result = _worker_provision()
+        boot_start = result.layout.boot_start
+        host, tmiu, _, card = hostile_system(result, VirtualCard, trace)
+        sector = bytearray(card.backing.read_sector(boot_start))
+        sector[6:8] = bytes(a ^ b for a, b in zip(sector[6:8], len(WORKER_ENTRIES).to_bytes(2, "big")))
+        card.backing.write_sector(boot_start, bytes(sector))
+        received = []
+        receive = host_module._StreamBuffer.receive
+        monkeypatch.setattr(
+            host_module._StreamBuffer, "receive", lambda self, item: received.append(item) or receive(self, item)
+        )
+        before = threading.active_count()
+        outcome = host.run_boot(expected_entries=result.manifest.entries)
+        assert outcome.outcome_class == "ImageDigestMismatch"
+        assert tmiu.stage is Stage.LOCKDOWN and host.phase is HostPhase.HALTED
+        assert isinstance(received[-1], DataBlock) and not received[-1].crc_ok
+        assert card.io_suspended and card._open is None
+        assert threads == [] and threading.active_count() == before
+
+    def test_any_flip_of_the_header_or_entry_table_is_denied(self, threads):
+        # Every byte the worker's start reads: the header and the entry table.
+        result = _worker_provision()
+        boot_start = result.layout.boot_start
+        rng = random.Random(0x25)
+        before = threading.active_count()
+        for at in range(12 + 9 * len(WORKER_ENTRIES)):
+            host, tmiu, _, card = hostile_system(result, VirtualCard, False)
+            sector = bytearray(card.backing.read_sector(boot_start))
+            sector[at] ^= rng.randrange(1, 256)
+            card.backing.write_sector(boot_start, bytes(sector))
+            outcome = host.run_boot(expected_entries=result.manifest.entries)
+            assert outcome.outcome_class == "ImageDigestMismatch", at
+            assert tmiu.stage is Stage.LOCKDOWN and card.io_suspended
+        assert not any(thread.is_alive() for thread in threads)
+        assert threading.active_count() == before
+
     def test_a_hash_that_raises_on_the_worker_is_raised_by_the_boot(self, threads, monkeypatch):
         class FailingHashlib:
             @staticmethod
