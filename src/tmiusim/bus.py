@@ -154,13 +154,6 @@ class DataBlock:
         return self.payload + struct.pack(">H", self.crc)
 
 
-def parse_data(raw: bytes) -> DataBlock:
-    if len(raw) != DATA_FRAME_SIZE:
-        raise FramingError("data frame must be 514 bytes")
-    (crc,) = struct.unpack(">H", raw[SECTOR_SIZE:])
-    return DataBlock(payload=raw[:SECTOR_SIZE], crc=crc)
-
-
 class CardState(Enum):
     IDLE = "idle"
     STANDBY = "standby"

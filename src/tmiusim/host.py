@@ -14,14 +14,12 @@ import hashlib
 from dataclasses import dataclass
 from enum import Enum
 from queue import SimpleQueue
-from threading import Thread
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .bus import DataBlock, SdioBus, VirtualCard
-from .crypto import SECTOR_SIZE, sha256
+from .crypto import SECTOR_SIZE
 from .identity import CardIdentity, DeviceIdentity
 from .image import (
-    HASH_THREAD_MIN_CONTAINER,
     CapacityError,
     EntryKind,
     FileRecord,
@@ -31,6 +29,7 @@ from .image import (
     boot_image_index,
     boot_image_length,
     build_file_table,
+    hash_pool,
     parse_file_table,
     read_file_table,
 )
@@ -83,16 +82,17 @@ class _StreamBuffer:
 
     The first item tells the container's length, and the stream is copied
     in place into one buffer of that length. The entry digests are hashed
-    from that buffer, never from a copy: on one worker thread as the stream
-    arrives where the container is at least ``HASH_THREAD_MIN_CONTAINER``
-    and its entry table came in the first item, else at the end. The owner
-    calls :meth:`close` however the boot ends, which joins the worker."""
+    from that buffer, never from a copy. Where the entry table came in the
+    first item, one job is submitted to ``hash_pool`` then and handed how
+    far the stream has come as it arrives; else they are hashed at the end.
+    The owner calls :meth:`close` however the boot ends, which joins any
+    worker."""
 
     def __init__(self) -> None:
         self.corrupted = False
         self._view = memoryview(b"")  # of the buffer, once the first item tells its length
         self._filled = self._handed = 0
-        self._worker: Thread | None = None
+        self._pool = self._digests = None
 
     def receive(self, item: bytes | DataBlock) -> None:
         if isinstance(item, DataBlock):
@@ -106,13 +106,13 @@ class _StreamBuffer:
         end = self._filled + len(item)
         self._view[self._filled : end] = item  # one copy, in place
         self._filled = end
-        if first and len(self._view) >= HASH_THREAD_MIN_CONTAINER:
-            self._start_worker(len(item))
-        if self._worker and end - self._handed >= _HAND_OVER_BYTES:
+        if first:
+            self._submit_digests(len(item))
+        if self._digests and end - self._handed >= _HAND_OVER_BYTES:
             self._marks.put(end)
             self._handed = end
 
-    def _start_worker(self, arrived: int) -> None:
+    def _submit_digests(self, arrived: int) -> None:
         try:
             spans = boot_image_index(self._view)  # reads the header and table alone
         except ImageFormatError:
@@ -122,64 +122,50 @@ class _StreamBuffer:
         # entries (a hostile card can flip the count to 0) has nothing to hash.
         if not spans or min(start for _, start, _ in spans) > arrived:
             return
-        self._spans, self._marks, self._digests = spans, SimpleQueue(), SimpleQueue()
-        self._worker = Thread(
-            target=_hash_spans,
-            args=(self._view, spans, self._marks, self._digests),
-            name="boot-digests",
-        )
-        self._worker.start()
+        self._spans, self._marks = spans, SimpleQueue()
+        self._pool = hash_pool(len(self._view))
+        self._digests = self._pool.submit(_hash_spans, self._view, spans, iter(self._marks.get, None))
 
     def loaded_entries(self) -> list[LoadedEntry]:
         """The (kind, length, digest) of each entry of the whole stream; a
         stream its container does not describe is an :class:`ImageFormatError`."""
         if self._filled != len(self._view):
             raise ImageFormatError("container length field disagrees with data")
-        if self._worker:
+        if self._digests:
             self._marks.put(self._filled)
-            self.close()
-            spans, (ok, digests) = self._spans, self._digests.get()
-            if not ok:
-                raise digests
+            self._marks.put(None)
+            spans, digests = self._spans, self._digests.result()
         else:
             spans = boot_image_index(self._view)
-            digests = [sha256(self._view[start:end]) for _, start, end in spans]
+            digests = _hash_spans(self._view, spans, [self._filled])
         return [
             LoadedEntry(kind.label, end - start, digest)
             for (kind, start, end), digest in zip(spans, digests)
         ]
 
     def close(self) -> None:
-        """Stop and join the digest worker, if one was started, and release
+        """Stop the digest job, join its worker if it has one, and release
         the view of the buffer."""
-        if self._worker:
+        if self._pool:
             self._marks.put(None)
-            self._worker.join()
-            self._worker = None
+            self._pool.shutdown()
         self._view.release()
 
 
 def _hash_spans(
-    view: memoryview,
-    spans: Sequence[tuple[EntryKind, int, int]],
-    marks: SimpleQueue,
-    digests: SimpleQueue,
-) -> None:
-    """The digest worker's body. Each mark that ``marks`` brings is how many
-    bytes of ``view`` have arrived; the part of each (kind, start, end) span
-    that arrived since the last mark is hashed in place. ``None`` ends the
-    work, and ``digests`` gets (True, the SHA-256 of each span), or (False,
-    the error that stopped it)."""
-    try:
-        hashes, done = [hashlib.sha256() for _ in spans], 0
-        while (mark := marks.get()) is not None:
-            for hash_, (_, start, end) in zip(hashes, spans):
-                if max(start, done) < min(end, mark):
-                    hash_.update(view[max(start, done) : min(end, mark)])
-            done = mark
-        digests.put((True, [hash_.digest() for hash_ in hashes]))
-    except BaseException as exc:  # raised again by the boot that reads it
-        digests.put((False, exc))
+    view: memoryview, spans: Sequence[tuple[EntryKind, int, int]], marks: Iterable[int]
+) -> list[bytes]:
+    """The SHA-256 of each (kind, start, end) span of ``view``. Each of
+    ``marks`` is how many bytes of ``view`` have arrived, the last of them
+    all; the part of each span that arrived since the mark before is hashed
+    in place."""
+    hashes, done = [hashlib.sha256() for _ in spans], 0
+    for mark in marks:
+        for hash_, (_, start, end) in zip(hashes, spans):
+            if max(start, done) < min(end, mark):
+                hash_.update(view[max(start, done) : min(end, mark)])
+        done = mark
+    return [hash_.digest() for hash_ in hashes]
 
 
 class BootHost:

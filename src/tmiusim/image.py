@@ -30,14 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from contextlib import contextmanager
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
-from queue import SimpleQueue
-from threading import Thread
-from typing import Callable, Iterator, Sequence
+from types import SimpleNamespace
+from typing import Callable, Sequence
 
 from .crypto import (
     DIGEST_SIZE,
@@ -73,11 +73,11 @@ MAX_SECTORS = 1 << 32
 
 # A container of at least this many bytes has its trailer and the manifest's
 # content digests hashed on a worker thread while provision seals, and its
-# entry digests hashed on a worker thread while the host receives it at boot.
-# Below it, the thread costs more than the overlap saves: with a worker on
-# every call, the tamper workload's set-up (a 4 KB kernel) took about 1 ms
-# longer, and with a worker on every boot its op_ms_p50 went 1.05 -> 1.49 ms
-# (five alternating 20 s pairs, 2-core Xeon, Python 3.11).
+# entry digests hashed on a worker thread while the host receives it at boot
+# (see hash_pool). Below it, the thread costs more than the overlap saves:
+# with a worker on every call, the tamper workload's set-up (a 4 KB kernel)
+# took about 1 ms longer, and with a worker on every boot its op_ms_p50 went
+# 1.05 -> 1.49 ms (five alternating 20 s pairs, 2-core Xeon, Python 3.11).
 HASH_THREAD_MIN_CONTAINER = 1 << 20
 
 
@@ -778,8 +778,9 @@ def provision(
         # digests over the caller's blobs. Meanwhile the data partition and
         # the integrity region are sealed, which the trailer does not cover;
         # the boot region waits for its trailer.
-        hashes = [(container_trailer, (buf, boot_off)), (_content_records, (boot_entries, data_files))]
-        with _hashed(hashes, boot_len >= HASH_THREAD_MIN_CONTAINER) as next_hash:
+        with hash_pool(boot_len) as pool:
+            trailer = pool.submit(container_trailer, buf, boot_off)
+            records = pool.submit(_content_records, boot_entries, data_files)
             aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
             cipher, mac = SectorCipher(aes_key), SectorMac(mac_key)
             seal(layout.data_start, layout.meta_start)
@@ -791,10 +792,10 @@ def provision(
             view[meta_off : meta_off + len(tags)] = tags
             seal(layout.meta_start, layout.total_sectors)
             trailer_off = boot_off + boot_len - DIGEST_SIZE
-            view[trailer_off : trailer_off + DIGEST_SIZE] = next_hash()
+            view[trailer_off : trailer_off + DIGEST_SIZE] = trailer.result()
             seal(0, layout.data_start)
             mbr_digest = sector_tag(mac, 0, sector(0))
-            entries, files = next_hash()
+            entries, files = records.result()
 
     anchors = TrustAnchors.for_pair(
         dev,
@@ -816,38 +817,24 @@ def provision(
     return ProvisionResult(image=NvmImage(buf), anchors=anchors, manifest=manifest, layout=layout)
 
 
-@contextmanager
-def _hashed(jobs: Sequence[tuple[Callable, tuple]], threaded: bool) -> Iterator[Callable[[], object]]:
-    """Run keyless hash ``jobs``, each a (function, args) pair, in order: on
-    one worker thread when ``threaded``, else at once. Yields ``next_hash()``,
-    which waits for the next job's value and returns it, or raises its error.
-    The worker is joined on leaving, however the body leaves."""
-    if not threaded:
-        yield iter([function(*args) for function, args in jobs]).__next__
-        return
-    results: SimpleQueue = SimpleQueue()
-    worker = Thread(target=_hash_in_order, args=(jobs, results), name="provision-hashes")
-    worker.start()
+class _Inline(Executor):
+    """An executor that runs each job inline: on the thread that asks for
+    its result, when it asks."""
 
-    def next_hash() -> object:
-        ok, value = results.get()
-        if not ok:
-            raise value
-        return value
-
-    try:
-        yield next_hash
-    finally:
-        worker.join()
+    def submit(self, fn, /, *args):
+        return SimpleNamespace(result=partial(fn, *args))
 
 
-def _hash_in_order(jobs: Sequence[tuple[Callable, tuple]], results: SimpleQueue) -> None:
-    """The hash worker's body: an (ok, value or error) result per job, in order."""
-    for function, args in jobs:
-        try:
-            results.put((True, function(*args)))
-        except BaseException as exc:  # raised again by the thread that reads it
-            results.put((False, exc))
+def hash_pool(container_len: int) -> Executor:
+    """Where the keyless hashes of a container of ``container_len`` bytes
+    run: on one worker thread from ``HASH_THREAD_MIN_CONTAINER`` up, else on
+    the caller's thread when it asks for a job's result. ``result()`` gives
+    the job's value or raises its error, once per job. Leaving the pool as a
+    context manager, or its ``shutdown()``, waits for every job and joins
+    the worker."""
+    if container_len >= HASH_THREAD_MIN_CONTAINER:
+        return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tmiusim-hash")
+    return _Inline()
 
 
 def _content_records(

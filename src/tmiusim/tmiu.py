@@ -11,7 +11,9 @@ only party holding key material. Boot proceeds through four stages:
 
 Any failed check erases the keys, suspends card I/O where a card is
 attached, and drops into an absorbing lockdown that only a power cycle
-leaves. Error signalling toward the processor stays in-band: a block that
+leaves. So does any other exception raised while the unit verifies the
+image or mediates a transfer: it is recorded as a bus error and raised
+again, so that a fault inside the simulator fails closed. Error signalling toward the processor stays in-band: a block that
 fails verification is forwarded in a shape that breaks the processor-side
 CRC check, never as plaintext.
 
@@ -244,6 +246,12 @@ class Tmiu:
             bus.card.suspend_io()
         return self._enter(Stage.LOCKDOWN)
 
+    def _fail_closed(self, bus: SdioBus) -> None:
+        """Lock down with ``BUS_ERROR`` after an exception that no lockdown
+        raised, so that it leaves no key held and no card transfer open."""
+        if self.stage is not Stage.LOCKDOWN:
+            self._lockdown(Denial.BUS_ERROR, bus)
+
     def _fail(self, reason: Denial, bus: SdioBus) -> NoReturn:
         """Lock down and abort the operation in progress."""
         self._lockdown(reason, bus)
@@ -325,6 +333,9 @@ class Tmiu:
             return self._stream_boot_image(bus, self._layout, sink)
         except LockdownError:
             return self.stage
+        except BaseException:
+            self._fail_closed(bus)
+            raise
 
     def _verify_mbr(self, bus: SdioBus) -> ImageLayout:
         """The layout the MBR at LBA 0 describes, once its tag matches the
@@ -374,9 +385,10 @@ class Tmiu:
                 check.finish()
             except ImageDigestError:
                 self._fail(Denial.IMAGE_DIGEST_MISMATCH, bus)
-        except LockdownError:
+        except BaseException:
             # The stream is invalidated in-band: the withheld block goes out
             # with its last byte modified after the CRC was attached.
+            self._fail_closed(bus)
             if check.held:
                 mutated = check.held[:-1] + bytes([check.held[-1] ^ 0xFF])
                 sink(DataBlock(payload=mutated, crc=crc16(check.held)))
@@ -403,21 +415,25 @@ class Tmiu:
         """
         self._check_extent(lba, count, "read of")
         cipher, mac = self._keys
-        run = b"".join(self._read(bus, lba, count))
-        _, slot, tags = self._fetch_tags(bus, lba, count)
-        sectors = memoryview(run)
-        for i in range(count):
-            if mac.tag(lba + i, sectors[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]) != tags[slot : slot + DIGEST_SIZE]:
-                # The failing read moved both sectors and checked the tag sector.
-                self.ledger.charge(
-                    i * _READ_CYCLES + 2 * SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES,
-                    (i + 1) * 2 * SECTOR_SIZE,
-                )
-                self._lockdown(Denial.SECTOR_TAG_MISMATCH, bus, lba=lba + i)
-                raise ProtocolCrcError(f"sector {lba + i} failed verification; stream poisoned")
-            slot += DIGEST_SIZE
-        self.ledger.charge(count * _READ_CYCLES, count * 2 * SECTOR_SIZE)
-        return cipher.crypt(lba, run)
+        try:
+            run = b"".join(self._read(bus, lba, count))
+            _, slot, tags = self._fetch_tags(bus, lba, count)
+            sectors = memoryview(run)
+            for i in range(count):
+                if mac.tag(lba + i, sectors[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE]) != tags[slot : slot + DIGEST_SIZE]:
+                    # The failing read moved both sectors and checked the tag sector.
+                    self.ledger.charge(
+                        i * _READ_CYCLES + 2 * SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES,
+                        (i + 1) * 2 * SECTOR_SIZE,
+                    )
+                    self._lockdown(Denial.SECTOR_TAG_MISMATCH, bus, lba=lba + i)
+                    raise ProtocolCrcError(f"sector {lba + i} failed verification; stream poisoned")
+                slot += DIGEST_SIZE
+            self.ledger.charge(count * _READ_CYCLES, count * 2 * SECTOR_SIZE)
+            return cipher.crypt(lba, run)
+        except BaseException:
+            self._fail_closed(bus)
+            raise
 
     def mediate_write(self, bus: SdioBus, lba: int, plaintext: bytes) -> None:
         """Encrypt-and-tag write of data-partition sectors from ``lba`` as
@@ -436,15 +452,19 @@ class Tmiu:
         if partial:
             raise ValueError("sector payload must be a whole number of 512-byte sectors")
         cipher, mac = self._keys
-        ciphertext = cipher.crypt(lba, plaintext)
-        self._push_sectors(bus, lba, ciphertext)
-        meta_lba, slot, tags = self._fetch_tags(bus, lba, count)
-        tags, sectors = bytearray(tags), memoryview(ciphertext)
-        for i in range(count):
-            tags[slot : slot + DIGEST_SIZE] = mac.tag(lba + i, sectors[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
-            slot += DIGEST_SIZE
-        self._push_sectors(bus, meta_lba, cipher.crypt(meta_lba, tags))
-        self.ledger.charge(count * _WRITE_CYCLES, count * 3 * SECTOR_SIZE)
+        try:
+            ciphertext = cipher.crypt(lba, plaintext)
+            self._push_sectors(bus, lba, ciphertext)
+            meta_lba, slot, tags = self._fetch_tags(bus, lba, count)
+            tags, sectors = bytearray(tags), memoryview(ciphertext)
+            for i in range(count):
+                tags[slot : slot + DIGEST_SIZE] = mac.tag(lba + i, sectors[i * SECTOR_SIZE : (i + 1) * SECTOR_SIZE])
+                slot += DIGEST_SIZE
+            self._push_sectors(bus, meta_lba, cipher.crypt(meta_lba, tags))
+            self.ledger.charge(count * _WRITE_CYCLES, count * 3 * SECTOR_SIZE)
+        except BaseException:
+            self._fail_closed(bus)
+            raise
 
     def _check_extent(self, lba: int, count: int, access: str) -> None:
         """Raise unless the stage and the partition policy allow access to

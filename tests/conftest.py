@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -59,6 +60,26 @@ def provision_container(sectors: int, kdf_repetitions: int = FIXTURE_KDF_REPETIT
     # One entry: a 21-byte header and a 32-byte digest around the blob.
     blob = bytes((i * 29 + sectors) % 256 for i in range(sectors * 512 - 53))
     return make_provision(boot_entries=[(EntryKind.KERNEL, blob)], kdf_repetitions=kdf_repetitions)
+
+
+def record_hash_workers(monkeypatch, names) -> tuple[list, list]:
+    """(threads, jobs), filled as the worker threads of ``image.hash_pool``
+    are handed jobs whose function is named in ``names``: each worker thread
+    once, and each job's (function, args). The names tell provisioning's
+    jobs (``container_trailer``, ``_content_records``) from the host's
+    (``_hash_spans``)."""
+    threads, jobs = [], []
+    submit = ThreadPoolExecutor.submit
+
+    def recording(pool, fn, /, *args):
+        future = submit(pool, fn, *args)
+        if fn.__name__ in names:
+            jobs.append((fn, args))
+            threads.extend(thread for thread in pool._threads if thread not in threads)
+        return future
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
+    return threads, jobs
 
 
 def build_boot_image(entries) -> bytes:

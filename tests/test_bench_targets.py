@@ -17,7 +17,7 @@ import pytest
 
 from tmiusim import host
 
-from conftest import provision_container
+from conftest import provision_container, record_hash_workers
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "benchmark" / "tracing.py"
@@ -76,8 +76,7 @@ def test_the_boot_digest_worker_calls_no_traced_function(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, wrapper)
-    started = []
-    monkeypatch.setattr(host, "Thread", lambda *a, **kw: started.append(threading.Thread(*a, **kw)) or started[-1])
+    started, _ = record_hash_workers(monkeypatch, {"_hash_spans"})
 
     boot_host, _, _, _ = host.build_system(result.manifest, result.image.clone())
     assert boot_host.run_boot(expected_entries=result.manifest.entries).ok

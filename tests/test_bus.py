@@ -1,5 +1,6 @@
 import functools
 import re
+import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,7 +31,6 @@ from tmiusim.bus import (
     FramingError,
     VirtualCard,
     parse_command,
-    parse_data,
     parse_response,
 )
 from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SECTOR_SIZE, SectorCipher, crc16
@@ -40,6 +40,16 @@ from tmiusim.image import CapacityError, FileRecord, build_file_table
 from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, LockdownError, Stage, TmiuError
 
 from conftest import DATA_FILES, image_file_records, make_provision, provision_container
+
+
+def parse_data(raw: bytes) -> DataBlock:
+    """The data block a 514-byte frame carries: the sector, then its CRC16.
+    The bus splits the frames it observes itself; this parser is the
+    round-trip tests' other half."""
+    if len(raw) != DATA_FRAME_SIZE:
+        raise FramingError("data frame must be 514 bytes")
+    (crc,) = struct.unpack(">H", raw[SECTOR_SIZE:])
+    return DataBlock(payload=raw[:SECTOR_SIZE], crc=crc)
 
 
 @pytest.fixture()

@@ -4,7 +4,6 @@ import random
 import struct
 import sys
 import threading
-from queue import SimpleQueue
 
 import pytest
 
@@ -23,7 +22,14 @@ from tmiusim.image import (
 from tmiusim.scenarios import builtin_scenarios, run_scenario
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
-from conftest import DATA_FILES, forge_kernel, image_file_records, make_provision, provision_container
+from conftest import (
+    DATA_FILES,
+    forge_kernel,
+    image_file_records,
+    make_provision,
+    provision_container,
+    record_hash_workers,
+)
 from hostile import ByteCuttingCard, MiscountingCard, hostile_system
 from oracles import shannon_entropy
 
@@ -242,45 +248,49 @@ class TestDigestWorker:
     digests hashed on one worker thread while the unit streams it."""
 
     @pytest.fixture
-    def threads(self, monkeypatch):
-        """Every thread the host makes."""
-        made = []
+    def workers(self, monkeypatch):
+        """(threads, jobs) of the host's digest jobs handed a worker thread."""
+        return record_hash_workers(monkeypatch, {"_hash_spans"})
 
-        def recording_thread(*args, **kwargs):
-            made.append(threading.Thread(*args, **kwargs))
-            return made[-1]
+    @pytest.fixture
+    def threads(self, workers):
+        """The worker thread of each of the host's digest jobs."""
+        return workers[0]
 
-        monkeypatch.setattr("tmiusim.host.Thread", recording_thread)
-        return made
-
-    def test_digests_equal_hashlib_and_the_inline_path(self, threads, monkeypatch):
+    def test_digests_equal_hashlib_and_the_inline_path(self, workers, monkeypatch):
+        threads, jobs = workers
         result = _worker_provision()
         assert result.layout.boot_sectors * SECTOR_SIZE >= HASH_THREAD_MIN_CONTAINER
         host, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(threads) == 1
         want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
         assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
+        # The job carries no key, no cipher or MAC and no closure: a view of
+        # the plaintext, the spans and an iterator of byte counts.
+        ((fn, (view, spans, marks)),) = jobs
+        assert fn is host_module._hash_spans and fn.__closure__ is None
+        assert type(view) is memoryview and type(marks).__name__ == "callable_iterator"
+        assert all(type(kind) is EntryKind and type(start) is type(end) is int for kind, start, end in spans)
 
-        monkeypatch.setattr("tmiusim.host.HASH_THREAD_MIN_CONTAINER", MAX_CONTAINER_SIZE + 1)
+        monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", MAX_CONTAINER_SIZE + 1)
         inline, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(threads) == 1
         assert inline.loaded_entries == host.loaded_entries
 
     def test_the_worker_is_handed_only_how_far_the_stream_has_come(self, threads, monkeypatch):
-        puts = []
+        marks = []
+        hash_spans = host_module._hash_spans
 
-        class RecordingQueue(SimpleQueue):
-            def put(self, item, block=True, timeout=None):
-                puts.append(item)
-                super().put(item, block, timeout)
+        @functools.wraps(hash_spans)
+        def recording(view, spans, arrived):
+            return hash_spans(view, spans, (marks.append(mark) or mark for mark in arrived))
 
-        monkeypatch.setattr("tmiusim.host.SimpleQueue", RecordingQueue)
+        monkeypatch.setattr(host_module, "_hash_spans", recording)
         result = _worker_provision()
-        _, _, _, _, outcome = _boot(result)
+        host, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(threads) == 1
-        *marks, stop, (ok, digests) = puts  # the worker answers once it is stopped
+        assert len(host.loaded_entries) == len(WORKER_ENTRIES)
         total = result.layout.boot_sectors * SECTOR_SIZE
-        assert stop is None and ok and len(digests) == len(WORKER_ENTRIES)
         # Byte counts, not bytes: at least one while the stream still runs,
         # each about 2 MiB past the one before, and then the whole length.
         assert all(type(mark) is int for mark in marks)
@@ -320,7 +330,7 @@ class TestDigestWorker:
         result = _worker_provision()
         runs = []
         for limit in (HASH_THREAD_MIN_CONTAINER, MAX_CONTAINER_SIZE + 1):
-            monkeypatch.setattr("tmiusim.host.HASH_THREAD_MIN_CONTAINER", limit)
+            monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", limit)
             host, _, bus, _, outcome = _boot(result, trace=True)
             runs.append((outcome.report.to_text(), bus.transcript, host.loaded_entries))
         assert len(threads) == 1
@@ -361,13 +371,14 @@ class TestDigestWorker:
             with pytest.raises(RuntimeError, match="cipher failed"):
                 host.run_boot()
             assert alive == [True]  # the worker was still waiting for the stream
+            assert tmiu.reason is Denial.BUS_ERROR  # the unit failed closed
         else:
             outcome = host.run_boot(expected_entries=result.manifest.entries)
             want = {"clean": "OsRunning", "sector_flip": "ImageDigestMismatch"}.get(end, "BusError")
             assert outcome.outcome_class == want
-            assert (tmiu.stage is Stage.OPERATIONAL) == (end == "clean")
-            poisoned = isinstance(received[-1], DataBlock) and not received[-1].crc_ok
-            assert poisoned == (end != "clean")
+        assert (tmiu.stage is Stage.OPERATIONAL) == (end == "clean")
+        poisoned = isinstance(received[-1], DataBlock) and not received[-1].crc_ok
+        assert poisoned == (end != "clean")
         assert len(threads) == 1 and not threads[0].is_alive()
         assert threading.active_count() == before
 
@@ -471,7 +482,7 @@ class TestDigestWorker:
         ]
         loaded = []
         for limit in (HASH_THREAD_MIN_CONTAINER, MAX_CONTAINER_SIZE + 1):
-            monkeypatch.setattr("tmiusim.host.HASH_THREAD_MIN_CONTAINER", limit)
+            monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", limit)
             host, _, _, _ = build_system(result.manifest, image.clone())
             assert host.run_boot().ok
             loaded.append([(e.kind_label, e.length, e.digest) for e in host.loaded_entries])

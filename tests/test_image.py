@@ -64,6 +64,7 @@ from conftest import (
     image_file_records,
     make_provision,
     provision_container,
+    record_hash_workers,
 )
 from oracles import (
     boot_container_oracle,
@@ -778,19 +779,14 @@ class TestHashWorker:
             assert tags[offset : offset + 32] == sector_tag_oracle(mac_key, lba, image.read_sector(lba))
 
     def test_one_worker_gets_no_key_and_is_joined(self, monkeypatch):
-        made = []
-
-        def recording_thread(*args, **kwargs):
-            made.append(kwargs)
-            return threading.Thread(*args, **kwargs)
-
-        monkeypatch.setattr("tmiusim.image.Thread", recording_thread)
+        threads, jobs = record_hash_workers(monkeypatch, {"container_trailer", "_content_records"})
         before = threading.active_count()
         result = _worker_provision()
         assert threading.active_count() == before
-        assert len(made) == 1
+        assert len(threads) == 1 and not threads[0].is_alive()
+        assert [fn.__name__ for fn, _ in jobs] == ["container_trailer", "_content_records"]
         keys = manifest_keys(result.manifest)
-        for obj in _reachable((made[0]["target"], made[0]["args"])):
+        for obj in _reachable(jobs):
             assert not isinstance(obj, (SectorCipher, SectorMac))
             if callable(obj):
                 assert getattr(obj, "__closure__", None) is None  # nothing captured
@@ -798,12 +794,11 @@ class TestHashWorker:
                 assert not any(key in obj for key in keys)
 
     def test_a_small_container_starts_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr("tmiusim.image.Thread", no_thread)
+        threads, jobs = record_hash_workers(monkeypatch, {"container_trailer", "_content_records"})
+        before = threading.active_count()
         result = make_provision()
         assert result.layout.boot_sectors * SECTOR_SIZE < HASH_THREAD_MIN_CONTAINER
+        assert threads == jobs == [] and threading.active_count() == before
 
     def test_no_thread_outlives_a_step_that_raises_while_it_hashes(self, monkeypatch):
         import tmiusim.image as image_module

@@ -65,6 +65,40 @@ def test_an_unused_import_is_reported():
     assert _unused_imports(source) == ["crc16 (line 3)", "os (line 1)"]
 
 
+_THREAD_MODULES = ("threading", "_thread", "concurrent")
+
+
+def _thread_imports(source: str) -> list[str]:
+    """The thread modules, ``threading`` or ``concurrent.futures`` among
+    them, that ``source`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] in _THREAD_MODULES]
+    return found
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_only_image_starts_threads(path):
+    # One worker mechanism: image.hash_pool is the package's only way to a
+    # thread, and every keyless hash that runs off the main thread uses it.
+    if path.name != "image.py":
+        assert _thread_imports(path.read_text()) == []
+
+
+def test_a_thread_import_is_reported():
+    source = (
+        "import threading\nimport concurrent.futures as cf\nfrom concurrent import futures\n"
+        "from queue import SimpleQueue\nfrom _thread import start_new_thread\nfrom .threading import x\n"
+    )
+    assert _thread_imports(source) == ["threading", "concurrent.futures", "concurrent", "_thread"]
+
+
 def _referenced_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Name):
         return node.id

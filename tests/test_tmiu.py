@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, VirtualCard
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
+from tmiusim import host as host_module
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import FileRecord, build_file_table, manifest_keys
@@ -23,7 +24,7 @@ from tmiusim.tmiu import (
     Tmiu,
 )
 
-from conftest import DATA_FILES, make_provision, provision_container
+from conftest import DATA_FILES, make_provision, provision_container, record_hash_workers
 from hostile import ByteCuttingCard, LbaShiftingCard, MiscountingCard, ResponseCuttingCard, hostile_system
 
 
@@ -572,10 +573,7 @@ class TestWrongLbaCard:
         result = provision_container(2100)
         layout = result.layout
         host, tmiu, bus, card = hostile_system(result, LbaShiftingCard, trace)
-        threads = []
-        monkeypatch.setattr(
-            "tmiusim.host.Thread", lambda *a, **kw: threads.append(threading.Thread(*a, **kw)) or threads[-1]
-        )
+        threads, _ = record_hash_workers(monkeypatch, {"_hash_spans"})
         before = threading.active_count()
         texts = []
         if where == "read_file":
@@ -605,6 +603,96 @@ class TestWrongLbaCard:
             "read_file": (Denial.SECTOR_TAG_MISMATCH, data_start),  # the LBA asked for
         }[where]
         assert untraced[:3] == (Stage.LOCKDOWN, *want)
+
+
+class InternalFault(Exception):
+    """A fault inside the simulator, raised by a patched step."""
+
+
+class TestInternalFault:
+    """An exception inside the unit that is not a lockdown of its own locks
+    it down as a bus error does: no key held, the card suspended with no
+    transfer open, the held block of a boot forwarded poisoned, no thread
+    left, and the original exception raised to the caller."""
+
+    @pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize(
+        "step, where",
+        [
+            ("crypt", "mbr"),
+            ("tag", "mbr"),
+            # Only the container's first sector tells its length.
+            ("boot_image_length", "boot_start"),
+            ("crypt", "boot_stream"),
+            ("sink", "boot_stream"),
+            ("crypt", "read"),
+            ("tag", "read"),
+            ("crypt", "write"),
+            ("tag", "write"),
+        ],
+    )
+    def test_the_unit_fails_closed(self, step, where, trace, monkeypatch):
+        # Past HASH_THREAD_MIN_CONTAINER and a 2 MiB hand-over, so that the
+        # host's digest worker is live when the boot stream fails.
+        result = provision_container(6000)
+        layout = result.layout
+        late = layout.boot_start + 5000
+        host, tmiu, bus, card = hostile_system(result, VirtualCard, trace)
+        before = threading.active_count()
+        if where in ("read", "write"):
+            assert host.run_boot(expected_entries=result.manifest.entries).ok
+        at = {"mbr": 0, "boot_start": layout.boot_start, "boot_stream": late}.get(where, layout.data_start)
+        at_fault = []  # (threads alive, the card's open transfer)
+
+        def fault(*args):
+            at_fault.append((threading.active_count(), card._open))
+            raise InternalFault(step)
+
+        crypt, receive = SectorCipher.crypt, host_module._StreamBuffer.receive
+        received, arrived = [], []
+
+        def receiving(stream, item):
+            received.append(item)
+            if step == "sink" and type(item) is bytes:
+                arrived.append(len(item))
+                if sum(arrived) > (late - layout.boot_start) * SECTOR_SIZE:
+                    fault()
+            receive(stream, item)
+
+        monkeypatch.setattr(host_module._StreamBuffer, "receive", receiving)
+        if step == "crypt":
+            monkeypatch.setattr(
+                SectorCipher, "crypt", lambda cipher, first, data: fault() if first >= at else crypt(cipher, first, data)
+            )
+        elif step == "tag":
+            monkeypatch.setattr(SectorMac, "tag", fault)
+        elif step == "boot_image_length":
+            monkeypatch.setattr("tmiusim.image.boot_image_length", fault)
+
+        with pytest.raises(InternalFault, match=step):
+            if where == "read":
+                tmiu.mediate_read(bus, layout.data_start, 2)
+            elif where == "write":
+                tmiu.mediate_write(bus, layout.data_start + 8, bytes(2 * SECTOR_SIZE))
+            else:
+                host.run_boot(expected_entries=result.manifest.entries)
+
+        ((threads_alive, transfer),) = at_fault
+        if where == "boot_stream":
+            assert threads_alive == before + 1  # the digest worker was live
+            assert transfer[0] == CMD_READ_MULTIPLE  # and its transfer open
+        if where.startswith("boot"):
+            assert received  # the held block, forwarded poisoned
+            _assert_poisoned(received)
+        else:
+            assert received == []  # nothing was held to forward
+        assert (tmiu.stage, tmiu.reason, tmiu.has_keys) == (Stage.LOCKDOWN, Denial.BUS_ERROR, False)
+        assert card.io_suspended and card._open is None
+        assert threading.active_count() == before
+        text = "\n".join([tmiu.report().to_text(), repr(tmiu), *bus.transcript])
+        assert not any(key.hex() in text for key in manifest_keys(result.manifest))
+        with pytest.raises(LockdownError):
+            tmiu.mediate_read(bus, layout.data_start, 1)
 
 
 def _first_cmd18_frame(provisioned) -> int:
