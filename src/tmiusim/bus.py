@@ -17,7 +17,7 @@ An untouched frame's CRC always holds, so both paths have the same wire
 semantics, and a fault's ``nth`` counts every frame of its kind either way.
 Where no transcript and no fault of its direction observe single frames, a
 multi-block read or write (CMD18, CMD25) moves runs of sectors as one
-buffer. A data command (CMD17, CMD18, CMD24, CMD25) opens through
+buffer. A data command (CMD18, CMD25) opens through
 :meth:`SdioBus.start_transfer`, and CMD12 closes it through
 :meth:`SdioBus.stop_transfer`: with no transcript and no command fault
 pending, the card meets either with the check a command frame meets, and no
@@ -50,9 +50,7 @@ CMD_SELECT = 7
 CMD_SEND_CSD = 9
 CMD_STOP_TRANSMISSION = 12
 CMD_SET_BLOCKLEN = 16
-CMD_READ_SINGLE = 17
 CMD_READ_MULTIPLE = 18
-CMD_WRITE_SINGLE = 24
 CMD_WRITE_MULTIPLE = 25
 
 STATUS_OUT_OF_RANGE = 1 << 31
@@ -65,7 +63,6 @@ TOKEN_CRC_ERR = 0x0B
 COMMAND_FRAME_SIZE = 6
 R1_FRAME_SIZE = 6
 R2_FRAME_SIZE = 17
-DATA_FRAME_SIZE = SECTOR_SIZE + 2
 
 LINE_RATE = 25_000_000  # bytes/s, rated card line speed
 RETRY_LIMIT = 3  # resends of a lost or corrupted frame before a bus error
@@ -226,9 +223,7 @@ class VirtualCard:
         if idx == CMD_STOP_TRANSMISSION:
             self.stop_transfer()
             return ResponseFrame(idx)
-        if idx in (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE):
-            return ResponseFrame(idx, self.open_transfer(idx, arg))
-        return ResponseFrame(idx, STATUS_ILLEGAL_COMMAND)
+        return ResponseFrame(idx, self.open_transfer(idx, arg))  # a data command, or illegal
 
     def stop_transfer(self) -> None:
         """CMD12: the open transfer, if any, ends."""
@@ -236,10 +231,11 @@ class VirtualCard:
 
     def open_transfer(self, idx: int, lba: int) -> int | None:
         """Handle data command ``idx`` at ``lba``: its R1 status, zero once
-        the transfer is open; None models a silent card."""
+        the transfer is open and illegal for any index but CMD18 and CMD25;
+        None models a silent card."""
         if self.io_suspended:
             return None
-        if self.state is not CardState.TRANSFER:
+        if idx not in (CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE) or self.state is not CardState.TRANSFER:
             return STATUS_ILLEGAL_COMMAND
         if lba >= self.geometry:
             return STATUS_OUT_OF_RANGE
@@ -247,29 +243,25 @@ class VirtualCard:
         return 0
 
     def take_read(self, limit: int) -> bytes | None:
-        """The next stored sectors of an open read transfer, as one buffer:
-        one sector for CMD17, which closes the transfer; up to ``limit`` for
-        CMD18, never past the geometry."""
+        """Up to ``limit`` next stored sectors of an open CMD18 transfer, as
+        one buffer, never past the geometry."""
         idx, lba = self._open or (None, 0)
-        if idx not in (CMD_READ_SINGLE, CMD_READ_MULTIPLE) or lba >= self.geometry:
+        if idx != CMD_READ_MULTIPLE or lba >= self.geometry:
             return None
-        if idx == CMD_READ_SINGLE:
-            self._open, count = None, 1
-        else:
-            count = min(limit, self.geometry - lba)
-            self._open = (idx, lba + count)
+        count = min(limit, self.geometry - lba)
+        self._open = (idx, lba + count)
         return self.backing.read_sectors(lba, count)
 
     def receive_write_block(self, payload: bytes, crc_ok: bool) -> int | None:
-        """Accept the data of an open write transfer, told whether its CRC
-        held at the card's receiver; commit it and report acceptance via
-        token, or close the transfer. CMD24 takes one sector and closes;
-        CMD25 takes each at its next LBA, with no token past the geometry."""
+        """Accept the data of an open CMD25 transfer, told whether its CRC
+        held at the card's receiver; commit each sector at its next LBA and
+        report acceptance via token, with no token past the geometry, or
+        close the transfer."""
         idx, lba = self._open or (None, 0)
-        if idx not in (CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE) or lba >= self.geometry:
+        if idx != CMD_WRITE_MULTIPLE or lba >= self.geometry:
             return None
-        count = min(len(payload) // SECTOR_SIZE, self.geometry - lba) if idx == CMD_WRITE_MULTIPLE else 1
-        self._open = (idx, lba + count) if idx == CMD_WRITE_MULTIPLE and crc_ok else None
+        count = min(len(payload) // SECTOR_SIZE, self.geometry - lba)
+        self._open = (idx, lba + count) if crc_ok else None
         if not crc_ok:
             return TOKEN_CRC_ERR
         self.backing.write_sectors(lba, payload[: count * SECTOR_SIZE])
@@ -286,7 +278,7 @@ class _FaultPlan:
 class SdioBus:
     """One master, one card; applies scheduled wire faults and keeps a trace."""
 
-    def __init__(self, card: VirtualCard, ledger=None, trace: bool = False):
+    def __init__(self, card: VirtualCard, ledger, trace: bool = False):
         self.card = card
         self.ledger = ledger
         self.trace_enabled = trace
@@ -332,8 +324,7 @@ class SdioBus:
     def _log(self, direction: str, kind: str, raw: bytes) -> None:
         if not self.trace_enabled:
             return
-        t = self.ledger.cycles if self.ledger is not None else 0
-        self.transcript.append(f"t={t} DIR={direction} KIND={kind} {raw.hex()}")
+        self.transcript.append(f"t={self.ledger.cycles} DIR={direction} KIND={kind} {raw.hex()}")
 
     def command(self, index: int, argument: int = 0) -> ResponseFrame | None:
         """Send one command frame; None models no response (bad CRC, silence)."""
@@ -363,8 +354,8 @@ class SdioBus:
         return None
 
     def start_transfer(self, index: int, lba: int) -> bool:
-        """Open the transfer of data command ``index`` (CMD17, CMD18, CMD24
-        or CMD25) at ``lba``; whether the card accepted it.
+        """Open the transfer of data command ``index`` (CMD18 or CMD25) at
+        ``lba``; whether the card accepted it.
 
         Where nothing observes command frames, no transcript and no command
         fault pending, the card checks the command with no frame built;

@@ -184,23 +184,23 @@ class BootHost:
 
         ``expected_entries`` are manifest tuples (kind, length, hex digest)
         for an end-to-end delivery check on top of the unit's own
-        verification.
+        verification. An exception raised on the way, a fault inside the
+        simulator, halts the host and goes on to the caller.
         """
         self.phase = HostPhase.PRE_BOOT
         self.loaded_entries, self._table = [], (b"", [])
         tmiu, bus = self.tmiu, self.bus
-
-        tmiu.power_on()
-        if tmiu.stage is Stage.LOCKDOWN:
-            return self._denied()
-        tmiu.authenticate_memory(bus)
-        if tmiu.stage is Stage.LOCKDOWN:
-            return self._denied()
-        tmiu.generate_keys()
-
-        self.phase = HostPhase.LOADING_BOOT
         stream = _StreamBuffer()
         try:
+            tmiu.power_on()
+            if tmiu.stage is Stage.LOCKDOWN:
+                return self._denied()
+            tmiu.authenticate_memory(bus)
+            if tmiu.stage is Stage.LOCKDOWN:
+                return self._denied()
+            tmiu.generate_keys()
+
+            self.phase = HostPhase.LOADING_BOOT
             tmiu.verify_mbr_and_image(bus, sink=stream.receive)
             if tmiu.stage is not Stage.OPERATIONAL or stream.corrupted:
                 # Whatever was partially streamed is discarded wholesale.
@@ -209,6 +209,9 @@ class BootHost:
                 received = stream.loaded_entries()
             except ImageFormatError:
                 return self._denied(Denial.IMAGE_DIGEST_MISMATCH)
+        except BaseException:
+            self.phase = HostPhase.HALTED
+            raise
         finally:
             stream.close()
         if expected_entries is not None:

@@ -221,10 +221,6 @@ class Tmiu:
         self.stage_history: list[tuple[Stage, int, int]] = [(Stage.PROM_LOAD, 0, 0)]
 
     @property
-    def has_keys(self) -> bool:
-        return self._keys is not None
-
-    @property
     def data_partition(self) -> tuple[int, int]:
         """(start LBA, sector count) of the mediated data partition."""
         if self._layout is None:
@@ -313,7 +309,7 @@ class Tmiu:
         self._keys = (SectorCipher(aes_key), SectorMac(mac_key))
         return self.stage
 
-    def verify_mbr_and_image(self, bus: SdioBus, sink=None) -> Stage:
+    def verify_mbr_and_image(self, bus: SdioBus, sink) -> Stage:
         """Stage 3b: authenticate the encrypted MBR, then stream-verify the
         boot image, forwarding decrypted plaintext to ``sink`` as it passes,
         as ``bytes``: one call per sector, or per run of up to
@@ -363,7 +359,6 @@ class Tmiu:
 
     def _stream_boot_image(self, bus: SdioBus, layout: ImageLayout, sink) -> Stage:
         cipher, _ = self._keys
-        sink = sink or (lambda item: None)
         check = ContainerCheck(layout.boot_sectors)
         lba = layout.boot_start
         try:

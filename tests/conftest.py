@@ -106,25 +106,30 @@ def check_container(container: bytes) -> tuple[tuple[EntryKind, bytes], ...]:
     return entries
 
 
-def forge_kernel(result: ProvisionResult) -> tuple[NvmImage, bytes]:
+def forge_container(result: ProvisionResult, forged: bytes) -> NvmImage:
     """A copy of ``result``'s image, provisioned with :data:`BOOT_ENTRIES`,
-    whose kernel is swapped for a forged one of the same length without the
-    key; and that forged kernel.
+    whose boot container deciphers to ``forged``, a container of the same
+    length, made without the key.
 
     The sector cipher is a stream cipher and the container's digest is
-    unkeyed. Whoever knows the boot entries rebuilds the plaintext, swaps
-    the kernel and XORs old ⊕ new into the ciphertext: only the kernel
-    entry and the SHA-256 trailer change.
+    unkeyed. Whoever knows the boot entries rebuilds the plaintext, edits
+    it, reseals its SHA-256 trailer and XORs old ⊕ new into the ciphertext.
     """
+    old = build_boot_image(BOOT_ENTRIES)
+    assert len(forged) == len(old)
+    raw = bytearray(result.image.to_bytes())
+    at = result.layout.boot_start * SECTOR_SIZE
+    raw[at : at + len(old)] = bytes(c ^ o ^ n for c, o, n in zip(raw[at : at + len(old)], old, forged))
+    return NvmImage(raw)
+
+
+def forge_kernel(result: ProvisionResult) -> tuple[NvmImage, bytes]:
+    """A copy of ``result``'s image whose kernel is swapped for a forged one
+    of the same length without the key (see :func:`forge_container`); and
+    that forged kernel. Only the kernel entry and the trailer change."""
     kernel = b"forged kernel ".ljust(len(dict(BOOT_ENTRIES)[EntryKind.KERNEL]), b"!")
     forged = [(kind, kernel if kind is EntryKind.KERNEL else blob) for kind, blob in BOOT_ENTRIES]
-    layout = result.layout
-    old, new = build_boot_image(BOOT_ENTRIES), build_boot_image(forged)
-    size = len(old)
-    raw = bytearray(result.image.to_bytes())
-    at = layout.boot_start * SECTOR_SIZE
-    raw[at : at + size] = bytes(c ^ o ^ n for c, o, n in zip(raw[at : at + size], old, new))
-    return NvmImage(raw), kernel
+    return forge_container(result, build_boot_image(forged)), kernel
 
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:

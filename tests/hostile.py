@@ -92,6 +92,28 @@ class LbaShiftingCard(VirtualCard):
         )
 
 
+class RefusingCard(VirtualCard):
+    """A card that, once ``refused`` is set to a command index, answers that
+    command with the R1 status ``status``, or, where ``status`` is None,
+    not at all; a data command only at an LBA in ``lbas``. A suspended card
+    stays silent."""
+
+    refused: int | None = None
+    status: int | None = None
+    lbas: range = range(1 << 32)
+
+    def _refuses(self, idx, argument):
+        return idx == self.refused and argument in self.lbas and not self.io_suspended
+
+    def answer(self, frame):
+        if self._refuses(frame.index, frame.argument):
+            return None if self.status is None else ResponseFrame(frame.index, self.status)
+        return super().answer(frame)
+
+    def open_transfer(self, idx, lba):
+        return self.status if self._refuses(idx, lba) else super().open_transfer(idx, lba)
+
+
 def hostile_system(provisioned, card_class, trace):
     manifest = provisioned.manifest
     card = card_class(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())

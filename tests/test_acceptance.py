@@ -134,7 +134,7 @@ def test_criterion_2_stage_fidelity(provisioned):
     tmiu.authenticate_memory(bus)
     led_snapshots.append(list(tmiu.leds))
     tmiu.generate_keys()
-    tmiu.verify_mbr_and_image(bus)
+    tmiu.verify_mbr_and_image(bus, lambda item: None)
     led_snapshots.append(list(tmiu.leds))
 
     # Golden transcript shape: the command sequence on the wire is fixed for
@@ -177,7 +177,7 @@ def test_criterion_2_stage_fidelity(provisioned):
         lambda: tmiu.power_on(),
         lambda: tmiu.authenticate_memory(bus),
         lambda: tmiu.generate_keys(),
-        lambda: tmiu.verify_mbr_and_image(bus),
+        lambda: tmiu.verify_mbr_and_image(bus, lambda item: None),
         lambda: tmiu.mediate_read(bus, rng.randrange(provisioned.layout.total_sectors)),
         lambda: tmiu.mediate_write(bus, rng.randrange(provisioned.layout.total_sectors), bytes(512)),
         lambda: tmiu.report(),
@@ -190,7 +190,7 @@ def test_criterion_2_stage_fidelity(provisioned):
             pass
         assert tmiu.stage is Stage.LOCKDOWN
         assert tmiu.reason is locked_reason
-        assert not tmiu.has_keys
+        assert tmiu._keys is None
         assert card.io_suspended
         assert tmiu.leds == [True, False, False, False]
     _announce("2 stage fidelity (golden ordering, monotone leds, absorbing lockdown x1000)")

@@ -9,15 +9,12 @@ from tmiusim.bus import (
     CMD_ALL_SEND_CID,
     CMD_GO_IDLE,
     CMD_READ_MULTIPLE,
-    CMD_READ_SINGLE,
     CMD_SELECT,
     CMD_SEND_CSD,
     CMD_SET_BLOCKLEN,
     CMD_STOP_TRANSMISSION,
     CMD_WRITE_MULTIPLE,
-    CMD_WRITE_SINGLE,
     COMMAND_FRAME_SIZE,
-    DATA_FRAME_SIZE,
     R2_FRAME_SIZE,
     CardState,
     CommandFrame,
@@ -37,9 +34,11 @@ from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SECTOR_SIZE, SectorCipher, 
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import CapacityError, FileRecord, build_file_table
-from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, LockdownError, Stage, TmiuError
+from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, CycleLedger, LockdownError, Stage, TmiuError
 
 from conftest import DATA_FILES, image_file_records, make_provision, provision_container
+
+DATA_FRAME_SIZE = SECTOR_SIZE + 2  # a sector, then its CRC16
 
 
 def parse_data(raw: bytes) -> DataBlock:
@@ -58,7 +57,7 @@ def card(provisioned):
     return VirtualCard(identity, provisioned.image.clone())
 
 
-_DATA_COMMANDS = (CMD_READ_SINGLE, CMD_READ_MULTIPLE, CMD_WRITE_SINGLE, CMD_WRITE_MULTIPLE)
+_DATA_COMMANDS = (CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE)
 
 
 def _to_transfer(card):
@@ -68,10 +67,12 @@ def _to_transfer(card):
 
 
 def _write(card, lba, payload, crc_ok):
-    """CMD24 then one data frame, straight to the card, whose receiver found
-    its CRC good or bad; the write token."""
-    card.issue(CommandFrame(CMD_WRITE_SINGLE, lba).to_bytes())
-    return card.receive_write_block(payload, crc_ok)
+    """CMD25, one data frame and CMD12, straight to the card, whose receiver
+    found the frame's CRC good or bad; the write token."""
+    card.issue(CommandFrame(CMD_WRITE_MULTIPLE, lba).to_bytes())
+    token = card.receive_write_block(payload, crc_ok)
+    card.issue(CommandFrame(CMD_STOP_TRANSMISSION, 0).to_bytes())
+    return token
 
 
 @pytest.fixture()
@@ -188,9 +189,10 @@ class TestVirtualCard:
         assert frame.register == card.identity.csd
 
     def test_read_while_idle_is_illegal(self, card):
-        reply = card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
+        reply = card.issue(CommandFrame(CMD_READ_MULTIPLE, 0).to_bytes())
         frame, _ = parse_response(reply)
         assert frame.status & STATUS_ILLEGAL_COMMAND
+        assert card._open is None
 
     def test_bad_crc_means_silence(self, card):
         # A CRC7 bit, then the start, direction and end bits of the frame.
@@ -202,9 +204,10 @@ class TestVirtualCard:
 
     def test_read_out_of_range(self, card):
         _to_transfer(card)
-        reply = card.issue(CommandFrame(CMD_READ_SINGLE, card.geometry).to_bytes())
+        reply = card.issue(CommandFrame(CMD_READ_MULTIPLE, card.geometry).to_bytes())
         frame, _ = parse_response(reply)
         assert frame.status & STATUS_OUT_OF_RANGE
+        assert card._open is None
 
     def test_blocklen_must_be_512(self, card):
         _to_transfer(card)
@@ -214,12 +217,14 @@ class TestVirtualCard:
 
     def test_read_block_returns_stored_ciphertext(self, card, provisioned):
         _to_transfer(card)
-        card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
-        assert card.take_read(RUN_SECTORS) == provisioned.image.read_sector(0)
-        assert card.take_read(RUN_SECTORS) is None  # a single read closes itself
-        bus = SdioBus(card)
-        bus.command(CMD_READ_SINGLE, 0)
+        card.issue(CommandFrame(CMD_READ_MULTIPLE, 0).to_bytes())
+        assert card.take_read(1) == provisioned.image.read_sector(0)
+        card.issue(CommandFrame(CMD_STOP_TRANSMISSION, 0).to_bytes())
+        assert card.take_read(RUN_SECTORS) is None  # CMD12 closed the read
+        bus = SdioBus(card, CycleLedger())
+        bus.command(CMD_READ_MULTIPLE, 0)
         assert bus.fetch_block() == (provisioned.image.read_sector(0), True)
+        bus.command(CMD_STOP_TRANSMISSION, 0)
         assert bus.fetch_block() is None
 
     def test_write_block_commits_only_on_good_crc(self, card):
@@ -240,7 +245,7 @@ class TestVirtualCard:
 
     def test_suspension_silences_everything(self, card):
         _to_transfer(card)
-        card.issue(CommandFrame(CMD_READ_SINGLE, 0).to_bytes())
+        card.issue(CommandFrame(CMD_READ_MULTIPLE, 0).to_bytes())
         card.suspend_io()
         card.suspend_io()  # idempotent
         assert card.take_read(1) is None
@@ -330,19 +335,54 @@ class TestVirtualCard:
             assert lba <= total
         assert b"".join(chunks) == image.read_sectors(start, lba - start)
 
+    def test_the_card_answers_no_command_the_unit_does_not_send(self, provisioned):
+        # The card models only what the unit uses: the commands a traced
+        # boot, file read and file write send.
+        manifest = provisioned.manifest
+        host, _, bus, _ = build_system(manifest, provisioned.image.clone(), trace=True)
+        assert host.run_boot(expected_entries=manifest.entries).ok
+        label, blob = DATA_FILES[0]
+        assert host.read_file(label) == blob
+        host.write_file(label, blob[::-1])
+        sent = {
+            parse_command(bytes.fromhex(line.split()[-1]))[0].index
+            for line in bus.transcript
+            if "KIND=CMD" in line
+        }
+        assert {CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE, CMD_STOP_TRANSMISSION} <= sent
+        identity = CardIdentity(cid=manifest.cid, csd=manifest.csd)
+        answered = []
+        for state in ("idle", "transfer"):
+            for index in sorted(set(range(64)) - sent):
+                card = VirtualCard(identity, provisioned.image)
+                if state == "transfer":
+                    _to_transfer(card)
+                    card.answer(CommandFrame(CMD_READ_MULTIPLE, 5))
+                before = (card.state, card._open)
+                frame = CommandFrame(index, 5)
+                # As a frame object, as bytes, and as an unobserved
+                # SdioBus.start_transfer meets it.
+                replies = {card.answer(frame), parse_response(card.issue(frame.to_bytes()))[0]}
+                status = card.open_transfer(index, 5)
+                refused = replies == {ResponseFrame(index, STATUS_ILLEGAL_COMMAND)} and status == STATUS_ILLEGAL_COMMAND
+                if not refused or (card.state, card._open) != before:
+                    answered.append((state, index))
+        assert answered == []
+
 
 class TestBus:
     def test_protocol_liveness_script(self, card, provisioned):
-        bus = SdioBus(card, trace=True)
+        bus = SdioBus(card, CycleLedger(), trace=True)
         bus.command(CMD_GO_IDLE, 0)
         cid = bus.command(CMD_ALL_SEND_CID, 0)
         assert cid.register == card.identity.cid
         assert bus.command(CMD_SELECT, 0).status == 0
-        assert bus.command(CMD_READ_SINGLE, 0).status == 0
+        assert bus.command(CMD_READ_MULTIPLE, 0).status == 0
         assert bus.fetch_block() == (provisioned.image.read_sector(0), True)
+        assert bus.command(CMD_STOP_TRANSMISSION, 0).status == 0
 
     def test_transcript_format(self, card):
-        bus = SdioBus(card, trace=True)
+        bus = SdioBus(card, CycleLedger(), trace=True)
         bus.command(CMD_ALL_SEND_CID, 0)
         pattern = re.compile(r"^t=\d+ DIR=(H→C|C→H) KIND=(CMD|RSP|DAT|TOK) [0-9a-f]+$")
         assert bus.transcript
@@ -354,8 +394,9 @@ class TestBus:
         total = card.geometry
         _to_transfer(card)
         assert card.take_read(4) is None  # no open transfer
-        card.issue(CommandFrame(CMD_READ_SINGLE, 3).to_bytes())
-        assert card.take_read(4) == image.read_sector(3)  # a single-block read sends one sector
+        card.issue(CommandFrame(CMD_READ_MULTIPLE, 3).to_bytes())
+        assert card.take_read(1) == image.read_sector(3)  # one sector when one is asked for
+        card.issue(CommandFrame(CMD_STOP_TRANSMISSION, 0).to_bytes())
         assert card.take_read(4) is None
         card.issue(CommandFrame(CMD_READ_MULTIPLE, total - 5).to_bytes())
         assert card.take_read(3) == image.read_sectors(total - 5, 3)
@@ -368,7 +409,7 @@ class TestBus:
         [(False, (), True), (True, (), False), (False, ("c2h",), False), (False, ("cmd", "h2c"), True)],
     )
     def test_runs_move_only_where_no_single_frame_is_observed(self, card, provisioned, trace, pending, moves_runs):
-        bus = SdioBus(card, trace=trace)
+        bus = SdioBus(card, CycleLedger(), trace=trace)
         bus.command(CMD_GO_IDLE, 0)
         bus.command(CMD_ALL_SEND_CID, 0)
         bus.command(CMD_SELECT, 0)
@@ -391,7 +432,7 @@ class TestBus:
     def test_stop_transfer_sends_cmd12_as_one_frame_only_where_command_frames_are_observed(
         self, card, monkeypatch, trace, fault
     ):
-        bus = SdioBus(card, trace=trace)
+        bus = SdioBus(card, CycleLedger(), trace=trace)
         _to_transfer(card)
         assert bus.start_transfer(CMD_READ_MULTIPLE, 5)
         if fault:
@@ -413,7 +454,7 @@ class TestBus:
 
     @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, 2), (True, 2)])
     def test_push_run_commits_what_its_frames_would(self, card, trace, fault):
-        bus = SdioBus(card, trace=trace)
+        bus = SdioBus(card, CycleLedger(), trace=trace)
         _to_transfer(card)
         before = card.backing.read_sectors(20, 3)
         data = bytes(range(256)) * 6
@@ -452,7 +493,7 @@ class TestBus:
         sides = []
         for trace in (False, True):
             card = VirtualCard(identity, provisioned.image.clone())
-            bus = SdioBus(card, trace=trace)
+            bus = SdioBus(card, CycleLedger(), trace=trace)
             if state != "idle":
                 _to_transfer(card)
             if state == "suspended":
@@ -494,7 +535,7 @@ class TestBus:
         identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
         drained = []
         for trace in (False, True):
-            bus = SdioBus(VirtualCard(identity, image), trace=trace)
+            bus = SdioBus(VirtualCard(identity, image), CycleLedger(), trace=trace)
             bus.command(CMD_GO_IDLE, 0)
             bus.command(CMD_ALL_SEND_CID, 0)
             bus.command(CMD_SELECT, 0)
@@ -512,11 +553,19 @@ class TestBus:
 
     @pytest.mark.parametrize("nth", [0, -1, -4])
     def test_fault_on_frame_below_one_is_rejected(self, card, nth):
-        bus = SdioBus(card)
+        bus = SdioBus(card, CycleLedger())
         for kind in ("cmd", "c2h", "h2c"):
             with pytest.raises(ValueError):
                 bus.inject_fault(kind, nth=nth)
         assert not bus.faults_pending
+
+    @staticmethod
+    def _read_one(bus, lba):
+        """CMD18 at ``lba``, one data frame and CMD12: what the frame brought."""
+        bus.command(CMD_READ_MULTIPLE, lba)
+        fetched = bus.fetch_block()
+        bus.command(CMD_STOP_TRANSMISSION, 0)
+        return fetched
 
     def _scripted_read(self, bus):
         bus.command(CMD_GO_IDLE, 0)
@@ -524,23 +573,19 @@ class TestBus:
         bus.command(CMD_SELECT, 0)
         out = []
         for lba in range(3):
-            resp = bus.command(CMD_READ_SINGLE, lba)
-            if resp is None:
-                continue
-            fetched = bus.fetch_block()
+            fetched = self._read_one(bus, lba)
             if fetched is None or not fetched[1]:
-                bus.command(CMD_READ_SINGLE, lba)
-                fetched = bus.fetch_block()
+                fetched = self._read_one(bus, lba)
             out.append(fetched[0])
         return out
 
     def test_single_command_fault_converges(self, provisioned):
         identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
-        clean_bus = SdioBus(VirtualCard(identity, provisioned.image.clone()), trace=True)
+        clean_bus = SdioBus(VirtualCard(identity, provisioned.image.clone()), CycleLedger(), trace=True)
         clean = self._scripted_read(clean_bus)
 
         card = VirtualCard(identity, provisioned.image.clone())
-        bus = SdioBus(card, trace=True)
+        bus = SdioBus(card, CycleLedger(), trace=True)
         bus.inject_fault("cmd", nth=2, byte_offset=3, bit=5)
         # The script retries a lost command once, so one fault is absorbed.
         bus.command(CMD_GO_IDLE, 0)
@@ -549,8 +594,7 @@ class TestBus:
         bus.command(CMD_SELECT, 0)
         out = []
         for lba in range(3):
-            bus.command(CMD_READ_SINGLE, lba)
-            out.append(bus.fetch_block()[0])
+            out.append(self._read_one(bus, lba)[0])
         assert out == clean
         assert card.state is CardState.TRANSFER
 
@@ -564,10 +608,10 @@ class TestBus:
     def test_single_data_fault_converges(self, provisioned):
         identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
         clean = self._scripted_read(
-            SdioBus(VirtualCard(identity, provisioned.image.clone()), trace=False)
+            SdioBus(VirtualCard(identity, provisioned.image.clone()), CycleLedger(), trace=False)
         )
         card = VirtualCard(identity, provisioned.image.clone())
-        bus = SdioBus(card)
+        bus = SdioBus(card, CycleLedger())
         bus.inject_fault("c2h", nth=1, byte_offset=100, bit=1)
         assert self._scripted_read(bus) == clean
         assert card.backing.to_bytes() == provisioned.image.to_bytes()
@@ -575,7 +619,7 @@ class TestBus:
     def test_write_fault_leaves_sector_unchanged_then_retry_commits(self, provisioned):
         identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
         card = VirtualCard(identity, provisioned.image.clone())
-        bus = SdioBus(card)
+        bus = SdioBus(card, CycleLedger())
         bus.command(CMD_GO_IDLE, 0)
         bus.command(CMD_ALL_SEND_CID, 0)
         bus.command(CMD_SELECT, 0)
@@ -583,12 +627,14 @@ class TestBus:
         before = card.backing.read_sector(lba)
         payload = b"\x5a" * 512
         bus.inject_fault("h2c", nth=1, byte_offset=50, bit=2)
-        bus.command(CMD_WRITE_SINGLE, lba)
+        bus.command(CMD_WRITE_MULTIPLE, lba)
         token = bus.push_block(payload)
+        bus.command(CMD_STOP_TRANSMISSION, 0)
         assert token == TOKEN_CRC_ERR
         assert card.backing.read_sector(lba) == before
-        bus.command(CMD_WRITE_SINGLE, lba)
+        bus.command(CMD_WRITE_MULTIPLE, lba)
         assert bus.push_block(payload) == TOKEN_CRC_OK
+        bus.command(CMD_STOP_TRANSMISSION, 0)
         assert card.backing.read_sector(lba) == payload
 
 

@@ -16,7 +16,7 @@ from tmiusim.host import build_system
 from tmiusim.image import FileRecord, Manifest, NvmImage, build_file_table
 from tmiusim.scenarios import OUTCOME_CLASSES, builtin_scenarios
 
-from conftest import forge_kernel
+from conftest import forge_kernel, make_provision
 
 
 @pytest.fixture()
@@ -219,6 +219,19 @@ class TestBoot:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: cannot load manifest") and "Traceback" not in err
+
+    def test_a_csd_binding_survives_the_manifest_file(self, workspace, capsys):
+        result = make_provision(bind_csd=True)
+        result.image.save("card.nvm")
+        result.manifest.save("card.nvm.manifest")
+        assert "bind_csd=1" in Path("card.nvm.manifest").read_text().splitlines()
+        assert Manifest.load("card.nvm.manifest").anchors.bind_csd
+        assert main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest"]) == 0
+        assert "stage=Operational" in capsys.readouterr().out
+        twin_csd = bytes(reversed(result.manifest.csd)).hex()
+        rc = main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--csd", twin_csd])
+        assert rc == 3
+        assert "reason=NvmMismatch" in capsys.readouterr().out
 
     def test_deterministic_report(self, workspace, capsys):
         _provision(capsys)

@@ -23,7 +23,10 @@ from tmiusim.scenarios import builtin_scenarios, run_scenario
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
 from conftest import (
+    BOOT_ENTRIES,
     DATA_FILES,
+    build_boot_image,
+    forge_container,
     forge_kernel,
     image_file_records,
     make_provision,
@@ -85,6 +88,31 @@ class TestRunBoot:
         outcome = host.run_boot(expected_entries=wrong)
         assert not outcome.ok
         assert host.phase is HostPhase.HALTED
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_a_boot_that_raises_halts_the_host(self, provisioned, monkeypatch, trace):
+        # The cipher's third call deciphers the boot stream's first run,
+        # after the MBR and the container's first sector.
+        class CipherFault(Exception):
+            pass
+
+        calls, crypt = [], SectorCipher.crypt
+
+        def failing_crypt(cipher, first_sector, data):
+            calls.append(first_sector)
+            if len(calls) == 3:
+                raise CipherFault("cipher failed")
+            return crypt(cipher, first_sector, data)
+
+        monkeypatch.setattr(SectorCipher, "crypt", failing_crypt)
+        host, tmiu, _, _ = build_system(provisioned.manifest, provisioned.image.clone(), trace=trace)
+        with pytest.raises(CipherFault):
+            host.run_boot(expected_entries=provisioned.manifest.entries)
+        assert calls[2] > provisioned.layout.boot_start  # mid-stream
+        assert (tmiu.stage, tmiu.reason) == (Stage.LOCKDOWN, Denial.BUS_ERROR)
+        assert host.phase is HostPhase.HALTED and host.loaded_entries == []
+        with pytest.raises(HostError, match="host is Halted"):
+            host.read_file(DATA_FILES[0][0])
 
 
 class TestFileStore:
@@ -216,6 +244,28 @@ class TestThreatModelEdges:
         assert outcome.outcome_class == "ImageDigestMismatch"
         assert host.phase is HostPhase.HALTED
         assert tmiu.stage is Stage.OPERATIONAL
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("expect", [False, True], ids=["unchecked", "expected_entries"])
+    @pytest.mark.parametrize("edit", ["kind", "offset"])
+    def test_an_entry_table_forged_without_the_key_is_denied_by_the_host(self, provisioned, edit, expect, trace):
+        # The same keyless forgery as above, made to the first entry of the
+        # table: a kind no EntryKind has, or an offset past the payload. The
+        # resealed trailer passes the unit; the host's parse of the table
+        # denies the boot, whether or not it has entries to check against.
+        container = bytearray(build_boot_image(BOOT_ENTRIES))
+        if edit == "kind":
+            container[12] = 9
+        else:
+            payload_len = len(container) - 32 - (12 + 9 * len(BOOT_ENTRIES))
+            struct.pack_into(">I", container, 13, payload_len)
+        container[-32:] = sha256(bytes(container[:-32]))
+        image = forge_container(provisioned, bytes(container))
+        host, tmiu, _, _ = build_system(provisioned.manifest, image, trace=trace)
+        outcome = host.run_boot(expected_entries=provisioned.manifest.entries if expect else None)
+        assert outcome.outcome_class == "ImageDigestMismatch"
+        assert (tmiu.stage, tmiu.reason) == (Stage.OPERATIONAL, None)
+        assert host.phase is HostPhase.HALTED and host.loaded_entries == []
 
 
 # Past HASH_THREAD_MIN_CONTAINER, so the host hashes the entries on its

@@ -5,7 +5,19 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmiusim.bus import CMD_READ_MULTIPLE, RETRY_LIMIT, DataBlock, VirtualCard
+from tmiusim.bus import (
+    CMD_READ_MULTIPLE,
+    CMD_SELECT,
+    CMD_SEND_CSD,
+    CMD_SET_BLOCKLEN,
+    CMD_WRITE_MULTIPLE,
+    RETRY_LIMIT,
+    STATUS_BLOCK_LEN_ERROR,
+    STATUS_ILLEGAL_COMMAND,
+    STATUS_OUT_OF_RANGE,
+    DataBlock,
+    VirtualCard,
+)
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
 from tmiusim import host as host_module
 from tmiusim.host import build_system
@@ -24,8 +36,15 @@ from tmiusim.tmiu import (
     Tmiu,
 )
 
-from conftest import DATA_FILES, make_provision, provision_container, record_hash_workers
-from hostile import ByteCuttingCard, LbaShiftingCard, MiscountingCard, ResponseCuttingCard, hostile_system
+from conftest import DATA_FILES, image_file_records, make_provision, provision_container, record_hash_workers
+from hostile import (
+    ByteCuttingCard,
+    LbaShiftingCard,
+    MiscountingCard,
+    RefusingCard,
+    ResponseCuttingCard,
+    hostile_system,
+)
 
 
 def _system(provisioned, image=None, dna=None, cid=None, trace=False):
@@ -43,7 +62,7 @@ def _boot_to_operational(provisioned, image=None):
     tmiu.power_on()
     tmiu.authenticate_memory(bus)
     tmiu.generate_keys()
-    tmiu.verify_mbr_and_image(bus)
+    tmiu.verify_mbr_and_image(bus, lambda item: None)
     assert tmiu.stage is Stage.OPERATIONAL
     return host, tmiu, bus, card
 
@@ -60,7 +79,7 @@ class TestPowerOn:
         _, tmiu, _, _ = _system(provisioned, dna=provisioned.manifest.dna ^ 0x4)
         assert tmiu.power_on() is Stage.LOCKDOWN
         assert tmiu.reason is Denial.DEVICE_MISMATCH
-        assert not tmiu.has_keys
+        assert tmiu._keys is None
         assert tmiu.leds == [False, False, False, False]
 
     def test_reset_returns_to_prom_load_and_erases_keys(self, provisioned):
@@ -68,10 +87,10 @@ class TestPowerOn:
         tmiu.power_on()
         tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
-        assert tmiu.has_keys
+        assert tmiu._keys is not None
         tmiu.reset()
         assert tmiu.stage is Stage.PROM_LOAD
-        assert not tmiu.has_keys
+        assert tmiu._keys is None
         assert tmiu.ledger.cycles == 0
 
     def test_custom_prom_store(self, provisioned):
@@ -162,14 +181,14 @@ class TestCipherLifetime:
             tmiu.mediate_read(bus, lba)
         assert tmiu.stage is Stage.LOCKDOWN
         assert _held_ciphers(tmiu) == []
-        assert not tmiu.has_keys
+        assert tmiu._keys is None
 
     def test_reset_drops_the_cipher(self, provisioned):
         _, tmiu, _, _ = _boot_to_operational(provisioned)
         assert len(_held_ciphers(tmiu)) == 1
         tmiu.reset()
         assert _held_ciphers(tmiu) == []
-        assert not tmiu.has_keys
+        assert tmiu._keys is None
 
     def test_key_generation_installs_one_mac(self, provisioned):
         _, tmiu, bus, _ = _system(provisioned)
@@ -240,10 +259,10 @@ class TestVerifyMbrAndImage:
         tmiu.power_on()
         tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
-        assert tmiu.verify_mbr_and_image(bus) is Stage.LOCKDOWN
+        assert tmiu.verify_mbr_and_image(bus, lambda item: None) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.IMAGE_DIGEST_MISMATCH
         assert card.io_suspended
-        assert not tmiu.has_keys
+        assert tmiu._keys is None
 
     def test_mbr_tamper_denied_before_partition_parsing(self, provisioned):
         image = provisioned.image.clone()
@@ -254,7 +273,7 @@ class TestVerifyMbrAndImage:
         tmiu.power_on()
         tmiu.authenticate_memory(bus)
         tmiu.generate_keys()
-        assert tmiu.verify_mbr_and_image(bus) is Stage.LOCKDOWN
+        assert tmiu.verify_mbr_and_image(bus, lambda item: None) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.MBR_MISMATCH
 
     def test_corrupt_final_block_signals_processor(self, provisioned):
@@ -605,6 +624,78 @@ class TestWrongLbaCard:
         assert untraced[:3] == (Stage.LOCKDOWN, *want)
 
 
+class TestRefusingCard:
+    """A card that stays silent on a command, or refuses it with an R1
+    error status: in stage 2 or after hand-over, the unit locks down with
+    ``BusError``, traced or not."""
+
+    @staticmethod
+    def _assert_closed(tmiu, card):
+        assert tmiu._keys is None and card.io_suspended and card._open is None
+
+    @pytest.mark.parametrize(
+        "refused, status",
+        [(CMD_SEND_CSD, None), (CMD_SELECT, STATUS_ILLEGAL_COMMAND), (CMD_SET_BLOCKLEN, STATUS_BLOCK_LEN_ERROR)],
+        ids=["cmd9_silent", "cmd7_refused", "cmd16_refused"],
+    )
+    def test_a_card_that_fails_identification_is_a_bus_error(self, provisioned, refused, status):
+        reports = []
+        for trace in (False, True):
+            host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
+            card.refused, card.status = refused, status
+            assert host.run_boot(expected_entries=provisioned.manifest.entries).outcome_class == "BusError"
+            assert Stage.KEYGEN_IMAGE_AUTH not in [stage for stage, _, _ in tmiu.stage_history]
+            _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
+            self._assert_closed(tmiu, card)
+            reports.append(tmiu.report().to_text())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_a_refused_data_run_writes_nothing(self, provisioned, trace):
+        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
+        layout = provisioned.layout
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        card.refused, card.status = CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE
+        card.lbas = range(layout.data_start, layout.meta_start)
+        label, blob = DATA_FILES[0]
+        with pytest.raises(LockdownError) as raised:
+            host.write_file(label, blob[::-1])
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card, str(raised.value))
+        self._assert_closed(tmiu, card)
+
+    @pytest.mark.parametrize("trace", [False, True])
+    def test_a_refused_tag_run_leaves_the_file_denied_not_wrong(self, provisioned, trace):
+        # Rewritten at its own size, the first file takes its old extent
+        # back: the data run commits over it, and the tag run is refused.
+        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
+        layout, entries = provisioned.layout, provisioned.manifest.entries
+        assert host.run_boot(expected_entries=entries).ok
+        card.refused, card.status = CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE
+        card.lbas = range(layout.meta_start, layout.total_sectors)
+        (label, blob), (other, other_blob) = DATA_FILES[:2]
+        record = next(r for r in image_file_records(card.backing, provisioned.manifest) if r.label == label)
+        extent = record.lbas(layout.data_start)
+        with pytest.raises(LockdownError, match="BusError"):
+            host.write_file(label, blob[::-1])
+        assert (tmiu.stage, tmiu.reason, tmiu.fault_lba) == (Stage.LOCKDOWN, Denial.BUS_ERROR, None)
+        self._assert_closed(tmiu, card)
+        changed = [
+            lba for lba in range(layout.total_sectors)
+            if card.backing.read_sector(lba) != provisioned.image.read_sector(lba)
+        ]
+        assert changed == list(extent)
+        # After a power cycle the table still names the old extent, whose
+        # sectors now fail their old tags: the read is denied, never served.
+        card.refused = None
+        assert host.reboot(expected_entries=entries).ok
+        with pytest.raises(LockdownError) as raised:
+            host.read_file(label)
+        assert (raised.value.reason, tmiu.fault_lba) == (Denial.SECTOR_TAG_MISMATCH, extent.start)
+        # Another power cycle, and the files the write did not touch read back.
+        assert host.reboot(expected_entries=entries).ok
+        assert host.read_file(other) == other_blob
+
+
 class InternalFault(Exception):
     """A fault inside the simulator, raised by a patched step."""
 
@@ -686,7 +777,7 @@ class TestInternalFault:
             _assert_poisoned(received)
         else:
             assert received == []  # nothing was held to forward
-        assert (tmiu.stage, tmiu.reason, tmiu.has_keys) == (Stage.LOCKDOWN, Denial.BUS_ERROR, False)
+        assert (tmiu.stage, tmiu.reason, tmiu._keys) == (Stage.LOCKDOWN, Denial.BUS_ERROR, None)
         assert card.io_suspended and card._open is None
         assert threading.active_count() == before
         text = "\n".join([tmiu.report().to_text(), repr(tmiu), *bus.transcript])
@@ -769,7 +860,7 @@ class TestStageMachine:
             tmiu.authenticate_memory(bus)
         tmiu.power_on()
         with pytest.raises(StateError):
-            tmiu.verify_mbr_and_image(bus)
+            tmiu.verify_mbr_and_image(bus, lambda item: None)
         with pytest.raises(StateError):
             tmiu.mediate_read(bus, 0)
 
@@ -781,7 +872,7 @@ class TestStageMachine:
             lambda: tmiu.power_on(),
             lambda: tmiu.authenticate_memory(bus),
             lambda: tmiu.generate_keys(),
-            lambda: tmiu.verify_mbr_and_image(bus),
+            lambda: tmiu.verify_mbr_and_image(bus, lambda item: None),
             lambda: tmiu.mediate_read(bus, 50),
             lambda: tmiu.mediate_write(bus, 50, bytes(512)),
         ):
