@@ -13,8 +13,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from queue import SimpleQueue
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .bus import DataBlock, SdioBus, VirtualCard
 from .crypto import SECTOR_SIZE
@@ -67,12 +66,11 @@ class BootOutcome:
         return self.reason.value if self.reason else "Unknown"
 
 
-# The digest worker is handed the stream's newly arrived bytes in steps of
-# about this many. Each hand-over waits for the interpreter lock, which the
-# unit's container hash releases once per run, and the last step is hashed
-# while the boot waits. On a 13 MB boot, steps of 512 KiB, 1 MiB and 2 MiB
-# each took about 1 ms less than the one before; 4 MiB the same as 2 MiB,
-# 8 MiB about 3 ms more.
+# Each time about this many more bytes of the stream have arrived, one job
+# hashes them on the digest worker; the largest entry table (12 + 9 * 65535
+# bytes) is whole by the first. On a 13 MB boot, steps of 512 KiB, 1 MiB and
+# 2 MiB each took about 1 ms less than the one before; 4 MiB the same as
+# 2 MiB, 8 MiB about 3 ms more.
 _HAND_OVER_BYTES = 2 << 20
 
 
@@ -82,17 +80,18 @@ class _StreamBuffer:
 
     The first item tells the container's length, and the stream is copied
     in place into one buffer of that length. The entry digests are hashed
-    from that buffer, never from a copy. Where the entry table came in the
-    first item, one job is submitted to ``hash_pool`` then and handed how
-    far the stream has come as it arrives; else they are hashed at the end.
-    The owner calls :meth:`close` however the boot ends, which joins any
-    worker."""
+    from that buffer, never from a copy. Each time ``_HAND_OVER_BYTES`` more
+    has arrived, one job submitted to ``hash_pool`` hashes the newly arrived
+    part of each entry; the first hand-over reads the entry table. The rest
+    is hashed at the end. The owner calls :meth:`close` however the boot
+    ends, which joins any worker."""
 
     def __init__(self) -> None:
         self.corrupted = False
         self._view = memoryview(b"")  # of the buffer, once the first item tells its length
         self._filled = self._handed = 0
-        self._pool = self._digests = None
+        self._spans, self._hashes, self._jobs = (), [], []
+        self._pool = None
 
     def receive(self, item: bytes | DataBlock) -> None:
         if isinstance(item, DataBlock):
@@ -100,72 +99,63 @@ class _StreamBuffer:
             item = item.payload
         if self.corrupted:
             return  # the stream is discarded wholesale
-        first = not self._view
-        if first:
+        if not self._view:
             self._view = memoryview(bytearray(boot_image_length(item)))
         end = self._filled + len(item)
         self._view[self._filled : end] = item  # one copy, in place
         self._filled = end
-        if first:
-            self._submit_digests(len(item))
-        if self._digests and end - self._handed >= _HAND_OVER_BYTES:
-            self._marks.put(end)
+        if end - self._handed >= _HAND_OVER_BYTES:
+            if not self._handed:
+                try:
+                    self._index()
+                except ImageFormatError:
+                    pass  # judged again over the whole stream at the end
+                if self._spans:  # a card can flip the entry count to 0
+                    self._pool = hash_pool(len(self._view))
+            if self._pool:
+                self._jobs.append(
+                    self._pool.submit(_hash_spans, self._view, self._spans, self._hashes, self._handed, end)
+                )
             self._handed = end
 
-    def _submit_digests(self, arrived: int) -> None:
-        try:
-            spans = boot_image_index(self._view)  # reads the header and table alone
-        except ImageFormatError:
-            return  # judged again over the whole stream at the end
-        # Every entry starts past the entry table, so one that starts within
-        # the first item shows the whole table came in it. A table of no
-        # entries (a hostile card can flip the count to 0) has nothing to hash.
-        if not spans or min(start for _, start, _ in spans) > arrived:
-            return
-        self._spans, self._marks = spans, SimpleQueue()
-        self._pool = hash_pool(len(self._view))
-        self._digests = self._pool.submit(_hash_spans, self._view, spans, iter(self._marks.get, None))
+    def _index(self) -> None:
+        """Read the entry table: a span and a fresh hash for each entry."""
+        self._spans = boot_image_index(self._view)  # reads the header and table alone
+        self._hashes = [hashlib.sha256() for _ in self._spans]
 
     def loaded_entries(self) -> list[LoadedEntry]:
         """The (kind, length, digest) of each entry of the whole stream; a
-        stream its container does not describe is an :class:`ImageFormatError`."""
+        stream its container does not describe is an :class:`ImageFormatError`.
+        A job's error is raised here."""
         if self._filled != len(self._view):
             raise ImageFormatError("container length field disagrees with data")
-        if self._digests:
-            self._marks.put(self._filled)
-            self._marks.put(None)
-            spans, digests = self._spans, self._digests.result()
-        else:
-            spans = boot_image_index(self._view)
-            digests = _hash_spans(self._view, spans, [self._filled])
+        if not self._jobs:
+            self._index()
+            self._handed = 0
+        for job in self._jobs:
+            job.result()
+        _hash_spans(self._view, self._spans, self._hashes, self._handed, self._filled)
         return [
-            LoadedEntry(kind.label, end - start, digest)
-            for (kind, start, end), digest in zip(spans, digests)
+            LoadedEntry(kind.label, end - start, hash_.digest())
+            for (kind, start, end), hash_ in zip(self._spans, self._hashes)
         ]
 
     def close(self) -> None:
-        """Stop the digest job, join its worker if it has one, and release
-        the view of the buffer."""
+        """Wait for the digest jobs, join their worker if they have one, and
+        release the view of the buffer."""
         if self._pool:
-            self._marks.put(None)
             self._pool.shutdown()
         self._view.release()
 
 
 def _hash_spans(
-    view: memoryview, spans: Sequence[tuple[EntryKind, int, int]], marks: Iterable[int]
-) -> list[bytes]:
-    """The SHA-256 of each (kind, start, end) span of ``view``. Each of
-    ``marks`` is how many bytes of ``view`` have arrived, the last of them
-    all; the part of each span that arrived since the mark before is hashed
-    in place."""
-    hashes, done = [hashlib.sha256() for _ in spans], 0
-    for mark in marks:
-        for hash_, (_, start, end) in zip(hashes, spans):
-            if max(start, done) < min(end, mark):
-                hash_.update(view[max(start, done) : min(end, mark)])
-        done = mark
-    return [hash_.digest() for hash_ in hashes]
+    view: memoryview, spans: Sequence[tuple[EntryKind, int, int]], hashes: Sequence, done: int, mark: int
+) -> None:
+    """Update each of ``hashes`` with the part of its (kind, start, end) span
+    of ``view`` that lies in ``[done, mark)``, in place."""
+    for hash_, (_, start, end) in zip(hashes, spans):
+        if max(start, done) < min(end, mark):
+            hash_.update(view[max(start, done) : min(end, mark)])
 
 
 class BootHost:
@@ -268,14 +258,15 @@ class BootHost:
 
     def write_file(self, label: str, blob: bytes) -> None:
         """Create or replace a file, its extent and then the table each in
-        one mediated write: the table is committed last."""
+        one mediated write: the table is committed last, and a new version
+        goes outside the old one's extent, which stays readable till then."""
         self._require_running()
         data_start, data_sectors = self.tmiu.data_partition
         records, table_sectors = self._read_table(data_start, data_sectors)
         needed = -(-len(blob) // SECTOR_SIZE)
 
         keep = [r for r in records if r.label != label]
-        offset = self._allocate(keep, table_sectors, data_sectors, needed)
+        offset = self._allocate(records, table_sectors, data_sectors, needed)
         record = FileRecord(label=label, offset=offset, length=len(blob))
         table = build_file_table(keep + [record], table_sectors)  # may raise CapacityError
 

@@ -72,12 +72,13 @@ MAX_CONTAINER_SIZE = (1 << 32) - SECTOR_SIZE
 MAX_SECTORS = 1 << 32
 
 # A container of at least this many bytes has its trailer and the manifest's
-# content digests hashed on a worker thread while provision seals, and its
-# entry digests hashed on a worker thread while the host receives it at boot
-# (see hash_pool). Below it, the thread costs more than the overlap saves:
-# with a worker on every call, the tamper workload's set-up (a 4 KB kernel)
-# took about 1 ms longer, and with a worker on every boot its op_ms_p50 went
-# 1.05 -> 1.49 ms (five alternating 20 s pairs, 2-core Xeon, Python 3.11).
+# content digests hashed on a worker thread while provision seals (see
+# hash_pool). The host asks for a pool only at its first 2 MiB hand-over of
+# a boot stream, past this size. Below it, the thread costs more than the
+# overlap saves: with a worker on every call, the tamper workload's set-up
+# (a 4 KB kernel) took about 1 ms longer, and with a worker on every boot
+# its op_ms_p50 went 1.05 -> 1.49 ms (five alternating 20 s pairs, 2-core
+# Xeon, Python 3.11).
 HASH_THREAD_MIN_CONTAINER = 1 << 20
 
 

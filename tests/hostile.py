@@ -114,6 +114,42 @@ class RefusingCard(VirtualCard):
         return self.status if self._refuses(idx, lba) else super().open_transfer(idx, lba)
 
 
+# The SD specification's R1 bit for a general or unknown error.
+STATUS_ERROR = 1 << 19
+
+
+class ErrorBitCard(VirtualCard):
+    """A card that, once ``flagged`` is set to a command index, carries that
+    command out as an honest card would, opening its transfer if it is a
+    data command, yet sets the R1 error bits ``status`` in the answer that
+    accepts it: as a frame or through an unobserved ``open_transfer``.
+    ``flagged_at`` lists the (index, argument) of each answer so flagged."""
+
+    flagged: int | None = None
+    status = STATUS_ERROR
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.flagged_at: list[tuple[int, int]] = []
+
+    def _flag(self, idx, argument, status):
+        if status == 0 and idx == self.flagged:
+            self.flagged_at.append((idx, argument))
+            return self.status
+        return status
+
+    def answer(self, frame):
+        # A data command's frame is answered through open_transfer, which
+        # has set the bits already; an accepting answer is flagged once.
+        reply = super().answer(frame)
+        if reply is None or reply.register is not None:
+            return reply
+        return ResponseFrame(reply.index, self._flag(frame.index, frame.argument, reply.status))
+
+    def open_transfer(self, idx, lba):
+        return self._flag(idx, lba, super().open_transfer(idx, lba))
+
+
 def hostile_system(provisioned, card_class, trace):
     manifest = provisioned.manifest
     card = card_class(CardIdentity(cid=manifest.cid, csd=manifest.csd), provisioned.image.clone())

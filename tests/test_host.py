@@ -4,6 +4,7 @@ import random
 import struct
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +18,7 @@ from tmiusim.image import (
     MAX_CONTAINER_SIZE,
     CapacityError,
     EntryKind,
+    boot_image_index,
     manifest_keys,
 )
 from tmiusim.scenarios import builtin_scenarios, run_scenario
@@ -268,8 +270,8 @@ class TestThreatModelEdges:
         assert host.phase is HostPhase.HALTED and host.loaded_entries == []
 
 
-# Past HASH_THREAD_MIN_CONTAINER, so the host hashes the entries on its
-# worker; 3 MiB, so that the stream is handed over to it before it ends.
+# 3 MiB, so that the stream is handed over to the host's digest worker
+# before it ends.
 WORKER_ENTRIES = [
     (EntryKind.FSBL, b"fsbl" * 300),
     (EntryKind.KERNEL, random.Random(11).randbytes(3 << 20)),
@@ -294,8 +296,9 @@ def _container_with_spans(total_len: int, spans) -> bytes:
 
 
 class TestDigestWorker:
-    """A container of at least HASH_THREAD_MIN_CONTAINER has its entry
-    digests hashed on one worker thread while the unit streams it."""
+    """A container of more than ``_HAND_OVER_BYTES`` has its entry digests
+    hashed on one worker thread while the unit streams it, one job per
+    hand-over."""
 
     @pytest.fixture
     def workers(self, monkeypatch):
@@ -310,17 +313,18 @@ class TestDigestWorker:
     def test_digests_equal_hashlib_and_the_inline_path(self, workers, monkeypatch):
         threads, jobs = workers
         result = _worker_provision()
-        assert result.layout.boot_sectors * SECTOR_SIZE >= HASH_THREAD_MIN_CONTAINER
+        assert result.layout.boot_sectors * SECTOR_SIZE > host_module._HAND_OVER_BYTES
         host, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(threads) == 1
         want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
         assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
         # The job carries no key, no cipher or MAC and no closure: a view of
-        # the plaintext, the spans and an iterator of byte counts.
-        ((fn, (view, spans, marks)),) = jobs
+        # the plaintext, the spans, a hash object for each and two byte counts.
+        ((fn, (view, spans, hashes, done, mark)),) = jobs
         assert fn is host_module._hash_spans and fn.__closure__ is None
-        assert type(view) is memoryview and type(marks).__name__ == "callable_iterator"
+        assert type(view) is memoryview and type(done) is type(mark) is int
         assert all(type(kind) is EntryKind and type(start) is type(end) is int for kind, start, end in spans)
+        assert [type(hash_) for hash_ in hashes] == [type(hashlib.sha256())] * len(spans)
 
         monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", MAX_CONTAINER_SIZE + 1)
         inline, _, _, _, outcome = _boot(result)
@@ -328,12 +332,13 @@ class TestDigestWorker:
         assert inline.loaded_entries == host.loaded_entries
 
     def test_the_worker_is_handed_only_how_far_the_stream_has_come(self, threads, monkeypatch):
-        marks = []
+        calls = []  # (thread, done, mark) of each hashing step
         hash_spans = host_module._hash_spans
 
         @functools.wraps(hash_spans)
-        def recording(view, spans, arrived):
-            return hash_spans(view, spans, (marks.append(mark) or mark for mark in arrived))
+        def recording(view, spans, hashes, done, mark):
+            calls.append((threading.current_thread(), done, mark))
+            return hash_spans(view, spans, hashes, done, mark)
 
         monkeypatch.setattr(host_module, "_hash_spans", recording)
         result = _worker_provision()
@@ -341,9 +346,15 @@ class TestDigestWorker:
         assert outcome.ok and len(threads) == 1
         assert len(host.loaded_entries) == len(WORKER_ENTRIES)
         total = result.layout.boot_sectors * SECTOR_SIZE
-        # Byte counts, not bytes: at least one while the stream still runs,
-        # each about 2 MiB past the one before, and then the whole length.
+        # Byte counts, not bytes: at least one job while the stream still
+        # runs, each about 2 MiB past the one before, on the worker; then the
+        # tail, up to the whole length, on the booting thread.
+        *jobs, (tail_thread, _, _) = calls
+        assert jobs and [thread for thread, _, _ in jobs] == threads * len(jobs)
+        assert tail_thread is threading.current_thread()
+        marks = [mark for _, _, mark in calls]
         assert all(type(mark) is int for mark in marks)
+        assert [done for _, done, _ in calls] == [0, *marks[:-1]]
         assert marks[-1] == total and 0 < marks[0] < total
         assert all(0 < b - a <= (2 << 20) + RUN_SECTORS * SECTOR_SIZE for a, b in zip([0, *marks], marks))
 
@@ -398,8 +409,6 @@ class TestDigestWorker:
             sector = bytearray(card.backing.read_sector(late))
             sector[17] ^= 0x04
             card.backing.write_sector(late, bytes(sector))
-        elif end == "short_run":
-            card.lie = "short"  # each CMD18 transfer ends after two sectors
         elif end == "short_sector":
             card.cut_from = late
         alive = []
@@ -413,14 +422,19 @@ class TestDigestWorker:
 
         received = []
         receive = host_module._StreamBuffer.receive
-        monkeypatch.setattr(
-            host_module._StreamBuffer, "receive", lambda self, item: received.append(item) or receive(self, item)
-        )
+
+        def receiving(stream, item):
+            received.append(item)
+            if end == "short_run" and stream._filled >= (late - layout.boot_start) * SECTOR_SIZE:
+                card.lie = "short"  # from here each CMD18 transfer ends after two sectors
+            receive(stream, item)
+
+        monkeypatch.setattr(host_module._StreamBuffer, "receive", receiving)
         if end == "crypt_raises":
             monkeypatch.setattr(SectorCipher, "crypt", failing_crypt)
             with pytest.raises(RuntimeError, match="cipher failed"):
                 host.run_boot()
-            assert alive == [True]  # the worker was still waiting for the stream
+            assert alive == [True]  # the worker was still live
             assert tmiu.reason is Denial.BUS_ERROR  # the unit failed closed
         else:
             outcome = host.run_boot(expected_entries=result.manifest.entries)
@@ -474,17 +488,20 @@ class TestDigestWorker:
         assert threading.active_count() == before
 
     def test_a_hash_that_raises_on_the_worker_is_raised_by_the_boot(self, threads, monkeypatch):
-        class FailingHashlib:
-            @staticmethod
-            def sha256():
+        raised_on = []
+
+        class FailingHash:
+            def update(self, data):
+                raised_on.append(threading.current_thread())
                 raise MemoryError("no room to hash")
 
-        monkeypatch.setattr("tmiusim.host.hashlib", FailingHashlib)
+        monkeypatch.setattr("tmiusim.host.hashlib", SimpleNamespace(sha256=FailingHash))
         before = threading.active_count()
         host, _, _, _ = build_system(_worker_provision().manifest, _worker_provision().image.clone())
         with pytest.raises(MemoryError, match="no room to hash"):
             host.run_boot()
         assert len(threads) == 1 and not threads[0].is_alive()
+        assert raised_on == threads  # raised once, on the worker
         assert threading.active_count() == before
 
     def test_a_small_container_starts_no_thread(self, provisioned, threads):
@@ -495,6 +512,53 @@ class TestDigestWorker:
         for scenario in builtin_scenarios().values():
             assert run_scenario(scenario, provisioned.image, provisioned.manifest)[0] == scenario.expect
         assert threads == []
+
+    def test_the_largest_entry_table_is_whole_by_the_first_hand_over(self):
+        # The entry count is a u16; the first entry starts where the table ends.
+        with pytest.raises(struct.error):
+            build_boot_image([(EntryKind.SSBL, b"\x01")] * 0x10000)
+        spans = boot_image_index(build_boot_image([(EntryKind.SSBL, b"\x01")] * 0xFFFF))
+        (_, table_end, _), *_ = spans
+        assert len(spans) == 0xFFFF and table_end == 12 + 9 * 0xFFFF
+        assert table_end < host_module._HAND_OVER_BYTES
+
+    def test_a_container_under_one_hand_over_starts_no_thread(self, threads):
+        # Past HASH_THREAD_MIN_CONTAINER, but the stream ends before 2 MiB
+        # of it has arrived: it is all hashed at the end, on the booting thread.
+        result = provision_container(2100)
+        total = result.layout.boot_sectors * SECTOR_SIZE
+        assert HASH_THREAD_MIN_CONTAINER <= total < host_module._HAND_OVER_BYTES
+        before = threading.active_count()
+        host, _, _, _, outcome = _boot(result)
+        assert outcome.ok and len(host.loaded_entries) == 1
+        assert threads == [] and threading.active_count() == before
+
+    def test_a_traced_table_past_the_first_item_is_handed_over_while_streaming(self, workers, monkeypatch):
+        # Traced, each item is one 512-byte sector, and a table of more than
+        # 55 entries (12 + 9 * 56 = 516 bytes) does not fit in the first.
+        threads, jobs = workers
+        entries = [(EntryKind.SSBL, bytes([i]) * 300) for i in range(59)]
+        entries.append((EntryKind.KERNEL, random.Random(13).randbytes(host_module._HAND_OVER_BYTES + (64 << 10))))
+        result = make_provision(boot_entries=entries)
+        total = result.layout.boot_sectors * SECTOR_SIZE
+        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in entries]
+        runs = []
+        inline = MAX_CONTAINER_SIZE + 1
+        for trace, limit in ((True, HASH_THREAD_MIN_CONTAINER), (False, HASH_THREAD_MIN_CONTAINER), (True, inline)):
+            monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", limit)
+            host, _, bus, _, outcome = _boot(result, trace=trace)
+            assert outcome.ok
+            assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
+            runs.append((outcome.report.to_text(), bus.transcript))
+        # The traced boot handed the first 2 MiB to its worker while the
+        # stream still ran, and so did the untraced one.
+        assert len(threads) == 2
+        assert [args[3:] for _, args in jobs] == [(0, host_module._HAND_OVER_BYTES)] * 2
+        assert all(len(args[1]) == len(entries) and args[4] < total for _, args in jobs)
+        # Traced and untraced, the reports match; the traced transcripts
+        # match the one of a boot that hashed it all at the end.
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert runs[0][1] == runs[2][1] and runs[0][1] and runs[1][1] == []
 
     def test_an_entry_table_past_the_first_item_is_hashed_at_the_end(self, threads, monkeypatch):
         # In runs of 7 sectors the first item is 3,584 bytes. It ends inside

@@ -65,12 +65,13 @@ def test_an_unused_import_is_reported():
     assert _unused_imports(source) == ["crc16 (line 3)", "os (line 1)"]
 
 
-_THREAD_MODULES = ("threading", "_thread", "concurrent")
+_THREAD_MODULES = ("threading", "_thread", "concurrent", "queue")
 
 
 def _thread_imports(source: str) -> list[str]:
     """The thread modules, ``threading`` or ``concurrent.futures`` among
-    them, that ``source`` imports."""
+    them, and ``queue``, which hands data between threads, that ``source``
+    imports."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -86,7 +87,8 @@ def _thread_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_only_image_starts_threads(path):
     # One worker mechanism: image.hash_pool is the package's only way to a
-    # thread, and every keyless hash that runs off the main thread uses it.
+    # thread, and every keyless hash that runs off the main thread uses it;
+    # no other module hands data between threads by hand.
     if path.name != "image.py":
         assert _thread_imports(path.read_text()) == []
 
@@ -96,7 +98,7 @@ def test_a_thread_import_is_reported():
         "import threading\nimport concurrent.futures as cf\nfrom concurrent import futures\n"
         "from queue import SimpleQueue\nfrom _thread import start_new_thread\nfrom .threading import x\n"
     )
-    assert _thread_imports(source) == ["threading", "concurrent.futures", "concurrent", "_thread"]
+    assert _thread_imports(source) == ["threading", "concurrent.futures", "concurrent", "queue", "_thread"]
 
 
 def _referenced_name(node: ast.AST) -> str | None:

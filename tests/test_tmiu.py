@@ -39,6 +39,7 @@ from tmiusim.tmiu import (
 from conftest import DATA_FILES, image_file_records, make_provision, provision_container, record_hash_workers
 from hostile import (
     ByteCuttingCard,
+    ErrorBitCard,
     LbaShiftingCard,
     MiscountingCard,
     RefusingCard,
@@ -588,8 +589,9 @@ class TestWrongLbaCard:
 
     @staticmethod
     def _run(where, trace, monkeypatch):
-        # Past HASH_THREAD_MIN_CONTAINER: the host hashes on its worker.
-        result = provision_container(2100)
+        # About 5 MB: the host hands the stream's first 2 MiB to its digest
+        # worker before the lie in the boot stream's second half.
+        result = provision_container(10000)
         layout = result.layout
         host, tmiu, bus, card = hostile_system(result, LbaShiftingCard, trace)
         threads, _ = record_hash_workers(monkeypatch, {"_hash_spans"})
@@ -615,7 +617,7 @@ class TestWrongLbaCard:
     def test_a_sector_from_the_wrong_lba_is_denied(self, where, monkeypatch):
         untraced, traced = (self._run(where, trace, monkeypatch) for trace in (False, True))
         assert untraced == traced
-        data_start = provision_container(2100).layout.data_start
+        data_start = provision_container(10000).layout.data_start
         want = {
             "mbr": (Denial.MBR_MISMATCH, None),
             "boot_stream": (Denial.IMAGE_DIGEST_MISMATCH, None),
@@ -650,6 +652,42 @@ class TestRefusingCard:
             reports.append(tmiu.report().to_text())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize(
+        "flagged, where",
+        [
+            (CMD_SELECT, "boot"),
+            (CMD_SET_BLOCKLEN, "boot"),
+            (CMD_READ_MULTIPLE, "boot"),  # the MBR's read
+            (CMD_READ_MULTIPLE, "read_file"),
+            (CMD_WRITE_MULTIPLE, "write_file"),
+        ],
+        ids=["cmd7", "cmd16", "cmd18_boot", "cmd18_read", "cmd25_write"],
+    )
+    def test_an_error_bit_in_an_accepting_answer_is_a_bus_error(self, provisioned, flagged, where):
+        # Traced, the command crosses the wire as a frame; untraced, a data
+        # command meets the card through open_transfer.
+        entries = provisioned.manifest.entries
+        label, blob = DATA_FILES[0]
+        reports = []
+        for trace in (False, True):
+            host, tmiu, bus, card = hostile_system(provisioned, ErrorBitCard, trace)
+            if where != "boot":
+                assert host.run_boot(expected_entries=entries).ok
+            card.flagged = flagged
+            texts = []
+            if where == "boot":
+                assert host.run_boot(expected_entries=entries).outcome_class == "BusError"
+            else:
+                with pytest.raises(LockdownError, match="BusError") as raised:
+                    host.read_file(label) if where == "read_file" else host.write_file(label, blob[::-1])
+                texts.append(str(raised.value))
+            # The card accepted the command once, flagged, and was not asked again.
+            assert [idx for idx, _ in card.flagged_at] == [flagged]
+            _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts)
+            self._assert_closed(tmiu, card)
+            reports.append(tmiu.report().to_text())
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("trace", [False, True])
     def test_a_refused_data_run_writes_nothing(self, provisioned, trace):
         host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
@@ -664,9 +702,10 @@ class TestRefusingCard:
         self._assert_closed(tmiu, card)
 
     @pytest.mark.parametrize("trace", [False, True])
-    def test_a_refused_tag_run_leaves_the_file_denied_not_wrong(self, provisioned, trace):
-        # Rewritten at its own size, the first file takes its old extent
-        # back: the data run commits over it, and the tag run is refused.
+    def test_a_refused_tag_run_leaves_the_old_file_readable(self, provisioned, trace):
+        # Rewritten at its own size, the first file is placed outside its old
+        # extent: the data run commits there, and the tag run is refused
+        # before the table could name it.
         host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
         layout, entries = provisioned.layout, provisioned.manifest.entries
         assert host.run_boot(expected_entries=entries).ok
@@ -683,16 +722,14 @@ class TestRefusingCard:
             lba for lba in range(layout.total_sectors)
             if card.backing.read_sector(lba) != provisioned.image.read_sector(lba)
         ]
-        assert changed == list(extent)
+        assert len(changed) == len(extent) and not set(changed) & set(extent)
+        assert all(layout.data_start <= lba < layout.meta_start for lba in changed)
         # After a power cycle the table still names the old extent, whose
-        # sectors now fail their old tags: the read is denied, never served.
+        # sectors and tags the write left alone: the old version reads back,
+        # and so do the files the write did not touch.
         card.refused = None
         assert host.reboot(expected_entries=entries).ok
-        with pytest.raises(LockdownError) as raised:
-            host.read_file(label)
-        assert (raised.value.reason, tmiu.fault_lba) == (Denial.SECTOR_TAG_MISMATCH, extent.start)
-        # Another power cycle, and the files the write did not touch read back.
-        assert host.reboot(expected_entries=entries).ok
+        assert host.read_file(label) == blob
         assert host.read_file(other) == other_blob
 
 
