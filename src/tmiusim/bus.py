@@ -253,19 +253,29 @@ class VirtualCard:
         return self.backing.read_sectors(lba, count)
 
     def receive_write_block(self, payload: bytes, crc_ok: bool) -> int | None:
-        """Accept the data of an open CMD25 transfer, told whether its CRC
-        held at the card's receiver; commit each sector at its next LBA and
-        report acceptance via token, with no token past the geometry, or
-        close the transfer."""
+        """Accept a data frame of an open CMD25 transfer, told whether its
+        CRC held at the card's receiver: its token. An intact payload is
+        committed by :meth:`take_write` and acknowledged if all of it is; a
+        failed CRC closes the transfer. No token past the geometry."""
         idx, lba = self._open or (None, 0)
         if idx != CMD_WRITE_MULTIPLE or lba >= self.geometry:
             return None
-        count = min(len(payload) // SECTOR_SIZE, self.geometry - lba)
-        self._open = (idx, lba + count) if crc_ok else None
         if not crc_ok:
+            self._open = None
             return TOKEN_CRC_ERR
-        self.backing.write_sectors(lba, payload[: count * SECTOR_SIZE])
-        return TOKEN_CRC_OK if count * SECTOR_SIZE == len(payload) else None
+        return TOKEN_CRC_OK if self.take_write(payload) * SECTOR_SIZE == len(payload) else None
+
+    def take_write(self, data: bytes) -> int:
+        """Commit the sectors of ``data`` at an open CMD25 transfer's next
+        LBAs, never past the geometry: how many of them, from the first, the
+        card acknowledged, as the tokens of their frames one by one would."""
+        idx, lba = self._open or (None, 0)
+        if idx != CMD_WRITE_MULTIPLE or lba >= self.geometry:
+            return 0
+        count = min(len(data) // SECTOR_SIZE, self.geometry - lba)
+        self._open = (idx, lba + count)
+        self.backing.write_sectors(lba, data[: count * SECTOR_SIZE])
+        return count
 
 
 @dataclass
@@ -422,12 +432,12 @@ class SdioBus:
     def push_run(self, data: bytes) -> int:
         """Send the sectors of ``data`` to an open write transfer; how many
         of them, from the first, the card acknowledged. They go as one
-        buffer, which one token acknowledges whole or not at all, where
-        nothing observes single frames (see :meth:`fetch_run`); else frame
-        by frame until one is refused or unanswered."""
-        count = len(data) // SECTOR_SIZE
+        buffer, in one card call, where nothing observes single frames (see
+        :meth:`fetch_run`); else frame by frame until one is refused or
+        unanswered. Both ways count the same sectors."""
         if not (self.trace_enabled or self._faults["h2c"]):
-            return count if self.card.receive_write_block(data, True) == TOKEN_CRC_OK else 0
+            return self.card.take_write(data)
+        count = len(data) // SECTOR_SIZE
         for taken in range(count):
             if self.push_block(data[taken * SECTOR_SIZE : (taken + 1) * SECTOR_SIZE]) != TOKEN_CRC_OK:
                 return taken

@@ -10,25 +10,21 @@ path, with the flat file table living in the partition's leading sectors.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
-from .bus import DataBlock, SdioBus, VirtualCard
+from .bus import SdioBus, VirtualCard
 from .crypto import SECTOR_SIZE
 from .identity import CardIdentity, DeviceIdentity
 from .image import (
+    BootStream,
     CapacityError,
-    EntryKind,
     FileRecord,
     ImageFormatError,
+    LoadedEntry,
     Manifest,
     NvmImage,
-    boot_image_index,
-    boot_image_length,
     build_file_table,
-    hash_pool,
     parse_file_table,
     read_file_table,
 )
@@ -47,13 +43,6 @@ class HostError(Exception):
 
 
 @dataclass(frozen=True)
-class LoadedEntry:
-    kind_label: str
-    length: int
-    digest: bytes
-
-
-@dataclass(frozen=True)
 class BootOutcome:
     ok: bool
     reason: Denial | None
@@ -64,98 +53,6 @@ class BootOutcome:
         if self.ok:
             return "OsRunning"
         return self.reason.value if self.reason else "Unknown"
-
-
-# Each time about this many more bytes of the stream have arrived, one job
-# hashes them on the digest worker; the largest entry table (12 + 9 * 65535
-# bytes) is whole by the first. On a 13 MB boot, steps of 512 KiB, 1 MiB and
-# 2 MiB each took about 1 ms less than the one before; 4 MiB the same as
-# 2 MiB, 8 MiB about 3 ms more.
-_HAND_OVER_BYTES = 2 << 20
-
-
-class _StreamBuffer:
-    """The forwarded boot stream: verified plaintext arrives as ``bytes``; a
-    block, checked by its line CRC, is the unit signalling in-band.
-
-    The first item tells the container's length, and the stream is copied
-    in place into one buffer of that length. The entry digests are hashed
-    from that buffer, never from a copy. Each time ``_HAND_OVER_BYTES`` more
-    has arrived, one job submitted to ``hash_pool`` hashes the newly arrived
-    part of each entry; the first hand-over reads the entry table. The rest
-    is hashed at the end. The owner calls :meth:`close` however the boot
-    ends, which joins any worker."""
-
-    def __init__(self) -> None:
-        self.corrupted = False
-        self._view = memoryview(b"")  # of the buffer, once the first item tells its length
-        self._filled = self._handed = 0
-        self._spans, self._hashes, self._jobs = (), [], []
-        self._pool = None
-
-    def receive(self, item: bytes | DataBlock) -> None:
-        if isinstance(item, DataBlock):
-            self.corrupted |= not item.crc_ok
-            item = item.payload
-        if self.corrupted:
-            return  # the stream is discarded wholesale
-        if not self._view:
-            self._view = memoryview(bytearray(boot_image_length(item)))
-        end = self._filled + len(item)
-        self._view[self._filled : end] = item  # one copy, in place
-        self._filled = end
-        if end - self._handed >= _HAND_OVER_BYTES:
-            if not self._handed:
-                try:
-                    self._index()
-                except ImageFormatError:
-                    pass  # judged again over the whole stream at the end
-                if self._spans:  # a card can flip the entry count to 0
-                    self._pool = hash_pool(len(self._view))
-            if self._pool:
-                self._jobs.append(
-                    self._pool.submit(_hash_spans, self._view, self._spans, self._hashes, self._handed, end)
-                )
-            self._handed = end
-
-    def _index(self) -> None:
-        """Read the entry table: a span and a fresh hash for each entry."""
-        self._spans = boot_image_index(self._view)  # reads the header and table alone
-        self._hashes = [hashlib.sha256() for _ in self._spans]
-
-    def loaded_entries(self) -> list[LoadedEntry]:
-        """The (kind, length, digest) of each entry of the whole stream; a
-        stream its container does not describe is an :class:`ImageFormatError`.
-        A job's error is raised here."""
-        if self._filled != len(self._view):
-            raise ImageFormatError("container length field disagrees with data")
-        if not self._jobs:
-            self._index()
-            self._handed = 0
-        for job in self._jobs:
-            job.result()
-        _hash_spans(self._view, self._spans, self._hashes, self._handed, self._filled)
-        return [
-            LoadedEntry(kind.label, end - start, hash_.digest())
-            for (kind, start, end), hash_ in zip(self._spans, self._hashes)
-        ]
-
-    def close(self) -> None:
-        """Wait for the digest jobs, join their worker if they have one, and
-        release the view of the buffer."""
-        if self._pool:
-            self._pool.shutdown()
-        self._view.release()
-
-
-def _hash_spans(
-    view: memoryview, spans: Sequence[tuple[EntryKind, int, int]], hashes: Sequence, done: int, mark: int
-) -> None:
-    """Update each of ``hashes`` with the part of its (kind, start, end) span
-    of ``view`` that lies in ``[done, mark)``, in place."""
-    for hash_, (_, start, end) in zip(hashes, spans):
-        if max(start, done) < min(end, mark):
-            hash_.update(view[max(start, done) : min(end, mark)])
 
 
 class BootHost:
@@ -180,7 +77,7 @@ class BootHost:
         self.phase = HostPhase.PRE_BOOT
         self.loaded_entries, self._table = [], (b"", [])
         tmiu, bus = self.tmiu, self.bus
-        stream = _StreamBuffer()
+        stream = BootStream()
         try:
             tmiu.power_on()
             if tmiu.stage is Stage.LOCKDOWN:

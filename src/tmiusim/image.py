@@ -19,8 +19,9 @@ with one sector of lookahead:
     entries: kind u8, payload offset u32, length u32
     payload blobs | zero padding | trailing 32-byte SHA-256 over all of it
 
-:class:`ContainerCheck` is the one check of that trailer, fed run by run both
-by the unit as it streams and by :func:`verify_image` offline.
+The unit and :func:`verify_image` check its trailer with one class,
+:class:`ContainerCheck`, fed run by run; the host's boot and
+:func:`verify_image` read the entries it lets out with one :class:`BootStream`.
 
 All container integers are big-endian; MBR partition fields keep their
 conventional little-endian encoding.
@@ -37,7 +38,7 @@ from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .crypto import (
     DIGEST_SIZE,
@@ -51,6 +52,9 @@ from .crypto import (
     sha256,
 )
 from .identity import CardIdentity, DeviceIdentity, TrustAnchors, derive_keys
+
+if TYPE_CHECKING:
+    from .bus import DataBlock  # bus imports this module
 
 MBR_SIGNATURE = b"\x55\xaa"
 BOOT_PARTITION_TYPE = 0x0C
@@ -73,8 +77,8 @@ MAX_SECTORS = 1 << 32
 
 # A container of at least this many bytes has its trailer and the manifest's
 # content digests hashed on a worker thread while provision seals (see
-# hash_pool). The host asks for a pool only at its first 2 MiB hand-over of
-# a boot stream, past this size. Below it, the thread costs more than the
+# _hash_pool). A BootStream asks for a pool only at its first 2 MiB
+# hand-over, past this size. Below it, the thread costs more than the
 # overlap saves: with a worker on every call, the tamper workload's set-up
 # (a 4 KB kernel) took about 1 ms longer, and with a worker on every boot
 # its op_ms_p50 went 1.05 -> 1.49 ms (five alternating 20 s pairs, 2-core
@@ -320,8 +324,8 @@ def boot_image_index(container: bytes | bytearray) -> tuple[tuple[EntryKind, int
 
 
 def parse_boot_image(container: bytes | bytearray) -> tuple[tuple[EntryKind, bytes], ...]:
-    """The (kind, blob) entries of a container, by structure alone: the
-    digest is not checked here. Only the entries are copied out of it."""
+    """The (kind, blob) entries of a container, by structure alone, copied
+    out; the digest is not checked. Only the benchmark's tracer names it."""
     spans = boot_image_index(container)
     with memoryview(container) as view:
         return tuple((kind, bytes(view[start:end])) for kind, start, end in spans)
@@ -354,6 +358,105 @@ class ContainerCheck:
         self._hash.update(self.held[:-DIGEST_SIZE])
         if self._hash.digest() != self.held[-DIGEST_SIZE:]:
             raise ImageDigestError("boot image digest mismatch")
+
+
+@dataclass(frozen=True)
+class LoadedEntry:
+    kind_label: str
+    length: int
+    digest: bytes
+
+
+# Each time about this many more bytes of the stream have arrived, one job
+# hashes them on the digest worker; the largest entry table (12 + 9 * 65535
+# bytes) is whole by the first. On a 13 MB boot, steps of 512 KiB, 1 MiB and
+# 2 MiB each took about 1 ms less than the one before; 4 MiB the same as
+# 2 MiB, 8 MiB about 3 ms more.
+_HAND_OVER_BYTES = 2 << 20
+
+
+class BootStream:
+    """The one reader of a decrypted container: plaintext arrives as ``bytes``;
+    a block, checked by its line CRC, is the unit signalling in-band.
+
+    The first item tells the container's length, and the stream is copied
+    in place into one buffer of that length. The entry digests are hashed
+    from that buffer, never from a copy. Each time ``_HAND_OVER_BYTES`` more
+    has arrived, one job submitted to ``_hash_pool`` hashes the newly arrived
+    part of each entry; the first hand-over reads the entry table. The rest
+    is hashed at the end. The owner calls :meth:`close` however the stream
+    ends, which joins any worker."""
+
+    def __init__(self) -> None:
+        self.corrupted = False
+        self._view = memoryview(b"")  # of the buffer, once the first item tells its length
+        self._filled = self._handed = 0
+        self._spans, self._hashes, self._jobs = (), [], []
+        self._pool = None
+
+    def receive(self, item: bytes | DataBlock) -> None:
+        if not isinstance(item, bytes):  # a DataBlock
+            self.corrupted |= not item.crc_ok
+            item = item.payload
+        if self.corrupted:
+            return  # the stream is discarded wholesale
+        if not self._view:
+            self._view = memoryview(bytearray(boot_image_length(item)))
+        end = self._filled + len(item)
+        self._view[self._filled : end] = item  # one copy, in place
+        self._filled = end
+        if end - self._handed >= _HAND_OVER_BYTES:
+            if not self._handed:
+                try:
+                    self._index()
+                except ImageFormatError:
+                    pass  # judged again over the whole stream at the end
+                if self._spans:  # a card can flip the entry count to 0
+                    self._pool = _hash_pool(len(self._view))
+            if self._pool:
+                self._jobs.append(
+                    self._pool.submit(_hash_spans, self._view, self._spans, self._hashes, self._handed, end)
+                )
+            self._handed = end
+
+    def _index(self) -> None:
+        """Read the entry table: a span and a fresh hash for each entry."""
+        self._spans = boot_image_index(self._view)  # reads the header and table alone
+        self._hashes = [hashlib.sha256() for _ in self._spans]
+
+    def loaded_entries(self) -> list[LoadedEntry]:
+        """The (kind, length, digest) of each entry of the whole stream; a
+        stream its container does not describe is an :class:`ImageFormatError`.
+        A job's error is raised here."""
+        if self._filled != len(self._view):
+            raise ImageFormatError("container length field disagrees with data")
+        if not self._jobs:
+            self._index()
+            self._handed = 0
+        for job in self._jobs:
+            job.result()
+        _hash_spans(self._view, self._spans, self._hashes, self._handed, self._filled)
+        return [
+            LoadedEntry(kind.label, end - start, hash_.digest())
+            for (kind, start, end), hash_ in zip(self._spans, self._hashes)
+        ]
+
+    def close(self) -> None:
+        """Wait for the digest jobs, join their worker if they have one, and
+        release the view of the buffer."""
+        if self._pool:
+            self._pool.shutdown()
+        self._view.release()
+
+
+def _hash_spans(
+    view: memoryview, spans: Sequence[tuple[EntryKind, int, int]], hashes: Sequence, done: int, mark: int
+) -> None:
+    """Update each of ``hashes`` with the part of its (kind, start, end) span
+    of ``view`` that lies in ``[done, mark)``, in place."""
+    for hash_, (_, start, end) in zip(hashes, spans):
+        if max(start, done) < min(end, mark):
+            hash_.update(view[max(start, done) : min(end, mark)])
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +882,7 @@ def provision(
         # digests over the caller's blobs. Meanwhile the data partition and
         # the integrity region are sealed, which the trailer does not cover;
         # the boot region waits for its trailer.
-        with hash_pool(boot_len) as pool:
+        with _hash_pool(boot_len) as pool:
             trailer = pool.submit(container_trailer, buf, boot_off)
             records = pool.submit(_content_records, boot_entries, data_files)
             aes_key, mac_key = derive_keys(dev, card.cid, kdf_counter, kdf_repetitions)
@@ -826,7 +929,7 @@ class _Inline(Executor):
         return SimpleNamespace(result=partial(fn, *args))
 
 
-def hash_pool(container_len: int) -> Executor:
+def _hash_pool(container_len: int) -> Executor:
     """Where the keyless hashes of a container of ``container_len`` bytes
     run: on one worker thread from ``HASH_THREAD_MIN_CONTAINER`` up, else on
     the caller's thread when it asks for a job's result. ``result()`` gives
@@ -842,12 +945,8 @@ def _content_records(
     boot_entries: Sequence[tuple[EntryKind, bytes]], data_files: Sequence[tuple[str, bytes]]
 ) -> tuple[list[tuple[str, int, str]], list[tuple[str, int, str]]]:
     """The manifest's entry and file records: each blob's length and SHA-256."""
-    return _entry_records(boot_entries), [(label, len(b), sha256(b).hex()) for label, b in data_files]
-
-
-def _entry_records(entries: Sequence[tuple[EntryKind, bytes]]) -> list[tuple[str, int, str]]:
-    """The manifest's (kind label, length, SHA-256 hex) record of each boot entry."""
-    return [(kind.label, len(blob), sha256(blob).hex()) for kind, blob in entries]
+    entries = [(kind.label, len(blob), sha256(blob).hex()) for kind, blob in boot_entries]
+    return entries, [(label, len(b), sha256(b).hex()) for label, b in data_files]
 
 
 # ---------------------------------------------------------------------------
@@ -899,23 +998,26 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
     mbr_ok = sector_tag(mac, 0, image.read_sector(0)) == manifest.anchors.mbr_digest
     findings = ["mbr=OK" if mbr_ok else "mbr=FAIL lba=0"]
 
+    # One copy of the container: the runs the check lets out, read as the host reads them.
+    stream, check, lba = BootStream(), ContainerCheck(lay.boot_sectors), lay.boot_start
     try:
-        check = ContainerCheck(lay.boot_sectors)
-        # One growing copy of the container; the entries are the second.
-        container = bytearray(check.update(read_plain(lay.boot_start)))
-        end = lay.boot_start + 1 + check.pending
-        for lba in range(lay.boot_start + 1, end, RUN_SECTORS):
-            container += check.update(read_plain(lba, min(RUN_SECTORS, end - lba)))
-        container += check.held
-        entries = parse_boot_image(container)
+        while check.pending:  # the first sector alone, then runs
+            count = min(RUN_SECTORS, check.pending)
+            if released := check.update(read_plain(lba, count)):
+                stream.receive(released)
+            lba += count
+        stream.receive(check.held)
+        loaded = [(e.kind_label, e.length, e.digest.hex()) for e in stream.loaded_entries()]
         check.finish()
         # The trailer is unkeyed: the manifest's digests catch a forgery.
-        for i, (got, want) in enumerate(zip_longest(_entry_records(entries), manifest.entries)):
+        for i, (got, want) in enumerate(zip_longest(loaded, manifest.entries)):
             if got != want:
                 raise ImageDigestError(f"entry {i} disagrees with the manifest")
-        findings.append(f"boot_image=OK sectors={end - lay.boot_start}")
+        findings.append(f"boot_image=OK sectors={lba - lay.boot_start}")
     except (ImageFormatError, ImageDigestError) as exc:
         findings.append(f"boot_image=FAIL ({exc})")
+    finally:
+        stream.close()
 
     tag_sectors = {lba: read_plain(lba) for lba in range(lay.meta_start, lay.total_sectors)}
     bad_lbas = []

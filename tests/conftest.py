@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
 from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher
 from tmiusim.image import (
+    BootStream,
     ContainerCheck,
     FileRecord,
     Manifest,
@@ -15,7 +17,6 @@ from tmiusim.image import (
     ProvisionResult,
     container_trailer,
     manifest_keys,
-    parse_boot_image,
     parse_file_table,
     read_file_table,
     sealed_container_size,
@@ -63,7 +64,7 @@ def provision_container(sectors: int, kdf_repetitions: int = FIXTURE_KDF_REPETIT
 
 
 def record_hash_workers(monkeypatch, names) -> tuple[list, list]:
-    """(threads, jobs), filled as the worker threads of ``image.hash_pool``
+    """(threads, jobs), filled as the worker threads of ``image._hash_pool``
     are handed jobs whose function is named in ``names``: each worker thread
     once, and each job's (function, args). The names tell provisioning's
     jobs (``container_trailer``, ``_content_records``) from the host's
@@ -90,20 +91,30 @@ def build_boot_image(entries) -> bytes:
     return bytes(container)
 
 
-def check_container(container: bytes) -> tuple[tuple[EntryKind, bytes], ...]:
-    """The entries of a plaintext container that passes a
-    :class:`ContainerCheck` fed as the unit feeds it: the first sector
-    alone, then runs of up to ``RUN_SECTORS``. The boot partition is the
-    container's own whole sectors."""
-    check = ContainerCheck(len(container) // SECTOR_SIZE)
-    released = [check.update(container[:SECTOR_SIZE])]
-    end = (1 + check.pending) * SECTOR_SIZE
-    step = RUN_SECTORS * SECTOR_SIZE
-    for start in range(SECTOR_SIZE, end, step):
-        released.append(check.update(container[start : min(start + step, end)]))
-    entries = parse_boot_image(b"".join(released) + check.held)
-    check.finish()
-    return entries
+def entry_digests(entries) -> list[tuple[str, int, bytes]]:
+    """The (kind label, length, SHA-256) of each (kind, blob) boot entry."""
+    return [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in entries]
+
+
+def check_container(container: bytes) -> list[tuple[str, int, bytes]]:
+    """The (kind label, length, SHA-256) of each entry of a plaintext
+    container that passes a :class:`ContainerCheck` fed as the unit feeds
+    it, the first sector alone, then runs of up to ``RUN_SECTORS``, each run
+    it lets out read by a :class:`BootStream` as the host reads it. The boot
+    partition is the container's own whole sectors."""
+    check, stream, start = ContainerCheck(len(container) // SECTOR_SIZE), BootStream(), 0
+    try:
+        while check.pending:
+            end = start + min(RUN_SECTORS, check.pending) * SECTOR_SIZE
+            if released := check.update(container[start:end]):
+                stream.receive(released)
+            start = end
+        stream.receive(check.held)
+        entries = stream.loaded_entries()
+        check.finish()
+    finally:
+        stream.close()
+    return [(e.kind_label, e.length, e.digest) for e in entries]
 
 
 def forge_container(result: ProvisionResult, forged: bytes) -> NvmImage:

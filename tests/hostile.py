@@ -6,7 +6,7 @@ lie is switched on, so a test can let the unit boot and then turn hostile.
 
 from __future__ import annotations
 
-from tmiusim.bus import CMD_READ_MULTIPLE, ResponseFrame, SdioBus, VirtualCard
+from tmiusim.bus import CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE, ResponseFrame, SdioBus, VirtualCard
 from tmiusim.crypto import SECTOR_SIZE
 from tmiusim.host import BootHost
 from tmiusim.identity import CardIdentity, DeviceIdentity
@@ -148,6 +148,60 @@ class ErrorBitCard(VirtualCard):
 
     def open_transfer(self, idx, lba):
         return self._flag(idx, lba, super().open_transfer(idx, lba))
+
+
+class StallingCard(VirtualCard):
+    """A card that, once ``acked`` is set to k, acknowledges only the first
+    k sectors of each CMD25 transfer opened at an LBA in ``lbas``: it
+    commits them, then answers nothing until the transfer ends, whether the
+    sectors come as frames or as one run. ``stalls`` counts the transfers
+    it so cut short."""
+
+    acked: int | None = None
+    lbas: range = range(1 << 32)
+    stalls = 0
+    _left: int | None = None  # sectors the open CMD25 transfer may still commit
+
+    def open_transfer(self, idx, lba):
+        status = super().open_transfer(idx, lba)
+        stalling = status == 0 and idx == CMD_WRITE_MULTIPLE and lba in self.lbas
+        self._left = self.acked if stalling else None
+        return status
+
+    def take_write(self, data):
+        if self._left is None:
+            return super().take_write(data)
+        count = min(self._left, len(data) // SECTOR_SIZE)
+        taken = super().take_write(data[: count * SECTOR_SIZE]) if count else 0
+        self._left -= taken
+        self.stalls += taken < len(data) // SECTOR_SIZE
+        return taken
+
+
+class SuspensionIgnoringCard(VirtualCard):
+    """A card that ignores ``suspend_io`` and goes on answering. ``calls``
+    lists in order each suspension and the name of each command or data
+    call that reaches the card, so a test can tell what came after one."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.calls: list[str] = []
+
+    def suspend_io(self):
+        self.calls.append("suspend_io")
+
+
+def _recorded(name):
+    def method(self, *args):
+        self.calls.append(name)
+        return getattr(VirtualCard, name)(self, *args)
+
+    return method
+
+
+for _name in ("issue", "answer", "stop_transfer", "open_transfer", "take_read", "take_write", "receive_write_block"):
+    setattr(SuspensionIgnoringCard, _name, _recorded(_name))
+del _name
 
 
 def hostile_system(provisioned, card_class, trace):

@@ -4,13 +4,12 @@ import random
 import struct
 import sys
 import threading
-from types import SimpleNamespace
 
 import pytest
 
 from tmiusim.bus import DataBlock, VirtualCard
 from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher, sha256
-from tmiusim import host as host_module
+from tmiusim import image as image_module
 from tmiusim.host import HostError, HostPhase, build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import (
@@ -313,7 +312,7 @@ class TestDigestWorker:
     def test_digests_equal_hashlib_and_the_inline_path(self, workers, monkeypatch):
         threads, jobs = workers
         result = _worker_provision()
-        assert result.layout.boot_sectors * SECTOR_SIZE > host_module._HAND_OVER_BYTES
+        assert result.layout.boot_sectors * SECTOR_SIZE > image_module._HAND_OVER_BYTES
         host, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(threads) == 1
         want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
@@ -321,7 +320,7 @@ class TestDigestWorker:
         # The job carries no key, no cipher or MAC and no closure: a view of
         # the plaintext, the spans, a hash object for each and two byte counts.
         ((fn, (view, spans, hashes, done, mark)),) = jobs
-        assert fn is host_module._hash_spans and fn.__closure__ is None
+        assert fn is image_module._hash_spans and fn.__closure__ is None
         assert type(view) is memoryview and type(done) is type(mark) is int
         assert all(type(kind) is EntryKind and type(start) is type(end) is int for kind, start, end in spans)
         assert [type(hash_) for hash_ in hashes] == [type(hashlib.sha256())] * len(spans)
@@ -333,14 +332,14 @@ class TestDigestWorker:
 
     def test_the_worker_is_handed_only_how_far_the_stream_has_come(self, threads, monkeypatch):
         calls = []  # (thread, done, mark) of each hashing step
-        hash_spans = host_module._hash_spans
+        hash_spans = image_module._hash_spans
 
         @functools.wraps(hash_spans)
         def recording(view, spans, hashes, done, mark):
             calls.append((threading.current_thread(), done, mark))
             return hash_spans(view, spans, hashes, done, mark)
 
-        monkeypatch.setattr(host_module, "_hash_spans", recording)
+        monkeypatch.setattr(image_module, "_hash_spans", recording)
         result = _worker_provision()
         host, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(threads) == 1
@@ -421,7 +420,7 @@ class TestDigestWorker:
             return crypt(self, first_sector, data)
 
         received = []
-        receive = host_module._StreamBuffer.receive
+        receive = image_module.BootStream.receive
 
         def receiving(stream, item):
             received.append(item)
@@ -429,7 +428,7 @@ class TestDigestWorker:
                 card.lie = "short"  # from here each CMD18 transfer ends after two sectors
             receive(stream, item)
 
-        monkeypatch.setattr(host_module._StreamBuffer, "receive", receiving)
+        monkeypatch.setattr(image_module.BootStream, "receive", receiving)
         if end == "crypt_raises":
             monkeypatch.setattr(SectorCipher, "crypt", failing_crypt)
             with pytest.raises(RuntimeError, match="cipher failed"):
@@ -458,9 +457,9 @@ class TestDigestWorker:
         sector[6:8] = bytes(a ^ b for a, b in zip(sector[6:8], len(WORKER_ENTRIES).to_bytes(2, "big")))
         card.backing.write_sector(boot_start, bytes(sector))
         received = []
-        receive = host_module._StreamBuffer.receive
+        receive = image_module.BootStream.receive
         monkeypatch.setattr(
-            host_module._StreamBuffer, "receive", lambda self, item: received.append(item) or receive(self, item)
+            image_module.BootStream, "receive", lambda self, item: received.append(item) or receive(self, item)
         )
         before = threading.active_count()
         outcome = host.run_boot(expected_entries=result.manifest.entries)
@@ -495,7 +494,14 @@ class TestDigestWorker:
                 raised_on.append(threading.current_thread())
                 raise MemoryError("no room to hash")
 
-        monkeypatch.setattr("tmiusim.host.hashlib", SimpleNamespace(sha256=FailingHash))
+        index = image_module.BootStream._index
+
+        def failing_index(stream):
+            # The reader's entry hashes fail; the unit's container hash does not.
+            index(stream)
+            stream._hashes = [FailingHash() for _ in stream._spans]
+
+        monkeypatch.setattr(image_module.BootStream, "_index", failing_index)
         before = threading.active_count()
         host, _, _, _ = build_system(_worker_provision().manifest, _worker_provision().image.clone())
         with pytest.raises(MemoryError, match="no room to hash"):
@@ -520,25 +526,36 @@ class TestDigestWorker:
         spans = boot_image_index(build_boot_image([(EntryKind.SSBL, b"\x01")] * 0xFFFF))
         (_, table_end, _), *_ = spans
         assert len(spans) == 0xFFFF and table_end == 12 + 9 * 0xFFFF
-        assert table_end < host_module._HAND_OVER_BYTES
+        assert table_end < image_module._HAND_OVER_BYTES
 
     def test_a_container_under_one_hand_over_starts_no_thread(self, threads):
         # Past HASH_THREAD_MIN_CONTAINER, but the stream ends before 2 MiB
         # of it has arrived: it is all hashed at the end, on the booting thread.
         result = provision_container(2100)
         total = result.layout.boot_sectors * SECTOR_SIZE
-        assert HASH_THREAD_MIN_CONTAINER <= total < host_module._HAND_OVER_BYTES
+        assert HASH_THREAD_MIN_CONTAINER <= total < image_module._HAND_OVER_BYTES
         before = threading.active_count()
         host, _, _, _, outcome = _boot(result)
         assert outcome.ok and len(host.loaded_entries) == 1
         assert threads == [] and threading.active_count() == before
 
-    def test_a_traced_table_past_the_first_item_is_handed_over_while_streaming(self, workers, monkeypatch):
+    @pytest.mark.parametrize(
+        "ssbls, run_sectors",
+        [(59, RUN_SECTORS), (396, 7)],
+        ids=["60_entries", "397_entries_in_runs_of_7"],
+    )
+    def test_a_traced_table_past_the_first_item_is_handed_over_while_streaming(
+        self, workers, monkeypatch, ssbls, run_sectors
+    ):
         # Traced, each item is one 512-byte sector, and a table of more than
         # 55 entries (12 + 9 * 56 = 516 bytes) does not fit in the first.
+        # Untraced, in runs of 7 sectors the first item is 3,584 bytes: it
+        # ends inside the length field of the last entry of a 397-entry
+        # table, before the length's low byte.
         threads, jobs = workers
-        entries = [(EntryKind.SSBL, bytes([i]) * 300) for i in range(59)]
-        entries.append((EntryKind.KERNEL, random.Random(13).randbytes(host_module._HAND_OVER_BYTES + (64 << 10))))
+        monkeypatch.setattr("tmiusim.tmiu.RUN_SECTORS", run_sectors)
+        entries = [(EntryKind.SSBL, bytes([i % 256]) * 300) for i in range(ssbls)]
+        entries.append((EntryKind.KERNEL, random.Random(13).randbytes(image_module._HAND_OVER_BYTES + (64 << 10))))
         result = make_provision(boot_entries=entries)
         total = result.layout.boot_sectors * SECTOR_SIZE
         want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in entries]
@@ -551,27 +568,17 @@ class TestDigestWorker:
             assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
             runs.append((outcome.report.to_text(), bus.transcript))
         # The traced boot handed the first 2 MiB to its worker while the
-        # stream still ran, and so did the untraced one.
+        # stream still ran, and so did the untraced one, at the end of the
+        # first run that reached 2 MiB.
+        run = run_sectors * SECTOR_SIZE
+        untraced_mark = -(-image_module._HAND_OVER_BYTES // run) * run
         assert len(threads) == 2
-        assert [args[3:] for _, args in jobs] == [(0, host_module._HAND_OVER_BYTES)] * 2
+        assert [args[3:] for _, args in jobs] == [(0, image_module._HAND_OVER_BYTES), (0, untraced_mark)]
         assert all(len(args[1]) == len(entries) and args[4] < total for _, args in jobs)
         # Traced and untraced, the reports match; the traced transcripts
         # match the one of a boot that hashed it all at the end.
         assert runs[0][0] == runs[1][0] == runs[2][0]
         assert runs[0][1] == runs[2][1] and runs[0][1] and runs[1][1] == []
-
-    def test_an_entry_table_past_the_first_item_is_hashed_at_the_end(self, threads, monkeypatch):
-        # In runs of 7 sectors the first item is 3,584 bytes. It ends inside
-        # the length field of the last entry of this 397-entry table, before
-        # the length's low byte.
-        monkeypatch.setattr("tmiusim.tmiu.RUN_SECTORS", 7)
-        entries = [(EntryKind.SSBL, bytes([i % 256]) * 300) for i in range(396)]
-        entries.append((EntryKind.KERNEL, random.Random(12).randbytes(HASH_THREAD_MIN_CONTAINER + 300)))
-        result = make_provision(boot_entries=entries)
-        host, _, _, _, outcome = _boot(result)
-        assert outcome.ok and threads == []
-        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in entries]
-        assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
 
     def test_entries_whose_spans_overlap_or_come_out_of_order(self, threads, monkeypatch):
         result = provision_container(6000)

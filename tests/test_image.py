@@ -60,6 +60,7 @@ from conftest import (
     DATA_FILES,
     build_boot_image,
     check_container,
+    entry_digests,
     forge_kernel,
     image_file_records,
     make_provision,
@@ -178,7 +179,7 @@ class TestBootImage:
 
     def test_round_trip_and_verify(self):
         container = build_boot_image(BOOT_ENTRIES)
-        assert list(check_container(container)) == BOOT_ENTRIES
+        assert check_container(container) == entry_digests(BOOT_ENTRIES)
         assert boot_image_length(container[:64]) == len(container)
 
     def test_any_payload_tamper_breaks_digest(self):
@@ -212,7 +213,7 @@ class TestBootImage:
                 (rng.choice(kinds), rng.randbytes(rng.randrange(1, 3000)))
                 for _ in range(rng.randrange(1, 6))
             ]
-            assert list(check_container(build_boot_image(entries))) == entries
+            assert check_container(build_boot_image(entries)) == entry_digests(entries)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(data=st.data())
@@ -468,7 +469,7 @@ class TestProvision:
             decrypt_sector(cipher, layout.boot_start + i, image.read_sector(layout.boot_start + i))
             for i in range(layout.boot_sectors)
         )
-        assert list(check_container(container[: boot_image_length(container)])) == BOOT_ENTRIES
+        assert check_container(container[: boot_image_length(container)]) == entry_digests(BOOT_ENTRIES)
 
         table_plain = decrypt_sector(
             cipher, layout.data_start, image.read_sector(layout.data_start)
@@ -1030,11 +1031,10 @@ class TestVerifyImage:
         else:
             assert boot.startswith("boot_image=FAIL")
 
-    def test_boot_container_check_keeps_about_two_copies(self):
-        # The container grows in one buffer, and the entries parsed from it
-        # are the second copy; joining the runs and then appending the held
-        # sector made about three.
-        sectors = 4096  # a 2 MB kernel
+    def test_boot_container_check_keeps_one_copy(self):
+        # The runs the check lets out are copied once, into the reader's
+        # buffer, and the entries are hashed in place there.
+        sectors = 6000  # a 3 MB kernel, handed over to the reader's worker
         result = provision_container(sectors)
         tracemalloc.start()
         try:
@@ -1043,7 +1043,7 @@ class TestVerifyImage:
         finally:
             tracemalloc.stop()
         assert findings[1] == f"boot_image=OK sectors={sectors}"
-        assert peak < 2.5 * sectors * SECTOR_SIZE
+        assert peak < 1.25 * sectors * SECTOR_SIZE
 
     def test_container_forged_from_known_plaintext_is_a_finding(self, provisioned):
         # The trailer passes (see forge_kernel); the manifest's digest of

@@ -86,7 +86,7 @@ def _thread_imports(source: str) -> list[str]:
 
 @pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
 def test_only_image_starts_threads(path):
-    # One worker mechanism: image.hash_pool is the package's only way to a
+    # One worker mechanism: image._hash_pool is the package's only way to a
     # thread, and every keyless hash that runs off the main thread uses it;
     # no other module hands data between threads by hand.
     if path.name != "image.py":

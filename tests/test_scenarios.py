@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmiusim.host import build_system
+from tmiusim import host as host_module
+from tmiusim.host import HostError, build_system
 from tmiusim.image import NvmImage
 from tmiusim.scenarios import (
     OUTCOME_CLASSES,
@@ -14,7 +15,10 @@ from tmiusim.scenarios import (
     run_scenario,
 )
 
-from conftest import image_file_records
+from tmiusim.tmiu import LockdownError, Tmiu
+
+from conftest import DATA_FILES, image_file_records
+from hostile import SuspensionIgnoringCard
 
 
 @pytest.fixture(scope="module")
@@ -224,3 +228,49 @@ class TestRunScenario:
         scenario = parse_scenario("target=device_dna mutate=flip_bit:0:7 expect=DeviceMismatch")
         with pytest.raises(ScenarioError):
             run_scenario(scenario, provisioned.image, provisioned.manifest)
+
+
+_LOCKDOWN_SCENARIOS = sorted(name for name, s in builtin_scenarios().items() if s.expect != "OsRunning")
+
+
+class TestSuspensionIgnoringCard:
+    """A card that answers after ``suspend_io``: once the unit has locked
+    down, neither the unit nor the host sends it anything."""
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("name", _LOCKDOWN_SCENARIOS)
+    def test_nothing_reaches_the_card_after_a_lockdown(self, provisioned, monkeypatch, name, trace):
+        systems = []
+
+        def building(*args, **kwargs):
+            systems.append(build_system(*args, trace=trace, **kwargs))
+            return systems[-1]
+
+        lockdown = Tmiu._lockdown
+
+        def marking(tmiu, *args, **kwargs):
+            systems[-1][3].calls.append("lockdown")
+            return lockdown(tmiu, *args, **kwargs)
+
+        monkeypatch.setattr(host_module, "VirtualCard", SuspensionIgnoringCard)
+        monkeypatch.setattr("tmiusim.scenarios.build_system", building)
+        monkeypatch.setattr(Tmiu, "_lockdown", marking)
+        scenario = builtin_scenarios()[name]
+        assert run_scenario(scenario, provisioned.image, provisioned.manifest)[0] == scenario.expect
+        (host, tmiu, bus, card), = systems
+        # Every way in, from the host and from the unit, after the lockdown.
+        label, blob = DATA_FILES[0]
+        data_start = provisioned.layout.data_start
+        for attempt in (
+            lambda: host.read_file(label),
+            lambda: host.write_file(label, blob),
+            lambda: tmiu.authenticate_memory(bus),
+            lambda: tmiu.verify_mbr_and_image(bus, lambda item: None),
+            lambda: tmiu.mediate_read(bus, data_start),
+            lambda: tmiu.mediate_write(bus, data_start, bytes(512)),
+            host.run_boot,
+        ):
+            with pytest.raises((HostError, LockdownError)):
+                attempt()
+        assert card.calls.count("lockdown") == 1
+        assert card.calls[card.calls.index("lockdown") + 1 :] in ([], ["suspend_io"])

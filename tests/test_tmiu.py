@@ -19,7 +19,7 @@ from tmiusim.bus import (
     VirtualCard,
 )
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
-from tmiusim import host as host_module
+from tmiusim import image as image_module
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import FileRecord, build_file_table, manifest_keys
@@ -44,6 +44,7 @@ from hostile import (
     MiscountingCard,
     RefusingCard,
     ResponseCuttingCard,
+    StallingCard,
     hostile_system,
 )
 
@@ -733,6 +734,36 @@ class TestRefusingCard:
         assert host.read_file(other) == other_blob
 
 
+class TestStallingCard:
+    """A card that acknowledges only the first k sectors of each CMD25
+    transfer, commits them and then answers nothing. Traced or not, each
+    transfer is resent from its first unacknowledged sector, one sector
+    transfer more each time, and the write completes."""
+
+    @pytest.mark.parametrize("acked", [1, 2, 3])
+    @pytest.mark.parametrize("run, size", [("data", 3072), ("tag", 60 * SECTOR_SIZE)], ids=["data_run", "tag_run"])
+    def test_a_write_resumes_at_the_first_unacknowledged_sector(self, provisioned, run, size, acked):
+        # A 60-sector file's tags fill four tag sectors or more, so k <= 3
+        # cuts its tag run too.
+        layout, entries = provisioned.layout, provisioned.manifest.entries
+        data, meta = range(layout.data_start, layout.meta_start), range(layout.meta_start, layout.total_sectors)
+        stalled = data if run == "data" else meta
+        blob = random.Random(acked).randbytes(size)
+        results = []
+        for card_class, trace in ((VirtualCard, False), (StallingCard, False), (StallingCard, True)):
+            host, tmiu, _, card = hostile_system(provisioned, card_class, trace)
+            assert host.run_boot(expected_entries=entries).ok
+            card.acked, card.lbas = acked, stalled
+            host.write_file("new.bin", blob)
+            charged = (tmiu.ledger.cycles, tmiu.ledger.bytes_moved)
+            assert tmiu.stage is Stage.OPERATIONAL and host.read_file("new.bin") == blob
+            results.append((getattr(card, "stalls", 0), charged, card.backing.to_bytes()))
+        (_, clean, stored), (stalls, untraced, untraced_stored), traced = results
+        assert stalls > 0 and traced == (stalls, untraced, untraced_stored)
+        assert untraced_stored == stored
+        assert untraced == (clean[0] + stalls * SECTOR_TRANSFER_CYCLES, clean[1] + stalls * SECTOR_SIZE)
+
+
 class InternalFault(Exception):
     """A fault inside the simulator, raised by a patched step."""
 
@@ -776,7 +807,7 @@ class TestInternalFault:
             at_fault.append((threading.active_count(), card._open))
             raise InternalFault(step)
 
-        crypt, receive = SectorCipher.crypt, host_module._StreamBuffer.receive
+        crypt, receive = SectorCipher.crypt, image_module.BootStream.receive
         received, arrived = [], []
 
         def receiving(stream, item):
@@ -787,7 +818,7 @@ class TestInternalFault:
                     fault()
             receive(stream, item)
 
-        monkeypatch.setattr(host_module._StreamBuffer, "receive", receiving)
+        monkeypatch.setattr(image_module.BootStream, "receive", receiving)
         if step == "crypt":
             monkeypatch.setattr(
                 SectorCipher, "crypt", lambda cipher, first, data: fault() if first >= at else crypt(cipher, first, data)
