@@ -147,9 +147,6 @@ class DataBlock:
     def crc_ok(self) -> bool:
         return crc16(self.payload) == self.crc
 
-    def to_bytes(self) -> bytes:
-        return self.payload + struct.pack(">H", self.crc)
-
 
 class CardState(Enum):
     IDLE = "idle"

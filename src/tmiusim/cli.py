@@ -121,11 +121,10 @@ def cmd_provision(args: argparse.Namespace) -> int:
     dna = _parse_dna(args.dna)
     derived = CardIdentity.from_seed(dna.to_bytes(8, "big"))
     cid = _parse_hex_bytes(args.cid, 16, "cid") if args.cid else derived.cid
-    csd = _parse_hex_bytes(args.csd, 16, "csd") if args.csd else derived.csd
 
     try:
         device = DeviceIdentity(dna=dna)
-        card = CardIdentity(cid=cid, csd=csd)
+        card = CardIdentity(cid=cid, csd=derived.csd)
         result = provision(
             entries,
             files,
@@ -161,11 +160,8 @@ def cmd_boot(args: argparse.Namespace) -> int:
     image, manifest = _load_pair(args.image, args.manifest)
     dna = _parse_dna(args.dna) if args.dna else None
     cid = _parse_hex_bytes(args.cid, 16, "cid") if args.cid else None
-    csd = _parse_hex_bytes(args.csd, 16, "csd") if args.csd else None
 
-    host, _, bus, _ = build_system(
-        manifest, image, dna=dna, cid=cid, csd=csd, trace=bool(args.trace)
-    )
+    host, _, bus, _ = build_system(manifest, image, dna=dna, cid=cid, trace=bool(args.trace))
     outcome = host.run_boot(expected_entries=manifest.entries)
     report = outcome.report.to_text()
     print(report, end="")
@@ -296,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", help="manifest path (default: <out>.manifest)")
     p.add_argument("--dna", required=True, help="57-bit device identifier (e.g. 0x0123456789abcd)")
     p.add_argument("--cid", help="128-bit card identifier, 32 hex digits (default: derived)")
-    p.add_argument("--csd", help="128-bit card CSD register, 32 hex digits (default: derived)")
     p.add_argument("--sectors", type=int, help="total geometry in sectors (default: minimal+slack)")
     p.add_argument("--counter", type=int, default=1, help="KDF counter (default 1)")
     p.add_argument("--repetitions", type=int, default=1000, help=_REPETITIONS_HELP)
@@ -309,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--dna", help="present a different device identifier")
     p.add_argument("--cid", help="present a different card identifier (32 hex digits)")
-    p.add_argument("--csd", help="present a different CSD register (32 hex digits)")
     p.add_argument("--trace", help="write the bus transcript to a file")
     p.add_argument("--report", help="also write the report to a file")
     p.set_defaults(func=cmd_boot)
@@ -344,7 +338,3 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

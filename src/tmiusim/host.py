@@ -158,6 +158,7 @@ class BootHost:
         one mediated write: the table is committed last, and a new version
         goes outside the old one's extent, which stays readable till then."""
         self._require_running()
+        blob = memoryview(blob).tobytes()  # counted in bytes, whatever the buffer's format
         data_start, data_sectors = self.tmiu.data_partition
         records, table_sectors = self._read_table(data_start, data_sectors)
         needed = -(-len(blob) // SECTOR_SIZE)
@@ -207,19 +208,16 @@ def build_system(
     *,
     dna: int | None = None,
     cid: bytes | None = None,
-    csd: bytes | None = None,
     trace: bool = False,
 ) -> tuple[BootHost, Tmiu, SdioBus, VirtualCard]:
     """Assemble a simulator from an image and its manifest.
 
     Identity overrides model swapped hardware: a different ``dna`` presents a
-    foreign device, a different ``cid``/``csd`` a foreign card.
+    foreign device, a different ``cid`` a foreign card. The card answers
+    CMD9 with the manifest's CSD, which the unit does not authenticate.
     """
     device = DeviceIdentity(dna=manifest.dna if dna is None else dna)
-    identity = CardIdentity(
-        cid=manifest.cid if cid is None else cid,
-        csd=manifest.csd if csd is None else csd,
-    )
+    identity = CardIdentity(cid=manifest.cid if cid is None else cid, csd=manifest.csd)
     card = VirtualCard(identity, image)
     tmiu = Tmiu(manifest.anchors, device)
     bus = SdioBus(card, ledger=tmiu.ledger, trace=trace)

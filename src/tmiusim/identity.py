@@ -7,6 +7,7 @@ configuration. Both identities are immutable once constructed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum, auto
 
@@ -31,7 +32,7 @@ class DeviceIdentity:
     dna: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.dna < 1 << DNA_BITS:
+        if not 0 <= operator.index(self.dna) < 1 << DNA_BITS:  # a float is a TypeError
             raise ValueError(f"device dna must be a {DNA_BITS}-bit value")
 
     def encoded(self) -> bytes:
@@ -51,10 +52,11 @@ class CardIdentity:
     csd: bytes = bytes(CSD_SIZE)
 
     def __post_init__(self) -> None:
-        if len(self.cid) != CID_SIZE:
-            raise ValueError("cid must be 16 bytes")
-        if len(self.csd) != CSD_SIZE:
-            raise ValueError("csd must be 16 bytes")
+        for name, size in (("cid", CID_SIZE), ("csd", CSD_SIZE)):
+            raw = memoryview(getattr(self, name)).tobytes()  # a str or an int is a TypeError
+            if len(raw) != size:
+                raise ValueError(f"{name} must be {size} bytes")
+            object.__setattr__(self, name, raw)
 
     def cid_well_formed(self) -> bool:
         return self.cid[15] == ((crc7(self.cid[:15]) << 1) | 1)
@@ -72,9 +74,9 @@ def device_checksum(dev: DeviceIdentity) -> bytes:
     return sha256(dev.encoded())
 
 
-def nvm_checksum(card: CardIdentity, bind_csd: bool = False) -> bytes:
-    preimage = card.cid + (card.csd if bind_csd else b"")
-    return sha256(preimage)
+def nvm_checksum(card: CardIdentity) -> bytes:
+    """The SHA-256 of the CID alone: the card's CSD register is not anchored."""
+    return sha256(card.cid)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,6 @@ class TrustAnchors:
     mbr_digest: bytes
     kdf_counter: int
     kdf_repetitions: int
-    bind_csd: bool = False
 
     def __post_init__(self) -> None:
         for name in ("device_checksum", "nvm_checksum", "mbr_digest"):
@@ -103,15 +104,13 @@ class TrustAnchors:
         mbr_digest: bytes,
         kdf_counter: int,
         kdf_repetitions: int,
-        bind_csd: bool = False,
     ) -> "TrustAnchors":
         return cls(
             device_checksum=device_checksum(dev),
-            nvm_checksum=nvm_checksum(card, bind_csd),
+            nvm_checksum=nvm_checksum(card),
             mbr_digest=mbr_digest,
             kdf_counter=kdf_counter,
             kdf_repetitions=kdf_repetitions,
-            bind_csd=bind_csd,
         )
 
 
@@ -140,6 +139,6 @@ def authenticate_nvm(anchors: TrustAnchors, card: CardIdentity) -> AuthFailure |
     """
     if not card.cid_well_formed():
         return AuthFailure.MALFORMED_CID
-    if nvm_checksum(card, anchors.bind_csd) != anchors.nvm_checksum:
+    if nvm_checksum(card) != anchors.nvm_checksum:
         return AuthFailure.NVM_MISMATCH
     return None

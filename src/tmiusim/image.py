@@ -30,6 +30,7 @@ conventional little-endian encoding.
 from __future__ import annotations
 
 import hashlib
+import operator
 import struct
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -88,18 +89,6 @@ HASH_THREAD_MIN_CONTAINER = 1 << 20
 
 class MbrError(ValueError):
     """Structural defect in a master boot record."""
-
-
-class BadMbrSignature(MbrError):
-    pass
-
-
-class OverlappingPartitions(MbrError):
-    pass
-
-
-class PartitionOutOfBounds(MbrError):
-    pass
 
 
 class ImageFormatError(ValueError):
@@ -207,12 +196,13 @@ class MbrSector:
         return None
 
 
-def parse_mbr(sector: bytes, total_sectors: int | None = None) -> MbrSector:
-    """Parse a plaintext MBR sector, enforcing signature, overlap and bounds."""
+def parse_mbr(sector: bytes, total_sectors: int) -> MbrSector:
+    """Parse a plaintext MBR sector, enforcing signature, overlap and bounds
+    in a ``total_sectors`` geometry; any defect is an :class:`MbrError`."""
     if len(sector) != SECTOR_SIZE:
         raise MbrError("MBR sector must be 512 bytes")
     if sector[510:512] != MBR_SIGNATURE:
-        raise BadMbrSignature("missing 0x55AA signature")
+        raise MbrError("missing 0x55AA signature")
     parts = []
     for i in range(4):
         entry = PartitionEntry.unpack(sector[446 + 16 * i : 446 + 16 * (i + 1)])
@@ -221,14 +211,12 @@ def parse_mbr(sector: bytes, total_sectors: int | None = None) -> MbrSector:
     spans = sorted((p.lba_start, p.lba_start + p.sector_count) for p in parts)
     for (s1, e1), (s2, _) in zip(spans, spans[1:]):
         if s2 < e1:
-            raise OverlappingPartitions(f"partitions overlap at LBA {s2}")
+            raise MbrError(f"partitions overlap at LBA {s2}")
     for part in parts:
         if part.sector_count == 0 or part.lba_start == 0:
-            raise PartitionOutOfBounds("partition must start past LBA 0 and be non-empty")
-        if total_sectors is not None and part.lba_start + part.sector_count > total_sectors:
-            raise PartitionOutOfBounds(
-                f"partition [{part.lba_start}, +{part.sector_count}) exceeds geometry"
-            )
+            raise MbrError("partition must start past LBA 0 and be non-empty")
+        if part.lba_start + part.sector_count > total_sectors:
+            raise MbrError(f"partition [{part.lba_start}, +{part.sector_count}) exceeds geometry")
     return MbrSector(partitions=tuple(parts), bootstrap=sector[:446])
 
 
@@ -425,11 +413,11 @@ class BootStream:
         self._hashes = [hashlib.sha256() for _ in self._spans]
 
     def loaded_entries(self) -> list[LoadedEntry]:
-        """The (kind, length, digest) of each entry of the whole stream; a
-        stream its container does not describe is an :class:`ImageFormatError`.
-        A job's error is raised here."""
-        if self._filled != len(self._view):
-            raise ImageFormatError("container length field disagrees with data")
+        """The (kind, length, digest) of each entry of the whole stream; an
+        entry table that does not fit the container is an
+        :class:`ImageFormatError`. A job's error is raised here. Each owner
+        calls it only once a :class:`ContainerCheck` has let the whole
+        container through, so the stream has filled the buffer."""
         if not self._jobs:
             self._index()
             self._handed = 0
@@ -475,16 +463,30 @@ class FileRecord:
         return range(start, start + -(-self.length // SECTOR_SIZE))
 
 
+def _bad_label(label: bytes) -> bool:
+    """Whether a label, as UTF-8, is empty or holds a character below
+    U+0020: labels land in the line-oriented manifest. With uniqueness in
+    its table and the 16-bit length, this is the one label rule."""
+    return not label or min(label) < 0x20
+
+
 def build_file_table(records: Sequence[FileRecord], table_sectors: int) -> bytes:
     """The table's sector count, record count and each label's length are
-    16-bit fields; a value past 65535 is a :class:`CapacityError`."""
-    if table_sectors > 0xFFFF or len(records) > 0xFFFF:
+    16-bit fields; a value past 65535 is a :class:`CapacityError`. A label
+    that breaks the label rule (:func:`_bad_label`) is a :class:`ValueError`."""
+    if operator.index(table_sectors) > 0xFFFF or len(records) > 0xFFFF:  # a float is a TypeError
         raise CapacityError("a file table holds at most 65535 sectors and 65535 records")
+    if len({rec.label for rec in records}) != len(records):
+        raise ValueError("duplicate file labels")
     body = bytearray(_TABLE_HEADER.pack(FILE_TABLE_MAGIC, table_sectors, len(records)))
     for rec in records:
+        if not isinstance(rec.label, str):
+            raise TypeError(f"a file label is a str, not {type(rec.label).__name__}")
         label = rec.label.encode("utf-8")
         if len(label) > 0xFFFF:
             raise CapacityError(f"file label of {len(label)} UTF-8 bytes, at most 65535 fit")
+        if _bad_label(label):
+            raise ValueError(f"bad file label {rec.label!r}")
         body += struct.pack(">H", len(label)) + label
         body += _RECORD_FIXED.pack(rec.offset, rec.length)
     capacity = table_sectors * SECTOR_SIZE
@@ -523,14 +525,19 @@ def parse_file_table(table: bytes) -> list[FileRecord]:
         pos += 2
         if pos + label_len + _RECORD_FIXED.size > len(table):
             raise FileTableError("truncated file record")
+        raw = table[pos : pos + label_len]
         try:
-            label = table[pos : pos + label_len].decode("utf-8")
+            label = raw.decode("utf-8")
         except UnicodeDecodeError:
             raise FileTableError("file label is not UTF-8") from None
+        if _bad_label(raw):
+            raise FileTableError(f"bad file label {label!r}")
         pos += label_len
         offset, length = _RECORD_FIXED.unpack_from(table, pos)
         pos += _RECORD_FIXED.size
         records.append(FileRecord(label=label, offset=offset, length=length))
+    if len({rec.label for rec in records}) != len(records):
+        raise FileTableError("duplicate file labels")
     return records
 
 
@@ -712,13 +719,11 @@ class Manifest:
             f"kdf_counter={a.kdf_counter}",
             f"kdf_repetitions={a.kdf_repetitions}",
             *self.layout.lines(),
+            f"dna={self.dna:#x}",
+            f"cid={self.cid.hex()}",
+            f"csd={self.csd.hex()}",
+            *self.content_lines(),
         ]
-        if a.bind_csd:
-            lines.append("bind_csd=1")
-        lines.append(f"dna={self.dna:#x}")
-        lines.append(f"cid={self.cid.hex()}")
-        lines.append(f"csd={self.csd.hex()}")
-        lines += self.content_lines()
         return "\n".join(lines) + "\n"
 
     def content_lines(self) -> list[str]:
@@ -757,7 +762,6 @@ class Manifest:
                 mbr_digest=bytes.fromhex(fields["mbr_digest"]),
                 kdf_counter=int(fields["kdf_counter"]),
                 kdf_repetitions=int(fields["kdf_repetitions"]),
-                bind_csd=fields.get("bind_csd", "0") == "1",
             )
             boot_start, boot_sectors = map(int, fields["boot_lba"].split(","))
             data_start, data_sectors = map(int, fields["data_lba"].split(","))
@@ -817,35 +821,28 @@ def provision(
     total_sectors: int | None = None,
     data_slack_sectors: int = 64,
     table_sectors: int = 4,
-    bind_csd: bool = False,
 ) -> ProvisionResult:
     """Build a fully encrypted, integrity-protected image for a device pair."""
     if table_sectors < 0 or data_slack_sectors < 0:
         raise ValueError("table and slack sector counts must not be negative")
     check_kdf_counter(kdf_counter)
     check_kdf_repetitions(kdf_repetitions)
+    if not all(isinstance(kind, EntryKind) for kind, _ in boot_entries):
+        raise TypeError("a boot entry's kind is an EntryKind")
     boot_sectors = sealed_container_size([len(blob) for _, blob in boot_entries]) // SECTOR_SIZE
 
-    labels = [label for label, _ in data_files]
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate file labels")
-    for label in labels:
-        # Labels land in the line-oriented manifest.
-        if not label or any(ord(c) < 0x20 for c in label):
-            raise ValueError(f"bad file label {label!r}")
     records = []
     offset = table_sectors * SECTOR_SIZE
     for label, blob in data_files:
         records.append(FileRecord(label=label, offset=offset, length=len(blob)))
         offset += -(-len(blob) // SECTOR_SIZE) * SECTOR_SIZE
     data_needed = offset // SECTOR_SIZE
+    table = build_file_table(records, table_sectors)
 
     if total_sectors is None:
         layout = _layout_for(boot_sectors, data_needed + data_slack_sectors, None)
     else:
         layout = _layout_for(boot_sectors, data_needed, total_sectors)
-
-    table = build_file_table(records, table_sectors)
 
     # One buffer: laid out as plaintext, then sealed in place, then adopted
     # by the image.
@@ -902,12 +899,7 @@ def provision(
             entries, files = records.result()
 
     anchors = TrustAnchors.for_pair(
-        dev,
-        card,
-        mbr_digest=mbr_digest,
-        kdf_counter=kdf_counter,
-        kdf_repetitions=kdf_repetitions,
-        bind_csd=bind_csd,
+        dev, card, mbr_digest=mbr_digest, kdf_counter=kdf_counter, kdf_repetitions=kdf_repetitions
     )
     manifest = Manifest(
         anchors=anchors,

@@ -122,8 +122,8 @@ class PolicyViolation(TmiuError):
 
 class LockdownError(TmiuError):
     def __init__(self, reason: Denial | None):
-        super().__init__(f"unit is in lockdown ({reason.value if reason else 'unknown'})")
-        self.reason = reason
+        self.reason = None if reason is None else Denial(reason)  # else a ValueError
+        super().__init__(f"unit is in lockdown ({self.reason.value if self.reason else 'unknown'})")
 
 
 @dataclass(frozen=True)
@@ -132,10 +132,6 @@ class PromStore:
 
     config_size: int = 1_900_000  # bytes
     load_rate: int = 19_400_000  # bytes/s
-
-    def __post_init__(self) -> None:
-        if self.config_size <= 0 or self.load_rate <= 0:
-            raise ValueError("PROM size and rate must be positive")
 
 
 class CycleLedger:
@@ -193,10 +189,10 @@ class BootReport:
 class Tmiu:
     """The guard state machine; one instance per simulated power domain."""
 
-    def __init__(self, anchors: TrustAnchors, device: DeviceIdentity, prom: PromStore | None = None):
+    def __init__(self, anchors: TrustAnchors, device: DeviceIdentity):
         self.anchors = anchors
         self._device = device
-        self.prom = prom or PromStore()
+        self.prom = PromStore()
         self.ledger = CycleLedger()
         self.reset()
 
@@ -354,7 +350,7 @@ class Tmiu:
                 data_start=data.lba_start,
                 data_sectors=data.sector_count,
             )
-        except (MbrError, ValueError):
+        except ValueError:  # an MbrError, or a layout that breaks its own rules
             self._fail(Denial.MBR_MISMATCH, bus)
 
     def _stream_boot_image(self, bus: SdioBus, layout: ImageLayout, sink) -> Stage:

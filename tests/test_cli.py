@@ -12,11 +12,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import tmiusim
 from tmiusim.cli import main
+from tmiusim.crypto import sha256
 from tmiusim.host import build_system
 from tmiusim.image import FileRecord, Manifest, NvmImage, build_file_table
 from tmiusim.scenarios import OUTCOME_CLASSES, builtin_scenarios
 
 from conftest import forge_kernel, make_provision
+
+
+def bound_csd_manifest(manifest: Manifest) -> str:
+    """``manifest``'s text as the earlier format wrote it for a card bound by
+    CID and CSD: its nvm_checksum over both, then a ``bind_csd=1`` line."""
+    text = manifest.to_text()
+    checksum = f"nvm_checksum={manifest.anchors.nvm_checksum.hex()}\n"
+    bound = f"nvm_checksum={sha256(manifest.cid + manifest.csd).hex()}\n"
+    return text.replace(checksum, bound).replace("\ndna=", "\nbind_csd=1\ndna=")
 
 
 @pytest.fixture()
@@ -220,16 +230,16 @@ class TestBoot:
         assert rc == 2
         assert err.startswith("error: cannot load manifest") and "Traceback" not in err
 
-    def test_a_csd_binding_survives_the_manifest_file(self, workspace, capsys):
-        result = make_provision(bind_csd=True)
+    def test_a_manifest_that_bound_the_csd_is_denied(self, workspace, capsys):
+        # An earlier manifest format could anchor SHA-256(CID || CSD) and
+        # say so in a bind_csd=1 line. The unit anchors the CID alone, so
+        # such a card fails closed.
+        result = make_provision()
         result.image.save("card.nvm")
-        result.manifest.save("card.nvm.manifest")
-        assert "bind_csd=1" in Path("card.nvm.manifest").read_text().splitlines()
-        assert Manifest.load("card.nvm.manifest").anchors.bind_csd
-        assert main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest"]) == 0
-        assert "stage=Operational" in capsys.readouterr().out
-        twin_csd = bytes(reversed(result.manifest.csd)).hex()
-        rc = main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest", "--csd", twin_csd])
+        text = bound_csd_manifest(result.manifest)
+        assert "bind_csd=1" in text.splitlines() and result.anchors.nvm_checksum.hex() not in text
+        Path("card.nvm.manifest").write_text(text)
+        rc = main(["boot", "--image", "card.nvm", "--manifest", "card.nvm.manifest"])
         assert rc == 3
         assert "reason=NvmMismatch" in capsys.readouterr().out
 
@@ -383,6 +393,18 @@ class TestBench:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    def test_13_mb_prints_the_paper_comparison(self, capsys):
+        assert main(["bench", "--size", "13", "--repetitions", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert {
+            "boot_ms=520.030",
+            "rate_mbps=25.000",
+            "reference_boot_ms=526.000",
+            "reference_rate_mbps=24.700",
+            "boot_ms_delta_pct=-1.135",
+            "rate_delta_pct=+1.214",
+        } <= set(lines)
 
     @pytest.mark.parametrize("size", ["4295", "1e12"])
     def test_container_past_its_32_bit_length_exits_2_before_allocating(self, capsys, size):
@@ -595,6 +617,7 @@ def fuzz_dir(tmp_path_factory):
     manifest = (root / "card.nvm.manifest").read_text()
     assert "file=fs.tar," in manifest
     (root / "renamed.manifest").write_text(manifest.replace("file=fs.tar,", "file=gone.tar,"))
+    (root / "bound.manifest").write_text(bound_csd_manifest(Manifest.from_text(manifest)))
     (root / "short.nvm").write_bytes((root / "card.nvm").read_bytes()[: 10 * 512])
     (root / "empty.nvm").write_bytes(b"")
     assert main(
@@ -662,7 +685,9 @@ def _fuzz_calls(root):
     outputs = paths("out/card.nvm", "out/other", "dir", "missing/x.out")
     pair = {
         "--image": paths("card.nvm", "short.nvm", "empty.nvm", "binary.txt", "missing.nvm"),
-        "--manifest": paths("card.nvm.manifest", "renamed.manifest", "garbage.manifest", "binary.txt", "missing"),
+        "--manifest": paths(
+            "card.nvm.manifest", "renamed.manifest", "bound.manifest", "garbage.manifest", "binary.txt", "missing"
+        ),
         "--nope": None,
     }
     return {
@@ -675,13 +700,13 @@ def _fuzz_calls(root):
                 ),
                 "--data": st.sampled_from(
                     [str(fs), f"etc/fs={fs}", f"é={fs}", f"a b={fs}", f"{'x' * 0x10000}={fs}", f"={fs}",
-                     f"bad\x01={fs}", f"a\u2028b\x85c={fs}", str(root / "missing.bin")]
+                     f"bad\x01={fs}", f"a\nb={fs}", f"x\x00={fs}", f"a\u2028b\x85c={fs}", f"\x7f={fs}",
+                     str(root / "missing.bin")]
                 ),
                 "--out": outputs,
                 "--manifest": outputs,
                 "--dna": _dna,
                 "--cid": _hex16,
-                "--csd": _hex16,
                 "--sectors": st.one_of(st.integers(-3, 3000), st.just(4294967297)).map(str),
                 "--slack": st.one_of(st.integers(-3, 2000), st.just(4294967296)).map(str),
                 "--table-sectors": st.one_of(st.integers(-2, 40), st.sampled_from([65536, 70000])).map(str),
@@ -692,7 +717,7 @@ def _fuzz_calls(root):
         ),
         "boot": (
             st.just(["--image", card, "--manifest", manifest]),
-            {**pair, "--dna": _dna, "--cid": _hex16, "--csd": _hex16, "--trace": outputs, "--report": outputs},
+            {**pair, "--dna": _dna, "--cid": _hex16, "--trace": outputs, "--report": outputs},
         ),
         "tamper": (
             # One call in five boots clean, then sweeps a file the manifest

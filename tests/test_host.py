@@ -1,3 +1,4 @@
+import array
 import functools
 import hashlib
 import random
@@ -182,6 +183,35 @@ class TestFileStore:
         assert card.backing.to_bytes() == before
         for label, blob in DATA_FILES:
             assert host.read_file(label) == blob
+
+    @pytest.mark.parametrize("label", ["", "a\nb", "x\x00"])
+    def test_a_label_that_breaks_the_rule_is_refused_and_writes_nothing(self, provisioned, label):
+        host, _, _, card, _ = _boot(provisioned)
+        before = card.backing.to_bytes()
+        with pytest.raises(ValueError, match="bad file label"):
+            host.write_file(label, b"payload")
+        assert card.backing.to_bytes() == before
+        host.write_file("after", b"payload")
+        assert host.read_file("after") == b"payload"
+        for name, blob in DATA_FILES:
+            assert host.read_file(name) == blob
+
+    @pytest.mark.parametrize(
+        "wrap", [lambda b: memoryview(b).cast("I"), lambda b: array.array("I", b)], ids=["memoryview", "array"]
+    )
+    def test_a_buffer_of_wider_items_is_stored_by_its_bytes(self, provisioned, wrap):
+        # A one-sector hole before another file: a blob counted in items
+        # (512 of 4 bytes) would be given the hole and overrun the file.
+        host, _, _, _, _ = _boot(provisioned)
+        host.write_file("hole", bytes(512))
+        host.write_file("victim", b"v" * 512)
+        host.write_file("hole", bytes(1024))
+        blob = bytes(range(256)) * 8
+        host.write_file("wide", wrap(blob))
+        assert host.read_file("wide") == blob
+        assert host.read_file("victim") == b"v" * 512
+        for name, data in DATA_FILES:
+            assert host.read_file(name) == data
 
     def test_written_sectors_are_high_entropy_at_rest(self, provisioned):
         host, _, _, card, _ = _boot(provisioned)

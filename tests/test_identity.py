@@ -16,10 +16,8 @@ from tmiusim.identity import (
 )
 
 
-def _anchors(dev, card, bind_csd=False):
-    return TrustAnchors.for_pair(
-        dev, card, mbr_digest=bytes(32), kdf_counter=1, kdf_repetitions=10, bind_csd=bind_csd
-    )
+def _anchors(dev, card):
+    return TrustAnchors.for_pair(dev, card, mbr_digest=bytes(32), kdf_counter=1, kdf_repetitions=10)
 
 
 class TestDeviceIdentity:
@@ -56,6 +54,15 @@ class TestCardIdentity:
             CardIdentity(cid=bytes(15))
         with pytest.raises(ValueError):
             CardIdentity(cid=bytes(16), csd=bytes(17))
+
+    @pytest.mark.parametrize("cid, csd", [("x" * 16, bytes(16)), (16, bytes(16)), (bytes(16), "y" * 16)])
+    def test_registers_that_are_not_bytes_are_refused(self, cid, csd):
+        with pytest.raises(TypeError):
+            CardIdentity(cid=cid, csd=csd)
+
+    def test_registers_are_kept_as_bytes(self):
+        card = CardIdentity(cid=bytearray(16), csd=memoryview(bytes(range(16))))
+        assert type(card.cid) is type(card.csd) is bytes and card.csd == bytes(range(16))
 
 
 class TestAuthenticateDevice:
@@ -94,14 +101,13 @@ class TestAuthenticateNvm:
         broken = CardIdentity(cid=card.cid[:15] + bytes([card.cid[15] ^ 0xFE]), csd=card.csd)
         assert authenticate_nvm(anchors, broken) is AuthFailure.MALFORMED_CID
 
-    def test_csd_binding_strengthens_check(self):
+    def test_the_nvm_is_bound_by_its_cid_alone(self):
         dev = DeviceIdentity(dna=1)
         card = CardIdentity.from_seed(b"mine")
-        anchors = _anchors(dev, card, bind_csd=True)
-        assert authenticate_nvm(anchors, card) is None
+        anchors = _anchors(dev, card)
+        assert anchors.nvm_checksum == nvm_checksum(card) == sha256(card.cid)
         twin = CardIdentity(cid=card.cid, csd=sha256(b"other csd")[:16])
-        assert authenticate_nvm(anchors, twin) is AuthFailure.NVM_MISMATCH
-        assert nvm_checksum(card, bind_csd=True) != nvm_checksum(card, bind_csd=False)
+        assert authenticate_nvm(anchors, twin) is None
 
 
 def test_pairing_property_random_perturbations():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import struct
 import threading
 import tracemalloc
 
@@ -20,7 +21,6 @@ from tmiusim.identity import CardIdentity, DeviceIdentity
 from tmiusim.image import (
     HASH_THREAD_MIN_CONTAINER,
     MAX_CONTAINER_SIZE,
-    BadMbrSignature,
     CapacityError,
     ContainerCheck,
     EntryKind,
@@ -34,9 +34,7 @@ from tmiusim.image import (
     MbrError,
     MbrSector,
     NvmImage,
-    OverlappingPartitions,
     PartitionEntry,
-    PartitionOutOfBounds,
     ProvisionResult,
     boot_image_index,
     boot_image_length,
@@ -104,8 +102,8 @@ class TestMbr:
     def test_bad_signature(self):
         raw = bytearray(self._mbr().to_bytes())
         raw[510] = 0
-        with pytest.raises(BadMbrSignature):
-            parse_mbr(bytes(raw))
+        with pytest.raises(MbrError, match="missing 0x55AA signature"):
+            parse_mbr(bytes(raw), total_sectors=128)
 
     def test_overlapping_partitions(self):
         raw = MbrSector(
@@ -114,17 +112,17 @@ class TestMbr:
                 PartitionEntry(0x00, 0x83, 30, 40),
             )
         ).to_bytes()
-        with pytest.raises(OverlappingPartitions):
-            parse_mbr(raw)
+        with pytest.raises(MbrError, match="partitions overlap at LBA 30"):
+            parse_mbr(raw, total_sectors=128)
 
     def test_out_of_bounds(self):
         raw = self._mbr().to_bytes()
-        with pytest.raises(PartitionOutOfBounds):
+        with pytest.raises(MbrError, match=r"partition \[41, \+80\) exceeds geometry"):
             parse_mbr(raw, total_sectors=100)
 
     def test_partition_may_not_cover_lba_zero(self):
         raw = MbrSector(partitions=(PartitionEntry(0x80, 0x0C, 0, 40),)).to_bytes()
-        with pytest.raises(PartitionOutOfBounds):
+        with pytest.raises(MbrError, match="partition must start past LBA 0 and be non-empty"):
             parse_mbr(raw, total_sectors=128)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
@@ -133,7 +131,7 @@ class TestMbr:
             st.binary(max_size=600),
             st.binary(min_size=510, max_size=510).map(lambda body: body + b"\x55\xaa"),
         ),
-        total=st.none() | st.integers(-2, 1 << 33),
+        total=st.integers(-2, 1 << 33),
     )
     def test_parse_raises_only_its_format_error(self, raw, total):
         try:
@@ -156,8 +154,10 @@ class TestMbr:
             ),
             bootstrap=data.draw(st.binary(min_size=446, max_size=446)),
         )
-        assert parse_mbr(mbr.to_bytes()) == mbr
         assert parse_mbr(mbr.to_bytes(), total_sectors=end) == mbr
+        if spans:
+            with pytest.raises(MbrError, match="exceeds geometry"):
+                parse_mbr(mbr.to_bytes(), total_sectors=end - 1)
 
 
 _CONTAINER_ENTRIES = st.lists(
@@ -338,12 +338,24 @@ class TestBootImage:
 _FILE_RECORDS = st.lists(
     st.builds(
         FileRecord,
-        label=st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+        # The label rule: non-empty, no character below U+0020, unique.
+        label=st.text(st.characters(min_codepoint=0x20, blacklist_categories=("Cs",)), min_size=1, max_size=40),
         offset=st.integers(0, (1 << 64) - 1),
         length=st.integers(0, (1 << 64) - 1),
     ),
     max_size=12,
+    unique_by=lambda record: record.label,
 )
+BAD_LABELS = ["", "a\nb", "x\x00", "tab\there", "\x1f"]
+
+
+def raw_file_table(*labels: bytes) -> bytes:
+    """A one-sector file table holding ``labels`` as they are, whatever the
+    label rule says, each naming a one-byte file."""
+    body = b"TMFT" + struct.pack(">HH", 1, len(labels))
+    for label in labels:
+        body += struct.pack(">H", len(label)) + label + struct.pack(">QQ", 2048, 1)
+    return body.ljust(SECTOR_SIZE, b"\0")
 
 
 class TestFileTable:
@@ -411,6 +423,20 @@ class TestFileTable:
         for parse in (table_sector_count, parse_file_table):
             with pytest.raises(FileTableError):
                 parse(raw)
+
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_a_label_that_breaks_the_rule_is_refused_both_ways(self, label):
+        with pytest.raises(ValueError, match="bad file label"):
+            build_file_table([FileRecord(label, 2048, 1)], 1)
+        with pytest.raises(FileTableError, match="bad file label"):
+            parse_file_table(raw_file_table(label.encode()))
+
+    def test_a_repeated_label_is_refused_both_ways(self):
+        with pytest.raises(ValueError, match="duplicate file labels"):
+            build_file_table([FileRecord("a", 2048, 1), FileRecord("a", 2560, 1)], 1)
+        with pytest.raises(FileTableError, match="duplicate file labels"):
+            parse_file_table(raw_file_table(b"a", b"a"))
+        assert [r.label for r in parse_file_table(raw_file_table(b"a", b"b"))] == ["a", "b"]
 
     def test_label_that_is_not_utf8_is_a_table_error(self):
         table = bytearray(build_file_table([FileRecord("ab", 2048, 1)], 1))
@@ -582,10 +608,17 @@ class TestProvision:
         with pytest.raises(ValueError, match=message):
             make_provision(**setting)
 
+    @pytest.mark.parametrize("label", BAD_LABELS)
+    def test_a_label_that_breaks_the_rule_is_refused(self, label):
+        with pytest.raises(ValueError, match="bad file label"):
+            provision(
+                [(EntryKind.KERNEL, b"k")], [(label, b"a")], DeviceIdentity(dna=1), CardIdentity.from_seed(b"c")
+            )
+
     def test_duplicate_labels_rejected(self):
         dev = DeviceIdentity(dna=1)
         card = CardIdentity.from_seed(b"c")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate file labels"):
             provision(
                 [(EntryKind.KERNEL, b"k")],
                 [("same", b"a"), ("same", b"b")],

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import threading
@@ -21,8 +22,15 @@ from tmiusim.bus import (
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
 from tmiusim import image as image_module
 from tmiusim.host import build_system
-from tmiusim.identity import CardIdentity, DeviceIdentity
-from tmiusim.image import FileRecord, build_file_table, manifest_keys
+from tmiusim.identity import CardIdentity
+from tmiusim.image import (
+    BOOT_PARTITION_TYPE,
+    FileRecord,
+    MbrSector,
+    PartitionEntry,
+    build_file_table,
+    manifest_keys,
+)
 from tmiusim.tmiu import (
     Denial,
     LockdownError,
@@ -33,7 +41,6 @@ from tmiusim.tmiu import (
     SECTOR_TRANSFER_CYCLES,
     Stage,
     StateError,
-    Tmiu,
 )
 
 from conftest import DATA_FILES, image_file_records, make_provision, provision_container, record_hash_workers
@@ -95,16 +102,6 @@ class TestPowerOn:
         assert tmiu._keys is None
         assert tmiu.ledger.cycles == 0
 
-    def test_custom_prom_store(self, provisioned):
-        manifest = provisioned.manifest
-        tmiu = Tmiu(
-            manifest.anchors,
-            DeviceIdentity(manifest.dna),
-            prom=PromStore(config_size=970_000, load_rate=19_400_000),
-        )
-        tmiu.power_on()
-        assert abs(tmiu.report().prom_ms - 50.0) < 0.01
-
 
 class TestMemoryAuth:
     def test_provisioned_card_advances(self, provisioned):
@@ -136,16 +133,13 @@ class TestMemoryAuth:
         assert tmiu.authenticate_memory(bus) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.BUS_ERROR
 
-    def test_csd_binding_enforced_over_the_wire(self):
-        result = make_provision(bind_csd=True)
-        host, _, _, _ = build_system(result.manifest, result.image.clone())
-        assert host.run_boot(expected_entries=result.manifest.entries).ok
-
-        twin_csd = bytes(reversed(result.manifest.csd))
-        _, tmiu, bus, _ = build_system(result.manifest, result.image.clone(), csd=twin_csd)
-        tmiu.power_on()
-        assert tmiu.authenticate_memory(bus) is Stage.LOCKDOWN
-        assert tmiu.reason is Denial.NVM_MISMATCH
+    def test_the_csd_is_read_but_not_anchored(self, provisioned):
+        # A card whose CSD differs from the provisioned one still boots:
+        # the unit asks for the CSD (CMD9) and anchors the CID alone.
+        twin = dataclasses.replace(provisioned.manifest, csd=bytes(reversed(provisioned.manifest.csd)))
+        host, _, bus, _ = build_system(twin, provisioned.image.clone(), trace=True)
+        assert host.run_boot(expected_entries=twin.entries).ok
+        assert any(twin.csd.hex() in line for line in bus.transcript)
 
 
 def _held(tmiu, kind):
@@ -277,6 +271,24 @@ class TestVerifyMbrAndImage:
         tmiu.generate_keys()
         assert tmiu.verify_mbr_and_image(bus, lambda item: None) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.MBR_MISMATCH
+
+    def test_a_keyed_mbr_without_a_data_partition_is_denied(self, provisioned):
+        # Sealed and anchored with the pair's own keys, so only the layout
+        # check can refuse it.
+        layout = provisioned.layout
+        boot = PartitionEntry(0x80, BOOT_PARTITION_TYPE, layout.boot_start, layout.boot_sectors)
+        aes_key, mac_key = manifest_keys(provisioned.manifest)
+        sealed = SectorCipher(aes_key).crypt(0, MbrSector(partitions=(boot,)).to_bytes())
+        digest = sector_tag(SectorMac(mac_key), 0, sealed)
+        anchors = dataclasses.replace(provisioned.manifest.anchors, mbr_digest=digest)
+        manifest = dataclasses.replace(provisioned.manifest, anchors=anchors)
+        image = provisioned.image.clone()
+        image.write_sector(0, sealed)
+        for trace in (False, True):
+            host, tmiu, _, card = build_system(manifest, image.clone(), trace=trace)
+            outcome = host.run_boot(expected_entries=manifest.entries)
+            assert outcome.reason is Denial.MBR_MISMATCH and tmiu.stage is Stage.LOCKDOWN
+            assert tmiu.leds == [True, True, False, False] and card.io_suspended
 
     def test_corrupt_final_block_signals_processor(self, provisioned):
         image = provisioned.image.clone()
