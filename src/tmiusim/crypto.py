@@ -58,9 +58,9 @@ _CRC7_TABLE = _build_crc7_table()
 
 
 def crc7(message: bytes) -> int:
-    """7-bit CRC over ``message`` (poly 0x09, init 0, no reflection)."""
+    """7-bit CRC over the bytes of ``message`` (poly 0x09, init 0, no reflection)."""
     crc = 0
-    for byte in message:
+    for byte in memoryview(message).cast("B"):
         crc = _CRC7_TABLE[((crc << 1) ^ byte) & 0xFF]
     return crc
 
@@ -84,6 +84,7 @@ class KdfInput:
     identifier (top 7 bits zero); ``other_info`` is the 16-byte card
     identifier acting as public salt; ``repetitions`` chains the hash to
     stretch the short secret, from 1 to :data:`MAX_KDF_REPETITIONS` steps.
+    Both byte fields are kept as the ``bytes`` of the buffers given.
     """
 
     counter: int
@@ -93,6 +94,8 @@ class KdfInput:
 
     def __post_init__(self) -> None:
         check_kdf_counter(self.counter)
+        for name in ("secret", "other_info"):
+            object.__setattr__(self, name, memoryview(getattr(self, name)).tobytes())
         if len(self.secret) != 8:
             raise ValueError("secret must be 8 bytes")
         if self.secret[0] & 0xFE:

@@ -99,8 +99,6 @@ class BootHost:
         except BaseException:
             self.phase = HostPhase.HALTED
             raise
-        finally:
-            stream.close()
         if expected_entries is not None:
             got = [(e.kind_label, e.length, e.digest.hex()) for e in received]
             if got != [tuple(e) for e in expected_entries]:

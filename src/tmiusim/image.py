@@ -78,12 +78,11 @@ MAX_SECTORS = 1 << 32
 
 # A container of at least this many bytes has its trailer and the manifest's
 # content digests hashed on a worker thread while provision seals (see
-# _hash_pool). A BootStream asks for a pool only at its first 2 MiB
-# hand-over, past this size. Below it, the thread costs more than the
-# overlap saves: with a worker on every call, the tamper workload's set-up
-# (a 4 KB kernel) took about 1 ms longer, and with a worker on every boot
-# its op_ms_p50 went 1.05 -> 1.49 ms (five alternating 20 s pairs, 2-core
-# Xeon, Python 3.11).
+# _hash_pool); a boot starts no thread. Below this size, the thread costs
+# more than the overlap saves: with a worker on every call, the tamper
+# workload's set-up (a 4 KB kernel) took about 1 ms longer, and with a
+# worker on every boot its op_ms_p50 went 1.05 -> 1.49 ms (five alternating
+# 20 s pairs, 2-core Xeon, Python 3.11).
 HASH_THREAD_MIN_CONTAINER = 1 << 20
 
 
@@ -355,32 +354,19 @@ class LoadedEntry:
     digest: bytes
 
 
-# Each time about this many more bytes of the stream have arrived, one job
-# hashes them on the digest worker; the largest entry table (12 + 9 * 65535
-# bytes) is whole by the first. On a 13 MB boot, steps of 512 KiB, 1 MiB and
-# 2 MiB each took about 1 ms less than the one before; 4 MiB the same as
-# 2 MiB, 8 MiB about 3 ms more.
-_HAND_OVER_BYTES = 2 << 20
-
-
 class BootStream:
     """The one reader of a decrypted container: plaintext arrives as ``bytes``;
     a block, checked by its line CRC, is the unit signalling in-band.
 
     The first item tells the container's length, and the stream is copied
-    in place into one buffer of that length. The entry digests are hashed
-    from that buffer, never from a copy. Each time ``_HAND_OVER_BYTES`` more
-    has arrived, one job submitted to ``_hash_pool`` hashes the newly arrived
-    part of each entry; the first hand-over reads the entry table. The rest
-    is hashed at the end. The owner calls :meth:`close` however the stream
-    ends, which joins any worker."""
+    in place into one buffer of that length. Each entry is hashed whole,
+    from that buffer, never from a copy, on the caller's thread, when
+    :meth:`loaded_entries` is called."""
 
     def __init__(self) -> None:
         self.corrupted = False
         self._view = memoryview(b"")  # of the buffer, once the first item tells its length
-        self._filled = self._handed = 0
-        self._spans, self._hashes, self._jobs = (), [], []
-        self._pool = None
+        self._filled = 0
 
     def receive(self, item: bytes | DataBlock) -> None:
         if not isinstance(item, bytes):  # a DataBlock
@@ -393,58 +379,17 @@ class BootStream:
         end = self._filled + len(item)
         self._view[self._filled : end] = item  # one copy, in place
         self._filled = end
-        if end - self._handed >= _HAND_OVER_BYTES:
-            if not self._handed:
-                try:
-                    self._index()
-                except ImageFormatError:
-                    pass  # judged again over the whole stream at the end
-                if self._spans:  # a card can flip the entry count to 0
-                    self._pool = _hash_pool(len(self._view))
-            if self._pool:
-                self._jobs.append(
-                    self._pool.submit(_hash_spans, self._view, self._spans, self._hashes, self._handed, end)
-                )
-            self._handed = end
-
-    def _index(self) -> None:
-        """Read the entry table: a span and a fresh hash for each entry."""
-        self._spans = boot_image_index(self._view)  # reads the header and table alone
-        self._hashes = [hashlib.sha256() for _ in self._spans]
 
     def loaded_entries(self) -> list[LoadedEntry]:
         """The (kind, length, digest) of each entry of the whole stream; an
         entry table that does not fit the container is an
-        :class:`ImageFormatError`. A job's error is raised here. Each owner
-        calls it only once a :class:`ContainerCheck` has let the whole
-        container through, so the stream has filled the buffer."""
-        if not self._jobs:
-            self._index()
-            self._handed = 0
-        for job in self._jobs:
-            job.result()
-        _hash_spans(self._view, self._spans, self._hashes, self._handed, self._filled)
+        :class:`ImageFormatError`. Each owner calls it only once a
+        :class:`ContainerCheck` has let the whole container through, so the
+        stream has filled the buffer."""
         return [
-            LoadedEntry(kind.label, end - start, hash_.digest())
-            for (kind, start, end), hash_ in zip(self._spans, self._hashes)
+            LoadedEntry(kind.label, end - start, sha256(self._view[start:end]))
+            for kind, start, end in boot_image_index(self._view)
         ]
-
-    def close(self) -> None:
-        """Wait for the digest jobs, join their worker if they have one, and
-        release the view of the buffer."""
-        if self._pool:
-            self._pool.shutdown()
-        self._view.release()
-
-
-def _hash_spans(
-    view: memoryview, spans: Sequence[tuple[EntryKind, int, int]], hashes: Sequence, done: int, mark: int
-) -> None:
-    """Update each of ``hashes`` with the part of its (kind, start, end) span
-    of ``view`` that lies in ``[done, mark)``, in place."""
-    for hash_, (_, start, end) in zip(hashes, spans):
-        if max(start, done) < min(end, mark):
-            hash_.update(view[max(start, done) : min(end, mark)])
 
 
 # ---------------------------------------------------------------------------
@@ -1008,8 +953,7 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
         findings.append(f"boot_image=OK sectors={lba - lay.boot_start}")
     except (ImageFormatError, ImageDigestError) as exc:
         findings.append(f"boot_image=FAIL ({exc})")
-    finally:
-        stream.close()
+    del stream  # and its copy of the container, before the data checks
 
     tag_sectors = {lba: read_plain(lba) for lba in range(lay.meta_start, lay.total_sectors)}
     bad_lbas = []

@@ -63,24 +63,34 @@ def provision_container(sectors: int, kdf_repetitions: int = FIXTURE_KDF_REPETIT
     return make_provision(boot_entries=[(EntryKind.KERNEL, blob)], kdf_repetitions=kdf_repetitions)
 
 
-def record_hash_workers(monkeypatch, names) -> tuple[list, list]:
+def record_hash_workers(monkeypatch) -> tuple[list, list]:
     """(threads, jobs), filled as the worker threads of ``image._hash_pool``
-    are handed jobs whose function is named in ``names``: each worker thread
-    once, and each job's (function, args). The names tell provisioning's
-    jobs (``container_trailer``, ``_content_records``) from the host's
-    (``_hash_spans``)."""
+    are handed jobs: each worker thread once, and each job's (function,
+    args). Provisioning is the pool's one caller."""
     threads, jobs = [], []
     submit = ThreadPoolExecutor.submit
 
     def recording(pool, fn, /, *args):
         future = submit(pool, fn, *args)
-        if fn.__name__ in names:
-            jobs.append((fn, args))
-            threads.extend(thread for thread in pool._threads if thread not in threads)
+        jobs.append((fn, args))
+        threads.extend(thread for thread in pool._threads if thread not in threads)
         return future
 
     monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
     return threads, jobs
+
+
+def record_pools(monkeypatch) -> list:
+    """Filled with each ``ThreadPoolExecutor`` built from here on."""
+    pools = []
+    init = ThreadPoolExecutor.__init__
+
+    def recording(pool, *args, **kwargs):
+        pools.append(pool)
+        init(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "__init__", recording)
+    return pools
 
 
 def build_boot_image(entries) -> bytes:
@@ -103,17 +113,14 @@ def check_container(container: bytes) -> list[tuple[str, int, bytes]]:
     it lets out read by a :class:`BootStream` as the host reads it. The boot
     partition is the container's own whole sectors."""
     check, stream, start = ContainerCheck(len(container) // SECTOR_SIZE), BootStream(), 0
-    try:
-        while check.pending:
-            end = start + min(RUN_SECTORS, check.pending) * SECTOR_SIZE
-            if released := check.update(container[start:end]):
-                stream.receive(released)
-            start = end
-        stream.receive(check.held)
-        entries = stream.loaded_entries()
-        check.finish()
-    finally:
-        stream.close()
+    while check.pending:
+        end = start + min(RUN_SECTORS, check.pending) * SECTOR_SIZE
+        if released := check.update(container[start:end]):
+            stream.receive(released)
+        start = end
+    stream.receive(check.held)
+    entries = stream.loaded_entries()
+    check.finish()
     return [(e.kind_label, e.length, e.digest) for e in entries]
 
 

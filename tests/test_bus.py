@@ -279,6 +279,18 @@ class TestVirtualCard:
         assert card.backing.read_sectors(total - 4, 4) == b"".join(sectors)
         assert card.receive_write_block(sectors[0], True) is None
 
+    @pytest.mark.parametrize("open_", ["none", "cmd18", "cmd25_at_the_geometry"])
+    def test_a_write_run_with_no_room_in_an_open_cmd25_commits_nothing(self, card, open_):
+        _to_transfer(card)
+        if open_ == "cmd18":
+            assert card.open_transfer(CMD_READ_MULTIPLE, 20) == 0
+        elif open_ == "cmd25_at_the_geometry":
+            assert card.open_transfer(CMD_WRITE_MULTIPLE, card.geometry - 1) == 0
+            assert card.take_write(bytes(SECTOR_SIZE)) == 1
+        before = card.backing.to_bytes()
+        assert card.take_write(bytes(range(256)) * 4) == 0
+        assert card.backing.to_bytes() == before
+
     @pytest.mark.parametrize("close", ["cmd12", "power_cycle", "suspend", "bad_crc"])
     def test_multi_block_write_ends_at_a_stop_a_power_cycle_a_suspension_or_a_bad_crc(self, card, close):
         _to_transfer(card)

@@ -17,7 +17,7 @@ import dataclasses
 from functools import partial
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import tmiusim
 from tmiusim import (
@@ -275,3 +275,34 @@ def test_only_documented_errors_escape(provisioned, name, data):
         call()
     except documented:
         pass
+
+
+def _outcome(call):
+    """What ``call()`` returns, or the class and text of the error it raises."""
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    message=st.binary(max_size=40),
+    secret=st.one_of(
+        st.binary(min_size=8, max_size=8).map(lambda b: bytes([b[0] & 1]) + b[1:]),
+        st.sampled_from([bytes(2), bytes(32), b"\x02" + bytes(7)]),
+    ),
+    cid=st.one_of(st.binary(min_size=16, max_size=16), st.sampled_from([bytes(4), bytes(64)])),
+    wrap=st.sampled_from([bytes, bytearray, memoryview, _wide]),
+)
+@example(message=bytes(range(16)), secret=bytes(32), cid=bytes(16), wrap=_wide)
+@example(message=bytes(range(16)), secret=bytes(8), cid=bytes(64), wrap=_wide)
+def test_a_buffer_is_read_as_its_bytes(message, secret, cid, wrap):
+    # A view of 4-byte items has a len of a quarter of its size: crc7 and
+    # KdfInput count bytes, whatever the format.
+    assert crc7(wrap(message)) == crc7(message)
+
+    def derived(secret, cid):
+        return _outcome(lambda: [derive(KdfInput(1, secret, cid, 2)) for derive in (derive_key, derive_mac_key)])
+
+    assert derived(wrap(secret), wrap(cid)) == derived(secret, cid)

@@ -3,7 +3,6 @@ import functools
 import hashlib
 import random
 import struct
-import sys
 import threading
 
 import pytest
@@ -15,13 +14,11 @@ from tmiusim.host import HostError, HostPhase, build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import (
     HASH_THREAD_MIN_CONTAINER,
-    MAX_CONTAINER_SIZE,
     CapacityError,
     EntryKind,
-    boot_image_index,
     manifest_keys,
+    verify_image,
 )
-from tmiusim.scenarios import builtin_scenarios, run_scenario
 from tmiusim.tmiu import Denial, LockdownError, Stage
 
 from conftest import (
@@ -33,7 +30,7 @@ from conftest import (
     image_file_records,
     make_provision,
     provision_container,
-    record_hash_workers,
+    record_pools,
 )
 from hostile import ByteCuttingCard, MiscountingCard, hostile_system
 from oracles import shannon_entropy
@@ -299,9 +296,9 @@ class TestThreatModelEdges:
         assert host.phase is HostPhase.HALTED and host.loaded_entries == []
 
 
-# 3 MiB, so that the stream is handed over to the host's digest worker
-# before it ends.
-WORKER_ENTRIES = [
+# 3 MiB: past HASH_THREAD_MIN_CONTAINER, where provisioning hashes on a
+# worker thread.
+LARGE_ENTRIES = [
     (EntryKind.FSBL, b"fsbl" * 300),
     (EntryKind.KERNEL, random.Random(11).randbytes(3 << 20)),
     (EntryKind.DEVICETREE, b"\x00dt" * 700),
@@ -309,8 +306,8 @@ WORKER_ENTRIES = [
 
 
 @functools.lru_cache(maxsize=None)
-def _worker_provision():
-    return make_provision(boot_entries=WORKER_ENTRIES)
+def _large_provision():
+    return make_provision(boot_entries=LARGE_ENTRIES)
 
 
 def _container_with_spans(total_len: int, spans) -> bytes:
@@ -324,188 +321,127 @@ def _container_with_spans(total_len: int, spans) -> bytes:
     return bytes(body) + hashlib.sha256(body).digest()
 
 
-class TestDigestWorker:
-    """A container of more than ``_HAND_OVER_BYTES`` has its entry digests
-    hashed on one worker thread while the unit streams it, one job per
-    hand-over."""
+class TestBootDigests:
+    """The host hashes each entry of a container whole, on the booting
+    thread, once the unit has let the whole container through."""
 
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        """(threads, jobs) of the host's digest jobs handed a worker thread."""
-        return record_hash_workers(monkeypatch, {"_hash_spans"})
-
-    @pytest.fixture
-    def threads(self, workers):
-        """The worker thread of each of the host's digest jobs."""
-        return workers[0]
-
-    def test_digests_equal_hashlib_and_the_inline_path(self, workers, monkeypatch):
-        threads, jobs = workers
-        result = _worker_provision()
-        assert result.layout.boot_sectors * SECTOR_SIZE > image_module._HAND_OVER_BYTES
-        host, _, _, _, outcome = _boot(result)
-        assert outcome.ok and len(threads) == 1
-        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
-        assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
-        # The job carries no key, no cipher or MAC and no closure: a view of
-        # the plaintext, the spans, a hash object for each and two byte counts.
-        ((fn, (view, spans, hashes, done, mark)),) = jobs
-        assert fn is image_module._hash_spans and fn.__closure__ is None
-        assert type(view) is memoryview and type(done) is type(mark) is int
-        assert all(type(kind) is EntryKind and type(start) is type(end) is int for kind, start, end in spans)
-        assert [type(hash_) for hash_ in hashes] == [type(hashlib.sha256())] * len(spans)
-
-        monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", MAX_CONTAINER_SIZE + 1)
-        inline, _, _, _, outcome = _boot(result)
-        assert outcome.ok and len(threads) == 1
-        assert inline.loaded_entries == host.loaded_entries
-
-    def test_the_worker_is_handed_only_how_far_the_stream_has_come(self, threads, monkeypatch):
-        calls = []  # (thread, done, mark) of each hashing step
-        hash_spans = image_module._hash_spans
-
-        @functools.wraps(hash_spans)
-        def recording(view, spans, hashes, done, mark):
-            calls.append((threading.current_thread(), done, mark))
-            return hash_spans(view, spans, hashes, done, mark)
-
-        monkeypatch.setattr(image_module, "_hash_spans", recording)
-        result = _worker_provision()
-        host, _, _, _, outcome = _boot(result)
-        assert outcome.ok and len(threads) == 1
-        assert len(host.loaded_entries) == len(WORKER_ENTRIES)
-        total = result.layout.boot_sectors * SECTOR_SIZE
-        # Byte counts, not bytes: at least one job while the stream still
-        # runs, each about 2 MiB past the one before, on the worker; then the
-        # tail, up to the whole length, on the booting thread.
-        *jobs, (tail_thread, _, _) = calls
-        assert jobs and [thread for thread, _, _ in jobs] == threads * len(jobs)
-        assert tail_thread is threading.current_thread()
-        marks = [mark for _, _, mark in calls]
-        assert all(type(mark) is int for mark in marks)
-        assert [done for _, done, _ in calls] == [0, *marks[:-1]]
-        assert marks[-1] == total and 0 < marks[0] < total
-        assert all(0 < b - a <= (2 << 20) + RUN_SECTORS * SECTOR_SIZE for a, b in zip([0, *marks], marks))
-
-    def test_parallel_boots_under_a_short_switch_interval(self, threads):
-        # Six threads on fewer cores, switching as often as the interpreter
-        # allows: a worker that read bytes not yet copied in would hash them.
-        result = _worker_provision()
-        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in WORKER_ENTRIES]
-        got, errors = [], []
-
-        def boot():
-            try:
-                host, _, _, _ = build_system(result.manifest, result.image.clone())
-                assert host.run_boot(expected_entries=result.manifest.entries).ok
-                got.append([(e.kind_label, e.length, e.digest) for e in host.loaded_entries])
-            except BaseException as exc:
-                errors.append(exc)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            booters = [threading.Thread(target=boot) for _ in range(3)]
-            for booter in booters:
-                booter.start()
-            for booter in booters:
-                booter.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(booter.is_alive() for booter in booters) and not errors
-        assert got == [want] * 3 and len(threads) == 3
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_a_traced_boot_reads_the_same_with_and_without_the_worker(self, threads, monkeypatch):
-        result = _worker_provision()
+    def test_a_traced_boot_reads_the_same_digests_as_an_untraced_one(self):
+        result = _large_provision()
+        assert result.layout.boot_sectors * SECTOR_SIZE >= HASH_THREAD_MIN_CONTAINER
+        want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in LARGE_ENTRIES]
         runs = []
-        for limit in (HASH_THREAD_MIN_CONTAINER, MAX_CONTAINER_SIZE + 1):
-            monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", limit)
-            host, _, bus, _, outcome = _boot(result, trace=True)
-            runs.append((outcome.report.to_text(), bus.transcript, host.loaded_entries))
-        assert len(threads) == 1
-        assert runs[0] == runs[1]
+        for trace in (False, True):
+            host, _, bus, _, outcome = _boot(result, trace=trace)
+            assert outcome.ok
+            assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
+            runs.append((outcome.report.to_text(), bool(bus.transcript)))
+        assert runs == [(runs[0][0], False), (runs[0][0], True)]
+
+    def test_each_entry_is_hashed_once_whole_after_the_stream_ends(self, monkeypatch):
+        events = []  # ("receive" or "hash", byte count), in order
+        receive, hash_ = image_module.BootStream.receive, image_module.sha256
+
+        def receiving(stream, item):
+            events.append(("receive", len(item) if type(item) is bytes else 0))
+            receive(stream, item)
+
+        def hashing(data):
+            events.append(("hash", len(data)))
+            return hash_(data)
+
+        result = _large_provision()
+        monkeypatch.setattr(image_module.BootStream, "receive", receiving)
+        monkeypatch.setattr(image_module, "sha256", hashing)
+        _, _, _, _, outcome = _boot(result)
+        assert outcome.ok
+        kinds = [kind for kind, _ in events]
+        received = kinds.count("receive")
+        assert kinds == ["receive"] * received + ["hash"] * len(LARGE_ENTRIES)
+        assert [size for _, size in events[received:]] == [len(blob) for _, blob in LARGE_ENTRIES]
+        assert sum(size for _, size in events[:received]) == result.layout.boot_sectors * SECTOR_SIZE
 
     @pytest.mark.parametrize("end", ["clean", "sector_flip", "short_run", "short_sector", "crypt_raises"])
-    def test_no_thread_outlives_the_boot(self, threads, monkeypatch, end):
-        result = _worker_provision()
+    def test_a_boot_starts_no_thread(self, monkeypatch, end):
+        result = _large_provision()
         layout = result.layout
-        late = layout.boot_start + layout.boot_sectors - 200  # past the first hand-over
-        card_class = {"short_run": MiscountingCard, "short_sector": ByteCuttingCard}.get(end, VirtualCard)
-        host, tmiu, _, card = hostile_system(result, card_class, False)
-        before = threading.active_count()
+        late = layout.boot_start + layout.boot_sectors - 200  # past 2 MiB of the stream
+        host, tmiu, _, card = hostile_system(result, {"short_sector": ByteCuttingCard}.get(end, MiscountingCard), False)
         if end == "sector_flip":
             sector = bytearray(card.backing.read_sector(late))
             sector[17] ^= 0x04
             card.backing.write_sector(late, bytes(sector))
         elif end == "short_sector":
             card.cut_from = late
-        alive = []
-        crypt = SectorCipher.crypt
-
-        def failing_crypt(self, first_sector, data):
-            if first_sector >= late:
-                alive.append(threads[0].is_alive())
-                raise RuntimeError("cipher failed")
-            return crypt(self, first_sector, data)
-
-        received = []
+        arrived = []
         receive = image_module.BootStream.receive
 
         def receiving(stream, item):
-            received.append(item)
-            if end == "short_run" and stream._filled >= (late - layout.boot_start) * SECTOR_SIZE:
+            arrived.append(len(item) if type(item) is bytes else 0)
+            if end == "short_run" and sum(arrived) >= (late - layout.boot_start) * SECTOR_SIZE:
                 card.lie = "short"  # from here each CMD18 transfer ends after two sectors
             receive(stream, item)
+
+        crypt = SectorCipher.crypt
+
+        def failing_crypt(cipher, first_sector, data):
+            if first_sector >= late:
+                raise RuntimeError("cipher failed")
+            return crypt(cipher, first_sector, data)
 
         monkeypatch.setattr(image_module.BootStream, "receive", receiving)
         if end == "crypt_raises":
             monkeypatch.setattr(SectorCipher, "crypt", failing_crypt)
+        pools = record_pools(monkeypatch)
+        before = threading.active_count()
+        if end == "crypt_raises":
             with pytest.raises(RuntimeError, match="cipher failed"):
                 host.run_boot()
-            assert alive == [True]  # the worker was still live
             assert tmiu.reason is Denial.BUS_ERROR  # the unit failed closed
         else:
             outcome = host.run_boot(expected_entries=result.manifest.entries)
             want = {"clean": "OsRunning", "sector_flip": "ImageDigestMismatch"}.get(end, "BusError")
             assert outcome.outcome_class == want
+        assert sum(arrived) > 2 << 20
         assert (tmiu.stage is Stage.OPERATIONAL) == (end == "clean")
-        poisoned = isinstance(received[-1], DataBlock) and not received[-1].crc_ok
-        assert poisoned == (end != "clean")
-        assert len(threads) == 1 and not threads[0].is_alive()
-        assert threading.active_count() == before
+        assert pools == [] and threading.active_count() == before
+
+    def test_an_offline_container_check_starts_no_thread(self, monkeypatch):
+        result = _large_provision()
+        pools = record_pools(monkeypatch)
+        before = threading.active_count()
+        findings = verify_image(result.image, result.manifest)
+        assert f"boot_image=OK sectors={result.layout.boot_sectors}" in findings
+        assert pools == [] and threading.active_count() == before
 
     @pytest.mark.parametrize("trace", [False, True])
-    def test_an_entry_count_flipped_to_zero_is_denied(self, threads, monkeypatch, trace):
+    def test_an_entry_count_flipped_to_zero_is_denied(self, monkeypatch, trace):
         # The boot region is ciphered sector by sector with no tag, so a card
         # can flip the ciphertext bits of the first sector's entry count (the
         # header's bytes 6-7) to make it read 0 in the plaintext.
-        result = _worker_provision()
+        result = _large_provision()
         boot_start = result.layout.boot_start
         host, tmiu, _, card = hostile_system(result, VirtualCard, trace)
         sector = bytearray(card.backing.read_sector(boot_start))
-        sector[6:8] = bytes(a ^ b for a, b in zip(sector[6:8], len(WORKER_ENTRIES).to_bytes(2, "big")))
+        sector[6:8] = bytes(a ^ b for a, b in zip(sector[6:8], len(LARGE_ENTRIES).to_bytes(2, "big")))
         card.backing.write_sector(boot_start, bytes(sector))
         received = []
         receive = image_module.BootStream.receive
         monkeypatch.setattr(
             image_module.BootStream, "receive", lambda self, item: received.append(item) or receive(self, item)
         )
-        before = threading.active_count()
         outcome = host.run_boot(expected_entries=result.manifest.entries)
         assert outcome.outcome_class == "ImageDigestMismatch"
         assert tmiu.stage is Stage.LOCKDOWN and host.phase is HostPhase.HALTED
         assert isinstance(received[-1], DataBlock) and not received[-1].crc_ok
         assert card.io_suspended and card._open is None
-        assert threads == [] and threading.active_count() == before
 
-    def test_any_flip_of_the_header_or_entry_table_is_denied(self, threads):
-        # Every byte the worker's start reads: the header and the entry table.
-        result = _worker_provision()
+    def test_any_flip_of_the_header_or_entry_table_is_denied(self):
+        # Every byte the host reads to find the entries: the header and the
+        # entry table.
+        result = _large_provision()
         boot_start = result.layout.boot_start
         rng = random.Random(0x25)
-        before = threading.active_count()
-        for at in range(12 + 9 * len(WORKER_ENTRIES)):
+        for at in range(12 + 9 * len(LARGE_ENTRIES)):
             host, tmiu, _, card = hostile_system(result, VirtualCard, False)
             sector = bytearray(card.backing.read_sector(boot_start))
             sector[at] ^= rng.randrange(1, 256)
@@ -513,111 +449,56 @@ class TestDigestWorker:
             outcome = host.run_boot(expected_entries=result.manifest.entries)
             assert outcome.outcome_class == "ImageDigestMismatch", at
             assert tmiu.stage is Stage.LOCKDOWN and card.io_suspended
-        assert not any(thread.is_alive() for thread in threads)
-        assert threading.active_count() == before
 
-    def test_a_hash_that_raises_on_the_worker_is_raised_by_the_boot(self, threads, monkeypatch):
+    def test_a_hash_that_raises_halts_the_host(self, monkeypatch):
         raised_on = []
 
-        class FailingHash:
-            def update(self, data):
-                raised_on.append(threading.current_thread())
-                raise MemoryError("no room to hash")
+        def failing_sha256(data):
+            raised_on.append(threading.current_thread())
+            raise MemoryError("no room to hash")
 
-        index = image_module.BootStream._index
-
-        def failing_index(stream):
-            # The reader's entry hashes fail; the unit's container hash does not.
-            index(stream)
-            stream._hashes = [FailingHash() for _ in stream._spans]
-
-        monkeypatch.setattr(image_module.BootStream, "_index", failing_index)
-        before = threading.active_count()
-        host, _, _, _ = build_system(_worker_provision().manifest, _worker_provision().image.clone())
+        result = _large_provision()
+        # The host's entry hashes fail; the unit's container hash does not.
+        monkeypatch.setattr(image_module, "sha256", failing_sha256)
+        host, tmiu, _, _ = build_system(result.manifest, result.image.clone())
         with pytest.raises(MemoryError, match="no room to hash"):
             host.run_boot()
-        assert len(threads) == 1 and not threads[0].is_alive()
-        assert raised_on == threads  # raised once, on the worker
-        assert threading.active_count() == before
-
-    def test_a_small_container_starts_no_thread(self, provisioned, threads):
-        assert provisioned.layout.boot_sectors * SECTOR_SIZE < HASH_THREAD_MIN_CONTAINER
-        _, _, _, _, outcome = _boot(provisioned)
-        assert outcome.ok
-        # The tamper suite boots each scenario's copy and sweeps its files.
-        for scenario in builtin_scenarios().values():
-            assert run_scenario(scenario, provisioned.image, provisioned.manifest)[0] == scenario.expect
-        assert threads == []
-
-    def test_the_largest_entry_table_is_whole_by_the_first_hand_over(self):
-        # The entry count is a u16; the first entry starts where the table ends.
-        with pytest.raises(struct.error):
-            build_boot_image([(EntryKind.SSBL, b"\x01")] * 0x10000)
-        spans = boot_image_index(build_boot_image([(EntryKind.SSBL, b"\x01")] * 0xFFFF))
-        (_, table_end, _), *_ = spans
-        assert len(spans) == 0xFFFF and table_end == 12 + 9 * 0xFFFF
-        assert table_end < image_module._HAND_OVER_BYTES
-
-    def test_a_container_under_one_hand_over_starts_no_thread(self, threads):
-        # Past HASH_THREAD_MIN_CONTAINER, but the stream ends before 2 MiB
-        # of it has arrived: it is all hashed at the end, on the booting thread.
-        result = provision_container(2100)
-        total = result.layout.boot_sectors * SECTOR_SIZE
-        assert HASH_THREAD_MIN_CONTAINER <= total < image_module._HAND_OVER_BYTES
-        before = threading.active_count()
-        host, _, _, _, outcome = _boot(result)
-        assert outcome.ok and len(host.loaded_entries) == 1
-        assert threads == [] and threading.active_count() == before
+        assert raised_on == [threading.current_thread()]  # raised once, on the booting thread
+        assert host.phase is HostPhase.HALTED and host.loaded_entries == []
+        assert tmiu.stage is Stage.OPERATIONAL  # the unit let the container through
 
     @pytest.mark.parametrize(
         "ssbls, run_sectors",
         [(59, RUN_SECTORS), (396, 7)],
         ids=["60_entries", "397_entries_in_runs_of_7"],
     )
-    def test_a_traced_table_past_the_first_item_is_handed_over_while_streaming(
-        self, workers, monkeypatch, ssbls, run_sectors
-    ):
+    def test_a_table_past_the_first_item_is_read(self, monkeypatch, ssbls, run_sectors):
         # Traced, each item is one 512-byte sector, and a table of more than
         # 55 entries (12 + 9 * 56 = 516 bytes) does not fit in the first.
         # Untraced, in runs of 7 sectors the first item is 3,584 bytes: it
         # ends inside the length field of the last entry of a 397-entry
         # table, before the length's low byte.
-        threads, jobs = workers
         monkeypatch.setattr("tmiusim.tmiu.RUN_SECTORS", run_sectors)
         entries = [(EntryKind.SSBL, bytes([i % 256]) * 300) for i in range(ssbls)]
-        entries.append((EntryKind.KERNEL, random.Random(13).randbytes(image_module._HAND_OVER_BYTES + (64 << 10))))
+        entries.append((EntryKind.KERNEL, random.Random(13).randbytes(64 << 10)))
         result = make_provision(boot_entries=entries)
-        total = result.layout.boot_sectors * SECTOR_SIZE
         want = [(kind.label, len(blob), hashlib.sha256(blob).digest()) for kind, blob in entries]
         runs = []
-        inline = MAX_CONTAINER_SIZE + 1
-        for trace, limit in ((True, HASH_THREAD_MIN_CONTAINER), (False, HASH_THREAD_MIN_CONTAINER), (True, inline)):
-            monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", limit)
+        for trace in (True, False):
             host, _, bus, _, outcome = _boot(result, trace=trace)
             assert outcome.ok
             assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want
             runs.append((outcome.report.to_text(), bus.transcript))
-        # The traced boot handed the first 2 MiB to its worker while the
-        # stream still ran, and so did the untraced one, at the end of the
-        # first run that reached 2 MiB.
-        run = run_sectors * SECTOR_SIZE
-        untraced_mark = -(-image_module._HAND_OVER_BYTES // run) * run
-        assert len(threads) == 2
-        assert [args[3:] for _, args in jobs] == [(0, image_module._HAND_OVER_BYTES), (0, untraced_mark)]
-        assert all(len(args[1]) == len(entries) and args[4] < total for _, args in jobs)
-        # Traced and untraced, the reports match; the traced transcripts
-        # match the one of a boot that hashed it all at the end.
-        assert runs[0][0] == runs[1][0] == runs[2][0]
-        assert runs[0][1] == runs[2][1] and runs[0][1] and runs[1][1] == []
+        assert runs[0][0] == runs[1][0] and runs[0][1] and runs[1][1] == []
 
-    def test_entries_whose_spans_overlap_or_come_out_of_order(self, threads, monkeypatch):
+    def test_entries_whose_spans_overlap_or_come_out_of_order(self):
         result = provision_container(6000)
         layout = result.layout
         total_len = layout.boot_sectors * SECTOR_SIZE
         payload_len = total_len - 32 - 12 - 9 * 5
         spans = [
-            (EntryKind.FSBL, 0, payload_len),  # all of it, starting in the first item
-            (EntryKind.KERNEL, 1_500_000, 1_200_000),  # across the hand-over at 2 MiB
+            (EntryKind.FSBL, 0, payload_len),  # all of it
+            (EntryKind.KERNEL, 1_500_000, 1_200_000),
             (EntryKind.SSBL, 100, 50),  # earlier than the one before it
             (EntryKind.DEVICETREE, 1_400_000, 800_000),  # overlapping the kernel
             (EntryKind.KERNEL, payload_len - 1, 1),  # the last payload byte
@@ -631,11 +512,6 @@ class TestDigestWorker:
             (kind.label, length, hashlib.sha256(container[table_end + at : table_end + at + length]).digest())
             for kind, at, length in spans
         ]
-        loaded = []
-        for limit in (HASH_THREAD_MIN_CONTAINER, MAX_CONTAINER_SIZE + 1):
-            monkeypatch.setattr("tmiusim.image.HASH_THREAD_MIN_CONTAINER", limit)
-            host, _, _, _ = build_system(result.manifest, image.clone())
-            assert host.run_boot().ok
-            loaded.append([(e.kind_label, e.length, e.digest) for e in host.loaded_entries])
-        assert len(threads) == 1
-        assert loaded == [want, want]
+        host, _, _, _ = build_system(result.manifest, image)
+        assert host.run_boot().ok
+        assert [(e.kind_label, e.length, e.digest) for e in host.loaded_entries] == want

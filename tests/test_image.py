@@ -813,7 +813,7 @@ class TestHashWorker:
             assert tags[offset : offset + 32] == sector_tag_oracle(mac_key, lba, image.read_sector(lba))
 
     def test_one_worker_gets_no_key_and_is_joined(self, monkeypatch):
-        threads, jobs = record_hash_workers(monkeypatch, {"container_trailer", "_content_records"})
+        threads, jobs = record_hash_workers(monkeypatch)
         before = threading.active_count()
         result = _worker_provision()
         assert threading.active_count() == before
@@ -828,7 +828,7 @@ class TestHashWorker:
                 assert not any(key in obj for key in keys)
 
     def test_a_small_container_starts_no_thread(self, monkeypatch):
-        threads, jobs = record_hash_workers(monkeypatch, {"container_trailer", "_content_records"})
+        threads, jobs = record_hash_workers(monkeypatch)
         before = threading.active_count()
         result = make_provision()
         assert result.layout.boot_sectors * SECTOR_SIZE < HASH_THREAD_MIN_CONTAINER
@@ -1066,16 +1066,23 @@ class TestVerifyImage:
 
     def test_boot_container_check_keeps_one_copy(self):
         # The runs the check lets out are copied once, into the reader's
-        # buffer, and the entries are hashed in place there.
-        sectors = 6000  # a 3 MB kernel, handed over to the reader's worker
-        result = provision_container(sectors)
+        # buffer, and the entries are hashed in place there. That copy is
+        # freed before the file checks read a 1 MiB file back.
+        result = provision(
+            [(EntryKind.KERNEL, random.Random(3).randbytes(3 << 20))],
+            [("big.bin", random.Random(4).randbytes(1 << 20))],
+            DeviceIdentity(dna=1),
+            CardIdentity.from_seed(b"one-copy"),
+            kdf_repetitions=1,
+        )
+        sectors = result.layout.boot_sectors
         tracemalloc.start()
         try:
             findings = verify_image(result.image, result.manifest)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert findings[1] == f"boot_image=OK sectors={sectors}"
+        assert findings[1] == f"boot_image=OK sectors={sectors}" and findings[-1] == "file=big.bin OK"
         assert peak < 1.25 * sectors * SECTOR_SIZE
 
     def test_container_forged_from_known_plaintext_is_a_finding(self, provisioned):

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmiusim import host as host_module
 from tmiusim.host import HostError, build_system
-from tmiusim.image import NvmImage
+from tmiusim.image import Manifest, NvmImage
 from tmiusim.scenarios import (
     OUTCOME_CLASSES,
     Mutation,
@@ -171,6 +171,20 @@ class TestRunScenario:
         scenario = parse_scenario("target=bus:cmd:3 mutate=flip_bit:1:1 expect=OsRunning")
         observed, report = run_scenario(scenario, provisioned.image, provisioned.manifest)
         assert observed == "OsRunning"
+        assert report.stage == "Operational"
+
+    def test_a_file_whose_bytes_disagree_with_the_manifest_is_a_tag_mismatch(self, provisioned):
+        # The card is clean; the manifest's digest line of the last file is
+        # not what it holds, so the sweep reads that file back as wrong bytes.
+        label, length, digest = provisioned.manifest.files[-1]
+        line = f"file={label},{length},{digest}"
+        text = provisioned.manifest.to_text()
+        assert text.count(line) == 1
+        manifest = Manifest.from_text(text.replace(line, f"file={label},{length},{'0' * 64}"))
+        scenario = builtin_scenarios()["bus_data_bitflip"]
+        assert run_scenario(scenario, provisioned.image, provisioned.manifest)[0] == "OsRunning"
+        observed, report = run_scenario(scenario, provisioned.image, manifest)
+        assert observed == "SectorTagMismatch"
         assert report.stage == "Operational"
 
     @settings(max_examples=100, derandomize=True, deadline=None)

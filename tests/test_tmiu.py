@@ -43,7 +43,7 @@ from tmiusim.tmiu import (
     StateError,
 )
 
-from conftest import DATA_FILES, image_file_records, make_provision, provision_container, record_hash_workers
+from conftest import DATA_FILES, image_file_records, make_provision, provision_container, record_pools
 from hostile import (
     ByteCuttingCard,
     ErrorBitCard,
@@ -602,12 +602,12 @@ class TestWrongLbaCard:
 
     @staticmethod
     def _run(where, trace, monkeypatch):
-        # About 5 MB: the host hands the stream's first 2 MiB to its digest
-        # worker before the lie in the boot stream's second half.
+        # About 5 MB, past HASH_THREAD_MIN_CONTAINER: the boot starts no
+        # thread, wherever the lie strikes.
         result = provision_container(10000)
         layout = result.layout
         host, tmiu, bus, card = hostile_system(result, LbaShiftingCard, trace)
-        threads, _ = record_hash_workers(monkeypatch, {"_hash_spans"})
+        pools = record_pools(monkeypatch)
         before = threading.active_count()
         texts = []
         if where == "read_file":
@@ -619,8 +619,7 @@ class TestWrongLbaCard:
         else:
             card.shift_from = 0 if where == "mbr" else layout.boot_start + layout.boot_sectors // 2
             assert not host.run_boot(expected_entries=result.manifest.entries).ok
-        assert threading.active_count() == before
-        assert len(threads) == (where != "mbr") and not any(t.is_alive() for t in threads)
+        assert pools == [] and threading.active_count() == before
         assert card.io_suspended
         text = "\n".join([*texts, tmiu.report().to_text(), repr(tmiu), *bus.transcript])
         assert not any(key.hex() in text for key in manifest_keys(result.manifest))
@@ -803,12 +802,13 @@ class TestInternalFault:
         ],
     )
     def test_the_unit_fails_closed(self, step, where, trace, monkeypatch):
-        # Past HASH_THREAD_MIN_CONTAINER and a 2 MiB hand-over, so that the
-        # host's digest worker is live when the boot stream fails.
+        # Past HASH_THREAD_MIN_CONTAINER, where provisioning hashes on a
+        # worker thread, and 2 MiB into the stream: the boot starts none.
         result = provision_container(6000)
         layout = result.layout
         late = layout.boot_start + 5000
         host, tmiu, bus, card = hostile_system(result, VirtualCard, trace)
+        pools = record_pools(monkeypatch)
         before = threading.active_count()
         if where in ("read", "write"):
             assert host.run_boot(expected_entries=result.manifest.entries).ok
@@ -849,9 +849,9 @@ class TestInternalFault:
                 host.run_boot(expected_entries=result.manifest.entries)
 
         ((threads_alive, transfer),) = at_fault
+        assert threads_alive == before
         if where == "boot_stream":
-            assert threads_alive == before + 1  # the digest worker was live
-            assert transfer[0] == CMD_READ_MULTIPLE  # and its transfer open
+            assert transfer[0] == CMD_READ_MULTIPLE  # the transfer was open
         if where.startswith("boot"):
             assert received  # the held block, forwarded poisoned
             _assert_poisoned(received)
@@ -859,7 +859,7 @@ class TestInternalFault:
             assert received == []  # nothing was held to forward
         assert (tmiu.stage, tmiu.reason, tmiu._keys) == (Stage.LOCKDOWN, Denial.BUS_ERROR, None)
         assert card.io_suspended and card._open is None
-        assert threading.active_count() == before
+        assert pools == [] and threading.active_count() == before
         text = "\n".join([tmiu.report().to_text(), repr(tmiu), *bus.transcript])
         assert not any(key.hex() in text for key in manifest_keys(result.manifest))
         with pytest.raises(LockdownError):
