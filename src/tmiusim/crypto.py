@@ -31,7 +31,6 @@ MAC_KEY_SIZE = 32
 DIGEST_SIZE = 32
 
 CRC7_POLY = 0x09  # x^7 + x^3 + 1, SD command line
-CRC16_POLY = 0x1021  # x^16 + x^12 + x^5 + 1 (XMODEM), SD data line
 
 # Counter offset separating the integrity-key chain from the cipher-key chain
 # (ASCII "MA").

@@ -904,14 +904,37 @@ def _plain_reader(image: NvmImage, aes_key: bytes) -> Callable[..., bytes]:
     return lambda lba, count=1: cipher.crypt(lba, image.read_sectors(lba, count))
 
 
+def _read_container(
+    read_plain: Callable[[int, int], bytes], boot_start: int, boot_sectors: int
+) -> tuple[list[LoadedEntry], int]:
+    """(entries, sectors) of the plaintext container at ``boot_start`` in a
+    ``boot_sectors``-sector boot partition, fed by ``read_plain(lba, count)``
+    to a :class:`ContainerCheck` as the unit feeds it, and read by one
+    :class:`BootStream` as the host reads it. A format error comes before a
+    trailer mismatch; the stream's copy of the container is freed on return."""
+    stream, check, lba = BootStream(), ContainerCheck(boot_sectors), boot_start
+    while check.pending:
+        count = min(RUN_SECTORS, check.pending)
+        if released := check.update(read_plain(lba, count)):
+            stream.receive(released)
+        lba += count
+    stream.receive(check.held)
+    entries = stream.loaded_entries()
+    check.finish()
+    return entries, lba - boot_start
+
+
 def in_use_data_lbas(image: NvmImage, manifest: Manifest) -> list[int]:
-    """Absolute LBAs the post-boot read path will touch: table + file extents."""
+    """Absolute LBAs the post-boot read path will touch: the table, and each
+    file extent that lies in the data partition, as the unit reads no other."""
     layout = manifest.layout
     aes_key, _ = manifest_keys(manifest)
     table = read_file_table(_plain_reader(image, aes_key), layout.data_start, layout.data_sectors)
     lbas = set(range(layout.data_start, layout.data_start + len(table) // SECTOR_SIZE))
     for rec in parse_file_table(table):
-        lbas.update(rec.lbas(layout.data_start))
+        extent = rec.lbas(layout.data_start)
+        if extent.stop <= layout.meta_start:
+            lbas.update(extent)
     return sorted(lbas)
 
 
@@ -935,25 +958,16 @@ def verify_image(image: NvmImage, manifest: Manifest) -> list[str]:
     mbr_ok = sector_tag(mac, 0, image.read_sector(0)) == manifest.anchors.mbr_digest
     findings = ["mbr=OK" if mbr_ok else "mbr=FAIL lba=0"]
 
-    # One copy of the container: the runs the check lets out, read as the host reads them.
-    stream, check, lba = BootStream(), ContainerCheck(lay.boot_sectors), lay.boot_start
     try:
-        while check.pending:  # the first sector alone, then runs
-            count = min(RUN_SECTORS, check.pending)
-            if released := check.update(read_plain(lba, count)):
-                stream.receive(released)
-            lba += count
-        stream.receive(check.held)
-        loaded = [(e.kind_label, e.length, e.digest.hex()) for e in stream.loaded_entries()]
-        check.finish()
+        entries, sectors = _read_container(read_plain, lay.boot_start, lay.boot_sectors)
         # The trailer is unkeyed: the manifest's digests catch a forgery.
+        loaded = [(e.kind_label, e.length, e.digest.hex()) for e in entries]
         for i, (got, want) in enumerate(zip_longest(loaded, manifest.entries)):
             if got != want:
                 raise ImageDigestError(f"entry {i} disagrees with the manifest")
-        findings.append(f"boot_image=OK sectors={lba - lay.boot_start}")
+        findings.append(f"boot_image=OK sectors={sectors}")
     except (ImageFormatError, ImageDigestError) as exc:
         findings.append(f"boot_image=FAIL ({exc})")
-    del stream  # and its copy of the container, before the data checks
 
     tag_sectors = {lba: read_plain(lba) for lba in range(lay.meta_start, lay.total_sectors)}
     bad_lbas = []

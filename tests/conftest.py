@@ -7,14 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from tmiusim import CardIdentity, DeviceIdentity, EntryKind, provision
-from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher
+from tmiusim.crypto import SECTOR_SIZE
 from tmiusim.image import (
-    BootStream,
-    ContainerCheck,
     FileRecord,
     Manifest,
     NvmImage,
     ProvisionResult,
+    _plain_reader,
+    _read_container,
     container_trailer,
     manifest_keys,
     parse_file_table,
@@ -56,11 +56,12 @@ def make_provision(
 
 
 @functools.lru_cache(maxsize=None)
-def provision_container(sectors: int, kdf_repetitions: int = FIXTURE_KDF_REPETITIONS) -> ProvisionResult:
-    """A provisioned image whose boot container is exactly ``sectors`` long."""
+def provision_container(sectors: int, **kwargs) -> ProvisionResult:
+    """A provisioned image whose boot container is exactly ``sectors`` long;
+    ``kwargs`` go to :func:`make_provision`."""
     # One entry: a 21-byte header and a 32-byte digest around the blob.
     blob = bytes((i * 29 + sectors) % 256 for i in range(sectors * 512 - 53))
-    return make_provision(boot_entries=[(EntryKind.KERNEL, blob)], kdf_repetitions=kdf_repetitions)
+    return make_provision(boot_entries=[(EntryKind.KERNEL, blob)], **kwargs)
 
 
 def record_hash_workers(monkeypatch) -> tuple[list, list]:
@@ -108,19 +109,15 @@ def entry_digests(entries) -> list[tuple[str, int, bytes]]:
 
 def check_container(container: bytes) -> list[tuple[str, int, bytes]]:
     """The (kind label, length, SHA-256) of each entry of a plaintext
-    container that passes a :class:`ContainerCheck` fed as the unit feeds
-    it, the first sector alone, then runs of up to ``RUN_SECTORS``, each run
-    it lets out read by a :class:`BootStream` as the host reads it. The boot
-    partition is the container's own whole sectors."""
-    check, stream, start = ContainerCheck(len(container) // SECTOR_SIZE), BootStream(), 0
-    while check.pending:
-        end = start + min(RUN_SECTORS, check.pending) * SECTOR_SIZE
-        if released := check.update(container[start:end]):
-            stream.receive(released)
-        start = end
-    stream.receive(check.held)
-    entries = stream.loaded_entries()
-    check.finish()
+    container that passes the offline container reader, which feeds a
+    :class:`ContainerCheck` as the unit feeds it and reads what it lets out
+    as the host reads it. The boot partition is the container's own whole
+    sectors."""
+    entries, _ = _read_container(
+        lambda lba, count: container[lba * SECTOR_SIZE : (lba + count) * SECTOR_SIZE],
+        0,
+        len(container) // SECTOR_SIZE,
+    )
     return [(e.kind_label, e.length, e.digest) for e in entries]
 
 
@@ -152,11 +149,7 @@ def forge_kernel(result: ProvisionResult) -> tuple[NvmImage, bytes]:
 
 def image_file_records(image: NvmImage, manifest: Manifest) -> list[FileRecord]:
     """Decrypt and parse the data-partition file table straight off an image."""
-    cipher = SectorCipher(manifest_keys(manifest)[0])
-
-    def read_plain(lba: int, count: int = 1) -> bytes:
-        return cipher.crypt(lba, image.read_sectors(lba, count))
-
+    read_plain = _plain_reader(image, manifest_keys(manifest)[0])
     return parse_file_table(read_file_table(read_plain, manifest.layout.data_start, manifest.layout.data_sectors))
 
 

@@ -1,9 +1,8 @@
-import functools
 import re
 import struct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tmiusim.bus import (
     CMD_ALL_SEND_CID,
@@ -30,13 +29,12 @@ from tmiusim.bus import (
     parse_command,
     parse_response,
 )
-from tmiusim.crypto import DIGEST_SIZE, RUN_SECTORS, SECTOR_SIZE, SectorCipher, crc16
+from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.image import CapacityError, FileRecord, build_file_table
-from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, CycleLedger, LockdownError, Stage, TmiuError
+from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, CycleLedger
 
-from conftest import DATA_FILES, image_file_records, make_provision, provision_container
+from conftest import DATA_FILES, image_file_records, provision_container
 
 DATA_FRAME_SIZE = SECTOR_SIZE + 2  # a sector, then its CRC16
 
@@ -541,33 +539,6 @@ class TestBus:
         else:
             assert sides[0][0] == [(False, None)] * len(results)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=8))
-    def test_draining_runs_yields_the_same_bytes_with_or_without_the_transcript(
-        self, provisioned, data, limits
-    ):
-        image = provisioned.image
-        total = image.total_sectors
-        start = data.draw(st.integers(0, total - 1))
-        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
-        drained = []
-        for trace in (False, True):
-            bus = SdioBus(VirtualCard(identity, image), CycleLedger(), trace=trace)
-            bus.command(CMD_GO_IDLE, 0)
-            bus.command(CMD_ALL_SEND_CID, 0)
-            bus.command(CMD_SELECT, 0)
-            bus.command(CMD_READ_MULTIPLE, start)
-            out = bytearray()
-            for step in range(total + 1):
-                fetched = bus.fetch_run(limits[step % len(limits)])
-                if fetched is None:
-                    break
-                run, crc_ok = fetched
-                assert crc_ok
-                out += run
-            drained.append(bytes(out))
-        assert drained[0] == drained[1] == image.read_sectors(start, total - start)
-
     @pytest.mark.parametrize("nth", [0, -1, -4])
     def test_fault_on_frame_below_one_is_rejected(self, card, nth):
         bus = SdioBus(card, CycleLedger())
@@ -835,42 +806,6 @@ class TestRunFrameShape:
             assert directions == {"DIR=C→H" if index == CMD_READ_MULTIPLE else "DIR=H→C"}
 
 
-def _faulted_io_run(provisioned, fault, trace):
-    """Fixture boot, one file write and read with ``fault`` scheduled
-    beforehand: (outcomes, whether the fault fired, report text, final
-    image). A command fault's retry charges no cycles, so only whether it
-    fired tells the two paths apart."""
-    manifest = provisioned.manifest
-    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
-    bus.inject_fault(*fault)
-    outcome = host.run_boot(expected_entries=manifest.entries)
-    events = [outcome.outcome_class]
-    if outcome.ok:
-        blob = bytes(range(251)) * 3
-        for step in (lambda: host.write_file("trace.bin", blob), lambda: host.read_file("trace.bin")):
-            try:
-                events.append(step())
-            except LockdownError as exc:
-                events.append(repr(exc))
-    fired = not bus._faults[fault[0]]
-    return events, fired, tmiu.report().to_text(), card.backing.to_bytes()
-
-
-class TestTraceOnlyObserves:
-    @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(
-        kind=st.sampled_from(["cmd", "c2h", "h2c"]),
-        nth=st.integers(1, 80),
-        offset=st.integers(0, DATA_FRAME_SIZE - 1),
-        bit=st.integers(0, 7),
-    )
-    def test_trace_flag_changes_nothing_but_the_transcript(self, provisioned, kind, nth, offset, bit):
-        # A clean fixture boot plus the file write and read sends 43
-        # command, 48 card-to-host and 8 host-to-card data frames.
-        fault = (kind, nth, offset, bit)
-        assert _faulted_io_run(provisioned, fault, True) == _faulted_io_run(provisioned, fault, False)
-
-
 # Card-to-host data frames of a clean traced fixture boot, file write and
 # file read: the MBR, the 30 boot sectors, and 17 data and tag sectors.
 IO_RUN_C2H_FRAMES = 48
@@ -911,230 +846,3 @@ class TestOneResendRule:
         (cycles, nbytes), (clean_cycles, clean_bytes) = faulted[3], clean[3]
         assert (cycles - clean_cycles, nbytes - clean_bytes) == (SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
         assert faulted[4] == IO_RUN_C2H_FRAMES + 1
-
-
-def _stream_boot(result, flip, fault, trace):
-    """A boot of ``result``'s image, driven stage by stage, with one
-    container bit flipped and one fault scheduled (either may be None):
-    (report text, forwarded bytes, offset and CRC verdict of each block the
-    unit forwarded, whether the fault fired, final image)."""
-    image = result.image.clone()
-    if flip is not None:
-        index, offset, bit = flip
-        lba = result.layout.boot_start + index % result.layout.boot_sectors
-        sector = bytearray(image.read_sector(lba))
-        sector[offset] ^= 1 << bit
-        image.write_sector(lba, bytes(sector))
-    _, tmiu, bus, card = build_system(result.manifest, image, trace=trace)
-    if fault is not None:
-        bus.inject_fault(*fault)
-    forwarded, blocks = bytearray(), []
-    tmiu.power_on()
-    if tmiu.authenticate_memory(bus) is Stage.KEYGEN_IMAGE_AUTH:
-        tmiu.generate_keys()
-
-        def sink(item):
-            if isinstance(item, DataBlock):
-                blocks.append((len(forwarded), item.crc_ok))
-                item = item.payload
-            forwarded.extend(item)
-
-        tmiu.verify_mbr_and_image(bus, sink=sink)
-    return tmiu.report().to_text(), bytes(forwarded), blocks, not bus.faults_pending, card.backing.to_bytes()
-
-
-class TestRunPathEquivalence:
-    @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(
-        sectors=st.integers(1, 200),
-        flip=st.none() | st.tuples(st.integers(0, 199), st.integers(0, 511), st.integers(0, 7)),
-        fault=st.none()
-        | st.tuples(
-            st.sampled_from(["cmd", "c2h", "h2c"]),
-            st.integers(1, 220),
-            st.integers(0, DATA_FRAME_SIZE - 1),
-            st.integers(0, 7),
-        ),
-    )
-    def test_run_path_matches_per_frame_path(self, sectors, flip, fault):
-        # Untraced, with no card-to-host fault pending, the stream moves in
-        # runs; the transcript forces one frame at a time.
-        result = provision_container(sectors)
-        assert _stream_boot(result, flip, fault, False) == _stream_boot(result, flip, fault, True)
-
-
-@functools.lru_cache(maxsize=None)
-def _roomy_provision():
-    """The fixture's files in a data partition of 214 sectors, which spans 14
-    tag sectors: room for files of up to 80 sectors."""
-    return make_provision(data_slack_sectors=200)
-
-
-def _in_use_lbas(card, manifest) -> list[int]:
-    """The data LBAs a file op reads: the table's, then each file's extent
-    as far as it lies in the data partition."""
-    layout = manifest.layout
-    end = layout.data_start + layout.data_sectors
-    lbas = set(range(layout.data_start, layout.data_start + 4))  # the fixture's table
-    try:
-        records = image_file_records(card.backing, manifest)
-    except ValueError:  # a tampered table; the next read of it locks down
-        records = []
-    for record in records:
-        extent = record.lbas(layout.data_start)
-        lbas.update(range(extent.start, min(extent.stop, end)))
-    return sorted(lbas)
-
-
-def _mediated_ops(provisioned, ops, trace, forget=False):
-    """Fixture boot, then ``ops`` through the host and the unit: (each op's
-    bytes or exception class, ledger totals, the unit's stage record, card
-    image, the unit's stage, reason and fault LBA). With ``forget``, the host
-    drops the file table it keeps before every op."""
-    manifest = provisioned.manifest
-    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=trace)
-    assert host.run_boot(expected_entries=manifest.entries).ok
-    data_start, data_sectors = tmiu.data_partition
-    data_end = data_start + data_sectors
-    outcomes = []
-    for op, arg in ops:
-        if forget:
-            host._table = (b"", [])
-        try:
-            if op == "read":
-                outcomes.append(host.read_file(arg))
-            elif op == "write":
-                label, size = arg
-                host.write_file(label, bytes((i * 13 + size) % 256 for i in range(size)))
-                outcomes.append(None)
-            elif op == "outside":  # past, before or across the partition's end
-                lba, count = [(data_end, 1), (data_start - 1, 1), (data_end - 2, 3)][arg]
-                outcomes.append(tmiu.mediate_read(bus, lba, count))
-            elif op == "outside_write":  # across the partition's end
-                outcomes.append(tmiu.mediate_write(bus, data_end - 1, bytes(512 * (arg + 2))))
-            elif op == "tamper":  # one bit of an in-use data sector or of its tag slot
-                in_tag, pick = arg
-                lbas = _in_use_lbas(card, manifest)
-                lba = lbas[pick % len(lbas)]
-                if in_tag:
-                    lba, offset = manifest.layout.tag_location(lba)
-                    offset += pick % DIGEST_SIZE
-                else:
-                    offset = pick % 512
-                sector = bytearray(card.backing.read_sector(lba))
-                sector[offset] ^= 1 << (pick >> 9) % 8
-                card.backing.write_sector(lba, bytes(sector))
-                outcomes.append(None)
-            elif op == "retable":  # the table rewritten behind the host, through the unit
-                records = image_file_records(card.backing, manifest)
-                if records:  # labels rotated by ``arg``; an odd ``arg`` drops the last record
-                    labels = [r.label for r in records]
-                    labels = labels[arg % len(labels) :] + labels[: arg % len(labels)]
-                    records = [FileRecord(lb, r.offset, r.length) for lb, r in zip(labels, records)]
-                    table = build_file_table(records[: len(records) - arg % 2], 4)  # the fixture's table
-                    tmiu.mediate_write(bus, data_start, table)
-                outcomes.append(None)
-            elif op == "reboot":
-                outcomes.append(host.reboot(expected_entries=manifest.entries).outcome_class)
-            elif op == "fault":  # a wire fault due some frames into the next ops
-                bus.inject_fault(*arg)
-                outcomes.append(None)
-            else:  # the card stops answering while the unit is operational
-                card.suspend_io()
-                outcomes.append(None)
-        except (TmiuError, FileNotFoundError, CapacityError) as exc:
-            outcomes.append(type(exc).__name__)
-    ledger = tmiu.ledger
-    unit = (tmiu.stage, tmiu.reason, tmiu.fault_lba)
-    return outcomes, (ledger.cycles, ledger.bytes_moved, tmiu.stage_history), card.backing.to_bytes(), unit
-
-
-_LABELS = [label for label, _ in DATA_FILES] + ["new.bin", "big.bin", "missing.bin"]
-_EVENT_AT = st.integers(0, 8)
-
-
-class TestSingleReadPathEquivalence:
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(st.just("read"), st.sampled_from(_LABELS)),
-                st.tuples(st.just("read"), st.sampled_from(_LABELS)),
-                # Up to 79 sectors: a file spans up to six tag sectors.
-                st.tuples(st.just("write"), st.tuples(st.sampled_from(_LABELS), st.integers(0, 40_000))),
-                st.tuples(st.just("outside"), st.integers(0, 2)),
-                st.tuples(st.just("outside_write"), st.integers(0, 2)),
-            ),
-            max_size=8,
-        ),
-        events=st.lists(
-            st.one_of(
-                st.tuples(_EVENT_AT, st.just("tamper"), st.tuples(st.booleans(), st.integers(0, 1 << 20))),
-                st.tuples(_EVENT_AT, st.just("suspend"), st.none()),
-                # Up to 160 frames on: mid-table or mid-file for the next op.
-                st.tuples(
-                    _EVENT_AT,
-                    st.just("fault"),
-                    st.tuples(
-                        st.sampled_from(["c2h", "cmd", "h2c"]),
-                        st.integers(1, 160),
-                        st.integers(0, DATA_FRAME_SIZE - 1),
-                        st.integers(0, 7),
-                    ),
-                ),
-            ),
-            max_size=2,
-        ),
-    )
-    @example(ops=[("read", "var/log.bin"), ("read", "keys.db")], events=[(0, "tamper", (False, 4))])
-    @example(ops=[("outside", 0), ("read", "keys.db"), ("read", "keys.db")], events=[(1, "suspend", None)])
-    # A 69-sector file: the fault fires on the data frame of its 31st
-    # sector, after the table's 6 frames and 30 more. The unit resends that
-    # frame in a new transfer from its sector, and the read goes on.
-    @example(
-        ops=[("write", ("big.bin", 35_000)), ("read", "big.bin")],
-        events=[(1, "fault", ("c2h", 37, 100, 3))],
-    )
-    @example(
-        ops=[("write", ("big.bin", 35_000)), ("read", "big.bin"), ("write", ("big.bin", 20_000))],
-        events=[(1, "tamper", (True, 57)), (3, "fault", ("h2c", 9, 0, 0))],
-    )
-    def test_single_read_exchange_matches_per_frame_path(self, ops, events):
-        # A file's table and extent each move as CMD18 or CMD25 runs. Untraced,
-        # with no fault pending, a run moves as one buffer; the transcript, or
-        # a pending fault, moves it frame by frame.
-        for at, event, arg in events:
-            ops.insert(at, (event, arg))
-        provisioned = _roomy_provision()
-        assert _mediated_ops(provisioned, ops, False) == _mediated_ops(provisioned, ops, True)
-
-
-class TestKeptFileTable:
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(
-        ops=st.lists(
-            st.one_of(
-                st.tuples(st.just("read"), st.sampled_from(_LABELS)),
-                st.tuples(st.just("write"), st.tuples(st.sampled_from(_LABELS), st.integers(0, 20_000))),
-                st.tuples(st.just("retable"), st.integers(0, 7)),
-                st.tuples(st.just("reboot"), st.none()),
-            ),
-            max_size=8,
-        )
-    )
-    @example(
-        ops=[
-            ("read", "keys.db"), ("retable", 1), ("read", "keys.db"), ("write", ("keys.db", 900)),
-            ("reboot", None), ("retable", 2), ("read", "keys.db"), ("write", ("new.bin", 600)),
-        ]
-    )
-    def test_each_op_acts_on_the_table_the_card_holds(self, ops):
-        # The host keeps the table it last read or wrote, and parses a table
-        # read through the unit only where it differs. A table rewritten
-        # behind the host, or a reboot, must reach the next op, traced or not,
-        # exactly as if the host kept nothing.
-        provisioned = _roomy_provision()
-        kept = _mediated_ops(provisioned, ops, False)
-        assert kept == _mediated_ops(provisioned, ops, True)
-        assert kept == _mediated_ops(provisioned, ops, False, forget=True)
-        assert kept == _mediated_ops(provisioned, ops, True, forget=True)

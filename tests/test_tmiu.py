@@ -29,6 +29,7 @@ from tmiusim.image import (
     MbrSector,
     PartitionEntry,
     build_file_table,
+    in_use_data_lbas,
     manifest_keys,
 )
 from tmiusim.tmiu import (
@@ -406,6 +407,9 @@ class TestMediatedDataPath:
         end = layout.data_start + layout.data_sectors
         record = FileRecord("across", offset=(layout.data_sectors - 2) * 512, length=5 * 512)
         tmiu.mediate_write(bus, layout.data_start, build_file_table([record], 4))
+        # The table alone is read, as the offline list of in-use LBAs says.
+        table = [*range(layout.data_start, layout.data_start + 4)]
+        assert in_use_data_lbas(card.backing, provisioned.manifest) == table
 
         def state():
             return tmiu.ledger.cycles, tmiu.ledger.bytes_moved, len(bus.transcript), card.backing.to_bytes()
@@ -520,14 +524,15 @@ def _assert_poisoned(received):
 
 
 class TestMiscountedRun:
-    # Frame by frame, the unit asks for one sector at a time, so only a
-    # transfer that ends short can lie to it.
-    LIES = [("short", False), ("short", True), ("long", False), ("empty", False), ("ragged", False)]
+    # Untraced, so that the unit asks for runs. Frame by frame it asks for
+    # one sector at a time, and only a transfer that ends short can lie to
+    # it; tests/test_model.py draws that lie traced and untraced.
+    LIES = ["short", "long", "empty", "ragged"]
 
-    @pytest.mark.parametrize("lie, trace", LIES)
+    @pytest.mark.parametrize("lie", LIES)
     @pytest.mark.parametrize("op", ["read_file", "write_file"])
-    def test_a_cmd18_transfer_of_the_wrong_length_is_a_bus_error(self, provisioned, op, lie, trace):
-        host, tmiu, bus, card = hostile_system(provisioned, MiscountingCard, trace)
+    def test_a_cmd18_transfer_of_the_wrong_length_is_a_bus_error(self, provisioned, op, lie):
+        host, tmiu, bus, card = hostile_system(provisioned, MiscountingCard, False)
         assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
         # The table's first sector is read alone, its other three as one run.
         card.lie = lie
@@ -536,21 +541,19 @@ class TestMiscountedRun:
             host.read_file(label) if op == "read_file" else host.write_file(label, blob[::-1])
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card, str(raised.value))
 
-    @pytest.mark.parametrize("lie, trace", LIES)
-    def test_a_cmd18_transfer_of_the_wrong_length_during_boot_is_a_bus_error(self, provisioned, lie, trace):
+    @pytest.mark.parametrize("lie", LIES)
+    def test_a_cmd18_transfer_of_the_wrong_length_during_boot_is_a_bus_error(self, provisioned, lie):
         # The MBR and the image's first sector are read alone, the rest of
         # the image as runs.
-        _, tmiu, bus, card = hostile_system(provisioned, MiscountingCard, trace)
+        _, tmiu, bus, card = hostile_system(provisioned, MiscountingCard, False)
         card.lie = lie
         _assert_poisoned(_forwarded_by_boot(tmiu, bus))
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
 
-    @pytest.mark.parametrize("trace", [False, True])
     @pytest.mark.parametrize("where", ["mbr", "boot_stream", "read_file"])
-    def test_a_sector_a_byte_short_is_a_bus_error(self, provisioned, where, trace):
-        # Traced, the short sector crosses the wire as a data frame of its
-        # own; the unit, not the bus, judges its length.
-        host, tmiu, bus, card = hostile_system(provisioned, ByteCuttingCard, trace)
+    def test_a_sector_a_byte_short_is_a_bus_error(self, provisioned, where):
+        # The unit, not the bus, judges the length of what the card sends.
+        host, tmiu, bus, card = hostile_system(provisioned, ByteCuttingCard, False)
         layout = provisioned.layout
         texts = []
         if where == "read_file":
@@ -598,15 +601,15 @@ class TestMiscountedRun:
 class TestWrongLbaCard:
     """A card that serves the sector after the one asked for, whole and on
     time. Each sector's cipher counter is its LBA and each tag binds its
-    LBA, so the lie is denied wherever it strikes, traced or not."""
+    LBA, so the lie is denied wherever it strikes."""
 
-    @staticmethod
-    def _run(where, trace, monkeypatch):
+    @pytest.mark.parametrize("where", ["mbr", "boot_stream", "read_file"])
+    def test_a_sector_from_the_wrong_lba_is_denied(self, where, monkeypatch):
         # About 5 MB, past HASH_THREAD_MIN_CONTAINER: the boot starts no
         # thread, wherever the lie strikes.
         result = provision_container(10000)
         layout = result.layout
-        host, tmiu, bus, card = hostile_system(result, LbaShiftingCard, trace)
+        host, tmiu, _, card = hostile_system(result, LbaShiftingCard, False)
         pools = record_pools(monkeypatch)
         before = threading.active_count()
         texts = []
@@ -621,27 +624,20 @@ class TestWrongLbaCard:
             assert not host.run_boot(expected_entries=result.manifest.entries).ok
         assert pools == [] and threading.active_count() == before
         assert card.io_suspended
-        text = "\n".join([*texts, tmiu.report().to_text(), repr(tmiu), *bus.transcript])
+        text = "\n".join([*texts, tmiu.report().to_text(), repr(tmiu)])
         assert not any(key.hex() in text for key in manifest_keys(result.manifest))
-        return tmiu.stage, tmiu.reason, tmiu.fault_lba, tmiu.report().to_text()
-
-    @pytest.mark.parametrize("where", ["mbr", "boot_stream", "read_file"])
-    def test_a_sector_from_the_wrong_lba_is_denied(self, where, monkeypatch):
-        untraced, traced = (self._run(where, trace, monkeypatch) for trace in (False, True))
-        assert untraced == traced
-        data_start = provision_container(10000).layout.data_start
         want = {
             "mbr": (Denial.MBR_MISMATCH, None),
             "boot_stream": (Denial.IMAGE_DIGEST_MISMATCH, None),
-            "read_file": (Denial.SECTOR_TAG_MISMATCH, data_start),  # the LBA asked for
+            "read_file": (Denial.SECTOR_TAG_MISMATCH, layout.data_start),  # the LBA asked for
         }[where]
-        assert untraced[:3] == (Stage.LOCKDOWN, *want)
+        assert (tmiu.stage, tmiu.reason, tmiu.fault_lba) == (Stage.LOCKDOWN, *want)
 
 
 class TestRefusingCard:
     """A card that stays silent on a command, or refuses it with an R1
     error status: in stage 2 or after hand-over, the unit locks down with
-    ``BusError``, traced or not."""
+    ``BusError``."""
 
     @staticmethod
     def _assert_closed(tmiu, card):
@@ -653,16 +649,12 @@ class TestRefusingCard:
         ids=["cmd9_silent", "cmd7_refused", "cmd16_refused"],
     )
     def test_a_card_that_fails_identification_is_a_bus_error(self, provisioned, refused, status):
-        reports = []
-        for trace in (False, True):
-            host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
-            card.refused, card.status = refused, status
-            assert host.run_boot(expected_entries=provisioned.manifest.entries).outcome_class == "BusError"
-            assert Stage.KEYGEN_IMAGE_AUTH not in [stage for stage, _, _ in tmiu.stage_history]
-            _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
-            self._assert_closed(tmiu, card)
-            reports.append(tmiu.report().to_text())
-        assert reports[0] == reports[1]
+        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, False)
+        card.refused, card.status = refused, status
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).outcome_class == "BusError"
+        assert Stage.KEYGEN_IMAGE_AUTH not in [stage for stage, _, _ in tmiu.stage_history]
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
+        self._assert_closed(tmiu, card)
 
     @pytest.mark.parametrize(
         "flagged, where",
@@ -676,33 +668,27 @@ class TestRefusingCard:
         ids=["cmd7", "cmd16", "cmd18_boot", "cmd18_read", "cmd25_write"],
     )
     def test_an_error_bit_in_an_accepting_answer_is_a_bus_error(self, provisioned, flagged, where):
-        # Traced, the command crosses the wire as a frame; untraced, a data
-        # command meets the card through open_transfer.
+        # Untraced, a data command meets the card through open_transfer.
         entries = provisioned.manifest.entries
         label, blob = DATA_FILES[0]
-        reports = []
-        for trace in (False, True):
-            host, tmiu, bus, card = hostile_system(provisioned, ErrorBitCard, trace)
-            if where != "boot":
-                assert host.run_boot(expected_entries=entries).ok
-            card.flagged = flagged
-            texts = []
-            if where == "boot":
-                assert host.run_boot(expected_entries=entries).outcome_class == "BusError"
-            else:
-                with pytest.raises(LockdownError, match="BusError") as raised:
-                    host.read_file(label) if where == "read_file" else host.write_file(label, blob[::-1])
-                texts.append(str(raised.value))
-            # The card accepted the command once, flagged, and was not asked again.
-            assert [idx for idx, _ in card.flagged_at] == [flagged]
-            _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts)
-            self._assert_closed(tmiu, card)
-            reports.append(tmiu.report().to_text())
-        assert reports[0] == reports[1]
+        host, tmiu, bus, card = hostile_system(provisioned, ErrorBitCard, False)
+        if where != "boot":
+            assert host.run_boot(expected_entries=entries).ok
+        card.flagged = flagged
+        texts = []
+        if where == "boot":
+            assert host.run_boot(expected_entries=entries).outcome_class == "BusError"
+        else:
+            with pytest.raises(LockdownError, match="BusError") as raised:
+                host.read_file(label) if where == "read_file" else host.write_file(label, blob[::-1])
+            texts.append(str(raised.value))
+        # The card accepted the command once, flagged, and was not asked again.
+        assert [idx for idx, _ in card.flagged_at] == [flagged]
+        _assert_bus_error_lockdown(provisioned, tmiu, bus, card, *texts)
+        self._assert_closed(tmiu, card)
 
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_a_refused_data_run_writes_nothing(self, provisioned, trace):
-        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
+    def test_a_refused_data_run_writes_nothing(self, provisioned):
+        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, False)
         layout = provisioned.layout
         assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
         card.refused, card.status = CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE
@@ -713,12 +699,11 @@ class TestRefusingCard:
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card, str(raised.value))
         self._assert_closed(tmiu, card)
 
-    @pytest.mark.parametrize("trace", [False, True])
-    def test_a_refused_tag_run_leaves_the_old_file_readable(self, provisioned, trace):
+    def test_a_refused_tag_run_leaves_the_old_file_readable(self, provisioned):
         # Rewritten at its own size, the first file is placed outside its old
         # extent: the data run commits there, and the tag run is refused
         # before the table could name it.
-        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, trace)
+        host, tmiu, bus, card = hostile_system(provisioned, RefusingCard, False)
         layout, entries = provisioned.layout, provisioned.manifest.entries
         assert host.run_boot(expected_entries=entries).ok
         card.refused, card.status = CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE
@@ -747,9 +732,9 @@ class TestRefusingCard:
 
 class TestStallingCard:
     """A card that acknowledges only the first k sectors of each CMD25
-    transfer, commits them and then answers nothing. Traced or not, each
-    transfer is resent from its first unacknowledged sector, one sector
-    transfer more each time, and the write completes."""
+    transfer, commits them and then answers nothing. Each transfer is
+    resent from its first unacknowledged sector, one sector transfer more
+    each time, and the write completes."""
 
     @pytest.mark.parametrize("acked", [1, 2, 3])
     @pytest.mark.parametrize("run, size", [("data", 3072), ("tag", 60 * SECTOR_SIZE)], ids=["data_run", "tag_run"])
@@ -761,18 +746,17 @@ class TestStallingCard:
         stalled = data if run == "data" else meta
         blob = random.Random(acked).randbytes(size)
         results = []
-        for card_class, trace in ((VirtualCard, False), (StallingCard, False), (StallingCard, True)):
-            host, tmiu, _, card = hostile_system(provisioned, card_class, trace)
+        for card_class in (VirtualCard, StallingCard):
+            host, tmiu, _, card = hostile_system(provisioned, card_class, False)
             assert host.run_boot(expected_entries=entries).ok
             card.acked, card.lbas = acked, stalled
             host.write_file("new.bin", blob)
             charged = (tmiu.ledger.cycles, tmiu.ledger.bytes_moved)
             assert tmiu.stage is Stage.OPERATIONAL and host.read_file("new.bin") == blob
             results.append((getattr(card, "stalls", 0), charged, card.backing.to_bytes()))
-        (_, clean, stored), (stalls, untraced, untraced_stored), traced = results
-        assert stalls > 0 and traced == (stalls, untraced, untraced_stored)
-        assert untraced_stored == stored
-        assert untraced == (clean[0] + stalls * SECTOR_TRANSFER_CYCLES, clean[1] + stalls * SECTOR_SIZE)
+        (_, clean, stored), (stalls, stalled, stalled_stored) = results
+        assert stalls > 0 and stalled_stored == stored
+        assert stalled == (clean[0] + stalls * SECTOR_TRANSFER_CYCLES, clean[1] + stalls * SECTOR_SIZE)
 
 
 class InternalFault(Exception):
