@@ -282,35 +282,57 @@ def _replay(*steps, card_class=VirtualCard, sectors=30) -> TwinSystems:
     return machine
 
 
+def _lie(lba=0, command=CMD_READ_MULTIPLE, status=None, region=0):
+    return ("lie", True, lba, command, status, region, 1)
+
+
+BOOT, READ, WRITE = ("reboot", True), ("file_op", "keys.db", None), ("file_op", "new.bin", 3000)
+BIG_READ, BIG_WRITE = ("file_op", "big.bin", None), ("file_op", "big.bin", 35_000)
+OK, BUS = (Stage.OPERATIONAL, None), (Stage.LOCKDOWN, Denial.BUS_ERROR)
+TAG = (Stage.LOCKDOWN, Denial.SECTOR_TAG_MISMATCH)
+# Each run: the card class, the unit's (stage, reason) at its end, and the
+# steps after the first boot. In the 30-sector container the boot stream
+# starts at LBA 1 and the data partition at LBA 31.
 PINNED = {
     # A 69-sector file: the fault fires on the data frame of its 31st
     # sector, after the table's 6 frames and 30 more. The unit resends that
     # frame in a new transfer from its sector, and the read goes on.
-    "a_fault_mid_file": [
-        ("file_op", "big.bin", 35_000), ("wire_fault", ("c2h", 37, 100, 3)), ("file_op", "big.bin", None),
-    ],
-    "a_tampered_tag_then_a_write_fault": [
-        ("file_op", "big.bin", 35_000), ("tamper", True, 57), ("file_op", "big.bin", None),
-        ("wire_fault", ("h2c", 9, 0, 0)), ("file_op", "big.bin", 20_000),
-    ],
-    "tables_rewritten_behind_the_host": [
-        ("file_op", "keys.db", None), ("retable", 1), ("file_op", "keys.db", None), ("file_op", "keys.db", 900),
-        ("reboot", True), ("retable", 2), ("file_op", "keys.db", None), ("file_op", "new.bin", 600),
-    ],
+    "a_fault_mid_file": (VirtualCard, OK, BIG_WRITE, ("wire_fault", ("c2h", 37, 100, 3)), BIG_READ),
+    "a_tampered_tag_then_a_write_fault": (
+        VirtualCard, TAG, BIG_WRITE, ("tamper", True, 57), BIG_READ, ("wire_fault", ("h2c", 9, 0, 0)), BIG_WRITE
+    ),
+    "tables_rewritten_behind_the_host": (
+        VirtualCard, OK, READ, ("retable", 1), READ, ("file_op", "keys.db", 900), BOOT, ("retable", 2), READ,
+        ("file_op", "new.bin", 600),
+    ),
+    # The lies of tests/test_tmiu.py's hostile cards, met by both twins.
+    "short_transfer_at_boot": (MiscountingCard, BUS, _lie(), BOOT),
+    "short_transfer_in_a_read": (MiscountingCard, BUS, _lie(), READ),
+    "short_transfer_in_a_write": (MiscountingCard, BUS, _lie(), ("file_op", "keys.db", 900)),
+    "cut_sector_in_the_mbr": (ByteCuttingCard, BUS, _lie(0), BOOT),
+    "cut_sector_in_the_boot_stream": (ByteCuttingCard, BUS, _lie(1), BOOT),
+    "cut_sector_in_a_read": (ByteCuttingCard, BUS, _lie(31), READ),
+    "shifted_lba_in_a_read": (LbaShiftingCard, TAG, _lie(31), READ),
+    "silent_cmd9_at_boot": (RefusingCard, BUS, _lie(command=CMD_SEND_CSD), BOOT),
+    "refused_data_run": (RefusingCard, BUS, _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 1), WRITE),
+    "refused_tag_run": (RefusingCard, BUS, _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 2), WRITE),
+    "error_bit_on_cmd18": (ErrorBitCard, BUS, _lie(), READ),
+    "stalled_write": (StallingCard, OK, _lie(), WRITE, ("file_op", "new.bin", None)),
 }
 
 
-@pytest.mark.parametrize("steps", PINNED.values(), ids=PINNED)
-def test_a_pinned_run(steps):
-    _replay(*steps)
+@pytest.mark.parametrize("run", PINNED.values(), ids=PINNED)
+def test_a_pinned_run(run):
+    card_class, want, *steps = run
+    (_, tmiu, _, card), _ = _replay(*steps, card_class=card_class).systems
+    assert (tmiu.stage, tmiu.reason) == want
+    assert getattr(card, "stalls", 1) > 0  # a stalled write completes after resends
 
 
 def test_a_boot_denied_for_a_sector_cut_short_mid_run():
     # README limit: the container's last two sectors come as one run, the
     # last a byte short. Traced, the sector before it comes as a frame of
     # its own and is charged; untraced, the run is refused whole.
-    lie = ("lie", True, 3, CMD_READ_MULTIPLE, None, 0, 1)  # on, cut from LBA 3
-    machine = _replay(lie, ("reboot", True), card_class=ByteCuttingCard, sectors=3)
-    (_, untraced, _, _), (_, traced, _, _) = machine.systems
-    assert (untraced.stage, untraced.reason) == (traced.stage, traced.reason) == (Stage.LOCKDOWN, Denial.BUS_ERROR)
+    (_, untraced, _, _), (_, traced, _, _) = _replay(_lie(3), BOOT, card_class=ByteCuttingCard, sectors=3).systems
+    assert (untraced.stage, untraced.reason) == (traced.stage, traced.reason) == BUS
     assert traced.ledger.bytes_moved - untraced.ledger.bytes_moved == SECTOR_SIZE
