@@ -539,6 +539,33 @@ class TestBus:
         else:
             assert sides[0][0] == [(False, None)] * len(results)
 
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=8))
+    def test_draining_runs_yields_the_same_bytes_with_or_without_the_transcript(
+        self, provisioned, data, limits
+    ):
+        image = provisioned.image
+        total = image.total_sectors
+        start = data.draw(st.integers(0, total - 1))
+        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
+        drained = []
+        for trace in (False, True):
+            bus = SdioBus(VirtualCard(identity, image), CycleLedger(), trace=trace)
+            bus.command(CMD_GO_IDLE, 0)
+            bus.command(CMD_ALL_SEND_CID, 0)
+            bus.command(CMD_SELECT, 0)
+            bus.command(CMD_READ_MULTIPLE, start)
+            out = bytearray()
+            for step in range(total + 1):
+                fetched = bus.fetch_run(limits[step % len(limits)])
+                if fetched is None:
+                    break
+                run, crc_ok = fetched
+                assert crc_ok
+                out += run
+            drained.append(bytes(out))
+        assert drained[0] == drained[1] == image.read_sectors(start, total - start)
+
     @pytest.mark.parametrize("nth", [0, -1, -4])
     def test_fault_on_frame_below_one_is_rejected(self, card, nth):
         bus = SdioBus(card, CycleLedger())
