@@ -20,13 +20,13 @@ multi-block read or write (CMD18, CMD25) moves runs of sectors as one
 buffer. A data command (CMD18, CMD25) opens through
 :meth:`SdioBus.start_transfer`, and CMD12 closes it through
 :meth:`SdioBus.stop_transfer`: with no transcript and no command fault
-pending, the card meets either with the check a command frame meets, and no
-frame is built; otherwise the one goes through :meth:`SdioBus.request`, the
-loop that resends a command while the card stays silent, and the other as
-one frame. The bus alone makes these choices, and each data leg
-(:meth:`SdioBus.fetch_block`, :meth:`SdioBus.fetch_run`,
-:meth:`SdioBus.push_block`, :meth:`SdioBus.push_run`) picks bytes or frames
-by itself.
+pending, the card meets either in :meth:`VirtualCard.transfer_command`, as
+a command frame does, and no frame is built; otherwise the one goes through
+:meth:`SdioBus.request`, the loop that resends a command while the card
+stays silent, and the other as one frame. The bus alone makes these
+choices, and each data leg (:meth:`SdioBus.fetch_block`,
+:meth:`SdioBus.fetch_run`, :meth:`SdioBus.push_block`,
+:meth:`SdioBus.push_run`) picks bytes or frames by itself.
 
 Command frames are 48 bits (start/direction bits, 6-bit index, 32-bit
 argument, CRC7, end bit). R1 responses echo the index with a 32-bit status;
@@ -217,31 +217,30 @@ class VirtualCard:
             if arg != SECTOR_SIZE:
                 return ResponseFrame(idx, STATUS_BLOCK_LEN_ERROR)
             return ResponseFrame(idx)
-        if idx == CMD_STOP_TRANSMISSION:
-            self.stop_transfer()
-            return ResponseFrame(idx)
-        return ResponseFrame(idx, self.open_transfer(idx, arg))  # a data command, or illegal
+        return ResponseFrame(idx, self.transfer_command(idx, arg))  # CMD12, 18, 25, or illegal
 
-    def stop_transfer(self) -> None:
-        """CMD12: the open transfer, if any, ends."""
-        self._open = None
-
-    def open_transfer(self, idx: int, lba: int) -> int | None:
-        """Handle data command ``idx`` at ``lba``: its R1 status, zero once
-        the transfer is open and illegal for any index but CMD18 and CMD25;
+    def transfer_command(self, idx: int, arg: int) -> int | None:
+        """Handle transfer command ``idx`` with argument ``arg``: its R1
+        status. CMD18 or CMD25 opens its transfer at LBA ``arg``, CMD12
+        ends the open transfer, if any, and any other index is illegal;
         None models a silent card."""
         if self.io_suspended:
             return None
+        if idx == CMD_STOP_TRANSMISSION:
+            self._open = None
+            return 0
         if idx not in (CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE) or self.state is not CardState.TRANSFER:
             return STATUS_ILLEGAL_COMMAND
-        if lba >= self.geometry:
+        if arg >= self.geometry:
             return STATUS_OUT_OF_RANGE
-        self._open = (idx, lba)
+        self._open = (idx, arg)
         return 0
 
     def take_read(self, limit: int) -> bytes | None:
         """Up to ``limit`` next stored sectors of an open CMD18 transfer, as
-        one buffer, never past the geometry."""
+        one buffer, never past the geometry: whole sectors, up to but not
+        including the first frame that is not one, which comes alone, in
+        the next run."""
         idx, lba = self._open or (None, 0)
         if idx != CMD_READ_MULTIPLE or lba >= self.geometry:
             return None
@@ -373,15 +372,15 @@ class SdioBus:
             return response is not None and response.status == 0
         if not 0 <= lba <= 0xFFFFFFFF:
             raise ValueError("argument is 32 bits")
-        return self.card.open_transfer(index, lba) == 0
+        return self.card.transfer_command(index, lba) == 0
 
     def stop_transfer(self) -> None:
         """Close the open data transfer with CMD12: one frame where command
         frames are observed (see :meth:`start_transfer`), else none."""
         if self.trace_enabled or self._faults["cmd"]:
             self.command(CMD_STOP_TRANSMISSION, 0)
-        else:  # a suspended card holds no open transfer
-            self.card.stop_transfer()
+        else:
+            self.card.transfer_command(CMD_STOP_TRANSMISSION, 0)
 
     def _observe(self, direction: str, payload: bytes, due: list[_FaultPlan]) -> tuple[bytes, bool]:
         """A data frame as it arrives where its bytes are observed: serialized

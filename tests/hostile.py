@@ -23,9 +23,9 @@ class MiscountingCard(VirtualCard):
     lie: str | None = None
     _sent: int | None = None  # sectors of the open CMD18 transfer sent so far
 
-    def open_transfer(self, idx, lba):
+    def transfer_command(self, idx, arg):
         self._sent = 0 if idx == CMD_READ_MULTIPLE else None
-        return super().open_transfer(idx, lba)
+        return super().transfer_command(idx, arg)
 
     def take_read(self, limit):
         if self.lie is None or self._sent is None:
@@ -43,19 +43,19 @@ class MiscountingCard(VirtualCard):
 
 class ByteCuttingCard(VirtualCard):
     """A card that, once ``cut_from`` is set, sends every sector read from
-    that LBA on with its last byte cut off."""
+    that LBA on with its last byte cut off. It keeps the run contract: a
+    run ends before its first short sector, which comes alone."""
 
     cut_from: int | None = None
 
     def take_read(self, limit):
         _, lba = self._open or (None, 0)
-        run = super().take_read(limit)
-        if run is None or self.cut_from is None:
-            return run
-        return b"".join(
-            run[at : at + SECTOR_SIZE - (lba + at // SECTOR_SIZE >= self.cut_from)]
-            for at in range(0, len(run), SECTOR_SIZE)
-        )
+        if self.cut_from is None:
+            return super().take_read(limit)
+        if lba < self.cut_from:  # the run ends before the first short sector
+            return super().take_read(min(limit, self.cut_from - lba))
+        run = super().take_read(1)  # which comes alone
+        return run and run[:-1]
 
 
 class ResponseCuttingCard(VirtualCard):
@@ -103,15 +103,16 @@ class RefusingCard(VirtualCard):
     lbas: range = range(1 << 32)
 
     def _refuses(self, idx, argument):
-        return idx == self.refused and argument in self.lbas and not self.io_suspended
+        at = argument in self.lbas or idx not in (CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE)
+        return idx == self.refused and at and not self.io_suspended
 
     def answer(self, frame):
         if self._refuses(frame.index, frame.argument):
             return None if self.status is None else ResponseFrame(frame.index, self.status)
         return super().answer(frame)
 
-    def open_transfer(self, idx, lba):
-        return self.status if self._refuses(idx, lba) else super().open_transfer(idx, lba)
+    def transfer_command(self, idx, arg):
+        return self.status if self._refuses(idx, arg) else super().transfer_command(idx, arg)
 
 
 # The SD specification's R1 bit for a general or unknown error.
@@ -122,7 +123,7 @@ class ErrorBitCard(VirtualCard):
     """A card that, once ``flagged`` is set to a command index, carries that
     command out as an honest card would, opening its transfer if it is a
     data command, yet sets the R1 error bits ``status`` in the answer that
-    accepts it: as a frame or through an unobserved ``open_transfer``.
+    accepts it: as a frame or through an unobserved ``transfer_command``.
     ``flagged_at`` lists the (index, argument) of each answer so flagged."""
 
     flagged: int | None = None
@@ -139,15 +140,15 @@ class ErrorBitCard(VirtualCard):
         return status
 
     def answer(self, frame):
-        # A data command's frame is answered through open_transfer, which
-        # has set the bits already; an accepting answer is flagged once.
+        # A transfer command's frame is answered through transfer_command,
+        # which has set the bits already; an accepting answer is flagged once.
         reply = super().answer(frame)
         if reply is None or reply.register is not None:
             return reply
         return ResponseFrame(reply.index, self._flag(frame.index, frame.argument, reply.status))
 
-    def open_transfer(self, idx, lba):
-        return self._flag(idx, lba, super().open_transfer(idx, lba))
+    def transfer_command(self, idx, arg):
+        return self._flag(idx, arg, super().transfer_command(idx, arg))
 
 
 class StallingCard(VirtualCard):
@@ -162,9 +163,9 @@ class StallingCard(VirtualCard):
     stalls = 0
     _left: int | None = None  # sectors the open CMD25 transfer may still commit
 
-    def open_transfer(self, idx, lba):
-        status = super().open_transfer(idx, lba)
-        stalling = status == 0 and idx == CMD_WRITE_MULTIPLE and lba in self.lbas
+    def transfer_command(self, idx, arg):
+        status = super().transfer_command(idx, arg)
+        stalling = status == 0 and idx == CMD_WRITE_MULTIPLE and arg in self.lbas
         self._left = self.acked if stalling else None
         return status
 
@@ -199,7 +200,7 @@ def _recorded(name):
     return method
 
 
-for _name in ("issue", "answer", "stop_transfer", "open_transfer", "take_read", "take_write", "receive_write_block"):
+for _name in ("issue", "answer", "transfer_command", "take_read", "take_write", "receive_write_block"):
     setattr(SuspensionIgnoringCard, _name, _recorded(_name))
 del _name
 

@@ -281,9 +281,9 @@ class TestVirtualCard:
     def test_a_write_run_with_no_room_in_an_open_cmd25_commits_nothing(self, card, open_):
         _to_transfer(card)
         if open_ == "cmd18":
-            assert card.open_transfer(CMD_READ_MULTIPLE, 20) == 0
+            assert card.transfer_command(CMD_READ_MULTIPLE, 20) == 0
         elif open_ == "cmd25_at_the_geometry":
-            assert card.open_transfer(CMD_WRITE_MULTIPLE, card.geometry - 1) == 0
+            assert card.transfer_command(CMD_WRITE_MULTIPLE, card.geometry - 1) == 0
             assert card.take_write(bytes(SECTOR_SIZE)) == 1
         before = card.backing.to_bytes()
         assert card.take_write(bytes(range(256)) * 4) == 0
@@ -378,7 +378,7 @@ class TestVirtualCard:
                 # As a frame object, as bytes, and as an unobserved
                 # SdioBus.start_transfer meets it.
                 replies = {card.answer(frame), parse_response(card.issue(frame.to_bytes()))[0]}
-                status = card.open_transfer(index, 5)
+                status = card.transfer_command(index, 5)
                 refused = replies == {ResponseFrame(index, STATUS_ILLEGAL_COMMAND)} and status == STATUS_ILLEGAL_COMMAND
                 if not refused or (card.state, card._open) != before:
                     answered.append((state, index))

@@ -32,7 +32,7 @@ from conftest import (
     provision_container,
     record_pools,
 )
-from hostile import ByteCuttingCard, MiscountingCard, hostile_system
+from hostile import ByteCuttingCard, LbaShiftingCard, MiscountingCard, hostile_system
 from oracles import shannon_entropy
 
 
@@ -356,18 +356,21 @@ class TestBootDigests:
         assert [size for _, size in events[received:]] == [len(blob) for _, blob in LARGE_ENTRIES]
         assert sum(size for _, size in events[:received]) == result.layout.boot_sectors * SECTOR_SIZE
 
-    @pytest.mark.parametrize("end", ["clean", "sector_flip", "short_run", "short_sector", "crypt_raises"])
+    @pytest.mark.parametrize("end", ["clean", "sector_flip", "short_run", "short_sector", "shifted_lba", "crypt_raises"])
     def test_a_boot_starts_no_thread(self, monkeypatch, end):
         result = _large_provision()
         layout = result.layout
         late = layout.boot_start + layout.boot_sectors - 200  # past 2 MiB of the stream
-        host, tmiu, _, card = hostile_system(result, {"short_sector": ByteCuttingCard}.get(end, MiscountingCard), False)
+        card_class = {"short_sector": ByteCuttingCard, "shifted_lba": LbaShiftingCard}.get(end, MiscountingCard)
+        host, tmiu, _, card = hostile_system(result, card_class, False)
         if end == "sector_flip":
             sector = bytearray(card.backing.read_sector(late))
             sector[17] ^= 0x04
             card.backing.write_sector(late, bytes(sector))
         elif end == "short_sector":
             card.cut_from = late
+        elif end == "shifted_lba":
+            card.shift_from = late
         arrived = []
         receive = image_module.BootStream.receive
 
@@ -395,7 +398,8 @@ class TestBootDigests:
             assert tmiu.reason is Denial.BUS_ERROR  # the unit failed closed
         else:
             outcome = host.run_boot(expected_entries=result.manifest.entries)
-            want = {"clean": "OsRunning", "sector_flip": "ImageDigestMismatch"}.get(end, "BusError")
+            want = {"clean": "OsRunning", "sector_flip": "ImageDigestMismatch", "shifted_lba": "ImageDigestMismatch"}
+            want = want.get(end, "BusError")
             assert outcome.outcome_class == want
         assert sum(arrived) > 2 << 20
         assert (tmiu.stage is Stage.OPERATIONAL) == (end == "clean")
