@@ -346,39 +346,52 @@ PINNED = {
     "shifted_lba_in_a_read": (
         LbaShiftingCard, (Stage.OPERATIONAL, Denial.SECTOR_TAG_MISMATCH, 31, None, False), _lie(31), READ
     ),
+    "silent_cmd2_at_boot": (RefusingCard, ID_BUS, _lie(command=CMD_ALL_SEND_CID), BOOT),
     "silent_cmd9_at_boot": (RefusingCard, ID_BUS, _lie(command=CMD_SEND_CSD), BOOT),
     "refused_cmd7_at_boot": (RefusingCard, ID_BUS, _lie(command=CMD_SELECT, status=STATUS_ILLEGAL_COMMAND), BOOT),
     "refused_cmd16_at_boot": (
         RefusingCard, ID_BUS, _lie(command=CMD_SET_BLOCKLEN, status=STATUS_BLOCK_LEN_ERROR), BOOT
     ),
+    "refused_cmd18_at_boot": (RefusingCard, _denied_boot(), _lie(status=STATUS_OUT_OF_RANGE), BOOT),
+    "silent_cmd18_in_a_read": (RefusingCard, BUS, _lie(region=1), READ),
     "refused_data_run": (RefusingCard, BUS, _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 1), WRITE),
     # The data run commits outside the old extent before the tag run is refused.
     "refused_tag_run": (
         RefusingCard, (Stage.OPERATIONAL, Denial.BUS_ERROR, None, None, True),
         _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 2), WRITE,
     ),
-    # The unit never reads CMD12's answer: silent, the card leaves the
-    # read's last transfer open, and the next data command opens another.
+    # The unit never reads CMD12's answer: silent, the card leaves the last
+    # transfer of a read, a boot or a write open, and the next data command
+    # opens another.
     "refused_cmd12": (RefusingCard, UP, _lie(command=CMD_STOP_TRANSMISSION), READ),
+    "refused_cmd12_at_boot": (RefusingCard, UP, _lie(command=CMD_STOP_TRANSMISSION), BOOT),
+    "refused_cmd12_in_a_write": (RefusingCard, CHANGED, _lie(command=CMD_STOP_TRANSMISSION), WRITE),
     "error_bit_on_cmd7": (ErrorBitCard, ID_BUS, _lie(command=CMD_SELECT), BOOT),
     "error_bit_on_cmd16": (ErrorBitCard, ID_BUS, _lie(command=CMD_SET_BLOCKLEN), BOOT),
     "error_bit_on_cmd18_at_boot": (ErrorBitCard, _denied_boot(), _lie(), BOOT),
     "error_bit_on_cmd18": (ErrorBitCard, BUS, _lie(), READ),
     "error_bit_on_cmd25": (ErrorBitCard, BUS, _lie(command=CMD_WRITE_MULTIPLE), WRITE),
     "flagged_cmd12": (ErrorBitCard, UP, _lie(command=CMD_STOP_TRANSMISSION), READ),
+    "flagged_cmd12_at_boot": (ErrorBitCard, UP, _lie(command=CMD_STOP_TRANSMISSION), BOOT),
+    "flagged_cmd12_in_a_write": (ErrorBitCard, CHANGED, _lie(command=CMD_STOP_TRANSMISSION), WRITE),
     "stalled_write": (StallingCard, CHANGED, _lie(), WRITE, ("file_op", "new.bin", None)),
 }
 # A lying card's record at the end of its run: each answer flagged, once
-# for a command the unit checks, and at each of a read's six CMD12s for the
-# one it does not; the transfer a silent CMD12 left open; the writes stalled.
+# for a command the unit checks, and at each CMD12 for the one it does not
+# (a read's six, a boot's three, a write's ten); the transfer a silent CMD12
+# left open; the writes stalled.
 RECORDS = {
     "refused_cmd12": {"_open": (CMD_READ_MULTIPLE, 246)},
+    "refused_cmd12_at_boot": {"_open": (CMD_READ_MULTIPLE, 31)},
+    "refused_cmd12_in_a_write": {"_open": (CMD_WRITE_MULTIPLE, 246)},
     "error_bit_on_cmd7": {"flagged_at": [(CMD_SELECT, 0)]},
     "error_bit_on_cmd16": {"flagged_at": [(CMD_SET_BLOCKLEN, SECTOR_SIZE)]},
     "error_bit_on_cmd18_at_boot": {"flagged_at": [(CMD_READ_MULTIPLE, 0)]},
     "error_bit_on_cmd18": {"flagged_at": [(CMD_READ_MULTIPLE, 31)]},
     "error_bit_on_cmd25": {"flagged_at": [(CMD_WRITE_MULTIPLE, 45)]},
     "flagged_cmd12": {"_open": None, "flagged_at": [(CMD_STOP_TRANSMISSION, 0)] * 6},
+    "flagged_cmd12_at_boot": {"_open": None, "flagged_at": [(CMD_STOP_TRANSMISSION, 0)] * 3},
+    "flagged_cmd12_in_a_write": {"_open": None, "flagged_at": [(CMD_STOP_TRANSMISSION, 0)] * 10},
     "stalled_write": {"stalls": 9},
 }
 

@@ -506,7 +506,8 @@ class TestMiscountedRun:
     # Untraced, so that the unit asks for runs; frame by frame it asks for
     # one sector at a time. A run too long, empty or ragged breaks the run
     # contract of VirtualCard.take_read, so these lies test Tmiu._read's own
-    # whole-sector check on what comes from outside the unit, which stays.
+    # whole-sector check on what comes from outside the unit, which stays,
+    # and that the unit charges nothing for the run it refuses.
     # A transfer that ends short and a sector cut short keep the contract:
     # they are pinned runs of tests/test_model.py, met on both paths.
     LIES = ["long", "empty", "ragged"]
@@ -522,6 +523,7 @@ class TestMiscountedRun:
         with pytest.raises(LockdownError) as raised:
             host.read_file(label) if op == "read_file" else host.write_file(label, blob[::-1])
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card, str(raised.value))
+        assert tmiu._charged_at(Stage.OPERATIONAL) == (2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES), 1024)
 
     @pytest.mark.parametrize("lie", LIES)
     def test_a_cmd18_transfer_of_the_wrong_length_during_boot_is_a_bus_error(self, provisioned, lie):
@@ -531,6 +533,7 @@ class TestMiscountedRun:
         card.lie = lie
         _assert_poisoned(_forwarded_by_boot(tmiu, bus))
         _assert_bus_error_lockdown(provisioned, tmiu, bus, card)
+        assert tmiu._charged_at(Stage.KEYGEN_IMAGE_AUTH) == (2 * SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES, 1024)
 
     @pytest.mark.parametrize("observed", ["trace", "cmd_fault"])
     @pytest.mark.parametrize("where", ["boot", "read_file"])
