@@ -6,8 +6,9 @@ the KDF as a literal transcription of its chained-hash definition, the
 sector cipher as explicit counter blocks encrypted in ECB and XORed byte by
 byte, where the package re-nonces the library's CTR mode per sector, the
 sector tag through the standard library's ``hmac``, where the package keys
-the two SHA-256 pad states itself, and the boot container read whole, field
-by field, where the package checks it as a stream.
+the two SHA-256 pad states itself, the boot container read whole, field by
+field, where the package checks it as a stream, and the cost formula as the
+README states it, where the package charges its ledger as it goes.
 """
 
 from __future__ import annotations
@@ -129,3 +130,46 @@ def shannon_entropy(data: bytes) -> float:
         counts[byte] = counts.get(byte, 0) + 1
     n = len(data)
     return -sum(c / n * math.log2(c / n) for c in counts.values())
+
+
+# The cost formula (README, "Modelled time"): the PROM load once per boot,
+# 1024 cycles and 512 bytes per sector transfer, 52 cycles per pipeline
+# check, and nothing for a command. A frame resent after its line CRC
+# failed, and a sector a stalling card left unacknowledged, is one more
+# transfer, wherever it comes.
+CLOCK_HZ = 50_000_000
+PROM_CYCLES, PROM_BYTES = 4_896_908, 1_900_000  # ceil(1.9 MB * 50 MHz / 19.4 MB/s)
+TRANSFER_CYCLES, TRANSFER_BYTES, CHECK_CYCLES = 1024, 512, 52
+
+
+def cost(transfers: int, checks: int) -> tuple[int, int]:
+    """(cycles, bytes) of ``transfers`` sector transfers and ``checks`` pipeline checks."""
+    return transfers * TRANSFER_CYCLES + checks * CHECK_CYCLES, transfers * TRANSFER_BYTES
+
+
+def boot_terms(mbr_read: bool, forwarded: int, reached_end: bool) -> tuple[int, int]:
+    """(transfers, checks) of a boot's stage 3: the MBR's transfer and check
+    once it was read, one transfer for each container sector forwarded, and
+    the container-end check once the stream reached the length its first
+    sector claims."""
+    return mbr_read + forwarded, mbr_read + reached_end
+
+
+def access_terms(write: bool, sectors: int, mismatch_at: int | None = None) -> tuple[int, int]:
+    """(transfers, checks) of a mediated access of ``sectors`` sectors that
+    completed: a read moves and checks each data sector and its tag sector,
+    a write moves and commits each data sector, reads and checks its tag
+    sector and commits it. A read whose sector ``mismatch_at`` fails its tag
+    charges the reads before it, and that sector's two transfers and one
+    check. An access that ends in a bus error charges nothing of its own."""
+    if mismatch_at is not None:
+        return 2 * mismatch_at + 2, 2 * mismatch_at + 1
+    return (3 if write else 2) * sectors, (3 if write else 2) * sectors
+
+
+def to_ms(cycles: int) -> float:
+    return cycles * 1000 / CLOCK_HZ
+
+
+def rate_mbps(cycles: int, nbytes: int) -> float:
+    return nbytes / (cycles / CLOCK_HZ) / 1e6 if cycles else 0.0

@@ -5,7 +5,8 @@ one traced that drops its host's kept file table before every op. A model of
 the file store holds, for each label, the versions a read may return (None:
 no such file). After each step the twins agree on all but the transcript,
 each read returned a version the model allows, only documented classes were
-raised, no key showed, and a unit in lockdown held nothing open.
+raised, no key showed, a unit in lockdown held nothing open, and each twin's
+ledger and report read what the cost formula charges for what it did.
 """
 
 from __future__ import annotations
@@ -22,15 +23,18 @@ from tmiusim.bus import CMD_STOP_TRANSMISSION, CMD_WRITE_MULTIPLE, STATUS_BLOCK_
 from tmiusim.bus import STATUS_OUT_OF_RANGE, DataBlock, VirtualCard
 from tmiusim.crypto import DIGEST_SIZE, SECTOR_SIZE
 from tmiusim.host import HostError
-from tmiusim.image import CapacityError, FileRecord, build_file_table, in_use_data_lbas, manifest_keys
-from tmiusim.image import parse_file_table, read_file_table
+from tmiusim.image import CapacityError, FileRecord, ImageFormatError, boot_image_length, build_file_table
+from tmiusim.image import in_use_data_lbas, manifest_keys, parse_file_table, read_file_table
 from tmiusim.tmiu import Denial, LockdownError, PolicyViolation, ProtocolCrcError, Stage
 
 from conftest import DATA_FILES, provision_container
 from hostile import ByteCuttingCard, ErrorBitCard, LbaShiftingCard, MiscountingCard, RefusingCard, StallingCard
 from hostile import hostile_system
+from oracles import PROM_BYTES, PROM_CYCLES, access_terms, boot_terms, cost, rate_mbps, to_ms
 
 LABELS = [label for label, _ in DATA_FILES] + ["new.bin", "big.bin", "missing.bin"]
+TABLE = 4  # the fixture's file table, in sectors
+IN_BOOT, AFTER = 0, 1  # the parts of the ledger charged at KeyGenImageAuth, and after hand-over
 RAISED = (LockdownError, ProtocolCrcError, PolicyViolation, HostError, FileNotFoundError, CapacityError)
 BIT = st.integers(0, 7)
 FLIP = st.tuples(st.integers(0, 199), st.integers(0, 511), BIT)  # (boot sector, byte, bit)
@@ -59,8 +63,10 @@ class TwinSystems(RuleBasedStateMachine):
         self.systems = [hostile_system(result, card_class, trace) for trace in (False, True)]
         # Of each twin's last boot: (bytes, [(offset, CRC verdict) of each block]).
         self.forwarded = [None, None]
-        for i, (_, tmiu, _, _) in enumerate(self.systems):
-            self._record_boots(i, tmiu)
+        # Of each twin since power-on: [transfers, checks] charged IN_BOOT and AFTER.
+        self.clock = [None, None]
+        for i, system in enumerate(self.systems):
+            self._record(i, system)
         self.files = {label: {None} for label in LABELS} | {label: {blob} for label, blob in DATA_FILES}
         self.logged = 0  # transcript lines of the traced twin scanned for keys
         flips = [] if flip is None else [(self.layout.boot_start + flip[0] % self.layout.boot_sectors, *flip[1:])]
@@ -70,10 +76,22 @@ class TwinSystems(RuleBasedStateMachine):
         for lba, offset, bit in flips:  # the first boot alone meets the flip
             self._flip(lba, offset, bit)
 
-    def _record_boots(self, i, tmiu):
-        verify = tmiu.verify_mbr_and_image
+    def _record(self, i, system):
+        """Twin ``i`` wrapped so that the model charges by the cost formula each
+        boot, each mediated access by how it ended, each stall and each frame
+        resent; ``self.moved`` counts the sectors of completed accesses."""
+        _, tmiu, bus, card = system
+        power_on, verify, observe = tmiu.power_on, tmiu.verify_mbr_and_image, bus._observe
 
-        def recording(bus, sink):
+        def charge(part, transfers, checks=0):
+            self.clock[i][part][0] += transfers
+            self.clock[i][part][1] += checks
+
+        def powering_on():
+            self.clock[i] = [[0, 0], [0, 0]]
+            return power_on()
+
+        def booting(bus, sink):
             forwarded, blocks = self.forwarded[i] = bytearray(), []
 
             def tee(item):
@@ -83,9 +101,40 @@ class TwinSystems(RuleBasedStateMachine):
                     item = item.payload
                 forwarded.extend(item)
 
-            return verify(bus, sink=tee)
+            stage = verify(bus, sink=tee)
+            try:
+                reached_end = boot_image_length(forwarded) == len(forwarded)
+            except ImageFormatError:
+                reached_end = False
+            # The MBR was read unless the wire failed first: it was judged or passed.
+            mbr_read = tmiu.leds[2] or tmiu.reason is Denial.MBR_MISMATCH
+            charge(IN_BOOT, *boot_terms(mbr_read, len(forwarded) // SECTOR_SIZE, reached_end))
+            return stage
 
-        tmiu.verify_mbr_and_image = recording
+        def access(call, write):
+            def mediated(bus, lba, arg=1):
+                sectors, stalls = len(arg) // SECTOR_SIZE if write else arg, getattr(card, "stalls", 0)
+                try:
+                    value = call(bus, lba, arg)
+                except ProtocolCrcError:
+                    charge(AFTER, *access_terms(write, sectors, mismatch_at=tmiu.fault_lba - lba))
+                    raise
+                finally:
+                    charge(AFTER, getattr(card, "stalls", 0) - stalls)
+                charge(AFTER, *access_terms(write, sectors))
+                self.moved[i][write] += sectors
+                return value
+
+            return mediated
+
+        def observing(direction, payload, due):
+            payload, crc_ok = observe(direction, payload, due)
+            if not crc_ok and len(payload) == SECTOR_SIZE:  # the unit resends it
+                charge(AFTER if tmiu.stage is Stage.OPERATIONAL else IN_BOOT, 1)
+            return payload, crc_ok
+
+        tmiu.power_on, tmiu.verify_mbr_and_image, bus._observe = powering_on, booting, observing
+        tmiu.mediate_read, tmiu.mediate_write = access(tmiu.mediate_read, False), access(tmiu.mediate_write, True)
 
     def _flip(self, lba: int, offset: int, bit: int) -> None:
         """One bit of a sector flipped offline, on both cards."""
@@ -106,6 +155,7 @@ class TwinSystems(RuleBasedStateMachine):
         file table dropped first: (what it returned, what it raised), the
         same for both. Any class but a documented one fails the run."""
         self.systems[1][0]._table = (b"", [])
+        self.moved = [[0, 0], [0, 0]]
         outcomes = []
         for system in self.systems:
             try:
@@ -133,12 +183,16 @@ class TwinSystems(RuleBasedStateMachine):
             if exc is None or isinstance(exc, FileNotFoundError):
                 assert blob in self.files[label]
                 self.files[label] = {blob}
+                # The table, then the file's sectors.
+                assert self.moved == [[TABLE + -(-len(blob or b"") // SECTOR_SIZE), 0]] * 2
             return
         blob = random.Random(f"{label}:{size}").randbytes(size)
         operational = self.operational
         _, exc = self._both(lambda host, *_: host.write_file(label, blob))
         if exc is None:
             self.files[label] = {blob}
+            # The table read, then the file's sectors and the table written.
+            assert self.moved == [[TABLE, -(-size // SECTOR_SIZE) + TABLE]] * 2
         elif operational and not isinstance(exc, (HostError, CapacityError)):
             # README: a write that fails after its data run is not undone;
             # the table names the old version or the new one.
@@ -163,7 +217,7 @@ class TwinSystems(RuleBasedStateMachine):
         try:
             lbas = in_use_data_lbas(self.systems[0][3].backing, self.manifest)
         except ValueError:  # a tampered table; the next read of it locks down
-            lbas = list(range(self.layout.data_start, self.layout.data_start + 4))  # the fixture's table
+            lbas = list(range(self.layout.data_start, self.layout.data_start + TABLE))
         lba = lbas[pick % len(lbas)]
         offset = pick % SECTOR_SIZE
         if in_tag:
@@ -266,6 +320,21 @@ class TwinSystems(RuleBasedStateMachine):
                 assert blocks == ([(len(output) - SECTOR_SIZE, False)] if output else [])
 
     @invariant()
+    def the_clock(self):
+        """Each twin's report reads the PROM load, and the terms the model
+        charged since power-on, as the cost formula prices them, exactly:
+        the boot's part at KeyGenImageAuth, and all of it in the totals."""
+        for (_, tmiu, _, _), (boot, after) in zip(self.systems, self.clock):
+            boot_cycles, boot_bytes = cost(*boot)
+            cycles, nbytes = cost(boot[0] + after[0], boot[1] + after[1])
+            cycles, nbytes = PROM_CYCLES + cycles, PROM_BYTES + nbytes
+            r = tmiu.report()
+            assert (r.cycles, r.bytes_moved, r.prom_ms, r.boot_ms, r.total_ms, r.rate_mbps) == (
+                cycles, nbytes, to_ms(PROM_CYCLES), to_ms(boot_cycles), to_ms(cycles),
+                rate_mbps(boot_cycles, boot_bytes),
+            )
+
+    @invariant()
     def no_key(self):
         (_, tmiu, _, _), (_, traced, bus, _) = self.systems
         self._no_key("\n".join([*bus.transcript[self.logged :], tmiu.report().to_text(), repr(tmiu), repr(traced)]))
@@ -317,6 +386,12 @@ PINNED = {
     # sector, after the table's 6 frames and 30 more. The unit resends that
     # frame in a new transfer from its sector, and the read goes on.
     "a_fault_mid_file": (VirtualCard, CHANGED, BIG_WRITE, ("wire_fault", ("c2h", 37, 100, 3)), BIG_READ),
+    # The boot's second data frame is resent, charged to the boot; the command fault is free.
+    "faults_at_boot": (VirtualCard, UP, ("wire_fault", ("cmd", 3, 0, 0)), ("wire_fault", ("c2h", 2, 9, 1)), BOOT),
+    # The write's second data frame is resent, and the write goes on.
+    "a_write_fault": (VirtualCard, CHANGED, ("wire_fault", ("h2c", 2, 0, 0)), WRITE),
+    # The table's first frame fails, and so does each of its three resends.
+    "a_frame_failing_four_times": (VirtualCard, BUS, *[("wire_fault", ("c2h", n, 0, 0)) for n in range(1, 5)], READ),
     # A flipped bit in etc/config.txt's first sector, which neither read meets.
     "an_unread_tampered_sector": (VirtualCard, CHANGED, ("tamper", False, 4), ("file_op", "var/log.bin", None), READ),
     "a_suspended_card": (VirtualCard, BUS, ("across_the_edge", False, 0), ("suspend",), READ, READ),
@@ -339,6 +414,10 @@ PINNED = {
     "cut_sector_mid_boot_run": (ByteCuttingCard, _denied_boot(poisoned=SECTOR_SIZE), _lie(3), BOOT),
     "cut_sector_in_a_read": (ByteCuttingCard, BUS, _lie(31), READ),
     "shifted_lba_in_the_mbr": (LbaShiftingCard, _denied_boot(Denial.MBR_MISMATCH), _lie(0), BOOT),
+    # The container's first sector deciphers to no header: refused, forwarded poisoned.
+    "shifted_lba_at_the_container_start": (
+        LbaShiftingCard, _denied_boot(Denial.IMAGE_DIGEST_MISMATCH, poisoned=0), _lie(1), BOOT
+    ),
     "shifted_lba_in_the_boot_stream": (
         LbaShiftingCard, _denied_boot(Denial.IMAGE_DIGEST_MISMATCH, poisoned=29 * SECTOR_SIZE), _lie(15), BOOT
     ),
@@ -354,6 +433,8 @@ PINNED = {
     ),
     "refused_cmd18_at_boot": (RefusingCard, _denied_boot(), _lie(status=STATUS_OUT_OF_RANGE), BOOT),
     "silent_cmd18_in_a_read": (RefusingCard, BUS, _lie(region=1), READ),
+    # The table's first sector has moved when its tag run is refused: the read charges nothing.
+    "silent_tag_cmd18_in_a_read": (RefusingCard, BUS, _lie(region=2), READ),
     "refused_data_run": (RefusingCard, BUS, _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 1), WRITE),
     # The data run commits outside the old extent before the tag run is refused.
     "refused_tag_run": (

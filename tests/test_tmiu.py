@@ -1,14 +1,12 @@
 import dataclasses
-import functools
 import random
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from tmiusim.bus import CMD_READ_MULTIPLE, CMD_WRITE_MULTIPLE, RETRY_LIMIT, STATUS_OUT_OF_RANGE, DataBlock, VirtualCard
 from tmiusim.crypto import SECTOR_SIZE, SectorCipher, SectorMac, decrypt_sector, sector_tag
-from tmiusim import image as image_module
+from tmiusim import image as image_module, tmiu as tmiu_module
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import (
@@ -32,8 +30,10 @@ from tmiusim.tmiu import (
     StateError,
 )
 
-from conftest import DATA_FILES, image_file_records, make_provision, provision_container, record_pools
+from conftest import DATA_FILES, image_file_records, provision_container, record_pools
 from hostile import MiscountingCard, RefusingCard, ResponseCuttingCard, StallingCard, hostile_system
+from oracles import CHECK_CYCLES, CLOCK_HZ, PROM_BYTES, PROM_CYCLES, TRANSFER_BYTES, TRANSFER_CYCLES
+from oracles import boot_terms, cost, rate_mbps, to_ms
 
 
 def _system(provisioned, image=None, dna=None, cid=None, trace=False):
@@ -409,27 +409,6 @@ class TestMediatedDataPath:
         assert state() == (cycles, nbytes, frames, image)
         assert tmiu.stage is Stage.OPERATIONAL
 
-    def test_wire_fault_on_read_is_retryable(self, provisioned):
-        # The unit resends the failed data frame itself: the read succeeds
-        # on its first call, charged one more sector transfer.
-        _, tmiu, bus, _ = _boot_to_operational(provisioned)
-        lba = provisioned.layout.data_start
-        bus.inject_fault("c2h", nth=1, byte_offset=10, bit=0)
-        ledger = tmiu.ledger
-        before = ledger.cycles, ledger.bytes_moved
-        aes_key, _ = manifest_keys(provisioned.manifest)
-        cipher = SectorCipher(aes_key)
-        assert tmiu.mediate_read(bus, lba) == decrypt_sector(
-            cipher, lba, provisioned.image.read_sector(lba)
-        )
-        assert tmiu.stage is Stage.OPERATIONAL
-        read = 2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES)
-        assert (ledger.cycles - before[0], ledger.bytes_moved - before[1]) == (
-            read + SECTOR_TRANSFER_CYCLES,
-            3 * SECTOR_SIZE,
-        )
-        assert not bus.faults_pending
-
     @pytest.mark.parametrize("op", ["read", "read_data", "write"])
     @pytest.mark.parametrize("failures", [RETRY_LIMIT, RETRY_LIMIT + 1])
     def test_a_frame_is_resent_at_most_retry_limit_times_in_a_row(self, provisioned, op, failures):
@@ -462,16 +441,6 @@ class TestMediatedDataPath:
         assert not bus.faults_pending
         if op == "write":
             assert tmiu.mediate_read(bus, lba, 3) == payload
-
-    def test_each_processed_sector_charges_pipeline_latency(self, provisioned):
-        _, tmiu, bus, _ = _boot_to_operational(provisioned)
-        lba = provisioned.layout.data_start
-        before = tmiu.ledger.cycles
-        tmiu.mediate_read(bus, lba)
-        delta = tmiu.ledger.cycles - before
-        # Two sectors cross the wire (data + its tag sector), each with its
-        # line-rate transfer plus exactly 52 cycles of processing.
-        assert delta == 2 * (SECTOR_TRANSFER_CYCLES + SECTOR_PIPELINE_CYCLES)
 
 
 def _forwarded_by_boot(tmiu, bus) -> list:
@@ -620,12 +589,10 @@ class TestStallingCard:
             assert host.run_boot(expected_entries=entries).ok
             card.acked, card.lbas = acked, stalled
             host.write_file("new.bin", blob)
-            charged = (tmiu.ledger.cycles, tmiu.ledger.bytes_moved)
             assert tmiu.stage is Stage.OPERATIONAL and host.read_file("new.bin") == blob
-            results.append((getattr(card, "stalls", 0), charged, card.backing.to_bytes()))
-        (_, clean, stored), (stalls, stalled, stalled_stored) = results
+            results.append((getattr(card, "stalls", 0), card.backing.to_bytes()))
+        (_, stored), (stalls, stalled_stored) = results
         assert stalls > 0 and stalled_stored == stored
-        assert stalled == (clean[0] + stalls * SECTOR_TRANSFER_CYCLES, clean[1] + stalls * SECTOR_SIZE)
 
 
 class InternalFault(Exception):
@@ -834,153 +801,20 @@ class TestStageMachine:
 
 
 class TestCostFormula:
-    """The ledger against the cost formula stated in the README: PROM load
-    once, 1024 cycles per sector moved, 52 cycles per pipeline check, and
-    commands free. A clean boot of an n-sector container moves the MBR and
-    the n sectors and makes two checks (the MBR and the container's end);
-    after hand-over a mediated read moves and checks the data sector and
-    its tag sector, and a write moves and commits the data sector, reads
-    and checks the tag sector, and commits it."""
-
-    CLOCK_HZ = 50_000_000
-    PROM_CYCLES, PROM_BYTES = 4_896_908, 1_900_000  # ceil(1.9 MB * 50 MHz / 19.4 MB/s)
-    READ_CYCLES, READ_BYTES = 2 * 1024 + 2 * 52, 2 * 512
-    WRITE_CYCLES, WRITE_BYTES = 3 * 1024 + 3 * 52, 3 * 512
-
-    @staticmethod
-    def boot_terms(container_sectors: int) -> tuple[int, int]:
-        """(cycles, bytes) charged at KeyGenImageAuth by a clean boot."""
-        return (container_sectors + 1) * 1024 + 2 * 52, (container_sectors + 1) * 512
+    """The cost formula of ``oracles``, which the clock of tests/test_model.py
+    checks every step against, against the paper's figure and the modules' constants."""
 
     def test_formula_reproduces_the_13_mb_pin(self):
         # 13,000,000 bytes of kernel seal into a 25,391-sector container.
-        boot_cycles, boot_bytes = self.boot_terms(25_391)
-        assert self.PROM_CYCLES + boot_cycles == 30_898_420
-        assert f"{self.PROM_CYCLES * 1000 / self.CLOCK_HZ:.3f}" == "97.938"
-        assert f"{boot_cycles * 1000 / self.CLOCK_HZ:.3f}" == "520.030"
-        assert f"{boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6:.3f}" == "25.000"
+        boot_cycles, boot_bytes = cost(*boot_terms(True, 25_391, True))
+        assert PROM_CYCLES + boot_cycles == 30_898_420
+        assert f"{to_ms(PROM_CYCLES):.3f}" == "97.938"
+        assert f"{to_ms(boot_cycles):.3f}" == "520.030"
+        assert f"{rate_mbps(boot_cycles, boot_bytes):.3f}" == "25.000"
 
     def test_terms_are_the_modules_constants(self):
         prom = PromStore()
-        assert self.PROM_CYCLES == -(-prom.config_size * self.CLOCK_HZ // prom.load_rate)
-        assert self.PROM_BYTES == prom.config_size
-        assert (SECTOR_TRANSFER_CYCLES, SECTOR_PIPELINE_CYCLES) == (1024, 52)
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        container_sectors=st.integers(1, 200),
-        accesses=st.lists(st.tuples(st.booleans(), st.integers(0, 1 << 16)), max_size=12),
-    )
-    def test_report_follows_the_formula(self, container_sectors, accesses):
-        provisioned = provision_container(container_sectors, kdf_repetitions=1)
-        _, tmiu, bus, _ = _boot_to_operational(provisioned)
-        layout = provisioned.layout
-        for write, pick in accesses:
-            lba = layout.data_start + pick % layout.data_sectors
-            if write:
-                tmiu.mediate_write(bus, lba, bytes([pick % 256]) * 512)
-            else:
-                tmiu.mediate_read(bus, lba)
-        writes = sum(write for write, _ in accesses)
-        reads = len(accesses) - writes
-        boot_cycles, boot_bytes = self.boot_terms(container_sectors)
-        cycles = self.PROM_CYCLES + boot_cycles + reads * self.READ_CYCLES + writes * self.WRITE_CYCLES
-        nbytes = self.PROM_BYTES + boot_bytes + reads * self.READ_BYTES + writes * self.WRITE_BYTES
-
-        report = tmiu.report()
-        assert (report.cycles, report.bytes_moved) == (cycles, nbytes)
-        assert report.prom_ms == pytest.approx(self.PROM_CYCLES * 1000 / self.CLOCK_HZ, rel=1e-12)
-        assert report.boot_ms == pytest.approx(boot_cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
-        assert report.total_ms == pytest.approx(cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
-        assert report.rate_mbps == pytest.approx(
-            boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6, rel=1e-12
-        )
-
-    TABLE_SECTORS = 4  # the fixture's file table
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(
-        boot_fault=st.none() | st.tuples(st.sampled_from(["c2h", "cmd"]), st.integers(0, 1 << 16)),
-        ops=st.lists(
-            st.tuples(
-                st.booleans(),
-                st.sampled_from(["etc/config.txt", "a.bin", "b.bin", "missing.bin"]),
-                # Up to 60 sectors, so a file spans up to five tag sectors.
-                st.integers(0, 60 * 512),
-                st.none() | st.tuples(st.sampled_from(["c2h", "cmd"]), st.integers(0, 1 << 16)),
-            ),
-            max_size=6,
-        ),
-    )
-    def test_file_operations_follow_the_formula(self, boot_fault, ops):
-        # A read of an n-sector file reads the table, then the file: T + n
-        # mediated reads. A write reads the table, writes the n sectors, then
-        # the table: T reads and n + T writes. A read of a missing file reads
-        # the table alone. One line fault resends one sector, 1024 cycles and
-        # 512 bytes more, wherever it lands; a command fault resends only the
-        # command, which costs nothing.
-        provisioned = _file_store_provision()
-        host, tmiu, bus, _ = _system(provisioned)
-        container_sectors = provisioned.layout.boot_sectors
-        boot_cycles, boot_bytes = self.boot_terms(container_sectors)
-        if boot_fault is not None:
-            kind, pick = boot_fault
-            # Both kinds send more frames than this before hand-over: the MBR
-            # and the container's sectors, or CMD0 to CMD18.
-            bus.inject_fault(kind, nth=1 + pick % (1 + container_sectors if kind == "c2h" else 7))
-            if kind == "c2h":
-                boot_cycles, boot_bytes = boot_cycles + 1024, boot_bytes + 512
-        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
-        assert not bus.faults_pending
-
-        sizes = {label: len(blob) for label, blob in DATA_FILES}
-        cycles, nbytes = self.PROM_CYCLES + boot_cycles, self.PROM_BYTES + boot_bytes
-        for write, label, size, fault in ops:
-            n = -(-(size if write else sizes.get(label, 0)) // 512)
-            if fault is not None:
-                kind, pick = fault
-                # The frames an op surely sends. A mediated read is two runs,
-                # its data sectors and then their tag sectors; a write is
-                # three, its data sectors, then their tag sectors read and
-                # written back. Each run is one CMD18 or CMD25 and one CMD12,
-                # and each tag read moves one frame or more. Every op reads
-                # the table, its first sector alone and then the rest. A read
-                # of a file with sectors reads them; a write writes the
-                # file's sectors, if any, and then the table.
-                reads = 2 + (not write and n > 0)
-                writes = write * (1 + (n > 0))
-                sent = {
-                    "c2h": self.TABLE_SECTORS + (0 if write else n) + reads + writes,
-                    "cmd": 2 * (2 * reads + 3 * writes),
-                }
-                bus.inject_fault(kind, nth=1 + pick % sent[kind])
-                if kind == "c2h":
-                    cycles, nbytes = cycles + 1024, nbytes + 512
-            reads, writes = self.TABLE_SECTORS, 0
-            if write:
-                host.write_file(label, bytes([size % 256]) * size)
-                sizes[label] = size
-                writes = n + self.TABLE_SECTORS
-            elif label in sizes:
-                assert len(host.read_file(label)) == sizes[label]
-                reads += n
-            else:
-                with pytest.raises(FileNotFoundError):
-                    host.read_file(label)
-            assert not bus.faults_pending
-            cycles += reads * self.READ_CYCLES + writes * self.WRITE_CYCLES
-            nbytes += reads * self.READ_BYTES + writes * self.WRITE_BYTES
-
-        report = tmiu.report()
-        assert (report.cycles, report.bytes_moved) == (cycles, nbytes)
-        assert report.boot_ms == pytest.approx(boot_cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
-        assert report.total_ms == pytest.approx(cycles * 1000 / self.CLOCK_HZ, rel=1e-12)
-        assert report.rate_mbps == pytest.approx(
-            boot_bytes / (boot_cycles / self.CLOCK_HZ) / 1e6, rel=1e-12
-        )
-
-
-@functools.lru_cache(maxsize=None)
-def _file_store_provision():
-    """The fixture's image at one KDF step, with 800 free data sectors."""
-    return make_provision(kdf_repetitions=1, data_slack_sectors=800)
+        assert PROM_CYCLES == -(-prom.config_size * CLOCK_HZ // prom.load_rate)
+        assert (PROM_BYTES, CLOCK_HZ) == (prom.config_size, tmiu_module.CLOCK_HZ)
+        terms = (TRANSFER_CYCLES, TRANSFER_BYTES, CHECK_CYCLES)
+        assert terms == (SECTOR_TRANSFER_CYCLES, SECTOR_SIZE, SECTOR_PIPELINE_CYCLES)
