@@ -1,5 +1,4 @@
 import re
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +19,7 @@ from tmiusim.bus import (
     DataBlock,
     ResponseFrame,
     SdioBus,
+    _FaultPlan,
     STATUS_ILLEGAL_COMMAND,
     STATUS_OUT_OF_RANGE,
     TOKEN_CRC_ERR,
@@ -32,26 +32,11 @@ from tmiusim.bus import (
 from tmiusim.crypto import RUN_SECTORS, SECTOR_SIZE, SectorCipher, crc16
 from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
-from tmiusim.tmiu import SECTOR_TRANSFER_CYCLES, CycleLedger
+from tmiusim.tmiu import CycleLedger
 
 from conftest import DATA_FILES, image_file_records, provision_container
 
 DATA_FRAME_SIZE = SECTOR_SIZE + 2  # a sector, then its CRC16
-
-
-def data_frame(block: DataBlock) -> bytes:
-    """The 514-byte frame that carries ``block``: the sector, then its CRC16.
-    The bus builds the frames it observes itself; this and :func:`parse_data`
-    are the round-trip tests' two halves."""
-    return block.payload + struct.pack(">H", block.crc)
-
-
-def parse_data(raw: bytes) -> DataBlock:
-    """The data block a 514-byte frame carries: the sector, then its CRC16."""
-    if len(raw) != DATA_FRAME_SIZE:
-        raise FramingError("data frame must be 514 bytes")
-    (crc,) = struct.unpack(">H", raw[SECTOR_SIZE:])
-    return DataBlock(payload=raw[:SECTOR_SIZE], crc=crc)
 
 
 @pytest.fixture()
@@ -123,21 +108,22 @@ class TestFraming:
         parsed2, crc_ok = parse_response(r2.to_bytes())
         assert parsed2 == r2 and crc_ok
 
+    # SdioBus._observe is the bus's one data-frame encoder and checker.
     @_PROPERTY
-    @given(payload=_payloads, crc=st.integers(0, 0xFFFF))
-    def test_data_round_trip(self, payload, crc):
-        block = DataBlock(payload, crc16(payload))
-        assert parse_data(data_frame(block)) == block
-        assert block.crc_ok
-        given_crc = DataBlock(payload=payload, crc=crc)
-        assert parse_data(data_frame(given_crc)) == given_crc
+    @given(payload=_payloads, direction=st.sampled_from(["C→H", "H→C"]))
+    def test_data_round_trip(self, payload, direction):
+        bus = SdioBus(None, CycleLedger(), trace=True)
+        assert bus._observe(direction, payload, []) == (payload, True)
+        # The frame as it crossed: the sector, then its CRC16, MSB first.
+        assert bus.transcript[0].endswith(f"KIND=DAT {payload.hex()}{crc16(payload):04x}")
+        assert DataBlock(payload, crc16(payload)).crc_ok
 
     @_PROPERTY
     @given(payload=_payloads, bit=st.integers(0, DATA_FRAME_SIZE * 8 - 1))
     def test_any_single_bit_flip_of_a_data_frame_fails_its_crc(self, payload, bit):
-        raw = bytearray(data_frame(DataBlock(payload, crc16(payload))))
-        raw[bit // 8] ^= 1 << (bit % 8)
-        assert not parse_data(bytes(raw)).crc_ok
+        arrived, crc_ok = SdioBus(None, CycleLedger())._observe("C→H", payload, [_FaultPlan(0, bit // 8, bit % 8)])
+        # A flip in the CRC16 leaves the sector as it was sent.
+        assert not crc_ok and len(arrived) == SECTOR_SIZE and (arrived == payload) == (bit >= SECTOR_SIZE * 8)
 
     @_PROPERTY
     @given(
@@ -162,7 +148,7 @@ class TestFraming:
         )
     )
     def test_parsers_raise_only_framing_errors(self, raw):
-        for parse in (parse_command, parse_response, parse_data):
+        for parse in (parse_command, parse_response):
             try:
                 parse(raw)
             except FramingError:
@@ -467,28 +453,6 @@ class TestBus:
             assert calls.count("command") == 1 and not bus.faults_pending
             assert card._open == (CMD_READ_MULTIPLE, 5)
 
-    @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, 2), (True, 2)])
-    def test_push_run_commits_what_its_frames_would(self, card, trace, fault):
-        bus = SdioBus(card, CycleLedger(), trace=trace)
-        _to_transfer(card)
-        before = card.backing.read_sectors(20, 3)
-        data = bytes(range(256)) * 6
-        if fault:
-            bus.inject_fault("h2c", nth=fault, byte_offset=7, bit=1)
-        assert bus.start_transfer(CMD_WRITE_MULTIPLE, 20)
-        if fault:
-            # The second frame fails its CRC: the card keeps the first and
-            # closes the transfer.
-            assert bus.push_run(data) == 1
-            assert card.backing.read_sectors(20, 3) == data[:512] + before[512:]
-            assert card._open is None
-        else:
-            assert bus.push_run(data) == 3
-            assert card.backing.read_sectors(20, 3) == data
-            assert card._open == (CMD_WRITE_MULTIPLE, 23)
-        frames = sum("KIND=DAT" in line for line in bus.transcript)
-        assert frames == (0 if not trace else 2 if fault else 3)
-
     @pytest.mark.parametrize("trace", [False, True])
     def test_clean_file_ops_leave_no_transfer_open(self, provisioned, trace):
         host, _, _, card = build_system(provisioned.manifest, provisioned.image.clone(), trace=trace)
@@ -539,33 +503,6 @@ class TestBus:
         else:
             assert sides[0][0] == [(False, None)] * len(results)
 
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(data=st.data(), limits=st.lists(st.integers(1, 2 * RUN_SECTORS), min_size=1, max_size=8))
-    def test_draining_runs_yields_the_same_bytes_with_or_without_the_transcript(
-        self, provisioned, data, limits
-    ):
-        image = provisioned.image
-        total = image.total_sectors
-        start = data.draw(st.integers(0, total - 1))
-        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
-        drained = []
-        for trace in (False, True):
-            bus = SdioBus(VirtualCard(identity, image), CycleLedger(), trace=trace)
-            bus.command(CMD_GO_IDLE, 0)
-            bus.command(CMD_ALL_SEND_CID, 0)
-            bus.command(CMD_SELECT, 0)
-            bus.command(CMD_READ_MULTIPLE, start)
-            out = bytearray()
-            for step in range(total + 1):
-                fetched = bus.fetch_run(limits[step % len(limits)])
-                if fetched is None:
-                    break
-                run, crc_ok = fetched
-                assert crc_ok
-                out += run
-            drained.append(bytes(out))
-        assert drained[0] == drained[1] == image.read_sectors(start, total - start)
-
     @pytest.mark.parametrize("nth", [0, -1, -4])
     def test_fault_on_frame_below_one_is_rejected(self, card, nth):
         bus = SdioBus(card, CycleLedger())
@@ -574,96 +511,36 @@ class TestBus:
                 bus.inject_fault(kind, nth=nth)
         assert not bus.faults_pending
 
-    @staticmethod
-    def _read_one(bus, lba):
-        """CMD18 at ``lba``, one data frame and CMD12: what the frame brought."""
-        bus.command(CMD_READ_MULTIPLE, lba)
-        fetched = bus.fetch_block()
-        bus.command(CMD_STOP_TRANSMISSION, 0)
-        return fetched
-
-    def _scripted_read(self, bus):
-        bus.command(CMD_GO_IDLE, 0)
-        bus.command(CMD_ALL_SEND_CID, 0)
-        bus.command(CMD_SELECT, 0)
-        out = []
-        for lba in range(3):
-            fetched = self._read_one(bus, lba)
-            if fetched is None or not fetched[1]:
-                fetched = self._read_one(bus, lba)
-            out.append(fetched[0])
-        return out
-
     def test_single_command_fault_converges(self, provisioned):
         identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
-        clean_bus = SdioBus(VirtualCard(identity, provisioned.image.clone()), CycleLedger(), trace=True)
-        clean = self._scripted_read(clean_bus)
-
-        card = VirtualCard(identity, provisioned.image.clone())
-        bus = SdioBus(card, CycleLedger(), trace=True)
-        bus.inject_fault("cmd", nth=2, byte_offset=3, bit=5)
-        # The script retries a lost command once, so one fault is absorbed.
-        bus.command(CMD_GO_IDLE, 0)
-        if bus.command(CMD_ALL_SEND_CID, 0) is None:
-            bus.command(CMD_ALL_SEND_CID, 0)
-        bus.command(CMD_SELECT, 0)
-        out = []
-        for lba in range(3):
-            out.append(self._read_one(bus, lba)[0])
+        runs = []
+        for fault in (False, True):
+            card = VirtualCard(identity, provisioned.image.clone())
+            bus = SdioBus(card, CycleLedger(), trace=True)
+            if fault:
+                bus.inject_fault("cmd", nth=2, byte_offset=3, bit=5)
+            # The script resends a lost command once, so one fault is absorbed.
+            bus.command(CMD_GO_IDLE, 0)
+            if bus.command(CMD_ALL_SEND_CID, 0) is None:
+                bus.command(CMD_ALL_SEND_CID, 0)
+            bus.command(CMD_SELECT, 0)
+            out = []
+            for lba in range(3):  # CMD18, one data frame and CMD12 each
+                bus.command(CMD_READ_MULTIPLE, lba)
+                out.append(bus.fetch_block())
+                bus.command(CMD_STOP_TRANSMISSION, 0)
+            assert card.state is CardState.TRANSFER
+            runs.append((out, [line.split(" ", 1)[1] for line in bus.transcript]))
+        (clean, stripped), (out, faulted) = runs
         assert out == clean
-        assert card.state is CardState.TRANSFER
-
-        stripped = [line.split(" ", 1)[1] for line in clean_bus.transcript]
-        faulted = [line.split(" ", 1)[1] for line in bus.transcript]
         it = iter(faulted)
         assert all(any(entry == other for other in it) for entry in stripped), (
             "clean transcript is not a subsequence of the faulted one"
         )
 
-    def test_single_data_fault_converges(self, provisioned):
-        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
-        clean = self._scripted_read(
-            SdioBus(VirtualCard(identity, provisioned.image.clone()), CycleLedger(), trace=False)
-        )
-        card = VirtualCard(identity, provisioned.image.clone())
-        bus = SdioBus(card, CycleLedger())
-        bus.inject_fault("c2h", nth=1, byte_offset=100, bit=1)
-        assert self._scripted_read(bus) == clean
-        assert card.backing.to_bytes() == provisioned.image.to_bytes()
-
-    def test_write_fault_leaves_sector_unchanged_then_retry_commits(self, provisioned):
-        identity = CardIdentity(cid=provisioned.manifest.cid, csd=provisioned.manifest.csd)
-        card = VirtualCard(identity, provisioned.image.clone())
-        bus = SdioBus(card, CycleLedger())
-        bus.command(CMD_GO_IDLE, 0)
-        bus.command(CMD_ALL_SEND_CID, 0)
-        bus.command(CMD_SELECT, 0)
-        lba = provisioned.layout.data_start
-        before = card.backing.read_sector(lba)
-        payload = b"\x5a" * 512
-        bus.inject_fault("h2c", nth=1, byte_offset=50, bit=2)
-        bus.command(CMD_WRITE_MULTIPLE, lba)
-        token = bus.push_block(payload)
-        bus.command(CMD_STOP_TRANSMISSION, 0)
-        assert token == TOKEN_CRC_ERR
-        assert card.backing.read_sector(lba) == before
-        bus.command(CMD_WRITE_MULTIPLE, lba)
-        assert bus.push_block(payload) == TOKEN_CRC_OK
-        bus.command(CMD_STOP_TRANSMISSION, 0)
-        assert card.backing.read_sector(lba) == payload
-
 
 class TestCrcCost:
     """Counts, not timings: which line CRCs each path computes."""
-
-    def test_clean_untraced_boot_and_read_compute_no_crc(self, provisioned, crc_calls):
-        host, _, _, _ = build_system(provisioned.manifest, provisioned.image.clone())
-        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
-        label, blob = DATA_FILES[0]
-        assert host.read_file(label) == blob
-        host.write_file("crc.bin", blob)
-        assert host.read_file("crc.bin") == blob
-        assert crc_calls == []
 
     def test_a_faulted_write_frame_costs_the_crc_sent_and_the_cards_check(self, provisioned, crc_calls):
         host, _, bus, _ = build_system(provisioned.manifest, provisioned.image.clone())
@@ -738,20 +615,18 @@ class TestSingleReadExchange:
         monkeypatch.setattr(SdioBus, "command", counted("command", SdioBus.command))
         return calls
 
-    def test_clean_untraced_read_builds_no_frame(self, booted, monkeypatch):
-        host, _ = booted
-        calls = self._count_frames(monkeypatch)
+    def test_clean_untraced_boot_and_file_ops_compute_no_crc_and_build_no_frame(
+        self, provisioned, crc_calls, monkeypatch
+    ):
+        host, _, _, _ = build_system(provisioned.manifest, provisioned.image.clone())
+        assert host.run_boot(expected_entries=provisioned.manifest.entries).ok
+        frames = self._count_frames(monkeypatch)  # a boot sends its identification commands as frames
         label, blob = DATA_FILES[1]
         assert host.read_file(label) == blob
-        assert calls == []
-
-    def test_clean_untraced_write_builds_no_frame(self, booted, monkeypatch):
-        host, _ = booted
-        calls = self._count_frames(monkeypatch)
-        label, blob = DATA_FILES[1]
         host.write_file(label, blob[::-1])
-        assert calls == []
-        assert host.read_file(label) == blob[::-1]
+        host.write_file("new.bin", blob)
+        assert host.read_file(label) == blob[::-1] and host.read_file("new.bin") == blob
+        assert crc_calls == frames == []
 
     @pytest.mark.parametrize("kind", ["cmd", "c2h"])
     @pytest.mark.parametrize("nth", [1, 2, 7, 12])
@@ -831,45 +706,3 @@ class TestRunFrameShape:
         assert [tuple(run[:3]) for run in runs] == expected
         for index, _, _, directions in runs:
             assert directions == {"DIR=C→H" if index == CMD_READ_MULTIPLE else "DIR=H→C"}
-
-
-# Card-to-host data frames of a clean traced fixture boot, file write and
-# file read: the MBR, the 30 boot sectors, and 17 data and tag sectors.
-IO_RUN_C2H_FRAMES = 48
-
-
-def _resent_io_run(provisioned, nth=None):
-    """Traced fixture boot, one file write and read, with a card-to-host
-    fault due on frame ``nth`` (none if None): (what the run delivered, the
-    unit's stage, final image, ledger cycles and bytes, card-to-host frames
-    sent)."""
-    manifest = provisioned.manifest
-    host, tmiu, bus, card = build_system(manifest, provisioned.image.clone(), trace=True)
-    if nth is not None:
-        bus.inject_fault("c2h", nth=nth, byte_offset=nth * 37, bit=nth % 8)
-    outcome = host.run_boot(expected_entries=manifest.entries)
-    blob = bytes(range(251)) * 3
-    host.write_file("trace.bin", blob)
-    delivered = (outcome.outcome_class, host.loaded_entries, host.read_file("trace.bin"))
-    assert not bus.faults_pending
-    frames = sum("DIR=C→H KIND=DAT" in line for line in bus.transcript)
-    ledger = tmiu.ledger
-    return delivered, tmiu.stage, card.backing.to_bytes(), (ledger.cycles, ledger.bytes_moved), frames
-
-
-class TestOneResendRule:
-    def test_the_clean_run_sends_its_card_to_host_frames(self, provisioned):
-        *_, frames = _resent_io_run(provisioned)
-        assert frames == IO_RUN_C2H_FRAMES
-
-    @pytest.mark.parametrize("nth", range(1, IO_RUN_C2H_FRAMES + 1))
-    def test_a_failed_card_to_host_frame_costs_one_resend_wherever_it_falls(self, provisioned, nth):
-        # The MBR, the boot stream, and each data and tag run of the file
-        # operations resend a frame that fails its line CRC the same way:
-        # nothing changes but one more sector transfer.
-        clean = _resent_io_run(provisioned)
-        faulted = _resent_io_run(provisioned, nth)
-        assert faulted[:3] == clean[:3]
-        (cycles, nbytes), (clean_cycles, clean_bytes) = faulted[3], clean[3]
-        assert (cycles - clean_cycles, nbytes - clean_bytes) == (SECTOR_TRANSFER_CYCLES, SECTOR_SIZE)
-        assert faulted[4] == IO_RUN_C2H_FRAMES + 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import seed, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 from hypothesis.stateful import run_state_machine_as_test
 
@@ -48,6 +48,10 @@ COMMANDS = [
 ]
 
 
+# A fixed seed: with derandomize alone the run is seeded from this class's
+# source, so that an edit of any of its docstrings or code would change what
+# it draws.
+@seed(6)
 class TwinSystems(RuleBasedStateMachine):
     @initialize(
         sectors=st.integers(1, 200),
@@ -367,15 +371,16 @@ BOOT, READ, WRITE = ("reboot", True), ("file_op", "keys.db", None), ("file_op", 
 BIG_READ, BIG_WRITE = ("file_op", "big.bin", None), ("file_op", "big.bin", 35_000)
 # A run's end: the last stage the unit entered before any lockdown, its
 # denial and fault LBA, the offset of the poisoned block the last boot
-# forwarded, and whether the card's image changed. Up, up and changed, a
-# bus error after hand-over, and one in stage 2.
-UP, CHANGED = (Stage.OPERATIONAL, None, None, None, False), (Stage.OPERATIONAL, None, None, None, True)
-BUS = (Stage.OPERATIONAL, Denial.BUS_ERROR, None, None, False)
-ID_BUS = (Stage.MEMORY_AUTH, Denial.BUS_ERROR, None, None, False)
+# forwarded, whether the card's image changed, and whether a wire fault is
+# still pending. Up, up and changed, a bus error after hand-over, and one
+# in stage 2.
+UP, CHANGED = (Stage.OPERATIONAL, None, None, None, False, False), (Stage.OPERATIONAL, None, None, None, True, False)
+BUS = (Stage.OPERATIONAL, Denial.BUS_ERROR, None, None, False, False)
+ID_BUS = (Stage.MEMORY_AUTH, Denial.BUS_ERROR, None, None, False, False)
 
 
 def _denied_boot(reason=Denial.BUS_ERROR, poisoned=None):
-    return Stage.KEYGEN_IMAGE_AUTH, reason, None, poisoned, False
+    return Stage.KEYGEN_IMAGE_AUTH, reason, None, poisoned, False, False
 
 
 # Each run: the card class, its end, and the steps after the first boot. In
@@ -388,6 +393,15 @@ PINNED = {
     "a_fault_mid_file": (VirtualCard, CHANGED, BIG_WRITE, ("wire_fault", ("c2h", 37, 100, 3)), BIG_READ),
     # The boot's second data frame is resent, charged to the boot; the command fault is free.
     "faults_at_boot": (VirtualCard, UP, ("wire_fault", ("cmd", 3, 0, 0)), ("wire_fault", ("c2h", 2, 9, 1)), BOOT),
+    # One card-to-host frame failing its CRC costs one resend wherever it
+    # falls, and nothing else: the MBR, the container's first sector, its
+    # last sector (held until the stream is checked), the tag frame of a
+    # read's first data run, and a write's tag read.
+    "a_c2h_fault_on_the_mbr": (VirtualCard, UP, ("wire_fault", ("c2h", 1, 37, 1)), BOOT),
+    "a_c2h_fault_on_the_container_start": (VirtualCard, UP, ("wire_fault", ("c2h", 2, 74, 2)), BOOT),
+    "a_c2h_fault_on_the_held_last_sector": (VirtualCard, UP, ("wire_fault", ("c2h", 31, 511, 7)), BOOT),
+    "a_c2h_fault_on_a_read_tag": (VirtualCard, UP, ("wire_fault", ("c2h", 2, 0, 0)), READ),
+    "a_c2h_fault_on_a_write_tag_read": (VirtualCard, CHANGED, ("wire_fault", ("c2h", 7, 259, 3)), WRITE),
     # The write's second data frame is resent, and the write goes on.
     "a_write_fault": (VirtualCard, CHANGED, ("wire_fault", ("h2c", 2, 0, 0)), WRITE),
     # The table's first frame fails, and so does each of its three resends.
@@ -395,8 +409,9 @@ PINNED = {
     # A flipped bit in etc/config.txt's first sector, which neither read meets.
     "an_unread_tampered_sector": (VirtualCard, CHANGED, ("tamper", False, 4), ("file_op", "var/log.bin", None), READ),
     "a_suspended_card": (VirtualCard, BUS, ("across_the_edge", False, 0), ("suspend",), READ, READ),
+    # The write fault never fires: the unit is in lockdown before the write.
     "a_tampered_tag_then_a_write_fault": (
-        VirtualCard, (Stage.OPERATIONAL, Denial.SECTOR_TAG_MISMATCH, 88, None, True),
+        VirtualCard, (Stage.OPERATIONAL, Denial.SECTOR_TAG_MISMATCH, 88, None, True, True),
         BIG_WRITE, ("tamper", True, 57), BIG_READ, ("wire_fault", ("h2c", 9, 0, 0)), BIG_WRITE,
     ),
     "tables_rewritten_behind_the_host": (
@@ -423,7 +438,7 @@ PINNED = {
     ),
     # The fault LBA is the one asked for.
     "shifted_lba_in_a_read": (
-        LbaShiftingCard, (Stage.OPERATIONAL, Denial.SECTOR_TAG_MISMATCH, 31, None, False), _lie(31), READ
+        LbaShiftingCard, (Stage.OPERATIONAL, Denial.SECTOR_TAG_MISMATCH, 31, None, False, False), _lie(31), READ
     ),
     "silent_cmd2_at_boot": (RefusingCard, ID_BUS, _lie(command=CMD_ALL_SEND_CID), BOOT),
     "silent_cmd9_at_boot": (RefusingCard, ID_BUS, _lie(command=CMD_SEND_CSD), BOOT),
@@ -438,7 +453,7 @@ PINNED = {
     "refused_data_run": (RefusingCard, BUS, _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 1), WRITE),
     # The data run commits outside the old extent before the tag run is refused.
     "refused_tag_run": (
-        RefusingCard, (Stage.OPERATIONAL, Denial.BUS_ERROR, None, None, True),
+        RefusingCard, (Stage.OPERATIONAL, Denial.BUS_ERROR, None, None, True, False),
         _lie(0, CMD_WRITE_MULTIPLE, STATUS_OUT_OF_RANGE, 2), WRITE,
     ),
     # The unit never reads CMD12's answer: silent, the card leaves the last
@@ -479,12 +494,12 @@ RECORDS = {
 
 def _end(machine):
     """The end of the untraced twin's run, as a pinned run states it."""
-    (_, tmiu, _, card), _ = machine.systems
+    (_, tmiu, bus, card), _ = machine.systems
     stages = [stage for stage, *_ in tmiu.stage_history]
     _, blocks = machine.forwarded[0] or (b"", [])
     return (
         stages[-2] if stages[-1] is Stage.LOCKDOWN else stages[-1], tmiu.reason, tmiu.fault_lba,
-        blocks[0][0] if blocks else None, card.backing.to_bytes() != machine.image.to_bytes(),
+        blocks[0][0] if blocks else None, card.backing.to_bytes() != machine.image.to_bytes(), bus.faults_pending,
     )
 
 

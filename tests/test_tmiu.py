@@ -11,6 +11,7 @@ from tmiusim.host import build_system
 from tmiusim.identity import CardIdentity
 from tmiusim.image import (
     BOOT_PARTITION_TYPE,
+    DATA_PARTITION_TYPE,
     FileRecord,
     MbrSector,
     PartitionEntry,
@@ -252,13 +253,18 @@ class TestVerifyMbrAndImage:
         assert tmiu.verify_mbr_and_image(bus, lambda item: None) is Stage.LOCKDOWN
         assert tmiu.reason is Denial.MBR_MISMATCH
 
-    def test_a_keyed_mbr_without_a_data_partition_is_denied(self, provisioned):
+    @pytest.mark.parametrize("missing", ["boot", "data"])
+    def test_a_keyed_mbr_missing_a_partition_is_denied(self, provisioned, missing):
         # Sealed and anchored with the pair's own keys, so only the layout
         # check can refuse it.
         layout = provisioned.layout
-        boot = PartitionEntry(0x80, BOOT_PARTITION_TYPE, layout.boot_start, layout.boot_sectors)
+        partitions = {
+            "boot": PartitionEntry(0x80, BOOT_PARTITION_TYPE, layout.boot_start, layout.boot_sectors),
+            "data": PartitionEntry(0x00, DATA_PARTITION_TYPE, layout.data_start, layout.data_sectors),
+        }
+        del partitions[missing]
         aes_key, mac_key = manifest_keys(provisioned.manifest)
-        sealed = SectorCipher(aes_key).crypt(0, MbrSector(partitions=(boot,)).to_bytes())
+        sealed = SectorCipher(aes_key).crypt(0, MbrSector(partitions=tuple(partitions.values())).to_bytes())
         digest = sector_tag(SectorMac(mac_key), 0, sealed)
         anchors = dataclasses.replace(provisioned.manifest.anchors, mbr_digest=digest)
         manifest = dataclasses.replace(provisioned.manifest, anchors=anchors)
@@ -351,18 +357,6 @@ class TestMediatedDataPath:
             tmiu.mediate_write(bus, provisioned.layout.boot_start, bytes(512))
         with pytest.raises(PolicyViolation):
             tmiu.mediate_read(bus, provisioned.layout.meta_start)
-
-    @pytest.mark.parametrize("trace, fault", [(False, None), (True, None), (False, "h2c"), (False, "c2h")])
-    def test_a_read_moves_its_whole_extent_traced_or_not(self, provisioned, trace, fault):
-        host, tmiu, bus, _ = _system(provisioned, trace=trace)
-        assert host.run_boot().ok
-        if fault is not None:
-            bus.inject_fault(fault, nth=1000)  # pending, never due in this read
-        cipher = SectorCipher(manifest_keys(provisioned.manifest)[0])
-        lba = provisioned.layout.data_start + 3
-        expected = cipher.crypt(lba, provisioned.image.read_sectors(lba, 20))
-        assert tmiu.mediate_read(bus, lba, 20) == expected
-        assert bus.faults_pending == (fault is not None)
 
     def test_an_access_needs_whole_sectors(self, provisioned):
         _, tmiu, bus, _ = _boot_to_operational(provisioned)
