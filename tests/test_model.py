@@ -510,3 +510,17 @@ def test_a_pinned_run(name):
     card = machine.systems[0][3]
     record = RECORDS.get(name, {})
     assert (_end(machine), {attr: getattr(card, attr) for attr in record}) == (want, record)
+
+
+# Data frames of a boot, a write of new.bin and its read-back: card to host,
+# the MBR, the 30 boot sectors, and the table, tag and file sectors of the
+# write and the read; host to card, the write's file, tag and table sectors.
+DATA_FRAMES = {"c2h": 54, "h2c": 13}
+
+
+@pytest.mark.parametrize("kind, nth", [(kind, n) for kind, count in DATA_FRAMES.items() for n in range(1, count + 2)])
+def test_one_data_frame_failing_its_crc_costs_one_resend_wherever_it_falls(kind, nth):
+    # The clock charges the one frame resent, and the read-back meets what
+    # the model wrote. A fault due past the last frame never fires.
+    machine = _replay(("wire_fault", (kind, nth, nth * 37 % 514, nth % 8)), BOOT, WRITE, ("file_op", "new.bin", None))
+    assert _end(machine) == CHANGED[:-1] + (nth > DATA_FRAMES[kind],)
